@@ -121,8 +121,16 @@ func TestZeroCopyTableExhaustionDegradesToCopy(t *testing.T) {
 	}
 }
 
+// virtualOnly zeroes the fields of a row the virtual clock does not drive:
+// the Go collector's counters, and the payload ring's peak occupancy, which
+// follows how far the async service goroutine lags the producer in real time.
+func virtualOnly(r ZeroCopyRow) ZeroCopyRow {
+	r.GCCycles, r.GCPauseTotalMs, r.GCPauseMaxMs, r.RingPeak = 0, 0, 0, 0
+	return r
+}
+
 // TestZeroCopyTableDeterministic runs the same configuration twice: every
-// row must match exactly (the virtual clock drives everything).
+// row must match exactly in everything the virtual clock drives.
 func TestZeroCopyTableDeterministic(t *testing.T) {
 	cfg := ZeroCopyTableConfig{
 		NetperfDuration: 500 * time.Millisecond,
@@ -143,7 +151,7 @@ func TestZeroCopyTableDeterministic(t *testing.T) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if virtualOnly(a[i]) != virtualOnly(b[i]) {
 			t.Errorf("row %d differs across runs:\n  %+v\n  %+v", i, a[i], b[i])
 		}
 	}

@@ -69,6 +69,18 @@ func NewCtx(name string, data []byte, st *State, down func(string, uint64) (uint
 	return &Ctx{Name: name, Data: data, State: st, down: down}
 }
 
+// Arm readies a dispatcher-owned context for one call of the registered
+// handler h and returns it: every field is overwritten, so nothing of the
+// previous call — name, payload, downcall route — is visible to this one.
+// A serve loop that runs one body at a time keeps one Ctx and arms it per
+// call instead of allocating; Name is the name h was registered under.
+//
+//decaf:hotpath
+func (c *Ctx) Arm(h *Handler, data []byte, st *State, down func(string, uint64) (uint64, error)) *Ctx {
+	c.Name, c.Data, c.State, c.down = h.name, data, st, down
+	return c
+}
+
 // Handler is one registered decaf call body.
 type Handler struct {
 	// Cost is the body's virtual CPU cost, charged to the decaf timeline by
@@ -83,6 +95,9 @@ type Handler struct {
 	// reported to the kernel side, and — under the proc transport — fatal
 	// to the worker process.
 	Fn func(*Ctx) error
+
+	// name is the call name Register installed this copy under.
+	name string
 }
 
 // table is the immutable snapshot Lookup reads lock-free.
@@ -107,6 +122,7 @@ func Register(name string, h Handler) {
 		}
 	}
 	hc := h
+	hc.name = name
 	next[name] = &hc
 	table.Store(&next)
 }
@@ -128,6 +144,18 @@ func Lookup(name string) *Handler {
 		return nil
 	}
 	return (*m)[name]
+}
+
+// LookupBytes is Lookup for a name held as bytes — a view of a wire frame —
+// without materialising a string for it.
+//
+//decaf:hotpath
+func LookupBytes(name []byte) *Handler {
+	m := table.Load()
+	if m == nil {
+		return nil
+	}
+	return (*m)[string(name)]
 }
 
 // Names lists the registered handler names, sorted (for docs and tests).

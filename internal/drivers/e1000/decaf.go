@@ -267,4 +267,3 @@ func (dd *decafDriver) close(uctx *kernel.Context) {
 		return nil
 	})
 }
-

@@ -20,9 +20,10 @@ const (
 	// themselves (copy fallback).
 	FrameSubmit FrameKind = 1 + iota
 	// FrameComplete acknowledges one frame by ID: Status is zero on
-	// success, and Aux carries the worker's FNV-64a checksum of the payload
-	// it observed — the kernel side compares it against its own view, which
-	// only matches if the two address spaces really share the bytes.
+	// success, and Aux carries the worker's 64-bit checksum of the payload it
+	// observed (xpc's payloadSum; zero when the frame carried no payload) —
+	// the kernel side compares it against its own view, which only matches
+	// if the two address spaces really share the bytes.
 	FrameComplete
 	// FrameRingRegister publishes a payload ring's geometry to the worker:
 	// Aux packs slots<<32 | slotSize. The ring's buffers are the shared
@@ -132,7 +133,8 @@ type Frame struct {
 	Data []byte
 	// Status is the completion outcome: 0 ok, non-zero a worker-side error.
 	Status uint32
-	// Aux is kind-specific: payload checksum on FrameComplete, packed ring
+	// Aux is kind-specific: the observed payload's checksum on FrameComplete
+	// (zero: no payload), frames left in the chunk on FrameCall, packed ring
 	// geometry (slots<<32 | slotSize) on FrameRingRegister.
 	Aux uint64
 	// Lane identifies the submission lane a descriptor-ring frame rides: a
@@ -221,74 +223,90 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 // returning the frame and the bytes consumed. The decode is strict — the
 // length prefix must match the frame's contents exactly, unknown kinds and
 // reserved flag bits are rejected — and never panics on truncated or corrupt
-// input. Name and Data are copied out of the input buffer.
+// input. Name and Data are copied out of the input buffer, so the frame may
+// outlive it — and so a peer that can still write the buffer (the kernel
+// side reads completions out of memory the untrusted worker maps) cannot
+// change a frame after it was validated.
 func DecodeFrame(data []byte) (Frame, int, error) {
-	d := Decoder{buf: data}
-	body, err := d.Uint32()
+	f, name, n, err := DecodeFrameView(data)
 	if err != nil {
 		return Frame{}, 0, err
 	}
+	f.Name = string(name)
+	if f.Data != nil {
+		f.Data = append([]byte(nil), f.Data...)
+	}
+	return f, n, nil
+}
+
+// DecodeFrameView is DecodeFrame without the copies, for a consumer that is
+// done with the frame before the buffer is reused (the worker serving a
+// submit-ring slot): the same validation, but f.Data and the returned name
+// alias data and are valid only as long as data is. f.Name stays empty — a
+// Go string cannot borrow bytes.
+func DecodeFrameView(data []byte) (f Frame, name []byte, n int, err error) {
+	d := Decoder{buf: data}
+	body, err := d.Uint32()
+	if err != nil {
+		return Frame{}, nil, 0, err
+	}
 	if body > MaxFrameSize {
-		return Frame{}, 0, fmt.Errorf("%w: length %d exceeds max %d", ErrFrameCorrupt, body, MaxFrameSize)
+		return Frame{}, nil, 0, fmt.Errorf("%w: length %d exceeds max %d", ErrFrameCorrupt, body, MaxFrameSize)
 	}
 	if int(body) < frameFixedSize {
-		return Frame{}, 0, fmt.Errorf("%w: length %d below fixed size %d", ErrFrameCorrupt, body, frameFixedSize)
+		return Frame{}, nil, 0, fmt.Errorf("%w: length %d below fixed size %d", ErrFrameCorrupt, body, frameFixedSize)
 	}
 	if d.Remaining() < int(body) {
-		return Frame{}, 0, fmt.Errorf("%w: frame needs %d bytes, have %d", ErrShortBuffer, body, d.Remaining())
+		return Frame{}, nil, 0, fmt.Errorf("%w: frame needs %d bytes, have %d", ErrShortBuffer, body, d.Remaining())
 	}
 	hdr, _ := d.take(4)
-	var f Frame
 	f.Kind = FrameKind(hdr[0])
 	if !f.Kind.valid() {
-		return Frame{}, 0, fmt.Errorf("%w: kind %d", ErrFrameCorrupt, hdr[0])
+		return Frame{}, nil, 0, fmt.Errorf("%w: kind %d", ErrFrameCorrupt, hdr[0])
 	}
 	flags := hdr[1]
 	if flags&^byte(frameFlagUp|frameFlagInject) != 0 {
-		return Frame{}, 0, fmt.Errorf("%w: reserved flag bits %#x", ErrFrameCorrupt, flags)
+		return Frame{}, nil, 0, fmt.Errorf("%w: reserved flag bits %#x", ErrFrameCorrupt, flags)
 	}
 	f.Up = flags&frameFlagUp != 0
 	f.Inject = flags&frameFlagInject != 0
 	nameLen := int(hdr[2])<<8 | int(hdr[3])
 	if nameLen > MaxFrameName {
-		return Frame{}, 0, fmt.Errorf("%w: name length %d", ErrFrameCorrupt, nameLen)
+		return Frame{}, nil, 0, fmt.Errorf("%w: name length %d", ErrFrameCorrupt, nameLen)
 	}
 	if f.ID, err = d.Uint64(); err != nil {
-		return Frame{}, 0, err
+		return Frame{}, nil, 0, err
 	}
 	if f.Status, err = d.Uint32(); err != nil {
-		return Frame{}, 0, err
+		return Frame{}, nil, 0, err
 	}
 	if f.Aux, err = d.Uint64(); err != nil {
-		return Frame{}, 0, err
+		return Frame{}, nil, 0, err
 	}
 	if f.Lane, err = d.Uint32(); err != nil {
-		return Frame{}, 0, err
+		return Frame{}, nil, 0, err
 	}
 	if f.Slot, err = d.SlotDescriptor(); err != nil {
-		return Frame{}, 0, err
+		return Frame{}, nil, 0, err
 	}
 	dataLen, err := d.Uint32()
 	if err != nil {
-		return Frame{}, 0, err
+		return Frame{}, nil, 0, err
 	}
 	if dataLen > MaxFramePayload {
-		return Frame{}, 0, fmt.Errorf("%w: payload length %d", ErrFrameCorrupt, dataLen)
+		return Frame{}, nil, 0, fmt.Errorf("%w: payload length %d", ErrFrameCorrupt, dataLen)
 	}
 	want := frameFixedSize + nameLen + pad(nameLen) + int(dataLen) + pad(int(dataLen))
 	if int(body) != want {
-		return Frame{}, 0, fmt.Errorf("%w: length prefix %d, contents need %d", ErrFrameCorrupt, body, want)
+		return Frame{}, nil, 0, fmt.Errorf("%w: length prefix %d, contents need %d", ErrFrameCorrupt, body, want)
 	}
-	name, err := d.FixedOpaque(nameLen)
-	if err != nil {
-		return Frame{}, 0, err
+	// The length checks above cover every byte taken from here on. Capacity
+	// is clipped so an append to a view cannot write into the buffer.
+	name, _ = d.take(nameLen + pad(nameLen))
+	name = name[:nameLen:nameLen]
+	if dataLen > 0 {
+		f.Data, _ = d.take(int(dataLen) + pad(int(dataLen)))
+		f.Data = f.Data[:dataLen:dataLen]
 	}
-	f.Name = string(name)
-	if f.Data, err = d.FixedOpaque(int(dataLen)); err != nil {
-		return Frame{}, 0, err
-	}
-	if dataLen == 0 {
-		f.Data = nil
-	}
-	return f, d.off, nil
+	return f, name, d.off, nil
 }

@@ -7,7 +7,8 @@ import (
 
 // FuzzDecodeFrame drives DecodeFrame with arbitrary bytes: it must never
 // panic, never over-consume, and anything it accepts must re-encode to an
-// equivalent frame (the codec is its own inverse on the accepted set). The
+// equivalent frame (the codec is its own inverse on the accepted set); the
+// in-place DecodeFrameView must reach the same verdict on every input. The
 // committed seed corpus under testdata/fuzz covers every frame kind plus
 // truncated and bit-flipped variants; `go test -fuzz=FuzzDecodeFrame` grows
 // it from there.
@@ -29,6 +30,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		viewAgrees(t, data)
 		fr, n, err := DecodeFrame(data)
 		if err != nil {
 			return

@@ -32,7 +32,28 @@ func everyFrameKind() []Frame {
 		{Kind: FrameDown, ID: 11, Name: "e1000_read_status", Aux: 0x83},
 		{Kind: FrameDownResult, ID: 11, Aux: 0x80080783},
 		{Kind: FrameDownResult, ID: 12, Status: 1, Name: "unknown downcall"},
-		{Kind: FrameStateMap, ID: 13, Aux: 1 << 20 << 32 | 512},
+		{Kind: FrameStateMap, ID: 13, Aux: 1<<20<<32 | 512},
+	}
+}
+
+// viewAgrees decodes data with DecodeFrame and with DecodeFrameView and
+// requires one verdict from both: the same accept/reject decision with the
+// same error, the same bytes consumed, the same field values.
+func viewAgrees(t testing.TB, data []byte) {
+	t.Helper()
+	want, wn, werr := DecodeFrame(data)
+	got, name, gn, gerr := DecodeFrameView(data)
+	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+		t.Fatalf("DecodeFrame err = %v, DecodeFrameView err = %v on %x", werr, gerr, data)
+	}
+	if werr != nil {
+		return
+	}
+	if gn != wn || got.Kind != want.Kind || got.ID != want.ID || got.Up != want.Up ||
+		got.Inject != want.Inject || string(name) != want.Name || got.Slot != want.Slot ||
+		got.Status != want.Status || got.Aux != want.Aux || got.Lane != want.Lane ||
+		!bytes.Equal(got.Data, want.Data) || (got.Data == nil) != (want.Data == nil) {
+		t.Fatalf("decodes disagree:\n copy %+v (%d bytes)\n view %+v name %q (%d bytes)", want, wn, got, name, gn)
 	}
 }
 
@@ -60,6 +81,7 @@ func TestFrameRoundTripEveryKind(t *testing.T) {
 		if len(wire)%4 != 0 {
 			t.Errorf("%v: wire length %d not 4-aligned", want.Kind, len(wire))
 		}
+		viewAgrees(t, wire)
 		got, n, err := DecodeFrame(wire)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", want.Kind, err)
@@ -122,6 +144,50 @@ func TestFrameDecodeDoesNotAliasInput(t *testing.T) {
 	}
 }
 
+// TestFrameViewAliasesInput: DecodeFrameView's lifetime rule is deliberate —
+// the name and payload it returns ARE the input bytes (a write to the buffer
+// shows through both), clipped so an append cannot write back into it.
+func TestFrameViewAliasesInput(t *testing.T) {
+	wire, err := AppendFrame(nil, Frame{Kind: FrameCall, ID: 11, Up: true, Name: "tx", Data: []byte("payload!")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, name, _, err := DecodeFrameView(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Name != "" || string(name) != "tx" || string(f.Data) != "payload!" {
+		t.Fatalf("view = %+v, name %q", f, name)
+	}
+	nameOff, dataOff := 4+frameFixedSize, 4+frameFixedSize+4
+	if &name[0] != &wire[nameOff] || &f.Data[0] != &wire[dataOff] {
+		t.Fatal("view copied the name or payload out of the input")
+	}
+	wire[nameOff], wire[dataOff] = 'r', 'P'
+	if string(name) != "rx" || string(f.Data) != "Payload!" {
+		t.Fatalf("a write to the buffer did not show through the view: %q %q", name, f.Data)
+	}
+	if cap(name) != len(name) || cap(f.Data) != len(f.Data) {
+		t.Fatalf("view capacity reaches past the field: name %d/%d, data %d/%d", len(name), cap(name), len(f.Data), cap(f.Data))
+	}
+}
+
+// TestFrameViewAllocFree: decoding a full-size handler call in place — what
+// the worker does per submit descriptor — allocates nothing.
+func TestFrameViewAllocFree(t *testing.T) {
+	wire, err := AppendFrame(nil, Frame{Kind: FrameCall, ID: 1, Up: true, Name: "e1000_xmit_frame", Aux: 31, Data: make([]byte, 1462)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := DecodeFrameView(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("DecodeFrameView allocates %.1f objects per frame, want 0", avg)
+	}
+}
+
 // TestFrameEncodeDoesNotAliasSource: mutating the caller's payload slice
 // after AppendFrame returns must not change the encoded bytes — the wire
 // copy is taken at encode time (the cross-process half of the
@@ -151,6 +217,7 @@ func TestFrameTruncationAtEveryLength(t *testing.T) {
 			if _, _, err := DecodeFrame(wire[:n]); err == nil {
 				t.Fatalf("%v: truncation to %d of %d bytes decoded successfully", f.Kind, n, len(wire))
 			}
+			viewAgrees(t, wire[:n])
 		}
 	}
 }
@@ -178,6 +245,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		if _, _, err := DecodeFrame(wire); err == nil {
 			t.Errorf("%s: decoded successfully", tc.name)
 		}
+		viewAgrees(t, wire)
 	}
 }
 

@@ -291,6 +291,18 @@ func (q *descRing) unpark() { q.hdr.parked.Store(0) }
 // iterations keeps a busy spin from starving the peer on a loaded machine.
 const descSpinBudget = 4096
 
+// soloSpinBudget is the completion spin budget of a lane holder with no
+// sibling in flight. descSpinBudget is 10-20 µs, about as long as the worker
+// loses its CPU to a thread waking beside it, and a park then costs more
+// than its two syscalls: the wake comes through the runtime's poller, which
+// starts an idle M and keeps sysmon on its short tick — threads that, with
+// no CPU to spare, run by preempting the worker again. Parks breed parks: on
+// 2 CPUs one-call crossings ran in spells of 1000-3000 parks a second, 15 %
+// slower than the spells without. Four budgets ride a preemption out (three
+// do, two do not) and find a dead worker ~50 µs later. With siblings a park
+// frees a P for one of them, and laneCrossOn's scaled budget stands.
+const soloSpinBudget = 4 * descSpinBudget
+
 // awaitSlot polls q until a slot is pending, parking on the doorbell when
 // the spin budget runs out. A zero deadline means block indefinitely
 // (worker side); otherwise the doorbell wait fails past the deadline

@@ -707,8 +707,9 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, c
 	// flight: K holders spinning concurrently on an oversubscribed machine
 	// take ~K times longer wall-clock to exhaust a fixed budget, starving
 	// the worker of CPU exactly when it has the most lanes to serve.
-	// Parking promptly hands the worker the whole machine instead.
-	budget := descSpinBudget
+	// Parking promptly hands the worker the whole machine instead. A sole
+	// holder has nobody to hand its CPU to and spins soloSpinBudget.
+	budget := soloSpinBudget
 	if active := t.laneActive.Load(); active > 1 {
 		budget = descSpinBudget / int(active)
 	}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"decafdrivers/internal/kernel"
 )
@@ -94,8 +93,11 @@ func TestProcBatchCoalescesIntoOneWireCrossing(t *testing.T) {
 	if c.RingCrossings != 1 {
 		t.Fatalf("RingCrossings = %d: the chunk split into multiple boundary trips", c.RingCrossings)
 	}
-	if c.DescRingPeak < n {
-		t.Fatalf("DescRingPeak = %d, want >= %d (the whole chunk was published before awaiting)", c.DescRingPeak, n)
+	// No lower bound beyond 1: how much of the chunk is still in the ring when
+	// the last frame publishes says how fast the worker is, not how the chunk
+	// was sent.
+	if c.DescRingPeak < 1 || c.DescRingPeak > n {
+		t.Fatalf("DescRingPeak = %d, want within [1, %d]", c.DescRingPeak, n)
 	}
 }
 
@@ -472,6 +474,10 @@ func TestProcSpillLaneAbsorbsOversubscription(t *testing.T) {
 // sibling, never a hang or a raw error — the epoch's lanes must be re-carved
 // for a fresh worker, and post-storm crossings (including zero-copy slot
 // resolution, which requires the re-registered ring geometry) must succeed.
+// The kills come from inside the storm, at fixed rounds of one submitter, so
+// they land mid-contention however fast the storm runs; the last one follows
+// that submitter's final crossing, so the death may be left for the
+// post-storm crossing to observe.
 func TestProcSigkillMidContentionRecovers(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("warm")
@@ -495,33 +501,42 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 			defer wg.Done()
 			ctx := k.NewContext(fmt.Sprintf("storm-%d", w))
 			<-start
-			for i := 0; i < rounds; i++ {
+			for i := 1; i <= rounds; i++ {
 				err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil })
 				if err != nil && !IsUserFault(err) && !errors.Is(err, ErrCrossingAborted) {
 					unexpected <- fmt.Errorf("submitter %d round %d: %w", w, i, err)
 					return
 				}
+				if w == 0 && i%(rounds/3) == 0 {
+					pt.KillWorker()
+				}
 			}
 		}(w)
 	}
 	close(start)
-	for i := 0; i < 3; i++ {
-		time.Sleep(2 * time.Millisecond)
-		pt.KillWorker()
-	}
 	wg.Wait()
 	close(unexpected)
 	for err := range unexpected {
 		t.Fatal(err)
 	}
 	// The boundary heals: lanes re-carved, ring geometry replayed, zero-copy
-	// crossings resolve on the fresh worker.
+	// crossings resolve on the fresh worker. Deaths are noticed on the next
+	// wire operation, so if no storm crossing followed the last kill this one
+	// is the first to see it: exactly one contained fault, then success.
 	post := k.NewContext("post")
 	p := r.AcquirePayload([]byte("post-storm payload"))
 	if !p.Direct() {
 		t.Fatal("payload not staged in the mapped ring")
 	}
-	if err := r.Batch(post).UpcallPayload("rx", p, func(uctx *kernel.Context) error { return nil }).Flush(); err != nil {
+	cross := func() error {
+		return r.Batch(post).UpcallPayload("rx", p, func(uctx *kernel.Context) error { return nil }).Flush()
+	}
+	err = cross()
+	var death *WorkerDeath
+	if IsUserFault(err) && errors.As(err, &death) {
+		err = cross()
+	}
+	if err != nil {
 		t.Fatalf("zero-copy crossing after mid-contention SIGKILL: %v", err)
 	}
 	r.ReleasePayload(p)

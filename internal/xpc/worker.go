@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -108,8 +109,10 @@ func runWorker() int {
 	// reading, so the chunk's remaining frames sit ahead of the result in
 	// the stream. They replay, in order, before the next socket read.
 	var stash []xdr.Frame
-	// sockSkip is the socketpair path's chunk-abort counter (see callAck).
+	// sockSkip is the socketpair path's chunk-abort counter and sockCtx its
+	// dispatch context (see callAck).
 	var sockSkip int
+	var sockCtx registry.Ctx
 	reply := func(f xdr.Frame) error {
 		wire, err := xdr.AppendFrame(nil, f)
 		if err != nil {
@@ -281,7 +284,7 @@ func runWorker() int {
 		case xdr.FrameSubmit:
 			err = reply(submitAck(f, mem, &geom))
 		case xdr.FrameCall:
-			err = reply(callAck(f, mem, &geom, wstate, &sockSkip, sockDown(f.ID)))
+			err = reply(callAck(f, registry.Lookup(f.Name), mem, &geom, wstate, &sockCtx, &sockSkip, sockDown(f.ID)))
 		default:
 			fmt.Fprintf(os.Stderr, "xpc worker: unexpected %v frame\n", f.Kind)
 			return workerErrExit
@@ -336,11 +339,15 @@ func submitAck(f xdr.Frame, mem []byte, geom *atomic.Uint64) xdr.Frame {
 // process. A failing or faulting body arms *skip with the frame's Aux (the
 // count of handler frames left in its chunk), and armed skips consume
 // subsequent FrameCall frames unexecuted — mirroring the kernel side's
-// chunk abort. down routes the body's nested downcalls; nil when the
-// path cannot serve them (lanes carry only downcall-free handlers).
+// chunk abort. h is the handler the frame names, resolved by the caller
+// (the lane path holds the name as borrowed bytes, the socketpair path as a
+// string). ctx is the serve loop's one dispatch context, re-armed for each
+// body: a loop runs one body at a time and handlers may not keep their Ctx,
+// so no call needs its own. down routes the body's nested downcalls; nil
+// when the path cannot serve them (lanes carry only downcall-free handlers).
 //
 //decaf:hotpath
-func callAck(f xdr.Frame, mem []byte, geom *atomic.Uint64, st *registry.State, skip *int, down func(name string, arg uint64) (uint64, error)) xdr.Frame {
+func callAck(f xdr.Frame, h *registry.Handler, mem []byte, geom *atomic.Uint64, st *registry.State, ctx *registry.Ctx, skip *int, down func(name string, arg uint64) (uint64, error)) xdr.Frame {
 	ack := xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Lane: f.Lane}
 	var data []byte
 	switch {
@@ -374,19 +381,18 @@ func callAck(f xdr.Frame, mem []byte, geom *atomic.Uint64, st *registry.State, s
 		ack.Status = remoteCallInjected
 		return ack
 	}
-	h := registry.Lookup(f.Name)
 	if h == nil {
 		// The parent resolved this handler before encoding and the worker is
-		// a re-exec of the same binary: a miss is a protocol violation.
+		// a re-exec of the same binary: a miss is a protocol violation. The
+		// parent's error names the call.
 		ack.Status = wireStatusBadFrame
-		ack.Name = clipFrameName("no handler registered for " + f.Name)
+		ack.Name = "no handler registered"
 		return ack
 	}
-	var route func(name string, arg uint64) (uint64, error)
-	if h.Down {
-		route = down
+	if !h.Down {
+		down = nil
 	}
-	if err := runRegisteredHandler(h, registry.NewCtx(f.Name, data, st, route)); err != nil {
+	if err := runRegisteredHandler(h, ctx.Arm(h, data, st, down)); err != nil {
 		if int(f.Aux) > *skip {
 			*skip = int(f.Aux)
 		}
@@ -450,6 +456,8 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte,
 	// a failing handler skips only the remainder of its own lane's chunk.
 	//decaf:allowalloc one-time setup before the serve loop, not per-crossing
 	skips := make([]int, len(lanes))
+	// ctx is the one dispatch context every lane-borne body runs under.
+	var ctx registry.Ctx
 	for {
 		served := false
 		for i := range lanes {
@@ -457,7 +465,7 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte,
 			if l >= len(lanes) {
 				l -= len(lanes)
 			}
-			if serveLane(lanes[l], bells[l], uint16(l), mem, geom, wring, st, &skips[l]) > 0 {
+			if serveLane(lanes[l], bells[l], uint16(l), mem, geom, wring, st, &ctx, &skips[l]) > 0 {
 				served = true
 			}
 		}
@@ -506,14 +514,16 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte,
 
 // serveLane drains up to one quantum of submit descriptors from a lane,
 // publishing each acknowledgement into the lane's completion ring and
-// ringing the lane's doorbell only when its consumer parked. The submit
-// slot is advanced BEFORE the completion publishes: the kernel side assumes
-// a fully acknowledged chunk has left the submit ring, so the next
-// full-batch chunk on the lane always finds room (laneCrossOn treats a full
-// submit ring as corruption).
+// ringing the lane's doorbell only when its consumer parked. The frame is
+// decoded in place — its name and copy-path payload are views of the submit
+// slot — so the slot stays ours until the handler has run, and is advanced
+// after that but BEFORE the completion publishes: the kernel side assumes a
+// fully acknowledged chunk has left the submit ring, so the next full-batch
+// chunk on the lane always finds room (laneCrossOn treats a full submit ring
+// as corruption). The acknowledgement holds no view of the slot.
 //
 //decaf:hotpath
-func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *atomic.Uint64, wring *trace.Ring, st *registry.State, skip *int) int {
+func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *atomic.Uint64, wring *trace.Ring, st *registry.State, ctx *registry.Ctx, skip *int) int {
 	n := 0
 	firstID := uint64(0)
 	for ; n < laneServeQuantum; n++ {
@@ -521,8 +531,7 @@ func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *
 		if slot == nil {
 			break
 		}
-		f, _, derr := xdr.DecodeFrame(slot)
-		lr.sub.advance()
+		f, name, _, derr := xdr.DecodeFrameView(slot)
 		if derr != nil {
 			fmt.Fprintln(os.Stderr, "xpc worker: corrupt submit descriptor:", derr)
 			os.Exit(workerErrExit)
@@ -544,10 +553,11 @@ func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *
 			// Lane-borne handler dispatch. The down route is nil by
 			// invariant: ringFits steers downcall-capable handlers onto the
 			// socketpair.
-			ack = callAck(f, mem, geom, st, skip, nil)
+			ack = callAck(f, registry.LookupBytes(name), mem, geom, st, ctx, skip, nil)
 		default:
 			ack = xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: wireStatusBadFrame, Name: f.Kind.String(), Lane: f.Lane}
 		}
+		lr.sub.advance()
 		out := lr.cmp.reserve()
 		for out == nil {
 			// Cannot persist: the lane's claimant drains completions of the
@@ -572,25 +582,60 @@ func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *
 	return n
 }
 
-// payloadSum is the FNV-64a checksum both sides compute over a crossing's
-// payload: the kernel side over the bytes it staged, the worker over the
-// bytes visible in its own address space. Equality is the wire-level proof
-// that payload transfer (shared mapping or copied frame) actually delivered
-// the bytes. The loop is hand-rolled rather than hash/fnv because the
-// kernel side computes it per crossing on the allocation-free ring fast
-// path (fnv.New64a allocates its state).
+// payloadSum is the checksum both sides compute over a crossing's payload:
+// the kernel side over the bytes it staged, the worker over the bytes
+// visible in its own address space. Equality is the wire-level proof that
+// payload transfer (shared mapping or copied frame) actually delivered the
+// bytes. It is XXH64 with seed 0 — four independent multiply-rotate lanes
+// over little-endian words, the length folded in, a final avalanche — so a
+// 1462 B frame costs tens of nanoseconds on each side and the proof can stay
+// on every crossing. Not hash/crc32: the Castagnoli table it needs costs a
+// fresh worker ~160 µs to build, a tenth of a respawn; this needs no table
+// and no init. Both processes must agree on it (a golden value is pinned in
+// the tests).
 //
 //decaf:hotpath
 func payloadSum(b []byte) uint64 {
 	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
+		p1 = 0x9E3779B185EBCA87
+		p2 = 0xC2B2AE3D27D4EB4F
+		p3 = 0x165667B19E3779F9
+		p4 = 0x85EBCA77C2B2AE63
+		p5 = 0x27D4EB2F165667C5
 	)
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
+	n := uint64(len(b))
+	h := uint64(p5)
+	if len(b) >= 32 {
+		// p1+p2 and -p1 wrap mod 2^64; variables, so the compiler does not
+		// reject the constant expressions as overflowing.
+		v1, v2, v3, v4 := uint64(p1), uint64(p2), uint64(0), uint64(p1)
+		v1, v4 = v1+p2, -v4
+		for ; len(b) >= 32; b = b[32:] {
+			v1 = bits.RotateLeft64(v1+binary.LittleEndian.Uint64(b[0:8])*p2, 31) * p1
+			v2 = bits.RotateLeft64(v2+binary.LittleEndian.Uint64(b[8:16])*p2, 31) * p1
+			v3 = bits.RotateLeft64(v3+binary.LittleEndian.Uint64(b[16:24])*p2, 31) * p1
+			v4 = bits.RotateLeft64(v4+binary.LittleEndian.Uint64(b[24:32])*p2, 31) * p1
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) + bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = (h^bits.RotateLeft64(v1*p2, 31)*p1)*p1 + p4
+		h = (h^bits.RotateLeft64(v2*p2, 31)*p1)*p1 + p4
+		h = (h^bits.RotateLeft64(v3*p2, 31)*p1)*p1 + p4
+		h = (h^bits.RotateLeft64(v4*p2, 31)*p1)*p1 + p4
 	}
-	return h
+	h += n
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64(h^bits.RotateLeft64(binary.LittleEndian.Uint64(b)*p2, 31)*p1, 27)*p1 + p4
+	}
+	if len(b) >= 4 {
+		h = bits.RotateLeft64(h^uint64(binary.LittleEndian.Uint32(b))*p1, 23)*p2 + p3
+		b = b[4:]
+	}
+	for _, c := range b {
+		h = bits.RotateLeft64(h^uint64(c)*p5, 11) * p1
+	}
+	h = (h ^ h>>33) * p2
+	h = (h ^ h>>29) * p3
+	return h ^ h>>32
 }
 
 // readWireFrame reads one length-prefixed frame from r, returning the frame
