@@ -283,6 +283,11 @@ func (t *AsyncTransport) dequeued(n int) {
 // starts — the service runs in real time, but coalescing across virtual
 // arrival gaps would manufacture queue wait that never happened on the
 // modeled timeline.
+//
+// The backlog is the service's own storage: a dequeued slice is copied out
+// at once, while all of it is still unresolved, because the slice belongs to
+// its submitter again the moment its last completion resolves (the
+// Transport ownership rule).
 func (t *AsyncTransport) serve() {
 	defer close(t.stopped)
 	var backlog []*Submission // dequeued and awaiting crossing, FIFO
@@ -291,7 +296,7 @@ func (t *AsyncTransport) serve() {
 			select {
 			case slice := <-t.ring:
 				t.dequeued(len(slice))
-				backlog = slice
+				backlog = append(backlog, slice...)
 			case <-t.quit:
 				t.drainOnClose(backlog)
 				return
@@ -325,7 +330,11 @@ func (t *AsyncTransport) serve() {
 			n++
 		}
 		t.cross(backlog[:n], start)
-		backlog = backlog[n:]
+		// Shift the remainder down and drop the stale tail, so the backing
+		// array is reused and pins no resolved submission.
+		rest := copy(backlog, backlog[n:])
+		clear(backlog[rest:])
+		backlog = backlog[:rest]
 	}
 }
 
@@ -335,10 +344,11 @@ func (t *AsyncTransport) cross(chunk []*Submission, start time.Duration) {
 	for _, sub := range chunk {
 		sub.Completion.queueWait = start - sub.Completion.submitClock
 	}
-	t.r.crossSubmissions(t.ctx, chunk, crossOptions{start: start})
-	// The chunk's completions are resolved; the last one carries the
-	// timeline's new free instant.
-	t.svcFreeAt.Store(int64(chunk[len(chunk)-1].Completion.completeAt))
+	// Once the chunk's completions are resolved its submissions are out of
+	// bounds; the engine hands back what the timeline needs from them — the
+	// last completion's instant is start plus the chunk's cost.
+	cost, _ := t.r.crossSubmissions(t.ctx, chunk, crossOptions{start: start})
+	t.svcFreeAt.Store(int64(start + cost))
 	t.finish(len(chunk))
 }
 

@@ -4,8 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 )
+
+// The benchmark handler is registered at init() so the re-exec'd worker (a
+// copy of this test binary) holds it too.
+func init() {
+	registry.Register("xpcbench_sink", registry.Handler{Fn: func(c *registry.Ctx) error { return nil }})
+}
 
 // BenchmarkUpcallPerCall is the seed crossing path: one full crossing per
 // call, shared object synchronized both ways.
@@ -23,6 +30,79 @@ func BenchmarkUpcallPerCall(b *testing.B) {
 		if err := r.Upcall(ctx, "fn", noop, ka); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkUpcallHandlerPerCall is the blocking sugar over the handler table:
+// one registered body dispatched inline per call, payload by copy.
+func BenchmarkUpcallHandlerPerCall(b *testing.B) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	ctx := k.NewContext("bench")
+	payload := make([]byte, 1462)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := r.UpcallHandlerData(ctx, "xpcbench_sink", payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProcHandlerFlush measures the whole handler-call path over a real
+// worker process — queue N calls, flush, wait — by copy and by slot. CI runs
+// it with -benchmem and gates allocs/op at zero. The builder is reused
+// across flushes (Runtime.Batch itself is one object by design).
+func BenchmarkProcHandlerFlush(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		bySlot bool
+	}{{"N=1", 1, false}, {"N=32", 32, false}, {"slot_N=32", 32, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			k := newTestKernel()
+			r := newDecafRuntime(k)
+			r.Latency = ZeroLatencyModel
+			pt, err := NewProcTransport(ProcConfig{Batch: 32})
+			if err != nil {
+				b.Skip(err)
+			}
+			r.SetTransport(pt)
+			defer r.SetTransport(nil)
+			ctx := k.NewContext("bench")
+			payload := make([]byte, 1462)
+			ps := make([]Payload, tc.n)
+			for i := range ps {
+				ps[i] = Payload{Data: payload}
+			}
+			if tc.bySlot {
+				ring, err := r.NewRing(0, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+					b.Fatal(err)
+				}
+				for i := range ps {
+					ps[i] = r.AcquirePayload(payload)
+				}
+				defer r.ReleasePayloads(ps)
+			}
+			batch := r.Batch(ctx)
+			flush := func() {
+				for _, p := range ps {
+					batch.UpcallHandlerPayload("xpcbench_sink", p)
+				}
+				if err := batch.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			flush() // spawn the worker, grow the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flush()
+			}
+		})
 	}
 }
 

@@ -282,6 +282,32 @@ func (s *counterState) cell(name string) *counterCell {
 	return &s.cells[shardIndex(name)]
 }
 
+// cellCursor resolves counter cells for the calls of one chunk. A chunk's
+// calls mostly share one name (a burst of frames through one handler), so
+// the cursor hashes a name only when it differs from the previous call's,
+// or when ResetCounters swapped the epoch in between: the six counter
+// updates along a call's crossing cost one hash per run of equal names, not
+// six per call. The epoch is re-read on every use, so a reset still splits
+// the counts exactly where it lands.
+type cellCursor struct {
+	r    *Runtime
+	s    *counterState
+	name string
+	cell *counterCell
+}
+
+// at returns the current epoch's cell for name.
+//
+//decaf:hotpath
+func (cc *cellCursor) at(name string) *counterCell {
+	// String equality looks at the headers first: a run of calls queued
+	// under one name constant never reaches the byte compare.
+	if s := cc.r.state(); s != cc.s || name != cc.name {
+		cc.s, cc.name, cc.cell = s, name, s.cell(name)
+	}
+	return cc.cell
+}
+
 func (s *counterState) perCallCounter(name string) *atomic.Uint64 {
 	if v, ok := s.perCall.Load(name); ok {
 		return v.(*atomic.Uint64)
@@ -315,19 +341,28 @@ func (r *Runtime) countTrip(name string, up bool) {
 	s.perCallCounter(name).Add(1)
 }
 
-// countBatch records one batched crossing delivering the named calls.
-func (r *Runtime) countBatch(calls []*Call) {
+// countBatch records one batched crossing delivering the submissions'
+// calls. The per-name counters are looked up once per run of equal names.
+//
+//decaf:hotpath
+func (r *Runtime) countBatch(subs []*Submission) {
 	s := r.state()
-	c := s.cell(calls[0].Name)
-	if calls[0].Up {
+	first := subs[0].Call
+	c := s.cell(first.Name)
+	if first.Up {
 		c.upcalls.Add(1)
 	} else {
 		c.downcalls.Add(1)
 	}
 	c.batches.Add(1)
-	c.batchedCalls.Add(uint64(len(calls)))
-	for _, call := range calls {
-		s.perCallCounter(call.Name).Add(1)
+	c.batchedCalls.Add(uint64(len(subs)))
+	for i := 0; i < len(subs); {
+		name, run := subs[i].Call.Name, 1
+		for i+run < len(subs) && subs[i+run].Call.Name == name {
+			run++
+		}
+		s.perCallCounter(name).Add(uint64(run))
+		i += run
 	}
 }
 
@@ -336,18 +371,15 @@ func (r *Runtime) countLibraryCall(name string) {
 	r.state().cell(name).libraryCalls.Add(1)
 }
 
-// noteSubmission records one call admitted through the submit/complete API.
-func (r *Runtime) noteSubmission(name string) {
-	r.state().cell(name).submissions.Add(1)
-}
-
 // noteCompletion records a resolved submission's latency split and fault
-// outcome, and feeds the completion observer when one is installed.
-func (r *Runtime) noteCompletion(name string, queueWait, crossCost time.Duration, fault bool) {
+// outcome on c, the cell of its name, and feeds the completion observer
+// when one is installed.
+//
+//decaf:hotpath
+func (r *Runtime) noteCompletion(c *counterCell, name string, queueWait, crossCost time.Duration, fault bool) {
 	if ob := r.completionObserver.Load(); ob != nil {
 		(*ob)(name, queueWait, crossCost, fault)
 	}
-	c := r.state().cell(name)
 	if queueWait > 0 {
 		c.queueWaitNs.Add(uint64(queueWait))
 	}
@@ -356,13 +388,18 @@ func (r *Runtime) noteCompletion(name string, queueWait, crossCost time.Duration
 	}
 	if fault {
 		c.faults.Add(1)
-		s := r.state()
-		v, ok := s.faultsByCall.Load(name)
-		if !ok {
-			v, _ = s.faultsByCall.LoadOrStore(name, new(atomic.Uint64))
-		}
-		v.(*atomic.Uint64).Add(1)
+		r.noteFaultBy(name)
 	}
+}
+
+// noteFaultBy ticks the per-name fault breakdown. Fault path only.
+func (r *Runtime) noteFaultBy(name string) {
+	s := r.state()
+	v, ok := s.faultsByCall.Load(name)
+	if !ok {
+		v, _ = s.faultsByCall.LoadOrStore(name, new(atomic.Uint64))
+	}
+	v.(*atomic.Uint64).Add(1)
 }
 
 // noteInjected records one fault thrown by the installed injector.
@@ -394,16 +431,18 @@ func (r *Runtime) noteDequeued(n int) { r.queueLen.Add(int64(-n)) }
 
 // noteCopied records one payload of n bytes crossing by copy (the
 // fallback path).
-func (r *Runtime) noteCopied(name string, n int) {
-	c := r.state().cell(name)
+//
+//decaf:hotpath
+func (c *counterCell) noteCopied(n int) {
 	c.bytesCopied.Add(uint64(n))
 	c.copiedTransfers.Add(1)
 }
 
 // noteDirect records one payload of n bytes crossing by slot reference
 // (the zero-copy fast path).
-func (r *Runtime) noteDirect(name string, n int) {
-	c := r.state().cell(name)
+//
+//decaf:hotpath
+func (c *counterCell) noteDirect(n int) {
 	c.bytesDirect.Add(uint64(n))
 	c.directTransfers.Add(1)
 }
@@ -449,14 +488,6 @@ func (r *Runtime) noteWire(name string, out, in int) {
 	}
 }
 
-// noteWorkerServed ticks the worker-served counter: one handler body
-// executed (to completion, failure, or fault) in the worker process.
-//
-//decaf:hotpath
-func (r *Runtime) noteWorkerServed(name string) {
-	r.state().cell(name).workerServed.Add(1)
-}
-
 // noteWorkerDowncall ticks the nested-downcall counter: one FrameDown from
 // an executing worker-side handler served by the kernel.
 //
@@ -466,9 +497,15 @@ func (r *Runtime) noteWorkerDowncall(name string) {
 }
 
 // addBytes accumulates marshaled byte counts on the shard keyed by name
-// (an entry-point or shared-object type name).
+// (a shared-object type name).
 func (r *Runtime) addBytes(name string, ku, cj int) {
-	c := r.state().cell(name)
+	r.state().cell(name).addBytes(ku, cj)
+}
+
+// addBytes accumulates marshaled byte counts.
+//
+//decaf:hotpath
+func (c *counterCell) addBytes(ku, cj int) {
 	if ku > 0 {
 		c.bytesKernelUser.Add(uint64(ku))
 	}

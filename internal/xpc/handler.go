@@ -133,34 +133,19 @@ func (r *Runtime) InstallSharedState(mem []byte) error {
 }
 
 // UpcallHandler performs one blocking upcall dispatched through the handler
-// table: sugar for a single-call Batch flush of UpcallHandler.
+// table: a single-call Batch flush of UpcallHandler. The handler is resolved
+// on the submitting side, so a missing registration fails loudly here
+// instead of in the worker.
 func (r *Runtime) UpcallHandler(ctx *kernel.Context, name string, objs ...any) error {
-	c, err := r.handlerCall(name, nil, objs)
-	if err != nil {
-		return err
-	}
-	return r.submitAndWait(ctx, c)
+	b := Batch{r: r, ctx: ctx}
+	return b.UpcallHandler(name, objs...).Flush()
 }
 
 // UpcallHandlerData is UpcallHandler with an opaque payload, delivered to
 // the handler as its Ctx.Data.
 func (r *Runtime) UpcallHandlerData(ctx *kernel.Context, name string, data []byte, objs ...any) error {
-	c, err := r.handlerCall(name, data, objs)
-	if err != nil {
-		return err
-	}
-	return r.submitAndWait(ctx, c)
-}
-
-// handlerCall builds a Call dispatched through the registry, resolving the
-// handler at call-creation time so a missing registration fails loudly on
-// the submitting side instead of in the worker.
-func (r *Runtime) handlerCall(name string, data []byte, objs []any) (*Call, error) {
-	h := registry.Lookup(name)
-	if h == nil {
-		return nil, fmt.Errorf("xpc: no handler registered for %q", name)
-	}
-	return &Call{Name: name, Up: true, h: h, Objs: objs, Data: data}, nil
+	b := Batch{r: r, ctx: ctx}
+	return b.UpcallHandlerData(name, data, objs...).Flush()
 }
 
 // handlerData resolves the payload bytes a handler body sees: the staged
@@ -178,32 +163,28 @@ func (r *Runtime) handlerData(c *Call) []byte {
 	return c.Data
 }
 
-// executeHandler runs a handler-table call body. Under a process-separated
-// transport the body already executed in the worker (the wire trip precedes
-// execution) and remoteStatus carries its outcome: the modeled cost is
-// charged to the decaf timeline so the virtual cost model stays identical
-// to inline dispatch, and fault outcomes convert to contained *UserFaults.
-// Under the in-process transports the same registered Fn dispatches inline
-// through the standard containment region.
-func (r *Runtime) executeHandler(ctx *kernel.Context, c *Call) error {
-	if c.remoteServed {
-		return r.applyRemote(ctx, c)
-	}
-	return r.runUser(ctx, c.Name, func(uctx *kernel.Context) error {
-		uctx.Charge(c.h.Cost)
-		rctx := registry.NewCtx(c.Name, r.handlerData(c), r.SharedState(), func(name string, arg uint64) (uint64, error) {
-			return r.dispatchDowncall(uctx, name, arg)
-		})
-		return c.h.Fn(rctx)
-	})
+// runHandler dispatches a handler-table call body inline, inside runUser's
+// containment region — the in-process transports' half of handler dispatch
+// (under a process-separated transport the worker ran the body and
+// applyRemote maps its outcome). The body sees the call's own dispatch
+// context, re-armed: the same registered Fn, the same modeled cost.
+func (r *Runtime) runHandler(c *Call) error {
+	r.decafCtx.Charge(c.h.Cost)
+	return c.h.Fn(c.hctx.Arm(c.h, r.handlerData(c), r.SharedState(), r.downHook))
 }
 
-// applyRemote maps a worker-served dispatch outcome onto the call's result.
-// For executed bodies (ok or failed) the handler's modeled cost is charged
-// to the decaf timeline and the caller sleeps the delta — the same
-// accounting inline execution produces — and the worker-served counter
-// ticks. Faults charge nothing: the body is presumed not to have completed.
-func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call) error {
+// applyRemote maps a worker-served dispatch outcome onto the call's result:
+// the body already executed in the worker (the wire trip precedes
+// execution) and remoteStatus carries how it went. For executed bodies (ok
+// or failed) the handler's modeled cost is charged to the decaf timeline
+// and the caller sleeps the delta — the same accounting inline execution
+// produces, so the virtual cost model is identical across transports — and
+// the worker-served counter ticks on cell. Faults convert to contained
+// *UserFaults and charge nothing: the body is presumed not to have
+// completed.
+//
+//decaf:hotpath
+func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call, cell *counterCell) error {
 	switch c.remoteStatus {
 	case remoteCallOK, remoteCallFailed:
 		userStart := r.decafCtx.Elapsed()
@@ -211,13 +192,13 @@ func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call) error {
 		if d := r.decafCtx.Elapsed() - userStart; d > 0 {
 			ctx.Sleep(d)
 		}
-		r.noteWorkerServed(c.Name)
+		cell.workerServed.Add(1)
 		if c.remoteStatus == remoteCallFailed {
 			return fmt.Errorf("xpc: handler %s failed in worker: %s", c.Name, c.remoteErr)
 		}
 		return nil
 	case remoteCallFault:
-		r.noteWorkerServed(c.Name)
+		cell.workerServed.Add(1)
 		return &UserFault{Call: c.Name, Cause: &WorkerHandlerFault{Call: c.Name, Panic: c.remoteErr}}
 	case remoteCallInjected:
 		return &UserFault{Call: c.Name, Cause: &InjectedFault{Call: c.Name}}
@@ -231,17 +212,17 @@ func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call) error {
 	}
 }
 
-// dispatchDowncall crosses a handler's nested downcall for inline dispatch:
+// dispatchDowncall crosses an inline-dispatched handler's nested downcall:
 // the registered kernel-side target runs under a real Downcall crossing on
-// the decaf timeline, exactly the accounting the worker path produces with
-// its FrameDown round trip.
-func (r *Runtime) dispatchDowncall(uctx *kernel.Context, name string, arg uint64) (uint64, error) {
+// the decaf timeline (where the body itself runs), exactly the accounting
+// the worker path produces with its FrameDown round trip.
+func (r *Runtime) dispatchDowncall(name string, arg uint64) (uint64, error) {
 	fn := r.downcallFn(name)
 	if fn == nil {
 		return 0, fmt.Errorf("xpc: no downcall registered for %q", name)
 	}
 	var res uint64
-	err := r.Downcall(uctx, name, func(kctx *kernel.Context) error {
+	err := r.Downcall(r.decafCtx, name, func(kctx *kernel.Context) error {
 		var derr error
 		res, derr = fn(kctx, arg)
 		return derr
@@ -270,7 +251,7 @@ func (r *Runtime) serveWorkerDowncall(ctx *kernel.Context, name string, arg uint
 	sub := r.NewSubmission(call)
 	r.Admit([]*Submission{sub})
 	userStart := r.decafCtx.Elapsed()
-	err := r.crossSubmissions(r.decafCtx, []*Submission{sub}, decafSideCrossOptions)
+	_, err := r.crossSubmissions(r.decafCtx, []*Submission{sub}, decafSideCrossOptions)
 	if d := r.decafCtx.Elapsed() - userStart; d > 0 && ctx != nil {
 		ctx.Sleep(d)
 	}

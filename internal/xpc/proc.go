@@ -221,7 +221,7 @@ type procLane struct {
 	idx  uint32
 	sub  *descRing
 	cmp  *descRing
-	bell fdDoorbell
+	bell *fdDoorbell
 
 	claim atomic.Uint32 //decaf:shared
 	seq   uint64
@@ -242,7 +242,7 @@ type procEpoch struct {
 	w      *procWorker
 	pid    int
 	dir    *laneDir
-	bell   fdDoorbell // submit-side doorbell (wakes the parked worker)
+	bell   *fdDoorbell // submit-side doorbell (wakes the parked worker)
 	lanes  []*procLane
 	failed atomic.Bool
 	torn   bool // mu: teardown completed
@@ -416,7 +416,9 @@ func (t *ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submissi
 func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
 	if werr := t.wireCross(r, ctx, chunk); werr != nil {
 		abortRest := func(first error, fault bool) {
-			resolveAt(chunk[0], inlineCrossOptions, 0, 0, first, fault)
+			head := chunk[0].Completion
+			head.completeAt = head.submitClock
+			head.resolve(first, fault, 0)
 			for _, sub := range chunk[1:] {
 				sub.Completion.resolve(ErrCrossingAborted, false, 0)
 			}
@@ -429,7 +431,7 @@ func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Sub
 		abortRest(fault, true)
 		return fault
 	}
-	err := r.crossSubmissions(ctx, chunk, inlineCrossOptions)
+	_, err := r.crossSubmissions(ctx, chunk, inlineCrossOptions)
 	if _, faulted := err.(*UserFault); faulted {
 		// The decaf driver crashed: its process dies with it. The next
 		// crossing (or the recovery supervisor) respawns a fresh worker.
@@ -1270,7 +1272,7 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 		w:     w,
 		pid:   cmd.Process.Pid,
 		dir:   dir,
-		bell:  fdDoorbell{f: bellParent},
+		bell:  &fdDoorbell{f: bellParent},
 		lanes: make([]*procLane, lanes),
 	}
 	// A fresh worker epoch: zero the lane directory and ring positions a
@@ -1287,7 +1289,7 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 			idx:  uint32(i),
 			sub:  rings[i].sub,
 			cmp:  rings[i].cmp,
-			bell: fdDoorbell{f: laneParents[i]},
+			bell: &fdDoorbell{f: laneParents[i]},
 			ids:  make([]uint64, t.cfg.Batch),
 			sums: make([]uint64, t.cfg.Batch),
 		}

@@ -98,16 +98,20 @@ func socketPair() (parent, child *os.File, err error) {
 // peer; wait blocks reading until a byte (or several — stale doorbells are
 // drained together) arrives. The peer's death closes its end, so a parked
 // wait also doubles as a fast worker-death detector: EOF, not a 30s
-// timeout. The struct is a single pointer, so passing it as the doorbell
-// interface stays allocation-free on the crossing hot path.
+// timeout. A doorbell has one waiter at a time (the lane's claim holder, or
+// the worker's serve goroutine), which is what lets wait drain into a buffer
+// of the doorbell's own: it is used by pointer, so passing it as the
+// doorbell interface — and parking on it, in a race build too, where a
+// stack buffer handed to Read is moved to the heap — allocates nothing.
 type fdDoorbell struct {
-	f *os.File
+	f     *os.File
+	drain [64]byte
 }
 
 // ring wakes the parked peer with one byte.
 //
 //decaf:hotpath
-func (d fdDoorbell) ring() error {
+func (d *fdDoorbell) ring() error {
 	_, err := d.f.Write(doorbellByte[:])
 	return err
 }
@@ -115,12 +119,11 @@ func (d fdDoorbell) ring() error {
 // wait blocks until the peer rings, draining stale doorbell bytes.
 //
 //decaf:hotpath
-func (d fdDoorbell) wait(deadline time.Time) error {
+func (d *fdDoorbell) wait(deadline time.Time) error {
 	// The parent end is nonblocking (poller-registered), so the deadline
 	// takes effect; the worker end is blocking and passes a zero deadline,
 	// where SetReadDeadline fails harmlessly and Read blocks indefinitely.
 	_ = d.f.SetReadDeadline(deadline)
-	var drain [64]byte
-	_, err := d.f.Read(drain[:])
+	_, err := d.f.Read(d.drain[:])
 	return err
 }

@@ -2,6 +2,7 @@ package xpc
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"decafdrivers/internal/kernel"
@@ -34,13 +35,21 @@ type Submission struct {
 	// Call is the crossing request.
 	Call *Call
 	// Completion is the observable outcome. Runtime.Admit populates it when
-	// nil; callers that need the handle before submitting (the Batch builder
-	// does, to aggregate) may create it via Runtime.NewSubmission.
+	// nil; callers that need the handle before submitting may create it via
+	// Runtime.NewSubmission.
 	Completion *Completion
+
+	// err and mark are the crossing engine's scratch while the chunk this
+	// submission rides in executes: the body's outcome and the chunk's
+	// cumulative cost once it ran, held here until the whole chunk is known
+	// to have survived (a fault resolves nothing back) and resolution starts.
+	err  error
+	mark time.Duration
 }
 
 // NewSubmission wraps a call with a fresh Completion handle bound to this
-// runtime.
+// runtime. The Batch builder and the blocking sugar do not come through
+// here: their calls ride pooled records (see callRecord).
 func (r *Runtime) NewSubmission(c *Call) *Submission {
 	return &Submission{Call: c, Completion: newCompletion(r, c.Name, c.Up)}
 }
@@ -77,10 +86,15 @@ type Completion struct {
 	up   bool
 	r    *Runtime
 
-	done chan struct{}
+	// ch is the whole settle state in one word: nil while unresolved with
+	// nobody blocked, a waiter-installed channel while unresolved with
+	// somebody blocked (or holding Done's channel), settledCh once resolved.
+	// An inline transport resolves before Submit returns, so on that path no
+	// channel ever exists and every accessor is one atomic load.
+	ch atomic.Pointer[chan struct{}]
 
-	// Resolved fields, written exactly once before done is closed and
-	// immutable after; the channel close publishes them.
+	// Resolved fields, written exactly once before ch becomes settledCh and
+	// immutable after; that swap publishes them.
 	err        error
 	fault      bool
 	queueWait  time.Duration
@@ -90,120 +104,142 @@ type Completion struct {
 	submitClock time.Duration
 }
 
+// settledCh is the value of Completion.ch once resolved: a channel closed
+// for good, so Done on a settled completion still hands back something a
+// select can fall through.
+var settledCh = func() *chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return &ch
+}()
+
 func newCompletion(r *Runtime, name string, up bool) *Completion {
-	return &Completion{name: name, up: up, r: r, done: make(chan struct{})}
+	return &Completion{name: name, up: up, r: r}
 }
 
-// newSettledCompletion returns an already-resolved completion (empty
-// flushes, native-mode paths).
-func newSettledCompletion(r *Runtime, name string, err error, at time.Duration) *Completion {
-	c := &Completion{name: name, r: r, done: make(chan struct{})}
-	c.err = err
-	c.completeAt = at
-	close(c.done)
-	return c
+// settle publishes the resolved fields and wakes whoever blocked. A second
+// settle closes settledCh itself and panics: the exactly-once rule has the
+// teeth the bare channel close gave it.
+//
+//decaf:hotpath
+func (c *Completion) settle() {
+	if waiters := c.ch.Swap(settledCh); waiters != nil {
+		close(*waiters)
+	}
 }
 
 // resolve publishes the outcome. queueWait and completeAt must already be
 // stamped by the transport; crossCost is this call's share of the crossing.
 // A fault outcome is additionally delivered to the runtime's fault notifier
-// (after the channel close, so a notifier that inspects the completion sees
-// it settled).
+// after the completion settles, from values read before it did: once
+// settled, the completion may be a pooled record's and already recycled.
+//
+//decaf:hotpath
 func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
+	c.resolveOn(nil, err, fault, crossCost)
+}
+
+// resolveOn is resolve for a caller that already holds the counter cell of
+// the completion's name (nil: look it up).
+//
+//decaf:hotpath
+func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCost time.Duration) {
+	r, ev := c.r, FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.completeAt}
 	c.err = err
 	c.fault = fault
 	c.crossCost = crossCost
-	if c.r != nil {
-		c.r.noteCompletion(c.name, c.queueWait, crossCost, fault)
-		c.r.inFlight.Add(-1)
+	if r != nil {
+		if cell == nil {
+			cell = r.state().cell(ev.Call)
+		}
+		r.noteCompletion(cell, ev.Call, c.queueWait, crossCost, fault)
+		r.inFlight.Add(-1)
 	}
-	close(c.done)
-	if fault && c.r != nil {
-		if fp := c.r.faultNotifier.Load(); fp != nil {
-			(*fp)(FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.completeAt})
+	c.settle()
+	if fault && r != nil {
+		if fp := r.faultNotifier.Load(); fp != nil {
+			(*fp)(ev)
 		}
 	}
 }
 
-// aggregate builds a completion that resolves when the last child does,
-// carrying the first error in submission order, any fault, the combined
-// crossing cost and the latest virtual completion instant. A small waiter
-// goroutine performs the fan-in; transports guarantee every child resolves,
-// so it always terminates.
-func aggregate(r *Runtime, name string, children []*Completion) *Completion {
-	p := &Completion{name: name, r: r, done: make(chan struct{})}
-	fanIn := func() {
-		for _, ch := range children {
-			<-ch.done
-			if p.err == nil {
-				p.err = ch.err
-			}
-			p.fault = p.fault || ch.fault
-			if ch.queueWait > p.queueWait {
-				p.queueWait = ch.queueWait
-			}
-			p.crossCost += ch.crossCost
-			if ch.completeAt > p.completeAt {
-				p.completeAt = ch.completeAt
-			}
-		}
-		close(p.done)
+// fold accumulates a settled child into an aggregate: the first error in
+// submission order (after any error the aggregate started from), any fault,
+// the longest queue wait, the combined crossing cost and the latest virtual
+// completion instant.
+func (c *Completion) fold(child *Completion) {
+	if c.err == nil {
+		c.err = child.err
 	}
-	// Inline transports resolve children during submission: finalize
-	// synchronously so the handle is deterministically settled on return.
-	allDone := true
-	for _, ch := range children {
-		select {
-		case <-ch.done:
-		default:
-			allDone = false
-		}
-		if !allDone {
-			break
-		}
-	}
-	if allDone {
-		fanIn()
-	} else {
-		go fanIn()
-	}
-	return p
+	c.fault = c.fault || child.fault
+	c.queueWait = max(c.queueWait, child.queueWait)
+	c.crossCost += child.crossCost
+	c.completeAt = max(c.completeAt, child.completeAt)
 }
 
-// Done returns a channel closed when the completion resolves.
-func (c *Completion) Done() <-chan struct{} { return c.done }
+// settled reports whether the completion has resolved, without blocking.
+//
+//decaf:hotpath
+func (c *Completion) settled() bool { return c.ch.Load() == settledCh }
+
+// Done returns a channel closed when the completion resolves. The channel is
+// created on first demand — here, or by an accessor that has to block — and
+// every caller before resolution gets the same one.
+//
+//decaf:hotpath
+func (c *Completion) Done() <-chan struct{} {
+	for {
+		if ch := c.ch.Load(); ch != nil {
+			return *ch
+		}
+		//decaf:allowalloc the slow path: only a caller that has to block on (or asks to select on) an unresolved completion pays for its channel
+		ch := make(chan struct{})
+		if c.ch.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// wait blocks until the completion resolves.
+//
+//decaf:hotpath
+func (c *Completion) wait() {
+	if !c.settled() {
+		<-c.Done()
+	}
+}
 
 // Err blocks until the completion resolves and returns the call's error
 // (nil, the call's own error, a *UserFault, or a queue/abort error).
 func (c *Completion) Err() error {
-	<-c.done
+	c.wait()
 	return c.err
 }
 
 // Faulted blocks until resolution and reports whether the decaf side
 // panicked: the fault was contained and failed only this completion.
 func (c *Completion) Faulted() bool {
-	<-c.done
+	c.wait()
 	return c.fault
 }
 
 // QueueWait blocks until resolution and reports the virtual time the
 // submission waited behind earlier work before its crossing started.
 func (c *Completion) QueueWait() time.Duration {
-	<-c.done
+	c.wait()
 	return c.queueWait
 }
 
 // CrossLatency blocks until resolution and reports this call's share of the
 // crossing's virtual cost (transition, marshaling, execution).
 func (c *Completion) CrossLatency() time.Duration {
-	<-c.done
+	c.wait()
 	return c.crossCost
 }
 
 // Latency blocks until resolution and reports queue wait plus crossing cost.
 func (c *Completion) Latency() time.Duration {
-	<-c.done
+	c.wait()
 	return c.queueWait + c.crossCost
 }
 
@@ -212,7 +248,7 @@ func (c *Completion) Latency() time.Duration {
 // cost was already charged to the submitter); async transports complete in
 // the caller's future.
 func (c *Completion) CompleteAt() time.Duration {
-	<-c.done
+	c.wait()
 	return c.completeAt
 }
 
@@ -220,12 +256,7 @@ func (c *Completion) CompleteAt() time.Duration {
 // and its virtual completion instant has been reached at the given clock
 // reading. Drivers poll this to reap async flushes at their due time.
 func (c *Completion) Settled(now time.Duration) bool {
-	select {
-	case <-c.done:
-	default:
-		return false
-	}
-	return c.completeAt <= now
+	return c.settled() && c.completeAt <= now
 }
 
 // Wait blocks until the completion resolves, charges ctx the caller-visible
@@ -236,8 +267,10 @@ func (c *Completion) Settled(now time.Duration) bool {
 // context, so Wait charges nothing. Under an async transport a caller that
 // waits immediately stalls the full latency (Upcall/Downcall sugar), while
 // a caller that produced work in the meantime stalls only the remainder.
+//
+//decaf:hotpath
 func (c *Completion) Wait(ctx *kernel.Context) error {
-	<-c.done
+	c.wait()
 	if ctx != nil && c.r != nil {
 		c.r.chargeCatchUp(ctx, c.name, c.completeAt)
 	}
@@ -266,16 +299,19 @@ func (r *Runtime) chargeCatchUp(ctx *kernel.Context, name string, target time.Du
 // in-flight gauge. Every Transport implementation calls Admit before
 // queueing or crossing; a transport must then resolve every admitted
 // completion exactly once.
+//
+//decaf:hotpath
 func (r *Runtime) Admit(subs []*Submission) {
 	now := r.Kernel.Clock().Now()
+	cells := cellCursor{r: r}
 	for _, sub := range subs {
 		if sub.Completion == nil {
 			sub.Completion = newCompletion(r, sub.Call.Name, sub.Call.Up)
 		}
 		sub.Completion.submitClock = now
-		r.noteSubmission(sub.Call.Name)
-		r.inFlight.Add(1)
+		cells.at(sub.Call.Name).submissions.Add(1)
 	}
+	r.inFlight.Add(int64(len(subs)))
 	if rec := r.tracer.Load(); rec != nil {
 		rec.Emit(trace.KindSubmit, trace.LaneNone, trace.SrcKernel, 0, uint64(len(subs)))
 	}

@@ -46,6 +46,11 @@ type Call struct {
 	remoteServed bool
 	remoteStatus uint32
 	remoteErr    string
+
+	// hctx is the context an inline-dispatched handler body sees, re-armed
+	// for each dispatch of this call (the in-process twin of the one Ctx the
+	// worker's serve loop re-arms), so dispatching allocates nothing.
+	hctx registry.Ctx
 }
 
 // Transport moves submissions across the user/kernel boundary on behalf of a
@@ -61,6 +66,16 @@ type Call struct {
 // dedicated goroutine) and which execution timeline pays the crossing cost.
 // The mechanics of a crossing (object synchronization, fault containment,
 // accounting) live on the Runtime.
+//
+// Ownership: a submission is the transport's from Submit until the
+// transport resolves its Completion, and not an instant longer. A transport
+// must not touch a Submission, its Call or its Completion after resolving
+// that completion, nor the subs slice after resolving the last completion
+// in it: the submitter may be blocked in Wait on another goroutine, and the
+// moment its last completion settles it recycles the call records (and the
+// slice) for its next flush. Whatever a transport needs past that point —
+// a name for a counter, the completion instant its timeline advances to —
+// it reads before resolving.
 type Transport interface {
 	// Name identifies the transport in benchmark output.
 	Name() string
@@ -102,7 +117,7 @@ func (SyncTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submission)
 			sub.Completion.resolve(ErrCrossingAborted, false, 0)
 			continue
 		}
-		if err := r.crossSubmissions(ctx, subs[i:i+1], inlineCrossOptions); err != nil {
+		if _, err := r.crossSubmissions(ctx, subs[i:i+1], inlineCrossOptions); err != nil {
 			first = err
 		}
 	}
@@ -169,7 +184,7 @@ func (r *Runtime) crossChunked(ctx *kernel.Context, subs []*Submission, n int, o
 			}
 			continue
 		}
-		if err := r.crossSubmissions(ctx, chunk, opt); err != nil {
+		if _, err := r.crossSubmissions(ctx, chunk, opt); err != nil {
 			first = err
 		}
 	}

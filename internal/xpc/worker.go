@@ -245,18 +245,18 @@ func runWorker() int {
 					status = wireStatusBadSlot
 					break
 				}
-				bells := make([]fdDoorbell, laneCount)
+				bells := make([]*fdDoorbell, laneCount)
 				for i := range bells {
 					lf := os.NewFile(uintptr(workerLaneBellFD+i), "xpc-worker-lane-bell")
 					if lf == nil {
 						status = wireStatusBadSlot
 						break
 					}
-					bells[i] = fdDoorbell{f: lf}
+					bells[i] = &fdDoorbell{f: lf}
 				}
 				if status == wireStatusOK {
 					descArea = need
-					go serveLanes(dir, rings, bells, mem, &geom, fdDoorbell{f: bell}, wring, wstate)
+					go serveLanes(dir, rings, bells, mem, &geom, &fdDoorbell{f: bell}, wring, wstate)
 				}
 			}
 			err = reply(xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status})
@@ -449,7 +449,7 @@ const laneServeQuantum = 64
 // died — or on a corrupt descriptor, which has no recoverable framing.
 //
 //decaf:hotpath
-func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte, geom *atomic.Uint64, subBell fdDoorbell, wring *trace.Ring, st *registry.State) {
+func serveLanes(dir *laneDir, lanes []laneRings, bells []*fdDoorbell, mem []byte, geom *atomic.Uint64, subBell *fdDoorbell, wring *trace.Ring, st *registry.State) {
 	next := 0
 	spins := 0
 	// skips holds each lane's chunk-abort counter: chunks are per-lane, so
@@ -523,7 +523,7 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []fdDoorbell, mem []byte,
 // as corruption). The acknowledgement holds no view of the slot.
 //
 //decaf:hotpath
-func serveLane(lr laneRings, bell fdDoorbell, laneIdx uint16, mem []byte, geom *atomic.Uint64, wring *trace.Ring, st *registry.State, ctx *registry.Ctx, skip *int) int {
+func serveLane(lr laneRings, bell *fdDoorbell, laneIdx uint16, mem []byte, geom *atomic.Uint64, wring *trace.Ring, st *registry.State, ctx *registry.Ctx, skip *int) int {
 	n := 0
 	firstID := uint64(0)
 	for ; n < laneServeQuantum; n++ {

@@ -160,7 +160,7 @@ func (g *laneRig) publish(t testing.TB, name string, payload []byte, left int, b
 // serve runs one serveLane visit. The completion ring's consumer never
 // parks here, so the doorbell is never rung and needs no descriptor.
 func (g *laneRig) serve() int {
-	return serveLane(g.lr, fdDoorbell{}, 0, g.mem, &g.geom, nil, g.st, &g.ctx, &g.skip)
+	return serveLane(g.lr, &fdDoorbell{}, 0, g.mem, &g.geom, nil, g.st, &g.ctx, &g.skip)
 }
 
 // complete consumes the next completion, copying it out as the kernel side

@@ -27,9 +27,9 @@
 // split into queue wait and crossing cost, its virtual completion instant,
 // and the fault-containment outcome. Transport.Submit accepts submissions;
 // Transport.Drain blocks until everything accepted has completed.
-// Runtime.Upcall and Runtime.Downcall are sugar — Submit plus an immediate
-// Wait — so the seed call-and-return semantics are a degenerate use of the
-// asynchronous API, not a separate path.
+// Runtime.Upcall and Runtime.Downcall are sugar — a one-call Batch flush:
+// Submit plus an immediate Wait — so the seed call-and-return semantics are
+// a degenerate use of the asynchronous API, not a separate path.
 //
 // Four transports implement the interface:
 //
@@ -234,6 +234,13 @@ type Runtime struct {
 
 	decafCtx *kernel.Context
 	downCtx  *kernel.Context
+	// downHook is dispatchDowncall, bound once: the downcall route of handler
+	// bodies dispatched inline, so arming their context allocates nothing.
+	downHook func(name string, arg uint64) (uint64, error)
+
+	// scratch pools the call records the Batch builder and the blocking
+	// sugar queue calls on (see batch.go).
+	scratch [scratchSlots]atomic.Pointer[flushScratch]
 
 	// transport performs crossings; nil selects the default SyncTransport.
 	transport Transport
@@ -302,7 +309,7 @@ type sharedObject struct {
 
 // NewRuntime creates an XPC runtime for one driver on the given kernel.
 func NewRuntime(k *kernel.Kernel, name string, mode Mode, mask xdr.FieldMask) *Runtime {
-	return &Runtime{
+	r := &Runtime{
 		Kernel:       k,
 		Mode:         mode,
 		KernelSpace:  objtrack.NewAddressSpace(name + "/kernel"),
@@ -315,6 +322,8 @@ func NewRuntime(k *kernel.Kernel, name string, mode Mode, mask xdr.FieldMask) *R
 		decafCtx:     k.NewContext(name + "/decaf"),
 		downCtx:      k.NewContext(name + "/downcall"),
 	}
+	r.downHook = r.dispatchDowncall
+	return r
 }
 
 // DecafContext returns the context user-level decaf code executes under.
@@ -620,7 +629,8 @@ func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 // converts a panic in fn into a *UserFault error rather than a kernel crash
 // (driver isolation).
 func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.Context) error, objs ...any) error {
-	return r.submitAndWait(ctx, &Call{Name: name, Up: true, Fn: fn, Objs: objs})
+	b := Batch{r: r, ctx: ctx}
+	return b.Upcall(name, fn, objs...).Flush()
 }
 
 // Downcall transfers control from the decaf driver into the kernel — the
@@ -629,44 +639,28 @@ func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.
 // kernel state is synchronized back after. In ModeNative fn runs directly.
 // Like Upcall, Downcall is Submit + immediate Wait.
 func (r *Runtime) Downcall(uctx *kernel.Context, name string, fn func(kctx *kernel.Context) error, objs ...any) error {
-	return r.submitAndWait(uctx, &Call{Name: name, Up: false, Fn: fn, Objs: objs})
+	b := Batch{r: r, ctx: uctx}
+	return b.Downcall(name, fn, objs...).Flush()
 }
 
-// submitAndWait is the blocking sugar shared by Upcall and Downcall.
-func (r *Runtime) submitAndWait(ctx *kernel.Context, c *Call) error {
-	if r.Mode == ModeNative {
-		if c.h != nil {
-			return r.runHandlerNative(ctx, c)
-		}
-		return c.Fn(ctx)
-	}
-	sub := &Submission{Call: c}
-	err := r.Transport().Submit(r, ctx, []*Submission{sub})
-	if sub.Completion == nil {
-		// A transport that failed before admission; Submit's error is all
-		// there is.
-		return err
-	}
-	return sub.Completion.Wait(ctx)
-}
-
-// maskIRQs disables the runtime's listed interrupt lines and returns the
-// function restoring them, so "the driver cannot interrupt itself" while its
-// user-level half runs (§3.1.3).
-func (r *Runtime) maskIRQs() func() {
+// maskIRQs disables the runtime's listed interrupt lines, so "the driver
+// cannot interrupt itself" while its user-level half runs (§3.1.3);
+// unmaskIRQs restores them.
+func (r *Runtime) maskIRQs() {
 	for _, irq := range r.DisableIRQs {
 		r.Kernel.DisableIRQ(irq)
 	}
-	return func() {
-		for _, irq := range r.DisableIRQs {
-			r.Kernel.EnableIRQ(irq)
-		}
+}
+
+func (r *Runtime) unmaskIRQs() {
+	for _, irq := range r.DisableIRQs {
+		r.Kernel.EnableIRQ(irq)
 	}
 }
 
 // syncIn synchronizes a call's shared objects to the destination side and
-// transfers its opaque payload.
-func (r *Runtime) syncIn(ctx *kernel.Context, c *Call) error {
+// transfers its opaque payload, counted on cell (the cell of c.Name).
+func (r *Runtime) syncIn(ctx *kernel.Context, c *Call, cell *counterCell) error {
 	for _, o := range c.Objs {
 		var err error
 		if c.Up {
@@ -678,7 +672,7 @@ func (r *Runtime) syncIn(ctx *kernel.Context, c *Call) error {
 			return err
 		}
 	}
-	r.transferData(ctx, c)
+	r.transferData(ctx, c, cell)
 	return nil
 }
 
@@ -705,9 +699,9 @@ func (r *Runtime) syncOut(ctx *kernel.Context, c *Call) error {
 // cross by copy: per-byte marshaling cost with no reflection walk, and
 // without DirectTransfer the payload crosses both legs (kernel→library,
 // library→decaf) and is charged twice, reproducing the double-marshal.
-func (r *Runtime) transferData(ctx *kernel.Context, c *Call) {
+func (r *Runtime) transferData(ctx *kernel.Context, c *Call, cell *counterCell) {
 	if c.Slot.Valid() {
-		r.transferSlot(ctx, c)
+		r.transferSlot(ctx, c, cell)
 		return
 	}
 	if len(c.Data) == 0 {
@@ -715,51 +709,47 @@ func (r *Runtime) transferData(ctx *kernel.Context, c *Call) {
 	}
 	n := len(c.Data) + 4 // XDR opaque: payload plus length prefix
 	r.Latency.chargeData(ctx, n)
-	r.noteCopied(c.Name, n)
+	cell.noteCopied(n)
 	if r.DirectTransfer {
-		r.addBytes(c.Name, n, 0)
+		cell.addBytes(n, 0)
 		return
 	}
 	r.Latency.chargeData(ctx, n)
-	r.addBytes(c.Name, n, n)
+	cell.addBytes(n, n)
 }
 
-// transferSlot crosses a slot descriptor instead of payload bytes: the
-// kernel side encodes (index, length, generation), the far side decodes and
-// resolves it against the registered ring. The per-byte charge covers the
-// descriptor only — the payload stays in the shared ring, which is the
-// point. A descriptor that fails to resolve (stale slot: released before
-// its crossing settled) is counted by the ring and transfers nothing.
-func (r *Runtime) transferSlot(ctx *kernel.Context, c *Call) {
-	cod := r.codec()
-	bp := marshalBufPool.Get().(*[]byte)
-	wire := cod.AppendSlotDescriptor((*bp)[:0], c.Slot)
-	desc, err := cod.DecodeSlotDescriptor(wire)
-	n := len(wire)
-	*bp = wire[:0]
-	marshalBufPool.Put(bp)
+// transferSlot crosses a slot descriptor instead of payload bytes: what
+// travels is the descriptor's twelve wire bytes (index, length, generation;
+// the frame codec carries them for real under the proc transport), and the
+// far side resolves it against the registered ring. The per-byte charge
+// covers the descriptor only — the payload stays in the shared ring, which
+// is the point. A descriptor that fails to resolve (stale slot: released
+// before its crossing settled) is counted by the ring and transfers nothing.
+//
+//decaf:hotpath
+func (r *Runtime) transferSlot(ctx *kernel.Context, c *Call, cell *counterCell) {
+	const n = xdr.SlotDescriptorWireSize
 	r.Latency.chargeData(ctx, n)
-	r.addBytes(c.Name, n, 0)
-	if err == nil {
-		if ring := r.payloadRing.Load(); ring != nil {
-			_, err = ring.Buffer(desc)
+	cell.addBytes(n, 0)
+	if ring := r.payloadRing.Load(); ring != nil {
+		if _, err := ring.Buffer(c.Slot); err != nil {
+			return
 		}
 	}
-	if err != nil {
-		return
-	}
-	r.noteDirect(c.Name, int(c.Slot.Length))
+	cell.noteDirect(int(c.Slot.Length))
 }
 
 // execute runs a call's body on the far side, charging the far side's
 // elapsed time to the caller as wait time. Upcall bodies run under fault
 // containment; downcall bodies run in the kernel, where a panic is a crash.
-func (r *Runtime) execute(ctx *kernel.Context, c *Call) error {
-	if c.h != nil {
-		return r.executeHandler(ctx, c)
+// A handler body the worker process already ran (the wire trip precedes
+// execution) is not run again: its outcome is applied, counted on cell.
+func (r *Runtime) execute(ctx *kernel.Context, c *Call, cell *counterCell) error {
+	if c.remoteServed {
+		return r.applyRemote(ctx, c, cell)
 	}
 	if c.Up {
-		return r.runUser(ctx, c.Name, c.Fn)
+		return r.runUser(ctx, c)
 	}
 	kernelStart := r.downCtx.Elapsed()
 	err := c.Fn(r.downCtx)
@@ -769,24 +759,29 @@ func (r *Runtime) execute(ctx *kernel.Context, c *Call) error {
 	return err
 }
 
-// runUser runs fn in the decaf context, converting a panic into a *UserFault
-// (driver isolation) and charging the user execution's elapsed time to the
-// caller as wait time. An installed fault injector may panic before the body
-// runs — inside the containment region, so the injection is exactly a real
+// runUser runs an upcall's body — its closure, or its registered handler —
+// in the decaf context, converting a panic into a *UserFault (driver
+// isolation) and charging the user execution's elapsed time to the caller as
+// wait time. An installed fault injector may panic before the body runs —
+// inside the containment region, so the injection is exactly a real
 // decaf-side crash.
-func (r *Runtime) runUser(ctx *kernel.Context, name string, fn func(uctx *kernel.Context) error) (err error) {
+func (r *Runtime) runUser(ctx *kernel.Context, c *Call) (err error) {
 	userStart := r.decafCtx.Elapsed()
 	func() {
 		defer func() {
 			if p := recover(); p != nil {
-				err = &UserFault{Call: name, Cause: p}
+				err = &UserFault{Call: c.Name, Cause: p}
 			}
 		}()
-		if ip := r.faultInjector.Load(); ip != nil && (*ip)(name) {
-			r.noteInjected(name)
-			panic(&InjectedFault{Call: name})
+		if ip := r.faultInjector.Load(); ip != nil && (*ip)(c.Name) {
+			r.noteInjected(c.Name)
+			panic(&InjectedFault{Call: c.Name})
 		}
-		err = fn(r.decafCtx)
+		if c.h != nil {
+			err = r.runHandler(c)
+		} else {
+			err = c.Fn(r.decafCtx)
+		}
 	}()
 	if d := r.decafCtx.Elapsed() - userStart; d > 0 {
 		ctx.Sleep(d)
@@ -834,37 +829,48 @@ var (
 	decafSideCrossOptions = crossOptions{inline: true, abortOnFailure: true}
 )
 
+// assertMayBlock oopses a crossing attempted from atomic context. The
+// message names the call, so it is only built once the assertion has failed.
+func assertMayBlock(ctx *kernel.Context, up bool, name string) {
+	if ctx.MayBlock() {
+		return
+	}
+	if up {
+		ctx.AssertMayBlock("XPC upcall " + name)
+	} else {
+		ctx.AssertMayBlock("XPC downcall " + name)
+	}
+}
+
 // crossSubmissions performs ONE physical crossing delivering every
 // submission (the Batch builder only produces single-direction lists; a
 // mixed list is counted and masked by its first call's direction). The
 // kernel/user transition is paid once for the whole chunk, each call still
 // pays its language-boundary transition, object synchronization and
 // per-byte payload cost, and every submission's Completion resolves before
-// the function returns. It returns the first error for inline submitters.
-func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt crossOptions) error {
+// the function returns — after which, by the Transport rule, nothing here
+// looks at them again. It returns the chunk's total virtual cost (what the
+// last completion's instant lies past opt.start by, for the transport whose
+// timeline that is) and the first error, for inline submitters.
+//
+//decaf:hotpath
+func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt crossOptions) (time.Duration, error) {
 	if len(subs) == 0 {
-		return nil
+		return 0, nil
 	}
-	first := subs[0].Call
-	if first.Up {
-		ctx.AssertMayBlock("XPC upcall " + first.Name)
-		if opt.maskIRQs {
-			defer r.maskIRQs()()
-		}
-	} else {
-		ctx.AssertMayBlock("XPC downcall " + first.Name)
+	name, up := subs[0].Call.Name, subs[0].Call.Up
+	assertMayBlock(ctx, up, name)
+	if up && opt.maskIRQs && len(r.DisableIRQs) > 0 {
+		r.maskIRQs()
+		defer r.unmaskIRQs()
 	}
 
 	startElapsed, startBusy := ctx.Elapsed(), ctx.Busy()
 	if len(subs) == 1 {
-		r.countTrip(first.Name, first.Up)
+		r.countTrip(name, up)
 		r.Latency.chargeTrip(ctx)
 	} else {
-		calls := make([]*Call, len(subs))
-		for i, sub := range subs {
-			calls[i] = sub.Call
-		}
-		r.countBatch(calls)
+		r.countBatch(subs)
 		r.Latency.chargeBatchTrip(ctx, len(subs))
 	}
 
@@ -875,31 +881,34 @@ func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt 
 		r.runChunkIsolated(ctx, subs, opt, startElapsed)
 	}
 
+	cost := ctx.Elapsed() - startElapsed
 	if opt.noteStall {
 		// The sleep portion of what this crossing charged the submitting
 		// context is the caller-visible stall the async transport exists to
 		// hide; record it so benchmarks can compare transports.
-		slept := (ctx.Elapsed() - startElapsed) - (ctx.Busy() - startBusy)
-		if slept > 0 {
-			r.noteStall(first.Name, slept)
+		if slept := cost - (ctx.Busy() - startBusy); slept > 0 {
+			r.noteStall(name, slept)
 		}
 	}
-	return err
+	return cost, err
 }
 
 // resolveAt resolves a submission with its share of the crossing cost. For
 // inline crossings the cost was already charged to the submitter, so the
 // completion's virtual instant is its submit time; for async crossings it
 // is the crossing start plus the cumulative cost so far, giving ordered
-// completion instants along the service timeline.
-func resolveAt(sub *Submission, opt crossOptions, cum time.Duration, prev time.Duration, err error, fault bool) {
+// completion instants along the service timeline. cell is the counter cell
+// of the call's name.
+//
+//decaf:hotpath
+func resolveAt(sub *Submission, cell *counterCell, opt crossOptions, cum time.Duration, prev time.Duration, err error, fault bool) {
 	c := sub.Completion
 	if opt.inline {
 		c.completeAt = c.submitClock
 	} else {
 		c.completeAt = opt.start + cum
 	}
-	c.resolve(err, fault, cum-prev)
+	c.resolveOn(cell, err, fault, cum-prev)
 }
 
 // runChunkAborting executes the chunk with the inline batch semantics: a
@@ -907,22 +916,22 @@ func resolveAt(sub *Submission, opt crossOptions, cum time.Duration, prev time.D
 // process is suspect); an ordinary error stops execution of the remaining
 // calls but the already-executed calls' objects still synchronize back.
 // Returns the first error.
+//
+//decaf:hotpath
 func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt crossOptions, baseElapsed time.Duration) error {
 	executed, reached := 0, 0
-	errs := make([]error, len(subs))
-	marks := make([]time.Duration, len(subs))
+	cells := cellCursor{r: r}
 	var err error
 	for i, sub := range subs {
-		if serr := r.syncIn(ctx, sub.Call); serr != nil {
+		cell := cells.at(sub.Call.Name)
+		if serr := r.syncIn(ctx, sub.Call, cell); serr != nil {
 			err = serr
-			errs[i] = serr
-			marks[i] = ctx.Elapsed() - baseElapsed
+			sub.err, sub.mark = serr, ctx.Elapsed()-baseElapsed
 			reached = i + 1
 			break
 		}
-		err = r.execute(ctx, sub.Call)
-		errs[i] = err
-		marks[i] = ctx.Elapsed() - baseElapsed
+		err = r.execute(ctx, sub.Call, cell)
+		sub.err, sub.mark = err, ctx.Elapsed()-baseElapsed
 		executed++
 		reached = i + 1
 		if err != nil {
@@ -931,10 +940,10 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt 
 	}
 	_, faulted := err.(*UserFault)
 	if !faulted {
-		for i, sub := range subs[:executed] {
+		for _, sub := range subs[:executed] {
 			if serr := r.syncOut(ctx, sub.Call); serr != nil {
-				if errs[i] == nil {
-					errs[i] = serr
+				if sub.err == nil {
+					sub.err = serr
 				}
 				if err == nil {
 					err = serr
@@ -944,14 +953,17 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt 
 	}
 	var prev time.Duration
 	for i, sub := range subs {
+		cell := cells.at(sub.Call.Name)
 		if i >= reached {
 			// Never reached: aborted by an earlier failure.
-			resolveAt(sub, opt, prev, prev, ErrCrossingAborted, false)
+			resolveAt(sub, cell, opt, prev, prev, ErrCrossingAborted, false)
 			continue
 		}
-		_, f := errs[i].(*UserFault)
-		resolveAt(sub, opt, marks[i], prev, errs[i], f)
-		prev = marks[i]
+		// Read the scratch out first: resolving hands the submission back.
+		serr, mark := sub.err, sub.mark
+		_, f := serr.(*UserFault)
+		resolveAt(sub, cell, opt, mark, prev, serr, f)
+		prev = mark
 	}
 	return err
 }
@@ -962,11 +974,13 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt 
 // the rest still run and synchronize back.
 func (r *Runtime) runChunkIsolated(ctx *kernel.Context, subs []*Submission, opt crossOptions, baseElapsed time.Duration) {
 	var prev time.Duration
+	cells := cellCursor{r: r}
 	for _, sub := range subs {
-		inErr := r.syncIn(ctx, sub.Call)
+		cell := cells.at(sub.Call.Name)
+		inErr := r.syncIn(ctx, sub.Call, cell)
 		err := inErr
 		if err == nil {
-			err = r.execute(ctx, sub.Call)
+			err = r.execute(ctx, sub.Call, cell)
 		}
 		_, faulted := err.(*UserFault)
 		// No sync-back after a fault (the user process is suspect) or a
@@ -978,7 +992,7 @@ func (r *Runtime) runChunkIsolated(ctx *kernel.Context, subs []*Submission, opt 
 			}
 		}
 		cum := ctx.Elapsed() - baseElapsed
-		resolveAt(sub, opt, cum, prev, err, faulted)
+		resolveAt(sub, cell, opt, cum, prev, err, faulted)
 		prev = cum
 	}
 }
