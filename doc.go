@@ -24,9 +24,9 @@
 //	       (xpc.ProcTransport): steady state rides SPSC shared-memory
 //	       descriptor rings — frames encoded in place in the mmap
 //	       mapping, published with one atomic store, zero syscalls and
-//	       zero allocations per crossing — with a park/doorbell wakeup
-//	       protocol and the socketpair demoted to control frames and
-//	       oversized-payload fallback; payload rings are mmap-shared
+//	       zero allocations per crossing, nested downcalls included —
+//	       with a park/doorbell wakeup protocol and the socketpair left
+//	       carrying handshake control frames only; payload rings are mmap-shared
 //	       memory the worker checksums through its own mapping, and
 //	       fault containment is physical — a decaf panic SIGKILLs the
 //	       worker and recovery respawns a process that actually died
@@ -41,8 +41,8 @@
 // model is identical to batch and crossings per packet
 // are comparable across all four while Counters.RingCrossings,
 // DoorbellWakeups, SyscallCrossings and WireBytesOut/In meter the real
-// boundary: descriptor-ring traffic, doorbell syscalls, and socketpair
-// control/fallback trips. decafbench's async and zerocopy rows add
+// boundary: descriptor-ring traffic, doorbell syscalls (the only syscalls a
+// crossing can pay), and socketpair control frames. decafbench's async and zerocopy rows add
 // caller-visible p50/p99/p999 completion latency and GC pause/cycle
 // columns, banded in CI against the committed BENCH_*.json baselines.
 //

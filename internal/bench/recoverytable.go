@@ -62,10 +62,11 @@ type RecoveryRow struct {
 	// force-release at the ring swap (zero when quiesce released all).
 	SlotsReclaimed uint64
 	// SyscallCrossings counts the proc transport's real kernel entries
-	// during the phase (socketpair control/fallback round trips plus
-	// doorbell writes), and WireBytes the framed socketpair bytes both
-	// ways. Steady state rides the shared-memory descriptor rings, so the
-	// proc-row proof of a physical boundary is RingCrossings.
+	// during the phase (doorbell syscalls: nothing else a crossing does
+	// enters the kernel), and WireBytes the framed control-socketpair bytes
+	// both ways (worker handshakes). Every call rides the shared-memory
+	// descriptor rings, so the proc-row proof of a physical boundary is
+	// RingCrossings.
 	SyscallCrossings uint64
 	WireBytes        uint64
 	// RingCrossings counts chunks that crossed into the worker on the

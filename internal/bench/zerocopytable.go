@@ -44,11 +44,10 @@ type ZeroCopyRow struct {
 	// during the phase (direct rows only).
 	RingExhausted uint64
 	// SyscallCrossings counts the proc transport's real kernel entries
-	// during the phase: socketpair round trips on the control/fallback path
-	// plus doorbell writes. Steady state rides the shared-memory descriptor
-	// rings, so on proc rows this stays far below Packets; WireBytes counts
-	// the framed socketpair bytes both ways (control traffic only, once the
-	// rings are up).
+	// during the phase: doorbell syscalls. Every call rides the
+	// shared-memory descriptor rings, so on proc rows this stays far below
+	// Packets; WireBytes counts the framed socketpair bytes both ways
+	// (control traffic only).
 	SyscallCrossings uint64
 	WireBytes        uint64
 	// RingCrossings counts chunks that crossed into the worker on the

@@ -46,16 +46,15 @@ type Ctx struct {
 	State *State
 
 	// down is the boundary crossing installed by the dispatcher: in the
-	// worker it frames a FrameDown onto the socketpair; in-process it is a
-	// real Runtime.Downcall.
+	// worker it publishes a FrameDown on the executing call's lane and
+	// waits for the result there; in-process it is a real Runtime.Downcall.
 	down func(name string, arg uint64) (uint64, error)
 }
 
 // Downcall crosses back into the kernel: the named downcall runs
 // kernel-side with arg and returns its scalar result. Only handlers
-// registered with Down: true may call it — the transport routes
-// downcall-bearing handlers over the control path that can serve nested
-// crossings.
+// registered with Down: true may call it — the declaration is what gets a
+// body its downcall route.
 func (c *Ctx) Downcall(name string, arg uint64) (uint64, error) {
 	if c.down == nil {
 		return 0, fmt.Errorf("registry: handler %q has no downcall route (register it with Down: true)", c.Name)
@@ -86,10 +85,14 @@ type Handler struct {
 	// Cost is the body's virtual CPU cost, charged to the decaf timeline by
 	// the kernel-side dispatcher (the worker has no virtual clock).
 	Cost time.Duration
-	// Down declares that Fn may call Ctx.Downcall. The proc transport
-	// routes Down handlers over the socketpair control path (which can
-	// serve nested crossings mid-call) instead of the descriptor-ring fast
-	// path.
+	// Down declares that Fn may call Ctx.Downcall. Under the proc transport
+	// a Down call rides the same lane rings as any other; the declaration
+	// makes it a publication barrier in its chunk (the calls behind it are
+	// published once it completes, so its downcall results are the only
+	// thing its lane can carry while it runs) and has the worker release its
+	// submit slot before the body starts. The worker runs one body at a
+	// time, so a downcall's kernel-side target must not wait on a lock held
+	// across another in-flight crossing.
 	Down bool
 	// Fn is the call body. A panic inside Fn is a decaf fault: contained,
 	// reported to the kernel side, and — under the proc transport — fatal

@@ -31,7 +31,7 @@ const (
 	// Kernel-side submission lifecycle (per-lane tracks, SrcKernel).
 	KindSubmit     // runtime admitted Arg submissions (host ring)
 	KindChunkBegin // lane claimed, chunk crossing begins: ID=first frame id, Arg=chunk len
-	KindEnqueue    // chunk's frames all published to the submit ring: ID=first id, Arg=n
+	KindEnqueue    // a run of the chunk's frames published (the whole chunk, or up to a downcall-making call): ID=first id of the run, Arg=n
 	KindDoorbell   // worker was parked; doorbell syscall paid: ID=first id
 	KindWake       // completion wait woken by the lane bell Arg times: ID=first id
 	KindChunkEnd   // every completion verified, lane released: ID=first id, Arg=n

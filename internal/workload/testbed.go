@@ -113,10 +113,10 @@ type NetOptions struct {
 	// overlap with packet production instead of stalling the caller.
 	Async bool
 	// Proc installs a ProcTransport: the decaf side of the boundary is a
-	// real forked worker process reached over a socketpair, with payload
-	// rings in genuinely shared mmap memory and fault containment enforced
-	// by actual process death. Coalescing follows BatchN. Takes precedence
-	// over Async.
+	// real forked worker process reached over shared-memory lanes, with
+	// payload rings in the same genuinely shared mmap region and fault
+	// containment enforced by actual process death. Coalescing follows
+	// BatchN. Takes precedence over Async.
 	Proc bool
 	// QueueDepth bounds the async submission ring; <1 means
 	// xpc.DefaultQueueDepth. Ignored unless Async is set.

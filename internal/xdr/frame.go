@@ -7,9 +7,10 @@ import (
 
 // FrameKind discriminates the messages of the process-separated XPC wire
 // protocol: the frames a ProcTransport exchanges with its decaf worker
-// process over the socketpair. The codec is reflection-free — every field is
-// encoded by hand with the XDR primitives — because the frame is the
-// per-crossing hot path of a real process boundary.
+// process — calls, completions and downcalls in the slots of the
+// shared-memory lane rings, control frames over the socketpair. The codec is
+// reflection-free — every field is encoded by hand with the XDR primitives —
+// because the frame is the per-crossing hot path of a real process boundary.
 type FrameKind uint8
 
 // Wire frame kinds.
@@ -31,16 +32,14 @@ const (
 	FrameRingRegister
 	// FrameRingRelease withdraws the ring registration (recovery teardown).
 	FrameRingRelease
-	// FramePing / FramePong are the liveness probe pair.
-	FramePing
-	FramePong
 	// FrameShutdown asks the worker to exit cleanly; it is not acknowledged.
 	FrameShutdown
 	// FrameDescRing publishes the shared-memory descriptor-ring geometry to
-	// the worker: Aux packs entries<<32 | slotSize. The two SPSC rings (one
-	// per direction) live at the tail of the shared region; once the worker
-	// acknowledges, steady-state submit/complete frames ride the rings and
-	// the socketpair is demoted to a doorbell/control slow path.
+	// the worker: Aux packs entries<<32 | slotSize, Lane the lane count. Each
+	// lane's two SPSC rings (one per direction) live at the tail of the
+	// shared region; once the worker acknowledges, every submit, call,
+	// completion and downcall frame rides the rings and the socketpair
+	// carries control frames only.
 	FrameDescRing
 	// FrameTraceRing publishes the flight-recorder trace-ring geometry to
 	// the worker: Aux packs entries<<32 | ringCount. The rings live at the
@@ -60,13 +59,15 @@ const (
 	// executed / failed / faulted / injected / skipped outcomes.
 	FrameCall
 	// FrameDown is a worker→kernel nested downcall made by an executing
-	// handler: Name is the registered downcall name, Aux the scalar
-	// argument, and ID echoes the FrameCall that is mid-execution. The
-	// kernel side serves it inline and answers with FrameDownResult before
-	// the handler's own completion is written.
+	// handler, published on the completion ring of the call's lane: Name is
+	// the registered downcall name, Aux the scalar argument, and ID and
+	// Lane echo the FrameCall that is mid-execution. The lane's holder
+	// serves it and answers with FrameDownResult before the handler's own
+	// completion is written.
 	FrameDown
-	// FrameDownResult answers a FrameDown: Aux is the downcall's scalar
-	// result; a non-zero Status carries the error text in Name.
+	// FrameDownResult answers a FrameDown on the lane's submit ring: Aux is
+	// the downcall's scalar result; a non-zero Status carries the error
+	// text in Name.
 	FrameDownResult
 	// FrameStateMap publishes the shm-backed shared-state area to the
 	// worker: Aux packs offset<<32 | length, the offset 64-byte aligned
@@ -89,10 +90,6 @@ func (k FrameKind) String() string {
 		return "ring-register"
 	case FrameRingRelease:
 		return "ring-release"
-	case FramePing:
-		return "ping"
-	case FramePong:
-		return "pong"
 	case FrameShutdown:
 		return "shutdown"
 	case FrameDescRing:

@@ -20,8 +20,6 @@ func everyFrameKind() []Frame {
 		{Kind: FrameComplete, ID: 9, Status: 2, Name: "slot out of range", Lane: 7},
 		{Kind: FrameRingRegister, ID: 4, Aux: 256<<32 | 2048},
 		{Kind: FrameRingRelease, ID: 5},
-		{Kind: FramePing, ID: 6},
-		{Kind: FramePong, ID: 6},
 		{Kind: FrameShutdown, ID: 7},
 		{Kind: FrameDescRing, ID: 8, Aux: 1024<<32 | 2048, Lane: 4},
 		{Kind: FrameTraceRing, ID: 10, Aux: 4096<<32 | 9},
@@ -32,6 +30,10 @@ func everyFrameKind() []Frame {
 		{Kind: FrameDown, ID: 11, Name: "e1000_read_status", Aux: 0x83},
 		{Kind: FrameDownResult, ID: 11, Aux: 0x80080783},
 		{Kind: FrameDownResult, ID: 12, Status: 1, Name: "unknown downcall"},
+		// The lane-borne pair: a downcall rides the completion ring of the
+		// lane its call was claimed on, the result that lane's submit ring.
+		{Kind: FrameDown, ID: 14, Name: "netif_carrier_change", Aux: 1, Lane: 5},
+		{Kind: FrameDownResult, ID: 14, Lane: 5},
 		{Kind: FrameStateMap, ID: 13, Aux: 1<<20<<32 | 512},
 	}
 }

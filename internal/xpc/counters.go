@@ -55,8 +55,8 @@ type Counters struct {
 	CrossTime time.Duration
 
 	// BytesPayloadCopied is the total opaque payload bytes that crossed by
-	// copy (no registered ring, ring exhausted, or oversized payload) —
-	// counted once per payload however many legs it was charged.
+	// copy (no registered ring, ring exhausted, or a payload over the ring's
+	// slot size) — counted once per payload however many legs it was charged.
 	BytesPayloadCopied uint64
 	// BytesPayloadDirect is the total payload bytes that crossed by slot
 	// reference: resident in the registered ring, only their twelve-byte
@@ -68,15 +68,14 @@ type Counters struct {
 	DirectTransfers uint64
 
 	// SyscallCrossings counts syscalls a process-separated transport spent
-	// moving crossings: socketpair round trips (one per coalesced chunk on
-	// the wire fallback path) plus doorbell writes (only when a parked peer
-	// needed waking). Zero under the in-process transports, and — the point
-	// of the descriptor rings — far below one per packet in a proc steady
-	// state, where chunks ride shared memory and the doorbell stays silent.
+	// moving crossings. Every call — downcall-making bodies included — rides
+	// the shared-memory lanes, so the only such syscalls are doorbells: it
+	// equals DoorbellWakeups. Zero under the in-process transports, and — the
+	// point of the descriptor rings — far below one per packet in a proc
+	// steady state, where the doorbell stays silent.
 	SyscallCrossings uint64
 	// RingCrossings counts coalesced chunks that crossed through the
-	// shared-memory descriptor rings instead of the socketpair: the
-	// syscall-free steady-state path.
+	// shared-memory descriptor rings: under ProcTransport, every chunk.
 	RingCrossings uint64
 	// DoorbellWakeups counts doorbell syscalls — a byte written because the
 	// peer had declared itself parked (or a parked wait that a byte ended).
@@ -84,10 +83,9 @@ type Counters struct {
 	// how often the rings actually needed the slow path.
 	DoorbellWakeups uint64
 	// WireBytesOut / WireBytesIn total the framed bytes a process-separated
-	// transport moved over its socketpair (submit frames out, completion
-	// frames in). Ring crossings move no wire bytes; zero-copy payloads are
-	// absent from both by design: only their twelve-byte descriptors ride
-	// the frames.
+	// transport moved over its socketpair: control frames only (the worker
+	// handshake, payload-ring registration) and their acknowledgements. No
+	// crossing moves wire bytes, so both stay flat in a steady state.
 	WireBytesOut uint64
 	WireBytesIn  uint64
 	// WorkerServedCalls counts call bodies that executed to completion (or
@@ -99,7 +97,8 @@ type Counters struct {
 	WorkerServedCalls uint64
 	// WorkerDowncalls counts nested downcalls served on behalf of
 	// worker-resident handler bodies: each is a FrameDown round trip from
-	// the worker mid-call back into the kernel.
+	// the worker mid-call back into the kernel, over the rings of the lane
+	// the call was claimed on.
 	WorkerDowncalls uint64
 
 	// InFlight is a gauge: submissions admitted but not yet completed.
@@ -447,14 +446,6 @@ func (c *counterCell) noteDirect(n int) {
 	c.directTransfers.Add(1)
 }
 
-// noteSyscallCrossing records one physical wire round trip into the worker
-// process (a process-separated transport's crossing).
-//
-//decaf:hotpath
-func (r *Runtime) noteSyscallCrossing(name string) {
-	r.state().cell(name).syscallCross.Add(1)
-}
-
 // noteRingCrossing records one coalesced chunk crossing through the
 // shared-memory descriptor rings — the syscall-free steady-state path.
 //
@@ -464,9 +455,9 @@ func (r *Runtime) noteRingCrossing(name string) {
 }
 
 // noteDoorbells records n doorbell syscalls spent waking a parked peer (or
-// being woken). Each one is also a physical syscall the crossing paid, so
-// it feeds SyscallCrossings too — in a healthy steady state both stay near
-// zero while RingCrossings climbs.
+// being woken). They are the only syscalls a crossing can pay, so the same
+// n feeds SyscallCrossings — in a healthy steady state both stay near zero
+// while RingCrossings climbs.
 //
 //decaf:hotpath
 func (r *Runtime) noteDoorbells(name string, n int) {

@@ -10,14 +10,15 @@ import (
 )
 
 // This file implements the shared-memory descriptor rings that carry a
-// ProcTransport's steady-state submit/complete traffic, demoting the
-// socketpair to a doorbell/control slow path. Two single-producer
-// single-consumer rings live at the tail of the mmap-shared region — one per
-// direction: the kernel side produces encoded xdr.Frame submit descriptors
-// into the submit ring and consumes completion descriptors from the
-// completion ring; the worker process does the reverse. Each ring is a
-// power-of-two array of fixed-size slots fronted by a header of monotonic
-// head/tail sequence counters plus a parked flag.
+// ProcTransport's whole data plane — calls, completions, and the nested
+// downcalls of executing bodies — leaving the socketpairs the handshake and
+// the doorbells. Two single-producer single-consumer rings live at the tail
+// of the mmap-shared region — one per direction: the kernel side produces
+// encoded xdr.Frame submit descriptors (and downcall results) into the
+// submit ring and consumes completion descriptors (and downcall requests)
+// from the completion ring; the worker process does the reverse. Each ring
+// is a power-of-two array of fixed-size slots fronted by a header of
+// monotonic head/tail sequence counters plus a parked flag.
 //
 // # Memory-ordering invariants (the park/doorbell handshake)
 //
@@ -74,6 +75,19 @@ import (
 //     promises FIFO within a lane and nothing across lanes. Cross-lane
 //     ordering is deliberately unspecified — that independence is what
 //     removes the transport-wide lock.
+//  7. One conversation per lane. A body that calls down talks over the
+//     rings of the lane its call arrived on: FrameDown on the completion
+//     ring, FrameDownResult on the submit ring. Two rules keep that
+//     unambiguous without a third ring or any peek-ahead. The holder
+//     publishes nothing behind a downcall-making call until it has consumed
+//     that call's completion (a publication barrier inside the chunk), and
+//     the worker advances the submit ring past such a call before running
+//     it. So while the body runs the submit ring is empty, and the next
+//     entry to appear there is the result of its pending downcall — written
+//     by the holder, which is the completion ring's consumer already and so
+//     sees the request in its ordinary await loop. The worker executes one
+//     body at a time: a body blocked on a result parks on the worker-wide
+//     flag of invariant 5, and no other lane is served until it returns.
 
 // descHdrSize is the encoded size of a ring header: three cache lines (head,
 // tail, parked), so the producer's and consumer's hot fields never

@@ -24,12 +24,9 @@ import (
 // geometries.
 const DefaultProcShmBytes = 8 << 20
 
-// MaxProcBatch caps a ProcTransport's coalescing size. The wire protocol
-// writes a whole chunk before reading its completions, so the worker's
-// accumulated completion frames (~48 bytes each) must fit the socketpair's
-// reverse buffer while the parent is still writing — otherwise both sides
-// block in write and deadlock. 1024 completions stay far below any
-// platform's default AF_UNIX buffer.
+// MaxProcBatch caps a ProcTransport's coalescing size. Every lane's two
+// descriptor rings hold a full chunk (one descSlotBytes slot per call), so
+// the cap bounds the lane area of the shared region: 4 MiB per lane at 1024.
 const MaxProcBatch = 1024
 
 // DefaultProcLanes is the submission-lane count a zero ProcConfig gets:
@@ -52,13 +49,15 @@ const procWireTimeout = 30 * time.Second
 
 // descSlotBytes sizes one descriptor-ring slot: room for an encoded submit
 // frame carrying a typical copy-path payload inline (a full 1462B ethernet
-// frame fits with headroom). A chunk with any larger frame falls back to
-// the framed socketpair.
+// frame fits with headroom). A chunk with any larger frame is refused at
+// admission (admitChunk): payloads beyond a slot are staged in a payload
+// ring, of which only the descriptor crosses.
 const descSlotBytes = 2048
 
-// errProcEncode marks a kernel-side frame-encoding failure: nothing was
-// written, the wire stream is still in sync, and the worker is healthy —
-// the submission fails without killing or respawning anything.
+// errProcEncode marks a chunk refused at admission because one of its frames
+// cannot be encoded into a descriptor slot (see admitChunk): no lane was
+// claimed, nothing was written, and the worker is healthy — the submission
+// fails without killing or respawning anything.
 var errProcEncode = errors.New("xpc: proc frame encode failed")
 
 // DefaultTraceEntries is the per-ring record count a traced transport uses
@@ -96,16 +95,17 @@ type ProcConfig struct {
 
 // ProcTransport is the process-separated XPC transport: the decaf side of
 // the boundary is a real child process — a re-exec of the current binary in
-// its hidden worker mode (see MaybeRunWorker) — reached over a socketpair,
-// with payload rings backed by a genuinely shared mmap region. Where the
-// in-process transports simulate the user/kernel boundary, ProcTransport
-// makes its mechanics physical:
+// its hidden worker mode (see MaybeRunWorker) — reached through a genuinely
+// shared mmap region holding the submission lanes and the payload rings, with
+// a socketpair beside it for the handshake. Where the in-process transports
+// simulate the user/kernel boundary, ProcTransport makes its mechanics
+// physical:
 //
 //   - Every crossing is framed through internal/xdr's reflection-free wire
-//     codec. Control traffic travels through real write/read syscalls
-//     (counted as Counters.SyscallCrossings, with Counters.WireBytesOut/In);
-//     steady-state crossings ride shared-memory descriptor rings with no
-//     syscalls at all unless a side parked.
+//     codec into shared-memory descriptor rings, with no syscalls at all
+//     unless a side parked (doorbells: Counters.SyscallCrossings). The
+//     socketpair carries handshake and lifecycle control frames only, through
+//     real write/read syscalls (Counters.WireBytesOut/In).
 //   - Zero-copy payloads stay zero-copy across address spaces: a slot
 //     descriptor crosses the wire and the worker resolves it against its
 //     own mapping of the shared region, returning a checksum of the bytes
@@ -113,7 +113,8 @@ type ProcConfig struct {
 //     is an error, not a silent simulation.
 //   - Fault containment is physical. A decaf-side panic (real or injected)
 //     SIGKILLs the worker; a worker that dies externally (kill -9, crash)
-//     is detected on the next wire operation. Either way the failure
+//     is detected by the next crossing (its doorbell or parked wait reads
+//     EOF). Either way the failure
 //     surfaces as a contained *UserFault whose cause is a *WorkerDeath,
 //     flowing through SetFaultNotifier to a recovery.Supervisor, which
 //     respawns the worker (WorkerRespawner), re-registers the shared ring
@@ -123,10 +124,11 @@ type ProcConfig struct {
 // submitters claim independent submission lanes (each its own SPSC
 // submit/complete ring pair in the shared mapping) through a lock-free CAS
 // lane table, so crossings from different goroutines pipeline through the
-// worker instead of queueing behind one transport lock. The control-plane
-// mutex survives only on bind, payload-ring registration, the socketpair
-// fallback, worker lifecycle and teardown; tests assert the steady state
-// acquires it zero times (see ControlAcquires).
+// worker instead of queueing behind one transport lock. The lanes are the
+// only data plane — there is no second path for any kind of call — and the
+// control-plane mutex survives only on bind, payload-ring registration,
+// worker lifecycle and teardown; tests assert the steady state acquires it
+// zero times (see ControlAcquires).
 //
 // Call bodies dispatch two ways. Handler-table calls (Batch.UpcallHandler;
 // see internal/decaf/registry) execute in the worker process for real: the
@@ -135,7 +137,12 @@ type ProcConfig struct {
 // payload bytes the worker reads through its own shm mapping. Results,
 // contained panics and injected-fault outcomes travel back as completion
 // statuses; nested downcalls from an executing handler cross back as
-// FrameDown round trips on the socketpair. Shared driver state lives in a
+// FrameDown round trips on the lane the call was claimed on, served by that
+// lane's holder (see laneConverse). The worker executes strictly one body at
+// a time, as the paper's single-threaded decaf driver does: while a body
+// waits on a downcall no other lane is served, so a downcall target must
+// not wait on a lock held across another in-flight crossing. Shared driver
+// state lives in a
 // state window of the same mapping (FrameStateMap), so both processes read
 // and write it through registry.State. Legacy closure calls (Batch.Upcall)
 // still execute in the parent — a Go closure cannot cross a process
@@ -151,8 +158,7 @@ type ProcTransport struct {
 	cfg ProcConfig
 
 	// mu is the control-plane mutex: bind (first use), payload-ring
-	// registration, the socketpair fallback path, worker spawn/teardown and
-	// Close. The steady-state lane path never touches it. Always acquired
+	// registration, worker spawn/teardown and Close. The steady-state lane path never touches it. Always acquired
 	// through lockControl, which counts acquisitions so tests can assert
 	// the data plane's mutex-freedom.
 	mu         sync.Mutex
@@ -182,11 +188,6 @@ type ProcTransport struct {
 	traceAttached bool   // mu: rings handed to the runtime's recorder
 	encBuf        []byte // mu: control-frame scratch
 	nextID        uint64 // mu: control-frame sequence (lane IDs are per-lane)
-
-	// ids and sums are the socketpair fallback path's per-chunk scratch
-	// (mu); each lane carries its own pair for the lock-free path.
-	ids  []uint64
-	sums []uint64
 
 	// geoms maps rings created by NewMappedRing to their geometry (mu).
 	geoms map[*PayloadRing]ringGeom
@@ -249,7 +250,8 @@ type procEpoch struct {
 }
 
 // procWorker is one live worker process. sock carries the framed control
-// protocol; bell is the parent end of the submit doorbell socketpair.
+// protocol (handshake, ring registration, shutdown — never a call); bell is
+// the parent end of the submit doorbell socketpair.
 type procWorker struct {
 	cmd    *exec.Cmd
 	sock   *os.File
@@ -294,8 +296,6 @@ func NewProcTransport(cfg ProcConfig) (*ProcTransport, error) {
 		cfg:         cfg,
 		geoms:       make(map[*PayloadRing]ringGeom),
 		descEntries: nextPow2(cfg.Batch),
-		ids:         make([]uint64, cfg.Batch),
-		sums:        make([]uint64, cfg.Batch),
 	}, nil
 }
 
@@ -407,9 +407,9 @@ func (t *ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submissi
 // A wire failure means the decaf process is dead or suspect: the chunk's
 // first submission resolves as a contained fault (firing the runtime's
 // fault notifier, the recovery trigger) and the rest abort — mirroring the
-// inline batch abort semantics for an in-process decaf crash. A local
-// encode failure is not a fault: nothing crossed and the worker is fine,
-// so the chunk just fails. A fault raised by the call bodies themselves
+// inline batch abort semantics for an in-process decaf crash. A chunk
+// refused at admission (errProcEncode) is not a fault: nothing crossed and
+// the worker is fine, so the chunk just fails. A fault raised by the call bodies themselves
 // makes the containment physical by SIGKILLing the worker.
 //
 //decaf:hotpath
@@ -441,23 +441,33 @@ func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Sub
 }
 
 // wireCross moves one chunk across the physical boundary and awaits the
-// worker's acknowledgements, verifying payload checksums. Steady-state
-// chunks whose frames all fit a descriptor slot ride a claimed submission
-// lane's shared-memory rings (laneCross) — lock-free, no syscalls unless a
-// side parked; anything else (oversized payloads, names beyond the frame
-// limit) falls back to the framed socketpair (sockCross), which serializes
-// on the control mutex. Any boundary failure retires the worker epoch and
-// returns the death or protocol error.
+// worker's acknowledgements, verifying payload checksums. There is one way
+// across: a claimed submission lane's shared-memory rings (laneCrossOn) —
+// lock-free, no syscalls unless a side parked, nested downcalls included. A
+// lane claim that fails because the epoch was retired under us (worker died
+// before anything was published) retries transparently on the next epoch,
+// so a dead worker is respawned by the next crossing; once a frame is
+// published the crossing is committed to its epoch and a failure surfaces
+// instead. Any boundary failure retires the worker epoch and returns the
+// death or protocol error; a chunk admitChunk refuses never reaches a lane.
 //
 //decaf:hotpath
 func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
 	if t.closed.Load() {
 		return ErrTransportClosed
 	}
-	if ringFits(chunk) {
-		return t.laneCross(r, ctx, chunk)
+	if err := admitChunk(chunk); err != nil {
+		return err
 	}
-	return t.sockCross(r, ctx, chunk)
+	for {
+		ep, err := t.currentEpoch()
+		if err != nil {
+			return err
+		}
+		if lane := t.claimLane(ep, ctx); lane != nil {
+			return t.laneCrossOn(r, ctx, ep, lane, chunk)
+		}
+	}
 }
 
 // CrossChunk exposes the boundary layer of one crossing — lane claim,
@@ -468,33 +478,28 @@ func (t *ProcTransport) CrossChunk(r *Runtime, ctx *kernel.Context, chunk []*Sub
 	return t.wireCross(r, ctx, chunk)
 }
 
-// ringFits reports whether every frame of the chunk is guaranteed to encode
-// into one descriptor-ring slot. The check sizes each frame against its
-// copy-path form (Data counted even when a slot descriptor would cross), so
-// a stale zero-copy descriptor degrading to its Data fallback at encode
-// time cannot overflow the slot the chunk was admitted for — which is what
-// lets laneCrossOn treat an encode failure as impossible rather than
-// unwinding a partially published ring.
+// admitChunk is the one admission check of the data plane, made before any
+// lane is claimed: every frame of the chunk must be guaranteed to encode
+// into one descriptor-ring slot. Each frame is sized against its copy-path
+// form (Data counted even when a slot descriptor would cross), so a stale
+// zero-copy descriptor degrading to its Data fallback at encode time cannot
+// overflow the slot the chunk was admitted for — which is what lets
+// laneConverse treat an encode failure as impossible rather than unwinding
+// a partially published ring. A refusal is errProcEncode: nothing crossed,
+// the worker is untouched. (No driver comes near it: the largest copy-path
+// payload is a 1514 B ethernet frame, and bigger ones are staged in payload
+// ring slots, of which only the 12-byte descriptor crosses.)
 //
 //decaf:hotpath
-func ringFits(chunk []*Submission) bool {
+func admitChunk(chunk []*Submission) error {
 	for _, sub := range chunk {
 		c := sub.Call
-		if len(c.Name) > xdr.MaxFrameName {
-			return false
-		}
-		// Handlers that make nested downcalls cross on the socketpair: a
-		// FrameDown conversation is a framed request/response exchange the
-		// SPSC rings do not model, so the lane path carries only
-		// downcall-free bodies.
-		if c.h != nil && c.h.Down {
-			return false
-		}
-		if xdr.FrameWireSize(xdr.Frame{Name: c.Name, Data: c.Data}) > descSlotBytes {
-			return false
+		if n := xdr.FrameWireSize(xdr.Frame{Name: c.Name, Data: c.Data}); len(c.Name) > xdr.MaxFrameName || n > descSlotBytes {
+			return fmt.Errorf("%w: %.64q (name %dB, limit %dB) encodes to %dB, a descriptor slot holds %dB",
+				errProcEncode, c.Name, len(c.Name), xdr.MaxFrameName, n, descSlotBytes)
 		}
 	}
-	return true
+	return nil
 }
 
 // atomicMaxU64 lifts a to at least v (CAS max): the allocation-free way to
@@ -507,28 +512,6 @@ func atomicMaxU64(a *atomic.Uint64, v uint64) {
 		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
-	}
-}
-
-// laneCross is the steady-state entry: claim a lane on the live epoch and
-// cross on it. A claim that fails because the epoch was retired under us
-// (worker died before anything was published) retries transparently on the
-// next epoch — matching the old behavior where a dead worker was respawned
-// by the next crossing. Once a frame is published the crossing is committed
-// to its epoch and a failure surfaces instead.
-//
-//decaf:hotpath
-func (t *ProcTransport) laneCross(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
-	for {
-		ep, err := t.currentEpoch()
-		if err != nil {
-			return err
-		}
-		lane := t.claimLane(ep, ctx)
-		if lane == nil {
-			continue
-		}
-		return t.laneCrossOn(r, ep, lane, chunk)
 	}
 }
 
@@ -609,17 +592,43 @@ func (t *ProcTransport) releaseLane(lane *procLane) {
 	lane.claim.Store(0)
 }
 
-// laneCrossOn is the lock-free steady-state fast path: encode each submit
-// frame directly into the claimed lane's submit ring, wake the worker only
-// if it parked (one flag spans all lanes — invariant 5), and collect the
-// lane's completion descriptors tagged with its per-lane sequence. Zero
-// wire traffic and zero heap allocations per crossing — the scratch arrays
-// live on the lane and the encode lands in the mapping itself (ringFits
-// proved it cannot spill, so AppendFrame never grows the slot-backed
-// slice).
+// laneCrossOn crosses one chunk on a claimed lane and gives the lane back.
+// A failed conversation retires the epoch — after the release, because
+// teardown waits for every claim to drain.
 //
 //decaf:hotpath
-func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, chunk []*Submission) error {
+func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission) error {
+	err := t.laneConverse(r, ctx, ep, lane, chunk)
+	t.releaseLane(lane)
+	if err != nil {
+		t.retireEpoch(ep)
+	}
+	return err
+}
+
+// laneConverse is the lock-free steady-state fast path, and the only place
+// a call frame is built or a completion validated: encode each submit frame
+// directly into the claimed lane's submit ring, wake the worker only if it
+// parked (one flag spans all lanes — invariant 5), and collect the lane's
+// completion descriptors tagged with its per-lane sequence. Zero wire
+// traffic and zero heap allocations per crossing — the scratch arrays live
+// on the lane and the encode lands in the mapping itself (admitChunk proved
+// it cannot spill, so AppendFrame never grows the slot-backed slice).
+//
+// A handler that may call down is a publication barrier: the frames behind
+// it in the chunk are published only once its completion is consumed. Its
+// body's FrameDown requests arrive on the completion ring ahead of that
+// completion; each is served here, by the holder already waiting, and
+// answered on the submit ring — where, thanks to the barrier, the result is
+// the next entry the blocked body can see. A downcall-free chunk is one run,
+// published and pipelined whole.
+//
+// The error is the worker's death (*WorkerDeath: EOF, EPIPE, doorbell
+// timeout) or the protocol violation of a live-but-suspect one, returned as
+// itself; either way the caller retires the epoch.
+//
+//decaf:hotpath
+func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission) error {
 	name := chunk[0].Call.Name
 	ring := r.payloadRing.Load()
 	reg := t.reg.Load()
@@ -634,132 +643,126 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, c
 		}
 	}
 	injector := r.faultInjector.Load()
-	for i, sub := range chunk {
-		c := sub.Call
-		lane.seq++
-		ids[i] = lane.seq
-		sums[i] = 0
-		f := xdr.Frame{Kind: xdr.FrameSubmit, ID: ids[i], Up: c.Up, Name: c.Name, Lane: lane.idx}
-		if c.h != nil {
-			// Handler-table call: the worker executes the registered body.
-			// Aux carries the count of handler frames after this one in the
-			// chunk, so the worker can mirror the kernel side's chunk-abort
-			// by skipping them when this body fails. Injection is decided
-			// here, at encode time: the worker reports the injected fault
-			// without executing (the inline path decides inside runUser —
-			// never both).
-			handlersLeft--
-			f.Kind = xdr.FrameCall
-			f.Aux = uint64(handlersLeft)
-			c.remoteServed = false
-			if injector != nil && (*injector)(c.Name) {
-				f.Inject = true
-				r.noteInjected(c.Name)
-			}
-		}
-		if c.Slot.Valid() && ring != nil && reg != nil {
-			// Zero-copy: only the descriptor crosses; see sockCross.
-			if payload, berr := ring.Buffer(c.Slot); berr == nil {
-				f.Slot = c.Slot
-				sums[i] = payloadSum(payload)
-			}
-		}
-		if !f.Slot.Valid() && len(c.Data) > 0 {
-			f.Data = c.Data
-			sums[i] = payloadSum(c.Data)
-		}
-		slot := lane.sub.reserve()
-		if slot == nil {
-			// Unreachable by construction: the lane holds a full batch, the
-			// holder drained its completions before releasing, and the worker
-			// advances each submit descriptor before acknowledging it. A full
-			// ring therefore means a corrupted header.
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d submit ring full at %d entries", lane.idx, t.descEntries))
-		}
-		if _, aerr := xdr.AppendFrame(slot[:0], f); aerr != nil {
-			// Unreachable: ringFits admitted the chunk. Earlier frames of the
-			// chunk were published — the worker is mid-chunk and must not
-			// survive it.
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: lane %d descriptor encode %q: %v", lane.idx, c.Name, aerr))
-		}
-		lane.sub.publish()
-	}
-	atomicMaxU64(&t.descPeak, lane.sub.occupancy())
-	r.noteRingCrossing(name)
-	if lane.tr != nil {
-		lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[0], uint64(len(chunk)))
-	}
-	// Invariant 5, producer half: publish first, then consume the worker's
-	// parked declaration. Racing producers swap the one flag; exactly one
-	// observes 1 and pays the wake syscall.
-	if ep.dir.parked.Swap(0) == 1 {
-		if err := ep.bell.ring(); err != nil {
-			t.releaseLane(lane)
-			return t.epochDied(ep, err)
-		}
-		r.noteDoorbells(name, 1)
-		if lane.tr != nil {
-			lane.tr.Emit(trace.KindDoorbell, uint16(lane.idx), trace.SrcKernel, ids[0], 1)
-		}
-	}
-	deadline := time.Now().Add(procWireTimeout)
-	// Scale the completion spin budget down by the lanes currently in
-	// flight: K holders spinning concurrently on an oversubscribed machine
-	// take ~K times longer wall-clock to exhaust a fixed budget, starving
-	// the worker of CPU exactly when it has the most lanes to serve.
-	// Parking promptly hands the worker the whole machine instead. A sole
-	// holder has nobody to hand its CPU to and spins soloSpinBudget.
-	budget := soloSpinBudget
-	if active := t.laneActive.Load(); active > 1 {
-		budget = descSpinBudget / int(active)
-	}
+	var deadline time.Time
 	totalWakes := 0
-	for i := range chunk {
-		slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, deadline, budget)
-		if wakes > 0 {
-			r.noteDoorbells(chunk[i].Call.Name, wakes)
-			totalWakes += wakes
-		}
-		if err != nil {
-			t.releaseLane(lane)
-			return t.epochDied(ep, err)
-		}
-		resp, _, derr := xdr.DecodeFrame(slot)
-		lane.cmp.advance()
-		if derr != nil {
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: corrupt completion descriptor on lane %d: %v", lane.idx, derr))
-		}
-		c := chunk[i].Call
-		switch {
-		case resp.Kind != xdr.FrameComplete || resp.ID != ids[i] || resp.Lane != lane.idx:
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: proc worker protocol: got %v id %d lane %d, want complete id %d lane %d",
-				resp.Kind, resp.ID, resp.Lane, ids[i], lane.idx))
-		case c.h != nil && remoteStatusValid(resp.Status):
-			// A dispatch outcome — including failure, contained fault,
-			// injection and chunk-abort skip — is a successful wire
-			// conversation; execute maps it onto the call's result. The
-			// checksum still proves the worker read the payload the kernel
-			// staged.
-			if resp.Aux != sums[i] {
-				t.releaseLane(lane)
-				return t.epochProtoFail(ep, fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
-					c.Name, resp.Aux, sums[i]))
+	for next, done := 0, 0; done < len(chunk); {
+		first := next
+		for barrier := false; next < len(chunk) && !barrier; next++ {
+			c := chunk[next].Call
+			lane.seq++
+			ids[next] = lane.seq
+			sums[next] = 0
+			f := xdr.Frame{Kind: xdr.FrameSubmit, ID: lane.seq, Up: c.Up, Name: c.Name, Lane: lane.idx}
+			if c.h != nil {
+				// Handler-table call: the worker executes the registered body.
+				// Aux carries the count of handler frames after this one in the
+				// chunk, so the worker can mirror the kernel side's chunk-abort
+				// by skipping them when this body fails. Injection is decided
+				// here, at encode time: the worker reports the injected fault
+				// without executing (the inline path decides inside runUser —
+				// never both).
+				handlersLeft--
+				f.Kind = xdr.FrameCall
+				f.Aux = uint64(handlersLeft)
+				c.remoteServed = false
+				barrier = c.h.Down
+				if injector != nil && (*injector)(c.Name) {
+					f.Inject = true
+					r.noteInjected(c.Name)
+				}
 			}
-			c.remoteServed = true
-			c.remoteStatus = resp.Status
-			c.remoteErr = resp.Name
-		case resp.Status != wireStatusOK:
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: proc worker rejected %q: status %d %s",
-				c.Name, resp.Status, resp.Name))
-		case resp.Aux != sums[i]:
-			t.releaseLane(lane)
-			return t.epochProtoFail(ep, fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
-				c.Name, resp.Aux, sums[i]))
+			if c.Slot.Valid() && ring != nil && reg != nil {
+				// Zero-copy: only the descriptor crosses; checksum the bytes
+				// through the kernel side's mapping for comparison against what
+				// the worker reads through its own. A stale descriptor (slot
+				// released before its crossing) transfers nothing, matching the
+				// in-process transferSlot semantics — the ring's stale counter
+				// records it.
+				if payload, berr := ring.Buffer(c.Slot); berr == nil {
+					f.Slot = c.Slot
+					sums[next] = payloadSum(payload)
+				}
+			}
+			if !f.Slot.Valid() && len(c.Data) > 0 {
+				f.Data = c.Data
+				sums[next] = payloadSum(c.Data)
+			}
+			if err := lane.publish(&f); err != nil {
+				// Unreachable by construction (see publish). Earlier frames of
+				// the chunk were published — the worker is mid-chunk and must
+				// not survive it.
+				return err
+			}
+		}
+		atomicMaxU64(&t.descPeak, lane.sub.occupancy())
+		if lane.tr != nil {
+			lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[first], uint64(next-first))
+		}
+		if err := t.wakeWorker(r, ep, lane, name, ids[first]); err != nil {
+			return err
+		}
+		// The bookkeeping sits behind the publication on purpose: it runs
+		// while the worker is already serving the frames.
+		if first == 0 {
+			r.noteRingCrossing(name)
+		}
+		deadline = time.Now().Add(procWireTimeout)
+		// Scale the completion spin budget down by the lanes currently in
+		// flight: K holders spinning concurrently on an oversubscribed machine
+		// take ~K times longer wall-clock to exhaust a fixed budget, starving
+		// the worker of CPU exactly when it has the most lanes to serve.
+		// Parking promptly hands the worker the whole machine instead. A sole
+		// holder has nobody to hand its CPU to and spins soloSpinBudget.
+		budget := soloSpinBudget
+		if active := t.laneActive.Load(); active > 1 {
+			budget = descSpinBudget / int(active)
+		}
+		for done < next {
+			slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, deadline, budget)
+			if wakes > 0 {
+				r.noteDoorbells(chunk[done].Call.Name, wakes)
+				totalWakes += wakes
+			}
+			if err != nil {
+				return &WorkerDeath{PID: ep.pid, Err: err}
+			}
+			resp, _, derr := xdr.DecodeFrame(slot)
+			lane.cmp.advance()
+			if derr != nil {
+				return fmt.Errorf("xpc: corrupt completion descriptor on lane %d: %v", lane.idx, derr)
+			}
+			c := chunk[done].Call
+			switch {
+			case resp.ID != ids[done] || resp.Lane != lane.idx ||
+				(resp.Kind != xdr.FrameComplete && (resp.Kind != xdr.FrameDown || c.h == nil || !c.h.Down)):
+				return fmt.Errorf("xpc: proc worker protocol: got %v id %d lane %d for %q, want complete id %d lane %d",
+					resp.Kind, resp.ID, resp.Lane, c.Name, ids[done], lane.idx)
+			case resp.Kind == xdr.FrameDown:
+				// The body of call `done` called down mid-execution: serve the
+				// nested crossing and resume waiting for its completion. The
+				// time the kernel-side target took is not the worker's.
+				if err := t.serveLaneDowncall(r, ctx, ep, lane, resp); err != nil {
+					return err
+				}
+				deadline = time.Now().Add(procWireTimeout)
+				continue
+			case resp.Status != wireStatusOK && (c.h == nil || !remoteStatusValid(resp.Status)):
+				return fmt.Errorf("xpc: proc worker rejected %q: status %d %s", c.Name, resp.Status, resp.Name)
+			case resp.Aux != sums[done]:
+				// Checked for every dispatch outcome too: the sum proves the
+				// worker read the payload the kernel staged.
+				return fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
+					c.Name, resp.Aux, sums[done])
+			}
+			if c.h != nil {
+				// A dispatch outcome — including failure, contained fault,
+				// injection and chunk-abort skip — is a successful wire
+				// conversation; execute maps it onto the call's result.
+				c.remoteServed = true
+				c.remoteStatus = resp.Status
+				c.remoteErr = resp.Name
+			}
+			done++
 		}
 	}
 	if lane.tr != nil {
@@ -768,8 +771,66 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ep *procEpoch, lane *procLane, c
 		}
 		lane.tr.Emit(trace.KindChunkEnd, uint16(lane.idx), trace.SrcKernel, ids[0], uint64(len(chunk)))
 	}
-	t.releaseLane(lane)
 	return nil
+}
+
+// publish encodes one frame into the lane's submit ring. Neither failure
+// can happen on a healthy lane: the ring holds a full batch, the holder
+// drained its completions before releasing, and the worker advances each
+// submit descriptor before acknowledging it (a downcall-making call's even
+// before running it), so a full ring means a corrupted header; admitChunk
+// sized every call frame, and a downcall result is bounded by clipFrameName.
+//
+//decaf:hotpath
+func (lane *procLane) publish(f *xdr.Frame) error {
+	slot := lane.sub.reserve()
+	if slot == nil {
+		return fmt.Errorf("xpc: lane %d submit ring full at %d entries", lane.idx, lane.sub.entries)
+	}
+	if _, err := xdr.AppendFrame(slot[:0], *f); err != nil {
+		return fmt.Errorf("xpc: lane %d descriptor encode %v %q: %v", lane.idx, f.Kind, f.Name, err)
+	}
+	lane.sub.publish()
+	return nil
+}
+
+// wakeWorker is invariant 5's producer half: publish first, then consume the
+// worker's parked declaration. Racing producers swap the one flag; exactly
+// one observes 1 and pays the wake syscall.
+//
+//decaf:hotpath
+func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, name string, id uint64) error {
+	if ep.dir.parked.Swap(0) != 1 {
+		return nil
+	}
+	if err := ep.bell.ring(); err != nil {
+		return &WorkerDeath{PID: ep.pid, Err: err}
+	}
+	r.noteDoorbells(name, 1)
+	if lane.tr != nil {
+		lane.tr.Emit(trace.KindDoorbell, uint16(lane.idx), trace.SrcKernel, id, 1)
+	}
+	return nil
+}
+
+// serveLaneDowncall serves one FrameDown of a body executing in the worker:
+// the registered kernel-side target runs as a real downcall crossing (the
+// runtime's serveWorkerDowncall carries the cost accounting), and the scalar
+// result — or the error text — returns to the blocked body as a
+// FrameDownResult on the lane's submit ring, which is empty: the worker
+// released the call's slot before running it and the barrier kept anything
+// else from being published behind it.
+func (t *ProcTransport) serveLaneDowncall(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, req xdr.Frame) error {
+	res, derr := r.serveWorkerDowncall(ctx, req.Name, req.Aux)
+	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res, Lane: lane.idx}
+	if derr != nil {
+		ack.Status = 1
+		ack.Name = clipFrameName(derr.Error())
+	}
+	if err := lane.publish(&ack); err != nil {
+		return err
+	}
+	return t.wakeWorker(r, ep, lane, req.Name, req.ID)
 }
 
 // currentEpoch returns the live epoch, carving a fresh one under the
@@ -785,28 +846,16 @@ func (t *ProcTransport) currentEpoch() (*procEpoch, error) {
 	return t.ensureEpochLocked()
 }
 
-// epochDied retires ep after an observed worker death (EOF, EPIPE, doorbell
-// timeout): the first observer runs the teardown; later observers just
-// report. The caller has already released its lane claim.
-func (t *ProcTransport) epochDied(ep *procEpoch, cause error) error {
+// retireEpoch retires ep after an observed worker death, a protocol
+// violation or checksum mismatch from a live-but-suspect worker, or a decaf
+// fault: the first observer runs the teardown (which kills the process);
+// later observers find it done. A lane holder releases its claim first.
+func (t *ProcTransport) retireEpoch(ep *procEpoch) {
 	if ep.failed.CompareAndSwap(false, true) {
 		t.lockControl()
 		t.teardownEpochLocked(ep, true)
 		t.mu.Unlock()
 	}
-	return &WorkerDeath{PID: ep.pid, Err: cause}
-}
-
-// epochProtoFail retires ep after a protocol violation or checksum mismatch
-// from a live-but-suspect worker: kill it and surface the error itself (not
-// a WorkerDeath — the worker did not die on its own).
-func (t *ProcTransport) epochProtoFail(ep *procEpoch, err error) error {
-	if ep.failed.CompareAndSwap(false, true) {
-		t.lockControl()
-		t.teardownEpochLocked(ep, true)
-		t.mu.Unlock()
-	}
-	return err
 }
 
 // teardownEpochLocked retires an epoch under mu: mark it failed (claimers
@@ -845,171 +894,6 @@ func (t *ProcTransport) teardownEpochLocked(ep *procEpoch, countDeath bool) {
 	if t.epoch.Load() == ep {
 		t.epoch.Store(nil)
 	}
-}
-
-// sockCross frames the chunk over the socketpair — the fallback for frames
-// a descriptor slot cannot hold, and the path every downcall-capable
-// handler takes: an executing worker-side body may interleave FrameDown
-// requests with the chunk's completions, and this read loop serves them
-// (serveWireDowncallLocked) before resuming the completion wait. One write
-// syscall carries the whole chunk; the worker answers with one completion
-// frame per call. The path holds the control mutex for the round trip:
-// oversized frames and downcall conversations are the rare case, and
-// serializing them keeps the control stream framing trivially in order.
-func (t *ProcTransport) sockCross(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
-	t.lockControl()
-	defer t.mu.Unlock()
-	if t.closed.Load() {
-		return ErrTransportClosed
-	}
-	// Encode the whole chunk before touching the worker: an encode failure
-	// is a kernel-side problem and must not cost a healthy process.
-	name := chunk[0].Call.Name
-	ring := r.payloadRing.Load()
-	reg := t.reg.Load()
-	buf := t.encBuf[:0]
-	defer func() { t.encBuf = buf[:0] }()
-	ids, sums := t.ids[:len(chunk)], t.sums[:len(chunk)]
-	handlersLeft := 0
-	for _, sub := range chunk {
-		if sub.Call.h != nil {
-			handlersLeft++
-		}
-	}
-	injector := r.faultInjector.Load()
-	for i, sub := range chunk {
-		c := sub.Call
-		t.nextID++
-		ids[i] = t.nextID
-		sums[i] = 0
-		f := xdr.Frame{Kind: xdr.FrameSubmit, ID: ids[i], Up: c.Up, Name: c.Name}
-		if c.h != nil {
-			// Handler-table dispatch; see laneCrossOn for the Aux and
-			// injection semantics.
-			handlersLeft--
-			f.Kind = xdr.FrameCall
-			f.Aux = uint64(handlersLeft)
-			c.remoteServed = false
-			if injector != nil && (*injector)(c.Name) {
-				f.Inject = true
-				r.noteInjected(c.Name)
-			}
-		}
-		if c.Slot.Valid() && ring != nil && reg != nil {
-			// Zero-copy: only the descriptor crosses; checksum the bytes
-			// through the kernel side's mapping for comparison against what
-			// the worker reads through its own. A stale descriptor (slot
-			// released before its crossing) transfers nothing, matching the
-			// in-process transferSlot semantics — the ring's stale counter
-			// records it.
-			if payload, berr := ring.Buffer(c.Slot); berr == nil {
-				f.Slot = c.Slot
-				sums[i] = payloadSum(payload)
-			}
-		}
-		if !f.Slot.Valid() && len(c.Data) > 0 {
-			// A payload beyond the frame codec's limit cannot cross this
-			// boundary; fail loudly rather than send an unverifiable frame
-			// (no driver payload approaches 1 MiB).
-			if len(c.Data) > xdr.MaxFramePayload {
-				return fmt.Errorf("%w: %q payload %dB exceeds the wire limit %dB",
-					errProcEncode, c.Name, len(c.Data), xdr.MaxFramePayload)
-			}
-			f.Data = c.Data
-			sums[i] = payloadSum(c.Data)
-		}
-		var err error
-		if buf, err = xdr.AppendFrame(buf, f); err != nil {
-			return fmt.Errorf("%w: %q: %v", errProcEncode, c.Name, err)
-		}
-	}
-	ep, err := t.ensureEpochLocked()
-	if err != nil {
-		return err
-	}
-	w := ep.w
-	_ = w.sock.SetDeadline(time.Now().Add(procWireTimeout))
-	if _, err := w.sock.Write(buf); err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
-	}
-	r.noteSyscallCrossing(name)
-	r.noteWire(name, len(buf), 0)
-	for i := range chunk {
-		c := chunk[i].Call
-	awaitCompletion:
-		resp, n, err := readWireFrame(w.br)
-		if err != nil {
-			t.teardownEpochLocked(ep, true)
-			return &WorkerDeath{PID: ep.pid, Err: err}
-		}
-		r.noteWire(c.Name, 0, n)
-		if resp.Kind == xdr.FrameDown {
-			// A worker-side handler body called down mid-execution: serve the
-			// nested crossing and resume waiting for this completion.
-			if derr := t.serveWireDowncallLocked(r, ctx, ep, resp); derr != nil {
-				return derr
-			}
-			goto awaitCompletion
-		}
-		switch {
-		case resp.Kind != xdr.FrameComplete || resp.ID != ids[i]:
-			t.teardownEpochLocked(ep, true)
-			return fmt.Errorf("xpc: proc worker protocol: got %v id %d, want complete id %d",
-				resp.Kind, resp.ID, ids[i])
-		case c.h != nil && remoteStatusValid(resp.Status):
-			// Dispatch outcome; see laneCrossOn.
-			if resp.Aux != sums[i] {
-				t.teardownEpochLocked(ep, true)
-				return fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
-					c.Name, resp.Aux, sums[i])
-			}
-			c.remoteServed = true
-			c.remoteStatus = resp.Status
-			c.remoteErr = resp.Name
-		case resp.Status != wireStatusOK:
-			t.teardownEpochLocked(ep, true)
-			return fmt.Errorf("xpc: proc worker rejected %q: status %d %s",
-				c.Name, resp.Status, resp.Name)
-		case resp.Aux != sums[i]:
-			t.teardownEpochLocked(ep, true)
-			return fmt.Errorf("xpc: payload checksum mismatch on %q: worker saw %#x, kernel staged %#x",
-				c.Name, resp.Aux, sums[i])
-		}
-	}
-	_ = w.sock.SetDeadline(time.Time{})
-	return nil
-}
-
-// serveWireDowncallLocked serves one FrameDown from the worker: the
-// registered kernel-side target runs as a real downcall crossing (the
-// runtime's serveWorkerDowncall carries the cost accounting), and the
-// scalar result — or the error text — returns to the blocked handler as a
-// FrameDownResult. Runs with the control mutex held, inside sockCross's
-// completion wait.
-func (t *ProcTransport) serveWireDowncallLocked(r *Runtime, ctx *kernel.Context, ep *procEpoch, req xdr.Frame) error {
-	res, derr := r.serveWorkerDowncall(ctx, req.Name, req.Aux)
-	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res}
-	if derr != nil {
-		ack.Status = 1
-		msg := derr.Error()
-		if len(msg) > xdr.MaxFrameName {
-			msg = msg[:xdr.MaxFrameName]
-		}
-		ack.Name = msg
-	}
-	wire, err := xdr.AppendFrame(t.encBuf[:0], ack)
-	if err != nil {
-		t.teardownEpochLocked(ep, true)
-		return fmt.Errorf("xpc: encode downcall result for %q: %v", req.Name, err)
-	}
-	t.encBuf = wire[:0]
-	if _, err := ep.w.sock.Write(wire); err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
-	}
-	r.noteWire(req.Name, len(wire), 0)
-	return nil
 }
 
 // Drain implements Transport: crossings complete within Submit.
@@ -1422,18 +1306,11 @@ func (t *ProcTransport) sendDescRingLocked(ep *procEpoch) error {
 	return nil
 }
 
-// killWorkerOnFault makes an in-parent decaf fault physical: the worker
-// process is SIGKILLed, exactly as the crashed decaf driver's process would
-// die.
+// killWorkerOnFault makes a decaf fault physical: the worker process is
+// SIGKILLed, exactly as the crashed decaf driver's process would die.
 func (t *ProcTransport) killWorkerOnFault() {
-	ep := t.epoch.Load()
-	if ep == nil {
-		return
-	}
-	if ep.failed.CompareAndSwap(false, true) {
-		t.lockControl()
-		t.teardownEpochLocked(ep, true)
-		t.mu.Unlock()
+	if ep := t.epoch.Load(); ep != nil {
+		t.retireEpoch(ep)
 	}
 }
 

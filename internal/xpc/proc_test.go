@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"decafdrivers/internal/kernel"
+	"decafdrivers/internal/xdr"
 )
 
 // TestMain routes the re-exec'd test binary into the decaf worker loop: a
@@ -120,29 +123,88 @@ func TestProcNestedDowncallFromUpcallBody(t *testing.T) {
 	}
 }
 
-// TestProcOversizedPayloadFallsBackToWire: a chunk containing a frame too
-// large for a descriptor slot must cross over the socketpair instead —
-// correctly, and visibly in the counters.
-func TestProcOversizedPayloadFallsBackToWire(t *testing.T) {
-	k, r, _ := newProcRig(t, 2)
+// TestProcOversizedPayloadRejectedCleanly: a copy-path payload a descriptor
+// slot cannot hold — or a name the frame cannot — is refused at admission,
+// before any lane is claimed: an ordinary error, not a fault; nothing
+// crossed, the worker is the same process and was not respawned; and the
+// next crossing rides the rings as if nothing had happened.
+func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
+	k, r, pt := newProcRig(t, 2)
 	ctx := k.NewContext("test")
-	big := bytes.Repeat([]byte{0x42}, descSlotBytes+1)
-	if err := r.Batch(ctx).UpcallData("jumbo", big, func(uctx *kernel.Context) error { return nil }).Flush(); err != nil {
-		t.Fatalf("oversized payload crossing: %v", err)
+	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	pid, before := pt.WorkerPID(), r.Counters()
+	body := func(uctx *kernel.Context) error { t.Error("the body of a refused call ran"); return nil }
+	for _, tc := range []struct {
+		what, name string
+		data       []byte
+	}{
+		{"payload one byte over a slot", "jumbo", bytes.Repeat([]byte{0x42}, descSlotBytes+1)},
+		{"payload over the frame codec's limit", "huge", make([]byte, 1<<20+1)},
+		{"name over the frame limit", strings.Repeat("n", 256), nil},
+	} {
+		err := r.Batch(ctx).UpcallData(tc.name, tc.data, body).Flush()
+		var uf *UserFault
+		if !errors.Is(err, errProcEncode) || errors.As(err, &uf) {
+			t.Fatalf("%s: err = %v, want a plain errProcEncode", tc.what, err)
+		}
 	}
 	c := r.Counters()
-	if c.RingCrossings != 0 {
-		t.Fatalf("RingCrossings = %d: an oversized frame rode the rings", c.RingCrossings)
+	if c.RingCrossings != before.RingCrossings || c.SyscallCrossings != before.SyscallCrossings ||
+		c.WireBytesOut != before.WireBytesOut || c.LaneAcquisitions != before.LaneAcquisitions || c.Faults != 0 {
+		t.Fatalf("a refused chunk left a mark: before %+v\nafter %+v", before, c)
 	}
-	if c.SyscallCrossings == 0 || c.WireBytesOut < uint64(len(big)) {
-		t.Fatalf("SyscallCrossings=%d WireBytesOut=%d: fallback did not frame the payload over the wire", c.SyscallCrossings, c.WireBytesOut)
+	if pt.WorkerPID() != pid || c.WorkerRespawns != 0 || c.WorkerDeaths != 0 || !c.WorkerAlive {
+		t.Fatalf("pid %d -> %d, WorkerRespawns=%d WorkerDeaths=%d WorkerAlive=%v: a refusal must not touch the worker",
+			pid, pt.WorkerPID(), c.WorkerRespawns, c.WorkerDeaths, c.WorkerAlive)
 	}
-	// The steady state resumes on the rings afterwards.
 	if err := r.Upcall(ctx, "small", func(uctx *kernel.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.Counters(); c.RingCrossings != 1 {
-		t.Fatalf("RingCrossings = %d after fallback, want 1", c.RingCrossings)
+	if c := r.Counters(); c.RingCrossings != before.RingCrossings+1 {
+		t.Fatalf("RingCrossings moved by %d after the refusals, want 1", c.RingCrossings-before.RingCrossings)
+	}
+}
+
+// TestProcWorkerRejectsCallsOnSocket: the control socketpair carries no
+// calls. A submit or call frame arriving there is an unexpected frame like
+// any other — the worker exits with its protocol-violation status instead of
+// serving it — and the next crossing runs on a fresh worker.
+func TestProcWorkerRejectsCallsOnSocket(t *testing.T) {
+	for _, kind := range []xdr.FrameKind{xdr.FrameSubmit, xdr.FrameCall} {
+		k, r, pt := newProcRig(t, 1)
+		ctx := k.NewContext("test")
+		if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+			t.Fatal(err)
+		}
+		served := r.SharedState().Load(testCellServed)
+		w := pt.epoch.Load().w
+		wire, err := xdr.AppendFrame(nil, xdr.Frame{Kind: kind, ID: 1, Up: true, Name: "xpctest_count"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.sock.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-w.exited:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v on the control socket: the worker is still running", kind)
+		}
+		if code := w.cmd.ProcessState.ExitCode(); code != workerErrExit {
+			t.Fatalf("%v on the control socket: worker exit code %d, want %d", kind, code, workerErrExit)
+		}
+		if got := r.SharedState().Load(testCellServed); got != served {
+			t.Fatalf("%v on the control socket was served", kind)
+		}
+		// The death is found by the next crossing; the one after it is served.
+		if err := r.UpcallHandler(ctx, "xpctest_count"); !IsUserFault(err) {
+			t.Fatalf("crossing into the exited worker: %v, want a contained fault", err)
+		}
+		if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package xpc
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -57,12 +58,15 @@ func MaybeRunWorker() {
 	os.Exit(runWorker())
 }
 
-// runWorker is the decaf-side process: it maps the shared payload region,
-// then serves the wire protocol — decode each frame, resolve slot
-// descriptors against its own mapping (checksumming the payload bytes it
-// can actually see, which is the proof the mapping is shared), and
-// acknowledge. It exits 0 on FrameShutdown or a clean EOF (the parent died
-// or closed), non-zero on a protocol violation.
+// runWorker is the decaf-side process: it maps the shared region, then
+// serves the control protocol on the socketpair — the handshake that carves
+// the trace rings, the state window and the submission lanes out of its own
+// mapping, payload-ring registration, shutdown. No call ever crosses here:
+// once FrameDescRing starts the lane server (serveLanes), every call body,
+// its downcalls and its completion ride the lane rings, and a submit or call
+// frame on the socket is a protocol violation like any other unexpected
+// kind. It exits 0 on FrameShutdown or a clean EOF (the parent died or
+// closed), non-zero on a protocol violation.
 func runWorker() int {
 	sock := os.NewFile(workerSockFD, "xpc-worker-sock")
 	shmf := os.NewFile(workerShmFD, "xpc-worker-shm")
@@ -84,16 +88,15 @@ func runWorker() int {
 	defer func() { _ = shmf.Close() }()
 
 	br := bufio.NewReader(sock)
-	bw := bufio.NewWriter(sock)
 	// geom is the registered payload-ring geometry, packed exactly as the
 	// FrameRingRegister Aux (slots<<32 | slotSize, zero = none). It is
-	// atomic because two goroutines resolve slot descriptors against it:
-	// this wire loop (socketpair fallback path) and the lane server.
-	// descArea is the region tail the lane rings own; payload geometries
-	// must fit in front of it (wire-loop-only, plain var). traceArea is the
-	// flight-recorder ring area behind even that (FrameTraceRing, optional,
-	// always published before FrameDescRing); wring is the worker's own
-	// trace ring — the last of the carved rings — nil when tracing is off.
+	// atomic because this loop stores it and the lane server resolves slot
+	// descriptors against it. descArea is the region tail the lane rings
+	// own; payload geometries must fit in front of it (this loop only, plain
+	// var). traceArea is the flight-recorder ring area behind even that
+	// (FrameTraceRing, optional, always published before FrameDescRing);
+	// wring is the worker's own trace ring — the last of the carved rings —
+	// nil when tracing is off.
 	var geom atomic.Uint64
 	var descArea int
 	var traceArea int
@@ -104,97 +107,30 @@ func runWorker() int {
 	// stateArea is the window's size, subtracted from the payload bound.
 	wstate := registry.NewState()
 	var stateArea int
-	// stash holds frames read off the socket while a dispatching handler
-	// awaited its FrameDownResult: the parent writes a whole chunk before
-	// reading, so the chunk's remaining frames sit ahead of the result in
-	// the stream. They replay, in order, before the next socket read.
-	var stash []xdr.Frame
-	// sockSkip is the socketpair path's chunk-abort counter and sockCtx its
-	// dispatch context (see callAck).
-	var sockSkip int
-	var sockCtx registry.Ctx
-	reply := func(f xdr.Frame) error {
-		wire, err := xdr.AppendFrame(nil, f)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(wire); err != nil {
-			return err
-		}
-		// Flush only when no further request is already buffered or
-		// stashed, so a batched submit gets one response write instead of
-		// one per call.
-		if br.Buffered() == 0 && len(stash) == 0 {
-			return bw.Flush()
-		}
-		return nil
-	}
-	// sockDown builds the downcall route for one dispatching FrameCall: the
-	// request crosses back to the kernel as a FrameDown carrying the
-	// in-flight call's ID, and the handler blocks until the matching
-	// FrameDownResult arrives, stashing any interleaved chunk frames.
-	sockDown := func(callID uint64) func(name string, arg uint64) (uint64, error) {
-		return func(name string, arg uint64) (uint64, error) {
-			wire, werr := xdr.AppendFrame(nil, xdr.Frame{Kind: xdr.FrameDown, ID: callID, Name: name, Aux: arg})
-			if werr != nil {
-				return 0, werr
-			}
-			if _, werr = bw.Write(wire); werr != nil {
-				return 0, werr
-			}
-			if werr = bw.Flush(); werr != nil {
-				return 0, werr
-			}
-			for {
-				g, _, rerr := readWireFrame(br)
-				if rerr != nil {
-					return 0, rerr
-				}
-				if g.Kind == xdr.FrameDownResult && g.ID == callID {
-					if g.Status != 0 {
-						return 0, fmt.Errorf("%s", g.Name)
-					}
-					return g.Aux, nil
-				}
-				stash = append(stash, g)
-			}
-		}
-	}
+	var wire []byte
 	for {
-		var f xdr.Frame
-		var err error
-		if len(stash) > 0 {
-			f = stash[0]
-			stash = stash[1:]
-		} else {
-			f, _, err = readWireFrame(br)
-			if err == io.EOF {
-				return workerOKExit
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xpc worker: read:", err)
-				return workerErrExit
-			}
+		f, _, err := readWireFrame(br)
+		if err == io.EOF {
+			return workerOKExit
 		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xpc worker: read:", err)
+			return workerErrExit
+		}
+		status := wireStatusOK
 		switch f.Kind {
 		case xdr.FrameShutdown:
-			_ = bw.Flush()
 			return workerOKExit
-		case xdr.FramePing:
-			err = reply(xdr.Frame{Kind: xdr.FramePong, ID: f.ID})
 		case xdr.FrameRingRegister:
 			slots, slotSize := uint32(f.Aux>>32), uint32(f.Aux)
-			status := wireStatusOK
 			if slots > 0 && slotSize > 0 &&
 				int64(slots)*int64(slotSize) <= int64(len(mem)-descArea-traceArea-stateArea) {
 				geom.Store(f.Aux)
 			} else {
 				status = wireStatusBadSlot
 			}
-			err = reply(xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status})
 		case xdr.FrameTraceRing:
 			entries, nrings := int(f.Aux>>32), int(uint32(f.Aux))
-			status := wireStatusOK
 			switch {
 			case traceArea != 0 || descArea != 0:
 				// Trace rings are carved once per worker process and must
@@ -218,14 +154,11 @@ func runWorker() int {
 				// whatever position a predecessor epoch left.
 				wring = rings[nrings-1]
 			}
-			err = reply(xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status})
 		case xdr.FrameRingRelease:
 			geom.Store(0)
-			err = reply(xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID})
 		case xdr.FrameDescRing:
 			entries, slotSize := int(f.Aux>>32), int(uint32(f.Aux))
 			laneCount := int(f.Lane)
-			status := wireStatusOK
 			switch {
 			case descArea != 0:
 				// The lanes are carved once per worker process; a second
@@ -245,7 +178,7 @@ func runWorker() int {
 					status = wireStatusBadSlot
 					break
 				}
-				bells := make([]*fdDoorbell, laneCount)
+				bells := make([]doorbell, laneCount)
 				for i := range bells {
 					lf := os.NewFile(uintptr(workerLaneBellFD+i), "xpc-worker-lane-bell")
 					if lf == nil {
@@ -256,13 +189,11 @@ func runWorker() int {
 				}
 				if status == wireStatusOK {
 					descArea = need
-					go serveLanes(dir, rings, bells, mem, &geom, &fdDoorbell{f: bell}, wring, wstate)
+					go newLaneServer(dir, rings, bells, slotSize, mem, &geom, &fdDoorbell{f: bell}, wring, wstate).serveLanes()
 				}
 			}
-			err = reply(xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status})
 		case xdr.FrameStateMap:
 			off, ln := int(f.Aux>>32), int(uint32(f.Aux))
-			status := wireStatusOK
 			switch {
 			case descArea != 0 || stateArea != 0:
 				// The state window binds once per worker process, before the
@@ -280,14 +211,13 @@ func runWorker() int {
 					stateArea = ln
 				}
 			}
-			err = reply(xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status})
-		case xdr.FrameSubmit:
-			err = reply(submitAck(f, mem, &geom))
-		case xdr.FrameCall:
-			err = reply(callAck(f, registry.Lookup(f.Name), mem, &geom, wstate, &sockCtx, &sockSkip, sockDown(f.ID)))
 		default:
 			fmt.Fprintf(os.Stderr, "xpc worker: unexpected %v frame\n", f.Kind)
 			return workerErrExit
+		}
+		// Every control frame but shutdown is acknowledged by ID.
+		if wire, err = xdr.AppendFrame(wire[:0], xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status}); err == nil {
+			_, err = sock.Write(wire)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xpc worker: reply:", err)
@@ -296,90 +226,114 @@ func runWorker() int {
 	}
 }
 
-// submitAck services one submit frame against this address space: resolve a
-// slot descriptor through the registered payload-ring geometry (geom packs
-// slots<<32 | slotSize; zero means no ring) and checksum the payload bytes
-// the worker can actually see — the proof the mapping is shared. The ack
-// echoes the submit's lane so the kernel side can demux completions per
-// lane. Both the socketpair fallback and the lane server go through it.
-//
-//decaf:hotpath
-func submitAck(f xdr.Frame, mem []byte, geom *atomic.Uint64) xdr.Frame {
-	ack := xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Lane: f.Lane}
-	switch {
-	case f.Slot.Valid():
-		g := geom.Load()
-		if g == 0 {
-			ack.Status = wireStatusNoRing
-			break
-		}
-		slots, slotSize := uint32(g>>32), uint32(g)
-		off := int64(f.Slot.Index) * int64(slotSize)
-		end := off + int64(f.Slot.Length)
-		if f.Slot.Index >= slots || f.Slot.Length > slotSize || end > int64(len(mem)) {
-			ack.Status = wireStatusBadSlot
-			break
-		}
-		// The payload never crossed the wire: read it out of the shared
-		// mapping, exactly as a real decaf driver would.
-		ack.Aux = payloadSum(mem[off:end])
-	case len(f.Data) > 0:
-		ack.Aux = payloadSum(f.Data)
-	}
-	return ack
+// workerLane is the worker's end of one submission lane: the ring pair, the
+// doorbell of the lane's completion ring, and skip, the lane's chunk-abort
+// counter — chunks are per-lane, so a failing handler skips only the
+// remainder of its own lane's chunk.
+type workerLane struct {
+	laneRings
+	bell doorbell
+	idx  uint16
+	skip int
 }
 
-// callAck services one handler-table dispatch in this address space: the
-// worker IS the decaf driver process, and the registered body runs here,
-// against the payload bytes resolved through the worker's own mapping and
-// the shared state cells both processes see. The checksum is computed
-// before dispatch (and for every outcome), so the parent's payload proof is
-// independent of how the body fared. A panic is contained and reported as a
-// fault status — the parent makes the containment physical by killing this
-// process. A failing or faulting body arms *skip with the frame's Aux (the
-// count of handler frames left in its chunk), and armed skips consume
-// subsequent FrameCall frames unexecuted — mirroring the kernel side's
-// chunk abort. h is the handler the frame names, resolved by the caller
-// (the lane path holds the name as borrowed bytes, the socketpair path as a
-// string). ctx is the serve loop's one dispatch context, re-armed for each
-// body: a loop runs one body at a time and handlers may not keep their Ctx,
-// so no call needs its own. down routes the body's nested downcalls; nil
-// when the path cannot serve them (lanes carry only downcall-free handlers).
+// laneServer is the worker's one serve loop and everything a call body is
+// dispatched against. The worker executes strictly one body at a time, so
+// one dispatch context, one payload scratch buffer and one downcall route
+// serve every lane.
+type laneServer struct {
+	dir     *laneDir
+	lanes   []workerLane
+	subBell doorbell // the submit doorbell: wakes this loop when it parked
+	mem     []byte
+	geom    *atomic.Uint64
+	wring   *trace.Ring
+	st      *registry.State
+
+	// ctx is the one dispatch context every body runs under, re-armed per
+	// call (handlers may not keep their Ctx). scratch holds the inline
+	// payload of a downcall-making body, whose submit slot is released
+	// before it runs.
+	ctx     registry.Ctx
+	scratch []byte
+	// down is the downcall method bound once, so arming it costs a call
+	// nothing; cur and callID name the lane and the call it crosses for.
+	down   func(name string, arg uint64) (uint64, error)
+	cur    *workerLane
+	callID uint64
+}
+
+// newLaneServer assembles the serve state over carved lanes: one-time
+// set-up, the only allocations the lane path ever makes.
+func newLaneServer(dir *laneDir, rings []laneRings, bells []doorbell, slotSize int, mem []byte, geom *atomic.Uint64, subBell doorbell, wring *trace.Ring, st *registry.State) *laneServer {
+	s := &laneServer{dir: dir, lanes: make([]workerLane, len(rings)), subBell: subBell,
+		mem: mem, geom: geom, wring: wring, st: st, scratch: make([]byte, slotSize)}
+	for i := range rings {
+		s.lanes[i] = workerLane{laneRings: rings[i], bell: bells[i], idx: uint16(i)}
+	}
+	s.down = s.downcall
+	return s
+}
+
+// payload resolves the payload a submit or call frame carries, in this
+// address space, and sums the bytes the worker can actually see — the
+// completion's proof that the mapping is shared (zero when the frame carried
+// no payload). A slot descriptor is resolved against the registered
+// payload-ring geometry (geom packs slots<<32 | slotSize; zero means no ring)
+// and bounds-checked, because the indices are peer-supplied; otherwise the
+// payload is the frame's inline bytes.
 //
 //decaf:hotpath
-func callAck(f xdr.Frame, h *registry.Handler, mem []byte, geom *atomic.Uint64, st *registry.State, ctx *registry.Ctx, skip *int, down func(name string, arg uint64) (uint64, error)) xdr.Frame {
-	ack := xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Lane: f.Lane}
-	var data []byte
-	switch {
-	case f.Slot.Valid():
-		g := geom.Load()
-		if g == 0 {
-			ack.Status = wireStatusNoRing
-			return ack
+func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byte, sum uint64, status uint32) {
+	if !slot.Valid() {
+		if len(inline) == 0 {
+			return nil, 0, wireStatusOK
 		}
-		slots, slotSize := uint32(g>>32), uint32(g)
-		off := int64(f.Slot.Index) * int64(slotSize)
-		end := off + int64(f.Slot.Length)
-		if f.Slot.Index >= slots || f.Slot.Length > slotSize || end > int64(len(mem)) {
-			ack.Status = wireStatusBadSlot
-			return ack
-		}
-		data = mem[off:end]
-		ack.Aux = payloadSum(data)
-	case len(f.Data) > 0:
-		data = f.Data
-		ack.Aux = payloadSum(f.Data)
+		return inline, payloadSum(inline), wireStatusOK
 	}
-	if *skip > 0 {
-		*skip--
+	g := s.geom.Load()
+	if g == 0 {
+		return nil, 0, wireStatusNoRing
+	}
+	slots, slotSize := uint32(g>>32), uint32(g)
+	off := int64(slot.Index) * int64(slotSize)
+	end := off + int64(slot.Length)
+	if slot.Index >= slots || slot.Length > slotSize || end > int64(len(s.mem)) {
+		return nil, 0, wireStatusBadSlot
+	}
+	// The payload never crossed the wire: read it out of the shared mapping,
+	// exactly as a real decaf driver would.
+	return s.mem[off:end], payloadSum(s.mem[off:end]), wireStatusOK
+}
+
+// callAck services one handler-table dispatch in this address space and
+// fills in its completion: the worker IS the decaf driver process, and h — the
+// handler the frame names — runs here, against the resolved payload and the
+// shared state cells both processes see. The sum is computed before dispatch
+// (and for every outcome), so the parent's payload proof is independent of
+// how the body fared. A panic is contained and reported as a fault status —
+// the parent makes the containment physical by killing this process. A
+// failing or faulting body arms l.skip with the frame's Aux (the count of
+// handler frames left in its chunk), and armed skips consume subsequent
+// FrameCall frames unexecuted — mirroring the kernel side's chunk abort.
+//
+//decaf:hotpath
+func (s *laneServer) callAck(l *workerLane, f *xdr.Frame, h *registry.Handler, ack *xdr.Frame) {
+	var data []byte
+	data, ack.Aux, ack.Status = s.payload(f.Slot, f.Data)
+	if ack.Status != wireStatusOK {
+		return
+	}
+	if l.skip > 0 {
+		l.skip--
 		ack.Status = remoteCallSkipped
-		return ack
+		return
 	}
 	if f.Inject {
 		// The kernel side armed fault injection for this call: report the
 		// injected fault without executing the body.
 		ack.Status = remoteCallInjected
-		return ack
+		return
 	}
 	if h == nil {
 		// The parent resolved this handler before encoding and the worker is
@@ -387,14 +341,16 @@ func callAck(f xdr.Frame, h *registry.Handler, mem []byte, geom *atomic.Uint64, 
 		// parent's error names the call.
 		ack.Status = wireStatusBadFrame
 		ack.Name = "no handler registered"
-		return ack
+		return
 	}
+	down := s.down
 	if !h.Down {
 		down = nil
 	}
-	if err := runRegisteredHandler(h, ctx.Arm(h, data, st, down)); err != nil {
-		if int(f.Aux) > *skip {
-			*skip = int(f.Aux)
+	s.cur, s.callID = l, f.ID
+	if err := runRegisteredHandler(h, s.ctx.Arm(h, data, s.st, down)); err != nil {
+		if int(f.Aux) > l.skip {
+			l.skip = int(f.Aux)
 		}
 		if pe, ok := err.(*workerPanicError); ok {
 			ack.Status = remoteCallFault
@@ -404,7 +360,6 @@ func callAck(f xdr.Frame, h *registry.Handler, mem []byte, geom *atomic.Uint64, 
 			ack.Name = clipFrameName(err.Error())
 		}
 	}
-	return ack
 }
 
 // workerPanicError marks a contained handler panic, distinguishing a fault
@@ -435,6 +390,80 @@ func clipFrameName(s string) string {
 	return s
 }
 
+// downcall is the route of every worker-side Ctx.Downcall: the request rides
+// the completion ring of the lane the executing call was claimed on — whose
+// holder is already waiting there for the call's completion, serves the
+// registered kernel-side target instead and answers on the lane's submit
+// ring. The holder publishes nothing behind a downcall-making call until
+// that call's completion is consumed, and serveLane released the call's own
+// slot before dispatching it, so the next submit entry this body can see IS
+// its result: no third ring, no mailbox, no peek-ahead. While the body waits
+// the worker serves nobody else — one body at a time — so the wait parks on
+// the worker-wide flag like the idle loop does (descring.go invariant 5);
+// publications on other lanes wake it early, which only costs a re-check.
+func (s *laneServer) downcall(name string, arg uint64) (uint64, error) {
+	l := s.cur
+	if len(name) > xdr.MaxFrameName {
+		return 0, fmt.Errorf("xpc: downcall name of %dB exceeds the frame limit", len(name))
+	}
+	s.publish(l, &xdr.Frame{Kind: xdr.FrameDown, ID: s.callID, Name: name, Aux: arg, Lane: uint32(l.idx)})
+	for spins := 0; ; spins++ {
+		slot := l.sub.pending()
+		if slot == nil {
+			if spins < descSpinBudget {
+				if spins%64 == 63 {
+					runtime.Gosched()
+				}
+				continue
+			}
+			s.dir.parked.Store(1)
+			if l.sub.pending() == nil {
+				if err := s.subBell.wait(time.Time{}); err != nil {
+					os.Exit(workerOKExit)
+				}
+			}
+			s.dir.parked.Store(0)
+			spins = 0
+			continue
+		}
+		f, msg, _, err := xdr.DecodeFrameView(slot)
+		if err != nil || f.Kind != xdr.FrameDownResult || f.ID != s.callID {
+			fmt.Fprintf(os.Stderr, "xpc worker: lane %d: want the result of downcall %d, got %v id %d (%v)\n", l.idx, s.callID, f.Kind, f.ID, err)
+			os.Exit(workerErrExit)
+		}
+		if f.Status != 0 {
+			err = errors.New(string(msg))
+		}
+		l.sub.advance()
+		return f.Aux, err
+	}
+}
+
+// publish encodes one frame into the lane's completion ring and rings the
+// lane's doorbell only when its consumer parked.
+//
+//decaf:hotpath
+func (s *laneServer) publish(l *workerLane, f *xdr.Frame) {
+	out := l.cmp.reserve()
+	for out == nil {
+		// Cannot persist: the lane's claimant drains the completions and
+		// downcalls of the chunk it is awaiting, and a chunk never exceeds
+		// the ring.
+		runtime.Gosched()
+		out = l.cmp.reserve()
+	}
+	if _, err := xdr.AppendFrame(out[:0], *f); err != nil {
+		fmt.Fprintln(os.Stderr, "xpc worker: encode", f.Kind, "frame:", err)
+		os.Exit(workerErrExit)
+	}
+	l.cmp.publish()
+	if l.cmp.consumerParked() {
+		if err := l.bell.ring(); err != nil {
+			os.Exit(workerOKExit)
+		}
+	}
+}
+
 // laneServeQuantum bounds how many descriptors one lane may consume per
 // sweep visit, so a firehose lane cannot starve its siblings.
 const laneServeQuantum = 64
@@ -449,29 +478,23 @@ const laneServeQuantum = 64
 // died — or on a corrupt descriptor, which has no recoverable framing.
 //
 //decaf:hotpath
-func serveLanes(dir *laneDir, lanes []laneRings, bells []*fdDoorbell, mem []byte, geom *atomic.Uint64, subBell *fdDoorbell, wring *trace.Ring, st *registry.State) {
+func (s *laneServer) serveLanes() {
 	next := 0
 	spins := 0
-	// skips holds each lane's chunk-abort counter: chunks are per-lane, so
-	// a failing handler skips only the remainder of its own lane's chunk.
-	//decaf:allowalloc one-time setup before the serve loop, not per-crossing
-	skips := make([]int, len(lanes))
-	// ctx is the one dispatch context every lane-borne body runs under.
-	var ctx registry.Ctx
 	for {
 		served := false
-		for i := range lanes {
+		for i := range s.lanes {
 			l := next + i
-			if l >= len(lanes) {
-				l -= len(lanes)
+			if l >= len(s.lanes) {
+				l -= len(s.lanes)
 			}
-			if serveLane(lanes[l], bells[l], uint16(l), mem, geom, wring, st, &ctx, &skips[l]) > 0 {
+			if s.serveLane(&s.lanes[l]) > 0 {
 				served = true
 			}
 		}
 		// Rotate the sweep origin so no lane is structurally first.
 		next++
-		if next == len(lanes) {
+		if next == len(s.lanes) {
 			next = 0
 		}
 		if served {
@@ -485,49 +508,51 @@ func serveLanes(dir *laneDir, lanes []laneRings, bells []*fdDoorbell, mem []byte
 			}
 			continue
 		}
-		dir.parked.Store(1)
+		s.dir.parked.Store(1)
 		again := false
-		for i := range lanes {
-			if lanes[i].sub.pending() != nil {
+		for i := range s.lanes {
+			if s.lanes[i].sub.pending() != nil {
 				again = true
 				break
 			}
 		}
 		if again {
-			dir.parked.Store(0)
+			s.dir.parked.Store(0)
 			spins = 0
 			continue
 		}
-		if wring != nil {
-			wring.Emit(trace.KindWorkerPark, trace.LaneNone, trace.SrcWorker, 0, 0)
+		if s.wring != nil {
+			s.wring.Emit(trace.KindWorkerPark, trace.LaneNone, trace.SrcWorker, 0, 0)
 		}
-		if err := subBell.wait(time.Time{}); err != nil {
+		if err := s.subBell.wait(time.Time{}); err != nil {
 			os.Exit(workerOKExit)
 		}
-		if wring != nil {
-			wring.Emit(trace.KindWorkerWake, trace.LaneNone, trace.SrcWorker, 0, 0)
+		if s.wring != nil {
+			s.wring.Emit(trace.KindWorkerWake, trace.LaneNone, trace.SrcWorker, 0, 0)
 		}
-		dir.parked.Store(0)
+		s.dir.parked.Store(0)
 		spins = 0
 	}
 }
 
 // serveLane drains up to one quantum of submit descriptors from a lane,
-// publishing each acknowledgement into the lane's completion ring and
-// ringing the lane's doorbell only when its consumer parked. The frame is
-// decoded in place — its name and copy-path payload are views of the submit
-// slot — so the slot stays ours until the handler has run, and is advanced
-// after that but BEFORE the completion publishes: the kernel side assumes a
-// fully acknowledged chunk has left the submit ring, so the next full-batch
-// chunk on the lane always finds room (laneCrossOn treats a full submit ring
-// as corruption). The acknowledgement holds no view of the slot.
+// publishing each acknowledgement into the lane's completion ring. The frame
+// is decoded in place — its name and copy-path payload are views of the
+// submit slot — so the slot stays ours until the handler has run, and is
+// advanced after that but BEFORE the completion publishes: the kernel side
+// assumes a fully acknowledged chunk has left the submit ring, so the next
+// full-batch chunk on the lane always finds room (laneConverse treats a full
+// submit ring as corruption). The one exception is a body that may call
+// down: it reads its downcall results off this same ring, so its inline
+// payload moves to the loop's scratch buffer and its slot is released before
+// it runs. The acknowledgement holds no view of the slot.
 //
 //decaf:hotpath
-func serveLane(lr laneRings, bell *fdDoorbell, laneIdx uint16, mem []byte, geom *atomic.Uint64, wring *trace.Ring, st *registry.State, ctx *registry.Ctx, skip *int) int {
+func (s *laneServer) serveLane(l *workerLane) int {
 	n := 0
 	firstID := uint64(0)
 	for ; n < laneServeQuantum; n++ {
-		slot := lr.sub.pending()
+		slot := l.sub.pending()
 		if slot == nil {
 			break
 		}
@@ -538,46 +563,39 @@ func serveLane(lr laneRings, bell *fdDoorbell, laneIdx uint16, mem []byte, geom 
 		}
 		if n == 0 {
 			firstID = f.ID
-			if wring != nil {
+			if s.wring != nil {
 				// The visit's dequeue mark: paired with KindWorkerComplete
 				// below, this is the worker-side half of the cross-boundary
 				// span the exporter draws per submission chunk.
-				wring.Emit(trace.KindWorkerDequeue, laneIdx, trace.SrcWorker, firstID, 0)
+				s.wring.Emit(trace.KindWorkerDequeue, l.idx, trace.SrcWorker, firstID, 0)
 			}
 		}
-		var ack xdr.Frame
+		// Every completion echoes the lane, so the kernel side can demux.
+		ack := xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Lane: f.Lane}
+		held := true
 		switch f.Kind {
 		case xdr.FrameSubmit:
-			ack = submitAck(f, mem, geom)
+			// A legacy closure call, whose body runs kernel-side: the
+			// payload proof is the whole service.
+			_, ack.Aux, ack.Status = s.payload(f.Slot, f.Data)
 		case xdr.FrameCall:
-			// Lane-borne handler dispatch. The down route is nil by
-			// invariant: ringFits steers downcall-capable handlers onto the
-			// socketpair.
-			ack = callAck(f, registry.LookupBytes(name), mem, geom, st, ctx, skip, nil)
-		default:
-			ack = xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: wireStatusBadFrame, Name: f.Kind.String(), Lane: f.Lane}
-		}
-		lr.sub.advance()
-		out := lr.cmp.reserve()
-		for out == nil {
-			// Cannot persist: the lane's claimant drains completions of the
-			// chunk it is awaiting, and a chunk never exceeds the ring.
-			runtime.Gosched()
-			out = lr.cmp.reserve()
-		}
-		if _, aerr := xdr.AppendFrame(out[:0], ack); aerr != nil {
-			fmt.Fprintln(os.Stderr, "xpc worker: encode completion:", aerr)
-			os.Exit(workerErrExit)
-		}
-		lr.cmp.publish()
-		if lr.cmp.consumerParked() {
-			if err := bell.ring(); err != nil {
-				os.Exit(workerOKExit)
+			h := registry.LookupBytes(name)
+			if h != nil && h.Down {
+				f.Data = s.scratch[:copy(s.scratch, f.Data)]
+				l.sub.advance()
+				held = false
 			}
+			s.callAck(l, &f, h, &ack)
+		default:
+			ack.Status, ack.Name = wireStatusBadFrame, f.Kind.String()
 		}
+		if held {
+			l.sub.advance()
+		}
+		s.publish(l, &ack)
 	}
-	if n > 0 && wring != nil {
-		wring.Emit(trace.KindWorkerComplete, laneIdx, trace.SrcWorker, firstID, uint64(n))
+	if n > 0 && s.wring != nil {
+		s.wring.Emit(trace.KindWorkerComplete, l.idx, trace.SrcWorker, firstID, uint64(n))
 	}
 	return n
 }

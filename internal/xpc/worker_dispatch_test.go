@@ -67,6 +67,27 @@ func init() {
 			return nil
 		},
 	})
+	// xpctest_down_many calls down Data[0] times, summing the results into
+	// the down cell, then stores its last payload byte in the echo cell: the
+	// inline payload has to outlive every result that passed through the
+	// submit ring the call itself arrived on.
+	registry.Register("xpctest_down_many", registry.Handler{
+		Cost: 200 * time.Nanosecond,
+		Down: true,
+		Fn: func(c *registry.Ctx) error {
+			var sum uint64
+			for i := 0; i < int(c.Data[0]); i++ {
+				v, err := c.Downcall("xpctest_read_reg", uint64(i))
+				if err != nil {
+					return err
+				}
+				sum += v
+			}
+			c.State.Store(testCellDown, sum)
+			c.State.Store(testCellEcho, uint64(c.Data[len(c.Data)-1]))
+			return nil
+		},
+	})
 }
 
 // TestProcHandlerExecutesInWorker: a handler-table upcall under the proc
@@ -179,11 +200,13 @@ func TestProcHandlerErrorDoesNotKillWorker(t *testing.T) {
 	}
 }
 
-// TestProcHandlerNestedDowncall: a Down-capable handler crosses on the
-// socketpair, and its nested downcall runs the kernel-side target
-// registered on the runtime — a real FrameDown round trip mid-call.
+// TestProcHandlerNestedDowncall: a Down-capable handler rides the lane rings
+// like any other call, and its nested downcall runs the kernel-side target
+// registered on the runtime — a real FrameDown round trip mid-call, served
+// by the lane's holder. A thousand of them take the control mutex zero times
+// and touch the socketpair only to ring doorbells.
 func TestProcHandlerNestedDowncall(t *testing.T) {
-	k, r, _ := newProcRig(t, 4)
+	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	var kernelSaw uint64
 	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
@@ -206,8 +229,206 @@ func TestProcHandlerNestedDowncall(t *testing.T) {
 	if c.Upcalls != 1 || c.Downcalls != 1 {
 		t.Fatalf("Upcalls=%d Downcalls=%d, want 1/1 (the nested crossing is charged for real)", c.Upcalls, c.Downcalls)
 	}
-	if c.RingCrossings != 0 {
-		t.Fatalf("RingCrossings = %d: downcall-capable handlers must take the socketpair", c.RingCrossings)
+	if c.RingCrossings != 1 {
+		t.Fatalf("RingCrossings = %d, want 1: a downcall-capable handler rides the lanes", c.RingCrossings)
+	}
+	const storm = 1000
+	base, wire := pt.ControlAcquires(), c.WireBytesOut+c.WireBytesIn
+	for i := 0; i < storm; i++ {
+		if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if delta := pt.ControlAcquires() - base; delta != 0 {
+		t.Fatalf("%d downcall conversations acquired the control mutex %d times, want 0", storm, delta)
+	}
+	c = r.Counters()
+	if c.SyscallCrossings != c.DoorbellWakeups {
+		t.Fatalf("SyscallCrossings = %d, DoorbellWakeups = %d: a downcall conversation may only ring doorbells", c.SyscallCrossings, c.DoorbellWakeups)
+	}
+	if got := c.WireBytesOut + c.WireBytesIn; got != wire {
+		t.Fatalf("%d bytes framed over the socketpair by downcall conversations, want 0", got-wire)
+	}
+	if c.RingCrossings != storm+1 || c.WorkerDowncalls != storm+1 || c.WorkerServedCalls != storm+1 {
+		t.Fatalf("RingCrossings=%d WorkerDowncalls=%d WorkerServedCalls=%d, want %d each",
+			c.RingCrossings, c.WorkerDowncalls, c.WorkerServedCalls, storm+1)
+	}
+}
+
+// handlerSubs builds one admitted-by-Submit chunk of handler calls, so a
+// test can read each call's own completion.
+func handlerSubs(r *Runtime, calls ...string) []*Submission {
+	subs := make([]*Submission, len(calls))
+	for i, name := range calls {
+		subs[i] = r.NewSubmission(&Call{Name: name, Up: true, h: registry.Lookup(name), Data: []byte{byte(i + 1)}})
+	}
+	return subs
+}
+
+// TestProcDowncallMidChunk: a downcall-making handler second in a chunk of
+// four is a publication barrier, not a reordering — the first body has run
+// when the kernel-side target is entered, the two behind it have not, and
+// all four are served by the worker, in order, in one ring crossing.
+func TestProcDowncallMidChunk(t *testing.T) {
+	k, r, pt := newProcRig(t, 4)
+	ctx := k.NewContext("test")
+	// The first crossing binds the runtime's state cells onto the shm window.
+	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+		t.Fatal(err)
+	}
+	st := r.SharedState()
+	served := st.Load(testCellServed)
+	var servedAtDowncall uint64
+	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+		servedAtDowncall = st.Load(testCellServed)
+		return 99, nil
+	})
+	subs := handlerSubs(r, "xpctest_count", "xpctest_down", "xpctest_count", "xpctest_count")
+	if err := pt.Submit(r, ctx, subs); err != nil {
+		t.Fatal(err)
+	}
+	for i, sub := range subs {
+		if err := sub.Completion.Err(); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if servedAtDowncall != served+1 {
+		t.Fatalf("%d bodies had run when the downcall was served, want 1 (the call ahead of it only)", servedAtDowncall-served)
+	}
+	if got := st.Load(testCellServed); got != served+3 {
+		t.Fatalf("served cell moved by %d, want 3", got-served)
+	}
+	if down, echo := st.Load(testCellDown), st.Load(testCellEcho); down != 99 || echo != 4 {
+		t.Fatalf("down cell = %d, echo cell = %d, want 99 and 4 (the last call's payload byte)", down, echo)
+	}
+	c := r.Counters()
+	if c.WorkerServedCalls != 5 || c.WorkerDowncalls != 1 || c.RingCrossings != 2 {
+		t.Fatalf("WorkerServedCalls=%d WorkerDowncalls=%d RingCrossings=%d, want 5/1/2 (warm-up included)", c.WorkerServedCalls, c.WorkerDowncalls, c.RingCrossings)
+	}
+}
+
+// TestProcDowncallFailureAbortsChunkTail: when the downcall's kernel-side
+// target fails, the body returns that error, and the chunk aborts exactly as
+// for any failing handler — the worker skips the two bodies behind it and
+// their submissions resolve aborted; the worker lives.
+func TestProcDowncallFailureAbortsChunkTail(t *testing.T) {
+	k, r, pt := newProcRig(t, 4)
+	ctx := k.NewContext("test")
+	// The first crossing binds the runtime's state cells onto the shm window.
+	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+		t.Fatal(err)
+	}
+	st := r.SharedState()
+	served := st.Load(testCellServed)
+	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+		return 0, errors.New("register unreadable")
+	})
+	subs := handlerSubs(r, "xpctest_count", "xpctest_down", "xpctest_count", "xpctest_count")
+	err := pt.Submit(r, ctx, subs)
+	if err == nil || !strings.Contains(err.Error(), "register unreadable") {
+		t.Fatalf("Submit err = %v, want the downcall target's error through the failing body", err)
+	}
+	if err := subs[0].Completion.Err(); err != nil {
+		t.Fatalf("call ahead of the failing one: %v", err)
+	}
+	if err := subs[1].Completion.Err(); err == nil || !strings.Contains(err.Error(), "register unreadable") || IsUserFault(err) {
+		t.Fatalf("failing call resolved %v, want an ordinary error carrying the downcall's text", err)
+	}
+	for i := 2; i < 4; i++ {
+		if err := subs[i].Completion.Err(); !errors.Is(err, ErrCrossingAborted) {
+			t.Fatalf("call %d resolved %v, want ErrCrossingAborted", i, err)
+		}
+	}
+	if got := st.Load(testCellServed); got != served+1 {
+		t.Fatalf("served cell moved by %d: the worker ran bodies behind the failed one", got-served)
+	}
+	c := r.Counters()
+	if c.WorkerServedCalls != 3 || c.WorkerDeaths != 0 || !c.WorkerAlive {
+		t.Fatalf("WorkerServedCalls=%d WorkerDeaths=%d WorkerAlive=%v, want 3/0/true (warm-up, the call ahead, the failing body)", c.WorkerServedCalls, c.WorkerDeaths, c.WorkerAlive)
+	}
+	// The lane's skip counter was spent with the chunk: the next one runs.
+	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProcDowncallRingWrap: one body making several rings' worth of
+// downcalls — every request and every result takes a fresh slot of the
+// lane's two rings, so both wrap repeatedly mid-call — on a 4-entry lane and
+// on the degenerate 1-entry lane of ProcConfig{Batch: 1}. The call's inline
+// payload survives all of it.
+func TestProcDowncallRingWrap(t *testing.T) {
+	for _, batch := range []int{4, 1} {
+		k, r, pt := newProcRig(t, batch)
+		ctx := k.NewContext("test")
+		n := 3*pt.descEntries + 1
+		var want uint64
+		r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+			want += arg * 3
+			return arg * 3, nil
+		})
+		if err := r.UpcallHandlerData(ctx, "xpctest_down_many", []byte{byte(n), 0xAB, 0xCD}); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		st := r.SharedState()
+		if got := st.Load(testCellDown); got != want || want == 0 {
+			t.Fatalf("batch %d: down cell = %d, want %d (the sum of %d results)", batch, got, want, n)
+		}
+		if got := st.Load(testCellEcho); got != 0xCD {
+			t.Fatalf("batch %d: echo cell = %#x, want 0xCD: the payload did not survive the downcalls", batch, got)
+		}
+		c := r.Counters()
+		if c.WorkerDowncalls != uint64(n) || c.RingCrossings != 1 || c.WorkerServedCalls != 1 {
+			t.Fatalf("batch %d: WorkerDowncalls=%d RingCrossings=%d WorkerServedCalls=%d, want %d/1/1",
+				batch, c.WorkerDowncalls, c.RingCrossings, c.WorkerServedCalls, n)
+		}
+		// A downcall-free chunk follows on the same lane without trouble.
+		if err := r.UpcallHandlerData(ctx, "xpctest_count", []byte{1}); err != nil {
+			t.Fatalf("batch %d: next crossing: %v", batch, err)
+		}
+	}
+}
+
+// TestProcWorkerDiesMidDowncall: the worker is SIGKILLed while its body is
+// blocked on a downcall the kernel side is serving. The holder finds out when
+// it answers — a contained *UserFault wrapping *WorkerDeath, not a hang — its
+// lane claim is released (teardown waits for that), and the next crossing
+// respawns.
+func TestProcWorkerDiesMidDowncall(t *testing.T) {
+	k, r, pt := newProcRig(t, 4)
+	ctx := k.NewContext("test")
+	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+		t.Fatal(err)
+	}
+	oldPID, ep := pt.WorkerPID(), pt.epoch.Load()
+	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+		if !pt.KillWorker() {
+			t.Error("no worker to kill from inside the downcall target")
+		}
+		return 1, nil
+	})
+	err := r.UpcallHandler(ctx, "xpctest_down")
+	var death *WorkerDeath
+	if !IsUserFault(err) || !errors.As(err, &death) || death.PID != oldPID {
+		t.Fatalf("err = %v, want a contained *UserFault wrapping the *WorkerDeath of pid %d", err, oldPID)
+	}
+	for _, lane := range ep.lanes {
+		if lane.claim.Load() != 0 {
+			t.Fatalf("lane %d still claimed after its holder's worker died", lane.idx)
+		}
+	}
+	if n := pt.laneActive.Load(); n != 0 {
+		t.Fatalf("laneActive = %d after the failed crossing, want 0", n)
+	}
+	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) { return 5, nil })
+	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+		t.Fatalf("crossing after the death: %v", err)
+	}
+	if pid := pt.WorkerPID(); pid == 0 || pid == oldPID {
+		t.Fatalf("worker pid = %d after respawn, want a fresh process (old %d)", pid, oldPID)
+	}
+	if c := r.Counters(); c.WorkerRespawns != 1 || c.WorkerDeaths != 1 || r.SharedState().Load(testCellDown) != 5 {
+		t.Fatalf("WorkerRespawns=%d WorkerDeaths=%d down cell=%d, want 1/1/5", c.WorkerRespawns, c.WorkerDeaths, r.SharedState().Load(testCellDown))
 	}
 }
 

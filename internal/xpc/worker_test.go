@@ -100,15 +100,14 @@ func BenchmarkPayloadSum(b *testing.B) {
 	}
 }
 
-// laneRig is one heap-backed lane plus the worker-side arguments serveLane
-// takes: the kernel side of the lane is driven by the test itself.
+// laneRig is the worker's lane server over one heap-backed lane: the kernel
+// side of the lane is driven by the test itself. The submit doorbell is an
+// in-process channel, so a body parked on a downcall result can be woken.
 type laneRig struct {
+	*laneServer
 	lr   laneRings
-	mem  []byte // payload-ring region: rigSlots slots of rigSlotSize bytes
 	geom atomic.Uint64
-	st   *registry.State
-	ctx  registry.Ctx
-	skip int
+	bell chanDoorbell
 	seq  uint64
 }
 
@@ -118,14 +117,20 @@ const (
 	rigSlotSize = 2048
 )
 
-func newLaneRig(t testing.TB) *laneRig {
+func newLaneRig(t testing.TB) *laneRig { return newLaneRigEntries(t, rigEntries) }
+
+func newLaneRigEntries(t testing.TB, entries int) *laneRig {
 	t.Helper()
-	_, rings, err := carveLanes(alignedRegion(laneRegionBytes(1, rigEntries, descSlotBytes)), 1, rigEntries, descSlotBytes)
+	dir, rings, err := carveLanes(alignedRegion(laneRegionBytes(1, entries, descSlotBytes)), 1, entries, descSlotBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &laneRig{lr: rings[0], mem: make([]byte, rigSlots*rigSlotSize), st: registry.NewState()}
+	g := &laneRig{lr: rings[0], bell: newChanDoorbell()}
 	g.geom.Store(rigSlots<<32 | rigSlotSize)
+	// The completion ring's consumer never parks here, so the lane doorbell
+	// is never rung and needs no descriptor.
+	g.laneServer = newLaneServer(dir, rings, []doorbell{&fdDoorbell{}}, descSlotBytes,
+		make([]byte, rigSlots*rigSlotSize), &g.geom, g.bell, nil, registry.NewState())
 	return g
 }
 
@@ -157,11 +162,8 @@ func (g *laneRig) publish(t testing.TB, name string, payload []byte, left int, b
 	return payloadSum(payload)
 }
 
-// serve runs one serveLane visit. The completion ring's consumer never
-// parks here, so the doorbell is never rung and needs no descriptor.
-func (g *laneRig) serve() int {
-	return serveLane(g.lr, &fdDoorbell{}, 0, g.mem, &g.geom, nil, g.st, &g.ctx, &g.skip)
-}
+// serve runs one serveLane visit.
+func (g *laneRig) serve() int { return g.serveLane(&g.lanes[0]) }
 
 // complete consumes the next completion, copying it out as the kernel side
 // does.
@@ -248,11 +250,121 @@ func TestServeLaneChunkAbort(t *testing.T) {
 			t.Fatalf("completion %d sum %#x, want %#x", i, ack.Aux, payloadSum(payloads[i]))
 		}
 	}
-	if g.skip != 0 {
-		t.Fatalf("skip counter = %d after the chunk, want 0", g.skip)
+	if skip := g.lanes[0].skip; skip != 0 {
+		t.Fatalf("skip counter = %d after the chunk, want 0", skip)
 	}
 	if got := g.st.Load(testCellServed); got != 2 {
 		t.Fatalf("%d bodies ran to success, want 2 (first of the chunk, and the next chunk)", got)
+	}
+}
+
+// answer plays the lane holder's half of one downcall: take the FrameDown
+// off the completion ring, publish its result on the submit ring, wake the
+// server if it parked. errText, when set, makes it a failed downcall.
+func (g *laneRig) answer(t testing.TB, res uint64, errText string) xdr.Frame {
+	t.Helper()
+	req := g.complete(t)
+	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res, Lane: req.Lane}
+	if errText != "" {
+		ack.Status, ack.Name = 1, errText
+	}
+	slot := g.lr.sub.reserve()
+	if slot == nil {
+		t.Fatal("submit ring full under a downcall result")
+	}
+	if _, err := xdr.AppendFrame(slot[:0], ack); err != nil {
+		t.Fatal(err)
+	}
+	g.lr.sub.publish()
+	if g.dir.parked.Swap(0) == 1 {
+		_ = g.bell.ring()
+	}
+	return req
+}
+
+// TestServeLaneDowncallConversation drives the worker's half of a body that
+// calls down, in-process, on a 32-entry lane and on a 1-entry one: each
+// FrameDown arrives on the completion ring carrying the executing call's ID
+// and lane, with the submit ring already past the call's own frame and every
+// earlier result — so the result the test publishes is the next entry the
+// body sees; 2×entries+1 downcalls wrap both rings; the first answer is
+// withheld until the server has parked, so the wake path runs; and the
+// call's inline payload, moved to the scratch buffer, is intact at the end.
+func TestServeLaneDowncallConversation(t *testing.T) {
+	for _, entries := range []int{rigEntries, 1} {
+		g := newLaneRigEntries(t, entries)
+		n := 2*entries + 1
+		payload := append([]byte{byte(n)}, seededPayloads(1, 1400)[0]...)
+		base := g.lr.sub.hdr.tail.Load()
+		sum := g.publish(t, "xpctest_down_many", payload, 0, false)
+		served := make(chan int)
+		go func() { served <- g.serve() }()
+		var want uint64
+		for i := 0; i < n; i++ {
+			if i == 0 {
+				for g.dir.parked.Load() == 0 {
+					runtime.Gosched()
+				}
+			}
+			req := g.answer(t, uint64(i)*3, "")
+			want += uint64(i) * 3
+			if req.Kind != xdr.FrameDown || req.ID != g.seq || req.Lane != 0 || req.Name != "xpctest_read_reg" || req.Aux != uint64(i) {
+				t.Fatalf("entries=%d: downcall %d arrived as %+v", entries, i, req)
+			}
+		}
+		ack := g.complete(t)
+		if ack.Kind != xdr.FrameComplete || ack.ID != g.seq || ack.Status != remoteCallOK || ack.Aux != sum {
+			t.Fatalf("entries=%d: completion %+v, want OK with sum %#x", entries, ack, sum)
+		}
+		if got := <-served; got != 1 {
+			t.Fatalf("entries=%d: the visit served %d frames, want 1 (results are not visits)", entries, got)
+		}
+		if tail := g.lr.sub.hdr.tail.Load(); tail != base+1+uint64(n) {
+			t.Fatalf("entries=%d: submit tail moved %d, want %d (the call and its %d results)", entries, tail-base, 1+n, n)
+		}
+		if got := g.st.Load(testCellDown); got != want {
+			t.Fatalf("entries=%d: body summed %d from its downcalls, want %d", entries, got, want)
+		}
+		if got, want := g.st.Load(testCellEcho), uint64(payload[len(payload)-1]); got != want {
+			t.Fatalf("entries=%d: body read payload byte %#x after its downcalls, want %#x", entries, got, want)
+		}
+	}
+}
+
+// TestServeLaneDowncallOrdering: the submit slot of a downcall-making call is
+// released before its body runs — by the time its first FrameDown is visible
+// the tail is past it — and a failed downcall comes back to the body as an
+// error carrying the kernel side's text, which fails the call like any other
+// error: the chunk's next handler frame, published (as the holder's barrier
+// has it) only once that completion is consumed, is skipped.
+func TestServeLaneDowncallOrdering(t *testing.T) {
+	g := newLaneRig(t)
+	base := g.lr.sub.hdr.tail.Load()
+	g.publish(t, "xpctest_down", nil, 1, false)
+	served := make(chan int)
+	go func() { served <- g.serve() }()
+	req := g.answer(t, 0, "no such register")
+	if tail := g.lr.sub.hdr.tail.Load(); tail < base+1 {
+		t.Fatalf("FrameDown visible with the submit tail %d entries on, want the call's slot released", tail-base)
+	}
+	if req.ID != g.seq {
+		t.Fatalf("FrameDown carries id %d, want the executing call's %d", req.ID, g.seq)
+	}
+	if ack := g.complete(t); ack.Status != remoteCallFailed || ack.Name != "no such register" {
+		t.Fatalf("completion of the failed body: %+v", ack)
+	}
+	if got := <-served; got != 1 {
+		t.Fatalf("served %d frames, want 1", got)
+	}
+	g.publish(t, "xpctest_count", []byte{7}, 0, false)
+	if got := g.serve(); got != 1 {
+		t.Fatalf("served %d frames behind the barrier, want 1", got)
+	}
+	if ack := g.complete(t); ack.Status != remoteCallSkipped {
+		t.Fatalf("completion behind the failed body: %+v, want skipped", ack)
+	}
+	if got := g.st.Load(testCellServed); got != 0 {
+		t.Fatalf("%d bodies ran behind the failed one", got)
 	}
 }
 

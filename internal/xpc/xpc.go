@@ -63,11 +63,15 @@
 //     ordering, while the worker serves all lanes in one fair round-robin
 //     sweep under a single park/doorbell protocol (see descring.go for
 //     the handshake, its memory-ordering invariants and the
-//     lane-ownership rules). A healthy crossing performs zero syscalls
-//     and zero heap allocations — the socketpair carries only control
-//     frames, oversized fallbacks, and the doorbell byte that wakes a
-//     parked peer; the transport mutex guards only the control plane
-//     (bind, ring registration, worker lifecycle). Payload rings live in
+//     lane-ownership rules). The lanes are the only data plane: every
+//     call, downcall-making bodies included, crosses on them, and a
+//     healthy crossing performs zero syscalls and zero heap allocations —
+//     the socketpair carries only handshake and lifecycle control frames,
+//     separate ones the doorbell byte that wakes a parked peer; the
+//     transport mutex guards only the control plane (bind, ring
+//     registration, worker lifecycle). A copy-path payload that does not
+//     fit a descriptor slot is refused before anything crosses (stage it
+//     in a payload ring instead). Payload rings live in
 //     the same shared region, resolved through the worker's own mapping;
 //     fault containment is physical (a decaf panic kills the worker
 //     process, recovery respawns it). Virtual costs match BatchTransport;
@@ -95,9 +99,13 @@
 // visible kernel-side), and — for handlers registered Down: true — a
 // Downcall hook that crosses back into the kernel, where per-Runtime
 // targets installed with Runtime.RegisterDowncall run with full kernel
-// access. The proc transport routes downcall-bearing handlers over the
-// socketpair control path (FrameDown / FrameDownResult frames nested inside
-// the call) and downcall-free handlers over the descriptor-ring fast path.
+// access. Under the proc transport a downcall rides the rings of the lane
+// its call was claimed on — FrameDown on the completion ring, served by the
+// lane's holder while it waits for the call's completion, FrameDownResult
+// back on the submit ring — so a downcall-making body pays no mutex and no
+// socket round trip. The worker runs one body at a time: while one waits on
+// a downcall no other lane is served, so a downcall target must not wait on
+// a lock that is held across another in-flight crossing.
 // A panic inside a handler is a decaf fault like any other — contained,
 // surfaced as a *UserFault wrapping *WorkerHandlerFault, and under proc
 // fatal to the worker process, with the shm-backed cells surviving the
