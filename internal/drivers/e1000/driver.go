@@ -21,11 +21,6 @@ const WatchdogPeriod = 2 * time.Second
 // the staged payloads (ring slots or copy fallbacks) they crossed in.
 type flight = xpc.Flight[*knet.Packet]
 
-// pktData feeds frame bytes to xpc.StageFlight — staging a frame lands its
-// bytes in a pre-registered ring buffer, the model of DMA into shared
-// memory.
-func pktData(p *knet.Packet) []byte { return p.Data }
-
 // Driver is one bound E1000 instance: nucleus + decaf driver + XPC runtime.
 type Driver struct {
 	kern    *kernel.Kernel
@@ -40,13 +35,15 @@ type Driver struct {
 	dataPath xpc.DataPath
 	// txQueue holds frames awaiting submission through the decaf driver
 	// when the data path is in the decaf driver; txDepth bounds it, and
-	// the coalescing timer flushes a partial queue when traffic pauses.
+	// the coalescing timer flushes a partial queue when traffic pauses. A
+	// flush empties it in place, so it keeps its backing array.
 	txQueue       []*knet.Packet
 	txDepth       int
 	txWindow      time.Duration
 	txTimer       *kernel.KTimer
 	txFlushArmed  bool
 	txFlushQueued bool
+	txFlushWork   kernel.WorkFunc // the one deferred-flush body, bound once
 	// txInFlight/rxInFlight hold flushes submitted through FlushAsync
 	// whose frames await the decaf-side completion (nucleus transmit for
 	// TX, stack delivery for RX); under an async transport they overlap
@@ -55,6 +52,9 @@ type Driver struct {
 	// flush settles (slot lifetime = completion lifetime).
 	txInFlight xpc.FlushPipeline[flight]
 	rxInFlight xpc.FlushPipeline[flight]
+	// flights recycles the item and payload lists of settled flushes, TX
+	// and RX alike.
+	flights xpc.FlightPool[*knet.Packet]
 
 	// Adapter is the kernel-side shared structure; DecafAdapter is the
 	// user-side copy (the same object in native mode).
@@ -125,6 +125,10 @@ func New(k *kernel.Kernel, net *knet.Subsystem, dev *e1000hw.Device, cfg Config)
 			d.scheduleTxFlush()
 		}
 	})
+	d.txFlushWork = func(wctx *kernel.Context) {
+		d.txFlushQueued = false
+		_ = d.FlushTx(wctx)
+	}
 	d.rt = xpc.NewRuntime(k, "e1000", cfg.Mode, FieldMask())
 	d.rt.DisableIRQs = []int{cfg.IRQ}
 	d.helpers = decaf.NewHelpers(d.rt, k.Bus())
@@ -321,10 +325,7 @@ func (d *Driver) scheduleTxFlush() {
 		return
 	}
 	d.txFlushQueued = true
-	d.kern.DeferToWork(func(wctx *kernel.Context) {
-		d.txFlushQueued = false
-		_ = d.FlushTx(wctx)
-	})
+	d.kern.DeferToWork(d.txFlushWork)
 }
 
 // maxTxInFlight bounds how many submitted-but-unreaped flushes may overlap
@@ -340,8 +341,6 @@ const maxTxInFlight = 4
 // frames follow one reap behind. A no-op outside the decaf data path.
 func (d *Driver) FlushTx(ctx *kernel.Context) error {
 	if len(d.txQueue) > 0 {
-		pending := d.txQueue
-		d.txQueue = nil
 		// The flush consumes any armed coalescing timer: it should fire
 		// only when a partial queue goes stale, not mid-stream between
 		// full batches.
@@ -349,10 +348,17 @@ func (d *Driver) FlushTx(ctx *kernel.Context) error {
 			d.txTimer.Stop()
 			d.txFlushArmed = false
 		}
-		fl := xpc.StageFlight(d.rt, pending, pktData)
+		// Staging a frame lands its bytes in a pre-registered ring buffer,
+		// the model of DMA into shared memory.
+		fl := d.flights.Get()
+		for _, pkt := range d.txQueue {
+			fl.Stage(d.rt, pkt, pkt.Data)
+		}
+		clear(d.txQueue)
+		d.txQueue = d.txQueue[:0]
 		b := d.rt.Batch(ctx)
-		for i := range pending {
-			b.UpcallHandlerPayload("e1000_xmit_frame", fl.Payloads[i])
+		for _, p := range fl.Payloads {
+			b.UpcallHandlerPayload("e1000_xmit_frame", p)
 		}
 		d.txInFlight.Push(b.FlushAsync(), fl)
 	}
@@ -378,8 +384,9 @@ func (d *Driver) absorbContainedFault(err error) error {
 // txCallbacks builds the TX pipeline's deliver/drop pair: successful
 // flushes hand their frames to the nucleus (the first transmit error lands
 // in *errp), failed or faulted flushes drop theirs into TxErrors — the
-// kernel survives. Both arms recycle the flight's payload slots: the flush
-// has settled, so slot lifetime ends here.
+// kernel survives. Both arms hand the flight back to the pool, which
+// recycles its payload slots: the flush has settled, so slot lifetime ends
+// here.
 func (d *Driver) txCallbacks(ctx *kernel.Context, errp *error) (deliver func(flight), drop func(flight, error)) {
 	deliver = func(f flight) {
 		for _, pkt := range f.Items {
@@ -387,27 +394,27 @@ func (d *Driver) txCallbacks(ctx *kernel.Context, errp *error) (deliver func(fli
 				*errp = xerr
 			}
 		}
-		f.Release(d.rt)
+		d.flights.Release(d.rt, f)
 	}
 	drop = func(f flight, _ error) {
 		d.Adapter.Stats.TxErrors += uint64(len(f.Items))
-		f.Release(d.rt)
+		d.flights.Release(d.rt, f)
 	}
 	return deliver, drop
 }
 
 // deliverRxFrames/dropRxFrames are the RX pipeline's deliver/drop pair;
-// both recycle the flight's payload slots.
+// both hand the flight back to the pool.
 func (d *Driver) deliverRxFrames(f flight) {
 	for _, pkt := range f.Items {
 		d.netdev.Receive(pkt)
 	}
-	f.Release(d.rt)
+	d.flights.Release(d.rt, f)
 }
 
 func (d *Driver) dropRxFrames(f flight, _ error) {
 	d.Adapter.Stats.RxDropped += uint64(len(f.Items))
-	f.Release(d.rt)
+	d.flights.Release(d.rt, f)
 }
 
 // reapTx transmits the frames of every settled in-flight flush; with force,
@@ -444,27 +451,31 @@ func (d *Driver) Quiesce(ctx *kernel.Context) error {
 	return err
 }
 
-// deliverRx hands drained RX frames up the stack. In the decaf data path the
-// crossing cannot happen in IRQ context, so a work item submits the batched
-// upcalls — the work-queue handoff of §3.1.3 applied to the receive path —
-// and delivery follows each flush's completion: inline transports settle
-// during submission (delivery in the same work item, the seed behavior),
-// async transports overlap the crossing with further interrupt drains.
-func (d *Driver) deliverRx(frames []*knet.Packet) {
-	if len(frames) == 0 {
+// deliverRx hands one interrupt's burst of drained RX frames up the stack.
+// In the decaf data path the crossing cannot happen in IRQ context, so a
+// work item submits the batched upcalls — the work-queue handoff of §3.1.3
+// applied to the receive path — and delivery follows each flush's
+// completion: inline transports settle during submission (delivery in the
+// same work item, the seed behavior), async transports overlap the crossing
+// with further interrupt drains.
+func (d *Driver) deliverRx(burst []knet.Packet) {
+	if len(burst) == 0 {
 		return
 	}
 	if !d.decafDataPath() {
-		for _, f := range frames {
-			d.netdev.Receive(f)
+		for i := range burst {
+			d.netdev.Receive(&burst[i])
 		}
 		return
 	}
 	d.kern.DeferToWork(func(wctx *kernel.Context) {
-		fl := xpc.StageFlight(d.rt, frames, pktData)
+		fl := d.flights.Get()
+		for i := range burst {
+			fl.Stage(d.rt, &burst[i], burst[i].Data)
+		}
 		b := d.rt.Batch(wctx)
-		for i := range frames {
-			b.UpcallHandlerPayload("e1000_rx_frame", fl.Payloads[i])
+		for _, p := range fl.Payloads {
+			b.UpcallHandlerPayload("e1000_rx_frame", p)
 		}
 		d.rxInFlight.Push(b.FlushAsync(), fl)
 		d.reapRx(wctx, d.rxInFlight.Len() >= maxRxInFlight)

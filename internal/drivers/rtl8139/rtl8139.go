@@ -7,6 +7,7 @@
 package rtl8139
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -112,6 +113,8 @@ type Driver struct {
 	// interrupt drains. Each flight carries the payload-ring slots its
 	// frames crossed in, recycled when the flush settles.
 	rxInFlight xpc.FlushPipeline[rxFlight]
+	// flights recycles the item and payload lists of settled flushes.
+	flights xpc.FlightPool[*knet.Packet]
 
 	// Recovery supervision state (EnableRecovery).
 	journal    *recovery.StateJournal
@@ -266,38 +269,75 @@ func (d *Driver) intr(ctx *kernel.Context, irq int, dev any) {
 	}
 }
 
-// rxInterrupt drains the receive ring (critical root path).
+// rxInterrupt drains the receive ring (critical root path). Everything the
+// device wrote since the last drain is one contiguous run from the read
+// pointer to CBR (the modeled ring rewinds instead of wrapping), so the
+// interrupt's whole burst leaves DMA memory in one read, into one block
+// behind one slab of packets: two allocations per interrupt however many
+// frames it carries, both fresh, so a packet the stack keeps still owns its
+// bytes (and keeps its burst's block alive with it).
+//
+//decaf:hotpath
 func (d *Driver) rxInterrupt(ctx *kernel.Context) {
-	dma := d.kern.Bus().DMA()
 	a := d.Adapter
-	var frames []*knet.Packet
 	d.lock.Lock(ctx)
-	for d.inb(rtl8139hw.RegCR)&rtl8139hw.CmdBufEmpty == 0 {
-		base := d.rxBuf + hw.DMAAddr(d.rxReadPt)
-		status := dma.Read16(base)
-		if status&0x0001 == 0 { // not ROK
+	pending := int(d.inw(rtl8139hw.RegCBR)) - int(d.rxReadPt)
+	if pending <= 0 {
+		d.lock.Unlock(ctx)
+		return
+	}
+	//decaf:allowalloc once per interrupt: the burst's bytes, fresh because the stack may keep any packet of it
+	block := make([]byte, pending)
+	d.kern.Bus().DMA().ReadInto(d.rxBuf+hw.DMAAddr(d.rxReadPt), block)
+	frames := 0
+	for off := 0; ; frames++ {
+		length, ok := rxFrameAt(block, off)
+		if !ok {
 			break
 		}
-		length := int(dma.Read16(base+2)) - 4 // strip CRC
-		if length <= 0 {
-			break
-		}
-		data := dma.Read(base+rtl8139hw.RxHeaderLen, length)
-		frames = append(frames, &knet.Packet{Data: data})
-		advance := (rtl8139hw.RxHeaderLen + length + 4 + 3) &^ 3
-		d.rxReadPt += uint16(advance)
+		off += rxFrameSpan(length)
+	}
+	//decaf:allowalloc once per interrupt: the burst's packets, one slab for the same reason
+	burst := make([]knet.Packet, frames)
+	off := 0
+	for j := range burst {
+		length, _ := rxFrameAt(block, off)
+		start := off + rtl8139hw.RxHeaderLen
+		// Capped, so a sink that appends to one frame cannot reach the next.
+		burst[j].Data = block[start : start+length : start+length]
+		span := rxFrameSpan(length)
+		off += span
+		d.rxReadPt += uint16(span)
 		d.outw(rtl8139hw.RegCAPR, d.rxReadPt-16)
-		// Cursor rewind mirrors the device model's drain-reset.
-		if d.inb(rtl8139hw.RegCR)&rtl8139hw.CmdBufEmpty != 0 {
-			d.rxReadPt = 0
-		}
 		a.Stats.RxPackets++
 		a.Stats.RxBytes += uint64(length)
 		ctx.Charge(rxPacketCost)
 	}
+	// Cursor rewind mirrors the device model's drain-reset.
+	if d.inb(rtl8139hw.RegCR)&rtl8139hw.CmdBufEmpty != 0 {
+		d.rxReadPt = 0
+	}
 	d.lock.Unlock(ctx)
-	d.deliverRx(frames)
+	d.deliverRx(burst)
 }
+
+// rxFrameAt parses the device's 4-byte receive header at off in a drained
+// run: ok is false where the run ends, the header is not ROK, or the length
+// is not one a frame inside the run can have.
+func rxFrameAt(run []byte, off int) (length int, ok bool) {
+	if off+rtl8139hw.RxHeaderLen > len(run) || binary.LittleEndian.Uint16(run[off:])&0x0001 == 0 { // not ROK
+		return 0, false
+	}
+	length = int(binary.LittleEndian.Uint16(run[off+2:])) - 4 // strip CRC
+	if length <= 0 || off+rtl8139hw.RxHeaderLen+length > len(run) {
+		return 0, false
+	}
+	return length, true
+}
+
+// rxFrameSpan is the ring space one frame takes: header, frame and CRC,
+// dword-aligned.
+func rxFrameSpan(length int) int { return (rtl8139hw.RxHeaderLen + length + 4 + 3) &^ 3 }
 
 // rxCoalesceWindow bounds how long a decaf-data-path frame may wait for its
 // batch to fill before the timer flushes the queue — the driver-level
@@ -353,18 +393,20 @@ func (d *Driver) RxCoalesceWindow() time.Duration { return d.coalesceWindow() }
 // frames accumulate until a transport batch fills (or the coalescing window
 // closes), then cross to the decaf driver in one batched flush before
 // delivery.
-func (d *Driver) deliverRx(frames []*knet.Packet) {
-	if len(frames) == 0 {
+func (d *Driver) deliverRx(burst []knet.Packet) {
+	if len(burst) == 0 {
 		return
 	}
 	if d.dataPath != xpc.DataPathDecaf || d.rt.Mode != xpc.ModeDecaf {
-		for _, f := range frames {
-			d.netdev.Receive(f)
+		for i := range burst {
+			d.netdev.Receive(&burst[i])
 		}
 		return
 	}
-	d.observeRxInterarrival(len(frames))
-	d.rxPending = append(d.rxPending, frames...)
+	d.observeRxInterarrival(len(burst))
+	for i := range burst {
+		d.rxPending = append(d.rxPending, &burst[i])
+	}
 	if len(d.rxPending) >= d.rt.Transport().MaxBatch() {
 		d.scheduleRxFlush()
 	} else if !d.rxFlushArmed && !d.rxFlushQueued {
@@ -389,8 +431,6 @@ func (d *Driver) scheduleRxFlush() {
 // happens in the same work item — the seed behavior; an async transport
 // lets the interrupt path keep draining while the decaf side inspects.
 func (d *Driver) flushRx(wctx *kernel.Context) {
-	frames := d.rxPending
-	d.rxPending = nil
 	d.rxFlushQueued = false
 	// The flush consumes any armed coalescing timer: it should fire only
 	// when a partial queue goes stale, not mid-stream between full batches.
@@ -398,11 +438,16 @@ func (d *Driver) flushRx(wctx *kernel.Context) {
 		d.rxTimer.Stop()
 		d.rxFlushArmed = false
 	}
-	if len(frames) > 0 {
-		fl := xpc.StageFlight(d.rt, frames, func(p *knet.Packet) []byte { return p.Data })
+	if len(d.rxPending) > 0 {
+		fl := d.flights.Get()
+		for _, pkt := range d.rxPending {
+			fl.Stage(d.rt, pkt, pkt.Data)
+		}
+		clear(d.rxPending)
+		d.rxPending = d.rxPending[:0]
 		b := d.rt.Batch(wctx)
-		for i := range frames {
-			b.UpcallHandlerPayload("rtl8139_rx_frame", fl.Payloads[i])
+		for _, p := range fl.Payloads {
+			b.UpcallHandlerPayload("rtl8139_rx_frame", p)
 		}
 		d.rxInFlight.Push(b.FlushAsync(), fl)
 	}
@@ -410,17 +455,18 @@ func (d *Driver) flushRx(wctx *kernel.Context) {
 }
 
 // deliverFrames/dropFrames are the RX pipeline's deliver/drop pair; both
-// recycle the flight's payload slots (the flush has settled).
+// hand the flight back to the pool, which recycles its payload slots (the
+// flush has settled).
 func (d *Driver) deliverFrames(f rxFlight) {
 	for _, pkt := range f.Items {
 		d.netdev.Receive(pkt)
 	}
-	f.Release(d.rt)
+	d.flights.Release(d.rt, f)
 }
 
 func (d *Driver) dropFrames(f rxFlight, _ error) {
 	d.Adapter.Stats.RxDropped += uint64(len(f.Items))
-	f.Release(d.rt)
+	d.flights.Release(d.rt, f)
 }
 
 // reapRx delivers the frames of every settled in-flight flush; with force,

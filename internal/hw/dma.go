@@ -80,7 +80,10 @@ func (d *DMAMemory) InUse() int {
 	return len(d.allocations)
 }
 
-func (d *DMAMemory) checkRange(addr DMAAddr, n int) {
+// CheckRange panics unless [addr, addr+n) lies inside the arena — the fault
+// every access takes on a bad bus address. A device model calls it for a
+// buffer a descriptor names but whose bytes it has no reason to copy out.
+func (d *DMAMemory) CheckRange(addr DMAAddr, n int) {
 	if int(addr)+n > len(d.mem) || n < 0 {
 		panic(fmt.Sprintf("hw: DMA access [%#x,%#x) outside arena of %d bytes",
 			uint32(addr), int(addr)+n, len(d.mem)))
@@ -89,7 +92,7 @@ func (d *DMAMemory) checkRange(addr DMAAddr, n int) {
 
 // Read copies n bytes starting at addr into a fresh slice.
 func (d *DMAMemory) Read(addr DMAAddr, n int) []byte {
-	d.checkRange(addr, n)
+	d.CheckRange(addr, n)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]byte, n)
@@ -97,17 +100,22 @@ func (d *DMAMemory) Read(addr DMAAddr, n int) []byte {
 	return out
 }
 
-// ReadInto copies len(dst) bytes starting at addr into dst.
+// ReadInto copies len(dst) bytes starting at addr into dst: the per-packet
+// read, into memory the caller already owns.
+//
+//decaf:hotpath
 func (d *DMAMemory) ReadInto(addr DMAAddr, dst []byte) {
-	d.checkRange(addr, len(dst))
+	d.CheckRange(addr, len(dst))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	copy(dst, d.mem[addr:int(addr)+len(dst)])
 }
 
 // Write copies src into the arena starting at addr.
+//
+//decaf:hotpath
 func (d *DMAMemory) Write(addr DMAAddr, src []byte) {
-	d.checkRange(addr, len(src))
+	d.CheckRange(addr, len(src))
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	copy(d.mem[addr:int(addr)+len(src)], src)
@@ -115,7 +123,7 @@ func (d *DMAMemory) Write(addr DMAAddr, src []byte) {
 
 // Read8 reads one byte at addr.
 func (d *DMAMemory) Read8(addr DMAAddr) uint8 {
-	d.checkRange(addr, 1)
+	d.CheckRange(addr, 1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.mem[addr]
@@ -123,7 +131,7 @@ func (d *DMAMemory) Read8(addr DMAAddr) uint8 {
 
 // Write8 writes one byte at addr.
 func (d *DMAMemory) Write8(addr DMAAddr, v uint8) {
-	d.checkRange(addr, 1)
+	d.CheckRange(addr, 1)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.mem[addr] = v
@@ -131,7 +139,7 @@ func (d *DMAMemory) Write8(addr DMAAddr, v uint8) {
 
 // Read16 reads a little-endian 16-bit value at addr.
 func (d *DMAMemory) Read16(addr DMAAddr) uint16 {
-	d.checkRange(addr, 2)
+	d.CheckRange(addr, 2)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return binary.LittleEndian.Uint16(d.mem[addr:])
@@ -139,7 +147,7 @@ func (d *DMAMemory) Read16(addr DMAAddr) uint16 {
 
 // Write16 writes a little-endian 16-bit value at addr.
 func (d *DMAMemory) Write16(addr DMAAddr, v uint16) {
-	d.checkRange(addr, 2)
+	d.CheckRange(addr, 2)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	binary.LittleEndian.PutUint16(d.mem[addr:], v)
@@ -147,7 +155,7 @@ func (d *DMAMemory) Write16(addr DMAAddr, v uint16) {
 
 // Read32 reads a little-endian 32-bit value at addr.
 func (d *DMAMemory) Read32(addr DMAAddr) uint32 {
-	d.checkRange(addr, 4)
+	d.CheckRange(addr, 4)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return binary.LittleEndian.Uint32(d.mem[addr:])
@@ -155,7 +163,7 @@ func (d *DMAMemory) Read32(addr DMAAddr) uint32 {
 
 // Write32 writes a little-endian 32-bit value at addr.
 func (d *DMAMemory) Write32(addr DMAAddr, v uint32) {
-	d.checkRange(addr, 4)
+	d.CheckRange(addr, 4)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	binary.LittleEndian.PutUint32(d.mem[addr:], v)
@@ -163,7 +171,7 @@ func (d *DMAMemory) Write32(addr DMAAddr, v uint32) {
 
 // Read64 reads a little-endian 64-bit value at addr.
 func (d *DMAMemory) Read64(addr DMAAddr) uint64 {
-	d.checkRange(addr, 8)
+	d.CheckRange(addr, 8)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return binary.LittleEndian.Uint64(d.mem[addr:])
@@ -171,7 +179,7 @@ func (d *DMAMemory) Read64(addr DMAAddr) uint64 {
 
 // Write64 writes a little-endian 64-bit value at addr.
 func (d *DMAMemory) Write64(addr DMAAddr, v uint64) {
-	d.checkRange(addr, 8)
+	d.CheckRange(addr, 8)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	binary.LittleEndian.PutUint64(d.mem[addr:], v)

@@ -6,6 +6,7 @@
 package e1000hw
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"decafdrivers/internal/hw"
@@ -98,6 +99,17 @@ const (
 	RxDescSize = 16
 )
 
+// Legacy descriptor layout, shared by both rings: buffer address in bytes
+// 0-7, length in 8-9, and the status byte at 12. A TX descriptor carries its
+// command byte at 11. Device and driver move a descriptor with one DMA
+// access over the bytes they need, not one access per field.
+const (
+	DescAddrOff   = 0
+	DescLengthOff = 8
+	TxDescCmdOff  = 11
+	DescStatusOff = 12
+)
+
 // TX descriptor command/status bits.
 const (
 	TxCmdEOP    = 1 << 0
@@ -113,13 +125,27 @@ const (
 	EEPROMChecksum = 0xBABA
 )
 
+// barSize is the size of the register BAR: 128 KiB, as on the silicon.
+const barSize = 0x20000
+
 // Device is one simulated E1000 controller.
 type Device struct {
 	PCI *hw.PCIDevice
 
-	mu     sync.Mutex
-	dma    *hw.DMAMemory
-	regs   map[uint32]uint32
+	mu  sync.Mutex
+	dma *hw.DMAMemory
+	// regs is the register file: one cell per aligned dword of the BAR,
+	// indexed by offset/4, so the registers the data path touches on every
+	// packet are an array access under the device lock. Named registers
+	// index it with their constants; an offset that arrives over MMIO goes
+	// through load/store, which check it.
+	regs [barSize / 4]uint32
+	// stray holds writes to offsets the register file does not model
+	// (unaligned, or past the BAR): they read back as written, as every
+	// offset did when the file was a map. No driver produces one and
+	// PCIDevice refuses those past the BAR, so it is nil unless the handler
+	// is called directly.
+	stray  map[uint32]uint32
 	eeprom [EEPROMWords]uint16
 	phy    [32]uint16
 
@@ -147,11 +173,10 @@ type Device struct {
 func New(bus *hw.Bus, irq int, mac [6]byte) *Device {
 	d := &Device{
 		dma:       bus.DMA(),
-		regs:      make(map[uint32]uint32),
 		intrBatch: 1,
 	}
 	d.PCI = hw.NewPCIDevice("e1000", VendorID, DeviceID, 2)
-	d.PCI.SetBAR(0, &hw.BAR{Base: 0xF0000000, Size: 0x20000, Handler: d})
+	d.PCI.SetBAR(0, &hw.BAR{Base: 0xF0000000, Size: barSize, Handler: d})
 	bus.Attach(d.PCI)
 	d.PCI.SetIRQ(bus.IRQ(irq))
 
@@ -179,10 +204,10 @@ func (d *Device) SetLink(up bool) {
 	d.mu.Lock()
 	d.linkUp = up
 	if up {
-		d.regs[RegSTATUS] |= StatusLU
+		d.regs[RegSTATUS/4] |= StatusLU
 		d.phy[PhyStatus] |= PhyStatusLink | PhyStatusAutoNegDone
 	} else {
-		d.regs[RegSTATUS] &^= StatusLU
+		d.regs[RegSTATUS/4] &^= StatusLU
 		d.phy[PhyStatus] &^= PhyStatusLink
 	}
 	d.mu.Unlock()
@@ -239,8 +264,8 @@ func (d *Device) cause(bits uint32) {
 		d.mu.Unlock()
 		return
 	}
-	d.regs[RegICR] |= deliver
-	fire := d.regs[RegICR]&d.regs[RegIMS] != 0
+	d.regs[RegICR/4] |= deliver
+	fire := d.regs[RegICR/4]&d.regs[RegIMS/4] != 0
 	d.mu.Unlock()
 	if fire {
 		d.PCI.RaiseIRQ()
@@ -254,12 +279,32 @@ func (d *Device) MMIORead(off uint32, size int) uint64 {
 	switch off {
 	case RegICR:
 		// Reading ICR clears it, per the manual.
-		v := d.regs[RegICR]
-		d.regs[RegICR] = 0
+		v := d.regs[RegICR/4]
+		d.regs[RegICR/4] = 0
 		return uint64(v)
 	default:
-		return uint64(d.regs[off])
+		return uint64(d.load(off))
 	}
+}
+
+// load reads the register at an MMIO offset; the caller holds d.mu.
+func (d *Device) load(off uint32) uint32 {
+	if off%4 == 0 && off < barSize {
+		return d.regs[off/4]
+	}
+	return d.stray[off]
+}
+
+// store writes the register at an MMIO offset; the caller holds d.mu.
+func (d *Device) store(off, v uint32) {
+	if off%4 == 0 && off < barSize {
+		d.regs[off/4] = v
+		return
+	}
+	if d.stray == nil {
+		d.stray = make(map[uint32]uint32)
+	}
+	d.stray[off] = v
 }
 
 // MMIOWrite implements hw.MMIOHandler.
@@ -272,7 +317,7 @@ func (d *Device) MMIOWrite(off uint32, size int, val uint64) {
 			return
 		}
 		d.mu.Lock()
-		d.regs[RegCTRL] = v &^ CtrlRST
+		d.regs[RegCTRL/4] = v &^ CtrlRST
 		d.mu.Unlock()
 	case RegEERD:
 		d.mu.Lock()
@@ -282,31 +327,31 @@ func (d *Device) MMIOWrite(off uint32, size int, val uint64) {
 			if addr < EEPROMWords {
 				data = d.eeprom[addr]
 			}
-			d.regs[RegEERD] = uint32(data)<<16 | EerdDone | (addr << 8)
+			d.regs[RegEERD/4] = uint32(data)<<16 | EerdDone | (addr << 8)
 		}
 		d.mu.Unlock()
 	case RegMDIC:
 		d.mdic(v)
 	case RegIMS:
 		d.mu.Lock()
-		d.regs[RegIMS] |= v
-		pending := d.regs[RegICR]&d.regs[RegIMS] != 0
+		d.regs[RegIMS/4] |= v
+		pending := d.regs[RegICR/4]&d.regs[RegIMS/4] != 0
 		d.mu.Unlock()
 		if pending {
 			d.PCI.RaiseIRQ()
 		}
 	case RegIMC:
 		d.mu.Lock()
-		d.regs[RegIMS] &^= v
+		d.regs[RegIMS/4] &^= v
 		d.mu.Unlock()
 	case RegTDT:
 		d.mu.Lock()
-		d.regs[RegTDT] = v
+		d.regs[RegTDT/4] = v
 		d.mu.Unlock()
 		d.processTx()
 	default:
 		d.mu.Lock()
-		d.regs[off] = v
+		d.store(off, v)
 		d.mu.Unlock()
 	}
 }
@@ -314,9 +359,10 @@ func (d *Device) MMIOWrite(off uint32, size int, val uint64) {
 func (d *Device) reset() {
 	d.mu.Lock()
 	link := d.linkUp
-	d.regs = make(map[uint32]uint32)
+	clear(d.regs[:])
+	d.stray = nil
 	if link {
-		d.regs[RegSTATUS] |= StatusLU
+		d.regs[RegSTATUS/4] |= StatusLU
 	}
 	d.mu.Unlock()
 }
@@ -327,58 +373,62 @@ func (d *Device) mdic(v uint32) {
 	switch {
 	case v&MdicOpWrite != 0:
 		d.phy[reg] = uint16(v)
-		d.regs[RegMDIC] = v | MdicReady
+		d.regs[RegMDIC/4] = v | MdicReady
 	case v&MdicOpRead != 0:
-		d.regs[RegMDIC] = (v &^ 0xFFFF) | uint32(d.phy[reg]) | MdicReady
+		d.regs[RegMDIC/4] = (v &^ 0xFFFF) | uint32(d.phy[reg]) | MdicReady
 	default:
-		d.regs[RegMDIC] = v | MdicError | MdicReady
+		d.regs[RegMDIC/4] = v | MdicError | MdicReady
 	}
 	d.mu.Unlock()
 }
 
 // processTx walks descriptors from TDH to TDT, transmitting each buffer,
-// writing back DD status, and raising TXDW.
+// writing back DD status, and raising TXDW. A frame's bytes leave DMA memory
+// only when someone observes the wire: with no OnTransmit the buffer is
+// range-checked, as the read would have, and counted, not copied.
 func (d *Device) processTx() {
 	d.mu.Lock()
-	if d.regs[RegTCTL]&TctlEN == 0 {
+	if d.regs[RegTCTL/4]&TctlEN == 0 {
 		d.mu.Unlock()
 		return
 	}
-	base := hw.DMAAddr(d.regs[RegTDBAL])
-	count := d.regs[RegTDLEN] / TxDescSize
-	head := d.regs[RegTDH]
-	tail := d.regs[RegTDT]
+	base := hw.DMAAddr(d.regs[RegTDBAL/4])
+	count := d.regs[RegTDLEN/4] / TxDescSize
+	head := d.regs[RegTDH/4]
+	tail := d.regs[RegTDT/4]
 	d.mu.Unlock()
 	if count == 0 {
 		return
 	}
 
 	sent := 0
+	var desc [TxDescSize]byte
 	for head != tail {
 		descAddr := base + hw.DMAAddr(head*TxDescSize)
-		bufAddr := hw.DMAAddr(d.dma.Read64(descAddr))
-		length := int(d.dma.Read16(descAddr + 8))
-		frame := d.dma.Read(bufAddr, length)
+		d.dma.ReadInto(descAddr, desc[:])
+		bufAddr := hw.DMAAddr(binary.LittleEndian.Uint64(desc[DescAddrOff:]))
+		length := int(binary.LittleEndian.Uint16(desc[DescLengthOff:]))
 
 		d.mu.Lock()
 		d.txCount++
 		d.txBytes += uint64(length)
-		d.regs[RegGPTC]++
+		d.regs[RegGPTC/4]++
 		cb := d.OnTransmit
 		d.mu.Unlock()
 		if cb != nil {
-			cb(frame)
+			cb(d.dma.Read(bufAddr, length))
+		} else {
+			d.dma.CheckRange(bufAddr, length)
 		}
 
 		// Write back done status.
-		st := d.dma.Read8(descAddr + 12)
-		d.dma.Write8(descAddr+12, st|TxStatusDD)
+		d.dma.Write8(descAddr+DescStatusOff, desc[DescStatusOff]|TxStatusDD)
 
 		head = (head + 1) % count
 		sent++
 	}
 	d.mu.Lock()
-	d.regs[RegTDH] = head
+	d.regs[RegTDH/4] = head
 	d.mu.Unlock()
 	if sent > 0 {
 		d.cause(IntTXDW)
@@ -387,37 +437,42 @@ func (d *Device) processTx() {
 
 // InjectRx delivers one frame from the wire into the receive ring, as the
 // DMA engine would: the frame lands in the buffer of the descriptor at RDH,
-// status is written back, RDH advances, and RXT0 is raised. Frames arriving
-// with the receiver disabled or the ring full are dropped (and counted).
+// length and status are written back, RDH advances, and RXT0 is raised.
+// Frames arriving with the receiver disabled or the ring full are dropped
+// (and counted).
 func (d *Device) InjectRx(frame []byte) bool {
 	d.mu.Lock()
-	if d.regs[RegRCTL]&RctlEN == 0 {
+	if d.regs[RegRCTL/4]&RctlEN == 0 {
 		d.rxDrops++
 		d.mu.Unlock()
 		return false
 	}
-	base := hw.DMAAddr(d.regs[RegRDBAL])
-	count := d.regs[RegRDLEN] / RxDescSize
-	head := d.regs[RegRDH]
-	tail := d.regs[RegRDT]
+	base := hw.DMAAddr(d.regs[RegRDBAL/4])
+	count := d.regs[RegRDLEN/4] / RxDescSize
+	head := d.regs[RegRDH/4]
+	tail := d.regs[RegRDT/4]
 	if count == 0 || head == tail { // ring empty of free descriptors
 		d.rxDrops++
 		d.mu.Unlock()
 		return false
 	}
 	descAddr := base + hw.DMAAddr(head*RxDescSize)
-	bufAddr := hw.DMAAddr(d.dma.Read64(descAddr))
+	var desc [RxDescSize]byte
+	d.dma.ReadInto(descAddr, desc[:])
 	d.mu.Unlock()
 
-	d.dma.Write(bufAddr, frame)
-	d.dma.Write16(descAddr+8, uint16(len(frame)))
-	d.dma.Write8(descAddr+12, RxStatusDD|RxStatusEOP)
+	d.dma.Write(hw.DMAAddr(binary.LittleEndian.Uint64(desc[DescAddrOff:])), frame)
+	// Write-back: length and status in one access; the checksum bytes
+	// between them go back as they were read.
+	binary.LittleEndian.PutUint16(desc[DescLengthOff:], uint16(len(frame)))
+	desc[DescStatusOff] = RxStatusDD | RxStatusEOP
+	d.dma.Write(descAddr+DescLengthOff, desc[DescLengthOff:DescStatusOff+1])
 
 	d.mu.Lock()
-	d.regs[RegRDH] = (head + 1) % count
+	d.regs[RegRDH/4] = (head + 1) % count
 	d.rxCount++
 	d.rxBytes += uint64(len(frame))
-	d.regs[RegGPRC]++
+	d.regs[RegGPRC/4]++
 	d.mu.Unlock()
 	d.cause(IntRXT0)
 	return true

@@ -230,3 +230,169 @@ func TestResetClearsRegisters(t *testing.T) {
 		t.Fatal("reset dropped link state")
 	}
 }
+
+// txRing is a transmit ring programmed the way the driver does it: count
+// descriptors, one 2 KiB buffer each, TXDW unmasked.
+type txRing struct {
+	d    *Device
+	dma  *hw.DMAMemory
+	base hw.DMAAddr
+	bufs []hw.DMAAddr
+	tail uint32
+}
+
+func newTxRing(t *testing.T, count int) *txRing {
+	t.Helper()
+	d, bus := newDev(t)
+	r := &txRing{d: d, dma: bus.DMA()}
+	r.base, _ = r.dma.Alloc(count*TxDescSize, 128)
+	for i := 0; i < count; i++ {
+		b, err := r.dma.Alloc(2048, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.bufs = append(r.bufs, b)
+	}
+	wr(d, RegTCTL, TctlEN)
+	wr(d, RegTDBAL, uint32(r.base))
+	wr(d, RegTDLEN, uint32(count*TxDescSize))
+	wr(d, RegTDH, 0)
+	wr(d, RegTDT, 0)
+	wr(d, RegIMS, IntTXDW)
+	return r
+}
+
+// send queues one frame on the next descriptor and rings the doorbell.
+func (r *txRing) send(frame []byte) (desc hw.DMAAddr) {
+	i := r.tail
+	desc = r.base + hw.DMAAddr(i*TxDescSize)
+	r.dma.Write(r.bufs[i], frame)
+	r.dma.Write64(desc+DescAddrOff, uint64(r.bufs[i]))
+	r.dma.Write16(desc+DescLengthOff, uint16(len(frame)))
+	r.dma.Write8(desc+TxDescCmdOff, TxCmdEOP|TxCmdRS)
+	r.dma.Write8(desc+DescStatusOff, 0)
+	r.tail = (i + 1) % uint32(len(r.bufs))
+	wr(r.d, RegTDT, r.tail)
+	return desc
+}
+
+// TestProcessTxUnobservedWire: whether or not anyone observes the wire, a
+// transmit does everything the driver and the statistics can see — the
+// adapter counters, GPTC, the DD write-back and the TXDW interrupts are
+// those of the observed run. Only the copy of the frame's bytes is skipped.
+func TestProcessTxUnobservedWire(t *testing.T) {
+	type outcome struct {
+		txFrames, txBytes, gptc uint64
+		dd                      int
+		irqs                    uint64
+		tdh                     uint32
+	}
+	const frames = 11 // wraps the 4-descriptor ring
+	run := func(observe bool) (outcome, int) {
+		r := newTxRing(t, 4)
+		r.d.SetIntrBatch(2)
+		seen := 0
+		if observe {
+			r.d.OnTransmit = func([]byte) { seen++ }
+		}
+		var o outcome
+		for i := 0; i < frames; i++ {
+			desc := r.send(make([]byte, 60+i))
+			if r.dma.Read8(desc+DescStatusOff)&TxStatusDD != 0 {
+				o.dd++
+			}
+		}
+		o.txFrames, o.txBytes, _, _, _ = r.d.Counters()
+		o.gptc = uint64(rd(r.d, RegGPTC))
+		o.irqs, _ = r.d.PCI.IRQ().Stats()
+		o.tdh = rd(r.d, RegTDH)
+		return o, seen
+	}
+	observed, seen := run(true)
+	unobserved, _ := run(false)
+	if seen != frames {
+		t.Fatalf("the observer saw %d frames, want %d", seen, frames)
+	}
+	if observed.txFrames != frames || observed.dd != frames || observed.gptc != frames || observed.irqs == 0 {
+		t.Fatalf("observed run = %+v, want %d frames counted, written back and interrupting", observed, frames)
+	}
+	if unobserved != observed {
+		t.Fatalf("unobserved wire = %+v, observed wire = %+v: they must not differ", unobserved, observed)
+	}
+}
+
+// TestProcessTxUnobservedWireStillFaults: a descriptor naming a buffer
+// outside the arena is a fault on the unobserved wire too — the range check
+// the skipped read carried is still made.
+func TestProcessTxUnobservedWireStillFaults(t *testing.T) {
+	r := newTxRing(t, 4)
+	r.bufs[0] = hw.DMAAddr(r.dma.Size() - 8)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 64-byte frame 8 bytes from the end of the arena did not fault")
+		}
+	}()
+	desc := r.base
+	r.dma.Write64(desc+DescAddrOff, uint64(r.bufs[0]))
+	r.dma.Write16(desc+DescLengthOff, 64)
+	wr(r.d, RegTDT, 1)
+}
+
+// TestOnTransmitFrameSurvivesRingReuse: the slice handed to OnTransmit is
+// the observer's to keep. Retained without a copy, it still holds its frame
+// after the descriptor ring and every buffer in it have been reused more
+// than twice over.
+func TestOnTransmitFrameSurvivesRingReuse(t *testing.T) {
+	const count = 4
+	r := newTxRing(t, count)
+	var wire [][]byte
+	r.d.OnTransmit = func(f []byte) { wire = append(wire, f) }
+	frame := func(i int) []byte {
+		f := make([]byte, 64)
+		for j := range f {
+			f[j] = byte(i*7 + j)
+		}
+		return f
+	}
+	const total = 1 + 2*count + 3
+	for i := 0; i < total; i++ {
+		r.send(frame(i))
+	}
+	if len(wire) != total {
+		t.Fatalf("wire saw %d frames, want %d", len(wire), total)
+	}
+	for i, got := range wire {
+		if string(got) != string(frame(i)) {
+			t.Fatalf("retained frame %d was overwritten by later traffic", i)
+		}
+	}
+}
+
+// TestRegisterFileBounds: the register file is an array over the BAR's
+// aligned dwords, and an MMIO offset reaches it only through a check. The
+// first and last modeled registers, the first offset past the BAR, the top
+// of the offset space and an unaligned offset all behave as they did when
+// the file was a map: a register never written reads zero, a write reads
+// back, and reset clears it — and none of them indexes out of range.
+func TestRegisterFileBounds(t *testing.T) {
+	for _, off := range []uint32{0, RegTDT, 0x1FFFC, 0x20000, 0xFFFFFFFC, RegRDT + 1, 0x1FFFF} {
+		d, _ := newDev(t)
+		if got := rd(d, off); got != 0 {
+			t.Errorf("offset %#x reads %#x before any write", off, got)
+		}
+		v := uint32(0x40) // no CtrlRST bit: offset 0 is CTRL
+		wr(d, off, v)
+		if got := rd(d, off); got != v {
+			t.Errorf("offset %#x reads %#x after writing %#x", off, got, v)
+		}
+		for _, other := range []uint32{RegRDH, RegTDH, RegICR} {
+			if got := rd(d, other); got != 0 {
+				t.Errorf("writing offset %#x changed register %#x to %#x", off, other, got)
+			}
+		}
+		wr(d, RegCTRL, CtrlRST)
+		if got := rd(d, off); got != 0 {
+			t.Errorf("offset %#x reads %#x after reset", off, got)
+		}
+	}
+}

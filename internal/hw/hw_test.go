@@ -323,6 +323,26 @@ func TestPCIBARBoundsPanics(t *testing.T) {
 	d.MMIORead(0, 16, 4)
 }
 
+// TestPCIBARBoundsNoWrap: offset+size is checked without wrapping, so an
+// offset at the top of the 32-bit space is refused like any other past the BAR.
+func TestPCIBARBoundsNoWrap(t *testing.T) {
+	d := NewPCIDevice("x", 1, 2, 0)
+	d.SetBAR(0, &BAR{Size: 16, Handler: &mmioEcho{}})
+	for name, access := range map[string]func(){
+		"read":  func() { d.MMIORead(0, 0xFFFFFFFC, 4) },
+		"write": func() { d.MMIOWrite(0, 0xFFFFFFFC, 4, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MMIO %s at 0xFFFFFFFC did not panic", name)
+				}
+			}()
+			access()
+		}()
+	}
+}
+
 func TestPCIIOBARIndicatorBit(t *testing.T) {
 	d := NewPCIDevice("x", 1, 2, 0)
 	d.SetBAR(1, &BAR{Base: 0xC000, Size: 64, IsIO: true})

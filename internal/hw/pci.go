@@ -210,7 +210,8 @@ func (d *PCIDevice) MMIORead(barIndex int, offset uint32, size int) uint64 {
 	if bar == nil || bar.Handler == nil {
 		return ^uint64(0)
 	}
-	if offset+uint32(size) > bar.Size {
+	// Summed in 64 bits: an offset near the top must not wrap past the check.
+	if uint64(offset)+uint64(size) > uint64(bar.Size) {
 		panic(fmt.Sprintf("hw: MMIO read at %#x size %d beyond BAR%d size %#x of %s",
 			offset, size, barIndex, bar.Size, d.Name))
 	}
@@ -223,7 +224,8 @@ func (d *PCIDevice) MMIOWrite(barIndex int, offset uint32, size int, value uint6
 	if bar == nil || bar.Handler == nil {
 		return
 	}
-	if offset+uint32(size) > bar.Size {
+	// Summed in 64 bits: an offset near the top must not wrap past the check.
+	if uint64(offset)+uint64(size) > uint64(bar.Size) {
 		panic(fmt.Sprintf("hw: MMIO write at %#x size %d beyond BAR%d size %#x of %s",
 			offset, size, barIndex, bar.Size, d.Name))
 	}

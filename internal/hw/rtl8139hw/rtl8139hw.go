@@ -255,14 +255,21 @@ func (d *Device) transmit(idx int, tsdVal uint32) {
 		return
 	}
 	addr := hw.DMAAddr(d.tsad[idx])
+	cb := d.OnTransmit
 	d.mu.Unlock()
-	frame := d.dma.Read(addr, size)
+	// The frame's bytes leave DMA memory only when someone observes the
+	// wire; unobserved, the buffer is range-checked, as the read would have.
+	var frame []byte
+	if cb != nil {
+		frame = d.dma.Read(addr, size)
+	} else {
+		d.dma.CheckRange(addr, size)
+	}
 
 	d.mu.Lock()
 	d.txCount++
 	d.txBytes += uint64(size)
 	d.tsd[idx] = tsdVal | TSDOwn | TSDTok
-	cb := d.OnTransmit
 	d.mu.Unlock()
 	if cb != nil {
 		cb(frame)

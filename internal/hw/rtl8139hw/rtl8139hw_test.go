@@ -195,3 +195,62 @@ func TestCursorRewindWhenDrained(t *testing.T) {
 		t.Fatalf("rx = %d, drops = %d", rx, drops)
 	}
 }
+
+// TestTransmitUnobservedWire: whether or not anyone observes the wire, a
+// transmit does everything the driver can see — counters, the OWN|TOK
+// write-back in TSD and the TOK interrupt are those of the observed run;
+// only the copy of the frame's bytes is skipped. The frames the observer is
+// handed are its own: retained without a copy, they survive the four
+// transmit buffers being reused more than twice over.
+func TestTransmitUnobservedWire(t *testing.T) {
+	type outcome struct {
+		txFrames, txBytes, irqs uint64
+		tsd                     [NumTxDesc]uint32
+	}
+	const frames = 1 + 2*NumTxDesc + 2
+	frame := func(i int) []byte { return []byte{byte(i), byte(i + 1), byte(i + 2), byte(i + 3), 9} }
+	run := func(observe bool) (outcome, [][]byte) {
+		d, bus := newDev(t)
+		dma := bus.DMA()
+		var wire [][]byte
+		if observe {
+			d.OnTransmit = func(f []byte) { wire = append(wire, f) }
+		}
+		bus.Outb(0xC000+RegCR, CmdTxEnable)
+		bus.Outw(0xC000+RegIMR, IntTOK)
+		var bufs [NumTxDesc]hw.DMAAddr
+		for i := range bufs {
+			bufs[i], _ = dma.Alloc(2048, 32)
+			bus.Outl(0xC000+RegTSAD0+uint16(4*i), uint32(bufs[i]))
+		}
+		for i := 0; i < frames; i++ {
+			e := i % NumTxDesc
+			dma.Write(bufs[e], frame(i))
+			bus.Outl(0xC000+RegTSD0+uint16(4*e), uint32(len(frame(i))))
+			bus.Outw(0xC000+RegISR, IntTOK) // ack, as the driver's handler does
+		}
+		var o outcome
+		o.txFrames, o.txBytes, _, _, _ = d.Counters()
+		o.irqs, _ = d.PCI.IRQ().Stats()
+		for i := range o.tsd {
+			o.tsd[i] = bus.Inl(0xC000 + RegTSD0 + uint16(4*i))
+		}
+		return o, wire
+	}
+	observed, wire := run(true)
+	unobserved, _ := run(false)
+	if observed.txFrames != frames || observed.irqs != frames || observed.tsd[0]&(TSDOwn|TSDTok) == 0 {
+		t.Fatalf("observed run = %+v, want %d frames counted, written back and interrupting", observed, frames)
+	}
+	if unobserved != observed {
+		t.Fatalf("unobserved wire = %+v, observed wire = %+v: they must not differ", unobserved, observed)
+	}
+	if len(wire) != frames {
+		t.Fatalf("the observer saw %d frames, want %d", len(wire), frames)
+	}
+	for i, got := range wire {
+		if string(got) != string(frame(i)) {
+			t.Fatalf("retained frame %d was overwritten by later traffic", i)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,7 +25,10 @@ type irqAction struct {
 }
 
 type irqState struct {
-	line    *hw.IRQLine
+	line *hw.IRQLine
+	// actions is replaced, never edited in place, when a handler comes or
+	// goes: dispatchIRQ runs the handlers outside the table lock from the
+	// slice it found, with no copy per interrupt.
 	actions []*irqAction
 	ctx     *Context
 }
@@ -55,7 +59,7 @@ func (k *Kernel) RequestIRQ(num int, name string, handler IRQHandlerFunc, dev an
 		t.byNum[num] = st
 		line.SetHandler(func() { k.dispatchIRQ(num) })
 	}
-	st.actions = append(st.actions, &irqAction{name: name, handler: handler, dev: dev})
+	st.actions = append(slices.Clip(st.actions), &irqAction{name: name, handler: handler, dev: dev})
 	return nil
 }
 
@@ -71,7 +75,7 @@ func (k *Kernel) FreeIRQ(num int, name string) error {
 	}
 	for i, a := range st.actions {
 		if a.name == name {
-			st.actions = append(st.actions[:i], st.actions[i+1:]...)
+			st.actions = append(st.actions[:i:i], st.actions[i+1:]...)
 			if len(st.actions) == 0 {
 				st.line.SetHandler(nil)
 				delete(t.byNum, num)
@@ -90,8 +94,7 @@ func (k *Kernel) dispatchIRQ(num int) {
 		t.mu.Unlock()
 		return
 	}
-	actions := make([]*irqAction, len(st.actions))
-	copy(actions, st.actions)
+	actions := st.actions
 	ctx := st.ctx
 	t.mu.Unlock()
 

@@ -372,6 +372,76 @@ func TestWorkqueueDrain(t *testing.T) {
 	}
 }
 
+// TestWorkqueueSteadyStateAllocFree: a queue that is filled and drained over
+// and over reuses one backing array. Popping by reslicing the front away
+// (the earlier shape) left the slice at the end of its array after every
+// drain, so the next Queue grew a fresh one — for ever, on a queue whose
+// depth never passes a handful. A drained item is also dropped from the
+// array, so what its closure captured is not kept alive by the queue.
+func TestWorkqueueSteadyStateAllocFree(t *testing.T) {
+	k := newTestKernel()
+	wq := k.NewWorkqueue("test")
+	ran := 0
+	item := func(ctx *Context) { ran++ }
+	requeue := func(ctx *Context) { wq.Queue(item) } // an item may queue another
+	cycle := func() {
+		wq.Queue(item)
+		wq.Queue(requeue)
+		wq.Queue(item)
+		if n := wq.Drain(); n != 4 {
+			t.Errorf("Drain ran %d items, want 4", n)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("queue 3 (+1 requeued) / drain: %v allocs per cycle, want 0", allocs)
+	}
+	if wq.Pending() != 0 {
+		t.Fatalf("Pending = %d after a drain", wq.Pending())
+	}
+	for i, fn := range wq.items[:cap(wq.items)] {
+		if fn != nil {
+			t.Fatalf("slot %d still holds a drained item", i)
+		}
+	}
+}
+
+// TestIRQDispatchAllocFree: delivering an interrupt allocates nothing — the
+// handler list is read, not copied — and a handler that frees itself (or
+// requests another) from inside the dispatch still sees the list it was
+// dispatched from.
+func TestIRQDispatchAllocFree(t *testing.T) {
+	k := newTestKernel()
+	count := 0
+	_ = k.RequestIRQ(5, "a", func(ctx *Context, irq int, dev any) { count++ }, nil)
+	_ = k.RequestIRQ(5, "b", func(ctx *Context, irq int, dev any) { count++ }, nil)
+	line := k.Bus().IRQ(5)
+	if allocs := testing.AllocsPerRun(200, line.Raise); allocs != 0 {
+		t.Fatalf("interrupt dispatch: %v allocs, want 0", allocs)
+	}
+
+	var order []string
+	_ = k.RequestIRQ(6, "first", func(ctx *Context, irq int, dev any) {
+		order = append(order, "first")
+		if err := k.FreeIRQ(6, "first"); err != nil {
+			t.Error(err)
+		}
+		_ = k.RequestIRQ(6, "late", func(ctx *Context, irq int, dev any) { order = append(order, "late") }, nil)
+	}, nil)
+	_ = k.RequestIRQ(6, "second", func(ctx *Context, irq int, dev any) { order = append(order, "second") }, nil)
+	k.Bus().IRQ(6).Raise()
+	k.Bus().IRQ(6).Raise()
+	want := []string{"first", "second", "second", "late"}
+	if len(order) != len(want) {
+		t.Fatalf("dispatch order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("dispatch order = %v, want %v", order, want)
+		}
+	}
+}
+
 func TestWorkItemMayBlock(t *testing.T) {
 	k := newTestKernel()
 	wq := k.NewWorkqueue("test")

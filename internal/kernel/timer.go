@@ -20,6 +20,7 @@ type KTimer struct {
 	fn     TimerFunc
 	ctx    *Context
 	inner  *ktime.Timer
+	expire func() // t.fire, bound once so arming does not allocate it
 
 	period time.Duration // nonzero for self-rearming timers
 	fired  uint64
@@ -29,12 +30,14 @@ type KTimer struct {
 func (k *Kernel) NewTimer(name string, fn TimerFunc) *KTimer {
 	ctx := k.NewContext("ktimer/" + name)
 	ctx.kind = CtxSoftIRQ
-	return &KTimer{kernel: k, name: name, fn: fn, ctx: ctx}
+	t := &KTimer{kernel: k, name: name, fn: fn, ctx: ctx}
+	t.expire = t.fire
+	return t
 }
 
 // Schedule arms the timer to fire after d of virtual time.
 func (t *KTimer) Schedule(d time.Duration) {
-	t.inner = t.kernel.clock.ScheduleAfter(d, t.fire)
+	t.inner = t.kernel.clock.ScheduleAfter(d, t.expire)
 }
 
 // SchedulePeriodic arms the timer to fire every period, rearming itself
@@ -44,14 +47,14 @@ func (t *KTimer) SchedulePeriodic(period time.Duration) {
 		panic("kernel: SchedulePeriodic with non-positive period")
 	}
 	t.period = period
-	t.inner = t.kernel.clock.ScheduleAfter(period, t.fire)
+	t.inner = t.kernel.clock.ScheduleAfter(period, t.expire)
 }
 
 func (t *KTimer) fire() {
 	t.fired++
 	t.fn(t.ctx)
 	if t.period > 0 {
-		t.inner = t.kernel.clock.ScheduleAfter(t.period, t.fire)
+		t.inner = t.kernel.clock.ScheduleAfter(t.period, t.expire)
 	}
 }
 

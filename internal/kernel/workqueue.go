@@ -23,7 +23,10 @@ type Workqueue struct {
 	kernel *Kernel
 	name   string
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// items always starts at the front of its backing array: Drain pops by
+	// shifting the rest down (a handful at most), so Queue reuses the array
+	// instead of growing a fresh one behind a creeping slice.
 	items   []WorkFunc
 	ctx     *Context
 	queued  uint64
@@ -67,7 +70,9 @@ func (w *Workqueue) Drain() int {
 			return ran
 		}
 		fn := w.items[0]
-		w.items = w.items[1:]
+		n := copy(w.items, w.items[1:])
+		w.items[n] = nil // a drained item's captures are not pinned
+		w.items = w.items[:n]
 		w.drained++
 		ctx := w.ctx
 		w.mu.Unlock()

@@ -139,7 +139,11 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 			})
 
 			frames := [][]byte{{1}, {2}, {3}, {4}, {5}, {6}}
-			fl := StageFlight(r, frames, func(b []byte) []byte { return b })
+			var pool FlightPool[[]byte]
+			fl := pool.Get()
+			for _, b := range frames {
+				fl.Stage(r, b, b)
+			}
 			for _, p := range fl.Payloads {
 				if !p.Direct() {
 					t.Fatal("payload fell back to copy; ring should have slots")
@@ -157,8 +161,8 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 			pipe.Push(b.FlushAsync(), fl)
 
 			err := pipe.Drain(ctx,
-				func(f Flight[[]byte]) { f.Release(r) },
-				func(f Flight[[]byte], _ error) { f.Release(r) })
+				func(f Flight[[]byte]) { pool.Release(r, f) },
+				func(f Flight[[]byte], _ error) { pool.Release(r, f) })
 			if !IsUserFault(err) {
 				t.Fatalf("Drain error = %v, want the contained fault", err)
 			}

@@ -28,12 +28,25 @@ type flushEntry[T any] struct {
 }
 
 // Push appends an in-flight flush and its payload.
+//
+//decaf:hotpath
 func (p *FlushPipeline[T]) Push(done *Completion, payload T) {
+	//decaf:allowalloc grows to the deepest overlap the driver allows (its maxInFlight) and is reused from there: Reap shifts down, it never reslices the front away
 	p.entries = append(p.entries, flushEntry[T]{done: done, payload: payload})
 }
 
 // Len reports the flushes pushed and not yet reaped.
 func (p *FlushPipeline[T]) Len() int { return len(p.entries) }
+
+// pop removes the oldest entry by shifting the rest down — a handful at
+// most, the depth is bounded by the driver — so the queue always starts at
+// the front of its backing array and Push never has to regrow it, and the
+// vacated slot is cleared so a reaped payload is not pinned.
+func (p *FlushPipeline[T]) pop() {
+	n := copy(p.entries, p.entries[1:])
+	p.entries[n] = flushEntry[T]{}
+	p.entries = p.entries[:n]
+}
 
 // Reap pops every leading flush whose completion has settled by the virtual
 // instant now, calling deliver on the payload of each successful flush and
@@ -41,6 +54,8 @@ func (p *FlushPipeline[T]) Len() int { return len(p.entries) }
 // With force, the oldest flush is waited for first — charging ctx any
 // residual stall — so callers can bound the pipeline depth. Returns the
 // first flush error.
+//
+//decaf:hotpath
 func (p *FlushPipeline[T]) Reap(ctx *kernel.Context, now time.Duration, force bool, deliver func(T), drop func(T, error)) error {
 	var first error
 	for len(p.entries) > 0 {
@@ -50,7 +65,7 @@ func (p *FlushPipeline[T]) Reap(ctx *kernel.Context, now time.Duration, force bo
 		}
 		force = false
 		err := e.done.Wait(ctx)
-		p.entries = p.entries[1:]
+		p.pop()
 		if err != nil {
 			if drop != nil {
 				drop(e.payload, err)

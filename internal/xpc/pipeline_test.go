@@ -152,3 +152,133 @@ func TestFlushPipelineDrainWaitsEverything(t *testing.T) {
 		t.Fatalf("Drain charged only %v", ctx.Elapsed())
 	}
 }
+
+// TestFlushPipelineSteadyStateAllocFree: a pipeline cycling at the depth the
+// drivers hold it to reuses one backing array for good — whether each reap
+// empties it or, as under an async transport with traffic always in flight,
+// it never empties at all. Popping by reslicing the front away (the earlier
+// shape) walked the slice off the end of its array every few flushes and
+// reallocated for ever.
+func TestFlushPipelineSteadyStateAllocFree(t *testing.T) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	ctx := k.NewContext("t")
+	settled := settleAt(r, "settled", 0, nil, false)
+	pending := settleAt(r, "pending", time.Hour, nil, false)
+	payload := new(int)
+	delivered := 0
+	deliver := func(*int) { delivered++ }
+	drop := func(*int, error) { t.Error("dropped a successful flush") }
+
+	var drained FlushPipeline[*int]
+	drainCycle := func() {
+		for i := 0; i < 4; i++ {
+			drained.Push(settled, payload)
+		}
+		if err := drained.Reap(ctx, 0, false, deliver, drop); err != nil {
+			t.Error(err)
+		}
+	}
+	drainCycle()
+	if allocs := testing.AllocsPerRun(200, drainCycle); allocs != 0 {
+		t.Errorf("push 4 / reap 4: %v allocs per cycle, want 0", allocs)
+	}
+
+	// Never empty: every cycle leaves an unsettled flush at the tail and the
+	// next one reaps it by force.
+	var busy FlushPipeline[*int]
+	busy.Push(pending, payload)
+	busyCycle := func() {
+		busy.Push(settled, payload)
+		busy.Push(pending, payload)
+		if err := busy.Reap(ctx, 0, true, deliver, drop); err != nil {
+			t.Error(err)
+		}
+		if busy.Len() != 1 {
+			t.Errorf("Len = %d after the cycle, want the one unsettled flush", busy.Len())
+		}
+	}
+	busyCycle()
+	if allocs := testing.AllocsPerRun(200, busyCycle); allocs != 0 {
+		t.Errorf("never-empty pipeline: %v allocs per cycle, want 0", allocs)
+	}
+}
+
+// TestFlushPipelineReapUnpinsPayload: a reaped entry's slot in the backing
+// array is cleared, so the pipeline does not keep a delivered flight (and
+// the frames it lists) reachable until the slot happens to be overwritten.
+func TestFlushPipelineReapUnpinsPayload(t *testing.T) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	ctx := k.NewContext("t")
+	var p FlushPipeline[*int]
+	for i := 0; i < 3; i++ {
+		p.Push(settleAt(r, "x", 0, nil, false), new(int))
+	}
+	if err := p.Reap(ctx, 0, false, func(*int) {}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range p.entries[:3] {
+		if e.done != nil || e.payload != nil {
+			t.Fatalf("slot %d still holds its reaped entry: %+v", i, e)
+		}
+	}
+}
+
+// TestFlightPoolRecyclesFlights: after the first flight, staging and
+// releasing allocate nothing — the item and payload lists are the ones an
+// earlier flight handed back — and a released flight keeps neither its
+// items nor a copy-path payload's bytes reachable.
+func TestFlightPoolRecyclesFlights(t *testing.T) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	ctx := k.NewContext("t")
+	ring := NewPayloadRing(4, 64)
+	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+		t.Fatal(err)
+	}
+	frames := make([]*[]byte, 6) // two more than the ring has slots
+	for i := range frames {
+		b := []byte{byte(i), 1, 2, 3}
+		frames[i] = &b
+	}
+	var pool FlightPool[*[]byte]
+	stage := func(frames []*[]byte) Flight[*[]byte] {
+		f := pool.Get()
+		for _, b := range frames {
+			f.Stage(r, b, *b)
+		}
+		return f
+	}
+	f := stage(frames)
+	if len(f.Items) != len(frames) || len(f.Payloads) != len(frames) {
+		t.Fatalf("flight carries %d items / %d payloads, want %d", len(f.Items), len(f.Payloads), len(frames))
+	}
+	for i, p := range f.Payloads {
+		if direct := i < ring.Slots(); p.Direct() != direct {
+			t.Fatalf("payload %d direct = %v: the ring has %d slots, the rest fall back to the copy path", i, p.Direct(), ring.Slots())
+		}
+	}
+	if ring.Exhausted() != 2 {
+		t.Fatalf("Exhausted = %d, want the 2 frames past the ring", ring.Exhausted())
+	}
+	pool.Release(r, f)
+	if ring.InUse() != 0 {
+		t.Fatalf("%d slots still held after Release", ring.InUse())
+	}
+	for i := range f.Items[:len(frames)] {
+		if f.Items[:len(frames)][i] != nil || f.Payloads[:len(frames)][i].Data != nil {
+			t.Fatalf("released flight still reaches item %d", i)
+		}
+	}
+
+	again := stage(frames[:2])
+	if &again.Items[0] != &f.Items[:1][0] {
+		t.Fatal("the second flight did not reuse the first one's item list")
+	}
+	pool.Release(r, again)
+	cycle := func() { pool.Release(r, stage(frames)) }
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("stage + release: %v allocs per flight, want 0", allocs)
+	}
+}

@@ -281,27 +281,61 @@ func (r *Runtime) ReleasePayloads(ps []Payload) {
 }
 
 // Flight is the cargo of one pipelined flush: the items (frames, say) it
-// carried and the staged payloads they crossed in. Drivers push flights
-// through a FlushPipeline and call Release when the flush settles — slot
-// lifetime equals completion lifetime.
+// carried and the staged payloads they crossed in. Drivers take flights from
+// a FlightPool, push them through a FlushPipeline and hand them back to the
+// pool when the flush settles — slot lifetime equals completion lifetime.
 type Flight[T any] struct {
 	Items    []T
 	Payloads []Payload
 }
 
-// StageFlight builds a flight by staging one payload per item (see
-// AcquirePayload): ring-exhausted or oversized items individually fall back
-// to the copy path.
-func StageFlight[T any](r *Runtime, items []T, data func(T) []byte) Flight[T] {
-	payloads := make([]Payload, len(items))
-	for i, item := range items {
-		payloads[i] = r.AcquirePayload(data(item))
-	}
-	return Flight[T]{Items: items, Payloads: payloads}
+// FlightPool recycles settled flights: a driver's flushes are all of about
+// one size, so after the first few the Items and Payloads slices of every
+// new flight are ones an earlier flight gave back, and staging allocates
+// nothing. The zero value is ready to use. Not safe for concurrent use: like
+// the FlushPipeline it feeds, a pool belongs to one driver, whose paths are
+// already serialized.
+type FlightPool[T any] struct {
+	free []Flight[T]
 }
 
-// Release recycles the flight's payload slots.
-func (f Flight[T]) Release(r *Runtime) { r.ReleasePayloads(f.Payloads) }
+// Get returns an empty flight, a recycled one when the pool has any.
+//
+//decaf:hotpath
+func (p *FlightPool[T]) Get() Flight[T] {
+	var f Flight[T]
+	if n := len(p.free); n > 0 {
+		f, p.free[n-1] = p.free[n-1], Flight[T]{}
+		p.free = p.free[:n-1]
+	}
+	return f
+}
+
+// Stage adds one item to the flight and stages its payload (see
+// AcquirePayload): a ring-exhausted or oversized item individually falls
+// back to the copy path.
+//
+//decaf:hotpath
+func (f *Flight[T]) Stage(r *Runtime, item T, data []byte) {
+	//decaf:allowalloc a recycled flight already has room; only a flush larger than any before it grows the list, which the pool then keeps
+	f.Items = append(f.Items, item)
+	//decaf:allowalloc as above: one payload per item, capacity kept across recycling
+	f.Payloads = append(f.Payloads, r.AcquirePayload(data))
+}
+
+// Release ends a settled flight: its payload slots go back to the ring and
+// its slices, cleared so neither the items nor a copy-path payload's bytes
+// stay reachable, go back to the pool.
+//
+//decaf:hotpath
+func (p *FlightPool[T]) Release(r *Runtime, f Flight[T]) {
+	r.ReleasePayloads(f.Payloads)
+	clear(f.Items)
+	clear(f.Payloads)
+	f.Items, f.Payloads = f.Items[:0], f.Payloads[:0]
+	//decaf:allowalloc bounded by the flights one driver has in flight at once (its pipelines' maxInFlight)
+	p.free = append(p.free, f)
+}
 
 // PayloadRing returns the registered ring, or nil.
 func (r *Runtime) PayloadRing() *PayloadRing {
