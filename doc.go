@@ -16,7 +16,8 @@
 //
 // The transports differ in crossings, copies and isolation:
 //
-//	sync   1 crossing per call, inline; contained panic (recover)
+//	sync   1 crossing per call, inline; contained panic (recover);
+//	       the default, "per-call": xpc.BatchTransport{N: 1}
 //	batch  1 crossing per ≤N calls, inline; fault aborts the flush
 //	async  1 crossing per ≤N calls on the decaf goroutine's timeline;
 //	       a fault fails only its own completion
@@ -36,10 +37,14 @@
 // the body executes in the worker's address space (the worker re-execs the
 // same binary, so init() builds the identical table), with shared driver
 // state in shm-backed cells and nested downcalls crossing back for real;
-// the in-process transports dispatch the same bodies inline. The declared
+// the in-process transports dispatch the same bodies inline. psmouse and
+// rtl8139 cross through the table only (every decaf body of theirs runs in
+// the worker); e1000, ens1371 and uhcihcd still run probe/open/close as
+// closures, which execute in the kernel process under every transport, so
+// only their data-path handlers are isolated. The declared
 // per-call cost is charged kernel-side either way, so the virtual cost
 // model is identical to batch and crossings per packet
-// are comparable across all four while Counters.RingCrossings,
+// are comparable across all transports while Counters.RingCrossings,
 // DoorbellWakeups, SyscallCrossings and WireBytesOut/In meter the real
 // boundary: descriptor-ring traffic, doorbell syscalls (the only syscalls a
 // crossing can pay), and socketpair control frames. decafbench's async and zerocopy rows add

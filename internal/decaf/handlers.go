@@ -74,7 +74,7 @@ import "decafdrivers/internal/decaf/registry"
 // "e1000_watchdog") for control-path calls, b.UpcallHandlerPayload(
 // "e1000_xmit_frame", payload) for batched data-path calls — and reads the
 // results back through the same cells: d.rt.SharedState().Load(cellRuns).
-// All four transports dispatch the identical Fn; only where it executes
+// Every transport dispatches the identical Fn; only where it executes
 // differs.
 type (
 	// Handler is one registered decaf call body; see registry.Handler.

@@ -1,6 +1,7 @@
 package psmouse
 
 import (
+	"fmt"
 	"time"
 
 	"decafdrivers/internal/decaf/registry"
@@ -34,14 +35,31 @@ func psCmd(c *registry.Ctx, cmd byte, arg *byte, respLen int) (uint64, error) {
 	return c.Downcall("psmouse_cmd", req)
 }
 
-// psmouse_detect is the device-interrogation half of probe: protocol
-// detection (the IntelliMouse rate knock), rate/resolution programming, and
-// reporting enable. Registered in the handler table so a process-separated
-// transport executes it in the worker; the reset/self-test half stays a
-// kernel-adjacent closure upcall (psmouse.go).
+// The decaf driver is two bodies, registered in the handler table so a
+// process-separated transport executes them in the worker. psmouse_probe is
+// the reset half of probe: reset the mouse and verify its self-test, then
+// make sure stream mode is off before detection. psmouse_detect is the
+// device-interrogation half: protocol detection (the IntelliMouse rate
+// knock), rate/resolution programming, and reporting enable.
 //
 //decaf:boundary
 func init() {
+	registry.Register("psmouse_probe", registry.Handler{
+		Down: true,
+		Fn: func(c *registry.Ctx) error {
+			// Reset: expect self-test OK + id.
+			resp, err := psCmd(c, ps2hw.CmdReset, nil, 2)
+			if err != nil {
+				return err
+			}
+			if byte(resp) != ps2hw.RespSelfTestOK {
+				return fmt.Errorf("%s: self-test failed: %#x", ProtoException, byte(resp))
+			}
+			// Make sure stream mode is off during detection.
+			_, err = psCmd(c, ps2hw.CmdDisable, nil, 0)
+			return err
+		},
+	})
 	registry.Register("psmouse_detect", registry.Handler{
 		Cost: detectBodyCost,
 		Down: true,
@@ -113,8 +131,8 @@ func init() {
 	})
 }
 
-// registerDowncalls installs the kernel-side serio command target the detect
-// body names; per-Runtime, so each driver instance's handlers reach its
+// registerDowncalls installs the kernel-side serio command target the decaf
+// bodies name; per-Runtime, so each driver instance's handlers reach its
 // port.
 func (d *Driver) registerDowncalls() {
 	d.rt.RegisterDowncall("psmouse_cmd", func(kctx *kernel.Context, req uint64) (uint64, error) {

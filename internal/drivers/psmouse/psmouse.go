@@ -2,19 +2,19 @@
 // paper (§4.1), "most of the user-level code was device-specific.
 // Consequently, we implemented in Java only those functions that were
 // actually called for our mouse device": protocol detection and device
-// initialization live in the decaf driver; the byte-stream interrupt
-// handler and packet parser stay in the nucleus.
+// initialization live in the decaf driver — handler bodies (handlers.go)
+// that reach the serio port only through the psmouse_cmd downcall and report
+// through shared state cells; the byte-stream interrupt handler and packet
+// parser stay in the nucleus.
 package psmouse
 
 import (
 	"fmt"
 	"time"
 
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/hw/ps2hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/kinput"
-	"decafdrivers/internal/xdr"
 	"decafdrivers/internal/xpc"
 )
 
@@ -27,7 +27,9 @@ const reportCost = 2 * time.Microsecond
 // cmdTimeoutBytes bounds how many response bytes a command waits for.
 const cmdTimeoutBytes = 4
 
-// State is the psmouse structure shared across domains.
+// State is the kernel-resident psmouse structure. The decaf driver never
+// sees it: what detection establishes arrives through the shared state
+// cells and is adopted here (adoptDetection).
 type State struct {
 	Name       string
 	Protocol   string
@@ -35,18 +37,11 @@ type State struct {
 	Rate       int32
 	Resolution int32
 
-	// Kernel-only parser state.
+	// Parser state.
 	PktBytes  [4]byte
 	PktLen    int32
 	Reports   uint64
 	IntrCount uint64
-}
-
-// FieldMask is DriverSlicer's marshaling specification.
-func FieldMask() xdr.FieldMask {
-	return xdr.FieldMask{"State": {
-		"Name": true, "Protocol": true, "MouseID": true, "Rate": true, "Resolution": true,
-	}}
 }
 
 // Config configures a driver instance.
@@ -63,8 +58,7 @@ type Driver struct {
 	rt   *xpc.Runtime
 	irq  int
 
-	State      *State
-	DecafState *State
+	State *State
 
 	input *kinput.Device
 
@@ -79,16 +73,8 @@ func New(k *kernel.Kernel, in *kinput.Subsystem, port *kinput.SerioPort, cfg Con
 		kern: k, in: in, port: port, irq: cfg.IRQ,
 		State: &State{},
 	}
-	d.rt = xpc.NewRuntime(k, "psmouse", cfg.Mode, FieldMask())
+	d.rt = xpc.NewRuntime(k, "psmouse", cfg.Mode, nil)
 	d.rt.DisableIRQs = []int{cfg.IRQ}
-	if cfg.Mode == xpc.ModeNative {
-		d.DecafState = d.State
-	} else {
-		d.DecafState = &State{}
-		if _, err := d.rt.Share(d.State, d.DecafState); err != nil {
-			panic(fmt.Sprintf("psmouse: share state: %v", err))
-		}
-	}
 	port.ConnectDriver(d.receiveByte)
 	d.registerDowncalls()
 	return d
@@ -178,43 +164,6 @@ func (d *Driver) ps2Command(ctx *kernel.Context, cmd byte, arg *byte, respLen in
 	return resp[:respLen], nil
 }
 
-// --- decaf driver ---
-
-// command wraps ps2Command in a downcall and converts failures to
-// exceptions.
-//
-//decaf:boundary
-func (d *Driver) command(uctx *kernel.Context, name string, cmd byte, arg *byte, respLen int) []byte {
-	var resp []byte
-	err := d.rt.Downcall(uctx, name, func(kctx *kernel.Context) error {
-		r, err := d.ps2Command(kctx, cmd, arg, respLen)
-		resp = r
-		return err
-	})
-	if err != nil {
-		decaf.ThrowCause(ProtoException, err, "command %#x", cmd)
-	}
-	return resp
-}
-
-// resetDecaf is the reset half of the probe: reset the mouse and verify its
-// self-test, then make sure stream mode is off before detection. Written in
-// exception style as a closure upcall; the detection half is the registered
-// psmouse_detect handler (handlers.go), which a process-separated transport
-// executes in the worker.
-//
-//decaf:boundary
-func (d *Driver) resetDecaf(uctx *kernel.Context) {
-	// Reset: expect self-test OK + id.
-	resp := d.command(uctx, "psmouse_reset", ps2hw.CmdReset, nil, 2)
-	if resp[0] != ps2hw.RespSelfTestOK {
-		decaf.Throw(ProtoException, "self-test failed: %#x", resp[0])
-	}
-
-	// Make sure stream mode is off during detection.
-	d.command(uctx, "psmouse_disable", ps2hw.CmdDisable, nil, 0)
-}
-
 // --- module glue ---
 
 // Module adapts the driver to the module loader.
@@ -226,18 +175,14 @@ type psmouseModule Driver
 func (m *psmouseModule) ModuleName() string { return "psmouse" }
 
 // Init probes the protocol through the decaf driver and registers the input
-// device.
+// device. Both halves of the probe run through the handler table — in the
+// worker's address space under a process-separated transport — and detection
+// reports through the shared state cells, adopted into the kernel state here.
 func (m *psmouseModule) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
-	err := d.rt.Upcall(ctx, "psmouse_probe", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.resetDecaf(uctx) }))
-	}, d.State)
-	if err != nil {
+	if err := d.rt.UpcallHandler(ctx, "psmouse_probe"); err != nil {
 		return fmt.Errorf("psmouse: probe: %w", err)
 	}
-	// Detection runs through the handler table — in the worker's address
-	// space under a process-separated transport — and reports through the
-	// shared state cells, adopted into the kernel state here.
 	if err := d.rt.UpcallHandler(ctx, "psmouse_detect"); err != nil {
 		return fmt.Errorf("psmouse: detect: %w", err)
 	}
@@ -256,9 +201,6 @@ func (m *psmouseModule) Exit(ctx *kernel.Context) {
 	if d.input != nil {
 		_ = d.in.Unregister(d.input.Name)
 		d.input = nil
-	}
-	if d.rt.Mode == xpc.ModeDecaf {
-		d.rt.Unshare(d.State)
 	}
 }
 

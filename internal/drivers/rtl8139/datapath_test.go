@@ -119,8 +119,8 @@ func TestRxCoalescingRearmsAfterStop(t *testing.T) {
 }
 
 // TestRxDecafPathAsyncTransport drives the decaf RX path through an
-// AsyncTransport end to end: probe (with its nested inline downcalls and
-// batched EEPROM walk), interrupt drains submitting through the ring, and
+// AsyncTransport end to end: probe (with its nested inline downcalls),
+// interrupt drains submitting through the ring, and
 // Quiesce settling the in-flight flushes so every frame is delivered.
 func TestRxDecafPathAsyncTransport(t *testing.T) {
 	const batchN = 4
@@ -158,24 +158,23 @@ func TestRxDecafPathAsyncTransport(t *testing.T) {
 	}
 }
 
-// TestProbeEEPROMWalkBatched checks the probe-time EEPROM walk coalesces
-// through the Batch downcall builder: under a batched transport the 32-word
-// walk plus the Cfg9346 lock dance costs a few crossings, not one per word.
-func TestProbeEEPROMWalkBatched(t *testing.T) {
+// TestProbeEEPROMWalkCrossesPerWord checks the probe-time EEPROM walk under
+// a batched transport: the probe body needs each word's value back before it
+// can ask for the next, so the 32-word walk plus the Cfg9346 lock dance is 34
+// downcalls of one call each, whatever the transport coalesces — the same 40
+// initialization crossings as per-call.
+func TestProbeEEPROMWalkCrossesPerWord(t *testing.T) {
 	r := newDecafPathRig(t, 16)
 	r.loadAndUp(t)
 	c := r.drv.Runtime().Counters()
-	// 34 same-direction downcalls (unlock + 32 words + lock) at MaxBatch 16
-	// is 3 crossings; the rest of probe/open adds a handful more. Without
-	// batching the walk alone would cost 34.
-	if c.Downcalls >= 34 {
-		t.Fatalf("Downcalls = %d, want the EEPROM walk coalesced (< 34)", c.Downcalls)
+	if c.Trips() != 40 || c.Batches != 0 {
+		t.Fatalf("Trips = %d Batches = %d, want 40 single-call crossings", c.Trips(), c.Batches)
 	}
 	if c.PerCall["rtl8139_read_eeprom"] != 32 {
 		t.Fatalf("EEPROM reads = %d, want 32", c.PerCall["rtl8139_read_eeprom"])
 	}
-	if r.drv.DecafAdapter.EEPROM[0] != 0x8129 {
-		t.Fatalf("EEPROM signature = %#x", r.drv.DecafAdapter.EEPROM[0])
+	if _, eeprom := r.drv.probeCells(); eeprom[0] != 0x8129 {
+		t.Fatalf("EEPROM signature = %#x", eeprom[0])
 	}
 }
 

@@ -138,7 +138,7 @@ func TestRecoveryRestoresConfigAfterRxFault(t *testing.T) {
 	if a.MAC != pre.MAC || a.EEPROM != pre.EEPROM {
 		t.Fatalf("post-recovery kernel config differs:\npre  %+v\npost %+v", pre, *a)
 	}
-	if r.drv.DecafAdapter.MAC != pre.MAC || r.drv.DecafAdapter.EEPROM != pre.EEPROM {
+	if mac, eeprom := r.drv.probeCells(); mac != pre.MAC || eeprom != pre.EEPROM {
 		t.Fatal("post-recovery decaf config differs from pre-fault")
 	}
 	// The restarted driver receives again (chip re-started, IRQ re-wired).

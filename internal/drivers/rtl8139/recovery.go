@@ -1,7 +1,6 @@
 package rtl8139
 
 import (
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/recovery"
 	"decafdrivers/internal/xpc"
@@ -30,15 +29,7 @@ func (d *Driver) journalProbe() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{
-		Key:  "probe",
-		Name: "rtl8139_probe",
-		Replay: func(ctx *kernel.Context) error {
-			return d.rt.Upcall(ctx, "rtl8139_probe", func(uctx *kernel.Context) error {
-				return decaf.ToError(decaf.Try(func() { d.probeDecaf(uctx) }))
-			}, d.Adapter)
-		},
-	})
+	d.journal.Record(recovery.Entry{Key: "probe", Name: "rtl8139_probe", Replay: d.probe})
 }
 
 // journalOpen records the interface bring-up (buffers, IRQ, chip start);
@@ -47,22 +38,7 @@ func (d *Driver) journalOpen() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{
-		Key:  "ifup",
-		Name: "rtl8139_open",
-		Replay: func(ctx *kernel.Context) error {
-			err := d.rt.Upcall(ctx, "rtl8139_open", func(uctx *kernel.Context) error {
-				return decaf.ToError(decaf.Try(func() { d.openDecaf(uctx) }))
-			}, d.Adapter)
-			if err != nil {
-				return err
-			}
-			if d.dev.LinkUp() {
-				d.netdev.CarrierOn()
-			}
-			return nil
-		},
-	})
+	d.journal.Record(recovery.Entry{Key: "ifup", Name: "rtl8139_open", Replay: d.open})
 }
 
 // RecoveryName implements recovery.Target.
@@ -95,18 +71,20 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	return nil
 }
 
-// ResetDecafState implements recovery.Target: a fresh shared adapter copy;
-// the kernel-side adapter and the registered net device survive. Adaptive
-// coalescing soft state (the interarrival EWMA) deliberately resets with the
-// decaf side — it is re-learned, not replayed.
+// ResetDecafState implements recovery.Target: the cells the decaf driver's
+// probe wrote are cleared (they outlive a worker process, so the probe
+// replay must be what fills them again); the kernel-side adapter and the
+// registered net device survive. Adaptive coalescing soft state (the
+// interarrival EWMA) deliberately resets with the decaf side — it is
+// re-learned, not replayed.
 func (d *Driver) ResetDecafState(ctx *kernel.Context) error {
 	if d.rt.Mode != xpc.ModeDecaf {
 		return nil
 	}
-	d.rt.Unshare(d.Adapter)
-	d.DecafAdapter = &Adapter{}
-	if _, err := d.rt.Share(d.Adapter, d.DecafAdapter); err != nil {
-		return err
+	st := d.rt.SharedState()
+	st.Store(cellMAC, 0)
+	for _, cell := range cellEEPROM {
+		st.Store(cell, 0)
 	}
 	d.rxEwma, d.rxLastFrameAt = 0, 0
 	return nil

@@ -2,7 +2,8 @@
 // driver. The nucleus keeps the programmed-I/O data path (interrupt handler,
 // transmit, receive-ring drain) in the kernel; the decaf driver holds probe
 // (EEPROM identification), open/close resource management and media
-// handling. Per the paper (§4.1), 8139too needed six deferred-work lines in
+// handling — handler bodies (handlers.go) that reach the chip only through
+// scalar downcalls and report through shared state cells. Per the paper (§4.1), 8139too needed six deferred-work lines in
 // the nucleus; everything else is the sliced original.
 package rtl8139
 
@@ -11,13 +12,11 @@ import (
 	"fmt"
 	"time"
 
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/hw/rtl8139hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/knet"
 	"decafdrivers/internal/recovery"
-	"decafdrivers/internal/xdr"
 	"decafdrivers/internal/xpc"
 )
 
@@ -32,28 +31,22 @@ const (
 	rxPacketCost = 19 * time.Microsecond
 )
 
-// Adapter is the rtl8139_private analogue shared across domains.
+// Adapter is the kernel-resident rtl8139_private analogue. The decaf driver
+// never sees it: what probe establishes arrives through the shared state
+// cells and is adopted here (adoptProbe).
 type Adapter struct {
 	Name      string
 	MAC       [6]byte
 	MsgEnable int32
 	Mtu       int32
 	LinkUp    bool
-	EEPROM    [32]uint16 // 93C46 contents, read word-by-word at probe
+	EEPROM    [eepromWords]uint16 // 93C46 contents, read word-by-word at probe
 	Stats     knet.Stats
 
-	// Kernel-only data-path state.
+	// Data-path state.
 	TxCurrent uint32
 	TxDirty   uint32
 	IntrCount uint64
-}
-
-// FieldMask is DriverSlicer's marshaling specification for the adapter.
-func FieldMask() xdr.FieldMask {
-	return xdr.FieldMask{"Adapter": {
-		"Name": true, "MAC": true, "MsgEnable": true, "Mtu": true,
-		"LinkUp": true, "EEPROM": true, "Stats": true,
-	}}
 }
 
 // Config configures a driver instance.
@@ -77,16 +70,14 @@ type Config struct {
 
 // Driver is one bound 8139too instance.
 type Driver struct {
-	kern    *kernel.Kernel
-	net     *knet.Subsystem
-	dev     *rtl8139hw.Device
-	rt      *xpc.Runtime
-	helpers *decaf.Helpers
-	irq     int
-	ioBase  uint16
+	kern   *kernel.Kernel
+	net    *knet.Subsystem
+	dev    *rtl8139hw.Device
+	rt     *xpc.Runtime
+	irq    int
+	ioBase uint16
 
-	Adapter      *Adapter
-	DecafAdapter *Adapter
+	Adapter *Adapter
 
 	dataPath xpc.DataPath
 	lock     *kernel.SpinLock
@@ -142,9 +133,9 @@ func New(k *kernel.Kernel, net *knet.Subsystem, dev *rtl8139hw.Device, ioBase ui
 		d.rxWindow = rxCoalesceWindow
 		d.rxAdaptive = true
 	}
-	d.rt = xpc.NewRuntime(k, "8139too", cfg.Mode, FieldMask())
+	d.rt = xpc.NewRuntime(k, "8139too", cfg.Mode, nil)
 	d.rt.DisableIRQs = []int{cfg.IRQ}
-	d.helpers = decaf.NewHelpers(d.rt, k.Bus())
+	d.registerDowncalls()
 	// The coalescing timer runs at high priority and so only enqueues the
 	// flush work; the work item performs the batched crossing (§3.1.3).
 	d.rxTimer = k.NewTimer("8139too_rx_coalesce", func(tctx *kernel.Context) {
@@ -153,14 +144,6 @@ func New(k *kernel.Kernel, net *knet.Subsystem, dev *rtl8139hw.Device, ioBase ui
 			d.scheduleRxFlush()
 		}
 	})
-	if cfg.Mode == xpc.ModeNative {
-		d.DecafAdapter = d.Adapter
-	} else {
-		d.DecafAdapter = &Adapter{}
-		if _, err := d.rt.Share(d.Adapter, d.DecafAdapter); err != nil {
-			panic(fmt.Sprintf("8139too: share adapter: %v", err))
-		}
-	}
 	return d
 }
 
@@ -178,13 +161,18 @@ func (d *Driver) outl(off uint16, v uint32) { d.kern.Bus().Outl(d.ioBase+off, v)
 func (d *Driver) inb(off uint16) uint8      { return d.kern.Bus().Inb(d.ioBase + off) }
 func (d *Driver) inw(off uint16) uint16     { return d.kern.Bus().Inw(d.ioBase + off) }
 
-// resetChip is a kernel entry point: CR writes race the data path.
+// resetChip is a kernel entry point: CR writes race the data path. It
+// includes the chip's 10 ms settle after reset, which the decaf driver used
+// to sleep out itself through the helper library: a body in the worker
+// process has no virtual clock, so the wait elapses here, inside the reset
+// it belongs to.
 func (d *Driver) resetChip(ctx *kernel.Context) error {
 	d.outb(rtl8139hw.RegCR, rtl8139hw.CmdReset)
 	ctx.UDelay(10)
 	if d.inb(rtl8139hw.RegCR)&rtl8139hw.CmdReset != 0 {
 		return fmt.Errorf("8139too: chip stuck in reset")
 	}
+	ctx.MSleep(10)
 	return nil
 }
 
@@ -509,111 +497,6 @@ func (d *Driver) xmit(ctx *kernel.Context, pkt *knet.Packet) error {
 	return nil
 }
 
-// --- decaf driver (user-level) ---
-
-// The decaf data path's per-frame RX body lives in the handler table
-// (handlers.go) so a process-separated transport executes it in the worker.
-
-// probeDecaf identifies the chip and reads the MAC: the decaf-driver body
-// of rtl8139_init_board + read_eeprom.
-//
-//decaf:boundary
-func (d *Driver) probeDecaf(uctx *kernel.Context) {
-	if err := d.rt.Downcall(uctx, "rtl8139_reset_chip", func(kctx *kernel.Context) error {
-		return d.resetChip(kctx)
-	}); err != nil {
-		decaf.ThrowCause(HWException, err, "reset")
-	}
-	d.helpers.Msleep(uctx, 10)
-
-	// Unlock the 93C46 and walk every word through the Batch downcall
-	// builder: one direction throughout, so under a batched or async
-	// transport the walk coalesces into one crossing per MaxBatch-call
-	// chunk instead of one per word (the Table 3 init-crossing reduction);
-	// under the default per-call transport the counts are unchanged. The
-	// relock is issued unconditionally afterwards — a failed walk must not
-	// leave the 93C46 unlocked (a sticky batch error would drop a queued
-	// relock).
-	a := d.DecafAdapter
-	var words [32]uint16
-	b := d.rt.Batch(uctx)
-	b.Downcall("rtl8139_cfg9346_unlock", func(kctx *kernel.Context) error {
-		d.outb(rtl8139hw.Reg9346CR, 0xC0)
-		return nil
-	})
-	for w := uint8(0); w < uint8(len(words)); w++ {
-		w := w
-		b.Downcall("rtl8139_read_eeprom", func(kctx *kernel.Context) error {
-			words[w] = d.readEEPROMWord(kctx, w)
-			return nil
-		})
-	}
-	walkErr := b.Flush()
-	_ = d.rt.Downcall(uctx, "rtl8139_cfg9346_lock", func(kctx *kernel.Context) error {
-		d.outb(rtl8139hw.Reg9346CR, 0x00)
-		return nil
-	})
-	if walkErr != nil {
-		decaf.ThrowCause(HWException, walkErr, "EEPROM walk failed")
-	}
-	copy(a.EEPROM[:], words[:])
-	if a.EEPROM[0] != 0x8129 {
-		decaf.Throw(HWException, "bad EEPROM signature %#x", a.EEPROM[0])
-	}
-	for i := 0; i < 3; i++ {
-		w := a.EEPROM[7+i]
-		a.MAC[2*i] = byte(w)
-		a.MAC[2*i+1] = byte(w >> 8)
-	}
-	a.Name = "eth0"
-	a.LinkUp = true
-}
-
-// openDecaf is the decaf-driver body of rtl8139_open, exception style.
-//
-//decaf:boundary
-func (d *Driver) openDecaf(uctx *kernel.Context) {
-	if err := d.rt.Downcall(uctx, "rtl8139_alloc_buffers", func(kctx *kernel.Context) error {
-		return d.allocBuffers(kctx)
-	}); err != nil {
-		decaf.ThrowCause(HWException, err, "buffer allocation")
-	}
-	decaf.TryCatch(func() {
-		if err := d.rt.Downcall(uctx, "request_irq", func(kctx *kernel.Context) error {
-			return d.kern.RequestIRQ(d.irq, "8139too", d.intr, d.Adapter)
-		}); err != nil {
-			decaf.ThrowCause(HWException, err, "request_irq")
-		}
-		_ = d.rt.Downcall(uctx, "rtl8139_hw_start", func(kctx *kernel.Context) error {
-			d.startChip(kctx)
-			return nil
-		})
-	}, func(e *decaf.Exception) {
-		_ = d.rt.Downcall(uctx, "rtl8139_free_buffers", func(kctx *kernel.Context) error {
-			d.freeBuffers(kctx)
-			return nil
-		})
-		decaf.Rethrow(e)
-	})
-}
-
-// closeDecaf tears the interface down.
-//
-//decaf:boundary
-func (d *Driver) closeDecaf(uctx *kernel.Context) {
-	_ = d.rt.Downcall(uctx, "rtl8139_hw_stop", func(kctx *kernel.Context) error {
-		d.stopChip(kctx)
-		return nil
-	})
-	_ = d.rt.Downcall(uctx, "free_irq", func(kctx *kernel.Context) error {
-		return d.kern.FreeIRQ(d.irq, "8139too")
-	})
-	_ = d.rt.Downcall(uctx, "rtl8139_free_buffers", func(kctx *kernel.Context) error {
-		d.freeBuffers(kctx)
-		return nil
-	})
-}
-
 // --- module & netdev glue ---
 
 // Module adapts the driver to the module loader.
@@ -628,10 +511,7 @@ func (m *rtlModule) ModuleName() string { return "8139too" }
 func (m *rtlModule) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
 	d.dev.PCI.EnableBusMaster()
-	err := d.rt.Upcall(ctx, "rtl8139_probe", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.probeDecaf(uctx) }))
-	}, d.Adapter)
-	if err != nil {
+	if err := d.probe(ctx); err != nil {
 		return fmt.Errorf("8139too: probe: %w", err)
 	}
 	d.Adapter.Name = d.net.FreeName("eth")
@@ -654,9 +534,6 @@ func (m *rtlModule) Exit(ctx *kernel.Context) {
 	if d.netdev != nil {
 		_ = d.net.Unregister(d.netdev.Name)
 	}
-	if d.rt.Mode == xpc.ModeDecaf {
-		d.rt.Unshare(d.Adapter)
-	}
 }
 
 type rtlOps Driver
@@ -669,14 +546,8 @@ func (o *rtlOps) Open(ctx *kernel.Context) error {
 	if d.recovering {
 		return fmt.Errorf("8139too: open while the driver is recovering")
 	}
-	err := d.rt.Upcall(ctx, "rtl8139_open", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.openDecaf(uctx) }))
-	}, d.Adapter)
-	if err != nil {
+	if err := d.open(ctx); err != nil {
 		return err
-	}
-	if d.dev.LinkUp() {
-		d.netdev.CarrierOn()
 	}
 	d.journalOpen()
 	return nil
@@ -704,9 +575,7 @@ func (o *rtlOps) Stop(ctx *kernel.Context) error {
 	if d.journal != nil {
 		d.journal.Remove("ifup")
 	}
-	return d.rt.Upcall(ctx, "rtl8139_close", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.closeDecaf(uctx) }))
-	}, d.Adapter)
+	return d.rt.UpcallHandler(ctx, "rtl8139_close")
 }
 
 // StartXmit implements knet.DeviceOps in the nucleus.

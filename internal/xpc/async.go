@@ -113,11 +113,6 @@ func (t *AsyncTransport) MaxBatch() int { return t.cfg.Batch }
 // QueueDepth reports the ring capacity.
 func (t *AsyncTransport) QueueDepth() int { return t.cfg.Depth }
 
-// SupportsDirectPayload implements DirectPayloadTransport: the service
-// goroutine shares the simulated memory, so it resolves slot descriptors
-// against the registered ring directly.
-func (t *AsyncTransport) SupportsDirectPayload() bool { return true }
-
 // Policy reports the backpressure policy.
 func (t *AsyncTransport) Policy() BackpressurePolicy { return t.cfg.Policy }
 

@@ -12,10 +12,10 @@ import (
 // Batch accumulates crossing requests and submits them through the runtime's
 // transport. Under a BatchTransport, queued calls coalesce into crossings of
 // up to MaxBatch calls each, paying the kernel/user transition once per
-// crossing; under the synchronous transport every queued call still crosses
-// individually; under an AsyncTransport queued calls stream onto the
-// submission ring and execute on the decaf-side goroutine. Driver code
-// written against Batch is transport-agnostic.
+// crossing (the default per-call transport is the N = 1 case: every queued
+// call crosses individually); under an AsyncTransport queued calls stream
+// onto the submission ring and execute on the decaf-side goroutine. Driver
+// code written against Batch is transport-agnostic.
 //
 // The builder auto-flushes whenever the queue reaches the transport's
 // MaxBatch or the call direction changes (each crossing travels one
@@ -163,12 +163,12 @@ func (r *Runtime) Batch(ctx *kernel.Context) *Batch {
 // add commits it.
 //
 //decaf:hotpath
-func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error, objs []any, data []byte, slot xdr.SlotDescriptor) *callRecord {
+func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error, objs []any) *callRecord {
 	if b.s == nil {
 		b.s = b.r.takeScratch()
 	}
 	rec := b.s.spare()
-	rec.call = Call{Name: name, Up: up, Fn: fn, Objs: objs, Data: data, Slot: slot}
+	rec.call = Call{Name: name, Up: up, Fn: fn, Objs: objs}
 	return rec
 }
 
@@ -208,36 +208,13 @@ func (b *Batch) add(rec *callRecord) *Batch {
 	return b
 }
 
-// Upcall queues a kernel→user call. objs are shared objects synchronized to
-// user level before the call body runs and back after.
+// Upcall queues a kernel→user call whose body is a closure, run on the
+// kernel process's decaf context under every transport (a closure cannot
+// cross a process boundary; bodies that must run in the worker are handlers).
+// objs are shared objects synchronized to user level before the body runs
+// and back after.
 func (b *Batch) Upcall(name string, fn func(uctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, true, fn, objs, nil, xdr.SlotDescriptor{}))
-}
-
-// UpcallData queues a kernel→user call carrying an opaque payload (packet
-// bytes) transferred with the call.
-//
-// Ownership rule: the slice is aliased into the queued Call, not copied —
-// it belongs to the batch from this call until the submission's Completion
-// resolves, and the caller must not mutate or reuse it in that window. The
-// crossing engine reads only the slice header (its length prices the
-// transfer), so a violating mutation cannot corrupt an in-flight batch or
-// race the async service goroutine — but what the decaf side observes
-// through its own references is then undefined. Callers that need
-// content-stable payloads under an async transport stage them through
-// Runtime.AcquirePayload and UpcallPayload instead: a ring slot snapshots
-// the bytes at acquire time.
-func (b *Batch) UpcallData(name string, data []byte, fn func(uctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, true, fn, objs, data, xdr.SlotDescriptor{}))
-}
-
-// UpcallPayload queues a kernel→user call carrying a staged payload: a ring
-// slot on the zero-copy fast path (only its descriptor crosses), or the raw
-// bytes when the payload fell back to the copy path. The payload's slot, if
-// any, must stay acquired until the flush's completion settles; drivers
-// release it with Runtime.ReleasePayload when they reap the flush.
-func (b *Batch) UpcallPayload(name string, p Payload, fn func(uctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, true, fn, objs, p.Data, p.Slot))
+	return b.add(b.newCall(name, true, fn, objs))
 }
 
 // UpcallHandler queues a kernel→user call dispatched through the handler
@@ -250,16 +227,26 @@ func (b *Batch) UpcallHandler(name string, objs ...any) *Batch {
 	return b.addHandler(name, objs, nil, xdr.SlotDescriptor{})
 }
 
-// UpcallHandlerData is UpcallHandler with an opaque payload, delivered to
-// the handler as its Ctx.Data. The slice is aliased under the same
-// ownership rule as UpcallData.
+// UpcallHandlerData is UpcallHandler with an opaque payload (packet bytes),
+// delivered to the handler as its Ctx.Data.
+//
+// Ownership rule: the slice is aliased into the queued Call, not copied —
+// it belongs to the batch from this call until the submission's Completion
+// resolves, and the caller must not mutate or reuse it in that window.
+// Callers that need content-stable payloads under an async transport stage
+// them through Runtime.AcquirePayload and UpcallHandlerPayload instead: a
+// ring slot snapshots the bytes at acquire time.
 func (b *Batch) UpcallHandlerData(name string, data []byte, objs ...any) *Batch {
 	return b.addHandler(name, objs, data, xdr.SlotDescriptor{})
 }
 
-// UpcallHandlerPayload is UpcallHandler with a staged payload: on the
-// zero-copy fast path the handler reads the ring slot's bytes — under the
-// proc transport, through the worker's own shm mapping.
+// UpcallHandlerPayload is UpcallHandler with a staged payload: a ring slot
+// on the zero-copy fast path (only its descriptor crosses; the handler reads
+// the slot's bytes — under the proc transport, through the worker's own shm
+// mapping), or the raw bytes when the payload fell back to the copy path.
+// The payload's slot, if any, must stay acquired until the flush's
+// completion settles; drivers release it with Runtime.ReleasePayload when
+// they reap the flush.
 func (b *Batch) UpcallHandlerPayload(name string, p Payload, objs ...any) *Batch {
 	return b.addHandler(name, objs, p.Data, p.Slot)
 }
@@ -273,26 +260,14 @@ func (b *Batch) addHandler(name string, objs []any, data []byte, slot xdr.SlotDe
 		}
 		return b
 	}
-	rec := b.newCall(name, true, nil, objs, data, slot)
-	rec.call.h = h
+	rec := b.newCall(name, true, nil, objs)
+	rec.call.Data, rec.call.Slot, rec.call.h = data, slot, h
 	return b.add(rec)
 }
 
 // Downcall queues a user→kernel call.
 func (b *Batch) Downcall(name string, fn func(kctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, false, fn, objs, nil, xdr.SlotDescriptor{}))
-}
-
-// DowncallData queues a user→kernel call carrying an opaque payload. The
-// slice is aliased under the same ownership rule as UpcallData.
-func (b *Batch) DowncallData(name string, data []byte, fn func(kctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, false, fn, objs, data, xdr.SlotDescriptor{}))
-}
-
-// DowncallPayload queues a user→kernel call carrying a staged payload,
-// the downcall twin of UpcallPayload.
-func (b *Batch) DowncallPayload(name string, p Payload, fn func(kctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, false, fn, objs, p.Data, p.Slot))
+	return b.add(b.newCall(name, false, fn, objs))
 }
 
 // Len reports the calls queued and not yet submitted.

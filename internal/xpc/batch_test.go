@@ -78,7 +78,7 @@ func TestBatchUnderSyncTransportCrossesPerCall(t *testing.T) {
 	}
 	c := r.Counters()
 	if c.Trips() != 6 {
-		t.Fatalf("Trips = %d, want 6 (one crossing per call under SyncTransport)", c.Trips())
+		t.Fatalf("Trips = %d, want 6 (one crossing per call under the default transport)", c.Trips())
 	}
 	if c.Batches != 0 {
 		t.Fatalf("Batches = %d, want 0", c.Batches)
@@ -218,7 +218,7 @@ func TestBatchStickyErrorDropsLaterCalls(t *testing.T) {
 	after := false
 	b := r.Batch(ctx)
 	b.Upcall("fails", func(uctx *kernel.Context) error { return boom })
-	// SyncTransport auto-flushes per call, so the error is already sticky.
+	// The per-call default auto-flushes per call, so the error is already sticky.
 	b.Upcall("after", func(uctx *kernel.Context) error {
 		after = true
 		return nil
@@ -248,8 +248,8 @@ func TestBatchDataPaysPerByte(t *testing.T) {
 
 	payload := make([]byte, 1024)
 	b := r.Batch(ctx)
-	b.UpcallData("xmit", payload, func(uctx *kernel.Context) error { return nil })
-	b.UpcallData("xmit", payload, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerData("xpcbench_sink", payload)
+	b.UpcallHandlerData("xpcbench_sink", payload)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -450,8 +450,9 @@ func TestBatchReuseAfterFlush(t *testing.T) {
 }
 
 func TestTransportNames(t *testing.T) {
-	if (SyncTransport{}).Name() != "per-call" {
-		t.Fatal("SyncTransport name")
+	r := newDecafRuntime(newTestKernel())
+	if def := r.Transport(); def.Name() != "per-call" || def.MaxBatch() != 1 || def != Transport(BatchTransport{N: 1}) {
+		t.Fatalf("default transport = %#v (%s), want BatchTransport{N: 1} named per-call", def, def.Name())
 	}
 	if (BatchTransport{N: 32}).Name() != "batched(32)" {
 		t.Fatal("BatchTransport name")

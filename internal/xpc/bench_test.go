@@ -116,13 +116,12 @@ func BenchmarkCrossingBatched(b *testing.B) {
 			r := newDecafRuntime(k)
 			r.SetTransport(BatchTransport{N: n})
 			ctx := k.NewContext("bench")
-			noop := func(uctx *kernel.Context) error { return nil }
 			payload := make([]byte, 1462)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				batch := r.Batch(ctx)
 				for j := 0; j < n; j++ {
-					batch.UpcallData("xmit", payload, noop)
+					batch.UpcallHandlerData("xpcbench_sink", payload)
 				}
 				if err := batch.Flush(); err != nil {
 					b.Fatal(err)
@@ -138,12 +137,11 @@ func BenchmarkCrossingPerCallData(b *testing.B) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("bench")
-	noop := func(uctx *kernel.Context) error { return nil }
 	payload := make([]byte, 1462)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		batch := r.Batch(ctx)
-		batch.UpcallData("xmit", payload, noop)
+		batch.UpcallHandlerData("xpcbench_sink", payload)
 		if err := batch.Flush(); err != nil {
 			b.Fatal(err)
 		}

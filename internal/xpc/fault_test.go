@@ -61,7 +61,7 @@ func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
 		name      string
 		transport Transport
 	}{
-		{"sync", SyncTransport{}},
+		{"sync", BatchTransport{N: 1}},
 		{"batch", BatchTransport{N: 4}},
 		{"async", NewAsyncTransport(AsyncConfig{Depth: 8, Batch: 4})},
 	} {
@@ -110,7 +110,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 		name      string
 		transport func() Transport
 	}{
-		{"sync", func() Transport { return SyncTransport{} }},
+		{"sync", func() Transport { return BatchTransport{N: 1} }},
 		{"batch", func() Transport { return BatchTransport{N: 4} }},
 		{"async", func() Transport { return NewAsyncTransport(AsyncConfig{Depth: 16, Batch: 4}) }},
 	} {
@@ -131,7 +131,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 			// must come back.
 			nth := 0
 			r.SetFaultInjector(func(call string) bool {
-				if call != "tx_frame" {
+				if call != "xpcbench_sink" {
 					return false
 				}
 				nth++
@@ -155,7 +155,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 
 			b := r.Batch(ctx)
 			for i := range frames {
-				b.UpcallPayload("tx_frame", fl.Payloads[i], func(uctx *kernel.Context) error { return nil })
+				b.UpcallHandlerPayload("xpcbench_sink", fl.Payloads[i])
 			}
 			var pipe FlushPipeline[Flight[[]byte]]
 			pipe.Push(b.FlushAsync(), fl)

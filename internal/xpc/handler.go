@@ -212,65 +212,55 @@ func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call, cell *counterCell) e
 	}
 }
 
-// dispatchDowncall crosses an inline-dispatched handler's nested downcall:
-// the registered kernel-side target runs under a real Downcall crossing on
-// the decaf timeline (where the body itself runs), exactly the accounting
-// the worker path produces with its FrameDown round trip.
-func (r *Runtime) dispatchDowncall(name string, arg uint64) (uint64, error) {
+// serveDowncall is the one route a handler body's Ctx.Downcall takes into
+// the kernel, whichever dispatcher ran the body: resolve the registered
+// target and cross it as a real downcall on the decaf timeline — it IS the
+// decaf driver calling down — through the crossing engine directly (the
+// proc transport serves a downcall while the body's chunk is mid-flight, so
+// it must not re-enter Transport.Submit). The virtual cost is therefore the
+// same under every transport. caller says who waits outside that timeline:
+//
+//   - inline dispatch passes nil: the body is running on the decaf context
+//     inside runUser, which charges its own caller the timeline's elapsed;
+//   - the proc transport passes the submitting context blocked in the lane
+//     conversation: the body ran in the worker, so that context sleeps the
+//     crossing's elapsed and the worker-downcall counter ticks;
+//   - in ModeNative there is no boundary: the target is a plain function
+//     call on caller, the context the body itself runs on.
+func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64) (uint64, error) {
 	fn := r.downcallFn(name)
 	if fn == nil {
 		return 0, fmt.Errorf("xpc: no downcall registered for %q", name)
 	}
-	var res uint64
-	err := r.Downcall(r.decafCtx, name, func(kctx *kernel.Context) error {
-		var derr error
-		res, derr = fn(kctx, arg)
-		return derr
-	})
-	return res, err
-}
-
-// serveWorkerDowncall serves one FrameDown from an executing worker-side
-// handler: resolve the registered target, cross it on the decaf timeline
-// (it IS the decaf driver calling down), and charge the submitting caller
-// the crossing's elapsed time — keeping the virtual cost identical to an
-// inline handler making the same downcall. Called from the transport's
-// control path while a chunk is mid-flight, so it must not re-enter
-// Transport.Submit; it crosses through the crossing engine directly.
-func (r *Runtime) serveWorkerDowncall(ctx *kernel.Context, name string, arg uint64) (uint64, error) {
-	fn := r.downcallFn(name)
-	if fn == nil {
-		return 0, fmt.Errorf("xpc: no downcall registered for %q", name)
+	if r.Mode == ModeNative {
+		return fn(caller, arg)
 	}
 	var res uint64
-	call := &Call{Name: name, Up: false, Fn: func(kctx *kernel.Context) error {
+	subs := []*Submission{r.NewSubmission(&Call{Name: name, Fn: func(kctx *kernel.Context) error {
 		var derr error
 		res, derr = fn(kctx, arg)
 		return derr
-	}}
-	sub := r.NewSubmission(call)
-	r.Admit([]*Submission{sub})
+	}})}
+	r.Admit(subs)
 	userStart := r.decafCtx.Elapsed()
-	_, err := r.crossSubmissions(r.decafCtx, []*Submission{sub}, decafSideCrossOptions)
-	if d := r.decafCtx.Elapsed() - userStart; d > 0 && ctx != nil {
-		ctx.Sleep(d)
+	_, err := r.crossSubmissions(r.decafCtx, subs, decafSideCrossOptions)
+	if caller != nil {
+		if d := r.decafCtx.Elapsed() - userStart; d > 0 {
+			caller.Sleep(d)
+		}
+		r.noteWorkerDowncall(name)
 	}
-	r.noteWorkerDowncall(name)
 	return res, err
 }
 
 // runHandlerNative executes a handler-table call in ModeNative: no
 // crossing, no containment, no state relocation — the body runs in the
-// caller's kernel context with its cost charged directly, and downcalls
+// caller's kernel context with its cost charged directly, sees the same
+// payload bytes an inline dispatch would (handlerData), and its downcalls
 // invoke their registered targets as plain function calls.
 func (r *Runtime) runHandlerNative(ctx *kernel.Context, c *Call) error {
 	ctx.Charge(c.h.Cost)
-	rctx := registry.NewCtx(c.Name, c.Data, r.SharedState(), func(name string, arg uint64) (uint64, error) {
-		fn := r.downcallFn(name)
-		if fn == nil {
-			return 0, fmt.Errorf("xpc: no downcall registered for %q", name)
-		}
-		return fn(ctx, arg)
-	})
-	return c.h.Fn(rctx)
+	return c.h.Fn(c.hctx.Arm(c.h, r.handlerData(c), r.SharedState(), func(name string, arg uint64) (uint64, error) {
+		return r.serveDowncall(ctx, name, arg)
+	}))
 }

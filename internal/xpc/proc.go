@@ -309,10 +309,6 @@ func (t *ProcTransport) MaxBatch() int { return t.cfg.Batch }
 // lane).
 func (t *ProcTransport) Lanes() int { return t.cfg.Lanes }
 
-// SupportsDirectPayload implements DirectPayloadTransport: rings created
-// through NewMappedRing live in memory both processes map.
-func (t *ProcTransport) SupportsDirectPayload() bool { return true }
-
 // ControlAcquires reports how many times the control-plane mutex has been
 // acquired over the transport's lifetime. The steady-state invariant —
 // Submit takes no lock — is asserted by reading it before and after a
@@ -815,13 +811,13 @@ func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, na
 
 // serveLaneDowncall serves one FrameDown of a body executing in the worker:
 // the registered kernel-side target runs as a real downcall crossing (the
-// runtime's serveWorkerDowncall carries the cost accounting), and the scalar
+// runtime's serveDowncall carries the cost accounting), and the scalar
 // result — or the error text — returns to the blocked body as a
 // FrameDownResult on the lane's submit ring, which is empty: the worker
 // released the call's slot before running it and the barrier kept anything
 // else from being published behind it.
 func (t *ProcTransport) serveLaneDowncall(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, req xdr.Frame) error {
-	res, derr := r.serveWorkerDowncall(ctx, req.Name, req.Aux)
+	res, derr := r.serveDowncall(ctx, req.Name, req.Aux)
 	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res, Lane: lane.idx}
 	if derr != nil {
 		ack.Status = 1

@@ -134,21 +134,32 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	pid, before := pt.WorkerPID(), r.Counters()
-	body := func(uctx *kernel.Context) error { t.Error("the body of a refused call ran"); return nil }
+	pid, before, served := pt.WorkerPID(), r.Counters(), r.SharedState().Load(testCellServed)
 	for _, tc := range []struct {
-		what, name string
-		data       []byte
+		what string
+		call func(b *Batch) *Batch
 	}{
-		{"payload one byte over a slot", "jumbo", bytes.Repeat([]byte{0x42}, descSlotBytes+1)},
-		{"payload over the frame codec's limit", "huge", make([]byte, 1<<20+1)},
-		{"name over the frame limit", strings.Repeat("n", 256), nil},
+		{"payload one byte over a slot", func(b *Batch) *Batch {
+			return b.UpcallHandlerData("xpctest_count", bytes.Repeat([]byte{0x42}, descSlotBytes+1))
+		}},
+		{"payload over the frame codec's limit", func(b *Batch) *Batch {
+			return b.UpcallHandlerData("xpctest_count", make([]byte, 1<<20+1))
+		}},
+		{"name over the frame limit", func(b *Batch) *Batch {
+			return b.Upcall(strings.Repeat("n", 256), func(uctx *kernel.Context) error {
+				t.Error("the body of a refused call ran")
+				return nil
+			})
+		}},
 	} {
-		err := r.Batch(ctx).UpcallData(tc.name, tc.data, body).Flush()
+		err := tc.call(r.Batch(ctx)).Flush()
 		var uf *UserFault
 		if !errors.Is(err, errProcEncode) || errors.As(err, &uf) {
 			t.Fatalf("%s: err = %v, want a plain errProcEncode", tc.what, err)
 		}
+	}
+	if got := r.SharedState().Load(testCellServed); got != served {
+		t.Fatalf("the body of a refused call ran %d time(s) in the worker", got-served)
 	}
 	c := r.Counters()
 	if c.RingCrossings != before.RingCrossings || c.SyscallCrossings != before.SyscallCrossings ||
@@ -282,7 +293,7 @@ func TestProcMappedRingZeroCopy(t *testing.T) {
 	if !p.Direct() {
 		t.Fatal("payload fell back to the copy path with a fresh mapped ring")
 	}
-	if err := r.Batch(ctx).UpcallPayload("rx_frame", p, func(uctx *kernel.Context) error { return nil }).Flush(); err != nil {
+	if err := r.Batch(ctx).UpcallHandlerPayload("xpcbench_sink", p).Flush(); err != nil {
 		t.Fatalf("slot crossing failed (checksum mismatch would mean the mapping is not shared): %v", err)
 	}
 	r.ReleasePayload(p)
@@ -381,7 +392,7 @@ func TestProcInjectedFaultKillsWorker(t *testing.T) {
 	}
 }
 
-// TestProcDataAliasingRule: the UpcallData/DowncallData ownership rule must
+// TestProcDataAliasingRule: the UpcallHandlerData ownership rule must
 // hold across the real boundary — the wire frame copies the payload at
 // encode time, so mutating the caller's slice once the flush's completion
 // has resolved (or even mid-window, a rule violation) cannot corrupt a
@@ -391,7 +402,7 @@ func TestProcDataAliasingRule(t *testing.T) {
 	ctx := k.NewContext("test")
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	b := r.Batch(ctx)
-	b.UpcallData("tx", data, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerData("xpcbench_sink", data)
 	// Rule violation: mutate between staging and flush. The checksum is
 	// computed over the same bytes the frame copies, so the wire stays
 	// self-consistent and the flush must still succeed.
@@ -405,7 +416,7 @@ func TestProcDataAliasingRule(t *testing.T) {
 	for i := range data {
 		data[i] = 0xEE
 	}
-	b.UpcallData("tx", []byte{9, 9, 9}, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerData("xpcbench_sink", []byte{9, 9, 9})
 	if err := b.Flush(); err != nil {
 		t.Fatalf("flush after post-completion mutation of the previous payload: %v", err)
 	}
@@ -591,7 +602,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 		t.Fatal("payload not staged in the mapped ring")
 	}
 	cross := func() error {
-		return r.Batch(post).UpcallPayload("rx", p, func(uctx *kernel.Context) error { return nil }).Flush()
+		return r.Batch(post).UpcallHandlerPayload("xpcbench_sink", p).Flush()
 	}
 	err = cross()
 	var death *WorkerDeath
@@ -632,7 +643,7 @@ func TestProcRespawnReplaysRingRegistration(t *testing.T) {
 	if !p.Direct() {
 		t.Fatal("payload not staged in the ring")
 	}
-	if err := r.Batch(ctx).UpcallPayload("rx", p, func(uctx *kernel.Context) error { return nil }).Flush(); err != nil {
+	if err := r.Batch(ctx).UpcallHandlerPayload("xpcbench_sink", p).Flush(); err != nil {
 		t.Fatalf("slot crossing after respawn (ring geometry not replayed?): %v", err)
 	}
 	r.ReleasePayload(p)

@@ -20,9 +20,6 @@ const (
 
 // Payload-ring errors.
 var (
-	// ErrPayloadRingUnsupported rejects RegisterPayloadRing through a
-	// transport that cannot resolve pre-registered buffers on the far side.
-	ErrPayloadRingUnsupported = errors.New("xpc: transport does not support payload-ring registration")
 	// ErrPayloadRingRegistered rejects a second RegisterPayloadRing: the
 	// registration crossing establishes one shared mapping per runtime.
 	ErrPayloadRingRegistered = errors.New("xpc: payload ring already registered")
@@ -224,7 +221,7 @@ func (p *PayloadRing) Release(s xdr.SlotDescriptor) error {
 // Payload is a staged crossing payload: slot-backed on the zero-copy fast
 // path (Slot valid, contents snapshotted into the ring at acquire time), or
 // the raw bytes on the fallback copy path (Data aliased; see
-// Batch.UpcallData for the aliasing rule).
+// Batch.UpcallHandlerData for the aliasing rule).
 type Payload struct {
 	Slot xdr.SlotDescriptor
 	Data []byte
@@ -360,17 +357,6 @@ func (r *Runtime) UnregisterPayloadRing() *PayloadRing {
 	return ring
 }
 
-// DirectPayloadTransport marks a Transport whose crossing engine can
-// resolve pre-registered payload rings on the far side. All built-in
-// transports support it: inline transports cross on the submitting thread,
-// the async service shares the simulated memory, and the process-separated
-// ProcTransport backs its rings with a real mmap-shared region (see
-// MappedRingTransport). A transport that does not implement the interface
-// rejects registration, and every payload then takes the copy fallback.
-type DirectPayloadTransport interface {
-	SupportsDirectPayload() bool
-}
-
 // MappedRingTransport is a transport that backs payload rings with memory
 // genuinely shared with its far side — ProcTransport's mmap region. Rings
 // for such a transport must come from NewMappedRing (Runtime.NewRing does
@@ -410,9 +396,7 @@ func (r *Runtime) NewRing(n, slotSize int) (*PayloadRing, error) {
 
 // RegisterPayloadRing registers ring with the runtime and its transport:
 // the one-time crossing that maps the ring's buffers into both sides, after
-// which data-carrying calls may reference slots by descriptor. The
-// transport must support direct payloads (all built-in transports do; a
-// custom Transport opts in by implementing DirectPayloadTransport). In
+// which data-carrying calls may reference slots by descriptor. In
 // ModeNative there is no boundary: the ring registers without a crossing
 // and Acquire simply recycles buffers.
 func (r *Runtime) RegisterPayloadRing(ctx *kernel.Context, ring *PayloadRing) error {
@@ -424,9 +408,6 @@ func (r *Runtime) RegisterPayloadRing(ctx *kernel.Context, ring *PayloadRing) er
 			return ErrPayloadRingRegistered
 		}
 		return nil
-	}
-	if d, ok := r.Transport().(DirectPayloadTransport); !ok || !d.SupportsDirectPayload() {
-		return ErrPayloadRingUnsupported
 	}
 	if !r.payloadRing.CompareAndSwap(nil, ring) {
 		return ErrPayloadRingRegistered

@@ -6,9 +6,36 @@ import (
 	"sync"
 	"testing"
 
-	"decafdrivers/internal/kernel"
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/xdr"
 )
+
+// ringObserved collects, in dispatch order, a copy of the payload bytes each
+// ringtest_observe body saw.
+var ringObserved observedFrames
+
+type observedFrames struct {
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+// reset hands back what was observed so far and starts over.
+func (o *observedFrames) reset() [][]byte {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	got := o.frames
+	o.frames = nil
+	return got
+}
+
+func init() {
+	registry.Register("ringtest_observe", registry.Handler{Fn: func(c *registry.Ctx) error {
+		ringObserved.mu.Lock()
+		defer ringObserved.mu.Unlock()
+		ringObserved.frames = append(ringObserved.frames, append([]byte(nil), c.Data...))
+		return nil
+	}})
+}
 
 func TestPayloadRingAcquireReleaseRecycles(t *testing.T) {
 	p := NewPayloadRing(4, 128)
@@ -198,28 +225,6 @@ func TestRegisterPayloadRingNativeModeNoCrossing(t *testing.T) {
 	}
 }
 
-// copyOnlyTransport is a Transport that declines direct payloads (the
-// embedded SyncTransport's opt-in is overridden).
-type copyOnlyTransport struct{ SyncTransport }
-
-func (copyOnlyTransport) Name() string                { return "copy-only" }
-func (copyOnlyTransport) SupportsDirectPayload() bool { return false }
-
-func TestRegisterPayloadRingUnsupportedTransport(t *testing.T) {
-	k := newTestKernel()
-	r := newDecafRuntime(k)
-	r.SetTransport(copyOnlyTransport{})
-	defer r.SetTransport(nil)
-	err := r.RegisterPayloadRing(k.NewContext("t"), NewPayloadRing(2, 64))
-	if !errors.Is(err, ErrPayloadRingUnsupported) {
-		t.Fatalf("err = %v, want ErrPayloadRingUnsupported", err)
-	}
-	// Every payload then takes the copy fallback.
-	if p := r.AcquirePayload([]byte("x")); p.Direct() {
-		t.Fatal("payload went direct through an unsupporting transport")
-	}
-}
-
 func TestSlotPayloadCountsDirectBytes(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
@@ -235,7 +240,7 @@ func TestSlotPayloadCountsDirectBytes(t *testing.T) {
 		t.Fatal("expected slot-backed payload")
 	}
 	b := r.Batch(ctx)
-	b.UpcallPayload("rx", p, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerPayload("xpcbench_sink", p)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,7 @@ func TestCopyPayloadCountsCopiedBytes(t *testing.T) {
 
 	data := bytes.Repeat([]byte{0xCD}, 500)
 	b := r.Batch(ctx)
-	b.UpcallData("rx", data, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerData("xpcbench_sink", data)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +299,7 @@ func TestExhaustedRingFallsBackToCopy(t *testing.T) {
 		t.Fatal("second acquire should fall back: ring exhausted")
 	}
 	b := r.Batch(ctx)
-	b.UpcallPayload("rx", second, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerPayload("xpcbench_sink", second)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +318,7 @@ func TestExhaustedRingFallsBackToCopy(t *testing.T) {
 // regression test: once a payload is queued (pre-flush) and the batch is in
 // flight under the async transport, mutating the caller's source slice must
 // not corrupt what the decaf side observes. Slot-backed payloads snapshot
-// contents at acquire time; the legacy Data path aliases the slice but the
+// contents at acquire time; the copy (Data) path aliases the slice but the
 // crossing engine reads only its header, so the batch's accounting is also
 // unaffected. Run under -race: the concurrent mutation must not race the
 // service goroutine.
@@ -330,25 +335,17 @@ func TestAsyncInFlightBatchImmuneToSourceMutation(t *testing.T) {
 	const frames = 4
 	srcs := make([][]byte, frames)
 	payloads := make([]Payload, frames)
-	observed := make([][]byte, frames)
+	ringObserved.reset()
 	b := r.Batch(ctx)
 	for i := 0; i < frames; i++ {
-		i := i
 		srcs[i] = []byte{byte('a' + i), 2, 3, 4}
 		payloads[i] = r.AcquirePayload(srcs[i])
 		if !payloads[i].Direct() {
 			t.Fatalf("payload %d not slot-backed", i)
 		}
-		b.UpcallPayload("rx", payloads[i], func(uctx *kernel.Context) error {
-			// The decaf side resolves the descriptor against the shared
-			// ring — the zero-copy read.
-			buf, err := r.PayloadRing().Buffer(payloads[i].Slot)
-			if err != nil {
-				return err
-			}
-			observed[i] = append([]byte(nil), buf...)
-			return nil
-		})
+		// The decaf side resolves the descriptor against the shared ring —
+		// the zero-copy read — and the handler keeps what it saw.
+		b.UpcallHandlerPayload("ringtest_observe", payloads[i])
 	}
 	// Queued but not flushed: scribble over every source slice.
 	for i := range srcs {
@@ -356,10 +353,10 @@ func TestAsyncInFlightBatchImmuneToSourceMutation(t *testing.T) {
 			srcs[i][j] = 0xFF
 		}
 	}
-	// Also queue a legacy aliased Data call and keep mutating its source
+	// Also queue an aliased copy-path call and keep mutating its source
 	// while the flush is in flight: the engine must not read the contents.
 	aliased := []byte{9, 9, 9, 9, 9, 9, 9, 9}
-	b.UpcallData("rx_legacy", aliased, func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandlerData("xpcbench_sink", aliased)
 	done := b.FlushAsync()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -380,6 +377,10 @@ func TestAsyncInFlightBatchImmuneToSourceMutation(t *testing.T) {
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	observed := ringObserved.reset()
+	if len(observed) != frames {
+		t.Fatalf("handler observed %d frames, want %d", len(observed), frames)
 	}
 	for i := 0; i < frames; i++ {
 		want := byte('a' + i)

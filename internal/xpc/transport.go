@@ -24,7 +24,8 @@ type Call struct {
 	// Data is an opaque payload carried with the call. It pays per-byte
 	// marshaling cost but no reflection walk. The slice is aliased, not
 	// copied: it belongs to the batch from queueing until the call's
-	// Completion resolves (see Batch.UpcallData for the ownership rule).
+	// Completion resolves (see Batch.UpcallHandlerData for the ownership
+	// rule).
 	Data []byte
 	// Slot references a payload staged in the runtime's registered
 	// PayloadRing: the zero-copy fast path. When valid, only the
@@ -80,7 +81,7 @@ type Transport interface {
 	// Name identifies the transport in benchmark output.
 	Name() string
 	// MaxBatch is the largest number of calls one crossing may coalesce;
-	// 1 for synchronous transports. Batch builders auto-flush at this size.
+	// 1 for the per-call transport. Batch builders auto-flush at this size.
 	MaxBatch() int
 	// Submit accepts the submissions for crossing. Every submission's
 	// Completion is guaranteed to resolve exactly once, even on failure
@@ -95,42 +96,6 @@ type Transport interface {
 	Drain(r *Runtime, ctx *kernel.Context) error
 }
 
-// SyncTransport is the seed behavior: every submission is its own crossing,
-// executed inline on the submitting context, which pays the full
-// kernel/user transition and both marshaling legs before Submit returns.
-type SyncTransport struct{}
-
-// Name implements Transport.
-func (SyncTransport) Name() string { return "per-call" }
-
-// MaxBatch implements Transport: synchronous crossings never coalesce.
-func (SyncTransport) MaxBatch() int { return 1 }
-
-// Submit implements Transport by performing one inline crossing per
-// submission. The first error stops execution; later submissions resolve
-// with ErrCrossingAborted without running, preserving call order semantics.
-func (SyncTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submission) error {
-	r.Admit(subs)
-	var first error
-	for i, sub := range subs {
-		if first != nil {
-			sub.Completion.resolve(ErrCrossingAborted, false, 0)
-			continue
-		}
-		if _, err := r.crossSubmissions(ctx, subs[i:i+1], inlineCrossOptions); err != nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Drain implements Transport: inline crossings complete within Submit.
-func (SyncTransport) Drain(*Runtime, *kernel.Context) error { return nil }
-
-// SupportsDirectPayload implements DirectPayloadTransport: inline crossings
-// run on the submitting thread, which can always reach the ring.
-func (SyncTransport) SupportsDirectPayload() bool { return true }
-
 // DefaultBatchSize is the batch size a zero-valued BatchTransport uses.
 const DefaultBatchSize = 16
 
@@ -140,6 +105,11 @@ const DefaultBatchSize = 16
 // per-byte marshaling. This is the §4.2 batching optimization: for a ring of
 // packets, crossings per packet drop from ~1 to ~1/N. Completions resolve
 // before Submit returns; the submitting context pays the crossing cost.
+//
+// N = 1 is the seed behavior and the default transport ("per-call", the
+// paper's measured configuration): every submission is its own crossing,
+// executed inline on the submitting context, which pays the full kernel/user
+// transition and both marshaling legs before Submit returns.
 type BatchTransport struct {
 	// N is the maximum calls per crossing; <1 means DefaultBatchSize.
 	N int
@@ -153,7 +123,12 @@ func (t BatchTransport) size() int {
 }
 
 // Name implements Transport.
-func (t BatchTransport) Name() string { return fmt.Sprintf("batched(%d)", t.size()) }
+func (t BatchTransport) Name() string {
+	if t.size() == 1 {
+		return "per-call"
+	}
+	return fmt.Sprintf("batched(%d)", t.size())
+}
 
 // MaxBatch implements Transport.
 func (t BatchTransport) MaxBatch() int { return t.size() }
@@ -194,9 +169,6 @@ func (r *Runtime) crossChunked(ctx *kernel.Context, subs []*Submission, n int, o
 // Drain implements Transport: inline crossings complete within Submit.
 func (BatchTransport) Drain(*Runtime, *kernel.Context) error { return nil }
 
-// SupportsDirectPayload implements DirectPayloadTransport.
-func (BatchTransport) SupportsDirectPayload() bool { return true }
-
 // WorkerDeath is the fault cause recorded when a process-separated
 // transport's decaf worker process died under a crossing: SIGKILLed,
 // crashed, or unreachable over the wire. It surfaces wrapped in a
@@ -222,17 +194,20 @@ type WorkerRespawner interface {
 	RespawnWorker() error
 }
 
-// Transport returns the runtime's crossing transport (SyncTransport when none
-// was selected).
+// perCallTransport is the default transport, boxed once.
+var perCallTransport Transport = BatchTransport{N: 1}
+
+// Transport returns the runtime's crossing transport (the per-call
+// BatchTransport{N: 1} when none was selected).
 func (r *Runtime) Transport() Transport {
 	if r.transport == nil {
-		return SyncTransport{}
+		return perCallTransport
 	}
 	return r.transport
 }
 
 // SetTransport selects the crossing transport; nil restores the default
-// synchronous transport. A previously installed transport that owns
+// per-call transport. A previously installed transport that owns
 // resources (AsyncTransport's service goroutine) is closed. Swap transports
 // only while the driver is quiescent.
 func (r *Runtime) SetTransport(t Transport) {

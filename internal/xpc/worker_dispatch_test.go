@@ -555,6 +555,22 @@ func TestNativeHandlerDispatch(t *testing.T) {
 	if got := r.SharedState().Load(testCellDown); got != 100 {
 		t.Fatalf("down cell = %d, want 100", got)
 	}
+	// A slot-staged payload carries no Data: the native body must read the
+	// ring slot's bytes, as every other dispatcher's does.
+	if err := r.RegisterPayloadRing(ctx, NewPayloadRing(2, 64)); err != nil {
+		t.Fatal(err)
+	}
+	p := r.AcquirePayload([]byte{77, 1, 2})
+	if !p.Direct() || p.Data != nil {
+		t.Fatalf("payload = %+v, want slot-staged with no Data", p)
+	}
+	if err := r.Batch(ctx).UpcallHandlerPayload("xpctest_count", p).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r.ReleasePayload(p)
+	if got := r.SharedState().Load(testCellEcho); got != 77 {
+		t.Fatalf("echo cell = %d, want 77 (the slot's first byte)", got)
+	}
 }
 
 // TestHandlerUnknownNameFailsLoudly: a dispatch naming an unregistered

@@ -31,16 +31,15 @@
 // Submit plus an immediate Wait — so the seed call-and-return semantics are
 // a degenerate use of the asynchronous API, not a separate path.
 //
-// Four transports implement the interface:
+// Three transports implement the interface:
 //
-//   - SyncTransport (default): every submission is its own inline crossing,
-//     completing before Submit returns — the paper's measured
-//     configuration.
 //   - BatchTransport: the §4.2 batching optimization. Submissions coalesce
 //     into inline crossings of up to N calls, paying the kernel/user
 //     transition (the dominant fixed cost) once per crossing while each
 //     call still pays its language-boundary transition and per-byte
-//     marshaling.
+//     marshaling. The default is its N = 1 case, named "per-call": every
+//     submission is its own inline crossing, completing before Submit
+//     returns — the paper's measured configuration.
 //   - AsyncTransport: the §4.2 asynchrony. Submissions enqueue onto a
 //     bounded ring serviced by a dedicated decaf-side goroutine with its
 //     own execution timeline; the kernel side submits and continues.
@@ -92,28 +91,35 @@
 // ProcTransport the body executes in the worker's address space — the
 // paper's architecture for real. The in-process transports dispatch the
 // same Fn inline, so the virtual cost model (Handler.Cost, charged
-// kernel-side) is comparable across all four transports.
+// kernel-side) is comparable across all transports.
 //
 // A handler sees only its registry.Ctx: the payload bytes, the shared state
 // cells (shm-backed under proc, so worker-side writes are immediately
 // visible kernel-side), and — for handlers registered Down: true — a
 // Downcall hook that crosses back into the kernel, where per-Runtime
 // targets installed with Runtime.RegisterDowncall run with full kernel
-// access. Under the proc transport a downcall rides the rings of the lane
-// its call was claimed on — FrameDown on the completion ring, served by the
-// lane's holder while it waits for the call's completion, FrameDownResult
-// back on the submit ring — so a downcall-making body pays no mutex and no
-// socket round trip. The worker runs one body at a time: while one waits on
-// a downcall no other lane is served, so a downcall target must not wait on
-// a lock that is held across another in-flight crossing.
+// access. Every dispatcher — inline, worker, native — routes that hook
+// through one method (Runtime.serveDowncall). Under the proc transport a
+// downcall rides the rings of the lane its call was claimed on — FrameDown
+// on the completion ring, served by the lane's holder while it waits for
+// the call's completion, FrameDownResult back on the submit ring — so a
+// downcall-making body pays no mutex and no socket round trip. The worker
+// runs one body at a time: while one waits on a downcall no other lane is
+// served, so a downcall target must not wait on a lock that is held across
+// another in-flight crossing.
 // A panic inside a handler is a decaf fault like any other — contained,
 // surfaced as a *UserFault wrapping *WorkerHandlerFault, and under proc
 // fatal to the worker process, with the shm-backed cells surviving the
 // respawn. Counters.WorkerServedCalls and WorkerDowncalls meter where
 // bodies actually ran.
 //
-// Closure-based Upcall/Downcall remain for kernel-adjacent glue that cannot
-// leave the parent process; steady-state driver bodies belong in the table.
+// Closure-based Upcall/Downcall remain for the drivers not yet converted
+// (e1000, ens1371 and uhcihcd still run probe/open/close as closures, which
+// execute in the kernel process under every transport — only their
+// data-path handlers run in the worker); psmouse and rtl8139 cross through
+// the table only, so under proc every one of their decaf bodies executes in
+// the worker. Closures carry no payload: the payload builders are
+// handler-only.
 //
 // Hot paths written against the Batch builder are transport-agnostic:
 // Batch.Flush waits for its calls under any transport, while
@@ -127,15 +133,14 @@
 // fixed-size buffers is registered with the transport once at
 // initialization (Runtime.RegisterPayloadRing, one crossing), after which
 // drivers stage frames with Runtime.AcquirePayload and queue them through
-// Batch.UpcallPayload/DowncallPayload — the crossing then carries a
+// Batch.UpcallHandlerPayload — the crossing then carries a
 // twelve-byte slot descriptor (index, length, generation; see
 // xdr.SlotDescriptor) instead of the frame, and the cost model charges
 // per-byte copy only on the fallback. Slot lifetime equals completion
 // lifetime: drivers release slots when the carrying flush settles, so
-// inline and async transports both recycle correctly. An exhausted ring —
-// or a transport without DirectPayloadTransport support — degrades to the
-// full-payload marshal: never a block, never a drop, always visible in the
-// ring counters.
+// inline and async transports both recycle correctly. An exhausted ring
+// degrades to the full-payload marshal: never a block, never a drop, always
+// visible in the ring counters.
 //
 // Crossing statistics are kept in sharded atomic counters: the fast path of
 // a crossing acquires no mutex, so concurrent crossings of different entry
@@ -242,15 +247,17 @@ type Runtime struct {
 
 	decafCtx *kernel.Context
 	downCtx  *kernel.Context
-	// downHook is dispatchDowncall, bound once: the downcall route of handler
-	// bodies dispatched inline, so arming their context allocates nothing.
+	// downHook is serveDowncall with no outside caller, bound once: the
+	// downcall route of handler bodies dispatched inline, so arming their
+	// context allocates nothing.
 	downHook func(name string, arg uint64) (uint64, error)
 
 	// scratch pools the call records the Batch builder and the blocking
 	// sugar queue calls on (see batch.go).
 	scratch [scratchSlots]atomic.Pointer[flushScratch]
 
-	// transport performs crossings; nil selects the default SyncTransport.
+	// transport performs crossings; nil selects the default per-call
+	// BatchTransport{N: 1}.
 	transport Transport
 
 	// counters is the current statistics epoch (sharded atomics; see
@@ -330,7 +337,7 @@ func NewRuntime(k *kernel.Kernel, name string, mode Mode, mask xdr.FieldMask) *R
 		decafCtx:     k.NewContext(name + "/decaf"),
 		downCtx:      k.NewContext(name + "/downcall"),
 	}
-	r.downHook = r.dispatchDowncall
+	r.downHook = func(name string, arg uint64) (uint64, error) { return r.serveDowncall(nil, name, arg) }
 	return r
 }
 
@@ -830,10 +837,12 @@ type crossOptions struct {
 var (
 	inlineCrossOptions = crossOptions{inline: true, maskIRQs: true, abortOnFailure: true, noteStall: true}
 	// decafSideCrossOptions are for crossings the decaf side performs
-	// synchronously on its own timeline while an async transport is
-	// installed: nested downcalls out of upcall bodies (the decaf runtime
-	// thread blocks on its own downcalls rather than queueing to itself,
-	// which would deadlock the service loop).
+	// synchronously on its own timeline: a handler body's nested downcall
+	// under any transport (serveDowncall), and a closure body's under an
+	// async transport (the decaf runtime thread blocks on its own downcalls
+	// rather than queueing to itself, which would deadlock the service
+	// loop). Their stall is not the kernel side's: it rolls into the
+	// enclosing upcall's crossing time.
 	decafSideCrossOptions = crossOptions{inline: true, abortOnFailure: true}
 )
 
