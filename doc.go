@@ -37,11 +37,11 @@
 // the body executes in the worker's address space (the worker re-execs the
 // same binary, so init() builds the identical table), with shared driver
 // state in shm-backed cells and nested downcalls crossing back for real;
-// the in-process transports dispatch the same bodies inline. psmouse and
-// rtl8139 cross through the table only (every decaf body of theirs runs in
-// the worker); e1000, ens1371 and uhcihcd still run probe/open/close as
+// the in-process transports dispatch the same bodies inline. psmouse,
+// rtl8139, ens1371 and uhcihcd cross through the table only (every decaf
+// body of theirs runs in the worker); e1000 still runs probe/open/close as
 // closures, which execute in the kernel process under every transport, so
-// only their data-path handlers are isolated. The declared
+// only its data-path handlers and watchdog are isolated. The declared
 // per-call cost is charged kernel-side either way, so the virtual cost
 // model is identical to batch and crossings per packet
 // are comparable across all transports while Counters.RingCrossings,

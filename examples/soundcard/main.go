@@ -21,6 +21,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("insmod ens1371 (decaf): %v, %d crossings\n", tb.Load.InitLatency, tb.InitCrossings())
+	// The probe body wrote its results to shared state cells; the kernel
+	// side adopted them into the chip structure read here.
 	fmt.Printf("AC'97 codec vendor: %#x; SRC RAM initialized; %d mixer controls\n\n",
 		tb.Ens.Chip.CodecVendor, tb.Ens.Chip.MixerCtls)
 

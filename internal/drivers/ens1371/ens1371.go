@@ -2,10 +2,12 @@
 // driver. It has the paper's cleanest split (§4.1, Table 2): no driver
 // library at all — every user-level function is in the decaf driver — and
 // only the interrupt handler and playback data path remain in the nucleus.
-// Its initialization is the costliest of the five (6.34 s, 237 crossings in
-// Table 3) because probing walks the sample-rate-converter RAM and the
-// AC'97 codec register file through kernel entry points one register at a
-// time.
+// The decaf driver is handler bodies (handlers.go) that reach the chip and
+// the sound core only through scalar downcalls and report through shared
+// state cells. Its initialization is the costliest of the five (6.34 s, 237
+// crossings in Table 3) because probing walks the sample-rate-converter RAM
+// and the AC'97 codec register file through kernel entry points one
+// register at a time.
 package ens1371
 
 import (
@@ -13,13 +15,11 @@ import (
 	"fmt"
 	"time"
 
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/hw/es1371hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/ksound"
 	"decafdrivers/internal/recovery"
-	"decafdrivers/internal/xdr"
 	"decafdrivers/internal/xpc"
 )
 
@@ -36,7 +36,9 @@ const (
 // BufferFrames is the playback DMA buffer size in frames.
 const BufferFrames = 16 * 1024
 
-// Chip is the ensoniq-chip structure shared across domains.
+// Chip is the kernel-resident ensoniq structure. The decaf driver never sees
+// it: the codec vendor probe reads arrives through a shared state cell and
+// is adopted here (Driver.probe); the rest the kernel side already knows.
 type Chip struct {
 	Name        string
 	CodecVendor uint32
@@ -47,17 +49,8 @@ type Chip struct {
 	Periods     uint64
 	MixerCtls   int32
 
-	// Kernel-only state.
 	HWPos     uint32
 	IntrCount uint64
-}
-
-// FieldMask is DriverSlicer's marshaling specification for the chip.
-func FieldMask() xdr.FieldMask {
-	return xdr.FieldMask{"Chip": {
-		"Name": true, "CodecVendor": true, "Rate": true, "Channels": true,
-		"PeriodLen": true, "Running": true, "Periods": true, "MixerCtls": true,
-	}}
 }
 
 // Config configures a driver instance.
@@ -68,16 +61,14 @@ type Config struct {
 
 // Driver is one bound ens1371 instance.
 type Driver struct {
-	kern    *kernel.Kernel
-	snd     *ksound.Subsystem
-	dev     *es1371hw.Device
-	rt      *xpc.Runtime
-	helpers *decaf.Helpers
-	irq     int
-	ioBase  uint16
+	kern   *kernel.Kernel
+	snd    *ksound.Subsystem
+	dev    *es1371hw.Device
+	rt     *xpc.Runtime
+	irq    int
+	ioBase uint16
 
-	Chip      *Chip
-	DecafChip *Chip
+	Chip *Chip
 
 	card   *ksound.Card
 	buf    hw.DMAAddr
@@ -140,17 +131,8 @@ func New(k *kernel.Kernel, snd *ksound.Subsystem, dev *es1371hw.Device, ioBase u
 		kern: k, snd: snd, dev: dev, irq: cfg.IRQ, ioBase: ioBase,
 		Chip: &Chip{},
 	}
-	d.rt = xpc.NewRuntime(k, "ens1371", cfg.Mode, FieldMask())
+	d.rt = xpc.NewRuntime(k, "ens1371", cfg.Mode, nil)
 	d.rt.DisableIRQs = []int{cfg.IRQ}
-	d.helpers = decaf.NewHelpers(d.rt, k.Bus())
-	if cfg.Mode == xpc.ModeNative {
-		d.DecafChip = d.Chip
-	} else {
-		d.DecafChip = &Chip{}
-		if _, err := d.rt.Share(d.Chip, d.DecafChip); err != nil {
-			panic(fmt.Sprintf("ens1371: share chip: %v", err))
-		}
-	}
 	d.registerDowncalls()
 	return d
 }
@@ -173,16 +155,16 @@ func (d *Driver) codecWrite(ctx *kernel.Context, addr uint32, val uint16) {
 	ctx.UDelay(2)
 }
 
-// codecRead is codecWrite's read twin; it returns -EIO when the codec does
-// not come ready.
-func (d *Driver) codecRead(ctx *kernel.Context, addr uint32) (uint16, int) {
+// codecRead is codecWrite's read twin; a codec that does not come ready is
+// an error (the C driver's -EIO).
+func (d *Driver) codecRead(ctx *kernel.Context, addr uint32) (uint16, error) {
 	d.outl(es1371hw.RegCodec, addr<<16|es1371hw.CodecReadRequest)
 	ctx.UDelay(2)
 	v := d.inl(es1371hw.RegCodec)
 	if v&es1371hw.CodecReady == 0 {
-		return 0, -5
+		return 0, fmt.Errorf("ens1371: AC'97 codec not ready reading %#x", addr)
 	}
-	return uint16(v), 0
+	return uint16(v), nil
 }
 
 // srcWrite programs one sample-rate-converter RAM entry (kernel entry
@@ -241,102 +223,6 @@ func (d *Driver) stopDAC2(ctx *kernel.Context) {
 	d.outl(es1371hw.RegControl, d.inl(es1371hw.RegControl)&^uint32(es1371hw.CtrlDAC2En))
 }
 
-// --- decaf driver ---
-
-// probeDecaf initializes the SRC and codec — the crossing-heavy path that
-// dominates Table 3's 237 init crossings and 6.34 s latency — then registers
-// the mixer controls and the card with the sound core.
-//
-//decaf:boundary
-func (d *Driver) probeDecaf(uctx *kernel.Context) {
-	c := d.DecafChip
-	d.initChipConfig(uctx)
-
-	// Register mixer controls with the sound core, one downcall each.
-	names := []string{
-		"Master Playback Volume", "Master Playback Switch",
-		"PCM Playback Volume", "PCM Playback Switch",
-		"CD Playback Volume", "CD Playback Switch",
-		"Line Playback Volume", "Line Playback Switch",
-		"Mic Playback Volume", "Mic Playback Switch",
-		"Aux Playback Volume", "Capture Volume", "Capture Switch",
-		"PC Speaker Playback Volume", "Phone Playback Volume",
-		"Video Playback Volume", "Mono Playback Volume", "3D Control - Switch",
-	}
-	for _, name := range names {
-		n := name
-		_ = d.rt.Downcall(uctx, "snd_ctl_add", func(kctx *kernel.Context) error {
-			d.card.AddControl(n, 0x0808)
-			return nil
-		})
-	}
-	c.MixerCtls = int32(len(names))
-	c.Name = "ens1371"
-	d.helpers.Msleep(uctx, 750) // codec ready wait, as the C driver sleeps
-
-	if err := d.rt.Downcall(uctx, "snd_card_register", func(kctx *kernel.Context) error {
-		return d.snd.Register(d.card)
-	}); err != nil {
-		decaf.ThrowCause(HWException, err, "snd_card_register")
-	}
-}
-
-// initChipConfig programs the device-level configuration — SRC RAM, AC'97
-// codec bring-up, mixer register file. It is the replayable hardware half of
-// probe: recovery re-runs it against a restarted decaf driver, while the
-// kernel-object registrations (controls, card) persist and are not replayed.
-//
-//decaf:boundary
-func (d *Driver) initChipConfig(uctx *kernel.Context) {
-	c := d.DecafChip
-
-	// Initialize the sample-rate converter RAM, one entry per downcall.
-	for addr := uint32(0); addr < es1371hw.SRCRAMSize; addr++ {
-		val := uint16(0x8000 | addr)
-		if err := d.rt.Downcall(uctx, "snd_es1371_src_write", func(kctx *kernel.Context) error {
-			d.srcWrite(kctx, addr, val)
-			return nil
-		}); err != nil {
-			decaf.ThrowCause(HWException, err, "SRC init at %d", addr)
-		}
-	}
-
-	// AC'97 codec bring-up: reset, vendor id, then the mixer register file.
-	_ = d.rt.Downcall(uctx, "snd_ac97_write", func(kctx *kernel.Context) error {
-		d.codecWrite(kctx, 0x00, 0) // register reset
-		return nil
-	})
-	var vendorHi, vendorLo uint16
-	for i, probe := range []struct {
-		addr uint32
-		dst  *uint16
-	}{{0x7C, &vendorHi}, {0x7E, &vendorLo}} {
-		p := probe
-		var code int
-		if err := d.rt.Downcall(uctx, "snd_ac97_read", func(kctx *kernel.Context) error {
-			v, c := d.codecRead(kctx, p.addr)
-			*p.dst, code = v, c
-			return nil
-		}); err != nil {
-			decaf.ThrowCause(HWException, err, "codec read %d", i)
-		}
-		decaf.Check(HWException, code, "ac97 vendor read")
-	}
-	c.CodecVendor = uint32(vendorHi)<<16 | uint32(vendorLo)
-	if c.CodecVendor == 0 {
-		decaf.Throw(HWException, "no AC'97 codec detected")
-	}
-
-	// Program the standard mixer registers (volumes, input selects).
-	for reg := uint32(0x02); reg <= 0x38; reg += 2 {
-		r := reg
-		_ = d.rt.Downcall(uctx, "snd_ac97_write", func(kctx *kernel.Context) error {
-			d.codecWrite(kctx, r, 0x0808)
-			return nil
-		})
-	}
-}
-
 // pcmOps implements ksound.PCMOps: every operation except the data copy
 // crosses to the decaf driver, producing the paper's "15 calls, all during
 // playback start and end".
@@ -348,20 +234,8 @@ type pcmOps Driver
 func (o *pcmOps) Open(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	return d.proxyOp(d.journalPCMOpen, d.journalPCMOpen, func() error {
-		return d.openUpcall(ctx)
+		return d.rt.UpcallHandler(ctx, "snd_ens1371_playback_open")
 	})
-}
-
-func (d *Driver) openUpcall(ctx *kernel.Context) error {
-	return d.rt.Upcall(ctx, "snd_ens1371_playback_open", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() {
-			if err := d.rt.Downcall(uctx, "snd_dma_alloc", func(kctx *kernel.Context) error {
-				return d.allocBuffer(kctx)
-			}); err != nil {
-				decaf.ThrowCause(HWException, err, "dma alloc")
-			}
-		}))
-	}, d.Chip)
 }
 
 // HWParams implements ksound.PCMOps via the decaf driver, journaling the
@@ -370,28 +244,8 @@ func (o *pcmOps) HWParams(ctx *kernel.Context, rate, channels, periodFrames int)
 	d := (*Driver)(o)
 	journal := func() { d.journalHWParams(rate, channels, periodFrames) }
 	return d.proxyOp(journal, journal, func() error {
-		return d.hwParamsUpcall(ctx, rate, channels, periodFrames)
+		return d.hwParams(ctx, rate, channels, periodFrames)
 	})
-}
-
-func (d *Driver) hwParamsUpcall(ctx *kernel.Context, rate, channels, periodFrames int) error {
-	return d.rt.Upcall(ctx, "snd_ens1371_hw_params", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() {
-			c := d.DecafChip
-			if rate != 44100 && rate != 48000 && rate != 22050 {
-				decaf.Throw(HWException, "unsupported rate %d", rate)
-			}
-			c.Rate, c.Channels, c.PeriodLen = int32(rate), int32(channels), int32(periodFrames)
-			// Set the DAC2 rate through the SRC (two register downcalls).
-			for i := uint32(0); i < 2; i++ {
-				idx := i
-				_ = d.rt.Downcall(uctx, "snd_es1371_src_write", func(kctx *kernel.Context) error {
-					d.srcWrite(kctx, 0x70+idx, uint16(rate/(1+int(idx))))
-					return nil
-				})
-			}
-		}))
-	}, d.Chip)
 }
 
 // Prepare implements ksound.PCMOps via the decaf driver. Its whole effect
@@ -400,14 +254,7 @@ func (d *Driver) hwParamsUpcall(ctx *kernel.Context, rate, channels, periodFrame
 func (o *pcmOps) Prepare(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	return d.proxyOp(nil, func() { d.Chip.HWPos = 0 }, func() error {
-		return d.rt.Upcall(ctx, "snd_ens1371_prepare", func(uctx *kernel.Context) error {
-			return decaf.ToError(decaf.Try(func() {
-				_ = d.rt.Downcall(uctx, "snd_es1371_reset_pointer", func(kctx *kernel.Context) error {
-					d.Chip.HWPos = 0
-					return nil
-				})
-			}))
-		}, d.Chip)
+		return d.rt.UpcallHandler(ctx, "snd_ens1371_prepare")
 	})
 }
 
@@ -418,20 +265,8 @@ func (o *pcmOps) Trigger(ctx *kernel.Context, start bool) error {
 	d := (*Driver)(o)
 	journal := func() { d.journalTrigger(start) }
 	return d.proxyOp(journal, journal, func() error {
-		return d.triggerUpcall(ctx, start)
+		return d.rt.UpcallHandlerData(ctx, "snd_ens1371_trigger", flagPayload[start])
 	})
-}
-
-func (d *Driver) triggerUpcall(ctx *kernel.Context, start bool) error {
-	// The trigger body is a registered handler (handlers.go): under a
-	// process-separated transport it executes in the worker and reaches the
-	// engine through the snd_es1371_dac2_ctrl downcall. Data[0] carries the
-	// requested engine state.
-	data := []byte{0}
-	if start {
-		data[0] = 1
-	}
-	return d.rt.UpcallHandlerData(ctx, "snd_ens1371_trigger", data)
 }
 
 // Pointer implements ksound.PCMOps in the nucleus (fast path).
@@ -470,14 +305,7 @@ func (o *pcmOps) Close(ctx *kernel.Context) error {
 		d.freeBuffer(ctx)
 	}
 	return d.proxyOp(d.unjournalStream, deferred, func() error {
-		return d.rt.Upcall(ctx, "snd_ens1371_playback_close", func(uctx *kernel.Context) error {
-			return decaf.ToError(decaf.Try(func() {
-				_ = d.rt.Downcall(uctx, "snd_dma_free", func(kctx *kernel.Context) error {
-					d.freeBuffer(kctx)
-					return nil
-				})
-			}))
-		}, d.Chip)
+		return d.rt.UpcallHandler(ctx, "snd_ens1371_playback_close")
 	})
 }
 
@@ -498,10 +326,7 @@ func (m *ensModule) Init(ctx *kernel.Context) error {
 	d.dev.PCI.EnableBusMaster()
 	d.card = d.snd.NewCard("ens1371")
 
-	err := d.rt.Upcall(ctx, "snd_ens1371_probe", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.probeDecaf(uctx) }))
-	}, d.Chip)
-	if err != nil {
+	if err := d.probe(ctx, nil); err != nil {
 		return fmt.Errorf("ens1371: probe: %w", err)
 	}
 	d.journalProbe()
@@ -518,9 +343,6 @@ func (m *ensModule) Exit(ctx *kernel.Context) {
 	d.stopDAC2(ctx)
 	_ = d.kern.FreeIRQ(d.irq, "ens1371")
 	_ = d.snd.Unregister("ens1371")
-	if d.rt.Mode == xpc.ModeDecaf {
-		d.rt.Unshare(d.Chip)
-	}
 }
 
 // AttachStream lets the playback path deliver period callbacks (set by the

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/hw/es1371hw"
 	"decafdrivers/internal/kernel"
@@ -201,4 +202,35 @@ func TestInterruptAdvancesPosition(t *testing.T) {
 		t.Fatal("device consumed nothing")
 	}
 	_ = st.Stop(ctx)
+}
+
+// The test-only body below names the control one past the end of the
+// table, as a compromised worker could.
+func init() {
+	registry.Register("ens1371_test_ctl_add_out_of_range", registry.Handler{
+		Down: true,
+		Fn: func(c *registry.Ctx) error {
+			_, err := c.Downcall("snd_ctl_add", uint64(len(ctlNames)))
+			return err
+		},
+	})
+}
+
+// TestCtlAddRejectsOutOfRangeIndex: snd_ctl_add takes its index from the
+// untrusted side, so an index past the control table is an error — not a
+// crash in the kernel-side target — and adds no control.
+func TestCtlAddRejectsOutOfRangeIndex(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
+		t.Fatal(err)
+	}
+	card, _ := r.snd.Card("ens1371")
+	before := card.Controls()
+	err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "ens1371_test_ctl_add_out_of_range")
+	if err == nil || xpc.IsUserFault(err) {
+		t.Fatalf("out-of-range snd_ctl_add = %v, want a plain error (not accepted, not a crash)", err)
+	}
+	if card.Controls() != before {
+		t.Fatalf("controls = %d after a rejected add, want %d", card.Controls(), before)
+	}
 }

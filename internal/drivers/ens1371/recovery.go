@@ -1,7 +1,6 @@
 package ens1371
 
 import (
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/recovery"
 	"decafdrivers/internal/xpc"
@@ -21,69 +20,43 @@ func (d *Driver) EnableRecovery(j *recovery.StateJournal) {
 // (journaled and deferred to replay instead of crossing).
 func (d *Driver) DeferredOps() uint64 { return d.deferredOps }
 
+// record journals one replayable crossing under key.
+func (d *Driver) record(key, name string, replay func(ctx *kernel.Context) error) {
+	if d.journal != nil {
+		d.journal.Record(recovery.Entry{Key: key, Name: name, Replay: replay})
+	}
+}
+
 // journalProbe records the device-level half of probe (SRC RAM, codec,
 // mixer registers). Kernel-object registrations — controls, the card, the
 // IRQ — persist across a restart and are not replayed.
 func (d *Driver) journalProbe() {
-	if d.journal == nil {
-		return
-	}
-	d.journal.Record(recovery.Entry{
-		Key:  "probe",
-		Name: "snd_ens1371_probe(config)",
-		Replay: func(ctx *kernel.Context) error {
-			return d.rt.Upcall(ctx, "snd_ens1371_probe", func(uctx *kernel.Context) error {
-				return decaf.ToError(decaf.Try(func() {
-					d.initChipConfig(uctx)
-					d.helpers.Msleep(uctx, 750) // codec ready wait, as at probe
-				}))
-			}, d.Chip)
-		},
+	d.record("probe", "snd_ens1371_probe(config)", func(ctx *kernel.Context) error {
+		return d.probe(ctx, flagPayload[true])
 	})
 }
 
 // journalPCMOpen records the playback buffer allocation.
 func (d *Driver) journalPCMOpen() {
-	if d.journal == nil {
-		return
-	}
-	d.journal.Record(recovery.Entry{
-		Key:  "pcm/open",
-		Name: "snd_ens1371_playback_open",
-		Replay: func(ctx *kernel.Context) error {
-			if d.buf != 0 {
-				return nil // buffer survived (kernel-side state)
-			}
-			return d.openUpcall(ctx)
-		},
+	d.record("pcm/open", "snd_ens1371_playback_open", func(ctx *kernel.Context) error {
+		if d.buf != 0 {
+			return nil // buffer survived (kernel-side state)
+		}
+		return d.rt.UpcallHandler(ctx, "snd_ens1371_playback_open")
 	})
 }
 
 // journalHWParams records the stream configuration (rate, channels, period).
 func (d *Driver) journalHWParams(rate, channels, periodFrames int) {
-	if d.journal == nil {
-		return
-	}
-	d.journal.Record(recovery.Entry{
-		Key:  "pcm/params",
-		Name: "snd_ens1371_hw_params",
-		Replay: func(ctx *kernel.Context) error {
-			return d.hwParamsUpcall(ctx, rate, channels, periodFrames)
-		},
+	d.record("pcm/params", "snd_ens1371_hw_params", func(ctx *kernel.Context) error {
+		return d.hwParams(ctx, rate, channels, periodFrames)
 	})
 }
 
 // journalTrigger records the DAC2 engine state.
 func (d *Driver) journalTrigger(start bool) {
-	if d.journal == nil {
-		return
-	}
-	d.journal.Record(recovery.Entry{
-		Key:  "pcm/trigger",
-		Name: "snd_ens1371_trigger",
-		Replay: func(ctx *kernel.Context) error {
-			return d.triggerUpcall(ctx, start)
-		},
+	d.record("pcm/trigger", "snd_ens1371_trigger", func(ctx *kernel.Context) error {
+		return d.rt.UpcallHandlerData(ctx, "snd_ens1371_trigger", flagPayload[start])
 	})
 }
 
@@ -115,15 +88,13 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	return d.rt.DrainCrossings(ctx)
 }
 
-// ResetDecafState implements recovery.Target: a fresh shared chip copy.
+// ResetDecafState implements recovery.Target: the codec-vendor cell the
+// decaf driver's probe wrote is cleared (it outlives a worker process, so
+// the journal replay must be what fills it again); the kernel-side chip,
+// card and controls survive.
 func (d *Driver) ResetDecafState(ctx *kernel.Context) error {
-	if d.rt.Mode != xpc.ModeDecaf {
-		return nil
-	}
-	d.rt.Unshare(d.Chip)
-	d.DecafChip = &Chip{}
-	if _, err := d.rt.Share(d.Chip, d.DecafChip); err != nil {
-		return err
+	if d.rt.Mode == xpc.ModeDecaf {
+		d.rt.SharedState().Store(cellCodecVendor, 0)
 	}
 	return nil
 }

@@ -65,11 +65,17 @@ func TestRecoveryRestoresChipConfigAndStreamState(t *testing.T) {
 	if stats.HeldReplayed == 0 {
 		t.Fatal("the deferred trigger was not accounted as held work")
 	}
-	// Replay rebuilt the configuration: codec vendor on the fresh decaf
-	// chip, hw_params, and the journaled stop applied (engine not running).
-	c := r.drv.DecafChip
+	// Replay rebuilt the configuration: codec vendor and hw_params adopted
+	// into the kernel chip from the cells the replayed bodies refilled, and
+	// the journaled stop applied (engine not running).
+	c := r.drv.Chip
 	if c.CodecVendor != preVendor || c.Rate != 44100 || c.Channels != 2 || c.PeriodLen != 1024 {
-		t.Fatalf("post-recovery decaf chip = %+v", *c)
+		t.Fatalf("post-recovery chip = %+v", *c)
+	}
+	// The chip outlives the restart, so the refilled codec-vendor cell is
+	// what shows the probe replay ran: the reset cleared it.
+	if v := r.drv.Runtime().SharedState().Load(cellCodecVendor); v != uint64(preVendor) {
+		t.Fatalf("codec-vendor cell after the replay = %#x, want %#x", v, preVendor)
 	}
 	if c.Running {
 		t.Fatal("journaled stop was not replayed: engine still running")

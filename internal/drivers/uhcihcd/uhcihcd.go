@@ -5,19 +5,18 @@
 // nearly any code in the driver." The nucleus therefore keeps almost
 // everything — schedule management, TD bookkeeping, the interrupt handler —
 // and the decaf driver holds only controller reset/configuration and
-// suspend, reached during initialization.
+// suspend: handler bodies (handlers.go) that reach the controller only
+// through scalar downcalls and report through shared state cells.
 package uhcihcd
 
 import (
 	"fmt"
 	"time"
 
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/hw/uhcihw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/kusb"
-	"decafdrivers/internal/xdr"
 	"decafdrivers/internal/xpc"
 )
 
@@ -31,24 +30,19 @@ const tdCost = 60 * time.Nanosecond
 // MaxPacket is the full-speed bulk packet size.
 const MaxPacket = 64
 
-// HCState is the controller state shared across domains.
+// numPorts is the root hub's port count.
+const numPorts = 2
+
+// HCState is the kernel-resident controller state. The decaf driver never
+// sees it: what the start body establishes arrives through the shared state
+// cells and is adopted here (adoptStart).
 type HCState struct {
-	Name      string
 	FrameBase uint32
-	PortCount int32
-	Port      [2]uint32
+	Port      [numPorts]uint32
 	Running   bool
 
-	// Kernel-only bookkeeping.
 	TDsRetired uint64
 	IntrCount  uint64
-}
-
-// FieldMask is DriverSlicer's marshaling specification.
-func FieldMask() xdr.FieldMask {
-	return xdr.FieldMask{"HCState": {
-		"Name": true, "FrameBase": true, "PortCount": true, "Port": true, "Running": true,
-	}}
 }
 
 // Config configures a driver instance.
@@ -59,16 +53,14 @@ type Config struct {
 
 // Driver is one bound uhci-hcd instance.
 type Driver struct {
-	kern    *kernel.Kernel
-	usb     *kusb.Core
-	dev     *uhcihw.Device
-	rt      *xpc.Runtime
-	helpers *decaf.Helpers
-	irq     int
-	ioBase  uint16
+	kern   *kernel.Kernel
+	usb    *kusb.Core
+	dev    *uhcihw.Device
+	rt     *xpc.Runtime
+	irq    int
+	ioBase uint16
 
-	State      *HCState
-	DecafState *HCState
+	State *HCState
 
 	lock      *kernel.SpinLock
 	frameList hw.DMAAddr
@@ -87,19 +79,10 @@ func New(k *kernel.Kernel, usb *kusb.Core, dev *uhcihw.Device, ioBase uint16, cf
 	d := &Driver{
 		kern: k, usb: usb, dev: dev, irq: cfg.IRQ, ioBase: ioBase,
 		lock:  kernel.NewSpinLock("uhci.lock"),
-		State: &HCState{PortCount: 2},
+		State: &HCState{},
 	}
-	d.rt = xpc.NewRuntime(k, "uhci-hcd", cfg.Mode, FieldMask())
+	d.rt = xpc.NewRuntime(k, "uhci-hcd", cfg.Mode, nil)
 	d.rt.DisableIRQs = []int{cfg.IRQ}
-	d.helpers = decaf.NewHelpers(d.rt, k.Bus())
-	if cfg.Mode == xpc.ModeNative {
-		d.DecafState = d.State
-	} else {
-		d.DecafState = &HCState{}
-		if _, err := d.rt.Share(d.State, d.DecafState); err != nil {
-			panic(fmt.Sprintf("uhci-hcd: share state: %v", err))
-		}
-	}
 	d.registerDowncalls()
 	return d
 }
@@ -114,11 +97,6 @@ func (d *Driver) outw(off uint16, v uint16) { d.kern.Bus().Outw(d.ioBase+off, v)
 func (d *Driver) outl(off uint16, v uint32) { d.kern.Bus().Outl(d.ioBase+off, v) }
 func (d *Driver) inw(off uint16) uint16     { return d.kern.Bus().Inw(d.ioBase + off) }
 
-// ioWrite16/ioRead16 are the kernel entry points the decaf configuration
-// code calls register-by-register (the source of the 49 init crossings).
-func (d *Driver) ioWrite16(ctx *kernel.Context, off uint16, v uint16) { d.outw(off, v) }
-func (d *Driver) ioRead16(ctx *kernel.Context, off uint16) uint16     { return d.inw(off) }
-
 // allocSchedule allocates the frame list and TD pool (kernel entry point).
 func (d *Driver) allocSchedule(ctx *kernel.Context) error {
 	dma := d.kern.Bus().DMA()
@@ -132,10 +110,10 @@ func (d *Driver) allocSchedule(ctx *kernel.Context) error {
 		return fmt.Errorf("uhci-hcd: td pool: %w", err)
 	}
 	d.frameList, d.tdPool = fl, pool
+	d.State.FrameBase = uint32(fl)
 	for i := 0; i < uhcihw.FrameListEntries; i++ {
 		dma.Write32(fl+hw.DMAAddr(4*i), uhcihw.LinkTerminate)
 	}
-	d.State.FrameBase = uint32(fl)
 	return nil
 }
 
@@ -258,157 +236,6 @@ func (d *Driver) linkAllFrames(v uint32) {
 	}
 }
 
-// --- decaf driver (the 3 converted functions: reset, configure, suspend) ---
-
-// resetHCDecaf performs the controller global reset through register-level
-// downcalls.
-//
-//decaf:boundary
-func (d *Driver) resetHCDecaf(uctx *kernel.Context) {
-	for _, w := range []struct {
-		off uint16
-		val uint16
-	}{
-		{uhcihw.RegUSBCMD, uhcihw.CmdGReset},
-		{uhcihw.RegUSBCMD, 0},
-		{uhcihw.RegUSBCMD, uhcihw.CmdHCReset},
-		{uhcihw.RegUSBINTR, 0},
-		{uhcihw.RegUSBSTS, 0xFFFF},
-	} {
-		w := w
-		if err := d.rt.Downcall(uctx, "uhci_io_write", func(kctx *kernel.Context) error {
-			d.ioWrite16(kctx, w.off, w.val)
-			return nil
-		}); err != nil {
-			decaf.ThrowCause(HWException, err, "reset write")
-		}
-	}
-	d.helpers.Msleep(uctx, 50) // global reset hold time
-	var sts uint16
-	_ = d.rt.Downcall(uctx, "uhci_io_read", func(kctx *kernel.Context) error {
-		sts = d.ioRead16(kctx, uhcihw.RegUSBSTS)
-		return nil
-	})
-	if sts&uhcihw.StsHalted == 0 {
-		decaf.Throw(HWException, "controller did not halt after reset: sts=%#x", sts)
-	}
-}
-
-// configureHCDecaf programs the frame list, start-of-frame timing, and
-// interrupt enables, then resets and enables each root-hub port.
-//
-//decaf:boundary
-func (d *Driver) configureHCDecaf(uctx *kernel.Context) {
-	if err := d.rt.Downcall(uctx, "uhci_alloc_schedule", func(kctx *kernel.Context) error {
-		return d.allocSchedule(kctx)
-	}, d.State); err != nil {
-		decaf.ThrowCause(HWException, err, "schedule allocation")
-	}
-	st := d.DecafState
-
-	// Controller identification and start-of-frame calibration: version
-	// read, vendor probe, and four SOFMOD trim writes, each a kernel entry.
-	for i := 0; i < 4; i++ {
-		_ = d.rt.Downcall(uctx, "uhci_read_version", func(kctx *kernel.Context) error {
-			_ = d.ioRead16(kctx, uhcihw.RegFRNUM)
-			return nil
-		})
-	}
-	for i := 0; i < 4; i++ {
-		_ = d.rt.Downcall(uctx, "uhci_sof_trim", func(kctx *kernel.Context) error {
-			d.outb(uhcihw.RegSOFMOD, 64)
-			return nil
-		})
-	}
-	writes := []struct {
-		name string
-		fn   func(kctx *kernel.Context)
-	}{
-		{"flbaseadd", func(k *kernel.Context) { d.outl(uhcihw.RegFLBASEADD, st.FrameBase) }},
-		{"frnum", func(k *kernel.Context) { d.ioWrite16(k, uhcihw.RegFRNUM, 0) }},
-		{"sofmod", func(k *kernel.Context) { d.outb(uhcihw.RegSOFMOD, 64) }},
-		{"usbintr", func(k *kernel.Context) { d.ioWrite16(k, uhcihw.RegUSBINTR, 0xF) }},
-	}
-	for _, w := range writes {
-		w := w
-		_ = d.rt.Downcall(uctx, "uhci_io_write:"+w.name, func(kctx *kernel.Context) error {
-			w.fn(kctx)
-			return nil
-		})
-	}
-
-	// Legacy-support handoff (the LEGSUP dance every UHCI bring-up
-	// performs): four more register-level kernel entries.
-	for i := 0; i < 4; i++ {
-		_ = d.rt.Downcall(uctx, "uhci_legsup_write", func(kctx *kernel.Context) error {
-			d.ioWrite16(kctx, uhcihw.RegUSBSTS, 0) // ack/handoff write
-			return nil
-		})
-	}
-
-	// Root-hub ports: reset, poll until reset latches, clear reset, verify
-	// enable. The polling loop is why uhci-hcd's initialization makes ~49
-	// crossings (Table 3): port state lives behind kernel entry points.
-	for port := 0; port < int(st.PortCount); port++ {
-		reg := uint16(uhcihw.RegPORTSC1 + 2*port)
-		// Baseline connect status before reset.
-		_ = d.rt.Downcall(uctx, "uhci_port_status", func(kctx *kernel.Context) error {
-			_ = d.ioRead16(kctx, reg)
-			return nil
-		})
-		_ = d.rt.Downcall(uctx, "uhci_port_reset", func(kctx *kernel.Context) error {
-			d.ioWrite16(kctx, reg, uhcihw.PortReset)
-			return nil
-		})
-		// The UHCI spec requires a 10 ms reset hold; the driver polls the
-		// port while holding, each poll a kernel entry.
-		for poll := 0; poll < 4; poll++ {
-			_ = d.rt.Downcall(uctx, "uhci_port_status", func(kctx *kernel.Context) error {
-				_ = d.ioRead16(kctx, reg)
-				return nil
-			})
-			d.helpers.Msleep(uctx, 5)
-		}
-		d.helpers.Msleep(uctx, 30)
-		_ = d.rt.Downcall(uctx, "uhci_port_reset_clear", func(kctx *kernel.Context) error {
-			d.ioWrite16(kctx, reg, 0)
-			return nil
-		})
-		// Verify the port came up enabled, then re-read the final state.
-		var sc uint16
-		_ = d.rt.Downcall(uctx, "uhci_port_enable_check", func(kctx *kernel.Context) error {
-			sc = d.ioRead16(kctx, reg)
-			return nil
-		})
-		_ = d.rt.Downcall(uctx, "uhci_port_status", func(kctx *kernel.Context) error {
-			sc = d.ioRead16(kctx, reg)
-			return nil
-		})
-		st.Port[port] = uint32(sc)
-	}
-
-	// Frame-number reset verification and a final controller status read.
-	_ = d.rt.Downcall(uctx, "uhci_frnum_check", func(kctx *kernel.Context) error {
-		_ = d.ioRead16(kctx, uhcihw.RegFRNUM)
-		return nil
-	})
-	_ = d.rt.Downcall(uctx, "uhci_status_check", func(kctx *kernel.Context) error {
-		_ = d.ioRead16(kctx, uhcihw.RegUSBSTS)
-		return nil
-	})
-
-	// Start the controller.
-	_ = d.rt.Downcall(uctx, "uhci_run", func(kctx *kernel.Context) error {
-		d.ioWrite16(kctx, uhcihw.RegUSBCMD, uhcihw.CmdRS)
-		return nil
-	})
-	st.Running = true
-	d.helpers.Msleep(uctx, 1000) // device enumeration settle, per Table 3's 1.3s native init
-}
-
-// The suspend body lives in the handler table (handlers.go) so a
-// process-separated transport executes it in the worker process.
-
 // --- module glue ---
 
 // Module adapts the driver to the module loader.
@@ -420,23 +247,20 @@ type uhciModule Driver
 func (m *uhciModule) ModuleName() string { return "uhci-hcd" }
 
 // Init resets and configures the controller through the decaf driver, then
-// registers with the USB core.
+// registers with the USB core. A start body that failed — or died in the
+// worker — after uhci_alloc_schedule leaves the schedule behind, so a
+// failed load stops the controller and frees it.
 func (m *uhciModule) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
-	err := d.rt.Upcall(ctx, "uhci_start", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() {
-			d.resetHCDecaf(uctx)
-			d.configureHCDecaf(uctx)
-		}))
-	}, d.State)
-	if err != nil {
-		return fmt.Errorf("uhci-hcd: start: %w", err)
+	err := d.rt.UpcallHandler(ctx, "uhci_start")
+	if err == nil {
+		d.adoptStart()
+		err = d.kern.RequestIRQ(d.irq, "uhci-hcd", d.intr, d.State)
 	}
-	// Mirror the started controller into the shared cell the suspend
-	// handler clears.
-	d.rt.SharedState().Store(cellRunning, 1)
-	if err := d.kern.RequestIRQ(d.irq, "uhci-hcd", d.intr, d.State); err != nil {
-		return err
+	if err != nil {
+		d.stopHC()
+		d.freeSchedule(ctx)
+		return fmt.Errorf("uhci-hcd: start: %w", err)
 	}
 	return d.usb.RegisterHCD("uhci-hcd", d)
 }
@@ -448,7 +272,4 @@ func (m *uhciModule) Exit(ctx *kernel.Context) {
 	_ = d.kern.FreeIRQ(d.irq, "uhci-hcd")
 	_ = d.usb.UnregisterHCD("uhci-hcd")
 	d.freeSchedule(ctx)
-	if d.rt.Mode == xpc.ModeDecaf {
-		d.rt.Unshare(d.State)
-	}
 }

@@ -1,9 +1,11 @@
 package uhcihcd
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/hw/uhcihw"
 	"decafdrivers/internal/kernel"
@@ -169,5 +171,43 @@ func TestExitStopsController(t *testing.T) {
 	r.clock.Advance(10 * time.Millisecond)
 	if r.dev.Processed() != before {
 		t.Fatal("controller still processing after unload")
+	}
+}
+
+// The test-only body below names reset steps outside the table, as a
+// compromised worker could: the register-and-value encoding of a frame-list
+// base write, and one past the end.
+func init() {
+	registry.Register("uhci_test_reset_write_out_of_range", registry.Handler{
+		Down: true,
+		Fn: func(c *registry.Ctx) error {
+			for _, arg := range []uint64{uhcihw.RegFLBASEADD<<16 | 0x1000, uint64(len(resetWrites))} {
+				if _, err := c.Downcall("uhci_reset_write", arg); err == nil {
+					return nil
+				}
+			}
+			return fmt.Errorf("every out-of-range reset step rejected")
+		},
+	})
+}
+
+// TestResetWriteRejectsOutOfRangeStep: uhci_reset_write takes its step from
+// the untrusted side, so a step past the reset table is an error and the
+// controller's frame-list base and run state are untouched.
+func TestResetWriteRejectsOutOfRangeStep(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
+		t.Fatal(err)
+	}
+	flbase := r.kern.Bus().Inl(0xE000 + uhcihw.RegFLBASEADD)
+	err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "uhci_test_reset_write_out_of_range")
+	if err == nil || xpc.IsUserFault(err) {
+		t.Fatalf("out-of-range uhci_reset_write = %v, want every step rejected with a plain error", err)
+	}
+	if got := r.kern.Bus().Inl(0xE000 + uhcihw.RegFLBASEADD); got != flbase || got != r.drv.State.FrameBase {
+		t.Fatalf("flbase = %#x after rejected writes, want %#x", got, flbase)
+	}
+	if r.drv.inw(uhcihw.RegUSBCMD)&uhcihw.CmdRS == 0 {
+		t.Fatal("controller stopped by a rejected reset step")
 	}
 }
