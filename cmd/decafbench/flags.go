@@ -10,13 +10,13 @@ import (
 // validTables and validTransports are the accepted flag values; anything
 // else is rejected with a message listing them.
 var (
-	validTables     = []string{"1", "2", "3", "4", "casestudy", "batch", "async", "zerocopy", "recovery", "contend", "proc", "all"}
-	validTransports = []string{"all", "per-call", "sync", "batched", "batch", "async", "proc"}
-	jsonTables      = []string{"batch", "async", "zerocopy", "recovery", "contend"}
+	validTables     = []string{"1", "2", "3", "4", "casestudy", "batch", "zerocopy", "recovery", "contend", "proc", "all"}
+	validTransports = []string{"all", "per-call", "sync", "batched", "batch", "proc"}
+	jsonTables      = []string{"batch", "zerocopy", "recovery", "contend"}
 	// procTables are the tables with process-separated rows: the only ones
-	// -transport proc (or async) may select. The proc table is always
+	// -transport proc may select. The proc table is always
 	// process-separated, so -transport proc is redundant but accepted there.
-	procTables = []string{"async", "zerocopy", "recovery", "contend", "proc"}
+	procTables = []string{"zerocopy", "recovery", "contend", "proc"}
 )
 
 func oneOf(value string, valid []string) bool {
@@ -53,18 +53,12 @@ func (f benchFlags) validate() error {
 	if !oneOf(f.Transport, validTransports) {
 		return fmt.Errorf("unknown transport %q (valid: %s)", f.Transport, strings.Join(validTransports, ", "))
 	}
-	// Only the async, zerocopy and recovery tables have async or proc rows:
-	// reject the combination for any other table (including "all", whose
-	// batch table would otherwise render empty) instead of silently
-	// selecting nothing.
-	if (f.Transport == "async" || f.Transport == "proc") && !oneOf(f.Table, procTables) {
+	// Only the procTables have proc rows: reject the combination for any
+	// other table (including "all", whose batch table would otherwise
+	// render empty) instead of silently selecting nothing.
+	if f.Transport == "proc" && !oneOf(f.Table, procTables) {
 		return fmt.Errorf("-transport %s requires -table %s (-table %s has no %[1]s rows)",
 			f.Transport, strings.Join(procTables, ", "), f.Table)
-	}
-	// The contend table measures synchronous submit-to-completion wall time,
-	// which the queue-serviced async transport does not expose.
-	if f.Table == "contend" && f.Transport == "async" {
-		return fmt.Errorf("-table contend has no async rows (its flushes are submit-to-completion; use -transport proc or batched)")
 	}
 	// The proc table is the traced process-separated storm: it always runs
 	// the proc transport, so only -transport proc (or the default) makes
@@ -117,5 +111,5 @@ func (f benchFlags) transportNote() string {
 		return ""
 	}
 	return "note: -transport all covers the in-process transports only; add -transport proc\n" +
-		"(with -table async, zerocopy, recovery or contend) for the process-separated rows."
+		"(with -table zerocopy, recovery or contend) for the process-separated rows."
 }

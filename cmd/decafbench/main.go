@@ -1,7 +1,7 @@
 // Command decafbench regenerates the paper's evaluation: Tables 1-4, the
-// E1000 case study (§5), the batched-XPC-transport comparison (§4.2), the
-// async submit/complete comparison, and the zero-copy payload-ring
-// comparison, printing measured values next to the published ones.
+// E1000 case study (§5), the batched-XPC-transport comparison (§4.2), and
+// the zero-copy payload-ring comparison, printing measured values next to
+// the published ones.
 //
 // Usage:
 //
@@ -9,8 +9,7 @@
 //	decafbench -table 3 -netperf 30s
 //	decafbench -table casestudy
 //	decafbench -table batch -batch 8,32 -transport all
-//	decafbench -table async -transport async -queue 256 -rate 2.5
-//	decafbench -table zerocopy -slots 256
+//	decafbench -table zerocopy -slots 256 -rate 2.5
 //	decafbench -table zerocopy -json        # machine-readable rows (CI baseline)
 //	decafbench -table recovery -faults 40 -restart-policy backoff
 //	decafbench -table recovery -transport proc -json   # real process-separated boundary
@@ -63,29 +62,32 @@ func parseBatchSizes(s string) ([]int, error) {
 	return out, nil
 }
 
+// The command-line flags, registered at package level so the tests can see
+// which flags exist.
+var (
+	tableFlag     = flag.String("table", "all", "which table to regenerate: "+strings.Join(validTables, ", "))
+	root          = flag.String("root", ".", "repository root (for Table 1 line counting)")
+	netperf       = flag.Duration("netperf", 10*time.Second, "virtual duration of each netperf run")
+	audio         = flag.Duration("audio", 30*time.Second, "virtual duration of the mpg123 run")
+	tarBytes      = flag.Int("tar", 2<<20, "archive size for the tar workload, bytes")
+	mouse         = flag.Duration("mouse", 30*time.Second, "virtual duration of the mouse workload")
+	transport     = flag.String("transport", "all", "transports for the batch, zerocopy, recovery and contend tables: "+strings.Join(validTransports, ", "))
+	batch         = flag.String("batch", "8,32", "comma-separated batch sizes for the batch table (the largest also sizes the zerocopy, recovery, contend and proc tables' coalescing)")
+	rate          = flag.Float64("rate", 0, "offered load in Mb/s for the zerocopy/recovery tables (0 = default)")
+	slots         = flag.Int("slots", 0, "payload-ring slots for the zerocopy table (0 = default; small values exercise the copy fallback)")
+	submitters    = flag.String("submitters", "", "contend table: comma-separated concurrent submitter counts (default 1,2,4,8)")
+	flushes       = flag.Int("flushes", 0, "contend table: total flushes per row, split across its submitters (0 = default)")
+	faults        = flag.Uint64("faults", 0, "recovery table: inject a decaf-side panic on the Nth data-path upcall (0 = default)")
+	restartPolicy = flag.String("restart-policy", "", "recovery table: restart policy, one of "+strings.Join(bench.RestartPolicies, ", "))
+	jsonOut       = flag.Bool("json", false, "emit machine-readable JSON rows instead of the rendered table ("+strings.Join(jsonTables, ", ")+" only)")
+	tracePath     = flag.String("trace", "", "proc table: write the flight-recorder timeline as Chrome trace-event JSON to this path (open in Perfetto)")
+)
+
 func main() {
 	// A ProcTransport re-execs this binary as its decaf worker process;
 	// the hook must run before flag parsing and never returns in worker
 	// mode.
 	xpc.MaybeRunWorker()
-
-	tableFlag := flag.String("table", "all", "which table to regenerate: "+strings.Join(validTables, ", "))
-	root := flag.String("root", ".", "repository root (for Table 1 line counting)")
-	netperf := flag.Duration("netperf", 10*time.Second, "virtual duration of each netperf run")
-	audio := flag.Duration("audio", 30*time.Second, "virtual duration of the mpg123 run")
-	tarBytes := flag.Int("tar", 2<<20, "archive size for the tar workload, bytes")
-	mouse := flag.Duration("mouse", 30*time.Second, "virtual duration of the mouse workload")
-	transport := flag.String("transport", "all", "transports for the batch/async tables: "+strings.Join(validTransports, ", "))
-	batch := flag.String("batch", "8,32", "comma-separated batch sizes for the batch table (the largest also sizes the async table's coalescing)")
-	queue := flag.Int("queue", 0, "async submission-ring depth for the async/zerocopy tables (0 = default)")
-	rate := flag.Float64("rate", 0, "offered load in Mb/s for the async/zerocopy tables (0 = default)")
-	slots := flag.Int("slots", 0, "payload-ring slots for the zerocopy table (0 = default; small values exercise the copy fallback)")
-	submitters := flag.String("submitters", "", "contend table: comma-separated concurrent submitter counts (default 1,2,4,8)")
-	flushes := flag.Int("flushes", 0, "contend table: total flushes per row, split across its submitters (0 = default)")
-	faults := flag.Uint64("faults", 0, "recovery table: inject a decaf-side panic on the Nth data-path upcall (0 = default)")
-	restartPolicy := flag.String("restart-policy", "", "recovery table: restart policy, one of "+strings.Join(bench.RestartPolicies, ", "))
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON rows instead of the rendered table ("+strings.Join(jsonTables, ", ")+" only)")
-	tracePath := flag.String("trace", "", "proc table: write the flight-recorder timeline as Chrome trace-event JSON to this path (open in Perfetto)")
 	flag.Parse()
 
 	flags := benchFlags{
@@ -125,39 +127,24 @@ func main() {
 		BatchSizes:      sizes,
 		Transports:      *transport,
 	}
-	asyncCfg := bench.AsyncTableConfig{
-		QueueDepth: *queue,
-		OfferedMbps: func() float64 {
-			if *rate > 0 {
-				return *rate
-			}
-			return bench.DefaultAsyncTableConfig.OfferedMbps
-		}(),
-		Transports: *transport,
-	}
-	for _, n := range sizes {
-		if n > asyncCfg.BatchN {
-			asyncCfg.BatchN = n
-		}
-	}
-	// The zerocopy table shares the async table's coalescing size (the
-	// largest -batch value), so rows at the same flags stay comparable.
+	// The zerocopy table coalesces at the largest -batch value, and the
+	// recovery, contend and proc tables share its coalescing size, so rows
+	// at the same flags stay comparable.
 	zcCfg := bench.ZeroCopyTableConfig{
-		QueueDepth:  *queue,
-		OfferedMbps: asyncCfg.OfferedMbps,
-		BatchN:      asyncCfg.BatchN,
+		OfferedMbps: *rate,
 		RingSlots:   *slots,
 		Transports:  *transport,
+	}
+	for _, n := range sizes {
+		zcCfg.BatchN = max(zcCfg.BatchN, n)
 	}
 	ks, err := parseSubmitters(*submitters)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "decafbench: -submitters: %v\n", err)
 		os.Exit(2)
 	}
-	// The contend table shares the async/zerocopy coalescing size so its rows
-	// stay comparable with theirs at the same flags.
 	contendCfg := bench.ContendTableConfig{
-		BatchN:     asyncCfg.BatchN,
+		BatchN:     zcCfg.BatchN,
 		Submitters: ks,
 		Flushes:    *flushes,
 		Transports: *transport,
@@ -165,7 +152,7 @@ func main() {
 	// The traced proc storm shares the coalescing size; -submitters narrows
 	// to its first value (the storm is one shape, not a sweep).
 	procCfg := bench.ProcTraceConfig{
-		BatchN:    asyncCfg.BatchN,
+		BatchN:    zcCfg.BatchN,
 		Flushes:   *flushes,
 		TracePath: *tracePath,
 	}
@@ -173,9 +160,8 @@ func main() {
 		procCfg.Submitters = ks[0]
 	}
 	recCfg := bench.RecoveryTableConfig{
-		QueueDepth:  *queue,
-		OfferedMbps: asyncCfg.OfferedMbps,
-		BatchN:      asyncCfg.BatchN,
+		OfferedMbps: *rate,
+		BatchN:      zcCfg.BatchN,
 		FaultNth:    *faults,
 		Policy:      *restartPolicy,
 		Transports:  *transport,
@@ -185,7 +171,6 @@ func main() {
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "netperf" {
 			batchCfg.NetperfDuration = *netperf
-			asyncCfg.NetperfDuration = *netperf
 			zcCfg.NetperfDuration = *netperf
 			recCfg.NetperfDuration = *netperf
 		}
@@ -216,12 +201,6 @@ func main() {
 			break
 		}
 		run("batch table", func() error { return bench.PrintBatchTable(os.Stdout, batchCfg) })
-	case "async":
-		if *jsonOut {
-			run("async table", func() error { return bench.PrintAsyncTableJSON(os.Stdout, asyncCfg) })
-			break
-		}
-		run("async table", func() error { return bench.PrintAsyncTable(os.Stdout, asyncCfg) })
 	case "zerocopy":
 		if *jsonOut {
 			run("zerocopy table", func() error { return bench.PrintZeroCopyTableJSON(os.Stdout, zcCfg) })
@@ -249,7 +228,6 @@ func main() {
 		run("table 4", func() error { return bench.PrintTable4(os.Stdout) })
 		run("case study", func() error { return bench.PrintCaseStudy(os.Stdout) })
 		run("batch table", func() error { return bench.PrintBatchTable(os.Stdout, batchCfg) })
-		run("async table", func() error { return bench.PrintAsyncTable(os.Stdout, asyncCfg) })
 		run("zerocopy table", func() error { return bench.PrintZeroCopyTable(os.Stdout, zcCfg) })
 		run("recovery table", func() error { return bench.PrintRecoveryTable(os.Stdout, recCfg) })
 		run("contend table", func() error { return bench.PrintContendTable(os.Stdout, contendCfg) })

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 )
@@ -23,11 +24,11 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"defaults", benchFlags{Table: "all", Transport: "all"}, ""},
 		{"unknown table", benchFlags{Table: "5", Transport: "all"}, "unknown table"},
 		{"unknown transport", benchFlags{Table: "all", Transport: "uds"}, "unknown transport"},
-		{"proc needs proc table", benchFlags{Table: "all", Transport: "proc"}, "requires -table async, zerocopy, recovery"},
-		{"proc on batch table", benchFlags{Table: "batch", Transport: "proc"}, "requires -table async, zerocopy, recovery"},
-		{"async on table 3", benchFlags{Table: "3", Transport: "async"}, "requires -table async, zerocopy, recovery"},
+		{"proc needs proc table", benchFlags{Table: "all", Transport: "proc"}, "requires -table zerocopy, recovery"},
+		{"proc on batch table", benchFlags{Table: "batch", Transport: "proc"}, "requires -table zerocopy, recovery"},
+		{"async table gone", benchFlags{Table: "async", Transport: "all"}, "unknown table"},
+		{"async transport gone", benchFlags{Table: "zerocopy", Transport: "async"}, "unknown transport"},
 		{"proc zerocopy", benchFlags{Table: "zerocopy", Transport: "proc"}, ""},
-		{"proc async", benchFlags{Table: "async", Transport: "proc"}, ""},
 		{"proc recovery", benchFlags{Table: "recovery", Transport: "proc"}, ""},
 		{"proc zerocopy json", benchFlags{Table: "zerocopy", Transport: "proc", JSON: true}, ""},
 		{"json on table 1", benchFlags{Table: "1", Transport: "all", JSON: true}, "-json supports"},
@@ -35,7 +36,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"bad restart policy", benchFlags{Table: "recovery", Transport: "all", RestartPolicy: "eventually"}, "unknown restart policy"},
 		{"good restart policy", benchFlags{Table: "recovery", Transport: "all", RestartPolicy: "backoff", Set: set("restart-policy")}, ""},
 		{"faults off-table", benchFlags{Table: "zerocopy", Transport: "all", Set: set("faults")}, "-faults requires -table recovery"},
-		{"restart-policy off-table", benchFlags{Table: "async", Transport: "all", RestartPolicy: "backoff", Set: set("restart-policy")}, "-restart-policy requires -table recovery"},
+		{"restart-policy off-table", benchFlags{Table: "zerocopy", Transport: "all", RestartPolicy: "backoff", Set: set("restart-policy")}, "-restart-policy requires -table recovery"},
 		{"sync alias", benchFlags{Table: "batch", Transport: "sync"}, ""},
 		{"batched zerocopy", benchFlags{Table: "zerocopy", Transport: "batched"}, ""},
 	}
@@ -51,6 +52,11 @@ func TestValidateFlagMatrix(t *testing.T) {
 			t.Errorf("%s: validate() = %v, want error containing %q", tc.name, err, tc.wantErr)
 		}
 	}
+	// -queue sized the deleted async transport's ring: it is no longer
+	// defined, so the flag package rejects it as unknown and exits 2.
+	if flag.Lookup("queue") != nil {
+		t.Error("-queue is still a defined flag")
+	}
 }
 
 // TestTransportNote: "-transport all" runs that would silently omit the
@@ -59,7 +65,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 func TestTransportNote(t *testing.T) {
 	noted := []benchFlags{
 		{Table: "all", Transport: "all"},
-		{Table: "async", Transport: "all"},
+		{Table: "contend", Transport: "all"},
 		{Table: "zerocopy", Transport: ""},
 		{Table: "recovery", Transport: "all"},
 	}
@@ -71,7 +77,7 @@ func TestTransportNote(t *testing.T) {
 	}
 	quiet := []benchFlags{
 		{Table: "zerocopy", Transport: "proc"},
-		{Table: "async", Transport: "async"},
+		{Table: "recovery", Transport: "batched"},
 		{Table: "batch", Transport: "all"},
 		{Table: "1", Transport: "all"},
 		{Table: "casestudy", Transport: "all"},

@@ -27,7 +27,7 @@ import (
 
 // netTransports are the -transport values; only the network drivers have a
 // configurable decaf data path, so the flag is rejected elsewhere.
-const netTransports = "sync, batch, async, proc"
+const netTransports = "sync, batch, proc"
 
 func main() {
 	// A ProcTransport re-execs this binary as its decaf worker process;
@@ -40,8 +40,7 @@ func main() {
 	dur := flag.Duration("dur", 10*time.Second, "virtual workload duration (tar uses -tar bytes instead)")
 	tarBytes := flag.Int("tar", 2<<20, "archive bytes for the uhci-hcd tar workload")
 	transport := flag.String("transport", "sync", "XPC transport for the network drivers' decaf data path: "+netTransports)
-	batch := flag.Int("batch", 16, "calls coalesced per crossing for -transport batch/async/proc")
-	queue := flag.Int("queue", 0, "submission-ring depth for -transport async (0 = default)")
+	batch := flag.Int("batch", 16, "calls coalesced per crossing for -transport batch/proc")
 	tracePath := flag.String("trace", "", "write the flight-recorder timeline as Chrome trace-event JSON to this path (requires -transport proc; open in Perfetto)")
 	metricsAddr := flag.String("metrics", "", "serve the live metrics surface on this address (/metrics Prometheus text, /debug/vars expvar) for the duration of the run")
 	metricsOut := flag.String("metrics-out", "", "write a final Prometheus-text counter snapshot to this file (CI mode; no listener needed)")
@@ -63,8 +62,6 @@ func main() {
 	case "sync":
 	case "batch":
 		opts = workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: *batch}
-	case "async":
-		opts = workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: *batch, Async: true, QueueDepth: *queue}
 	case "proc":
 		opts = workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: *batch, Proc: true, ZeroCopy: true, Trace: *tracePath != ""}
 	default:

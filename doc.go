@@ -6,21 +6,19 @@
 // the paper's evaluation.
 //
 // Beyond the paper's measured configuration, the crossing layer implements
-// the three §4.2 optimizations end to end: batched crossings
-// (xpc.BatchTransport), asynchronous submit/complete crossings
-// (xpc.AsyncTransport), and zero-copy payloads (xpc.PayloadRing — frames
-// live in a pool of buffers registered once with the transport, and
-// data-carrying calls cross a twelve-byte slot descriptor instead of
-// marshaling payload bytes, falling back to the copy path on exhaustion).
-// The decafbench batch, async and zerocopy tables quantify each step.
+// two §4.2 optimizations end to end: batched crossings (xpc.BatchTransport)
+// and zero-copy payloads (xpc.PayloadRing — frames live in a pool of
+// buffers registered once with the transport, and data-carrying calls cross
+// a twelve-byte slot descriptor instead of marshaling payload bytes,
+// falling back to the copy path on exhaustion). The decafbench batch and
+// zerocopy tables quantify each step.
 //
-// The transports differ in crossings, copies and isolation:
+// Two transport types, three configurations, differ in crossings, copies
+// and isolation:
 //
 //	sync   1 crossing per call, inline; contained panic (recover);
 //	       the default, "per-call": xpc.BatchTransport{N: 1}
 //	batch  1 crossing per ≤N calls, inline; fault aborts the flush
-//	async  1 crossing per ≤N calls on the decaf goroutine's timeline;
-//	       a fault fails only its own completion
 //	proc   1 crossing per ≤N calls into a forked worker process
 //	       (xpc.ProcTransport): steady state rides SPSC shared-memory
 //	       descriptor rings — frames encoded in place in the mmap
@@ -47,7 +45,7 @@
 // are comparable across all transports while Counters.RingCrossings,
 // DoorbellWakeups, SyscallCrossings and WireBytesOut/In meter the real
 // boundary: descriptor-ring traffic, doorbell syscalls (the only syscalls a
-// crossing can pay), and socketpair control frames. decafbench's async and zerocopy rows add
+// crossing can pay), and socketpair control frames. decafbench's zerocopy rows add
 // caller-visible p50/p99/p999 completion latency and GC pause/cycle
 // columns, banded in CI against the committed BENCH_*.json baselines.
 //

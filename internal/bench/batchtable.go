@@ -41,7 +41,8 @@ type BatchTableConfig struct {
 	// BatchSizes are the batched-transport sizes to compare against the
 	// per-call transport.
 	BatchSizes []int
-	// Transports filters rows: "all", "per-call", or "batched".
+	// Transports filters rows (see wantsTransport): "all", "per-call", or
+	// "batched".
 	Transports string
 }
 
@@ -54,14 +55,22 @@ var DefaultBatchTableConfig = BatchTableConfig{
 	Transports:      "all",
 }
 
-func (cfg BatchTableConfig) wants(transport string) bool {
-	switch cfg.Transports {
+// wantsTransport reports whether a -transport filter selects the rows of
+// one transport kind: "per-call", "batched" or "proc". "all" covers the
+// in-process transports. The process-separated transport spawns real worker
+// processes, so it only runs when explicitly requested (-transport proc) —
+// harnesses that cannot host the hidden worker mode would otherwise fork
+// themselves.
+func wantsTransport(filter, kind string) bool {
+	switch filter {
 	case "", "all":
-		return true
+		return kind != "proc"
 	case "per-call", "sync":
-		return transport == "per-call"
+		return kind == "per-call"
 	case "batched", "batch":
-		return transport != "per-call" && transport != "nucleus"
+		return kind == "batched"
+	case "proc":
+		return kind == "proc"
 	default:
 		// An unrecognized filter selects nothing rather than everything;
 		// the CLI rejects unknown values before they reach here.
@@ -164,18 +173,18 @@ func RunBatchTable(cfg BatchTableConfig) ([]BatchRow, error) {
 		}
 		rows = append(rows, row)
 		// Decaf data path: per-call transport, then each batch size.
-		if cfg.wants("per-call") {
+		if wantsTransport(cfg.Transports, "per-call") {
 			row, err := runBatchCase(c, workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 1}, "per-call", cfg.NetperfDuration)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, row)
 		}
+		if !wantsTransport(cfg.Transports, "batched") {
+			continue
+		}
 		for _, n := range cfg.BatchSizes {
 			name := fmt.Sprintf("batched(%d)", n)
-			if !cfg.wants(name) {
-				continue
-			}
 			row, err := runBatchCase(c, workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: n}, name, cfg.NetperfDuration)
 			if err != nil {
 				return nil, err

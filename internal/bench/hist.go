@@ -17,8 +17,8 @@ import (
 // distinct tail quantiles of a millisecond-scale distribution never collapse
 // into one bucket edge (histSubBits 5 once made p99 and p999 both report
 // 117440.512µs: the shared lower edge of a ~2ms-wide bucket). Recording is
-// one atomic add, so the completion observer can file latencies from the
-// async service goroutine while the bench thread keeps running.
+// one atomic add, so the completion observer can file latencies from any
+// goroutine that resolves a completion while the bench thread keeps running.
 const (
 	histSubBits = 8
 	histSub     = 1 << histSubBits // linear sub-buckets per power of two
@@ -110,14 +110,14 @@ func (h *latencyHist) quantileUs(q float64) float64 {
 
 // observeLatency hooks a fresh histogram to the runtime's completion
 // observer, recording each submission's caller-visible latency — the virtual
-// time from submit to completion: queue wait behind earlier work plus the
-// crossing itself. Virtual time makes the percentiles deterministic for a
-// given workload, so the baseline comparison may band them tightly. The
-// returned func detaches the observer; call it before Shutdown.
+// time from submit to completion, which is its share of the crossing.
+// Virtual time makes the percentiles deterministic for a given workload, so
+// the baseline comparison may band them tightly. The returned func detaches
+// the observer; call it before Shutdown.
 func observeLatency(r *xpc.Runtime) (*latencyHist, func()) {
 	h := new(latencyHist)
-	r.SetCompletionObserver(func(_ string, queueWait, crossCost time.Duration, _ bool) {
-		h.record(queueWait + crossCost)
+	r.SetCompletionObserver(func(_ string, crossCost time.Duration, _ bool) {
+		h.record(crossCost)
 	})
 	return h, func() { r.SetCompletionObserver(nil) }
 }

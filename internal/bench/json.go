@@ -27,15 +27,6 @@ func PrintBatchTableJSON(w io.Writer, cfg BatchTableConfig) error {
 	return writeTableJSON(w, "batch", rows)
 }
 
-// PrintAsyncTableJSON runs the submit/complete comparison and emits JSON.
-func PrintAsyncTableJSON(w io.Writer, cfg AsyncTableConfig) error {
-	rows, err := RunAsyncTable(cfg)
-	if err != nil {
-		return err
-	}
-	return writeTableJSON(w, "async", rows)
-}
-
 // PrintZeroCopyTableJSON runs the zero-copy comparison and emits JSON.
 func PrintZeroCopyTableJSON(w io.Writer, cfg ZeroCopyTableConfig) error {
 	rows, err := RunZeroCopyTable(cfg.fill())

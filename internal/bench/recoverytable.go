@@ -8,7 +8,6 @@ import (
 	"decafdrivers/internal/knet"
 	"decafdrivers/internal/recovery"
 	"decafdrivers/internal/workload"
-	"decafdrivers/internal/xpc"
 )
 
 // RecoveryRow is one line of the fault-tolerance comparison: a netperf
@@ -21,7 +20,7 @@ type RecoveryRow struct {
 	Driver   string
 	Workload string
 	// Transport names the XPC transport ("per-call", "batched(N)",
-	// "async(qD,bN)").
+	// "proc(bN)").
 	Transport string
 	// Scenario is "off", "armed", or "fault".
 	Scenario string
@@ -90,21 +89,19 @@ type RecoveryRow struct {
 type RecoveryTableConfig struct {
 	// NetperfDuration is each run's virtual duration.
 	NetperfDuration time.Duration
-	// OfferedMbps is the offered load (the async table's default, so the
-	// crossings-per-packet columns stay comparable).
+	// OfferedMbps is the offered load (the zero-copy table's default, so
+	// the crossings-per-packet columns stay comparable).
 	OfferedMbps float64
-	// BatchN is the coalescing size shared by batched/async rows.
+	// BatchN is the coalescing size shared by batched/proc rows.
 	BatchN int
-	// QueueDepth bounds the async submission ring.
-	QueueDepth int
 	// FaultNth selects which data-path upcall panics in the fault
 	// scenario; <1 means the default (mid-phase).
 	FaultNth uint64
 	// Policy selects the restart policy: "immediate" or "backoff" (the
 	// default — its delay opens an observable outage window).
 	Policy string
-	// Transports filters rows: "all" (the in-process transports),
-	// "per-call", "batched", "async", or "proc" (never part of "all").
+	// Transports filters rows (see wantsTransport): "all" (the in-process
+	// transports), "per-call", "batched", or "proc" (never part of "all").
 	Transports string
 }
 
@@ -112,12 +109,11 @@ type RecoveryTableConfig struct {
 var RestartPolicies = []string{"immediate", "backoff"}
 
 // DefaultRecoveryTableConfig injects a fault on the 40th data-path upcall
-// and restarts with backoff, at the async table's offered load.
+// and restarts with backoff, at the zero-copy table's offered load.
 var DefaultRecoveryTableConfig = RecoveryTableConfig{
 	NetperfDuration: 5 * time.Second,
-	OfferedMbps:     DefaultAsyncTableConfig.OfferedMbps,
-	BatchN:          DefaultAsyncTableConfig.BatchN,
-	QueueDepth:      xpc.DefaultQueueDepth,
+	OfferedMbps:     DefaultZeroCopyTableConfig.OfferedMbps,
+	BatchN:          DefaultZeroCopyTableConfig.BatchN,
 	FaultNth:        40,
 	Policy:          "backoff",
 	Transports:      "all",
@@ -133,9 +129,6 @@ func (cfg RecoveryTableConfig) fill() RecoveryTableConfig {
 	}
 	if cfg.BatchN < 2 {
 		cfg.BatchN = d.BatchN
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = d.QueueDepth
 	}
 	if cfg.FaultNth < 1 {
 		cfg.FaultNth = d.FaultNth
@@ -160,27 +153,27 @@ func restartPolicyFor(name string) (recovery.Policy, error) {
 	}
 }
 
-// recoveryCase is one (driver, workload) cell: the shared async case plus
+// recoveryCase is one (driver, workload) cell: the shared netperf case plus
 // the data-path entry point the fault scenario targets and accessors for
 // driver-side drop accounting.
 type recoveryCase struct {
-	asyncCase
+	netCase
 	faultCall string
 	netdev    func(tb *workload.Testbed) *knet.NetDevice
 	rxDropped func(tb *workload.Testbed) uint64
 }
 
 func recoveryCases() []recoveryCase {
-	all := asyncCases()
+	all := netCases()
 	return []recoveryCase{
 		{
-			asyncCase: all[0], // E1000 netperf-send
+			netCase:   all[0], // E1000 netperf-send
 			faultCall: "e1000_xmit_frame",
 			netdev:    func(tb *workload.Testbed) *knet.NetDevice { return tb.E1000.NetDevice() },
 			rxDropped: func(tb *workload.Testbed) uint64 { return tb.E1000.Adapter.Stats.RxDropped },
 		},
 		{
-			asyncCase: all[2], // 8139too netperf-recv
+			netCase:   all[2], // 8139too netperf-recv
 			faultCall: "rtl8139_rx_frame",
 			netdev:    func(tb *workload.Testbed) *knet.NetDevice { return tb.RTL.NetDevice() },
 			rxDropped: func(tb *workload.Testbed) uint64 { return tb.RTL.Adapter.Stats.RxDropped },
@@ -192,7 +185,7 @@ func recoveryCases() []recoveryCase {
 // filter. Every row runs the decaf data path with a registered payload ring,
 // so recovery also exercises the ring swap.
 func (cfg RecoveryTableConfig) transports() []zcTransport {
-	base := ZeroCopyTableConfig{BatchN: cfg.BatchN, QueueDepth: cfg.QueueDepth, Transports: cfg.Transports}
+	base := ZeroCopyTableConfig{BatchN: cfg.BatchN, Transports: cfg.Transports}
 	out := base.transports()
 	for i := range out {
 		out[i].opts.ZeroCopy = true

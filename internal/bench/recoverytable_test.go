@@ -16,7 +16,6 @@ func TestRecoveryTableScenarios(t *testing.T) {
 		NetperfDuration: 2 * time.Second,
 		OfferedMbps:     2.5,
 		BatchN:          16,
-		QueueDepth:      128,
 		FaultNth:        20,
 		Policy:          "backoff",
 		Transports:      "batched",

@@ -17,7 +17,7 @@ type ZeroCopyRow struct {
 	Driver   string
 	Workload string
 	// Transport names the XPC transport ("per-call", "batched(N)",
-	// "async(qD,bN)").
+	// "proc(bN)").
 	Transport string
 	// Payload is the payload path: "copy" (full marshal) or "direct"
 	// (registered ring, slot descriptors).
@@ -87,29 +87,26 @@ type ZeroCopyRow struct {
 type ZeroCopyTableConfig struct {
 	// NetperfDuration is each run's virtual duration.
 	NetperfDuration time.Duration
-	// OfferedMbps is the offered load (shared with the async table's
-	// default so the crossings-per-packet columns are comparable).
+	// OfferedMbps is the offered load. The default is deliberately
+	// modest, a rate the decaf data path sustains under every transport.
 	OfferedMbps float64
-	// BatchN is the coalescing size shared by every batched/async row.
+	// BatchN is the coalescing size shared by every batched/proc row.
 	BatchN int
-	// QueueDepth bounds the async submission ring.
-	QueueDepth int
 	// RingSlots sizes the payload ring for the direct rows; <1 means
 	// xpc.DefaultRingSlots. Deliberately tiny values exercise the
 	// exhaustion fallback.
 	RingSlots int
-	// Transports filters rows: "all" (the in-process transports),
-	// "per-call", "batched", "async", or "proc" (never part of "all").
+	// Transports filters rows (see wantsTransport): "all" (the in-process
+	// transports), "per-call", "batched", or "proc" (never part of "all").
 	Transports string
 }
 
 // DefaultZeroCopyTableConfig compares copy vs direct payloads under the
-// batched and async transports at the async table's offered load.
+// in-process transports at a sustainable offered load.
 var DefaultZeroCopyTableConfig = ZeroCopyTableConfig{
 	NetperfDuration: 5 * time.Second,
-	OfferedMbps:     DefaultAsyncTableConfig.OfferedMbps,
-	BatchN:          DefaultAsyncTableConfig.BatchN,
-	QueueDepth:      xpc.DefaultQueueDepth,
+	OfferedMbps:     2.5,
+	BatchN:          32,
 	Transports:      "all",
 }
 
@@ -124,10 +121,57 @@ func (cfg ZeroCopyTableConfig) fill() ZeroCopyTableConfig {
 	if cfg.BatchN < 2 {
 		cfg.BatchN = d.BatchN
 	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = d.QueueDepth
-	}
 	return cfg
+}
+
+// netCase is one (driver, workload) cell of the zero-copy and recovery
+// tables: a netperf run at the configured offered load.
+type netCase struct {
+	driver   string
+	workload string
+	boot     func(opts workload.NetOptions) (*workload.Testbed, error)
+	run      func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error)
+}
+
+func netCases() []netCase {
+	return []netCase{
+		{
+			driver: "E1000", workload: "netperf-send",
+			boot: func(o workload.NetOptions) (*workload.Testbed, error) {
+				return workload.NewE1000With(xpc.ModeDecaf, o)
+			},
+			run: func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error) {
+				return workload.NetperfSend(tb, tb.E1000.NetDevice(), mbps, d)
+			},
+		},
+		{
+			driver: "E1000", workload: "netperf-recv",
+			boot: func(o workload.NetOptions) (*workload.Testbed, error) {
+				return workload.NewE1000With(xpc.ModeDecaf, o)
+			},
+			run: func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error) {
+				return workload.NetperfRecv(tb, tb.E1000Dev.InjectRx, tb.E1000.NetDevice(), mbps, d)
+			},
+		},
+		{
+			driver: "8139too", workload: "netperf-recv",
+			boot: func(o workload.NetOptions) (*workload.Testbed, error) {
+				return workload.NewRTL8139With(xpc.ModeDecaf, o)
+			},
+			run: func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error) {
+				return workload.NetperfRecv(tb, tb.RTLDev.InjectRx, tb.RTL.NetDevice(), mbps, d)
+			},
+		},
+	}
+}
+
+// coalesceWindowFor sizes the drivers' batch-coalescing window so a batch
+// of N frames can fill at the offered load (25% headroom) instead of the
+// 2 ms line-rate default flushing partial batches.
+func coalesceWindowFor(n int, mbps float64) time.Duration {
+	const frameBytes = 1462
+	perFrame := time.Duration(float64(frameBytes*8) / (mbps * 1e6) * float64(time.Second))
+	return perFrame * time.Duration(n) * 5 / 4
 }
 
 // zcTransport is one transport configuration a zero-copy cell runs under.
@@ -137,31 +181,25 @@ type zcTransport struct {
 }
 
 // transports enumerates the transport configurations one case runs under,
-// honoring the filter (the async table's filter semantics).
+// honoring the filter.
 func (cfg ZeroCopyTableConfig) transports() []zcTransport {
-	acfg := AsyncTableConfig{Transports: cfg.Transports}
 	var out []zcTransport
-	if acfg.wants("per-call") {
+	if wantsTransport(cfg.Transports, "per-call") {
 		out = append(out, zcTransport{"per-call",
 			workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 1}})
 	}
-	if acfg.wants("batched") {
+	if wantsTransport(cfg.Transports, "batched") {
 		out = append(out, zcTransport{fmt.Sprintf("batched(%d)", cfg.BatchN),
 			workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: cfg.BatchN}})
 	}
-	if acfg.wants("async") {
-		out = append(out, zcTransport{fmt.Sprintf("async(q%d,b%d)", cfg.QueueDepth, cfg.BatchN),
-			workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: cfg.BatchN,
-				Async: true, QueueDepth: cfg.QueueDepth}})
-	}
-	if acfg.wants("proc") {
+	if wantsTransport(cfg.Transports, "proc") {
 		out = append(out, zcTransport{fmt.Sprintf("proc(b%d)", cfg.BatchN),
 			workload.NetOptions{DataPath: xpc.DataPathDecaf, BatchN: cfg.BatchN, Proc: true}})
 	}
 	return out
 }
 
-func runZeroCopyCase(c asyncCase, opts workload.NetOptions, transport, payload string, cfg ZeroCopyTableConfig) (ZeroCopyRow, error) {
+func runZeroCopyCase(c netCase, opts workload.NetOptions, transport, payload string, cfg ZeroCopyTableConfig) (ZeroCopyRow, error) {
 	opts.CoalesceWindow = coalesceWindowFor(cfg.BatchN, cfg.OfferedMbps)
 	tb, err := c.boot(opts)
 	if err != nil {
@@ -222,7 +260,7 @@ func runZeroCopyCase(c asyncCase, opts workload.NetOptions, transport, payload s
 func RunZeroCopyTable(cfg ZeroCopyTableConfig) ([]ZeroCopyRow, error) {
 	cfg = cfg.fill()
 	var rows []ZeroCopyRow
-	for _, c := range asyncCases() {
+	for _, c := range netCases() {
 		for _, tr := range cfg.transports() {
 			copyRow, err := runZeroCopyCase(c, tr.opts, tr.name, "copy", cfg)
 			if err != nil {

@@ -153,44 +153,6 @@ func TestDecafDataPathRx(t *testing.T) {
 	}
 }
 
-// TestDecafDataPathAsyncTransport drives the decaf TX path through an
-// AsyncTransport end to end: probe (nested inline downcalls, batched EEPROM
-// walk), depth-triggered FlushAsync submissions, and Quiesce settling the
-// pipeline so every frame reaches the hardware.
-func TestDecafDataPathAsyncTransport(t *testing.T) {
-	const batchN = 4
-	r := newDecafPathRig(t, batchN)
-	r.drv.Runtime().SetTransport(xpc.NewAsyncTransport(xpc.AsyncConfig{Depth: 32, Batch: batchN}))
-	defer r.drv.Runtime().SetTransport(nil)
-	r.load(t)
-	r.up(t)
-	r.drv.Runtime().ResetCounters()
-
-	ctx := r.kern.NewContext("xmit")
-	pkt := knet.NewPacket([6]byte{1, 2, 3, 4, 5, 6}, r.drv.Adapter.MAC, 0x0800, 100)
-	for i := 0; i < 3*batchN; i++ {
-		if err := r.drv.NetDevice().Transmit(ctx, pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.drv.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.drv.Adapter.Stats.TxPackets; got != 3*batchN {
-		t.Fatalf("hardware transmitted %d frames, want %d", got, 3*batchN)
-	}
-	if got := r.drv.DecafTxFrames(); got != 3*batchN {
-		t.Fatalf("decaf driver saw %d frames, want %d", got, 3*batchN)
-	}
-	c := r.drv.Runtime().Counters()
-	if c.Trips() == 0 || c.Trips() > 3*batchN {
-		t.Fatalf("Trips = %d, want coalesced crossings", c.Trips())
-	}
-	if c.InFlight != 0 {
-		t.Fatalf("InFlight = %d after Quiesce", c.InFlight)
-	}
-}
-
 // TestProbeEEPROMReadsBatched checks the probe-time EEPROM loop coalesces
 // through the Batch downcall builder under a batched transport.
 func TestProbeEEPROMReadsBatched(t *testing.T) {

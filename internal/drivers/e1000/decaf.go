@@ -55,8 +55,8 @@ func (dd *decafDriver) checkOptions(opts map[string]int) {
 
 // readEEPROM fills the adapter's EEPROM shadow through the Batch downcall
 // builder: under the default per-call transport each word still costs one
-// crossing (the Table 3 measurement), but under a batched or async
-// transport the walk coalesces into one crossing per MaxBatch-word chunk,
+// crossing (the Table 3 measurement), but under a batched transport the
+// walk coalesces into one crossing per MaxBatch-word chunk,
 // cutting init crossings from one-per-word to one-per-chunk. A failed read
 // throws.
 func (dd *decafDriver) readEEPROM(uctx *kernel.Context) {

@@ -46,10 +46,9 @@ type Driver struct {
 	txFlushWork   kernel.WorkFunc // the one deferred-flush body, bound once
 	// txInFlight/rxInFlight hold flushes submitted through FlushAsync
 	// whose frames await the decaf-side completion (nucleus transmit for
-	// TX, stack delivery for RX); under an async transport they overlap
-	// packet production with crossing execution. Each flight carries the
-	// payload-ring slots its frames crossed in; the slots recycle when the
-	// flush settles (slot lifetime = completion lifetime).
+	// TX, stack delivery for RX). Each flight carries the payload-ring
+	// slots its frames crossed in; the slots recycle when the flush settles
+	// (slot lifetime = completion lifetime).
 	txInFlight xpc.FlushPipeline[flight]
 	rxInFlight xpc.FlushPipeline[flight]
 	// flights recycles the item and payload lists of settled flushes, TX
@@ -328,17 +327,16 @@ func (d *Driver) scheduleTxFlush() {
 	d.kern.DeferToWork(d.txFlushWork)
 }
 
-// maxTxInFlight bounds how many submitted-but-unreaped flushes may overlap
-// under an async transport before the caller blocks on the oldest.
+// maxTxInFlight bounds the TX pipeline: with this many flushes unreaped,
+// the caller waits for the oldest. Every transport settles a flush during
+// submission, so the depth stays at one.
 const maxTxInFlight = 4
 
 // FlushTx submits every queued TX frame through the decaf driver via
-// FlushAsync, then reaps every in-flight flush whose crossing has (virtually)
-// completed and hands its frames to the nucleus for transmission. Under an
-// inline transport the flush settles during submission, so frames reach the
-// hardware in the same call — the seed behavior; under an async transport
-// the caller keeps producing while the decaf side drains the crossing, and
-// frames follow one reap behind. A no-op outside the decaf data path.
+// FlushAsync, then reaps every settled in-flight flush and hands its frames
+// to the nucleus for transmission. The flush settles during submission, so
+// frames reach the hardware in the same call — the seed behavior. A no-op
+// outside the decaf data path.
 func (d *Driver) FlushTx(ctx *kernel.Context) error {
 	if len(d.txQueue) > 0 {
 		// The flush consumes any armed coalescing timer: it should fire
@@ -418,12 +416,11 @@ func (d *Driver) dropRxFrames(f flight, _ error) {
 }
 
 // reapTx transmits the frames of every settled in-flight flush; with force,
-// it first waits for the oldest flush (charging the caller any residual
-// stall) so the pipeline depth stays bounded.
+// it first waits for the oldest flush so the pipeline depth stays bounded.
 func (d *Driver) reapTx(ctx *kernel.Context, force bool) error {
 	var xmitErr error
 	deliver, drop := d.txCallbacks(ctx, &xmitErr)
-	err := d.txInFlight.Reap(ctx, d.kern.Clock().Now(), force, deliver, drop)
+	err := d.txInFlight.Reap(ctx, force, deliver, drop)
 	if err == nil {
 		err = xmitErr
 	}
@@ -432,8 +429,8 @@ func (d *Driver) reapTx(ctx *kernel.Context, force bool) error {
 
 // Quiesce flushes the partial TX queue and waits for every in-flight decaf
 // crossing, transmitting reaped TX frames and delivering reaped RX frames.
-// Workload harnesses call it before closing a measurement phase so async
-// completions are settled.
+// Workload harnesses call it before closing a measurement phase so every
+// flush is delivered.
 func (d *Driver) Quiesce(ctx *kernel.Context) error {
 	err := d.FlushTx(ctx)
 	var xmitErr error
@@ -445,9 +442,6 @@ func (d *Driver) Quiesce(ctx *kernel.Context) error {
 		err = derr
 	}
 	_ = d.rxInFlight.Drain(ctx, d.deliverRxFrames, d.dropRxFrames)
-	if derr := d.rt.DrainCrossings(ctx); derr != nil && err == nil {
-		err = derr
-	}
 	return err
 }
 
@@ -455,9 +449,8 @@ func (d *Driver) Quiesce(ctx *kernel.Context) error {
 // In the decaf data path the crossing cannot happen in IRQ context, so a
 // work item submits the batched upcalls — the work-queue handoff of §3.1.3
 // applied to the receive path — and delivery follows each flush's
-// completion: inline transports settle during submission (delivery in the
-// same work item, the seed behavior), async transports overlap the crossing
-// with further interrupt drains.
+// completion, which settles during submission (delivery in the same work
+// item, the seed behavior).
 func (d *Driver) deliverRx(burst []knet.Packet) {
 	if len(burst) == 0 {
 		return
@@ -482,12 +475,12 @@ func (d *Driver) deliverRx(burst []knet.Packet) {
 	})
 }
 
-// maxRxInFlight bounds the RX pipeline depth under an async transport.
+// maxRxInFlight bounds the RX pipeline depth, as maxTxInFlight does TX's.
 const maxRxInFlight = 4
 
 // reapRx delivers the frames of every settled in-flight RX flush; with
 // force, it first waits for the oldest. A faulted decaf driver drops its
 // own drain; the kernel survives.
 func (d *Driver) reapRx(ctx *kernel.Context, force bool) {
-	_ = d.rxInFlight.Reap(ctx, d.kern.Clock().Now(), force, d.deliverRxFrames, d.dropRxFrames)
+	_ = d.rxInFlight.Reap(ctx, force, d.deliverRxFrames, d.dropRxFrames)
 }

@@ -134,6 +134,42 @@ func TestProcDecafDataPathExecutesInWorker(t *testing.T) {
 	}
 }
 
+// TestDecafDataPathAsyncTransport drives the decaf TX path's asynchronous
+// submissions end to end over the worker process: depth-triggered FlushAsync
+// submissions cross as coalesced chunks, and Quiesce settles the pipeline so
+// every frame reaches the hardware and nothing stays in flight.
+func TestDecafDataPathAsyncTransport(t *testing.T) {
+	const batchN, frames = 4, 3 * 4
+	r, _ := newProcPathRig(t, batchN)
+	r.load(t)
+	r.up(t)
+	r.drv.Runtime().ResetCounters()
+
+	ctx := r.kern.NewContext("xmit")
+	pkt := knet.NewPacket([6]byte{1, 2, 3, 4, 5, 6}, r.drv.Adapter.MAC, 0x0800, 100)
+	for i := 0; i < frames; i++ {
+		if err := r.drv.NetDevice().Transmit(ctx, pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.drv.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.drv.Adapter.Stats.TxPackets; got != frames {
+		t.Fatalf("hardware transmitted %d frames, want %d", got, frames)
+	}
+	if got := r.drv.DecafTxFrames(); got != frames {
+		t.Fatalf("decaf driver saw %d frames, want %d", got, frames)
+	}
+	c := r.drv.Runtime().Counters()
+	if c.Trips() != frames/batchN {
+		t.Fatalf("Trips = %d, want %d coalesced crossings", c.Trips(), frames/batchN)
+	}
+	if c.InFlight != 0 {
+		t.Fatalf("InFlight = %d after Quiesce", c.InFlight)
+	}
+}
+
 // TestProcWatchdogRunsInWorker: the watchdog body executes in the worker and
 // reaches the device through a real nested downcall — a FrameDown round trip
 // mid-call, not a library shortcut.

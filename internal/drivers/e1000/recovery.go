@@ -99,7 +99,6 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	deliver, drop := d.txCallbacks(ctx, &xmitErr)
 	_ = d.txInFlight.Drain(ctx, deliver, drop)
 	_ = d.rxInFlight.Drain(ctx, d.deliverRxFrames, d.dropRxFrames)
-	_ = d.rt.DrainCrossings(ctx)
 
 	d.nuc.down(ctx)
 	d.nuc.freeIRQ(ctx)

@@ -79,13 +79,12 @@ func (d *Driver) BeginOutage(ctx *kernel.Context) {
 	d.recovering = true
 }
 
-// TeardownForRecovery implements recovery.Target: silence the engine and
-// drain in-flight crossings. The playback buffer, IRQ registration, card and
-// mixer controls are kernel-side state and survive; the journal replay
-// reprograms the device.
+// TeardownForRecovery implements recovery.Target: silence the engine. The
+// playback buffer, IRQ registration, card and mixer controls are
+// kernel-side state and survive; the journal replay reprograms the device.
 func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	d.stopDAC2(ctx)
-	return d.rt.DrainCrossings(ctx)
+	return nil
 }
 
 // ResetDecafState implements recovery.Target: the codec-vendor cell the

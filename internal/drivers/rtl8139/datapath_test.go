@@ -118,46 +118,6 @@ func TestRxCoalescingRearmsAfterStop(t *testing.T) {
 	}
 }
 
-// TestRxDecafPathAsyncTransport drives the decaf RX path through an
-// AsyncTransport end to end: probe (with its nested inline downcalls),
-// interrupt drains submitting through the ring, and
-// Quiesce settling the in-flight flushes so every frame is delivered.
-func TestRxDecafPathAsyncTransport(t *testing.T) {
-	const batchN = 4
-	r := newDecafPathRig(t, 1)
-	r.drv.Runtime().SetTransport(xpc.NewAsyncTransport(xpc.AsyncConfig{Depth: 32, Batch: batchN}))
-	defer r.drv.Runtime().SetTransport(nil)
-	r.loadAndUp(t)
-	r.drv.Runtime().ResetCounters()
-
-	received := 0
-	r.drv.NetDevice().SetRxSink(func(p *knet.Packet) { received++ })
-	frame := knet.NewPacket(r.drv.Adapter.MAC, [6]byte{9, 8, 7, 6, 5, 4}, 0x0800, 200)
-	for i := 0; i < 2*batchN; i++ {
-		if !r.dev.InjectRx(frame.Data) {
-			t.Fatalf("inject %d failed", i)
-		}
-	}
-	r.kern.DefaultWorkqueue().Drain()
-	ctx := r.kern.NewContext("settle")
-	if err := r.drv.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if received != 2*batchN {
-		t.Fatalf("received %d frames, want %d", received, 2*batchN)
-	}
-	if got := r.drv.DecafRxFrames(); got != 2*batchN {
-		t.Fatalf("decaf driver saw %d frames, want %d", got, 2*batchN)
-	}
-	c := r.drv.Runtime().Counters()
-	if c.Trips() == 0 || c.Trips() > 2*batchN {
-		t.Fatalf("Trips = %d, want coalesced crossings", c.Trips())
-	}
-	if c.InFlight != 0 {
-		t.Fatalf("InFlight = %d after Quiesce", c.InFlight)
-	}
-}
-
 // TestProbeEEPROMWalkCrossesPerWord checks the probe-time EEPROM walk under
 // a batched transport: the probe body needs each word's value back before it
 // can ask for the next, so the 32-word walk plus the Cfg9346 lock dance is 34

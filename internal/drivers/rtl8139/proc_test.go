@@ -112,6 +112,42 @@ func TestProcExternalKillRecoversRxPath(t *testing.T) {
 	}
 }
 
+// TestProcRxDecafPathDelivers drives the decaf RX path over the worker
+// process: interrupt drains submit coalesced flushes whose bodies the worker
+// serves, and Quiesce leaves every frame delivered and nothing in flight.
+func TestProcRxDecafPathDelivers(t *testing.T) {
+	const batchN = 4
+	r, _ := newProcPathRig(t, batchN)
+	r.loadAndUp(t)
+	r.drv.Runtime().ResetCounters()
+
+	received := 0
+	r.drv.NetDevice().SetRxSink(func(p *knet.Packet) { received++ })
+	frame := knet.NewPacket(r.drv.Adapter.MAC, [6]byte{9, 8, 7, 6, 5, 4}, 0x0800, 200)
+	for i := 0; i < 2*batchN; i++ {
+		if !r.dev.InjectRx(frame.Data) {
+			t.Fatalf("inject %d failed", i)
+		}
+	}
+	r.kern.DefaultWorkqueue().Drain()
+	if err := r.drv.Quiesce(r.kern.NewContext("settle")); err != nil {
+		t.Fatal(err)
+	}
+	if received != 2*batchN {
+		t.Fatalf("received %d frames, want %d", received, 2*batchN)
+	}
+	if got := r.drv.DecafRxFrames(); got != 2*batchN {
+		t.Fatalf("decaf driver saw %d frames, want %d", got, 2*batchN)
+	}
+	c := r.drv.Runtime().Counters()
+	if c.Trips() == 0 || c.Trips() > 2*batchN {
+		t.Fatalf("Trips = %d, want coalesced crossings", c.Trips())
+	}
+	if c.WorkerServedCalls != 2*batchN || c.InFlight != 0 {
+		t.Fatalf("WorkerServedCalls = %d, InFlight = %d, want %d and 0", c.WorkerServedCalls, c.InFlight, 2*batchN)
+	}
+}
+
 // TestProcEveryDecafBodyRunsInWorker: under the proc transport the whole
 // decaf driver is worker-resident — every upcall of load + up + down is a
 // handler body the worker served, and every downcall is one such body

@@ -63,7 +63,6 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 		d.Adapter.Stats.RxDropped += uint64(n)
 	}
 	_ = d.rxInFlight.Drain(ctx, d.deliverFrames, d.dropFrames)
-	_ = d.rt.DrainCrossings(ctx)
 
 	d.stopChip(ctx)
 	_ = d.kern.FreeIRQ(d.irq, "8139too")

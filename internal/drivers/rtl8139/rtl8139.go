@@ -98,11 +98,10 @@ type Driver struct {
 	rxFlushArmed  bool
 	rxFlushQueued bool
 	// rxInFlight holds flushes submitted through FlushAsync whose frames
-	// await the decaf-side completion before delivery up the stack. Inline
-	// transports settle during submission (pipeline depth one, the seed
-	// behavior); an async transport overlaps the crossing with further
-	// interrupt drains. Each flight carries the payload-ring slots its
-	// frames crossed in, recycled when the flush settles.
+	// await the decaf-side completion before delivery up the stack. Every
+	// transport settles a flush during submission (pipeline depth one, the
+	// seed behavior). Each flight carries the payload-ring slots its frames
+	// crossed in, recycled when the flush settles.
 	rxInFlight xpc.FlushPipeline[rxFlight]
 	// flights recycles the item and payload lists of settled flushes.
 	flights xpc.FlightPool[*knet.Packet]
@@ -117,7 +116,8 @@ type Driver struct {
 // payloads they crossed in.
 type rxFlight = xpc.Flight[*knet.Packet]
 
-// maxRxInFlight bounds the RX pipeline depth under an async transport.
+// maxRxInFlight bounds the RX pipeline: with this many flushes unreaped,
+// the work item waits for the oldest.
 const maxRxInFlight = 4
 
 // New binds the driver to a device model.
@@ -414,10 +414,9 @@ func (d *Driver) scheduleRxFlush() {
 }
 
 // flushRx submits every coalesced frame to the decaf driver via FlushAsync,
-// then delivers the frames of every flush whose crossing has (virtually)
-// completed. Inline transports settle during submission, so delivery
-// happens in the same work item — the seed behavior; an async transport
-// lets the interrupt path keep draining while the decaf side inspects.
+// then delivers the frames of every settled flush. The flush settles during
+// submission, so delivery happens in the same work item — the seed
+// behavior.
 func (d *Driver) flushRx(wctx *kernel.Context) {
 	d.rxFlushQueued = false
 	// The flush consumes any armed coalescing timer: it should fire only
@@ -458,17 +457,16 @@ func (d *Driver) dropFrames(f rxFlight, _ error) {
 }
 
 // reapRx delivers the frames of every settled in-flight flush; with force,
-// it first waits for the oldest (charging any residual stall). A faulted
-// decaf driver drops its own drain; the kernel survives.
+// it first waits for the oldest. A faulted decaf driver drops its own
+// drain; the kernel survives.
 func (d *Driver) reapRx(ctx *kernel.Context, force bool) {
-	_ = d.rxInFlight.Reap(ctx, d.kern.Clock().Now(), force, d.deliverFrames, d.dropFrames)
+	_ = d.rxInFlight.Reap(ctx, force, d.deliverFrames, d.dropFrames)
 }
 
 // Quiesce waits for every in-flight decaf crossing and delivers the reaped
 // frames; workload harnesses call it before closing a measurement phase.
 func (d *Driver) Quiesce(ctx *kernel.Context) error {
-	_ = d.rxInFlight.Drain(ctx, d.deliverFrames, d.dropFrames)
-	return d.rt.DrainCrossings(ctx)
+	return d.rxInFlight.Drain(ctx, d.deliverFrames, d.dropFrames)
 }
 
 // xmit is hard_start_xmit, a critical root.

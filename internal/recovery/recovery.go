@@ -143,8 +143,8 @@ type Config struct {
 
 // Supervisor supervises one driver: it consumes the runtime's fault
 // notifications and drives the outage/teardown/replay/resume cycle through
-// kernel work items — never on the notifying goroutine, which may be the
-// async transport's service loop.
+// kernel work items — never on the notifying goroutine, which is inside the
+// faulted crossing.
 type Supervisor struct {
 	kern    *kernel.Kernel
 	target  Target
@@ -243,8 +243,8 @@ func (s *Supervisor) onFault(ev xpc.FaultEvent) {
 	s.stats.Faults++
 	s.stats.LastFaultCall = ev.Call
 	if s.state != StateMonitoring {
-		// Already recovering (several submissions of one flush can fault
-		// individually under the async transport) or fail-stopped.
+		// Already recovering (a later flush can fault before the restart
+		// work runs) or fail-stopped.
 		return
 	}
 	s.state = StateRecovering

@@ -10,8 +10,9 @@ import (
 	"decafdrivers/internal/xpc"
 )
 
-// recoveryTransports enumerates the three transport shapes every
-// recovery-under-traffic test runs against.
+// recoveryTransports enumerates the transport shapes every
+// recovery-under-traffic test runs against: in-process per-call and
+// batched, and the worker process.
 func recoveryTransports() []struct {
 	name string
 	opts NetOptions
@@ -22,7 +23,7 @@ func recoveryTransports() []struct {
 	}{
 		{"sync", NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 1}},
 		{"batch", NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 8}},
-		{"async", NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 8, Async: true, QueueDepth: 64}},
+		{"proc", NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 8, Proc: true}},
 	}
 }
 
@@ -47,7 +48,7 @@ func snapshotE1000(a *e1000.Adapter) e1000ConfigSnapshot {
 // decaf-side panic mid-workload never surfaces to kernel callers, the
 // testbed completes the phase, post-recovery driver config equals pre-fault
 // config, held frames replay, and the payload ring's occupancy returns to
-// zero — under Sync, Batch and Async transports.
+// zero — under the sync, batch and proc transports.
 func TestE1000RecoveryUnderNetperfSend(t *testing.T) {
 	for _, tr := range recoveryTransports() {
 		t.Run(tr.name, func(t *testing.T) {

@@ -105,22 +105,15 @@ type NetOptions struct {
 	// study's configuration).
 	DataPath xpc.DataPath
 	// BatchN > 1 coalesces up to N calls per crossing (BatchTransport, or
-	// the async service's coalescing size when Async is set), and sizes
-	// the e1000 TX queue to match. <= 1 keeps per-call crossings.
+	// the proc transport's chunk size when Proc is set), and sizes the
+	// e1000 TX queue to match. <= 1 keeps per-call crossings.
 	BatchN int
-	// Async installs an AsyncTransport: submissions queue onto a bounded
-	// ring serviced by a dedicated decaf-side goroutine, so crossings
-	// overlap with packet production instead of stalling the caller.
-	Async bool
 	// Proc installs a ProcTransport: the decaf side of the boundary is a
 	// real forked worker process reached over shared-memory lanes, with
 	// payload rings in the same genuinely shared mmap region and fault
 	// containment enforced by actual process death. Coalescing follows
-	// BatchN. Takes precedence over Async.
+	// BatchN.
 	Proc bool
-	// QueueDepth bounds the async submission ring; <1 means
-	// xpc.DefaultQueueDepth. Ignored unless Async is set.
-	QueueDepth int
 	// Submitters sizes the proc transport's submission-lane table for the
 	// expected number of concurrent submitting contexts: each submitter can
 	// then hold its own lock-free lane instead of spilling to the contended
@@ -207,9 +200,6 @@ func (o NetOptions) transport() (xpc.Transport, error) {
 			}
 		}
 		return xpc.NewProcTransport(xpc.ProcConfig{Batch: o.BatchN, Lanes: o.Submitters, TraceEntries: entries})
-	}
-	if o.Async {
-		return xpc.NewAsyncTransport(xpc.AsyncConfig{Depth: o.QueueDepth, Batch: o.BatchN}), nil
 	}
 	if o.BatchN > 1 {
 		return xpc.BatchTransport{N: o.BatchN}, nil
@@ -302,10 +292,6 @@ func NewE1000With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
 	if err := tb.E1000.NetDevice().Up(ctx); err != nil {
 		return nil, err
 	}
-	// Initialization crossings were synchronous (waited-for); advance the
-	// clock past them so a following measurement phase starts with the
-	// async service timeline and the clock in step.
-	tb.Clock.AdvanceTo(tb.Runtime.WaitFrontier())
 	opts.armSupervision(tb, tb.E1000, journal)
 	return tb, nil
 }
@@ -343,7 +329,6 @@ func NewRTL8139With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
 	if err := tb.RTL.NetDevice().Up(ctx); err != nil {
 		return nil, err
 	}
-	tb.Clock.AdvanceTo(tb.Runtime.WaitFrontier())
 	opts.armSupervision(tb, tb.RTL, journal)
 	return tb, nil
 }
@@ -427,11 +412,10 @@ func (tb *Testbed) settleRecovery() {
 }
 
 // Settle quiesces the testbed's crossing pipelines: deferred work drains,
-// any in-flight recovery completes (or fail-stops), the drivers reap their
-// in-flight async flushes, and the transport's queue empties, charging ctx
-// any residual catch-up stall. Workloads call it before closing a
-// measurement phase so crossing counters and deliveries are complete; under
-// inline transports it is a no-op beyond the work-queue drain.
+// any in-flight recovery completes (or fail-stops), and the drivers flush
+// their partial queues and reap their in-flight flushes. Workloads call it
+// before closing a measurement phase so crossing counters and deliveries
+// are complete.
 func (tb *Testbed) Settle(ctx *kernel.Context) {
 	tb.drainDeferredWork()
 	tb.settleRecovery()
@@ -442,14 +426,11 @@ func (tb *Testbed) Settle(ctx *kernel.Context) {
 		_ = tb.RTL.Quiesce(ctx)
 	}
 	tb.drainDeferredWork()
-	if tb.Runtime != nil {
-		_ = tb.Runtime.DrainCrossings(ctx)
-	}
 }
 
-// Shutdown settles the testbed and releases transport resources (an
-// AsyncTransport's service goroutine). Benchmarks call it when a testbed is
-// no longer needed.
+// Shutdown settles the testbed and releases transport resources (a
+// ProcTransport's worker process). Benchmarks call it when a testbed is no
+// longer needed.
 func (tb *Testbed) Shutdown() {
 	ctx := tb.Kernel.NewContext("shutdown")
 	tb.Settle(ctx)

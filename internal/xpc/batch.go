@@ -10,20 +10,19 @@ import (
 )
 
 // Batch accumulates crossing requests and submits them through the runtime's
-// transport. Under a BatchTransport, queued calls coalesce into crossings of
-// up to MaxBatch calls each, paying the kernel/user transition once per
-// crossing (the default per-call transport is the N = 1 case: every queued
-// call crosses individually); under an AsyncTransport queued calls stream
-// onto the submission ring and execute on the decaf-side goroutine. Driver
-// code written against Batch is transport-agnostic.
+// transport. Queued calls coalesce into crossings of up to MaxBatch calls
+// each, paying the kernel/user transition once per crossing (the default
+// per-call transport is the N = 1 case: every queued call crosses
+// individually); under a ProcTransport each crossing is one chunk sent to
+// the worker process. Driver code written against Batch is
+// transport-agnostic.
 //
 // The builder auto-flushes whenever the queue reaches the transport's
 // MaxBatch or the call direction changes (each crossing travels one
 // direction), so a driver may stream an unbounded number of calls through
-// one Batch. Errors known synchronously are sticky: after a call fails,
-// subsequent adds are dropped and Flush returns the first error. Under an
-// async transport errors surface through the completions instead — Flush
-// still reports the first one, FlushAsync hands back the aggregate handle.
+// one Batch. Errors are sticky: after a call fails, subsequent adds are
+// dropped and Flush returns the first error; FlushAsync hands it back in
+// the aggregate handle.
 //
 // In ModeNative each call runs immediately in the caller's context, exactly
 // as Upcall/Downcall do.
@@ -233,9 +232,9 @@ func (b *Batch) UpcallHandler(name string, objs ...any) *Batch {
 // Ownership rule: the slice is aliased into the queued Call, not copied —
 // it belongs to the batch from this call until the submission's Completion
 // resolves, and the caller must not mutate or reuse it in that window.
-// Callers that need content-stable payloads under an async transport stage
-// them through Runtime.AcquirePayload and UpcallHandlerPayload instead: a
-// ring slot snapshots the bytes at acquire time.
+// Callers that need content-stable payloads stage them through
+// Runtime.AcquirePayload and UpcallHandlerPayload instead: a ring slot
+// snapshots the bytes at acquire time.
 func (b *Batch) UpcallHandlerData(name string, data []byte, objs ...any) *Batch {
 	return b.addHandler(name, objs, data, xdr.SlotDescriptor{})
 }
@@ -307,10 +306,9 @@ func (b *Batch) submit() error {
 
 // Flush submits every queued call, waits for every submitted call to
 // complete, and returns the first error encountered by this batch
-// (including errors from earlier auto-flushes). Under an inline transport
-// the crossings happened on the calling context; under an async transport
-// the caller stalls only for latency not already hidden by overlap. The
-// batch is reusable afterwards; the sticky error is cleared.
+// (including errors from earlier auto-flushes). The crossings happened on
+// the calling context. The batch is reusable afterwards; the sticky error
+// is cleared.
 //
 //decaf:hotpath
 func (b *Batch) Flush() error {
@@ -335,16 +333,14 @@ func (b *Batch) Flush() error {
 
 // FlushAsync submits every queued call and returns an aggregate Completion
 // that resolves when the last of this batch's submitted calls does, without
-// waiting: the caller keeps producing while the decaf side drains the
-// crossing. The aggregate carries the batch's sticky error or else the first
-// error in submission order, the combined crossing cost, and the latest
-// virtual completion instant. Under an inline transport the calls completed
-// during submission, so the handle is already settled — and the records are
-// recycled here; when some are still in flight a small waiter goroutine
-// performs the fan-in (transports guarantee every child resolves, so it
-// always terminates) and the records it watches are left to the collector.
-// The batch is reusable afterwards; the sticky error is cleared (it is
-// carried by the returned completion).
+// waiting on it. The aggregate carries the batch's sticky error or else the
+// first error in submission order, and the combined crossing cost. When the
+// calls completed during submission the handle is already settled — and the
+// records are recycled here; when some are still in flight a small waiter
+// goroutine performs the fan-in (transports guarantee every child resolves,
+// so it always terminates) and the records it watches are left to the
+// collector. The batch is reusable afterwards; the sticky error is cleared
+// (it is carried by the returned completion).
 func (b *Batch) FlushAsync() *Completion {
 	if ferr := b.submit(); b.err == nil {
 		b.err = ferr
@@ -356,11 +352,8 @@ func (b *Batch) FlushAsync() *Completion {
 	if s != nil {
 		children = s.recs[:s.submitted]
 	}
-	if len(children) == 0 {
-		p.completeAt = b.r.Kernel.Clock().Now()
-	}
 	for i, rec := range children {
-		if !rec.comp.settled() {
+		if !rec.comp.Settled() {
 			rest := children[i:]
 			go func() {
 				for _, rec := range rest {

@@ -327,7 +327,7 @@ func TestBatchNativeModeFlushAsyncSettled(t *testing.T) {
 	// Native mode never crosses; FlushAsync must hand back an
 	// already-settled handle with nothing pending.
 	done := b.FlushAsync()
-	if !done.Settled(k.Clock().Now()) {
+	if !done.Settled() {
 		t.Fatal("native FlushAsync handle not settled")
 	}
 	if err := done.Wait(ctx); err != nil {
@@ -459,15 +459,5 @@ func TestTransportNames(t *testing.T) {
 	}
 	if (BatchTransport{}).MaxBatch() != DefaultBatchSize {
 		t.Fatal("zero-value BatchTransport batch size")
-	}
-	a := NewAsyncTransport(AsyncConfig{Depth: 128, Batch: 32})
-	if a.Name() != "async(q128,b32)" {
-		t.Fatalf("AsyncTransport name = %s", a.Name())
-	}
-	if a.MaxBatch() != 32 || a.QueueDepth() != 128 {
-		t.Fatal("AsyncTransport sizing")
-	}
-	if NewAsyncTransport(AsyncConfig{}).QueueDepth() != DefaultQueueDepth {
-		t.Fatal("zero-value AsyncConfig depth")
 	}
 }

@@ -32,8 +32,8 @@ type Counters struct {
 	// Submissions counts calls admitted through the submit/complete API
 	// (every Upcall, Downcall and Batch call flows through it).
 	Submissions uint64
-	// Faults counts contained decaf-side panics (each failed only its own
-	// Completion under the async transport).
+	// Faults counts contained decaf-side panics (each failed its own
+	// Completion and aborted the rest of its crossing).
 	Faults uint64
 	// FaultsInjected counts faults thrown by the installed fault injector —
 	// a subset of Faults. Zero unless a test or benchmark armed injection.
@@ -42,16 +42,10 @@ type Counters struct {
 	// recovery supervisor uses to attribute crashes.
 	FaultsByCall map[string]uint64
 	// Stall is the caller-visible crossing stall: virtual time submitting
-	// contexts slept inside inline crossings plus what waiters were charged
-	// catching up to async completions. This is the cost the async
-	// transport exists to take off the caller's timeline.
+	// contexts slept inside their crossings.
 	Stall time.Duration
-	// QueueWait is total virtual time submissions waited behind earlier
-	// work before their crossing started (async transports; zero inline).
-	QueueWait time.Duration
 	// CrossTime is the total virtual crossing cost accounted to
-	// completions — under the async transport this is the decaf-side
-	// timeline's load, the cost that moved off the callers.
+	// completions.
 	CrossTime time.Duration
 
 	// BytesPayloadCopied is the total opaque payload bytes that crossed by
@@ -103,13 +97,9 @@ type Counters struct {
 
 	// InFlight is a gauge: submissions admitted but not yet completed.
 	InFlight int64
-	// QueueLen is a gauge: submissions currently in the async ring.
-	QueueLen int64
-	// QueuePeak is the high-water mark of QueueLen.
-	QueuePeak int64
 
 	// Payload-ring state, populated when a ring is registered. Like the
-	// gauges above these track live ring state, not the counter epoch:
+	// gauge above these track live ring state, not the counter epoch:
 	// ResetCounters does not zero them.
 	//
 	// RingCapacity and RingInUse are the registered ring's slot count and
@@ -234,7 +224,6 @@ type counterCell struct {
 	faults          atomic.Uint64
 	faultsInjected  atomic.Uint64
 	stallNs         atomic.Uint64
-	queueWaitNs     atomic.Uint64
 	crossNs         atomic.Uint64
 	bytesCopied     atomic.Uint64
 	bytesDirect     atomic.Uint64
@@ -247,7 +236,7 @@ type counterCell struct {
 	wireBytesIn     atomic.Uint64
 	workerServed    atomic.Uint64
 	workerDown      atomic.Uint64
-	_               [16]byte
+	_               [24]byte
 }
 
 // counterState is one epoch of statistics. ResetCounters swaps in a fresh
@@ -370,17 +359,14 @@ func (r *Runtime) countLibraryCall(name string) {
 	r.state().cell(name).libraryCalls.Add(1)
 }
 
-// noteCompletion records a resolved submission's latency split and fault
+// noteCompletion records a resolved submission's crossing cost and fault
 // outcome on c, the cell of its name, and feeds the completion observer
 // when one is installed.
 //
 //decaf:hotpath
-func (r *Runtime) noteCompletion(c *counterCell, name string, queueWait, crossCost time.Duration, fault bool) {
+func (r *Runtime) noteCompletion(c *counterCell, name string, crossCost time.Duration, fault bool) {
 	if ob := r.completionObserver.Load(); ob != nil {
-		(*ob)(name, queueWait, crossCost, fault)
-	}
-	if queueWait > 0 {
-		c.queueWaitNs.Add(uint64(queueWait))
+		(*ob)(name, crossCost, fault)
 	}
 	if crossCost > 0 {
 		c.crossNs.Add(uint64(crossCost))
@@ -407,26 +393,12 @@ func (r *Runtime) noteInjected(name string) {
 }
 
 // noteStall records caller-visible crossing stall: sleep charged to a
-// submitting context by an inline crossing, or to a waiter catching up to
-// an async completion.
+// submitting context by its crossing.
 func (r *Runtime) noteStall(name string, d time.Duration) {
 	if d > 0 {
 		r.state().cell(name).stallNs.Add(uint64(d))
 	}
 }
-
-// noteEnqueued/noteDequeued maintain the async ring-occupancy gauges.
-func (r *Runtime) noteEnqueued(n int) {
-	cur := r.queueLen.Add(int64(n))
-	for {
-		peak := r.queuePeak.Load()
-		if cur <= peak || r.queuePeak.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
-}
-
-func (r *Runtime) noteDequeued(n int) { r.queueLen.Add(int64(-n)) }
 
 // noteCopied records one payload of n bytes crossing by copy (the
 // fallback path).
@@ -522,7 +494,6 @@ func (r *Runtime) Counters() Counters {
 		snap.Faults += c.faults.Load()
 		snap.FaultsInjected += c.faultsInjected.Load()
 		snap.Stall += time.Duration(c.stallNs.Load())
-		snap.QueueWait += time.Duration(c.queueWaitNs.Load())
 		snap.CrossTime += time.Duration(c.crossNs.Load())
 		snap.BytesPayloadCopied += c.bytesCopied.Load()
 		snap.BytesPayloadDirect += c.bytesDirect.Load()
@@ -537,8 +508,6 @@ func (r *Runtime) Counters() Counters {
 		snap.WorkerDowncalls += c.workerDown.Load()
 	}
 	snap.InFlight = r.inFlight.Load()
-	snap.QueueLen = r.queueLen.Load()
-	snap.QueuePeak = r.queuePeak.Load()
 	if wt, ok := r.Transport().(workerStatser); ok {
 		snap.WorkerRespawns, snap.WorkerDeaths, snap.WorkerAlive = wt.workerStats()
 	}

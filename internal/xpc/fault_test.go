@@ -53,22 +53,32 @@ func TestFaultInjectorThrowsInsideContainment(t *testing.T) {
 	}
 }
 
+// faultRigs are the transports the fault tests run under: the in-process
+// ones, and the worker process where the platform has one.
+var faultRigs = []struct {
+	name      string
+	transport func(t *testing.T) Transport
+}{
+	{"sync", func(*testing.T) Transport { return BatchTransport{N: 1} }},
+	{"batch", func(*testing.T) Transport { return BatchTransport{N: 4} }},
+	{"proc", func(t *testing.T) Transport {
+		pt, err := NewProcTransport(ProcConfig{Batch: 4})
+		if err != nil {
+			t.Skip(err)
+		}
+		return pt
+	}},
+}
+
 // TestFaultNotifierObservesEveryContainedFault: the notifier fires once per
-// fault with the call name and error, on inline and async transports alike,
-// and sees the completion already settled.
+// fault with the call name and error, under every transport, and sees the
+// completion already settled.
 func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		transport Transport
-	}{
-		{"sync", BatchTransport{N: 1}},
-		{"batch", BatchTransport{N: 4}},
-		{"async", NewAsyncTransport(AsyncConfig{Depth: 8, Batch: 4})},
-	} {
+	for _, tc := range faultRigs {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newTestKernel()
 			r := newDecafRuntime(k)
-			r.SetTransport(tc.transport)
+			r.SetTransport(tc.transport(t))
 			defer r.SetTransport(nil)
 
 			var mu sync.Mutex
@@ -86,7 +96,6 @@ func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
 			if !IsUserFault(err) {
 				t.Fatalf("err = %v, want UserFault", err)
 			}
-			_ = r.DrainCrossings(ctx)
 
 			mu.Lock()
 			defer mu.Unlock()
@@ -106,29 +115,23 @@ func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
 // return ring occupancy to zero once the pipeline's drop arm runs, under
 // every transport. A fault mid-flight must not leak a slot.
 func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		transport func() Transport
-	}{
-		{"sync", func() Transport { return BatchTransport{N: 1} }},
-		{"batch", func() Transport { return BatchTransport{N: 4} }},
-		{"async", func() Transport { return NewAsyncTransport(AsyncConfig{Depth: 16, Batch: 4}) }},
-	} {
+	for _, tc := range faultRigs {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newTestKernel()
 			r := newDecafRuntime(k)
-			r.SetTransport(tc.transport())
+			r.SetTransport(tc.transport(t))
 			defer r.SetTransport(nil)
 			ctx := k.NewContext("t")
-			ring := NewPayloadRing(8, 256)
+			ring, err := r.NewRing(8, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := r.RegisterPayloadRing(ctx, ring); err != nil {
 				t.Fatal(err)
 			}
 
-			// Fault the third call of the flush: under inline transports the
-			// abort semantics kill the rest of the crossing, under async the
-			// fault fails only its own completion — either way every slot
-			// must come back.
+			// Fault the third call of the flush: the abort semantics kill the
+			// rest of the crossing, and every slot must still come back.
 			nth := 0
 			r.SetFaultInjector(func(call string) bool {
 				if call != "xpcbench_sink" {
@@ -160,7 +163,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 			var pipe FlushPipeline[Flight[[]byte]]
 			pipe.Push(b.FlushAsync(), fl)
 
-			err := pipe.Drain(ctx,
+			err = pipe.Drain(ctx,
 				func(f Flight[[]byte]) { pool.Release(r, f) },
 				func(f Flight[[]byte], _ error) { pool.Release(r, f) })
 			if !IsUserFault(err) {
@@ -204,9 +207,5 @@ func TestUnregisterPayloadRingSwapsCleanly(t *testing.T) {
 	}
 	if p := r.AcquirePayload([]byte{4, 5}); !p.Direct() {
 		t.Fatal("payload did not ride the fresh ring")
-	}
-	// Wait out the registration crossing bookkeeping.
-	if err := r.DrainCrossings(ctx); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -243,7 +243,7 @@ func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64)
 	}})}
 	r.Admit(subs)
 	userStart := r.decafCtx.Elapsed()
-	_, err := r.crossSubmissions(r.decafCtx, subs, decafSideCrossOptions)
+	err := r.crossSubmissions(r.decafCtx, subs, decafSide)
 	if caller != nil {
 		if d := r.decafCtx.Elapsed() - userStart; d > 0 {
 			caller.Sleep(d)

@@ -40,12 +40,6 @@ type LatencyModel struct {
 	// payload (packet data): a straight copy with no reflection walk, the
 	// direct data transfer of §4.2.
 	PerByteData time.Duration
-	// SubmitBase is the CPU cost of enqueueing one submission onto an
-	// async transport's ring — the only cost the submitter pays at submit
-	// time. Queue wait and crossing cost accrue on the service timeline
-	// and are charged separately (to the Completion, and to a waiter only
-	// for the portion not hidden by overlap).
-	SubmitBase time.Duration
 }
 
 // DefaultLatencyModel is the calibrated model used by all experiments.
@@ -55,7 +49,6 @@ var DefaultLatencyModel = LatencyModel{
 	CJavaDirectBase: 2 * time.Microsecond,
 	PerByte:         2500 * time.Nanosecond,
 	PerByteData:     2 * time.Nanosecond,
-	SubmitBase:      3 * time.Microsecond,
 }
 
 // ZeroLatencyModel charges nothing; useful for isolating logic in tests.
@@ -78,14 +71,6 @@ func (m LatencyModel) chargeTrip(ctx *kernel.Context) {
 func (m LatencyModel) chargeBatchTrip(ctx *kernel.Context, n int) {
 	if base := m.KernelUserBase + time.Duration(n)*m.CJavaBase; base > 0 {
 		ctx.Sleep(base)
-	}
-}
-
-// chargeSubmit accounts the CPU cost of enqueueing n submissions onto an
-// async ring. A busy-time charge (not a sleep): submission is wait-free.
-func (m LatencyModel) chargeSubmit(ctx *kernel.Context, n int) {
-	if m.SubmitBase > 0 && n > 0 {
-		ctx.Charge(time.Duration(n) * m.SubmitBase)
 	}
 }
 

@@ -1,19 +1,13 @@
 package xpc
 
-import (
-	"time"
+import "decafdrivers/internal/kernel"
 
-	"decafdrivers/internal/kernel"
-)
-
-// FlushPipeline is a FIFO of in-flight asynchronous flushes, each pairing a
-// flush's aggregate Completion with the payload (a batch of frames, say)
-// whose onward handling waits on it. Drivers that pipeline their data path
-// against FlushAsync push each flush here and reap at safe points: under an
-// inline transport every flush settles during submission, so the pipeline
-// depth never exceeds one and delivery happens in the pushing call — the
-// seed behavior; under an async transport the pipeline holds the overlap
-// between packet production and crossing execution.
+// FlushPipeline is a FIFO of in-flight flushes, each pairing a flush's
+// aggregate Completion (from FlushAsync) with the payload (a batch of
+// frames, say) whose onward handling waits on it. Drivers push each flush
+// here and reap at safe points. Every transport settles a flush during
+// submission, so the pipeline depth never exceeds one and delivery happens
+// in the pushing call.
 //
 // The zero value is ready to use. Not safe for concurrent use: a pipeline
 // belongs to one driver context (the paths that push and reap are already
@@ -48,19 +42,18 @@ func (p *FlushPipeline[T]) pop() {
 	p.entries = p.entries[:n]
 }
 
-// Reap pops every leading flush whose completion has settled by the virtual
-// instant now, calling deliver on the payload of each successful flush and
-// drop on each failed one (a contained fault drops only its own flush).
-// With force, the oldest flush is waited for first — charging ctx any
-// residual stall — so callers can bound the pipeline depth. Returns the
-// first flush error.
+// Reap pops every leading flush whose completion has settled, calling
+// deliver on the payload of each successful flush and drop on each failed
+// one (a contained fault drops only its own flush). With force, the oldest
+// flush is waited for first, so callers can bound the pipeline depth.
+// Returns the first flush error.
 //
 //decaf:hotpath
-func (p *FlushPipeline[T]) Reap(ctx *kernel.Context, now time.Duration, force bool, deliver func(T), drop func(T, error)) error {
+func (p *FlushPipeline[T]) Reap(ctx *kernel.Context, force bool, deliver func(T), drop func(T, error)) error {
 	var first error
 	for len(p.entries) > 0 {
 		e := p.entries[0]
-		if !force && !e.done.Settled(now) {
+		if !force && !e.done.Settled() {
 			break
 		}
 		force = false
@@ -84,7 +77,7 @@ func (p *FlushPipeline[T]) Reap(ctx *kernel.Context, now time.Duration, force bo
 func (p *FlushPipeline[T]) Drain(ctx *kernel.Context, deliver func(T), drop func(T, error)) error {
 	var first error
 	for len(p.entries) > 0 {
-		if err := p.Reap(ctx, 0, true, deliver, drop); err != nil && first == nil {
+		if err := p.Reap(ctx, true, deliver, drop); err != nil && first == nil {
 			first = err
 		}
 	}

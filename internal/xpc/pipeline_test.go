@@ -3,18 +3,23 @@ package xpc
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
-// settleAt fabricates an admitted, resolved completion whose virtual
-// completion instant is at: the shape an async transport produces, letting
-// the pipeline tests control settle times directly.
-func settleAt(r *Runtime, name string, at time.Duration, err error, fault bool) *Completion {
+// pending fabricates an admitted, unresolved completion and returns it with
+// the function that resolves it, letting the pipeline tests decide when each
+// flush settles.
+func pending(r *Runtime, name string) (*Completion, func(err error, fault bool)) {
 	sub := r.NewSubmission(&Call{Name: name, Up: true})
 	r.Admit([]*Submission{sub})
-	sub.Completion.completeAt = at
-	sub.Completion.resolve(err, fault, 0)
-	return sub.Completion
+	c := sub.Completion
+	return c, func(err error, fault bool) { c.resolve(err, fault, 0) }
+}
+
+// resolved is a pending completion resolved at once.
+func resolved(r *Runtime, name string, err error, fault bool) *Completion {
+	c, resolve := pending(r, name)
+	resolve(err, fault)
+	return c
 }
 
 func TestFlushPipelineReapOrdering(t *testing.T) {
@@ -23,9 +28,12 @@ func TestFlushPipelineReapOrdering(t *testing.T) {
 	ctx := k.NewContext("t")
 	var p FlushPipeline[int]
 
-	p.Push(settleAt(r, "a", 10*time.Millisecond, nil, false), 1)
-	p.Push(settleAt(r, "b", 20*time.Millisecond, nil, false), 2)
-	p.Push(settleAt(r, "c", 30*time.Millisecond, nil, false), 3)
+	a, resolveA := pending(r, "a")
+	b, resolveB := pending(r, "b")
+	c, resolveC := pending(r, "c")
+	p.Push(a, 1)
+	p.Push(b, 2)
+	p.Push(c, 3)
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d", p.Len())
 	}
@@ -34,15 +42,18 @@ func TestFlushPipelineReapOrdering(t *testing.T) {
 	deliver := func(v int) { got = append(got, v) }
 	drop := func(v int, err error) { t.Fatalf("dropped %d: %v", v, err) }
 
-	// Only flushes settled by `now` reap, oldest first; the first unsettled
-	// flush stops the sweep even if later entries were examined.
-	if err := p.Reap(ctx, 15*time.Millisecond, false, deliver, drop); err != nil {
+	// Only settled flushes reap, oldest first; the first unsettled flush
+	// stops the sweep even when a later one has settled.
+	resolveA(nil, false)
+	resolveC(nil, false)
+	if err := p.Reap(ctx, false, deliver, drop); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != 1 || p.Len() != 2 {
 		t.Fatalf("after partial reap: got %v, Len %d", got, p.Len())
 	}
-	if err := p.Reap(ctx, 35*time.Millisecond, false, deliver, drop); err != nil {
+	resolveB(nil, false)
+	if err := p.Reap(ctx, false, deliver, drop); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[1] != 2 || got[2] != 3 {
@@ -51,44 +62,16 @@ func TestFlushPipelineReapOrdering(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatalf("Len after full reap = %d", p.Len())
 	}
-}
 
-func TestFlushPipelineForceChargesResidualStall(t *testing.T) {
-	k := newTestKernel()
-	r := newDecafRuntime(k)
-	ctx := k.NewContext("t")
-	var p FlushPipeline[string]
-
-	const due = 40 * time.Millisecond
-	p.Push(settleAt(r, "tx", due, nil, false), "frames")
-
-	delivered := 0
-	before := ctx.Elapsed()
-	// now=0: nothing has settled, but force waits out the oldest flush,
-	// charging the caller the catch-up to its virtual completion instant.
-	if err := p.Reap(ctx, 0, true, func(string) { delivered++ }, nil); err != nil {
+	// With force the oldest flush is waited out, however late it settles.
+	d, resolveD := pending(r, "d")
+	p.Push(d, 4)
+	go resolveD(nil, false)
+	if err := p.Reap(ctx, true, deliver, drop); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 1 {
-		t.Fatalf("forced reap delivered %d flushes", delivered)
-	}
-	if stall := ctx.Elapsed() - before; stall != due {
-		t.Fatalf("forced reap charged %v, want %v", stall, due)
-	}
-	c := r.Counters()
-	if c.Stall != due {
-		t.Fatalf("Stall counter = %v, want %v", c.Stall, due)
-	}
-
-	// A second forced reap of a flush due earlier than the wait frontier
-	// charges nothing more: the stall was already paid.
-	p.Push(settleAt(r, "tx", 10*time.Millisecond, nil, false), "late")
-	before = ctx.Elapsed()
-	if err := p.Reap(ctx, 0, true, func(string) {}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if extra := ctx.Elapsed() - before; extra != 0 {
-		t.Fatalf("already-covered reap charged %v", extra)
+	if len(got) != 4 || got[3] != 4 || p.Len() != 0 {
+		t.Fatalf("forced reap: got %v, Len %d", got, p.Len())
 	}
 }
 
@@ -99,13 +82,13 @@ func TestFlushPipelineContainedFaultDropsOnlyItsFlush(t *testing.T) {
 	var p FlushPipeline[int]
 
 	fault := &UserFault{Call: "rx", Cause: "nil deref"}
-	p.Push(settleAt(r, "rx", time.Millisecond, nil, false), 1)
-	p.Push(settleAt(r, "rx", 2*time.Millisecond, fault, true), 2)
-	p.Push(settleAt(r, "rx", 3*time.Millisecond, nil, false), 3)
+	p.Push(resolved(r, "rx", nil, false), 1)
+	p.Push(resolved(r, "rx", fault, true), 2)
+	p.Push(resolved(r, "rx", nil, false), 3)
 
 	var delivered, dropped []int
 	var dropErr error
-	err := p.Reap(ctx, 5*time.Millisecond, false,
+	err := p.Reap(ctx, false,
 		func(v int) { delivered = append(delivered, v) },
 		func(v int, e error) { dropped = append(dropped, v); dropErr = e })
 	// The fault fails its own flush and is reported, but the kernel-side
@@ -132,9 +115,11 @@ func TestFlushPipelineDrainWaitsEverything(t *testing.T) {
 	var p FlushPipeline[int]
 
 	boom := errors.New("flush failed")
-	p.Push(settleAt(r, "x", 10*time.Millisecond, nil, false), 1)
-	p.Push(settleAt(r, "x", 20*time.Millisecond, boom, false), 2)
-	p.Push(settleAt(r, "x", 30*time.Millisecond, nil, false), 3)
+	last, resolveLast := pending(r, "x")
+	p.Push(resolved(r, "x", nil, false), 1)
+	p.Push(resolved(r, "x", boom, false), 2)
+	p.Push(last, 3)
+	go resolveLast(nil, false)
 
 	var delivered, dropped []int
 	err := p.Drain(ctx,
@@ -146,25 +131,18 @@ func TestFlushPipelineDrainWaitsEverything(t *testing.T) {
 	if len(delivered) != 2 || len(dropped) != 1 || p.Len() != 0 {
 		t.Fatalf("delivered %v dropped %v Len %d", delivered, dropped, p.Len())
 	}
-	// Drain force-waited the deepest flush: the caller's timeline reached
-	// its completion instant.
-	if ctx.Elapsed() < 30*time.Millisecond {
-		t.Fatalf("Drain charged only %v", ctx.Elapsed())
-	}
 }
 
 // TestFlushPipelineSteadyStateAllocFree: a pipeline cycling at the depth the
 // drivers hold it to reuses one backing array for good — whether each reap
-// empties it or, as under an async transport with traffic always in flight,
-// it never empties at all. Popping by reslicing the front away (the earlier
-// shape) walked the slice off the end of its array every few flushes and
-// reallocated for ever.
+// empties it or, with traffic always in flight, it never empties at all.
+// Popping by reslicing the front away (the earlier shape) walked the slice
+// off the end of its array every few flushes and reallocated for ever.
 func TestFlushPipelineSteadyStateAllocFree(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("t")
-	settled := settleAt(r, "settled", 0, nil, false)
-	pending := settleAt(r, "pending", time.Hour, nil, false)
+	settled := resolved(r, "settled", nil, false)
 	payload := new(int)
 	delivered := 0
 	deliver := func(*int) { delivered++ }
@@ -175,7 +153,7 @@ func TestFlushPipelineSteadyStateAllocFree(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			drained.Push(settled, payload)
 		}
-		if err := drained.Reap(ctx, 0, false, deliver, drop); err != nil {
+		if err := drained.Reap(ctx, false, deliver, drop); err != nil {
 			t.Error(err)
 		}
 	}
@@ -184,19 +162,26 @@ func TestFlushPipelineSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("push 4 / reap 4: %v allocs per cycle, want 0", allocs)
 	}
 
-	// Never empty: every cycle leaves an unsettled flush at the tail and the
-	// next one reaps it by force.
+	// Never empty: every cycle leaves an unsettled flush at the tail, which
+	// settles before the next cycle reaps it. Two handles take turns, one
+	// settling at the head while the other is pushed unsettled.
+	head := resolved(r, "head", nil, false)
+	tail := resolved(r, "tail", nil, false)
 	var busy FlushPipeline[*int]
-	busy.Push(pending, payload)
+	head.ch.Store(nil)
+	busy.Push(head, payload)
 	busyCycle := func() {
+		head.ch.Store(settledCh)
+		tail.ch.Store(nil)
 		busy.Push(settled, payload)
-		busy.Push(pending, payload)
-		if err := busy.Reap(ctx, 0, true, deliver, drop); err != nil {
+		busy.Push(tail, payload)
+		if err := busy.Reap(ctx, false, deliver, drop); err != nil {
 			t.Error(err)
 		}
 		if busy.Len() != 1 {
 			t.Errorf("Len = %d after the cycle, want the one unsettled flush", busy.Len())
 		}
+		head, tail = tail, head
 	}
 	busyCycle()
 	if allocs := testing.AllocsPerRun(200, busyCycle); allocs != 0 {
@@ -213,9 +198,9 @@ func TestFlushPipelineReapUnpinsPayload(t *testing.T) {
 	ctx := k.NewContext("t")
 	var p FlushPipeline[*int]
 	for i := 0; i < 3; i++ {
-		p.Push(settleAt(r, "x", 0, nil, false), new(int))
+		p.Push(resolved(r, "x", nil, false), new(int))
 	}
-	if err := p.Reap(ctx, 0, false, func(*int) {}, nil); err != nil {
+	if err := p.Reap(ctx, false, func(*int) {}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, e := range p.entries[:3] {

@@ -412,9 +412,7 @@ func (t *ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submissi
 func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
 	if werr := t.wireCross(r, ctx, chunk); werr != nil {
 		abortRest := func(first error, fault bool) {
-			head := chunk[0].Completion
-			head.completeAt = head.submitClock
-			head.resolve(first, fault, 0)
+			chunk[0].Completion.resolve(first, fault, 0)
 			for _, sub := range chunk[1:] {
 				sub.Completion.resolve(ErrCrossingAborted, false, 0)
 			}
@@ -427,7 +425,7 @@ func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Sub
 		abortRest(fault, true)
 		return fault
 	}
-	_, err := r.crossSubmissions(ctx, chunk, inlineCrossOptions)
+	err := r.crossSubmissions(ctx, chunk, kernelSide)
 	if _, faulted := err.(*UserFault); faulted {
 		// The decaf driver crashed: its process dies with it. The next
 		// crossing (or the recovery supervisor) respawns a fresh worker.
@@ -891,9 +889,6 @@ func (t *ProcTransport) teardownEpochLocked(ep *procEpoch, countDeath bool) {
 		t.epoch.Store(nil)
 	}
 }
-
-// Drain implements Transport: crossings complete within Submit.
-func (*ProcTransport) Drain(*Runtime, *kernel.Context) error { return nil }
 
 // NewMappedRing implements MappedRingTransport: the ring's slot buffers
 // slice the shared region, so the worker resolves descriptors against the

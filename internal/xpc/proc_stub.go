@@ -76,8 +76,5 @@ func (*ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submission
 	return ErrProcUnsupported
 }
 
-// Drain implements Transport.
-func (*ProcTransport) Drain(*Runtime, *kernel.Context) error { return nil }
-
 // MaybeRunWorker is a no-op where the worker mode does not exist.
 func MaybeRunWorker() {}

@@ -78,6 +78,41 @@ func TestProcUpcallCrossesRealProcess(t *testing.T) {
 	}
 }
 
+// TestProcTransportBoundToOneRuntime: the worker process, its lanes and the
+// shared state cells belong to the runtime that first submitted, so another
+// runtime's Submit is refused whole — every completion resolves with
+// ErrTransportBound, nothing stays in flight — and the owner still crosses.
+func TestProcTransportBoundToOneRuntime(t *testing.T) {
+	k, r1, pt := newProcRig(t, 4)
+	ctx := k.NewContext("t")
+	noop := func(*kernel.Context) error { return nil }
+	if err := r1.Upcall(ctx, "fn", noop); err != nil {
+		t.Fatal(err)
+	}
+	r2 := newDecafRuntime(k)
+	subs := []*Submission{
+		r2.NewSubmission(&Call{Name: "fn", Up: true, Fn: noop}),
+		r2.NewSubmission(&Call{Name: "fn", Up: true, Fn: noop}),
+	}
+	if err := pt.Submit(r2, ctx, subs); !errors.Is(err, ErrTransportBound) {
+		t.Fatalf("cross-runtime submit: err = %v, want ErrTransportBound", err)
+	}
+	for i, sub := range subs {
+		if err := sub.Completion.Err(); !errors.Is(err, ErrTransportBound) {
+			t.Fatalf("completion %d err = %v, want ErrTransportBound", i, err)
+		}
+	}
+	if c := r2.Counters(); c.InFlight != 0 {
+		t.Fatalf("refused runtime InFlight = %d, want 0", c.InFlight)
+	}
+	if err := r1.Upcall(ctx, "fn", noop); err != nil {
+		t.Fatalf("owner crossing after a refused submit: %v", err)
+	}
+	if c := r1.Counters(); c.InFlight != 0 || c.RingCrossings != 2 {
+		t.Fatalf("owner InFlight = %d, RingCrossings = %d, want 0 and 2", c.InFlight, c.RingCrossings)
+	}
+}
+
 func TestProcBatchCoalescesIntoOneWireCrossing(t *testing.T) {
 	const n = 4
 	k, r, _ := newProcRig(t, n)

@@ -4,7 +4,6 @@ package xpc
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,12 +28,6 @@ var flushRigs = []flushRig{
 		k := newTestKernel()
 		r := newDecafRuntime(k)
 		r.SetTransport(BatchTransport{N: 4})
-		return k, r
-	}},
-	{"async", func(t *testing.T) (*kernel.Kernel, *Runtime) {
-		k := newTestKernel()
-		r, _ := newAsyncRuntime(k, AsyncConfig{Batch: 4, Depth: 16})
-		t.Cleanup(func() { r.SetTransport(nil) })
 		return k, r
 	}},
 	{"proc", func(t *testing.T) (*kernel.Kernel, *Runtime) {
@@ -155,15 +148,15 @@ func TestCompletionSettleSemantics(t *testing.T) {
 	t.Run("done before resolve", func(t *testing.T) {
 		c := &Completion{name: "t"}
 		ch := c.Done()
-		if closed(ch) || c.Settled(time.Hour) {
+		if closed(ch) || c.Settled() {
 			t.Fatal("settled before resolve")
 		}
 		if again := c.Done(); again != ch {
 			t.Fatal("second Done returned a different channel")
 		}
 		c.resolve(boom, false, 0)
-		if !closed(ch) || !c.Settled(0) || c.Err() != boom {
-			t.Fatalf("after resolve: closed=%v settled=%v err=%v", closed(ch), c.Settled(0), c.Err())
+		if !closed(ch) || !c.Settled() || c.Err() != boom {
+			t.Fatalf("after resolve: closed=%v settled=%v err=%v", closed(ch), c.Settled(), c.Err())
 		}
 	})
 
@@ -209,20 +202,10 @@ func TestCompletionSettleSemantics(t *testing.T) {
 	})
 
 	t.Run("many waiters on an async completion", func(t *testing.T) {
-		k := newTestKernel()
-		r, _ := newAsyncRuntime(k, AsyncConfig{})
-		defer r.SetTransport(nil)
-		ctx := k.NewContext("t")
-		gate := make(chan struct{})
-		sub := r.NewSubmission(&Call{Name: "held", Up: true, Fn: func(*kernel.Context) error {
-			<-gate
-			return boom
-		}})
-		if err := r.Transport().Submit(r, ctx, []*Submission{sub}); err != nil {
-			t.Fatal(err)
-		}
-		if sub.Completion.Settled(time.Hour) {
-			t.Fatal("settled while its body is still held")
+		r := newDecafRuntime(newTestKernel())
+		c, resolve := pending(r, "held")
+		if c.Settled() {
+			t.Fatal("settled before resolve")
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
@@ -231,17 +214,17 @@ func TestCompletionSettleSemantics(t *testing.T) {
 				defer wg.Done()
 				var err error
 				if w%2 == 0 {
-					err = sub.Completion.Wait(nil)
+					err = c.Wait(nil)
 				} else {
-					<-sub.Completion.Done()
-					err = sub.Completion.Err()
+					<-c.Done()
+					err = c.Err()
 				}
 				if err != boom {
 					t.Errorf("waiter %d: err = %v", w, err)
 				}
 			}(w)
 		}
-		close(gate)
+		go resolve(boom, false)
 		wg.Wait()
 		if c := r.Counters(); c.InFlight != 0 {
 			t.Fatalf("InFlight = %d", c.InFlight)
@@ -291,7 +274,6 @@ func TestRecordReuseStorm(t *testing.T) {
 			k, r := rig.new(t)
 			r.Latency = ZeroLatencyModel
 			pt, isProc := r.Transport().(*ProcTransport)
-			_, isAsync := r.Transport().(*AsyncTransport)
 
 			var poisoned atomic.Int64
 			sawPoison := func(name string, err error) {
@@ -300,15 +282,14 @@ func TestRecordReuseStorm(t *testing.T) {
 				}
 			}
 			r.SetFaultNotifier(func(ev FaultEvent) { sawPoison(ev.Call, ev.Err) })
-			r.SetCompletionObserver(func(name string, _, _ time.Duration, _ bool) { sawPoison(name, nil) })
+			r.SetCompletionObserver(func(name string, _ time.Duration, _ bool) { sawPoison(name, nil) })
 			r.SetFaultInjector(func(call string) bool { return call == "storm_inject" })
 
-			// Inline transports run bodies on the one decaf context, so they
-			// get one submitter; the async service serializes for itself.
-			submitters := 1
-			if isAsync {
-				submitters = 3
-			}
+			// Call bodies are accounted on the runtime's one decaf context,
+			// which concurrent handler flushes would race on, so the storm has
+			// one submitter. Concurrent recycling through the record pool is
+			// covered by TestProcNoMutexUnderContention and
+			// TestProcSigkillMidContentionRecovers.
 			noop := func(*kernel.Context) error { return nil }
 			fail := []byte{1}
 			check := func(what string, err error, wantSub string) {
@@ -331,53 +312,42 @@ func TestRecordReuseStorm(t *testing.T) {
 					t.Errorf("%s: err = %v, want one containing %q", what, err, wantSub)
 				}
 			}
-			var wg sync.WaitGroup
-			for s := 0; s < submitters; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					ctx := k.NewContext(fmt.Sprintf("storm-%d", s))
-					b := r.Batch(ctx) // one long-lived builder, reused across flushes
-					for i := 0; i < 120; i++ {
-						switch i % 6 {
-						case 0: // several chunks, waited out
-							for j := 0; j < 9; j++ {
-								b.UpcallHandlerData("xpctest_count", []byte{byte(j)})
-							}
-							check("flush", b.Flush(), "")
-						case 1: // the aggregate handle, waited on later
-							for j := 0; j < 5; j++ {
-								b.UpcallHandler("xpctest_count")
-							}
-							done := b.FlushAsync()
-							_ = r.Upcall(ctx, "between", noop) // proc: may meet a dead worker
-							check("flush async", done.Wait(ctx), "")
-							if !done.Settled(1<<62) || done.Err() != done.Wait(nil) {
-								t.Error("aggregate handle is not stable after Wait")
-							}
-						case 2: // sticky builder error, later adds dropped
-							b.UpcallHandler("xpctest_count").UpcallHandler("no_such_handler").UpcallHandler("xpctest_count")
-							check("sticky", b.Flush(), "no handler registered")
-						case 3: // a failing body aborts (or, async, outlives) its chunk
-							b.UpcallHandler("xpctest_count").UpcallHandlerData("xpctest_fail", fail)
-							b.UpcallHandler("xpctest_count").UpcallHandler("xpctest_count")
-							check("chunk abort", b.Flush(), "requested failure")
-						case 4: // an injected fault, through the sugar and through a batch
-							check("injected", r.Upcall(ctx, "storm_inject", noop), "user-level fault")
-							b.Upcall("storm_ok", noop).Upcall("storm_inject", noop).Upcall("storm_ok", noop)
-							check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
-						case 5: // the worker dies under (or between) flushes
-							if isProc {
-								pt.KillWorker()
-							}
-							check("sugar", r.UpcallHandlerData(ctx, "xpctest_count", []byte{9}), "")
-						}
+			ctx := k.NewContext("storm")
+			b := r.Batch(ctx) // one long-lived builder, reused across flushes
+			for i := 0; i < 120; i++ {
+				switch i % 6 {
+				case 0: // several chunks, waited out
+					for j := 0; j < 9; j++ {
+						b.UpcallHandlerData("xpctest_count", []byte{byte(j)})
 					}
-				}(s)
-			}
-			wg.Wait()
-			if err := r.DrainCrossings(k.NewContext("drain")); err != nil {
-				t.Fatal(err)
+					check("flush", b.Flush(), "")
+				case 1: // the aggregate handle, waited on later
+					for j := 0; j < 5; j++ {
+						b.UpcallHandler("xpctest_count")
+					}
+					done := b.FlushAsync()
+					_ = r.Upcall(ctx, "between", noop) // proc: may meet a dead worker
+					check("flush async", done.Wait(ctx), "")
+					if !done.Settled() || done.Err() != done.Wait(nil) {
+						t.Error("aggregate handle is not stable after Wait")
+					}
+				case 2: // sticky builder error, later adds dropped
+					b.UpcallHandler("xpctest_count").UpcallHandler("no_such_handler").UpcallHandler("xpctest_count")
+					check("sticky", b.Flush(), "no handler registered")
+				case 3: // a failing body aborts its chunk
+					b.UpcallHandler("xpctest_count").UpcallHandlerData("xpctest_fail", fail)
+					b.UpcallHandler("xpctest_count").UpcallHandler("xpctest_count")
+					check("chunk abort", b.Flush(), "requested failure")
+				case 4: // an injected fault, through the sugar and through a batch
+					check("injected", r.Upcall(ctx, "storm_inject", noop), "user-level fault")
+					b.Upcall("storm_ok", noop).Upcall("storm_inject", noop).Upcall("storm_ok", noop)
+					check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
+				case 5: // the worker dies under (or between) flushes
+					if isProc {
+						pt.KillWorker()
+					}
+					check("sugar", r.UpcallHandlerData(ctx, "xpctest_count", []byte{9}), "")
+				}
 			}
 			c := r.Counters()
 			if c.InFlight != 0 {

@@ -38,12 +38,12 @@ var (
 // Slot lifetime follows completion lifetime: the kernel side acquires a slot
 // when it stages a payload, the far side resolves the descriptor during the
 // crossing, and the slot is released when the flush's completion settles —
-// so inline transports recycle within the submitting call and an async
-// transport holds slots exactly as long as crossings are in flight.
+// within the submitting call, since every transport resolves a flush before
+// Submit returns.
 //
-// Acquire, Release and Buffer are safe for concurrent use: the kernel side
-// acquires while the async service resolves descriptors on its own
-// goroutine. Occupancy gauges are atomics readable without the lock.
+// Acquire, Release and Buffer are safe for concurrent use: concurrent
+// submitters stage and resolve payloads at once. Occupancy gauges are
+// atomics readable without the lock.
 type PayloadRing struct {
 	slotSize int
 

@@ -6,36 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/xdr"
 )
-
-// ringObserved collects, in dispatch order, a copy of the payload bytes each
-// ringtest_observe body saw.
-var ringObserved observedFrames
-
-type observedFrames struct {
-	mu     sync.Mutex
-	frames [][]byte
-}
-
-// reset hands back what was observed so far and starts over.
-func (o *observedFrames) reset() [][]byte {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	got := o.frames
-	o.frames = nil
-	return got
-}
-
-func init() {
-	registry.Register("ringtest_observe", registry.Handler{Fn: func(c *registry.Ctx) error {
-		ringObserved.mu.Lock()
-		defer ringObserved.mu.Unlock()
-		ringObserved.frames = append(ringObserved.frames, append([]byte(nil), c.Data...))
-		return nil
-	}})
-}
 
 func TestPayloadRingAcquireReleaseRecycles(t *testing.T) {
 	p := NewPayloadRing(4, 128)
@@ -312,92 +284,4 @@ func TestExhaustedRingFallsBackToCopy(t *testing.T) {
 	}
 	r.ReleasePayload(first)
 	r.ReleasePayload(second)
-}
-
-// TestAsyncInFlightBatchImmuneToSourceMutation is the ownership-rule
-// regression test: once a payload is queued (pre-flush) and the batch is in
-// flight under the async transport, mutating the caller's source slice must
-// not corrupt what the decaf side observes. Slot-backed payloads snapshot
-// contents at acquire time; the copy (Data) path aliases the slice but the
-// crossing engine reads only its header, so the batch's accounting is also
-// unaffected. Run under -race: the concurrent mutation must not race the
-// service goroutine.
-func TestAsyncInFlightBatchImmuneToSourceMutation(t *testing.T) {
-	k := newTestKernel()
-	r, _ := newAsyncRuntime(k, AsyncConfig{Batch: 4})
-	defer r.SetTransport(nil)
-	ctx := k.NewContext("t")
-	if err := r.RegisterPayloadRing(ctx, NewPayloadRing(8, 64)); err != nil {
-		t.Fatal(err)
-	}
-	r.ResetCounters()
-
-	const frames = 4
-	srcs := make([][]byte, frames)
-	payloads := make([]Payload, frames)
-	ringObserved.reset()
-	b := r.Batch(ctx)
-	for i := 0; i < frames; i++ {
-		srcs[i] = []byte{byte('a' + i), 2, 3, 4}
-		payloads[i] = r.AcquirePayload(srcs[i])
-		if !payloads[i].Direct() {
-			t.Fatalf("payload %d not slot-backed", i)
-		}
-		// The decaf side resolves the descriptor against the shared ring —
-		// the zero-copy read — and the handler keeps what it saw.
-		b.UpcallHandlerPayload("ringtest_observe", payloads[i])
-	}
-	// Queued but not flushed: scribble over every source slice.
-	for i := range srcs {
-		for j := range srcs[i] {
-			srcs[i][j] = 0xFF
-		}
-	}
-	// Also queue an aliased copy-path call and keep mutating its source
-	// while the flush is in flight: the engine must not read the contents.
-	aliased := []byte{9, 9, 9, 9, 9, 9, 9, 9}
-	b.UpcallHandlerData("xpcbench_sink", aliased)
-	done := b.FlushAsync()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				aliased[0]++
-			}
-		}
-	}()
-	err := done.Wait(ctx)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	observed := ringObserved.reset()
-	if len(observed) != frames {
-		t.Fatalf("handler observed %d frames, want %d", len(observed), frames)
-	}
-	for i := 0; i < frames; i++ {
-		want := byte('a' + i)
-		if len(observed[i]) != 4 || observed[i][0] != want {
-			t.Fatalf("frame %d observed %v, want first byte %q (slot snapshot corrupted)", i, observed[i], want)
-		}
-	}
-	c := r.Counters()
-	if c.DirectTransfers != frames {
-		t.Fatalf("DirectTransfers = %d, want %d", c.DirectTransfers, frames)
-	}
-	// The aliased call's accounting used the slice header it was queued
-	// with: 8 bytes + the XDR length prefix.
-	if c.BytesPayloadCopied != 8+4 {
-		t.Fatalf("BytesPayloadCopied = %d, want 12", c.BytesPayloadCopied)
-	}
-	for _, p := range payloads {
-		r.ReleasePayload(p)
-	}
 }

@@ -15,22 +15,19 @@ var (
 	// ErrCrossingAborted resolves a submission that never executed because
 	// an earlier call in the same flush failed or faulted.
 	ErrCrossingAborted = errors.New("xpc: crossing aborted by earlier failure")
-	// ErrQueueFull is the fail-fast backpressure outcome: the async
-	// submission ring had no free slot.
-	ErrQueueFull = errors.New("xpc: async submission ring full")
-	// ErrTransportClosed resolves submissions still queued when an async
-	// transport shuts down, and rejects submissions after Close.
+	// ErrTransportClosed rejects submissions through a ProcTransport after
+	// Close.
 	ErrTransportClosed = errors.New("xpc: transport closed")
-	// ErrTransportBound rejects a Submit through an AsyncTransport already
-	// serving a different runtime (the service goroutine, queue and service
-	// context are per-runtime state).
-	ErrTransportBound = errors.New("xpc: async transport already bound to another runtime")
+	// ErrTransportBound rejects a Submit through a ProcTransport already
+	// serving a different runtime (the worker process, its lanes and the
+	// shared state cells are per-runtime state).
+	ErrTransportBound = errors.New("xpc: transport already bound to another runtime")
 )
 
 // Submission is one crossing request in flight through a Transport: the Call
 // to deliver plus the Completion handle the caller observes it through.
 // Transports resolve every admitted submission's Completion exactly once —
-// with the call's result, or with a queue/abort error if it never ran.
+// with the call's result, or with a transport/abort error if it never ran.
 type Submission struct {
 	// Call is the crossing request.
 	Call *Call
@@ -65,22 +62,18 @@ type FaultEvent struct {
 	Up bool
 	// Err is the *UserFault the completion resolved with.
 	Err error
-	// At is the virtual instant the faulted crossing completed.
+	// At is the virtual instant the faulted submission was admitted.
 	At time.Duration
 }
 
 // Completion is the handle for one submitted crossing. It resolves exactly
-// once, carrying the call's result (error or contained fault), its cost
-// split into queue wait and crossing time, and the virtual-clock instant the
-// crossing completed at. All accessors except Done and Settled block until
-// the completion resolves.
+// once, carrying the call's result (error or contained fault) and its share
+// of the crossing's virtual cost. All accessors except Done and Settled
+// block until the completion resolves.
 //
-// Virtual completion time: an asynchronous transport executes the decaf side
-// on its own timeline, so a submission completes at a definite virtual
-// instant (submit time + queue wait + crossing cost) that may lie in the
-// caller's future. Wait charges the waiting context only the portion of that
-// latency not already hidden by work the caller did in the meantime — the
-// §4.2 overlap the submit/complete split exists to expose.
+// Every transport charges the crossing to the submitting context and
+// resolves the completion before Submit returns, so a waiter is never
+// behind the instant its completion resolved at and waiting charges nothing.
 type Completion struct {
 	name string
 	up   bool
@@ -89,18 +82,18 @@ type Completion struct {
 	// ch is the whole settle state in one word: nil while unresolved with
 	// nobody blocked, a waiter-installed channel while unresolved with
 	// somebody blocked (or holding Done's channel), settledCh once resolved.
-	// An inline transport resolves before Submit returns, so on that path no
-	// channel ever exists and every accessor is one atomic load.
+	// A transport resolves before Submit returns, so on that path no channel
+	// ever exists and every accessor is one atomic load.
 	ch atomic.Pointer[chan struct{}]
 
 	// Resolved fields, written exactly once before ch becomes settledCh and
 	// immutable after; that swap publishes them.
-	err        error
-	fault      bool
-	queueWait  time.Duration
-	crossCost  time.Duration
-	completeAt time.Duration
+	err       error
+	fault     bool
+	crossCost time.Duration
 
+	// submitClock is the virtual instant Admit stamped: the instant a
+	// faulted crossing is reported at (FaultEvent.At).
 	submitClock time.Duration
 }
 
@@ -128,11 +121,11 @@ func (c *Completion) settle() {
 	}
 }
 
-// resolve publishes the outcome. queueWait and completeAt must already be
-// stamped by the transport; crossCost is this call's share of the crossing.
-// A fault outcome is additionally delivered to the runtime's fault notifier
-// after the completion settles, from values read before it did: once
-// settled, the completion may be a pooled record's and already recycled.
+// resolve publishes the outcome; crossCost is this call's share of the
+// crossing. A fault outcome is additionally delivered to the runtime's
+// fault notifier after the completion settles, from values read before it
+// did: once settled, the completion may be a pooled record's and already
+// recycled.
 //
 //decaf:hotpath
 func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
@@ -144,7 +137,7 @@ func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
 //
 //decaf:hotpath
 func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCost time.Duration) {
-	r, ev := c.r, FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.completeAt}
+	r, ev := c.r, FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.submitClock}
 	c.err = err
 	c.fault = fault
 	c.crossCost = crossCost
@@ -152,7 +145,7 @@ func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCo
 		if cell == nil {
 			cell = r.state().cell(ev.Call)
 		}
-		r.noteCompletion(cell, ev.Call, c.queueWait, crossCost, fault)
+		r.noteCompletion(cell, ev.Call, crossCost, fault)
 		r.inFlight.Add(-1)
 	}
 	c.settle()
@@ -164,23 +157,21 @@ func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCo
 }
 
 // fold accumulates a settled child into an aggregate: the first error in
-// submission order (after any error the aggregate started from), any fault,
-// the longest queue wait, the combined crossing cost and the latest virtual
-// completion instant.
+// submission order (after any error the aggregate started from), any fault
+// and the combined crossing cost.
 func (c *Completion) fold(child *Completion) {
 	if c.err == nil {
 		c.err = child.err
 	}
 	c.fault = c.fault || child.fault
-	c.queueWait = max(c.queueWait, child.queueWait)
 	c.crossCost += child.crossCost
-	c.completeAt = max(c.completeAt, child.completeAt)
 }
 
-// settled reports whether the completion has resolved, without blocking.
+// Settled reports, without blocking, whether the completion has resolved.
+// Drivers poll this to reap flushes without waiting on them.
 //
 //decaf:hotpath
-func (c *Completion) settled() bool { return c.ch.Load() == settledCh }
+func (c *Completion) Settled() bool { return c.ch.Load() == settledCh }
 
 // Done returns a channel closed when the completion resolves. The channel is
 // created on first demand — here, or by an accessor that has to block — and
@@ -204,13 +195,13 @@ func (c *Completion) Done() <-chan struct{} {
 //
 //decaf:hotpath
 func (c *Completion) wait() {
-	if !c.settled() {
+	if !c.Settled() {
 		<-c.Done()
 	}
 }
 
 // Err blocks until the completion resolves and returns the call's error
-// (nil, the call's own error, a *UserFault, or a queue/abort error).
+// (nil, the call's own error, a *UserFault, or a transport/abort error).
 func (c *Completion) Err() error {
 	c.wait()
 	return c.err
@@ -223,13 +214,6 @@ func (c *Completion) Faulted() bool {
 	return c.fault
 }
 
-// QueueWait blocks until resolution and reports the virtual time the
-// submission waited behind earlier work before its crossing started.
-func (c *Completion) QueueWait() time.Duration {
-	c.wait()
-	return c.queueWait
-}
-
 // CrossLatency blocks until resolution and reports this call's share of the
 // crossing's virtual cost (transition, marshaling, execution).
 func (c *Completion) CrossLatency() time.Duration {
@@ -237,61 +221,14 @@ func (c *Completion) CrossLatency() time.Duration {
 	return c.crossCost
 }
 
-// Latency blocks until resolution and reports queue wait plus crossing cost.
-func (c *Completion) Latency() time.Duration {
-	c.wait()
-	return c.queueWait + c.crossCost
-}
-
-// CompleteAt blocks until resolution and reports the virtual-clock instant
-// the crossing completed. Inline transports complete at submit time (the
-// cost was already charged to the submitter); async transports complete in
-// the caller's future.
-func (c *Completion) CompleteAt() time.Duration {
-	c.wait()
-	return c.completeAt
-}
-
-// Settled reports, without blocking, whether the completion has resolved
-// and its virtual completion instant has been reached at the given clock
-// reading. Drivers poll this to reap async flushes at their due time.
-func (c *Completion) Settled(now time.Duration) bool {
-	return c.settled() && c.completeAt <= now
-}
-
-// Wait blocks until the completion resolves, charges ctx the caller-visible
-// stall — the part of the completion's latency not yet covered by virtual
-// time that passed since submission — and returns the call's error.
-//
-// Under an inline transport the crossing already charged the submitting
-// context, so Wait charges nothing. Under an async transport a caller that
-// waits immediately stalls the full latency (Upcall/Downcall sugar), while
-// a caller that produced work in the meantime stalls only the remainder.
+// Wait blocks until the completion resolves and returns the call's error.
+// The crossing already charged its cost to the submitting context, so the
+// waiting context ctx is charged nothing.
 //
 //decaf:hotpath
 func (c *Completion) Wait(ctx *kernel.Context) error {
 	c.wait()
-	if ctx != nil && c.r != nil {
-		c.r.chargeCatchUp(ctx, c.name, c.completeAt)
-	}
 	return c.err
-}
-
-// chargeCatchUp stalls ctx until the waiter's timeline reaches the virtual
-// instant target: the portion of target beyond both the clock and the wait
-// frontier is charged as sleep, recorded as caller-visible stall, and the
-// frontier advances so consecutive waits on the same backlog each pay only
-// the increment.
-func (r *Runtime) chargeCatchUp(ctx *kernel.Context, name string, target time.Duration) {
-	now := r.Kernel.Clock().Now()
-	if f := r.waitFrontier(); f > now {
-		now = f
-	}
-	if stall := target - now; stall > 0 {
-		ctx.Sleep(stall)
-		r.noteStall(name, stall)
-		r.advanceWaitFrontier(target)
-	}
 }
 
 // Admit prepares submissions for transport: it creates missing Completion
@@ -314,29 +251,5 @@ func (r *Runtime) Admit(subs []*Submission) {
 	r.inFlight.Add(int64(len(subs)))
 	if rec := r.tracer.Load(); rec != nil {
 		rec.Emit(trace.KindSubmit, trace.LaneNone, trace.SrcKernel, 0, uint64(len(subs)))
-	}
-}
-
-// waitFrontier is the latest virtual instant any waiter has already stalled
-// to. Consecutive waits on an async backlog each charge only the additional
-// catch-up, not the whole backlog again.
-func (r *Runtime) waitFrontier() time.Duration {
-	return time.Duration(r.frontier.Load())
-}
-
-// WaitFrontier reports the latest virtual instant a waiter has stalled to.
-// Harnesses advance the global clock to it after initialization (probe,
-// open) so the wall-clock time those waited-for crossings consumed is
-// reflected before a measurement phase begins — otherwise an async
-// transport's service timeline starts a phase ahead of the clock and the
-// gap reads as phantom queue wait.
-func (r *Runtime) WaitFrontier() time.Duration { return r.waitFrontier() }
-
-func (r *Runtime) advanceWaitFrontier(t time.Duration) {
-	for {
-		cur := r.frontier.Load()
-		if int64(t) <= cur || r.frontier.CompareAndSwap(cur, int64(t)) {
-			return
-		}
 	}
 }

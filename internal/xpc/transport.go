@@ -57,16 +57,14 @@ type Call struct {
 // Transport moves submissions across the user/kernel boundary on behalf of a
 // Runtime. The API is submission/completion: Submit hands over a slice of
 // submissions and returns once they are accepted; each submission's
-// Completion resolves — immediately for inline transports, later for
-// asynchronous ones — with the call's result, latency split and
-// fault-containment outcome. Drain blocks until every accepted submission
-// has completed.
+// Completion resolves with the call's result, crossing cost and
+// fault-containment outcome. Both transports resolve every completion
+// before Submit returns, and the submitting context pays the crossing cost.
 //
 // The transport owns the policy of how submissions map onto physical
-// crossings (one per call, coalesced batches, a queue serviced by a
-// dedicated goroutine) and which execution timeline pays the crossing cost.
-// The mechanics of a crossing (object synchronization, fault containment,
-// accounting) live on the Runtime.
+// crossings (one per call, coalesced batches, chunks sent to a worker
+// process). The mechanics of a crossing (object synchronization, fault
+// containment, accounting) live on the Runtime.
 //
 // Ownership: a submission is the transport's from Submit until the
 // transport resolves its Completion, and not an instant longer. A transport
@@ -85,15 +83,9 @@ type Transport interface {
 	MaxBatch() int
 	// Submit accepts the submissions for crossing. Every submission's
 	// Completion is guaranteed to resolve exactly once, even on failure
-	// paths (queue full, transport closed, aborted flush). The returned
-	// error is the first synchronously-known failure: inline transports
-	// report the first call error, asynchronous ones only admission
-	// failures — later errors surface through the Completions.
+	// paths (transport closed or bound elsewhere, aborted flush). The
+	// returned error is the first failure.
 	Submit(r *Runtime, ctx *kernel.Context, subs []*Submission) error
-	// Drain blocks until every submission accepted so far has completed,
-	// charging ctx any catch-up stall. Inline transports complete within
-	// Submit, so their Drain is a no-op.
-	Drain(r *Runtime, ctx *kernel.Context) error
 }
 
 // DefaultBatchSize is the batch size a zero-valued BatchTransport uses.
@@ -138,14 +130,7 @@ func (t BatchTransport) MaxBatch() int { return t.size() }
 // the remaining chunks, whose submissions resolve with ErrCrossingAborted.
 func (t BatchTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submission) error {
 	r.Admit(subs)
-	return r.crossChunked(ctx, subs, t.size(), inlineCrossOptions)
-}
-
-// crossChunked performs inline crossings over already-admitted submissions
-// in chunks of at most n, aborting the remaining chunks (ErrCrossingAborted)
-// after the first failure and returning it. Shared by BatchTransport and
-// the async transport's decaf-side inline path.
-func (r *Runtime) crossChunked(ctx *kernel.Context, subs []*Submission, n int, opt crossOptions) error {
+	n := t.size()
 	var first error
 	for len(subs) > 0 {
 		chunk := subs
@@ -159,15 +144,12 @@ func (r *Runtime) crossChunked(ctx *kernel.Context, subs []*Submission, n int, o
 			}
 			continue
 		}
-		if _, err := r.crossSubmissions(ctx, chunk, opt); err != nil {
+		if err := r.crossSubmissions(ctx, chunk, kernelSide); err != nil {
 			first = err
 		}
 	}
 	return first
 }
-
-// Drain implements Transport: inline crossings complete within Submit.
-func (BatchTransport) Drain(*Runtime, *kernel.Context) error { return nil }
 
 // WorkerDeath is the fault cause recorded when a process-separated
 // transport's decaf worker process died under a crossing: SIGKILLed,
@@ -208,7 +190,7 @@ func (r *Runtime) Transport() Transport {
 
 // SetTransport selects the crossing transport; nil restores the default
 // per-call transport. A previously installed transport that owns
-// resources (AsyncTransport's service goroutine) is closed. Swap transports
+// resources (ProcTransport's worker process) is closed. Swap transports
 // only while the driver is quiescent.
 func (r *Runtime) SetTransport(t Transport) {
 	if old := r.transport; old != nil && old != t {
@@ -217,10 +199,4 @@ func (r *Runtime) SetTransport(t Transport) {
 		}
 	}
 	r.transport = t
-}
-
-// DrainCrossings blocks until every submission accepted by the current
-// transport has completed, charging ctx any catch-up stall.
-func (r *Runtime) DrainCrossings(ctx *kernel.Context) error {
-	return r.Transport().Drain(r, ctx)
 }

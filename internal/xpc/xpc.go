@@ -22,16 +22,15 @@
 // # Transports: submission and completion
 //
 // The mechanics of a crossing are pluggable through the Transport
-// interface, whose API is asynchronous submit/complete: a Submission pairs
-// a Call with a Completion handle carrying the call's result, its latency
-// split into queue wait and crossing cost, its virtual completion instant,
-// and the fault-containment outcome. Transport.Submit accepts submissions;
-// Transport.Drain blocks until everything accepted has completed.
-// Runtime.Upcall and Runtime.Downcall are sugar — a one-call Batch flush:
-// Submit plus an immediate Wait — so the seed call-and-return semantics are
-// a degenerate use of the asynchronous API, not a separate path.
+// interface, whose API is submit/complete: a Submission pairs a Call with a
+// Completion handle carrying the call's result, its crossing cost and the
+// fault-containment outcome. Transport.Submit crosses the submissions and
+// resolves every completion before it returns. Runtime.Upcall and
+// Runtime.Downcall are sugar — a one-call Batch flush: Submit plus an
+// immediate Wait — so the seed call-and-return semantics are a degenerate
+// use of the submit/complete API, not a separate path.
 //
-// Three transports implement the interface:
+// Two transports implement the interface:
 //
 //   - BatchTransport: the §4.2 batching optimization. Submissions coalesce
 //     into inline crossings of up to N calls, paying the kernel/user
@@ -39,16 +38,8 @@
 //     call still pays its language-boundary transition and per-byte
 //     marshaling. The default is its N = 1 case, named "per-call": every
 //     submission is its own inline crossing, completing before Submit
-//     returns — the paper's measured configuration.
-//   - AsyncTransport: the §4.2 asynchrony. Submissions enqueue onto a
-//     bounded ring serviced by a dedicated decaf-side goroutine with its
-//     own execution timeline; the kernel side submits and continues.
-//     Completions resolve at definite virtual instants on that timeline,
-//     so a caller that keeps producing hides the crossing latency and only
-//     a caller that waits early pays it (Completion.Wait charges exactly
-//     the un-overlapped remainder). A full ring applies a configurable
-//     backpressure policy (block or fail fast), and ordered FIFO
-//     completion holds per direction.
+//     returns — the paper's measured configuration. It serves the paper's
+//     tables in virtual time.
 //   - ProcTransport: the decaf side in a real separate process — the
 //     paper's actual deployment shape. Steady-state chunks cross through
 //     mmap-shared SPSC descriptor rings organized as independent
@@ -123,12 +114,12 @@
 //
 // Hot paths written against the Batch builder are transport-agnostic:
 // Batch.Flush waits for its calls under any transport, while
-// Batch.FlushAsync returns an aggregate Completion the driver can pipeline
-// against, overlapping packet production with crossing execution.
+// Batch.FlushAsync returns an aggregate Completion the driver pushes onto a
+// FlushPipeline and reaps once it settles.
 //
 // # Zero-copy payloads
 //
-// After batching and asynchrony, the remaining data-path tax is copying
+// After batching, the remaining data-path tax is copying
 // payload bytes across the boundary. A PayloadRing removes it: a pool of
 // fixed-size buffers is registered with the transport once at
 // initialization (Runtime.RegisterPayloadRing, one crossing), after which
@@ -137,16 +128,15 @@
 // twelve-byte slot descriptor (index, length, generation; see
 // xdr.SlotDescriptor) instead of the frame, and the cost model charges
 // per-byte copy only on the fallback. Slot lifetime equals completion
-// lifetime: drivers release slots when the carrying flush settles, so
-// inline and async transports both recycle correctly. An exhausted ring
-// degrades to the full-payload marshal: never a block, never a drop, always
-// visible in the ring counters.
+// lifetime: drivers release slots when the carrying flush settles. An
+// exhausted ring degrades to the full-payload marshal: never a block, never
+// a drop, always visible in the ring counters.
 //
 // Crossing statistics are kept in sharded atomic counters: the fast path of
 // a crossing acquires no mutex, so concurrent crossings of different entry
 // points never contend (see counters.go). The counters separate
-// caller-visible stall from queue wait and decaf-side crossing time, and
-// gauge submissions in flight and ring occupancy.
+// caller-visible stall from crossing time, and gauge submissions in flight
+// and ring occupancy.
 package xpc
 
 import (
@@ -264,16 +254,9 @@ type Runtime struct {
 	// counters.go). ResetCounters swaps the pointer.
 	counters atomic.Pointer[counterState]
 
-	// Submission gauges. Unlike the epoch counters these track live state
-	// (submissions in flight, async ring occupancy), so ResetCounters does
-	// not zero them.
-	inFlight  atomic.Int64
-	queueLen  atomic.Int64
-	queuePeak atomic.Int64
-
-	// frontier is the latest virtual instant any waiter has stalled to
-	// (see Completion.Wait).
-	frontier atomic.Int64
+	// inFlight gauges submissions admitted and not yet resolved. Unlike the
+	// epoch counters it tracks live state, so ResetCounters does not zero it.
+	inFlight atomic.Int64
 
 	// payloadRing is the pre-registered zero-copy payload pool, nil until
 	// RegisterPayloadRing succeeds (see ring.go).
@@ -287,10 +270,10 @@ type Runtime struct {
 	// fault-containment region (test and benchmark fault injection).
 	faultInjector atomic.Pointer[func(call string) bool]
 	// completionObserver, when set, observes every resolved submission's
-	// latency split — the hook the benchmark harness uses to build
+	// crossing cost — the hook the benchmark harness uses to build
 	// caller-visible latency histograms without touching the crossing path
 	// when unset.
-	completionObserver atomic.Pointer[func(name string, queueWait, crossCost time.Duration, fault bool)]
+	completionObserver atomic.Pointer[func(name string, crossCost time.Duration, fault bool)]
 	// tracer, when set, is the flight recorder every crossing stage reports
 	// to (see internal/trace). Unset, every instrumentation site is one
 	// atomic load plus a nil check — the tracing-off state stays
@@ -569,9 +552,8 @@ func (f *InjectedFault) String() string {
 
 // SetFaultNotifier installs (or, with nil, removes) the observer invoked for
 // every contained decaf-side fault as its Completion resolves. The notifier
-// runs on whatever goroutine resolves the completion — the submitting
-// context under inline transports, the service goroutine under an async
-// transport — so it must only record and defer (a recovery supervisor
+// runs on whatever goroutine resolves the completion, inside the faulted
+// crossing, so it must only record and defer (a recovery supervisor
 // enqueues a work item; it never crosses from the notifier).
 func (r *Runtime) SetFaultNotifier(fn func(FaultEvent)) {
 	if fn == nil {
@@ -582,13 +564,12 @@ func (r *Runtime) SetFaultNotifier(fn func(FaultEvent)) {
 }
 
 // SetCompletionObserver installs (or, with nil, removes) the observer
-// invoked for every resolved submission with its entry-point name, latency
-// split (queue wait and crossing cost, virtual time) and fault outcome. The
-// benchmark harness attaches here to build caller-visible latency
-// histograms. Like the fault notifier it runs on whatever goroutine
-// resolves the completion, so fn must be concurrency-safe and must only
-// record — never submit or wait.
-func (r *Runtime) SetCompletionObserver(fn func(name string, queueWait, crossCost time.Duration, fault bool)) {
+// invoked for every resolved submission with its entry-point name, crossing
+// cost (virtual time) and fault outcome. The benchmark harness attaches
+// here to build caller-visible latency histograms. Like the fault notifier
+// it runs on whatever goroutine resolves the completion, so fn must be
+// concurrency-safe and must only record — never submit or wait.
+func (r *Runtime) SetCompletionObserver(fn func(name string, crossCost time.Duration, fault bool)) {
 	if fn == nil {
 		r.completionObserver.Store(nil)
 		return
@@ -619,8 +600,7 @@ func (r *Runtime) Tracer() *trace.Recorder { return r.tracer.Load() }
 // decaf call body, and returning true panics an *InjectedFault inside the
 // containment region — the call fails with a *UserFault exactly as a real
 // decaf crash would, and the injection is counted (Counters.FaultsInjected).
-// fn must be safe for concurrent use (the async service goroutine executes
-// call bodies).
+// fn must be safe for concurrent use (concurrent submitters cross at once).
 func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 	if fn == nil {
 		r.faultInjector.Store(nil)
@@ -636,9 +616,7 @@ func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 // context with no crossing, cost or counter.
 //
 // Upcall is sugar for Submit followed by an immediate Wait on the
-// submission's Completion: under an inline transport that is exactly the
-// seed call-and-return crossing; under an async transport the caller stalls
-// the submission's full latency, preserving blocking semantics.
+// submission's Completion: exactly the seed call-and-return crossing.
 //
 // The nuclear runtime masks the driver's interrupts for the duration and
 // converts a panic in fn into a *UserFault error rather than a kernel crash
@@ -804,46 +782,21 @@ func (r *Runtime) runUser(ctx *kernel.Context, c *Call) (err error) {
 	return err
 }
 
-// crossOptions selects the crossing engine's policy for one physical
-// crossing.
-type crossOptions struct {
-	// inline marks a crossing executed on the submitting context: costs are
-	// charged to ctx directly, completions resolve at the submit instant,
-	// and the sleep portion of the charge is recorded as caller stall.
-	inline bool
-	// maskIRQs masks the driver's interrupts for upcall crossings. Inline
-	// transports mask (the calling kernel thread is inside the driver);
-	// the async service does not — the kernel side keeps running and the
-	// queue itself serializes decaf execution, so the §3.1.3 reentrancy
-	// hazard the mask exists for cannot arise.
-	maskIRQs bool
-	// abortOnFailure reproduces the inline batch semantics: a user fault
-	// aborts the crossing without copying any state back, and an ordinary
-	// error stops execution of the remaining calls. Without it (the async
-	// service), every submission runs and a fault fails only its own
-	// Completion.
-	abortOnFailure bool
-	// noteStall records the crossing's sleep as caller-visible stall.
-	// True for kernel-side inline crossings; false for crossings the async
-	// service performs on the decaf timeline (including the decaf side's
-	// own nested downcalls), whose cost rolls into crossing time instead.
-	noteStall bool
-	// start is the virtual instant the crossing begins on the performing
-	// timeline; completions of non-inline crossings resolve at start plus
-	// the cumulative crossing cost.
-	start time.Duration
-}
+// crossSide selects the crossing engine's policy by the side that performs
+// the crossing. Both policies execute on the performing context and share
+// the batch semantics of runChunkAborting.
+type crossSide bool
 
-var (
-	inlineCrossOptions = crossOptions{inline: true, maskIRQs: true, abortOnFailure: true, noteStall: true}
-	// decafSideCrossOptions are for crossings the decaf side performs
-	// synchronously on its own timeline: a handler body's nested downcall
-	// under any transport (serveDowncall), and a closure body's under an
-	// async transport (the decaf runtime thread blocks on its own downcalls
-	// rather than queueing to itself, which would deadlock the service
-	// loop). Their stall is not the kernel side's: it rolls into the
-	// enclosing upcall's crossing time.
-	decafSideCrossOptions = crossOptions{inline: true, abortOnFailure: true}
+const (
+	// kernelSide is a transport's crossing on the submitting kernel
+	// context: it masks the driver's interrupts for upcalls (the calling
+	// kernel thread is inside the driver, §3.1.3) and records the sleep it
+	// charged as caller-visible stall.
+	kernelSide crossSide = true
+	// decafSide is a crossing the decaf side performs on its own timeline:
+	// a handler body's nested downcall (serveDowncall). Its stall is not
+	// the kernel side's: it rolls into the enclosing upcall's crossing time.
+	decafSide crossSide = false
 )
 
 // assertMayBlock oopses a crossing attempted from atomic context. The
@@ -866,18 +819,16 @@ func assertMayBlock(ctx *kernel.Context, up bool, name string) {
 // pays its language-boundary transition, object synchronization and
 // per-byte payload cost, and every submission's Completion resolves before
 // the function returns — after which, by the Transport rule, nothing here
-// looks at them again. It returns the chunk's total virtual cost (what the
-// last completion's instant lies past opt.start by, for the transport whose
-// timeline that is) and the first error, for inline submitters.
+// looks at them again. It returns the first error.
 //
 //decaf:hotpath
-func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt crossOptions) (time.Duration, error) {
+func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, side crossSide) error {
 	if len(subs) == 0 {
-		return 0, nil
+		return nil
 	}
 	name, up := subs[0].Call.Name, subs[0].Call.Up
 	assertMayBlock(ctx, up, name)
-	if up && opt.maskIRQs && len(r.DisableIRQs) > 0 {
+	if up && side == kernelSide && len(r.DisableIRQs) > 0 {
 		r.maskIRQs()
 		defer r.unmaskIRQs()
 	}
@@ -891,51 +842,27 @@ func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, opt 
 		r.Latency.chargeBatchTrip(ctx, len(subs))
 	}
 
-	var err error
-	if opt.abortOnFailure {
-		err = r.runChunkAborting(ctx, subs, opt, startElapsed)
-	} else {
-		r.runChunkIsolated(ctx, subs, opt, startElapsed)
-	}
-
-	cost := ctx.Elapsed() - startElapsed
-	if opt.noteStall {
+	err := r.runChunkAborting(ctx, subs, startElapsed)
+	if side == kernelSide {
 		// The sleep portion of what this crossing charged the submitting
-		// context is the caller-visible stall the async transport exists to
-		// hide; record it so benchmarks can compare transports.
-		if slept := cost - (ctx.Busy() - startBusy); slept > 0 {
+		// context is the caller-visible stall; record it so benchmarks can
+		// compare transports.
+		if slept := ctx.Elapsed() - startElapsed - (ctx.Busy() - startBusy); slept > 0 {
 			r.noteStall(name, slept)
 		}
 	}
-	return cost, err
+	return err
 }
 
-// resolveAt resolves a submission with its share of the crossing cost. For
-// inline crossings the cost was already charged to the submitter, so the
-// completion's virtual instant is its submit time; for async crossings it
-// is the crossing start plus the cumulative cost so far, giving ordered
-// completion instants along the service timeline. cell is the counter cell
-// of the call's name.
+// runChunkAborting executes the chunk with the batch semantics: a user
+// fault aborts the crossing and nothing synchronizes back (the user process
+// is suspect); an ordinary error stops execution of the remaining calls but
+// the already-executed calls' objects still synchronize back. Each
+// submission then resolves with its share of the crossing cost. Returns the
+// first error.
 //
 //decaf:hotpath
-func resolveAt(sub *Submission, cell *counterCell, opt crossOptions, cum time.Duration, prev time.Duration, err error, fault bool) {
-	c := sub.Completion
-	if opt.inline {
-		c.completeAt = c.submitClock
-	} else {
-		c.completeAt = opt.start + cum
-	}
-	c.resolveOn(cell, err, fault, cum-prev)
-}
-
-// runChunkAborting executes the chunk with the inline batch semantics: a
-// user fault aborts the crossing and nothing synchronizes back (the user
-// process is suspect); an ordinary error stops execution of the remaining
-// calls but the already-executed calls' objects still synchronize back.
-// Returns the first error.
-//
-//decaf:hotpath
-func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt crossOptions, baseElapsed time.Duration) error {
+func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, baseElapsed time.Duration) error {
 	executed, reached := 0, 0
 	cells := cellCursor{r: r}
 	var err error
@@ -973,45 +900,16 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, opt 
 		cell := cells.at(sub.Call.Name)
 		if i >= reached {
 			// Never reached: aborted by an earlier failure.
-			resolveAt(sub, cell, opt, prev, prev, ErrCrossingAborted, false)
+			sub.Completion.resolveOn(cell, ErrCrossingAborted, false, 0)
 			continue
 		}
 		// Read the scratch out first: resolving hands the submission back.
 		serr, mark := sub.err, sub.mark
 		_, f := serr.(*UserFault)
-		resolveAt(sub, cell, opt, mark, prev, serr, f)
+		sub.Completion.resolveOn(cell, serr, f, mark-prev)
 		prev = mark
 	}
 	return err
-}
-
-// runChunkIsolated executes every submission with per-call fault
-// containment — the async queue semantics: the submissions are independent
-// requests, so a panic or error in one fails only its own Completion and
-// the rest still run and synchronize back.
-func (r *Runtime) runChunkIsolated(ctx *kernel.Context, subs []*Submission, opt crossOptions, baseElapsed time.Duration) {
-	var prev time.Duration
-	cells := cellCursor{r: r}
-	for _, sub := range subs {
-		cell := cells.at(sub.Call.Name)
-		inErr := r.syncIn(ctx, sub.Call, cell)
-		err := inErr
-		if err == nil {
-			err = r.execute(ctx, sub.Call, cell)
-		}
-		_, faulted := err.(*UserFault)
-		// No sync-back after a fault (the user process is suspect) or a
-		// failed sync-in (the decaf copy is stale) — matching the inline
-		// crossing semantics.
-		if !faulted && inErr == nil {
-			if serr := r.syncOut(ctx, sub.Call); serr != nil && err == nil {
-				err = serr
-			}
-		}
-		cum := ctx.Elapsed() - baseElapsed
-		resolveAt(sub, cell, opt, cum, prev, err, faulted)
-		prev = cum
-	}
 }
 
 // LibraryCall models a direct cross-language call from the decaf driver into
