@@ -297,14 +297,10 @@ func newBenchKernel() *kernel.Kernel {
 func BenchmarkXPCUpcallRoundTrip(b *testing.B) {
 	k := newBenchKernel()
 	rt := xpc.NewRuntime(k, "bench", xpc.ModeDecaf, nil)
-	ka, da := benchAdapterValue(), benchAdapterValue()
-	if _, err := rt.Share(ka, da); err != nil {
-		b.Fatal(err)
-	}
 	ctx := k.NewContext("bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.Upcall(ctx, "bench", func(uctx *kernel.Context) error { return nil }, ka); err != nil {
+		if err := rt.Upcall(ctx, "bench", func(uctx *kernel.Context) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,7 +366,7 @@ func BenchmarkAblationDataPathUser(b *testing.B) {
 		// decaf driver.
 		err := rt.Upcall(ctx, "xmit-in-user", func(uctx *kernel.Context) error {
 			return nd.Transmit(uctx, pkt)
-		}, tb.E1000.Adapter)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -148,8 +148,7 @@ func main() {
 	fmt.Printf("workload units:  %d\n", res.Units)
 	fmt.Printf("steady-state crossings: %d\n", res.Crossings)
 	c := tb.Runtime.Counters()
-	fmt.Printf("total crossings: %d upcalls, %d downcalls, %d library calls\n",
-		c.Upcalls, c.Downcalls, c.LibraryCalls)
+	fmt.Printf("total crossings: %d upcalls, %d downcalls\n", c.Upcalls, c.Downcalls)
 	fmt.Printf("marshaled bytes: %d kernel/user, %d C/Java\n", c.BytesKernelUser, c.BytesCJava)
 	if c.SyscallCrossings > 0 || c.RingCrossings > 0 {
 		fmt.Printf("wire (worker process): %d syscall crossings, %d B out, %d B in, %d respawns\n",

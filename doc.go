@@ -35,11 +35,9 @@
 // the body executes in the worker's address space (the worker re-execs the
 // same binary, so init() builds the identical table), with shared driver
 // state in shm-backed cells and nested downcalls crossing back for real;
-// the in-process transports dispatch the same bodies inline. psmouse,
-// rtl8139, ens1371 and uhcihcd cross through the table only (every decaf
-// body of theirs runs in the worker); e1000 still runs probe/open/close as
-// closures, which execute in the kernel process under every transport, so
-// only its data-path handlers and watchdog are isolated. The declared
+// the in-process transports dispatch the same bodies inline. All five
+// drivers cross through the table only, so every decaf body of theirs runs
+// in the worker. The declared
 // per-call cost is charged kernel-side either way, so the virtual cost
 // model is identical to batch and crossings per packet
 // are comparable across all transports while Counters.RingCrossings,
@@ -52,7 +50,7 @@
 // On top of fault containment, internal/recovery adds a shadow-driver-style
 // recovery subsystem: a Supervisor consumes the runtime's fault
 // notifications, quiesces the crashed driver, rebuilds its decaf-side state
-// (fresh shared objects, a re-registered payload ring), and replays a
+// (cleared probe cells, a re-registered payload ring), and replays a
 // StateJournal of configuration-establishing crossings under a restart
 // policy (immediate, exponential backoff, fail-stop on an exhausted
 // budget). During recovery the kernel-facing surface makes the device look

@@ -328,8 +328,8 @@ func PrintRecoveryTable(w io.Writer, cfg RecoveryTableConfig) error {
 	table(w, header, out)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "A fault never surfaces to kernel callers: the faulted flush's frames drop with")
-	fmt.Fprintln(w, "accounting (RxDrop), the supervisor quiesces, rebuilds the decaf side (fresh")
-	fmt.Fprintln(w, "shared objects, re-registered payload ring) and replays the state journal")
+	fmt.Fprintln(w, "accounting (RxDrop), the supervisor quiesces, rebuilds the decaf side (cleared")
+	fmt.Fprintln(w, "state cells, re-registered payload ring) and replays the state journal")
 	fmt.Fprintln(w, "(Replayed = probe + ifup entries). During the outage the net device looks slow,")
 	fmt.Fprintln(w, "not dead: TX frames are held and replayed at resume (Held/HeldReplay), receive")
 	fmt.Fprintln(w, "frames on the wire are lost and counted (WireDrop). Lat is fault-to-resume")

@@ -6,11 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"decafdrivers/internal/hw"
-	"decafdrivers/internal/kernel"
-	"decafdrivers/internal/ktime"
-	"decafdrivers/internal/xpc"
 )
 
 func TestThrowCaughtByTry(t *testing.T) {
@@ -205,72 +200,6 @@ func TestValidateAll(t *testing.T) {
 		t.Fatalf("ParamString = %q", s)
 	}
 }
-
-// --- helpers ---
-
-type ports struct{ last uint32 }
-
-func (p *ports) PortRead(off uint16, size int) uint32     { return p.last + uint32(off) }
-func (p *ports) PortWrite(off uint16, size int, v uint32) { p.last = v }
-
-func TestHelpersPortIO(t *testing.T) {
-	clock := ktime.NewClock()
-	bus := hw.NewBus(clock, 1<<16)
-	k := kernel.New(clock, bus)
-	rt := xpc.NewRuntime(k, "x", xpc.ModeDecaf, nil)
-	h := NewHelpers(rt, bus)
-	bus.RegisterPorts(0x300, 16, &ports{})
-	ctx := rt.DecafContext()
-
-	h.Outl(ctx, 0x300, 100)
-	if got := h.Inl(ctx, 0x304); got != 104 {
-		t.Fatalf("Inl = %d", got)
-	}
-	h.Outb(ctx, 0x300, 1)
-	h.Outw(ctx, 0x300, 2)
-	_ = h.Inb(ctx, 0x300)
-	_ = h.Inw(ctx, 0x300)
-	if rt.Counters().LibraryCalls != 6 {
-		t.Fatalf("LibraryCalls = %d, want 6", rt.Counters().LibraryCalls)
-	}
-	if rt.Counters().Trips() != 0 {
-		t.Fatal("port I/O crossed the kernel boundary")
-	}
-}
-
-func TestHelpersMsleep(t *testing.T) {
-	clock := ktime.NewClock()
-	bus := hw.NewBus(clock, 1<<16)
-	k := kernel.New(clock, bus)
-	rt := xpc.NewRuntime(k, "x", xpc.ModeDecaf, nil)
-	h := NewHelpers(rt, bus)
-	ctx := rt.DecafContext()
-	before := ctx.Elapsed()
-	h.Msleep(ctx, 20)
-	if ctx.Elapsed()-before < 20*time.Millisecond {
-		t.Fatalf("Msleep elapsed %v", ctx.Elapsed()-before)
-	}
-}
-
-func TestHelpersMMIO(t *testing.T) {
-	clock := ktime.NewClock()
-	bus := hw.NewBus(clock, 1<<16)
-	k := kernel.New(clock, bus)
-	rt := xpc.NewRuntime(k, "x", xpc.ModeDecaf, nil)
-	h := NewHelpers(rt, bus)
-	dev := hw.NewPCIDevice("x", 1, 2, 0)
-	dev.SetBAR(0, &hw.BAR{Size: 0x100, Handler: &mmio{}})
-	ctx := rt.DecafContext()
-	h.WriteMMIO(ctx, dev, 0, 0x10, 4, 7)
-	if got := h.ReadMMIO(ctx, dev, 0, 0x10, 4); got != 7 {
-		t.Fatalf("ReadMMIO = %d", got)
-	}
-}
-
-type mmio struct{ regs [64]uint64 }
-
-func (m *mmio) MMIORead(off uint32, size int) uint64     { return m.regs[off/4] }
-func (m *mmio) MMIOWrite(off uint32, size int, v uint64) { m.regs[off/4] = v }
 
 // --- collector ---
 

@@ -1,11 +1,13 @@
 // Package decaf provides the decaf runtime: the user-level support code
 // shared by all decaf drivers (paper §3). It supplies the managed-language
 // amenities the paper gets from Java — checked-exception-style error
-// handling with nested handlers (Figure 4), standard-library collections for
-// module-parameter validation (§5.1), helper wrappers for functionality that
-// is not expressible in a managed language (port I/O, msleep, sizeof; §5.3)
-// — plus the finalizer-based automatic release of shared objects that the
-// paper describes as future work (§3.1.2, §5.1).
+// handling with nested handlers (Figure 4) and standard-library collections
+// for module-parameter validation (§5.1) — plus the finalizer-based
+// automatic release of shared objects that the paper describes as future
+// work (§3.1.2, §5.1). What a managed language cannot express (port I/O,
+// msleep; §5.3) is not a helper library here: a decaf body reaches it
+// through a named downcall, and the kernel-side target does the I/O or
+// waits out the sleep.
 //
 // Decaf call bodies themselves are registered in the handler table
 // (handlers.go in this package re-exports internal/decaf/registry): named,

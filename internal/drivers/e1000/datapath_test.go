@@ -153,21 +153,6 @@ func TestDecafDataPathRx(t *testing.T) {
 	}
 }
 
-// TestProbeEEPROMReadsBatched checks the probe-time EEPROM loop coalesces
-// through the Batch downcall builder under a batched transport.
-func TestProbeEEPROMReadsBatched(t *testing.T) {
-	r := newDecafPathRig(t, 16)
-	r.load(t)
-	c := r.drv.Runtime().Counters()
-	if c.PerCall["e1000_read_eeprom"] != EEPROMWords {
-		t.Fatalf("EEPROM reads = %d, want %d", c.PerCall["e1000_read_eeprom"], EEPROMWords)
-	}
-	// The 64-word walk at MaxBatch 16 is 4 crossings; unbatched it was 64.
-	if c.Downcalls >= EEPROMWords {
-		t.Fatalf("Downcalls = %d, want the EEPROM walk coalesced (< %d)", c.Downcalls, EEPROMWords)
-	}
-}
-
 // TestNucleusDataPathUnchanged checks the default configuration still never
 // crosses on the data path — the paper's split.
 func TestNucleusDataPathUnchanged(t *testing.T) {

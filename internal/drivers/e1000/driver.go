@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/hw/e1000hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/knet"
@@ -21,15 +20,15 @@ const WatchdogPeriod = 2 * time.Second
 // the staged payloads (ring slots or copy fallbacks) they crossed in.
 type flight = xpc.Flight[*knet.Packet]
 
-// Driver is one bound E1000 instance: nucleus + decaf driver + XPC runtime.
+// Driver is one bound E1000 instance: the nucleus, the kernel side of the
+// decaf driver's handler calls, and the XPC runtime.
 type Driver struct {
-	kern    *kernel.Kernel
-	net     *knet.Subsystem
-	dev     *e1000hw.Device
-	rt      *xpc.Runtime
-	helpers *decaf.Helpers
-	irq     int
-	opts    map[string]int
+	kern *kernel.Kernel
+	net  *knet.Subsystem
+	dev  *e1000hw.Device
+	rt   *xpc.Runtime
+	irq  int
+	opts map[string]int
 
 	// dataPath places the per-packet path: nucleus (default) or decaf.
 	dataPath xpc.DataPath
@@ -55,13 +54,16 @@ type Driver struct {
 	// and RX alike.
 	flights xpc.FlightPool[*knet.Packet]
 
-	// Adapter is the kernel-side shared structure; DecafAdapter is the
-	// user-side copy (the same object in native mode).
-	Adapter      *Adapter
+	// Adapter is the driver's one adapter structure, kept kernel-side:
+	// the decaf bodies send what they learn back as downcall arguments
+	// and state cells, and the kernel records it here.
+	Adapter *Adapter
+	// DecafAdapter is a user-side copy the driver itself never reads or
+	// writes. A harness that measures the object-sync layer allocates it
+	// and shares it with Adapter on the driver's runtime.
 	DecafAdapter *Adapter
 
 	nuc    *nucleus
-	dcf    *decafDriver
 	netdev *knet.NetDevice
 
 	watchdog *kernel.KTimer
@@ -130,19 +132,8 @@ func New(k *kernel.Kernel, net *knet.Subsystem, dev *e1000hw.Device, cfg Config)
 	}
 	d.rt = xpc.NewRuntime(k, "e1000", cfg.Mode, FieldMask())
 	d.rt.DisableIRQs = []int{cfg.IRQ}
-	d.helpers = decaf.NewHelpers(d.rt, k.Bus())
 	d.Adapter = &Adapter{MsgEnable: 3, Mtu: 1500, TxRingSize: DefaultTxRing, RxRingSize: DefaultRxRing}
-	if cfg.Mode == xpc.ModeNative {
-		// Native: one copy of every structure, as in an unsplit driver.
-		d.DecafAdapter = d.Adapter
-	} else {
-		d.DecafAdapter = &Adapter{}
-		if _, err := d.rt.Share(d.Adapter, d.DecafAdapter); err != nil {
-			panic(fmt.Sprintf("e1000: share adapter: %v", err))
-		}
-	}
 	d.nuc = newNucleus(d)
-	d.dcf = newDecafDriver(d)
 	d.registerDowncalls()
 	return d
 }
@@ -167,15 +158,12 @@ func (m *e1000Module) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
 	d.dev.PCI.EnableBusMaster()
 
-	err := d.rt.Upcall(ctx, "e1000_probe", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.dcf.probe(uctx, d.opts) }))
-	}, d.Adapter)
-	if err != nil {
+	if err := d.probe(ctx); err != nil {
 		return fmt.Errorf("e1000: probe: %w", err)
 	}
 
-	// The probe proposes "eth0"; the network core assigns the first free
-	// ethN, as register_netdev does.
+	// The network core assigns the first free ethN, as register_netdev
+	// does.
 	d.Adapter.Name = d.net.FreeName("eth")
 	nd, err := d.net.Register(d.Adapter.Name, int(d.Adapter.Mtu), (*e1000Ops)(d))
 	if err != nil {
@@ -207,9 +195,6 @@ func (m *e1000Module) Exit(ctx *kernel.Context) {
 	if d.netdev != nil {
 		_ = d.net.Unregister(d.netdev.Name)
 	}
-	if d.rt.Mode == xpc.ModeDecaf {
-		d.rt.Unshare(d.Adapter)
-	}
 }
 
 func (d *Driver) scheduleWatchdogWork() {
@@ -227,8 +212,8 @@ func (d *Driver) scheduleWatchdogWork() {
 }
 
 // e1000Ops implements knet.DeviceOps: the kernel-facing entry points. Open
-// and Stop forward to the decaf driver through kernel-side stubs; StartXmit
-// stays in the nucleus (critical root).
+// and Stop cross to the decaf driver's handler bodies; StartXmit stays in
+// the nucleus (critical root).
 type e1000Ops Driver
 
 // Open implements knet.DeviceOps by upcalling e1000_open. During a recovery
@@ -240,19 +225,8 @@ func (o *e1000Ops) Open(ctx *kernel.Context) error {
 	if d.recovering {
 		return fmt.Errorf("e1000: open while the driver is recovering")
 	}
-	err := d.rt.Upcall(ctx, "e1000_open", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.dcf.open(uctx) }))
-	}, d.Adapter)
-	if err != nil {
+	if err := d.open(ctx); err != nil {
 		return err
-	}
-	// Immediate link evaluation, as the C driver does after e1000_up. The
-	// shared cell mirrors the kernel-side transition so the watchdog body
-	// (which may run in another process) compares against current state.
-	if d.dev.LinkUp() {
-		d.Adapter.LinkUp = true
-		d.setLinkCell(true)
-		d.netdev.CarrierOn()
 	}
 	d.journalOpen()
 	return nil
@@ -261,7 +235,8 @@ func (o *e1000Ops) Open(ctx *kernel.Context) error {
 // Stop implements knet.DeviceOps by upcalling e1000_close. Queued TX frames
 // flush and transmit first so none are stranded behind the teardown, while
 // in-flight RX flushes settle and drop — frames are not delivered into a
-// closing interface, matching the rtl8139 purge-on-stop semantics.
+// closing interface, matching the rtl8139 purge-on-stop semantics. A close
+// body that did not finish leaves the release to the kernel side.
 func (o *e1000Ops) Stop(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	if d.recovering {
@@ -276,9 +251,11 @@ func (o *e1000Ops) Stop(ctx *kernel.Context) error {
 	if d.journal != nil {
 		d.journal.Remove("ifup")
 	}
-	return d.rt.Upcall(ctx, "e1000_close", func(uctx *kernel.Context) error {
-		return decaf.ToError(decaf.Try(func() { d.dcf.close(uctx) }))
-	}, d.Adapter)
+	err := d.rt.UpcallHandler(ctx, "e1000_close")
+	if err != nil {
+		d.nuc.release(ctx)
+	}
+	return err
 }
 
 // StartXmit implements knet.DeviceOps. In the default nucleus data path the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/hw/e1000hw"
 	"decafdrivers/internal/kernel"
@@ -347,7 +348,7 @@ func TestUserFaultContained(t *testing.T) {
 		var p *Adapter
 		_ = p.Name // nil dereference in user-level code
 		return nil
-	}, r.drv.Adapter)
+	})
 	var fault *xpc.UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want UserFault", err)
@@ -357,5 +358,113 @@ func TestUserFaultContained(t *testing.T) {
 	nd := r.drv.NetDevice()
 	if err := nd.Transmit(ctx, knet.NewPacket([6]byte{3}, nd.MAC, 0x0800, 100)); err != nil {
 		t.Fatalf("kernel unusable after contained user fault: %v", err)
+	}
+}
+
+// TestOpenNestedReleaseOrder: Figure 4's nested handlers release in reverse
+// order of acquisition — a failed request_irq frees the receive ring, then
+// the transmit ring, then resets the device — before the failure reaches
+// the kernel.
+func TestOpenNestedReleaseOrder(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	r.load(t)
+	rt, n := r.drv.Runtime(), r.drv.nuc
+	var order []string
+	record := func(name string, fn func(*kernel.Context)) {
+		rt.RegisterDowncall(name, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+			order = append(order, name)
+			fn(kctx)
+			return 0, nil
+		})
+	}
+	record("e1000_free_all_rx_resources", n.freeRxResources)
+	record("e1000_free_all_tx_resources", n.freeTxResources)
+	record("e1000_down", n.down)
+	record("e1000_reset_hw", n.resetHW)
+	rt.RegisterDowncall("e1000_request_irq", func(*kernel.Context, uint64) (uint64, error) {
+		return 0, errors.New("EBUSY")
+	})
+	dma := r.kern.Bus().DMA()
+	before := dma.InUse()
+	if err := r.drv.NetDevice().Up(r.kern.NewContext("ifup")); err == nil {
+		t.Fatal("open succeeded with request_irq failing")
+	}
+	want := []string{"e1000_free_all_rx_resources", "e1000_free_all_tx_resources", "e1000_down", "e1000_reset_hw"}
+	if strings.Join(order, " ") != strings.Join(want, " ") {
+		t.Fatalf("release order = %v, want %v", order, want)
+	}
+	if got := dma.InUse(); got != before {
+		t.Fatalf("failed open leaked %d DMA allocations", got-before)
+	}
+}
+
+// refused counts the downcalls TestOutOfRangeTargetsRefused saw refused;
+// registered at init, as every cell must be, so the state area holds it.
+var refused = registry.RegisterCell("e1000test.refused")
+
+// TestOutOfRangeTargetsRefused: the EEPROM and PHY targets check the
+// address a decaf body hands them and refuse one outside the device before
+// touching a register.
+func TestOutOfRangeTargetsRefused(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	r.load(t)
+	registry.Register("e1000test_out_of_range", registry.Handler{
+		Down: true,
+		Fn: func(c *registry.Ctx) error {
+			for _, d := range []struct {
+				name string
+				arg  uint64
+			}{
+				{"e1000_read_eeprom", EEPROMWords},
+				{"e1000_read_eeprom", 1 << 32},
+				{"e1000_read_phy_reg", phyMaxReg + 1},
+				{"e1000_write_phy_reg", (phyMaxReg+1)<<16 | 0x1234},
+				{"e1000_write_phy_reg", 1 << 40},
+			} {
+				if _, err := c.Downcall(d.name, d.arg); err != nil {
+					c.State.Add(refused, 1)
+				}
+			}
+			return nil
+		},
+	})
+	reg := func(off uint32) uint64 { return r.dev.PCI.MMIORead(0, off, 4) }
+	eerd, mdic, shadow := reg(e1000hw.RegEERD), reg(e1000hw.RegMDIC), r.drv.Adapter.EEPROM
+	if err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "e1000test_out_of_range"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.drv.Runtime().SharedState().Load(refused); got != 5 {
+		t.Fatalf("%d of 5 out-of-range downcalls refused", got)
+	}
+	if reg(e1000hw.RegEERD) != eerd || reg(e1000hw.RegMDIC) != mdic || r.drv.Adapter.EEPROM != shadow {
+		t.Fatal("a refused downcall touched the device or the EEPROM shadow")
+	}
+}
+
+// TestProbeRingSizeOutOfRangeFailsLoad: the kernel checks the ring sizes a
+// probe body reports before sizing DMA by them, so a body reporting one
+// outside [MinRing, MaxRing] fails the load.
+func TestProbeRingSizeOutOfRangeFailsLoad(t *testing.T) {
+	orig := *registry.Lookup("e1000_probe")
+	t.Cleanup(func() { registry.Register("e1000_probe", orig) })
+	for _, ring := range []uint64{MinRing - 1, MaxRing + 1} {
+		registry.Register("e1000_probe", registry.Handler{
+			Down: true,
+			Fn: func(c *registry.Ctx) error {
+				if err := orig.Fn(c); err != nil {
+					return err
+				}
+				c.State.Store(cellRxRing, ring)
+				return nil
+			},
+		})
+		r := newRig(t, xpc.ModeDecaf)
+		_, err := r.kern.LoadModule(r.drv.Module())
+		if err == nil || !strings.Contains(err.Error(), "ring sizes") {
+			t.Fatalf("ring %d: load error = %v, want the ring-size refusal", ring, err)
+		}
+		if _, ok := r.net.Device("eth0"); ok || len(r.kern.LoadedModules()) != 0 {
+			t.Fatalf("ring %d: failed load left an interface or module behind", ring)
+		}
 	}
 }

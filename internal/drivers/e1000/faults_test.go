@@ -144,9 +144,15 @@ func TestRecoveryRestoresConfigAfterDataPathFault(t *testing.T) {
 		a.FlowControl != pre.FlowControl || a.EEPROM != pre.EEPROM || a.PhyID != pre.PhyID {
 		t.Fatalf("post-recovery kernel config differs from pre-fault:\npre  %+v\npost %+v", pre, *a)
 	}
-	da := r.drv.DecafAdapter
-	if da.MAC != pre.MAC || da.TxRingSize != pre.TxRingSize || da.EEPROM != pre.EEPROM {
-		t.Fatal("post-recovery decaf config differs from pre-fault")
+	// The decaf side was reset and its replayed probe reported the same
+	// settings through the cells the kernel adopted them from.
+	cells := r.drv.Runtime().SharedState()
+	var mac [6]byte
+	for i := range mac {
+		mac[i] = byte(cells.Load(cellMAC) >> (8 * i))
+	}
+	if mac != pre.MAC || cells.Load(cellTxRing) != uint64(pre.TxRingSize) || cells.Load(cellPhyID) != uint64(pre.PhyID) {
+		t.Fatal("post-recovery decaf cells differ from the pre-fault config")
 	}
 	// The restarted driver carries traffic again.
 	for i := 0; i < batchN; i++ {

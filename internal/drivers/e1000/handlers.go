@@ -1,6 +1,8 @@
 package e1000
 
 import (
+	"encoding/binary"
+	"fmt"
 	"time"
 
 	"decafdrivers/internal/decaf/registry"
@@ -10,15 +12,26 @@ import (
 
 // Shared state cells for the decaf-resident bodies. Cells are registered at
 // package init so the parent and a re-exec'd worker agree on the indices,
-// and under a process-separated transport they live in the shared mapping —
-// the analogue of the adapter fields the closure-era bodies mutated, minus
-// the marshaling: both sides read the same memory.
+// and under a process-separated transport they live in the shared mapping:
+// what the decaf side learns reaches the kernel without marshaling an
+// adapter, because both sides read the same memory.
 var (
 	cellTxFrames     = registry.RegisterCell("e1000.decaf_tx_frames")
 	cellRxFrames     = registry.RegisterCell("e1000.decaf_rx_frames")
 	cellWatchdogRuns = registry.RegisterCell("e1000.watchdog_runs")
 	cellLinkUp       = registry.RegisterCell("e1000.link_up")
+
+	// The probe body's results, which the kernel adopts into Adapter.
+	cellTxRing      = registry.RegisterCell("e1000.tx_ring_size")
+	cellRxRing      = registry.RegisterCell("e1000.rx_ring_size")
+	cellFlowControl = registry.RegisterCell("e1000.flow_control")
+	cellMsgEnable   = registry.RegisterCell("e1000.msg_enable")
+	cellMAC         = registry.RegisterCell("e1000.mac")
+	cellPhyID       = registry.RegisterCell("e1000.phy_id")
 )
+
+// probeCells are the cells the probe body writes and recovery clears.
+var probeCells = [...]registry.Cell{cellTxRing, cellRxRing, cellFlowControl, cellMsgEnable, cellMAC, cellPhyID}
 
 // Decaf-side per-frame handling costs in the decaf data path: cheaper than a
 // crossing by orders of magnitude, so batching gains show up as crossing
@@ -31,14 +44,20 @@ const (
 	watchdogBodyCost = 500 * time.Nanosecond
 )
 
-// The handler table holds the decaf call bodies that execute in the worker
-// process under a process-separated transport (and dispatch inline under the
-// in-process ones). Bodies reach driver state only through the shared cells
-// and reach the kernel or device only through named downcalls — the same
-// discipline process separation enforces physically.
+// The handler table holds the whole decaf driver: every body executes in
+// the worker process under a process-separated transport (and dispatches
+// inline under the in-process ones). Bodies reach driver state only through
+// the shared cells and reach the kernel or device only through the scalar
+// downcalls registerDowncalls installs — the same discipline process
+// separation enforces physically.
 //
 //decaf:boundary
 func init() {
+	// The control plane (decaf.go): probe takes the module parameters as
+	// its payload; open is Figure 4; close releases what open acquired.
+	registry.Register("e1000_probe", registry.Handler{Down: true, Fn: run(decafCall.probe)})
+	registry.Register("e1000_open", registry.Handler{Down: true, Fn: run(decafCall.open)})
+	registry.Register("e1000_close", registry.Handler{Down: true, Fn: run(decafCall.close)})
 	// e1000_xmit_frame is the decaf-driver TX body in the decaf data path:
 	// user-level frame validation and accounting. The hardware submit stays
 	// in the nucleus after the flight is reaped.
@@ -87,10 +106,26 @@ func init() {
 	})
 }
 
-// registerDowncalls installs the kernel-side targets the handler bodies
-// name. Registration is per-Runtime, so each driver instance's handlers
-// reach that instance's device and netdev.
+// registerDowncalls installs the kernel-side targets the decaf bodies name:
+// the nucleus entry points, each a scalar in and a scalar out. Registration
+// is per-Runtime, so each driver instance's bodies reach that instance's
+// device and netdev. The arguments come from the untrusted side and are
+// checked here before anything is touched. Each wait the C driver sleeps
+// elapses in the target it belongs to: a body in the worker has no virtual
+// clock.
 func (d *Driver) registerDowncalls() {
+	n := d.nuc
+	void := func(name string, fn func(kctx *kernel.Context)) {
+		d.rt.RegisterDowncall(name, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+			fn(kctx)
+			return 0, nil
+		})
+	}
+	errno := func(name string, fn func(kctx *kernel.Context) error) {
+		d.rt.RegisterDowncall(name, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+			return 0, fn(kctx)
+		})
+	}
 	d.rt.RegisterDowncall("e1000_read_status", func(kctx *kernel.Context, _ uint64) (uint64, error) {
 		return d.dev.PCI.MMIORead(0, e1000hw.RegSTATUS, 4), nil
 	})
@@ -109,6 +144,128 @@ func (d *Driver) registerDowncalls() {
 		}
 		return 0, nil
 	})
+	// e1000_reset_hw resets the device and waits out the 100 ms settle.
+	void("e1000_reset_hw", func(kctx *kernel.Context) {
+		n.resetHW(kctx)
+		kctx.MSleep(100)
+	})
+	d.rt.RegisterDowncall("e1000_read_eeprom", d.readEEPROM)
+	// e1000_read_phy_reg and e1000_write_phy_reg (reg<<16 | value) return
+	// the C convention, a negative errno on an MDIC failure, which the body
+	// turns into an exception (Figure 5).
+	d.rt.RegisterDowncall("e1000_read_phy_reg", func(kctx *kernel.Context, reg uint64) (uint64, error) {
+		if reg > phyMaxReg {
+			return 0, fmt.Errorf("e1000: PHY register %#x out of range", reg)
+		}
+		v, code := n.phyRead(kctx, uint32(reg))
+		if code < 0 {
+			return uint64(int64(code)), nil
+		}
+		return uint64(v), nil
+	})
+	// Writing dspReconfigure to the DSP register starts the DSP's
+	// reconfiguration, which the write waits out (20 ms).
+	d.rt.RegisterDowncall("e1000_write_phy_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+		reg, val := arg>>16, uint16(arg)
+		if reg > phyMaxReg {
+			return 0, fmt.Errorf("e1000: PHY register %#x out of range", reg)
+		}
+		code := n.phyWrite(kctx, uint32(reg), val)
+		if reg == phyDSPReg && val == dspReconfigure {
+			kctx.MSleep(20)
+		}
+		return uint64(int64(code)), nil
+	})
+	// pci_save_state is probe's last step: the device is identified, so
+	// autonegotiation starts, and the target waits its 200 ms as the C
+	// probe does.
+	void("pci_save_state", func(kctx *kernel.Context) {
+		n.snapshotConfigSpace(kctx)
+		kctx.MSleep(200)
+	})
+	errno("e1000_setup_all_tx_resources", n.setupTxResources)
+	errno("e1000_setup_all_rx_resources", n.setupRxResources)
+	errno("e1000_request_irq", n.requestIRQ)
+	void("e1000_up", n.up)
+	void("e1000_down", n.down)
+	void("e1000_free_irq", n.freeIRQ)
+	void("e1000_free_all_tx_resources", n.freeTxResources)
+	void("e1000_free_all_rx_resources", n.freeRxResources)
+}
+
+// phyMaxReg is the last register of the 5-bit MII space.
+const phyMaxReg = 0x1F
+
+// readEEPROM is the e1000_read_eeprom target: one word per downcall, because
+// EERD is shared with the data path and must be serialized in the kernel.
+// The word lands in the adapter's EEPROM shadow as well as going back to
+// the body, which checks the checksum over what it read.
+func (d *Driver) readEEPROM(kctx *kernel.Context, addr uint64) (uint64, error) {
+	if addr >= EEPROMWords {
+		return 0, fmt.Errorf("e1000: EEPROM address %d out of range", addr)
+	}
+	w, err := d.nuc.readEEPROMWord(kctx, uint32(addr))
+	if err != nil {
+		return 0, err
+	}
+	d.Adapter.EEPROM[addr] = w
+	return uint64(w), nil
+}
+
+// probe crosses into the decaf probe body with the module parameters as its
+// payload, then adopts the settings the body reports through the cells. The
+// ring sizes size DMA allocations, so they are checked again here.
+func (d *Driver) probe(ctx *kernel.Context) error {
+	var params [paramsLen]byte
+	for i, p := range moduleParams {
+		v, ok := d.opts[p.Name()]
+		if !ok {
+			continue
+		}
+		if v != int(int32(v)) {
+			return fmt.Errorf("e1000: module parameter %s=%d out of range", p.Name(), v)
+		}
+		binary.LittleEndian.PutUint32(params[i*paramSlot:], 1)
+		binary.LittleEndian.PutUint32(params[i*paramSlot+4:], uint32(int32(v)))
+	}
+	if err := d.rt.UpcallHandlerData(ctx, "e1000_probe", params[:]); err != nil {
+		return err
+	}
+	st := d.rt.SharedState()
+	tx, rx := st.Load(cellTxRing), st.Load(cellRxRing)
+	if tx < MinRing || tx > MaxRing || rx < MinRing || rx > MaxRing {
+		return fmt.Errorf("e1000: probe reported ring sizes %d/%d outside [%d, %d]", tx, rx, MinRing, MaxRing)
+	}
+	a := d.Adapter
+	a.TxRingSize, a.RxRingSize = uint32(tx), uint32(rx)
+	a.FlowControl = uint32(st.Load(cellFlowControl))
+	a.MsgEnable = int32(st.Load(cellMsgEnable))
+	mac := st.Load(cellMAC)
+	for i := range a.MAC {
+		a.MAC[i] = byte(mac >> (8 * i))
+	}
+	a.PhyID = uint32(st.Load(cellPhyID))
+	return nil
+}
+
+// open crosses into the decaf open body. A body that did not finish — it
+// threw after request_irq, or the worker died under it — may leave
+// resources behind that its handlers never released, so a failed open
+// releases everything kernel-side; every release is idempotent. On success
+// the link is evaluated at once, as the C driver does after e1000_up, and
+// the cell mirrors it so the watchdog body (which may run in another
+// process) compares against current state.
+func (d *Driver) open(ctx *kernel.Context) error {
+	if err := d.rt.UpcallHandler(ctx, "e1000_open"); err != nil {
+		d.nuc.release(ctx)
+		return err
+	}
+	if d.dev.LinkUp() {
+		d.Adapter.LinkUp = true
+		d.setLinkCell(true)
+		d.netdev.CarrierOn()
+	}
+	return nil
 }
 
 // setLinkCell mirrors a kernel-side link transition into the shared cell the

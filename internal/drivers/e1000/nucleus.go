@@ -68,13 +68,9 @@ func (n *nucleus) writeReg(off uint32, v uint32) {
 	n.drv.dev.PCI.MMIOWrite(0, off, 4, uint64(v))
 }
 
-// readEEPROMWord is a kernel entry point: the decaf driver reads the EEPROM
-// one word at a time through downcalls, because EERD is shared with the
-// data path and must be serialized in the kernel.
+// readEEPROMWord reads one EEPROM word through EERD; the caller has checked
+// addr against EEPROMWords.
 func (n *nucleus) readEEPROMWord(ctx *kernel.Context, addr uint32) (uint16, error) {
-	if addr >= EEPROMWords {
-		return 0, fmt.Errorf("e1000: EEPROM address %d out of range", addr)
-	}
 	n.writeReg(e1000hw.RegEERD, addr<<8|e1000hw.EerdStart)
 	ctx.UDelay(2)
 	v := n.readReg(e1000hw.RegEERD)
@@ -216,6 +212,16 @@ func (n *nucleus) down(ctx *kernel.Context) {
 	n.writeReg(e1000hw.RegIMC, ^uint32(0))
 	n.writeReg(e1000hw.RegRCTL, 0)
 	n.writeReg(e1000hw.RegTCTL, 0)
+}
+
+// release quiesces the device and frees everything open acquires: the
+// backstop when an open or close body did not finish, and recovery's
+// teardown. Each step is a no-op when its resource is not held.
+func (n *nucleus) release(ctx *kernel.Context) {
+	n.down(ctx)
+	n.freeIRQ(ctx)
+	n.freeTxResources(ctx)
+	n.freeRxResources(ctx)
 }
 
 // requestIRQ installs the interrupt handler (kernel entry point).

@@ -3,6 +3,7 @@
 package e1000
 
 import (
+	"errors"
 	"os"
 	"testing"
 
@@ -20,6 +21,129 @@ import (
 func TestMain(m *testing.M) {
 	xpc.MaybeRunWorker()
 	os.Exit(m.Run())
+}
+
+// newProcRig is newRig with the decaf side in a real worker process.
+func newProcRig(t *testing.T) (*rig, *xpc.ProcTransport) {
+	t.Helper()
+	r := newRig(t, xpc.ModeDecaf)
+	pt, err := xpc.NewProcTransport(xpc.ProcConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.drv.Runtime().SetTransport(pt)
+	t.Cleanup(func() { r.drv.Runtime().SetTransport(nil) })
+	return r, pt
+}
+
+// TestProcEveryDecafBodyRunsInWorker: under the proc transport the whole
+// decaf driver is worker-resident — every upcall of load, ifup, ifdown and
+// unload is a handler body the worker served, and every downcall is one
+// such body calling back over its lane.
+func TestProcEveryDecafBodyRunsInWorker(t *testing.T) {
+	r, _ := newProcRig(t)
+	r.load(t)
+	a := r.drv.Adapter
+	if a.MAC != [6]byte{0x00, 0x1B, 0x21, 0xAA, 0xBB, 0xCC} || a.PhyID != 0x01410CB0 || a.TxRingSize != DefaultTxRing {
+		t.Fatalf("adapter adopted from the worker's cells = %+v", *a)
+	}
+	r.up(t)
+	if err := r.drv.NetDevice().Down(r.kern.NewContext("ifdown")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.kern.UnloadModule("e1000"); err != nil {
+		t.Fatal(err)
+	}
+	c := r.drv.Runtime().Counters()
+	// probe, open and close; Table 3's 78 init downcalls plus close's 4.
+	if c.Upcalls != 3 || c.Downcalls != 82 {
+		t.Fatalf("Upcalls=%d Downcalls=%d, want 3/82", c.Upcalls, c.Downcalls)
+	}
+	if c.WorkerServedCalls != c.Upcalls {
+		t.Fatalf("WorkerServedCalls=%d of %d upcalls: a decaf body ran in the kernel process", c.WorkerServedCalls, c.Upcalls)
+	}
+	if c.WorkerDowncalls != c.Downcalls {
+		t.Fatalf("WorkerDowncalls=%d of %d downcalls: a downcall did not ride a lane", c.WorkerDowncalls, c.Downcalls)
+	}
+}
+
+// TestProcWorkerDiesMidEEPROMWalk: the worker is SIGKILLed from inside the
+// EEPROM read of word 32. The load fails with a contained fault naming the
+// death, no interface is registered, and a second load runs on a fresh
+// worker.
+func TestProcWorkerDiesMidEEPROMWalk(t *testing.T) {
+	r, pt := newProcRig(t)
+	r.drv.Runtime().RegisterDowncall("e1000_read_eeprom", func(kctx *kernel.Context, addr uint64) (uint64, error) {
+		if addr == 32 && !pt.KillWorker() {
+			t.Error("no worker to kill from inside the downcall target")
+		}
+		return r.drv.readEEPROM(kctx, addr)
+	})
+	_, err := r.kern.LoadModule(r.drv.Module())
+	var death *xpc.WorkerDeath
+	if !xpc.IsUserFault(err) || !errors.As(err, &death) {
+		t.Fatalf("load error = %v, want a contained *UserFault wrapping *WorkerDeath", err)
+	}
+	if _, ok := r.net.Device("eth0"); ok || r.drv.NetDevice() != nil {
+		t.Fatal("interface registered by a probe that died")
+	}
+	if len(r.kern.LoadedModules()) != 0 {
+		t.Fatal("failed module left loaded")
+	}
+
+	r.drv.registerDowncalls()
+	r.load(t)
+	if pid := pt.WorkerPID(); pid == 0 || pid == death.PID {
+		t.Fatalf("worker pid = %d after the retry, want a fresh process (old %d)", pid, death.PID)
+	}
+	if _, ok := r.net.Device("eth0"); !ok {
+		t.Fatal("retried load registered no interface")
+	}
+}
+
+// TestProcWorkerDiesInsideUp: the worker is SIGKILLed from inside the
+// e1000_up target, after open has allocated both rings and installed the
+// interrupt handler. Its exception handlers never run, so the kernel side
+// releases: no DMA stays in use, no handler stays installed, the device is
+// down, and a second ifup runs on a fresh worker.
+func TestProcWorkerDiesInsideUp(t *testing.T) {
+	r, pt := newProcRig(t)
+	r.load(t)
+	dma := r.kern.Bus().DMA()
+	inUse := dma.InUse()
+	r.drv.Runtime().RegisterDowncall("e1000_up", func(kctx *kernel.Context, _ uint64) (uint64, error) {
+		r.drv.nuc.up(kctx)
+		if !pt.KillWorker() {
+			t.Error("no worker to kill from inside the downcall target")
+		}
+		return 0, nil
+	})
+	ctx := r.kern.NewContext("ifup")
+	err := r.drv.NetDevice().Up(ctx)
+	var death *xpc.WorkerDeath
+	if !xpc.IsUserFault(err) || !errors.As(err, &death) {
+		t.Fatalf("ifup error = %v, want a contained *UserFault wrapping *WorkerDeath", err)
+	}
+	if got := dma.InUse(); got != inUse {
+		t.Fatalf("failed open left %d DMA allocations (had %d before)", got, inUse)
+	}
+	if r.kern.FreeIRQ(9, "e1000") == nil {
+		t.Fatal("interrupt handler left installed by a failed open")
+	}
+	if r.dev.PCI.MMIORead(0, e1000hw.RegRCTL, 4) != 0 || r.dev.PCI.MMIORead(0, e1000hw.RegTCTL, 4) != 0 {
+		t.Fatal("device left enabled by a failed open")
+	}
+	if r.drv.NetDevice().IsUp() {
+		t.Fatal("interface marked up after a failed open")
+	}
+
+	r.drv.registerDowncalls()
+	if err := r.drv.NetDevice().Up(ctx); err != nil {
+		t.Fatalf("ifup after the death: %v", err)
+	}
+	if pid := pt.WorkerPID(); pid == 0 || pid == death.PID {
+		t.Fatalf("worker pid = %d after the retry, want a fresh process (old %d)", pid, death.PID)
+	}
 }
 
 // newProcPathRig is newDecafPathRig with the decaf side in a real worker

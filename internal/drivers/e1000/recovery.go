@@ -1,7 +1,6 @@
 package e1000
 
 import (
-	"decafdrivers/internal/decaf"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/recovery"
 	"decafdrivers/internal/xpc"
@@ -27,21 +26,12 @@ func (d *Driver) EnableRecovery(j *recovery.StateJournal, holdLimit int) {
 }
 
 // journalProbe records the probe as the first replayable configuration
-// crossing. The closure resolves d.dcf at replay time — recovery recreates
-// the decaf driver instance before replaying.
+// crossing: the same handler call the load made.
 func (d *Driver) journalProbe() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{
-		Key:  "probe",
-		Name: "e1000_probe",
-		Replay: func(ctx *kernel.Context) error {
-			return d.rt.Upcall(ctx, "e1000_probe", func(uctx *kernel.Context) error {
-				return decaf.ToError(decaf.Try(func() { d.dcf.probe(uctx, d.opts) }))
-			}, d.Adapter)
-		},
-	})
+	d.journal.Record(recovery.Entry{Key: "probe", Name: "e1000_probe", Replay: d.probe})
 }
 
 // journalOpen records the interface bring-up (resource allocation, IRQ,
@@ -51,24 +41,7 @@ func (d *Driver) journalOpen() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{
-		Key:  "ifup",
-		Name: "e1000_open",
-		Replay: func(ctx *kernel.Context) error {
-			err := d.rt.Upcall(ctx, "e1000_open", func(uctx *kernel.Context) error {
-				return decaf.ToError(decaf.Try(func() { d.dcf.open(uctx) }))
-			}, d.Adapter)
-			if err != nil {
-				return err
-			}
-			if d.dev.LinkUp() {
-				d.Adapter.LinkUp = true
-				d.setLinkCell(true)
-				d.netdev.CarrierOn()
-			}
-			return nil
-		},
-	})
+	d.journal.Record(recovery.Entry{Key: "ifup", Name: "e1000_open", Replay: d.open})
 }
 
 // RecoveryName implements recovery.Target.
@@ -99,28 +72,21 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	deliver, drop := d.txCallbacks(ctx, &xmitErr)
 	_ = d.txInFlight.Drain(ctx, deliver, drop)
 	_ = d.rxInFlight.Drain(ctx, d.deliverRxFrames, d.dropRxFrames)
-
-	d.nuc.down(ctx)
-	d.nuc.freeIRQ(ctx)
-	d.nuc.freeTxResources(ctx)
-	d.nuc.freeRxResources(ctx)
+	d.nuc.release(ctx)
 	return nil
 }
 
-// ResetDecafState implements recovery.Target: discard the decaf-side half —
-// a fresh shared adapter copy re-associated with the object trackers and a
-// fresh decaf driver instance. The kernel-side adapter (the authoritative
-// configuration the replayed probe re-synchronizes from) is untouched.
+// ResetDecafState implements recovery.Target: discard the decaf-side half,
+// the probe results in the cells; the replayed probe writes them again. The
+// kernel-side adapter, the authoritative configuration, is untouched.
 func (d *Driver) ResetDecafState(ctx *kernel.Context) error {
 	if d.rt.Mode != xpc.ModeDecaf {
 		return nil
 	}
-	d.rt.Unshare(d.Adapter)
-	d.DecafAdapter = &Adapter{}
-	if _, err := d.rt.Share(d.Adapter, d.DecafAdapter); err != nil {
-		return err
+	st := d.rt.SharedState()
+	for _, cell := range probeCells {
+		st.Store(cell, 0)
 	}
-	d.dcf = newDecafDriver(d)
 	return nil
 }
 

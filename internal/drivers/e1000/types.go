@@ -3,6 +3,9 @@
 // data path (interrupt handler, transmit, ring cleaning) in the kernel; the
 // decaf driver holds probe, open/close, PHY and EEPROM management, parameter
 // validation and the watchdog, written in exception style (Figures 4 and 5).
+// Every decaf body is a handler-table entry (handlers.go, decaf.go) that
+// reaches the device only through scalar downcalls and reports back through
+// state cells, so under the proc transport all of it runs in the worker.
 package e1000
 
 import (
@@ -41,12 +44,14 @@ type NetStats struct {
 	RxDropped uint64
 }
 
-// Adapter is the e1000_adapter analogue: the structure shared between the
-// driver nucleus and the decaf driver. Kernel-only operational fields (ring
-// cursors, IRQ bookkeeping) are excluded from marshaling by FieldMask, the
-// field-level customization of §2.3.
+// Adapter is the e1000_adapter analogue. It lives kernel-side: the nucleus
+// uses it directly, and what the decaf bodies learn is recorded into it by
+// the downcall targets and adopted from the cells. Kernel-only operational
+// fields (ring cursors, IRQ bookkeeping) are excluded from marshaling by
+// FieldMask, the field-level customization of §2.3, for a harness that
+// shares the adapter to measure object sync.
 type Adapter struct {
-	// Identity and configuration, accessed by the decaf driver.
+	// Identity and configuration, learned by the decaf driver.
 	Name        string
 	MAC         [6]byte
 	MsgEnable   int32

@@ -174,7 +174,7 @@ func (c *Context) Charge(d time.Duration) {
 	}
 	c.busy += d
 	c.elapsed += d
-	c.kernel.accounting.charge(c.Kind(), d)
+	c.kernel.accounting.Charge(c.Kind(), d)
 }
 
 // Sleep accounts d of non-CPU elapsed time (the context was blocked).

@@ -102,7 +102,11 @@ type CPUAccounting struct {
 	hardirq time.Duration
 }
 
-func (a *CPUAccounting) charge(kind ContextKind, d time.Duration) {
+// Charge accounts d of CPU time to kind without advancing any context's
+// timeline: for work whose elapsed time a caller accounts itself, as when a
+// body that ran in another process is charged by whichever goroutine
+// resolves it. Safe for concurrent use.
+func (a *CPUAccounting) Charge(kind ContextKind, d time.Duration) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	switch kind {

@@ -19,16 +19,16 @@ import (
 //   - calling into, or writing a field of, a type marked //decaf:nucleus
 //     (the kernel-side half living in the same package) is a violation.
 //
-// The escape hatch is the boundary itself: function literals passed to
-// xpc.Runtime / xpc.Batch calls (Downcall, Upcall, LibraryCall, ...) are
-// crossing stubs whose bodies execute on the far side, so they are exempt —
-// which is precisely what makes a handler table re-executable in the worker
-// process: nothing outside those literals may capture kernel state. Types
-// and constants are always fair game; they exist on both sides at compile
+// There is no escape hatch: a function literal is checked like the code
+// around it, including one handed to an xpc crossing, so decaf code cannot
+// carry a kernel-side body across in a closure. Its kernel-side work lives
+// behind named downcalls, whose targets are nucleus code — which is what
+// makes a handler table re-executable in the worker process. Types and
+// constants are always fair game; they exist on both sides at compile
 // time.
 var BoundaryAnalyzer = &Analyzer{
 	Name: "boundary",
-	Doc:  "decaf-side code must reach kernel state only through xpc.Runtime crossings",
+	Doc:  "decaf-side code must reach kernel state only through named downcalls",
 	Run:  runBoundary,
 }
 
@@ -53,21 +53,15 @@ func isKernelSidePath(path string) bool {
 	return strings.Contains(path, "/internal/hw/")
 }
 
-func isXPCPath(path string) bool { return strings.HasSuffix(path, "/internal/xpc") }
-
 func runBoundary(p *Pass) {
 	p.eachFuncDecl(func(decl *ast.FuncDecl) {
 		if !p.Pkg.Ann.boundarySubject(p.Pkg, decl) {
 			return
 		}
-		exempt := exemptCrossingStubs(p.Pkg, decl.Body)
 		// Sel identifiers are reported at their SelectorExpr; skip the
 		// child visit so a qualified use fires once.
 		inSelector := make(map[*ast.Ident]bool)
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok && exempt[lit] {
-				return false
-			}
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				p.checkBoundaryCall(n)
@@ -84,29 +78,6 @@ func runBoundary(p *Pass) {
 			return true
 		})
 	})
-}
-
-// exemptCrossingStubs marks function literals that are arguments to calls
-// into the xpc package: their bodies execute across the boundary.
-func exemptCrossingStubs(pkg *Package, body *ast.BlockStmt) map[*ast.FuncLit]bool {
-	exempt := make(map[*ast.FuncLit]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(pkg, call)
-		if fn == nil || fn.Pkg() == nil || !isXPCPath(fn.Pkg().Path()) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if lit, ok := arg.(*ast.FuncLit); ok {
-				exempt[lit] = true
-			}
-		}
-		return true
-	})
-	return exempt
 }
 
 // calleeFunc resolves a call expression to the function or method it
@@ -149,7 +120,7 @@ func (p *Pass) checkBoundaryCall(call *ast.CallExpr) {
 	if tn := receiverTypeName(fn); tn != nil && tn.Name() == "Context" {
 		return
 	}
-	p.reportf(call.Pos(), "calls kernel-side %s.%s directly; decaf code must cross through xpc.Runtime (downcall/upcall/library call)", fn.Pkg().Name(), fn.Name())
+	p.reportf(call.Pos(), "calls kernel-side %s.%s directly; decaf code must cross through a named downcall", fn.Pkg().Name(), fn.Name())
 }
 
 // checkBoundaryVar flags selector uses of kernel-side package-level

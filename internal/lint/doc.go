@@ -14,21 +14,20 @@
 // directives, no space after the slashes):
 //
 //   - boundary — code marked //decaf:boundary (a package doc, function,
-//     or type) is decaf-side: it may reach kernel-side packages
-//     (internal/kernel, internal/hw, the k* device stacks) and
-//     //decaf:nucleus types only from inside a closure passed to an
-//     xpc.Runtime crossing. Since the handler-table refactor the primary
-//     decaf-side bodies are registry handlers (each driver's handlers.go
-//     init() registration carries the annotation): a handler Fn sees only
-//     its registry.Ctx — payload bytes, shared state cells, and the
-//     Downcall hook — and the kernel-side resources it needs live behind
-//     per-Runtime RegisterDowncall targets, which are nucleus code and
-//     exempt. The analyzer keeps handler bodies honest about that
-//     contract: under ProcTransport they execute in the worker's address
-//     space, where a direct kernel-side reference is a different
-//     process's memory; the in-process transports would happily let a
-//     stray direct call through, and this check is what stops one from
-//     creeping in.
+//     or type) is decaf-side: it may not reach kernel-side packages
+//     (internal/kernel, internal/hw, the k* device stacks) or
+//     //decaf:nucleus types at all, closures included — a function
+//     literal handed to an xpc crossing is checked like the code around
+//     it. The decaf-side bodies are registry handlers (each driver's
+//     handlers.go init() registration carries the annotation): a handler
+//     Fn sees only its registry.Ctx — payload bytes, shared state cells,
+//     and the Downcall hook — and the kernel-side resources it needs live
+//     behind per-Runtime RegisterDowncall targets, which are nucleus code.
+//     The analyzer keeps handler bodies honest about that contract: under
+//     ProcTransport they execute in the worker's address space, where a
+//     direct kernel-side reference is a different process's memory; the
+//     in-process transports would happily let a stray direct call
+//     through, and this check is what stops one from creeping in.
 //
 //   - hotpath — functions marked //decaf:hotpath must not contain
 //     heap-allocating constructs: make/new/append, escaping composite

@@ -30,3 +30,14 @@ func (d *dev) open(ctx *kernel.Context) error {
 	d.nuc.irqs = 2              // want "writes nucleus field (nucleus).irqs directly"
 	return nil
 }
+
+// probe hands kernel-side work across in a closure, which is checked like
+// the code around it.
+//
+//decaf:boundary
+func (d *dev) probe() error {
+	return d.rt.Downcall("probe", func() {
+		kernel.Poke()    // want "calls kernel-side kernel.Poke directly"
+		kernel.Ticks = 0 // want "reaches kernel-side variable kernel.Ticks directly"
+	})
+}

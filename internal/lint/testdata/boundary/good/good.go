@@ -1,5 +1,5 @@
-// Package good is decaf-side code that crosses correctly: kernel state is
-// only touched inside function literals handed to the xpc runtime.
+// Package good is decaf-side code that crosses correctly: it names the
+// crossing and carries no kernel-side code across in a closure.
 //
 //decaf:boundary
 package good
@@ -9,11 +9,8 @@ import (
 	"decafdrivers/internal/lint/testdata/boundary/internal/xpc"
 )
 
-// Open charges the capability it was handed, then crosses for the rest.
+// Open charges the capability it was handed, then crosses by name.
 func Open(rt *xpc.Runtime, ctx *kernel.Context) error {
 	ctx.Charge(kernel.MaxFrame)
-	return rt.Downcall("open", func() {
-		kernel.Poke()
-		kernel.Ticks = 0
-	})
+	return rt.UpcallHandler("open")
 }

@@ -5,8 +5,8 @@
 //
 // A Supervisor watches one driver's fault outcomes through the runtime's
 // fault notifier. On a fault it quiesces the driver, tears down and
-// recreates its decaf-side state (fresh shared objects, a fresh re-
-// registered PayloadRing with every slot released), replays the driver's
+// recreates its decaf-side state (the driver's state cells cleared, a fresh
+// re-registered PayloadRing with every slot released), replays the driver's
 // StateJournal — the log of configuration-establishing crossings (module
 // parameters, probe-time hardware programming, interface bring-up, PCM
 // configuration) — and resumes. A restart Policy chooses the cadence:
@@ -56,9 +56,9 @@ type Target interface {
 	// is suspect, so teardown is performed by the nuclear runtime directly
 	// — no crossings.
 	TeardownForRecovery(ctx *kernel.Context) error
-	// ResetDecafState discards the decaf-side half: fresh shared objects
-	// re-associated with the object trackers, a fresh decaf driver
-	// instance. The supervisor swaps the payload ring itself.
+	// ResetDecafState discards the decaf-side half: the state cells the
+	// journal replay writes again. The supervisor swaps the payload ring
+	// itself.
 	ResetDecafState(ctx *kernel.Context) error
 	// ResumeFromRecovery disarms the proxy after a successful journal
 	// replay, reporting how much held work was replayed vs dropped.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/drivers/e1000"
 	"decafdrivers/internal/knet"
 	"decafdrivers/internal/recovery"
@@ -42,6 +43,23 @@ func snapshotE1000(a *e1000.Adapter) e1000ConfigSnapshot {
 		mac: a.MAC, eeprom: a.EEPROM, txRing: a.TxRingSize,
 		rxRing: a.RxRingSize, flowControl: a.FlowControl, phyID: a.PhyID,
 	}
+}
+
+// e1000CellSnapshot reads the probe results from the driver's state cells
+// (looked up by name: the cells belong to the e1000 package). The EEPROM
+// shadow has no cells — the kernel records it as it reads it — so the
+// caller supplies it.
+func e1000CellSnapshot(tb *Testbed, eeprom [e1000.EEPROMWords]uint16) e1000ConfigSnapshot {
+	st := tb.Runtime.SharedState()
+	load := func(name string) uint64 { return st.Load(registry.RegisterCell("e1000." + name)) }
+	s := e1000ConfigSnapshot{
+		eeprom: eeprom, txRing: uint32(load("tx_ring_size")), rxRing: uint32(load("rx_ring_size")),
+		flowControl: uint32(load("flow_control")), phyID: uint32(load("phy_id")),
+	}
+	for i, mac := 0, load("mac"); i < len(s.mac); i++ {
+		s.mac[i] = byte(mac >> (8 * i))
+	}
+	return s
 }
 
 // TestE1000RecoveryUnderNetperfSend is the acceptance scenario: an injected
@@ -90,11 +108,13 @@ func TestE1000RecoveryUnderNetperfSend(t *testing.T) {
 			}
 
 			// Journal replay asserted: post-recovery config equals pre-fault
-			// config on both sides of the boundary.
+			// config on both sides of the boundary — the kernel adapter, and
+			// the probe results the reset decaf side reported again through
+			// its state cells.
 			if got := snapshotE1000(tb.E1000.Adapter); got != pre {
 				t.Fatalf("kernel config changed across recovery:\npre  %+v\npost %+v", pre, got)
 			}
-			if got := snapshotE1000(tb.E1000.DecafAdapter); got != pre {
+			if got := e1000CellSnapshot(tb, pre.eeprom); got != pre {
 				t.Fatalf("decaf config not rebuilt to pre-fault state:\npre  %+v\npost %+v", pre, got)
 			}
 

@@ -274,6 +274,16 @@ func NewE1000With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
 		TxCoalesceWindow: opts.CoalesceWindow,
 	})
 	tb.Runtime = tb.E1000.Runtime()
+	if mode == xpc.ModeDecaf {
+		// The driver crosses with scalars and state cells and shares no
+		// object. The wall-clock benchmark's driver passes still time the
+		// object-sync layer (adapter sync, marshaling, the decaf tracker)
+		// on this adapter, so the testbed shares a decaf-side copy of it.
+		tb.E1000.DecafAdapter = &e1000.Adapter{}
+		if _, err := tb.Runtime.Share(tb.E1000.Adapter, tb.E1000.DecafAdapter); err != nil {
+			return nil, err
+		}
+	}
 	if err := opts.installTransport(tb); err != nil {
 		return nil, err
 	}

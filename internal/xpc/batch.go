@@ -60,8 +60,8 @@ const recycledName = "<recycled>"
 
 var errRecycled = errors.New("xpc: call record used after its flush recycled it")
 
-// recycle drops what the record pins (payload, closure, shared objects,
-// error) on its way back to the pool.
+// recycle drops what the record pins (payload, closure, error) on its way
+// back to the pool.
 //
 //decaf:hotpath
 func (rec *callRecord) recycle() {
@@ -162,12 +162,12 @@ func (r *Runtime) Batch(ctx *kernel.Context) *Batch {
 // add commits it.
 //
 //decaf:hotpath
-func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error, objs []any) *callRecord {
+func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error) *callRecord {
 	if b.s == nil {
 		b.s = b.r.takeScratch()
 	}
 	rec := b.s.spare()
-	rec.call = Call{Name: name, Up: up, Fn: fn, Objs: objs}
+	rec.call = Call{Name: name, Up: up, Fn: fn}
 	return rec
 }
 
@@ -210,10 +210,8 @@ func (b *Batch) add(rec *callRecord) *Batch {
 // Upcall queues a kernel→user call whose body is a closure, run on the
 // kernel process's decaf context under every transport (a closure cannot
 // cross a process boundary; bodies that must run in the worker are handlers).
-// objs are shared objects synchronized to user level before the body runs
-// and back after.
-func (b *Batch) Upcall(name string, fn func(uctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, true, fn, objs))
+func (b *Batch) Upcall(name string, fn func(uctx *kernel.Context) error) *Batch {
+	return b.add(b.newCall(name, true, fn))
 }
 
 // UpcallHandler queues a kernel→user call dispatched through the handler
@@ -222,8 +220,8 @@ func (b *Batch) Upcall(name string, fn func(uctx *kernel.Context) error, objs ..
 // process; under the in-process transports it dispatches inline. The
 // handler is resolved now, so a missing registration is a sticky batch
 // error.
-func (b *Batch) UpcallHandler(name string, objs ...any) *Batch {
-	return b.addHandler(name, objs, nil, xdr.SlotDescriptor{})
+func (b *Batch) UpcallHandler(name string) *Batch {
+	return b.addHandler(name, nil, xdr.SlotDescriptor{})
 }
 
 // UpcallHandlerData is UpcallHandler with an opaque payload (packet bytes),
@@ -235,8 +233,8 @@ func (b *Batch) UpcallHandler(name string, objs ...any) *Batch {
 // Callers that need content-stable payloads stage them through
 // Runtime.AcquirePayload and UpcallHandlerPayload instead: a ring slot
 // snapshots the bytes at acquire time.
-func (b *Batch) UpcallHandlerData(name string, data []byte, objs ...any) *Batch {
-	return b.addHandler(name, objs, data, xdr.SlotDescriptor{})
+func (b *Batch) UpcallHandlerData(name string, data []byte) *Batch {
+	return b.addHandler(name, data, xdr.SlotDescriptor{})
 }
 
 // UpcallHandlerPayload is UpcallHandler with a staged payload: a ring slot
@@ -246,12 +244,12 @@ func (b *Batch) UpcallHandlerData(name string, data []byte, objs ...any) *Batch 
 // The payload's slot, if any, must stay acquired until the flush's
 // completion settles; drivers release it with Runtime.ReleasePayload when
 // they reap the flush.
-func (b *Batch) UpcallHandlerPayload(name string, p Payload, objs ...any) *Batch {
-	return b.addHandler(name, objs, p.Data, p.Slot)
+func (b *Batch) UpcallHandlerPayload(name string, p Payload) *Batch {
+	return b.addHandler(name, p.Data, p.Slot)
 }
 
 //decaf:hotpath
-func (b *Batch) addHandler(name string, objs []any, data []byte, slot xdr.SlotDescriptor) *Batch {
+func (b *Batch) addHandler(name string, data []byte, slot xdr.SlotDescriptor) *Batch {
 	h := registry.Lookup(name)
 	if h == nil {
 		if b.err == nil {
@@ -259,14 +257,14 @@ func (b *Batch) addHandler(name string, objs []any, data []byte, slot xdr.SlotDe
 		}
 		return b
 	}
-	rec := b.newCall(name, true, nil, objs)
+	rec := b.newCall(name, true, nil)
 	rec.call.Data, rec.call.Slot, rec.call.h = data, slot, h
 	return b.add(rec)
 }
 
 // Downcall queues a user→kernel call.
-func (b *Batch) Downcall(name string, fn func(kctx *kernel.Context) error, objs ...any) *Batch {
-	return b.add(b.newCall(name, false, fn, objs))
+func (b *Batch) Downcall(name string, fn func(kctx *kernel.Context) error) *Batch {
+	return b.add(b.newCall(name, false, fn))
 }
 
 // Len reports the calls queued and not yet submitted.

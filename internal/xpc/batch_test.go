@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 )
 
@@ -146,8 +147,6 @@ func TestBatchFaultAbortsRemainingCalls(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	r.SetTransport(BatchTransport{N: 8})
-	ka, da := &adapter{MsgEnable: 5}, &adapter{}
-	_, _ = r.Share(ka, da)
 	ctx := k.NewContext("t")
 
 	ran := []string{}
@@ -155,15 +154,14 @@ func TestBatchFaultAbortsRemainingCalls(t *testing.T) {
 	b.Upcall("first", func(uctx *kernel.Context) error {
 		ran = append(ran, "first")
 		return nil
-	}, ka)
+	})
 	b.Upcall("buggy", func(uctx *kernel.Context) error {
-		da.MsgEnable = 99
 		panic("NullPointerException")
-	}, ka)
+	})
 	b.Upcall("third", func(uctx *kernel.Context) error {
 		ran = append(ran, "third")
 		return nil
-	}, ka)
+	})
 	err := b.Flush()
 	var fault *UserFault
 	if !errors.As(err, &fault) {
@@ -172,27 +170,33 @@ func TestBatchFaultAbortsRemainingCalls(t *testing.T) {
 	if len(ran) != 1 || ran[0] != "first" {
 		t.Fatalf("ran = %v, want only the pre-fault call", ran)
 	}
-	// State from the faulted batch must not leak back into the kernel.
-	if ka.MsgEnable != 5 {
-		t.Fatalf("faulted user state synced to kernel: MsgEnable = %d", ka.MsgEnable)
-	}
 }
 
+// batchStoreCell is what the xpctest_store body writes: its payload's
+// first byte.
+var batchStoreCell = registry.RegisterCell("xpctest.batch_store")
+
+func init() {
+	registry.Register("xpctest_store", registry.Handler{Fn: func(c *registry.Ctx) error {
+		c.State.Store(batchStoreCell, uint64(c.Data[0]))
+		return nil
+	}})
+}
+
+// TestBatchErrorStopsExecutionButSyncsCompleted: an ordinary error stops
+// the calls behind it, while what the calls before it wrote stands — a
+// handler's state cells are shared memory, so there is nothing to roll back
+// or sync after the fact.
 func TestBatchErrorStopsExecutionButSyncsCompleted(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	r.SetTransport(BatchTransport{N: 8})
-	ka, da := &adapter{}, &adapter{}
-	_, _ = r.Share(ka, da)
 	ctx := k.NewContext("t")
 	boom := errors.New("EIO")
 
 	third := false
 	b := r.Batch(ctx)
-	b.Upcall("first", func(uctx *kernel.Context) error {
-		da.MsgEnable = 7
-		return nil
-	}, ka)
+	b.UpcallHandlerData("xpctest_store", []byte{7})
 	b.Upcall("second", func(uctx *kernel.Context) error { return boom })
 	b.Upcall("third", func(uctx *kernel.Context) error {
 		third = true
@@ -204,8 +208,8 @@ func TestBatchErrorStopsExecutionButSyncsCompleted(t *testing.T) {
 	if third {
 		t.Fatal("call after the failing one still ran")
 	}
-	if ka.MsgEnable != 7 {
-		t.Fatal("completed call's state not synced back after a later error")
+	if got := r.SharedState().Load(batchStoreCell); got != 7 {
+		t.Fatalf("completed call's state cell = %d after a later error, want 7", got)
 	}
 }
 

@@ -15,19 +15,15 @@ func init() {
 }
 
 // BenchmarkUpcallPerCall is the seed crossing path: one full crossing per
-// call, shared object synchronized both ways.
+// call.
 func BenchmarkUpcallPerCall(b *testing.B) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	ka, da := &adapter{Name: "eth0"}, &adapter{}
-	if _, err := r.Share(ka, da); err != nil {
-		b.Fatal(err)
-	}
 	ctx := k.NewContext("bench")
 	noop := func(uctx *kernel.Context) error { return nil }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := r.Upcall(ctx, "fn", noop, ka); err != nil {
+		if err := r.Upcall(ctx, "fn", noop); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func TestConcurrentCrossings(t *testing.T) {
 						if i%60 == 4 {
 							r.ResetCounters()
 						} else {
-							r.LibraryCall(ctx, "outb", func() {})
+							_ = r.Downcall(ctx, "down_b", noop)
 						}
 					}
 				}

@@ -15,8 +15,6 @@ type Counters struct {
 	Upcalls uint64
 	// Downcalls counts user→kernel crossings.
 	Downcalls uint64
-	// LibraryCalls counts direct decaf→library scalar calls.
-	LibraryCalls uint64
 	// BytesKernelUser is the total marshaled bytes across the process
 	// boundary.
 	BytesKernelUser uint64
@@ -215,7 +213,6 @@ const counterShards = 8
 type counterCell struct {
 	upcalls         atomic.Uint64
 	downcalls       atomic.Uint64
-	libraryCalls    atomic.Uint64
 	bytesKernelUser atomic.Uint64
 	bytesCJava      atomic.Uint64
 	batches         atomic.Uint64
@@ -354,11 +351,6 @@ func (r *Runtime) countBatch(subs []*Submission) {
 	}
 }
 
-// countLibraryCall records one direct decaf→library scalar call.
-func (r *Runtime) countLibraryCall(name string) {
-	r.state().cell(name).libraryCalls.Add(1)
-}
-
 // noteCompletion records a resolved submission's crossing cost and fault
 // outcome on c, the cell of its name, and feeds the completion observer
 // when one is installed.
@@ -485,7 +477,6 @@ func (r *Runtime) Counters() Counters {
 		c := &s.cells[i]
 		snap.Upcalls += c.upcalls.Load()
 		snap.Downcalls += c.downcalls.Load()
-		snap.LibraryCalls += c.libraryCalls.Load()
 		snap.BytesKernelUser += c.bytesKernelUser.Load()
 		snap.BytesCJava += c.bytesCJava.Load()
 		snap.Batches += c.batches.Load()

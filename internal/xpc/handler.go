@@ -136,16 +136,16 @@ func (r *Runtime) InstallSharedState(mem []byte) error {
 // table: a single-call Batch flush of UpcallHandler. The handler is resolved
 // on the submitting side, so a missing registration fails loudly here
 // instead of in the worker.
-func (r *Runtime) UpcallHandler(ctx *kernel.Context, name string, objs ...any) error {
+func (r *Runtime) UpcallHandler(ctx *kernel.Context, name string) error {
 	b := Batch{r: r, ctx: ctx}
-	return b.UpcallHandler(name, objs...).Flush()
+	return b.UpcallHandler(name).Flush()
 }
 
 // UpcallHandlerData is UpcallHandler with an opaque payload, delivered to
 // the handler as its Ctx.Data.
-func (r *Runtime) UpcallHandlerData(ctx *kernel.Context, name string, data []byte, objs ...any) error {
+func (r *Runtime) UpcallHandlerData(ctx *kernel.Context, name string, data []byte) error {
 	b := Batch{r: r, ctx: ctx}
-	return b.UpcallHandlerData(name, data, objs...).Flush()
+	return b.UpcallHandlerData(name, data).Flush()
 }
 
 // handlerData resolves the payload bytes a handler body sees: the staged
@@ -176,21 +176,21 @@ func (r *Runtime) runHandler(c *Call) error {
 // applyRemote maps a worker-served dispatch outcome onto the call's result:
 // the body already executed in the worker (the wire trip precedes
 // execution) and remoteStatus carries how it went. For executed bodies (ok
-// or failed) the handler's modeled cost is charged to the decaf timeline
-// and the caller sleeps the delta — the same accounting inline execution
-// produces, so the virtual cost model is identical across transports — and
-// the worker-served counter ticks on cell. Faults convert to contained
-// *UserFaults and charge nothing: the body is presumed not to have
-// completed.
+// or failed) the handler's modeled cost is charged as decaf CPU and the
+// caller sleeps it — the same accounting inline execution produces, so the
+// virtual cost model is identical across transports — and the worker-served
+// counter ticks on cell. The charge goes to the kernel's CPU accounting, not
+// through the one decaf context: every proc submitter resolves its own
+// completions, concurrently. Faults convert to contained *UserFaults and
+// charge nothing: the body is presumed not to have completed.
 //
 //decaf:hotpath
 func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call, cell *counterCell) error {
 	switch c.remoteStatus {
 	case remoteCallOK, remoteCallFailed:
-		userStart := r.decafCtx.Elapsed()
-		r.decafCtx.Charge(c.h.Cost)
-		if d := r.decafCtx.Elapsed() - userStart; d > 0 {
-			ctx.Sleep(d)
+		if cost := c.h.Cost; cost > 0 {
+			r.Kernel.Accounting().Charge(kernel.CtxProcess, cost)
+			ctx.Sleep(cost)
 		}
 		cell.workerServed.Add(1)
 		if c.remoteStatus == remoteCallFailed {

@@ -6,20 +6,6 @@ import (
 	"decafdrivers/internal/kernel"
 )
 
-// Leg identifies one boundary a transfer crosses.
-type Leg int
-
-// Crossing legs.
-const (
-	// LegKernelUser crosses the kernel/user process boundary.
-	LegKernelUser Leg = iota
-	// LegCJava crosses the C/Java language boundary with XDR marshaling.
-	LegCJava
-	// LegCJavaDirect is a direct cross-language call with scalar arguments
-	// (no marshaling).
-	LegCJavaDirect
-)
-
 // LatencyModel prices one crossing leg: a fixed scheduling/transition cost
 // plus a per-byte marshaling cost. The defaults are calibrated so that the
 // five drivers' simulated initialization latencies land in the range the
@@ -31,8 +17,6 @@ type LatencyModel struct {
 	KernelUserBase time.Duration
 	// CJavaBase is the JNI-transition cost of one C/Java call/return trip.
 	CJavaBase time.Duration
-	// CJavaDirectBase is the cost of a direct cross-language scalar call.
-	CJavaDirectBase time.Duration
 	// PerByte is the CPU cost of marshaling plus unmarshaling one byte of
 	// structured data (reflection-driven XDR walk).
 	PerByte time.Duration
@@ -44,11 +28,10 @@ type LatencyModel struct {
 
 // DefaultLatencyModel is the calibrated model used by all experiments.
 var DefaultLatencyModel = LatencyModel{
-	KernelUserBase:  22 * time.Millisecond,
-	CJavaBase:       3 * time.Millisecond,
-	CJavaDirectBase: 2 * time.Microsecond,
-	PerByte:         2500 * time.Nanosecond,
-	PerByteData:     2 * time.Nanosecond,
+	KernelUserBase: 22 * time.Millisecond,
+	CJavaBase:      3 * time.Millisecond,
+	PerByte:        2500 * time.Nanosecond,
+	PerByteData:    2 * time.Nanosecond,
 }
 
 // ZeroLatencyModel charges nothing; useful for isolating logic in tests.
@@ -71,13 +54,6 @@ func (m LatencyModel) chargeTrip(ctx *kernel.Context) {
 func (m LatencyModel) chargeBatchTrip(ctx *kernel.Context, n int) {
 	if base := m.KernelUserBase + time.Duration(n)*m.CJavaBase; base > 0 {
 		ctx.Sleep(base)
-	}
-}
-
-// chargeDirect accounts a direct cross-language scalar call.
-func (m LatencyModel) chargeDirect(ctx *kernel.Context) {
-	if m.CJavaDirectBase > 0 {
-		ctx.Sleep(m.CJavaDirectBase)
 	}
 }
 

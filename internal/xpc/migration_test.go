@@ -14,8 +14,10 @@ import (
 // as it allowed us to eliminate any new bugs in our Java implementation by
 // comparing its behavior to that of the original C code."
 //
-// The same operation runs once as a driver-library routine (C staging) and
-// once as a decaf-driver function; the observable kernel state must match.
+// The same operation runs once as kernel-resident C (a downcall body) and
+// once as a decaf-driver function on the decaf copy, whose state reaches the
+// kernel through the object tracker's sync; the observable kernel state must
+// match.
 func TestIncrementalMigration(t *testing.T) {
 	run := func(useDecafVersion bool) adapter {
 		k := newTestKernel()
@@ -33,22 +35,20 @@ func TestIncrementalMigration(t *testing.T) {
 				da.MsgEnable = 7
 				da.Name = "eth0"
 				return nil
-			}, ka)
+			})
+			if err == nil {
+				err = r.SyncToKernel(ctx, da)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			// Staged: still C, running in the driver library. Library code
-			// works on the library copy; the stub synchronizes it like any
-			// user-level function (modeled as an upcall whose body runs the
-			// C implementation through a direct library call).
-			err := r.Upcall(ctx, "set_debug", func(uctx *kernel.Context) error {
-				r.LibraryCall(uctx, "set_debug_c", func() {
-					da.MsgEnable = 7
-					da.Name = "eth0"
-				})
+			// Staged: still C, running kernel-side on the kernel copy.
+			err := r.Downcall(r.DecafContext(), "set_debug_c", func(kctx *kernel.Context) error {
+				ka.MsgEnable = 7
+				ka.Name = "eth0"
 				return nil
-			}, ka)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,8 +67,8 @@ func TestIncrementalMigration(t *testing.T) {
 }
 
 // TestConcurrentUpcallsSafe drives many concurrent upcalls through one
-// runtime with distinct shared objects — counters and trackers must stay
-// consistent under -race.
+// runtime, each worker syncing its own shared object around them — counters
+// and trackers must stay consistent under -race.
 func TestConcurrentUpcallsSafe(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
@@ -91,10 +91,16 @@ func TestConcurrentUpcallsSafe(t *testing.T) {
 			defer wg.Done()
 			ctx := k.NewContext("worker")
 			for i := 0; i < iters; i++ {
-				err := r.Upcall(ctx, "concurrent", func(uctx *kernel.Context) error {
-					pairs[w].da.Tx.Head++
-					return nil
-				}, pairs[w].ka)
+				err := r.SyncToUser(ctx, pairs[w].ka)
+				if err == nil {
+					err = r.Upcall(ctx, "concurrent", func(uctx *kernel.Context) error {
+						pairs[w].da.Tx.Head++
+						return nil
+					})
+				}
+				if err == nil {
+					err = r.SyncToKernel(ctx, pairs[w].ka)
+				}
 				if err != nil {
 					t.Error(err)
 					return

@@ -4,6 +4,7 @@ package xpc
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,11 +286,14 @@ func TestRecordReuseStorm(t *testing.T) {
 			r.SetCompletionObserver(func(name string, _ time.Duration, _ bool) { sawPoison(name, nil) })
 			r.SetFaultInjector(func(call string) bool { return call == "storm_inject" })
 
-			// Call bodies are accounted on the runtime's one decaf context,
-			// which concurrent handler flushes would race on, so the storm has
-			// one submitter. Concurrent recycling through the record pool is
-			// covered by TestProcNoMutexUnderContention and
-			// TestProcSigkillMidContentionRecovers.
+			// The proc row storms from three submitters at once: each
+			// resolves its own completions and recycles its own records,
+			// concurrently. The in-process rows run every body inline on
+			// the runtime's one decaf context, so they keep one.
+			submitters := 1
+			if isProc {
+				submitters = 3
+			}
 			noop := func(*kernel.Context) error { return nil }
 			fail := []byte{1}
 			check := func(what string, err error, wantSub string) {
@@ -312,43 +316,54 @@ func TestRecordReuseStorm(t *testing.T) {
 					t.Errorf("%s: err = %v, want one containing %q", what, err, wantSub)
 				}
 			}
-			ctx := k.NewContext("storm")
-			b := r.Batch(ctx) // one long-lived builder, reused across flushes
-			for i := 0; i < 120; i++ {
-				switch i % 6 {
-				case 0: // several chunks, waited out
-					for j := 0; j < 9; j++ {
-						b.UpcallHandlerData("xpctest_count", []byte{byte(j)})
+			storm := func(ctx *kernel.Context) {
+				b := r.Batch(ctx) // one long-lived builder, reused across flushes
+				for i := 0; i < 120; i++ {
+					switch i % 6 {
+					case 0: // several chunks, waited out
+						for j := 0; j < 9; j++ {
+							b.UpcallHandlerData("xpctest_count", []byte{byte(j)})
+						}
+						check("flush", b.Flush(), "")
+					case 1: // the aggregate handle, waited on later
+						for j := 0; j < 5; j++ {
+							b.UpcallHandler("xpctest_count")
+						}
+						done := b.FlushAsync()
+						_ = r.Upcall(ctx, "between", noop) // proc: may meet a dead worker
+						check("flush async", done.Wait(ctx), "")
+						if !done.Settled() || done.Err() != done.Wait(nil) {
+							t.Error("aggregate handle is not stable after Wait")
+						}
+					case 2: // sticky builder error, later adds dropped
+						b.UpcallHandler("xpctest_count").UpcallHandler("no_such_handler").UpcallHandler("xpctest_count")
+						check("sticky", b.Flush(), "no handler registered")
+					case 3: // a failing body aborts its chunk
+						b.UpcallHandler("xpctest_count").UpcallHandlerData("xpctest_fail", fail)
+						b.UpcallHandler("xpctest_count").UpcallHandler("xpctest_count")
+						check("chunk abort", b.Flush(), "requested failure")
+					case 4: // an injected fault, through the sugar and through a batch
+						check("injected", r.Upcall(ctx, "storm_inject", noop), "user-level fault")
+						b.Upcall("storm_ok", noop).Upcall("storm_inject", noop).Upcall("storm_ok", noop)
+						check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
+					case 5: // the worker dies under (or between) flushes
+						if isProc {
+							pt.KillWorker()
+						}
+						check("sugar", r.UpcallHandlerData(ctx, "xpctest_count", []byte{9}), "")
 					}
-					check("flush", b.Flush(), "")
-				case 1: // the aggregate handle, waited on later
-					for j := 0; j < 5; j++ {
-						b.UpcallHandler("xpctest_count")
-					}
-					done := b.FlushAsync()
-					_ = r.Upcall(ctx, "between", noop) // proc: may meet a dead worker
-					check("flush async", done.Wait(ctx), "")
-					if !done.Settled() || done.Err() != done.Wait(nil) {
-						t.Error("aggregate handle is not stable after Wait")
-					}
-				case 2: // sticky builder error, later adds dropped
-					b.UpcallHandler("xpctest_count").UpcallHandler("no_such_handler").UpcallHandler("xpctest_count")
-					check("sticky", b.Flush(), "no handler registered")
-				case 3: // a failing body aborts its chunk
-					b.UpcallHandler("xpctest_count").UpcallHandlerData("xpctest_fail", fail)
-					b.UpcallHandler("xpctest_count").UpcallHandler("xpctest_count")
-					check("chunk abort", b.Flush(), "requested failure")
-				case 4: // an injected fault, through the sugar and through a batch
-					check("injected", r.Upcall(ctx, "storm_inject", noop), "user-level fault")
-					b.Upcall("storm_ok", noop).Upcall("storm_inject", noop).Upcall("storm_ok", noop)
-					check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
-				case 5: // the worker dies under (or between) flushes
-					if isProc {
-						pt.KillWorker()
-					}
-					check("sugar", r.UpcallHandlerData(ctx, "xpctest_count", []byte{9}), "")
 				}
 			}
+			var wg sync.WaitGroup
+			for w := 0; w < submitters; w++ {
+				ctx := k.NewContext(fmt.Sprintf("storm-%d", w))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					storm(ctx)
+				}()
+			}
+			wg.Wait()
 			c := r.Counters()
 			if c.InFlight != 0 {
 				t.Errorf("InFlight = %d after the storm: a completion was never resolved", c.InFlight)

@@ -9,9 +9,9 @@ import (
 )
 
 // Call is one crossing request: a named entry point, the direction it
-// crosses in, the function to run on the far side, the shared objects whose
-// state travels with it, and an optional opaque payload (packet data) that
-// is transferred directly (§4.2) without reflection-driven marshaling.
+// crosses in, the function to run on the far side, and an optional opaque
+// payload (packet data) that is transferred directly (§4.2) without
+// reflection-driven marshaling.
 type Call struct {
 	// Name is the entry point, used for per-call statistics.
 	Name string
@@ -19,8 +19,6 @@ type Call struct {
 	Up bool
 	// Fn runs on the far side of the crossing.
 	Fn func(ctx *kernel.Context) error
-	// Objs are shared objects synchronized before and after Fn.
-	Objs []any
 	// Data is an opaque payload carried with the call. It pays per-byte
 	// marshaling cost but no reflection walk. The slice is aliased, not
 	// copied: it belongs to the batch from queueing until the call's
@@ -63,7 +61,7 @@ type Call struct {
 //
 // The transport owns the policy of how submissions map onto physical
 // crossings (one per call, coalesced batches, chunks sent to a worker
-// process). The mechanics of a crossing (object synchronization, fault
+// process). The mechanics of a crossing (payload transfer, fault
 // containment, accounting) live on the Runtime.
 //
 // Ownership: a submission is the transport's from Submit until the

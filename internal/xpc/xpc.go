@@ -4,8 +4,9 @@
 // driver (user-level managed code), providing
 //
 //   - control transfer with procedure-call semantics,
-//   - object transfer via XDR marshaling with field-level masks,
-//   - object sharing through the object tracker, and
+//   - object transfer via XDR marshaling with field-level masks and object
+//     sharing through the object tracker (Share, SyncToUser, SyncToKernel:
+//     explicit calls, not part of a crossing), and
 //   - synchronization via combolocks (implemented in package kernel).
 //
 // Decaf always performs XPCs to and from the kernel in C: "An upcall from
@@ -104,13 +105,12 @@
 // respawn. Counters.WorkerServedCalls and WorkerDowncalls meter where
 // bodies actually ran.
 //
-// Closure-based Upcall/Downcall remain for the drivers not yet converted
-// (e1000, ens1371 and uhcihcd still run probe/open/close as closures, which
-// execute in the kernel process under every transport — only their
-// data-path handlers run in the worker); psmouse and rtl8139 cross through
-// the table only, so under proc every one of their decaf bodies executes in
-// the worker. Closures carry no payload: the payload builders are
-// handler-only.
+// Every driver crosses through the table only, so under proc every one of
+// their decaf bodies executes in the worker, and what a body learns comes
+// back as downcall arguments and state cells — no object travels with a
+// call. Closure-based Upcall/Downcall remain for tests and benchmark rigs; a
+// closure executes in the kernel process under every transport and carries
+// no payload: the payload builders are handler-only.
 //
 // Hot paths written against the Batch builder are transport-agnostic:
 // Batch.Flush waits for its calls under any transport, while
@@ -425,10 +425,9 @@ var marshalBufPool = sync.Pool{
 }
 
 // syncLeg marshals src and unmarshals over dst, charging the marshaling CPU
-// cost to ctx, and returns the byte count. The leg parameter classifies the
-// bytes for the counters. The intermediate wire buffer comes from a pool;
-// nothing decoded retains it.
-func (r *Runtime) syncLeg(ctx *kernel.Context, src, dst any, leg Leg) (int, error) {
+// cost to ctx, and returns the byte count. The intermediate wire buffer comes
+// from a pool; nothing decoded retains it.
+func (r *Runtime) syncLeg(ctx *kernel.Context, src, dst any) (int, error) {
 	c := r.codec()
 	bp := marshalBufPool.Get().(*[]byte)
 	data, err := c.MarshalAppend((*bp)[:0], src)
@@ -443,7 +442,6 @@ func (r *Runtime) syncLeg(ctx *kernel.Context, src, dst any, leg Leg) (int, erro
 	if uerr != nil {
 		return 0, fmt.Errorf("xpc: unmarshal into %T: %w", dst, uerr)
 	}
-	_ = leg
 	r.Latency.chargeMarshal(ctx, n)
 	return n, nil
 }
@@ -456,15 +454,15 @@ func (r *Runtime) SyncToUser(ctx *kernel.Context, obj any) error {
 		return fmt.Errorf("xpc: SyncToUser of unshared %T", obj)
 	}
 	if r.DirectTransfer {
-		n, err := r.syncLeg(ctx, s.kernelObj, s.decafObj, LegKernelUser)
+		n, err := r.syncLeg(ctx, s.kernelObj, s.decafObj)
 		r.addBytes(string(s.typeID), n, 0)
 		return err
 	}
-	n1, err := r.syncLeg(ctx, s.kernelObj, s.libObj, LegKernelUser)
+	n1, err := r.syncLeg(ctx, s.kernelObj, s.libObj)
 	if err != nil {
 		return err
 	}
-	n2, err := r.syncLeg(ctx, s.libObj, s.decafObj, LegCJava)
+	n2, err := r.syncLeg(ctx, s.libObj, s.decafObj)
 	r.addBytes(string(s.typeID), n1, n2)
 	return err
 }
@@ -476,15 +474,15 @@ func (r *Runtime) SyncToKernel(ctx *kernel.Context, obj any) error {
 		return fmt.Errorf("xpc: SyncToKernel of unshared %T", obj)
 	}
 	if r.DirectTransfer {
-		n, err := r.syncLeg(ctx, s.decafObj, s.kernelObj, LegKernelUser)
+		n, err := r.syncLeg(ctx, s.decafObj, s.kernelObj)
 		r.addBytes(string(s.typeID), n, 0)
 		return err
 	}
-	n2, err := r.syncLeg(ctx, s.decafObj, s.libObj, LegCJava)
+	n2, err := r.syncLeg(ctx, s.decafObj, s.libObj)
 	if err != nil {
 		return err
 	}
-	n1, err := r.syncLeg(ctx, s.libObj, s.kernelObj, LegKernelUser)
+	n1, err := r.syncLeg(ctx, s.libObj, s.kernelObj)
 	r.addBytes(string(s.typeID), n1, n2)
 	return err
 }
@@ -610,10 +608,8 @@ func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 }
 
 // Upcall transfers control from the kernel to a user-level driver function:
-// the stub path of Figure 1. objs are the shared objects the function
-// accesses; their kernel state is synchronized to user level before fn runs
-// and back after. In ModeNative, fn simply runs in the calling kernel
-// context with no crossing, cost or counter.
+// the stub path of Figure 1. In ModeNative, fn simply runs in the calling
+// kernel context with no crossing, cost or counter.
 //
 // Upcall is sugar for Submit followed by an immediate Wait on the
 // submission's Completion: exactly the seed call-and-return crossing.
@@ -621,19 +617,17 @@ func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 // The nuclear runtime masks the driver's interrupts for the duration and
 // converts a panic in fn into a *UserFault error rather than a kernel crash
 // (driver isolation).
-func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.Context) error, objs ...any) error {
+func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.Context) error) error {
 	b := Batch{r: r, ctx: ctx}
-	return b.Upcall(name, fn, objs...).Flush()
+	return b.Upcall(name, fn).Flush()
 }
 
 // Downcall transfers control from the decaf driver into the kernel — the
-// stub path of Figure 2 (snd_card_register and friends). objs are shared
-// objects whose decaf state must be visible to the kernel function and whose
-// kernel state is synchronized back after. In ModeNative fn runs directly.
-// Like Upcall, Downcall is Submit + immediate Wait.
-func (r *Runtime) Downcall(uctx *kernel.Context, name string, fn func(kctx *kernel.Context) error, objs ...any) error {
+// stub path of Figure 2. In ModeNative fn runs directly. Like Upcall,
+// Downcall is Submit + immediate Wait.
+func (r *Runtime) Downcall(uctx *kernel.Context, name string, fn func(kctx *kernel.Context) error) error {
 	b := Batch{r: r, ctx: uctx}
-	return b.Downcall(name, fn, objs...).Flush()
+	return b.Downcall(name, fn).Flush()
 }
 
 // maskIRQs disables the runtime's listed interrupt lines, so "the driver
@@ -649,40 +643,6 @@ func (r *Runtime) unmaskIRQs() {
 	for _, irq := range r.DisableIRQs {
 		r.Kernel.EnableIRQ(irq)
 	}
-}
-
-// syncIn synchronizes a call's shared objects to the destination side and
-// transfers its opaque payload, counted on cell (the cell of c.Name).
-func (r *Runtime) syncIn(ctx *kernel.Context, c *Call, cell *counterCell) error {
-	for _, o := range c.Objs {
-		var err error
-		if c.Up {
-			err = r.SyncToUser(ctx, o)
-		} else {
-			err = r.SyncToKernel(ctx, o)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	r.transferData(ctx, c, cell)
-	return nil
-}
-
-// syncOut synchronizes a call's shared objects back to the calling side.
-func (r *Runtime) syncOut(ctx *kernel.Context, c *Call) error {
-	for _, o := range c.Objs {
-		var err error
-		if c.Up {
-			err = r.SyncToKernel(ctx, o)
-		} else {
-			err = r.SyncToUser(ctx, o)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // transferData accounts a call's opaque payload. A slot-backed call takes
@@ -816,8 +776,8 @@ func assertMayBlock(ctx *kernel.Context, up bool, name string) {
 // submission (the Batch builder only produces single-direction lists; a
 // mixed list is counted and masked by its first call's direction). The
 // kernel/user transition is paid once for the whole chunk, each call still
-// pays its language-boundary transition, object synchronization and
-// per-byte payload cost, and every submission's Completion resolves before
+// pays its language-boundary transition and per-byte payload cost, and every
+// submission's Completion resolves before
 // the function returns — after which, by the Transport rule, nothing here
 // looks at them again. It returns the first error.
 //
@@ -854,45 +814,24 @@ func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, side
 	return err
 }
 
-// runChunkAborting executes the chunk with the batch semantics: a user
-// fault aborts the crossing and nothing synchronizes back (the user process
-// is suspect); an ordinary error stops execution of the remaining calls but
-// the already-executed calls' objects still synchronize back. Each
-// submission then resolves with its share of the crossing cost. Returns the
-// first error.
+// runChunkAborting executes the chunk with the batch semantics: the first
+// failing call stops execution of the remaining calls, which resolve as
+// aborted. Each submission then resolves with its share of the crossing
+// cost. Returns the first error.
 //
 //decaf:hotpath
 func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, baseElapsed time.Duration) error {
-	executed, reached := 0, 0
+	reached := 0
 	cells := cellCursor{r: r}
 	var err error
 	for i, sub := range subs {
 		cell := cells.at(sub.Call.Name)
-		if serr := r.syncIn(ctx, sub.Call, cell); serr != nil {
-			err = serr
-			sub.err, sub.mark = serr, ctx.Elapsed()-baseElapsed
-			reached = i + 1
-			break
-		}
+		r.transferData(ctx, sub.Call, cell)
 		err = r.execute(ctx, sub.Call, cell)
 		sub.err, sub.mark = err, ctx.Elapsed()-baseElapsed
-		executed++
 		reached = i + 1
 		if err != nil {
 			break
-		}
-	}
-	_, faulted := err.(*UserFault)
-	if !faulted {
-		for _, sub := range subs[:executed] {
-			if serr := r.syncOut(ctx, sub.Call); serr != nil {
-				if sub.err == nil {
-					sub.err = serr
-				}
-				if err == nil {
-					err = serr
-				}
-			}
 		}
 	}
 	var prev time.Duration
@@ -910,15 +849,4 @@ func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, base
 		prev = mark
 	}
 	return err
-}
-
-// LibraryCall models a direct cross-language call from the decaf driver into
-// the driver library for scalar arguments (§3.1.1): no marshaling, no
-// user/kernel crossing, just the language-boundary cost.
-func (r *Runtime) LibraryCall(uctx *kernel.Context, name string, fn func()) {
-	if r.Mode == ModeDecaf {
-		r.Latency.chargeDirect(uctx)
-		r.countLibraryCall(name)
-	}
-	fn()
 }
