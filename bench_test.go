@@ -14,6 +14,7 @@ import (
 
 	"decafdrivers/internal/analysis"
 	"decafdrivers/internal/bench"
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/drivermodel"
 	"decafdrivers/internal/evolution"
 	"decafdrivers/internal/hw"
@@ -294,13 +295,21 @@ func newBenchKernel() *kernel.Kernel {
 	return kernel.New(clock, hw.NewBus(clock, 1<<20))
 }
 
+func init() {
+	registry.Register("bench_noop", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+	registry.Register("bench_xmit_in_user", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
+		_, err := c.Downcall("bench_xmit", 0)
+		return err
+	}})
+}
+
 func BenchmarkXPCUpcallRoundTrip(b *testing.B) {
 	k := newBenchKernel()
 	rt := xpc.NewRuntime(k, "bench", xpc.ModeDecaf, nil)
 	ctx := k.NewContext("bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.Upcall(ctx, "bench", func(uctx *kernel.Context) error { return nil }); err != nil {
+		if err := rt.UpcallHandler(ctx, "bench_noop"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -360,14 +369,14 @@ func BenchmarkAblationDataPathUser(b *testing.B) {
 	nd := tb.E1000.NetDevice()
 	pkt := knet.NewPacket([6]byte{1}, nd.MAC, 0x0800, 1000)
 	rt := tb.Runtime
+	rt.RegisterDowncall("bench_xmit", func(kctx *kernel.Context, _ uint64) (uint64, error) {
+		return 0, nd.Transmit(kctx, pkt)
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Force the transmit through an upcall, as if xmit lived in the
-		// decaf driver.
-		err := rt.Upcall(ctx, "xmit-in-user", func(uctx *kernel.Context) error {
-			return nd.Transmit(uctx, pkt)
-		})
-		if err != nil {
+		// decaf driver: its body reaches the device through a downcall.
+		if err := rt.UpcallHandler(ctx, "bench_xmit_in_user"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,9 +35,9 @@
 // the body executes in the worker's address space (the worker re-execs the
 // same binary, so init() builds the identical table), with shared driver
 // state in shm-backed cells and nested downcalls crossing back for real;
-// the in-process transports dispatch the same bodies inline. All five
-// drivers cross through the table only, so every decaf body of theirs runs
-// in the worker. The declared
+// the in-process transports dispatch the same bodies inline. The table is
+// the only way to cross — xpc takes no closure — so every decaf body of all
+// five drivers runs in the worker. The declared
 // per-call cost is charged kernel-side either way, so the virtual cost
 // model is identical to batch and crossings per packet
 // are comparable across all transports while Counters.RingCrossings,

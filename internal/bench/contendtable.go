@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/ktime"
@@ -109,6 +110,14 @@ type contendRig struct {
 	pt *xpc.ProcTransport // nil for in-process rows
 }
 
+// stormHandler is the empty, free body the contend and proc-trace storms
+// cross, registered at init so the re-exec'd worker holds it too.
+const stormHandler = "bench_storm"
+
+func init() {
+	registry.Register(stormHandler, registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+}
+
 func (cfg ContendTableConfig) newRig(transport string) (contendRig, string, error) {
 	clock := ktime.NewClock()
 	k := kernel.New(clock, hw.NewBus(clock, 1<<20))
@@ -152,8 +161,7 @@ func (cfg ContendTableConfig) runContendRow(transport string, submitters int) (C
 	}
 	defer rig.r.SetTransport(nil)
 	warm := rig.k.NewContext("warmup")
-	noop := func(*kernel.Context) error { return nil }
-	if err := rig.r.Upcall(warm, "warmup", noop); err != nil {
+	if err := rig.r.UpcallHandler(warm, stormHandler); err != nil {
 		return ContendRow{}, fmt.Errorf("contend %s K=%d: warmup: %w", name, submitters, err)
 	}
 	var lockBase uint64
@@ -177,7 +185,7 @@ func (cfg ContendTableConfig) runContendRow(transport string, submitters int) (C
 			for i := 0; i < per; i++ {
 				b := rig.r.Batch(ctx)
 				for j := 0; j < cfg.BatchN; j++ {
-					b.Upcall("tx", noop)
+					b.UpcallHandler(stormHandler)
 				}
 				t0 := time.Now()
 				if err := b.Flush(); err != nil {

@@ -123,8 +123,7 @@ func RunProcTrace(cfg ProcTraceConfig) (ProcTraceResult, error) {
 
 	col.Start()
 	warm := k.NewContext("warmup")
-	noop := func(*kernel.Context) error { return nil }
-	if err := r.Upcall(warm, "warmup", noop); err != nil {
+	if err := r.UpcallHandler(warm, stormHandler); err != nil {
 		col.Stop()
 		return ProcTraceResult{}, fmt.Errorf("proc trace: warmup: %w", err)
 	}
@@ -153,7 +152,7 @@ func RunProcTrace(cfg ProcTraceConfig) (ProcTraceResult, error) {
 				}
 				b := r.Batch(ctx)
 				for j := 0; j < cfg.BatchN; j++ {
-					b.Upcall("tx", noop)
+					b.UpcallHandler(stormHandler)
 				}
 				t0 := time.Now()
 				if err := b.Flush(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/xpc"
 )
@@ -41,14 +42,27 @@ func TestRuntimeRegistry(t *testing.T) {
 	}
 }
 
+func init() {
+	registry.Register("coretest_noop", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+	registry.Register("coretest_down", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
+		_, err := c.Downcall("coretest_target", 0)
+		return err
+	}})
+}
+
 func TestTotalCrossings(t *testing.T) {
 	s := NewSystem(Options{DMABytes: 1 << 20})
 	rt1, _ := s.NewRuntime("a", xpc.ModeDecaf, nil)
 	rt2, _ := s.NewRuntime("b", xpc.ModeDecaf, nil)
+	rt2.RegisterDowncall("coretest_target", func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
 	ctx := s.Kernel.NewContext("t")
-	_ = rt1.Upcall(ctx, "x", func(uctx *kernel.Context) error { return nil })
-	_ = rt2.Upcall(ctx, "y", func(uctx *kernel.Context) error { return nil })
-	_ = rt2.Downcall(rt2.DecafContext(), "z", func(kctx *kernel.Context) error { return nil })
+	// One upcall on a, then one on b whose body calls down once.
+	if err := rt1.UpcallHandler(ctx, "coretest_noop"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt2.UpcallHandler(ctx, "coretest_down"); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.TotalCrossings(); got != 3 {
 		t.Fatalf("TotalCrossings = %d, want 3", got)
 	}

@@ -340,15 +340,19 @@ func TestNativeAndDecafConverge(t *testing.T) {
 	}
 }
 
+func init() {
+	registry.Register("buggy_user_code", registry.Handler{Fn: func(*registry.Ctx) error {
+		var p *Adapter
+		_ = p.Name // nil dereference in user-level code
+		return nil
+	}})
+}
+
 func TestUserFaultContained(t *testing.T) {
 	r := newRig(t, xpc.ModeDecaf)
 	r.load(t)
 	ctx := r.kern.NewContext("t")
-	err := r.drv.Runtime().Upcall(ctx, "buggy_user_code", func(uctx *kernel.Context) error {
-		var p *Adapter
-		_ = p.Name // nil dereference in user-level code
-		return nil
-	})
+	err := r.drv.Runtime().UpcallHandler(ctx, "buggy_user_code")
 	var fault *xpc.UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want UserFault", err)

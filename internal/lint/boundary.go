@@ -20,12 +20,11 @@ import (
 //     (the kernel-side half living in the same package) is a violation.
 //
 // There is no escape hatch: a function literal is checked like the code
-// around it, including one handed to an xpc crossing, so decaf code cannot
-// carry a kernel-side body across in a closure. Its kernel-side work lives
-// behind named downcalls, whose targets are nucleus code — which is what
-// makes a handler table re-executable in the worker process. Types and
-// constants are always fair game; they exist on both sides at compile
-// time.
+// around it, and no xpc crossing takes a closure — a crossing names a
+// registered handler, and a handler body's kernel-side work lives behind
+// named scalar downcalls, whose targets are nucleus code. That is what makes
+// a handler table re-executable in the worker process. Types and constants
+// are always fair game; they exist on both sides at compile time.
 var BoundaryAnalyzer = &Analyzer{
 	Name: "boundary",
 	Doc:  "decaf-side code must reach kernel state only through named downcalls",

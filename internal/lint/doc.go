@@ -16,9 +16,9 @@
 //   - boundary — code marked //decaf:boundary (a package doc, function,
 //     or type) is decaf-side: it may not reach kernel-side packages
 //     (internal/kernel, internal/hw, the k* device stacks) or
-//     //decaf:nucleus types at all, closures included — a function
-//     literal handed to an xpc crossing is checked like the code around
-//     it. The decaf-side bodies are registry handlers (each driver's
+//     //decaf:nucleus types at all, function literals included (no xpc
+//     crossing takes a closure: it names a registered handler). The
+//     decaf-side bodies are registry handlers (each driver's
 //     handlers.go init() registration carries the annotation): a handler
 //     Fn sees only its registry.Ctx — payload bytes, shared state cells,
 //     and the Downcall hook — and the kernel-side resources it needs live

@@ -14,10 +14,7 @@ type nucleus struct{ irqs int }
 
 func (n *nucleus) reset() { n.irqs = 0 }
 
-type dev struct {
-	rt  *xpc.Runtime
-	nuc *nucleus
-}
+type dev struct{ nuc *nucleus }
 
 // open is decaf-side and breaks the boundary four ways.
 //
@@ -31,13 +28,27 @@ func (d *dev) open(ctx *kernel.Context) error {
 	return nil
 }
 
-// probe hands kernel-side work across in a closure, which is checked like
-// the code around it.
+// register installs the kernel-side target of the "reset" downcall: nucleus
+// code, where reaching the nucleus is the point.
+func (n *nucleus) register(rt *xpc.Runtime) {
+	rt.RegisterDowncall("reset", func(*kernel.Context, uint64) (uint64, error) {
+		n.reset()
+		return 0, nil
+	})
+}
+
+// nuc is the driver's nucleus instance.
+var nuc = &nucleus{}
+
+// probe is a handler body: it crosses to reset the nucleus by name, then
+// reaches the nucleus directly as well.
 //
 //decaf:boundary
-func (d *dev) probe() error {
-	return d.rt.Downcall("probe", func() {
-		kernel.Poke()    // want "calls kernel-side kernel.Poke directly"
-		kernel.Ticks = 0 // want "reaches kernel-side variable kernel.Ticks directly"
-	})
+func probe(c *xpc.Ctx) error {
+	if _, err := c.Downcall("reset", 0); err != nil {
+		return err
+	}
+	nuc.reset()  // want "calls nucleus method (nucleus).reset directly"
+	nuc.irqs = 2 // want "writes nucleus field (nucleus).irqs directly"
+	return nil
 }

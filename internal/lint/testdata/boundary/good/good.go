@@ -1,5 +1,6 @@
-// Package good is decaf-side code that crosses correctly: it names the
-// crossing and carries no kernel-side code across in a closure.
+// Package good is decaf-side code that crosses correctly: it calls handlers
+// by name, and its handler bodies reach the kernel only through named
+// downcalls.
 //
 //decaf:boundary
 package good
@@ -13,4 +14,10 @@ import (
 func Open(rt *xpc.Runtime, ctx *kernel.Context) error {
 	ctx.Charge(kernel.MaxFrame)
 	return rt.UpcallHandler("open")
+}
+
+// Probe is a handler body: the kernel-side work sits behind a downcall.
+func Probe(c *xpc.Ctx) error {
+	_, err := c.Downcall("reset", 0)
+	return err
 }

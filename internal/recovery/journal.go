@@ -23,7 +23,7 @@ type Entry struct {
 	Name string
 	// Replay re-issues the operation. It runs in process context during
 	// recovery, after the decaf-side state has been recreated, and may
-	// cross (Upcall/Downcall) freely. The first failing entry aborts the
+	// cross (handler upcalls, and their downcalls) freely. The first failing entry aborts the
 	// replay — a restart that cannot rebuild its configuration is a failed
 	// restart attempt, not a partially configured driver.
 	Replay func(ctx *kernel.Context) error

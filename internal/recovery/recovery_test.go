@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/ktime"
@@ -132,11 +133,13 @@ func (f *fakeTarget) ResumeFromRecovery(*kernel.Context) (uint64, uint64) {
 }
 func (f *fakeTarget) FailStop(*kernel.Context) { f.failstop++ }
 
+func init() {
+	registry.Register("fake_op", registry.Handler{Fn: func(*registry.Ctx) error { panic("decaf crash") }})
+}
+
 func crash(t *testing.T, k *kernel.Kernel, rt *xpc.Runtime) {
 	t.Helper()
-	err := rt.Upcall(k.NewContext("crash"), "fake_op", func(uctx *kernel.Context) error {
-		panic("decaf crash")
-	})
+	err := rt.UpcallHandler(k.NewContext("crash"), "fake_op")
 	if !xpc.IsUserFault(err) {
 		t.Fatalf("crash err = %v", err)
 	}

@@ -15,10 +15,11 @@ type FrameKind uint8
 
 // Wire frame kinds.
 const (
-	// FrameSubmit carries one crossing request to the worker: entry-point
+	// FrameSubmit carries an isolation probe to the worker: a call with no
+	// handler behind it (xpc's ProcTransport.CrossChunk), whose entry-point
 	// name, direction, and either a payload-ring slot descriptor (zero-copy
 	// fast path: the bytes stay in the shared mapping) or the payload bytes
-	// themselves (copy fallback).
+	// themselves (copy fallback) the worker only proves it read.
 	FrameSubmit FrameKind = 1 + iota
 	// FrameComplete acknowledges one frame by ID: Status is zero on
 	// success, and Aux carries the worker's 64-bit checksum of the payload it

@@ -17,15 +17,14 @@ import (
 // the worker process. Driver code written against Batch is
 // transport-agnostic.
 //
-// The builder auto-flushes whenever the queue reaches the transport's
-// MaxBatch or the call direction changes (each crossing travels one
-// direction), so a driver may stream an unbounded number of calls through
-// one Batch. Errors are sticky: after a call fails, subsequent adds are
-// dropped and Flush returns the first error; FlushAsync hands it back in
-// the aggregate handle.
+// Every queued call is a handler upcall. The builder auto-flushes whenever
+// the queue reaches the transport's MaxBatch, so a driver may stream an
+// unbounded number of calls through one Batch. Errors are sticky: after a
+// call fails, subsequent adds are dropped and Flush returns the first error;
+// FlushAsync hands it back in the aggregate handle.
 //
-// In ModeNative each call runs immediately in the caller's context, exactly
-// as Upcall/Downcall do.
+// In ModeNative each call's handler runs immediately in the caller's
+// context, with no crossing.
 //
 // Queueing, submitting and completing a call allocates nothing: every queued
 // call rides a pooled callRecord, on a flushScratch the batch borrows from
@@ -60,8 +59,8 @@ const recycledName = "<recycled>"
 
 var errRecycled = errors.New("xpc: call record used after its flush recycled it")
 
-// recycle drops what the record pins (payload, closure, error) on its way
-// back to the pool.
+// recycle drops what the record pins (payload, handler, downcall target,
+// error) on its way back to the pool.
 //
 //decaf:hotpath
 func (rec *callRecord) recycle() {
@@ -157,69 +156,11 @@ func (r *Runtime) Batch(ctx *kernel.Context) *Batch {
 	return &Batch{r: r, ctx: ctx}
 }
 
-// newCall takes this flush's next record and populates its Call with the
-// given fields; every other field is zeroed. The record is not queued until
-// add commits it.
-//
-//decaf:hotpath
-func (b *Batch) newCall(name string, up bool, fn func(ctx *kernel.Context) error) *callRecord {
-	if b.s == nil {
-		b.s = b.r.takeScratch()
-	}
-	rec := b.s.spare()
-	rec.call = Call{Name: name, Up: up, Fn: fn}
-	return rec
-}
-
-// add queues the record newCall returned, or — in native mode, or once the
-// batch carries a sticky error — consumes it on the spot.
-//
-//decaf:hotpath
-func (b *Batch) add(rec *callRecord) *Batch {
-	c, s := &rec.call, b.s
-	if b.err != nil {
-		rec.recycle()
-		return b
-	}
-	if b.r.Mode == ModeNative {
-		if c.h != nil {
-			b.err = b.r.runHandlerNative(b.ctx, c)
-		} else {
-			b.err = c.Fn(b.ctx)
-		}
-		rec.recycle()
-		return b
-	}
-	// A crossing travels one direction: a direction change flushes the
-	// queued calls first, so every batch is all-upcall or all-downcall.
-	if s.n > s.submitted && s.recs[s.submitted].call.Up != c.Up {
-		if err := b.submit(); err != nil {
-			b.err = err
-			rec.recycle()
-			return b
-		}
-	}
-	rec.comp = Completion{name: c.Name, up: c.Up, r: b.r}
-	s.n++
-	if s.n-s.submitted >= b.r.Transport().MaxBatch() {
-		b.err = b.submit()
-	}
-	return b
-}
-
-// Upcall queues a kernel→user call whose body is a closure, run on the
-// kernel process's decaf context under every transport (a closure cannot
-// cross a process boundary; bodies that must run in the worker are handlers).
-func (b *Batch) Upcall(name string, fn func(uctx *kernel.Context) error) *Batch {
-	return b.add(b.newCall(name, true, fn))
-}
-
 // UpcallHandler queues a kernel→user call dispatched through the handler
-// table (registry.Register) instead of a closure: under a
-// process-separated transport the registered body executes in the worker
-// process; under the in-process transports it dispatches inline. The
-// handler is resolved now, so a missing registration is a sticky batch
-// error.
+// table (registry.Register): under a process-separated transport the
+// registered body executes in the worker process; under the in-process
+// transports it dispatches inline. The handler is resolved now, so a
+// missing registration is a sticky batch error.
 func (b *Batch) UpcallHandler(name string) *Batch {
 	return b.addHandler(name, nil, xdr.SlotDescriptor{})
 }
@@ -248,23 +189,37 @@ func (b *Batch) UpcallHandlerPayload(name string, p Payload) *Batch {
 	return b.addHandler(name, p.Data, p.Slot)
 }
 
+// addHandler queues one handler call on this flush's next record — or, in
+// native mode, runs it on the spot. Once the batch carries a sticky error
+// the call is dropped.
+//
 //decaf:hotpath
 func (b *Batch) addHandler(name string, data []byte, slot xdr.SlotDescriptor) *Batch {
-	h := registry.Lookup(name)
-	if h == nil {
-		if b.err == nil {
-			b.err = fmt.Errorf("xpc: no handler registered for %q", name)
-		}
+	if b.err != nil {
 		return b
 	}
-	rec := b.newCall(name, true, nil)
-	rec.call.Data, rec.call.Slot, rec.call.h = data, slot, h
-	return b.add(rec)
-}
-
-// Downcall queues a user→kernel call.
-func (b *Batch) Downcall(name string, fn func(kctx *kernel.Context) error) *Batch {
-	return b.add(b.newCall(name, false, fn))
+	h := registry.Lookup(name)
+	if h == nil {
+		b.err = fmt.Errorf("xpc: no handler registered for %q", name)
+		return b
+	}
+	if b.s == nil {
+		b.s = b.r.takeScratch()
+	}
+	s := b.s
+	rec := s.spare()
+	rec.call = Call{Name: name, Up: true, Data: data, Slot: slot, h: h}
+	if b.r.Mode == ModeNative {
+		b.err = b.r.runHandlerNative(b.ctx, &rec.call)
+		rec.recycle()
+		return b
+	}
+	rec.comp = Completion{name: name, up: true, r: b.r}
+	s.n++
+	if s.n-s.submitted >= b.r.Transport().MaxBatch() {
+		b.err = b.submit()
+	}
+	return b
 }
 
 // Len reports the calls queued and not yet submitted.

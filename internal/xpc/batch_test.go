@@ -2,10 +2,10 @@ package xpc
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
-	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 )
 
@@ -15,18 +15,15 @@ func TestBatchOneCrossingForManyCalls(t *testing.T) {
 	r.SetTransport(BatchTransport{N: 8})
 	ctx := k.NewContext("t")
 
-	ran := 0
+	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
 	for i := 0; i < 5; i++ {
-		b.Upcall("xmit", func(uctx *kernel.Context) error {
-			ran++
-			return nil
-		})
+		b.UpcallHandler("xpctest_count")
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if ran != 5 {
+	if ran := r.SharedState().Load(testCellServed) - served; ran != 5 {
 		t.Fatalf("ran %d of 5 calls", ran)
 	}
 	c := r.Counters()
@@ -36,8 +33,8 @@ func TestBatchOneCrossingForManyCalls(t *testing.T) {
 	if c.Batches != 1 || c.BatchedCalls != 5 {
 		t.Fatalf("Batches = %d BatchedCalls = %d, want 1/5", c.Batches, c.BatchedCalls)
 	}
-	if c.PerCall["xmit"] != 5 {
-		t.Fatalf("PerCall[xmit] = %d, want every call counted", c.PerCall["xmit"])
+	if c.PerCall["xpctest_count"] != 5 {
+		t.Fatalf("PerCall[xpctest_count] = %d, want every call counted", c.PerCall["xpctest_count"])
 	}
 }
 
@@ -49,7 +46,7 @@ func TestBatchAutoFlushAtMaxBatch(t *testing.T) {
 
 	b := r.Batch(ctx)
 	for i := 0; i < 10; i++ {
-		b.Upcall("xmit", func(uctx *kernel.Context) error { return nil })
+		b.UpcallHandler("xpcbench_sink")
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -72,7 +69,7 @@ func TestBatchUnderSyncTransportCrossesPerCall(t *testing.T) {
 
 	b := r.Batch(ctx)
 	for i := 0; i < 6; i++ {
-		b.Upcall("xmit", func(uctx *kernel.Context) error { return nil })
+		b.UpcallHandler("xpcbench_sink")
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -91,17 +88,14 @@ func TestBatchNativeModeRunsImmediately(t *testing.T) {
 	r := NewRuntime(k, "test", ModeNative, nil)
 	ctx := k.NewContext("t")
 
-	ran := 0
+	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.Upcall("fn", func(uctx *kernel.Context) error {
-		ran++
-		if uctx != ctx {
-			t.Error("native batch call switched context")
-		}
-		return nil
-	})
-	if ran != 1 {
+	b.UpcallHandler("xpctest_count")
+	if r.SharedState().Load(testCellServed)-served != 1 {
 		t.Fatal("native batch call did not run immediately")
+	}
+	if ctx.Busy() != xpctestCountCost {
+		t.Fatalf("caller busy %v, want the body's own %v: a native call runs on the caller's context", ctx.Busy(), xpctestCountCost)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -122,7 +116,7 @@ func TestBatchChargesBaseOnce(t *testing.T) {
 		ctx := k.NewContext(name)
 		b := r.Batch(ctx)
 		for i := 0; i < calls; i++ {
-			b.Upcall("fn", func(uctx *kernel.Context) error { return nil })
+			b.UpcallHandler("xpcbench_sink")
 		}
 		if err := b.Flush(); err != nil {
 			t.Fatal(err)
@@ -149,38 +143,15 @@ func TestBatchFaultAbortsRemainingCalls(t *testing.T) {
 	r.SetTransport(BatchTransport{N: 8})
 	ctx := k.NewContext("t")
 
-	ran := []string{}
-	b := r.Batch(ctx)
-	b.Upcall("first", func(uctx *kernel.Context) error {
-		ran = append(ran, "first")
-		return nil
-	})
-	b.Upcall("buggy", func(uctx *kernel.Context) error {
-		panic("NullPointerException")
-	})
-	b.Upcall("third", func(uctx *kernel.Context) error {
-		ran = append(ran, "third")
-		return nil
-	})
-	err := b.Flush()
+	served := r.SharedState().Load(testCellServed)
+	err := r.Batch(ctx).UpcallHandler("xpctest_count").UpcallHandler("xpctest_panic").UpcallHandler("xpctest_count").Flush()
 	var fault *UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want *UserFault", err)
 	}
-	if len(ran) != 1 || ran[0] != "first" {
-		t.Fatalf("ran = %v, want only the pre-fault call", ran)
+	if ran := r.SharedState().Load(testCellServed) - served; ran != 1 {
+		t.Fatalf("%d counting calls ran, want only the pre-fault one", ran)
 	}
-}
-
-// batchStoreCell is what the xpctest_store body writes: its payload's
-// first byte.
-var batchStoreCell = registry.RegisterCell("xpctest.batch_store")
-
-func init() {
-	registry.Register("xpctest_store", registry.Handler{Fn: func(c *registry.Ctx) error {
-		c.State.Store(batchStoreCell, uint64(c.Data[0]))
-		return nil
-	}})
 }
 
 // TestBatchErrorStopsExecutionButSyncsCompleted: an ordinary error stops
@@ -192,23 +163,19 @@ func TestBatchErrorStopsExecutionButSyncsCompleted(t *testing.T) {
 	r := newDecafRuntime(k)
 	r.SetTransport(BatchTransport{N: 8})
 	ctx := k.NewContext("t")
-	boom := errors.New("EIO")
 
-	third := false
+	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
 	b.UpcallHandlerData("xpctest_store", []byte{7})
-	b.Upcall("second", func(uctx *kernel.Context) error { return boom })
-	b.Upcall("third", func(uctx *kernel.Context) error {
-		third = true
-		return nil
-	})
-	if err := b.Flush(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	b.UpcallHandlerData("xpctest_fail", []byte{1})
+	b.UpcallHandler("xpctest_count")
+	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
+		t.Fatalf("err = %v, want the requested failure", err)
 	}
-	if third {
+	if r.SharedState().Load(testCellServed) != served {
 		t.Fatal("call after the failing one still ran")
 	}
-	if got := r.SharedState().Load(batchStoreCell); got != 7 {
+	if got := r.SharedState().Load(testCellStore); got != 7 {
 		t.Fatalf("completed call's state cell = %d after a later error, want 7", got)
 	}
 }
@@ -217,30 +184,22 @@ func TestBatchStickyErrorDropsLaterCalls(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("t")
-	boom := errors.New("bad")
 
-	after := false
+	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.Upcall("fails", func(uctx *kernel.Context) error { return boom })
+	b.UpcallHandlerData("xpctest_fail", []byte{1})
 	// The per-call default auto-flushes per call, so the error is already sticky.
-	b.Upcall("after", func(uctx *kernel.Context) error {
-		after = true
-		return nil
-	})
-	if err := b.Flush(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	b.UpcallHandler("xpctest_count")
+	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
+		t.Fatalf("err = %v, want the requested failure", err)
 	}
-	if after {
+	if r.SharedState().Load(testCellServed) != served {
 		t.Fatal("call queued after a sticky error still ran")
 	}
 	// The batch is reusable after Flush clears the sticky error.
-	ok := false
-	b.Upcall("retry", func(uctx *kernel.Context) error {
-		ok = true
-		return nil
-	})
-	if err := b.Flush(); err != nil || !ok {
-		t.Fatalf("reused batch: err = %v ran = %v", err, ok)
+	err := b.UpcallHandler("xpctest_count").Flush()
+	if ran := r.SharedState().Load(testCellServed) - served; err != nil || ran != 1 {
+		t.Fatalf("reused batch: err = %v ran = %d", err, ran)
 	}
 }
 
@@ -267,65 +226,15 @@ func TestBatchDataPaysPerByte(t *testing.T) {
 	}
 }
 
-func TestBatchDirectionChangeFlushes(t *testing.T) {
-	k := newTestKernel()
-	r := newDecafRuntime(k)
-	r.SetTransport(BatchTransport{N: 8})
-	ctx := k.NewContext("t")
-
-	b := r.Batch(ctx)
-	b.Upcall("up1", func(uctx *kernel.Context) error { return nil })
-	b.Upcall("up2", func(uctx *kernel.Context) error { return nil })
-	// Direction change: the two queued upcalls must flush as one crossing
-	// before the downcalls queue.
-	b.Downcall("down1", func(kctx *kernel.Context) error { return nil })
-	b.Downcall("down2", func(kctx *kernel.Context) error { return nil })
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	c := r.Counters()
-	if c.Upcalls != 1 || c.Downcalls != 1 {
-		t.Fatalf("Upcalls/Downcalls = %d/%d, want 1/1 (one crossing per direction)", c.Upcalls, c.Downcalls)
-	}
-	if c.BatchedCalls != 4 {
-		t.Fatalf("BatchedCalls = %d, want 4", c.BatchedCalls)
-	}
-}
-
-func TestBatchedDowncallsDoNotMaskIRQs(t *testing.T) {
-	k := newTestKernel()
-	r := newDecafRuntime(k)
-	r.SetTransport(BatchTransport{N: 4})
-	r.DisableIRQs = []int{9}
-	line := k.Bus().IRQ(9)
-	ctx := k.NewContext("t")
-
-	b := r.Batch(ctx)
-	for i := 0; i < 2; i++ {
-		b.Downcall("down", func(kctx *kernel.Context) error {
-			if line.Disabled() {
-				t.Error("downcall batch masked the driver's IRQs")
-			}
-			return nil
-		})
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBatchNativeModeFlushAsyncSettled(t *testing.T) {
 	k := newTestKernel()
 	r := NewRuntime(k, "test", ModeNative, nil)
 	ctx := k.NewContext("t")
 
-	ran := 0
+	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.Upcall("fn", func(uctx *kernel.Context) error {
-		ran++
-		return nil
-	})
-	if ran != 1 {
+	b.UpcallHandler("xpctest_count")
+	if r.SharedState().Load(testCellServed)-served != 1 {
 		t.Fatal("native batch call did not run immediately")
 	}
 	// Native mode never crosses; FlushAsync must hand back an
@@ -350,71 +259,21 @@ func TestBatchStickyErrorAfterAutoFlush(t *testing.T) {
 	r := newDecafRuntime(k)
 	r.SetTransport(BatchTransport{N: 2})
 	ctx := k.NewContext("t")
-	boom := errors.New("EIO")
 
-	after := false
+	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.Upcall("ok", func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandler("xpctest_count")
 	// Reaching MaxBatch=2 auto-flushes; the second call fails inside it.
-	b.Upcall("fails", func(uctx *kernel.Context) error { return boom })
+	b.UpcallHandlerData("xpctest_fail", []byte{1})
 	if b.Err() == nil {
 		t.Fatal("auto-flush error not sticky")
 	}
-	b.Upcall("after", func(uctx *kernel.Context) error {
-		after = true
-		return nil
-	})
-	if err := b.Flush(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	b.UpcallHandler("xpctest_count")
+	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
+		t.Fatalf("err = %v, want the requested failure", err)
 	}
-	if after {
-		t.Fatal("call queued after the sticky auto-flush error still ran")
-	}
-}
-
-// TestBatchDirectionChangeExecutionOrder pins the ordering half of the
-// direction-change flush: the queued upcalls must execute before the
-// downcall that forced the flush, preserving program order across the
-// direction boundary.
-func TestBatchDirectionChangeExecutionOrder(t *testing.T) {
-	k := newTestKernel()
-	r := newDecafRuntime(k)
-	r.SetTransport(BatchTransport{N: 8})
-	ctx := k.NewContext("t")
-
-	var order []string
-	b := r.Batch(ctx)
-	b.Upcall("up1", func(uctx *kernel.Context) error {
-		order = append(order, "up1")
-		return nil
-	})
-	b.Upcall("up2", func(uctx *kernel.Context) error {
-		order = append(order, "up2")
-		return nil
-	})
-	b.Downcall("down1", func(kctx *kernel.Context) error {
-		order = append(order, "down1")
-		return nil
-	})
-	b.Upcall("up3", func(uctx *kernel.Context) error {
-		order = append(order, "up3")
-		return nil
-	})
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"up1", "up2", "down1", "up3"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	// Three direction segments = three crossings.
-	if got := r.Counters().Trips(); got != 3 {
-		t.Fatalf("Trips = %d, want 3", got)
+	if ran := r.SharedState().Load(testCellServed) - served; ran != 1 {
+		t.Fatalf("%d counting calls ran, want 1: a call queued after the sticky auto-flush error still ran", ran)
 	}
 }
 
@@ -428,25 +287,20 @@ func TestBatchReuseAfterFlush(t *testing.T) {
 	ctx := k.NewContext("t")
 
 	b := r.Batch(ctx)
-	b.Upcall("first", func(uctx *kernel.Context) error { return nil })
+	b.UpcallHandler("xpcbench_sink")
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 || b.Outstanding() != 0 || b.Err() != nil {
 		t.Fatalf("batch not clean after Flush: len=%d outstanding=%d err=%v", b.Len(), b.Outstanding(), b.Err())
 	}
-	boom := errors.New("bad")
-	b.Upcall("fails", func(uctx *kernel.Context) error { return boom })
-	if err := b.Flush(); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
+	if err := b.UpcallHandlerData("xpctest_fail", []byte{1}).Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
+		t.Fatalf("err = %v, want the requested failure", err)
 	}
-	ok := false
-	b.Upcall("again", func(uctx *kernel.Context) error {
-		ok = true
-		return nil
-	})
-	if err := b.Flush(); err != nil || !ok {
-		t.Fatalf("reuse after failed flush: err=%v ran=%v", err, ok)
+	served := r.SharedState().Load(testCellServed)
+	err := b.UpcallHandler("xpctest_count").Flush()
+	if ran := r.SharedState().Load(testCellServed) - served; err != nil || ran != 1 {
+		t.Fatalf("reuse after failed flush: err=%v ran=%d", err, ran)
 	}
 	if got := r.Counters().Trips(); got != 3 {
 		t.Fatalf("Trips = %d, want 3", got)

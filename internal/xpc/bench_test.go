@@ -15,15 +15,34 @@ func init() {
 }
 
 // BenchmarkUpcallPerCall is the seed crossing path: one full crossing per
-// call.
+// call, no payload.
 func BenchmarkUpcallPerCall(b *testing.B) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("bench")
-	noop := func(uctx *kernel.Context) error { return nil }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := r.Upcall(ctx, "fn", noop); err != nil {
+		if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHandlerDowncallInline measures one inline handler upcall whose
+// body calls down once. The nested crossing rides a pooled call record as a
+// Batch call does, so CI gates allocs/op at zero.
+func BenchmarkHandlerDowncallInline(b *testing.B) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	r.RegisterDowncall("xpctest_read_reg", func(_ *kernel.Context, arg uint64) (uint64, error) { return arg, nil })
+	ctx := k.NewContext("bench")
+	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
 			b.Fatal(err)
 		}
 	}

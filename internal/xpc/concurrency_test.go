@@ -9,10 +9,12 @@ import (
 )
 
 // TestConcurrentCrossings hammers two drivers' runtimes from parallel
-// goroutines — upcalls, downcalls, batched flushes, snapshots and resets —
-// exercising the lock-free counter fast path under the race detector.
-// Crossings carry no shared objects (object state is externally synchronized
-// by real drivers); the counters are what must be safe under concurrency.
+// goroutines — upcalls, upcalls that call down, batched flushes, snapshots
+// and resets — exercising the lock-free counter fast path and the call
+// record pool under the race detector. The bodies are free and write no
+// cells (the runtime's one decaf context is the in-process decaf driver's
+// single thread, and a free body under ZeroLatencyModel leaves it alone);
+// the counters are what must be safe under concurrency.
 func TestConcurrentCrossings(t *testing.T) {
 	k := newTestKernel()
 	driverA := NewRuntime(k, "driver-a", ModeDecaf, nil)
@@ -20,6 +22,9 @@ func TestConcurrentCrossings(t *testing.T) {
 	driverA.Latency = ZeroLatencyModel
 	driverB.Latency = ZeroLatencyModel
 	driverB.SetTransport(BatchTransport{N: 4})
+	for _, r := range []*Runtime{driverA, driverB} {
+		r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
+	}
 
 	const workers = 8
 	const iters = 300
@@ -31,18 +36,14 @@ func TestConcurrentCrossings(t *testing.T) {
 			go func(w int, r *Runtime) {
 				defer wg.Done()
 				ctx := k.NewContext(fmt.Sprintf("worker-%d", w))
-				noop := func(c *kernel.Context) error { return nil }
 				for i := 0; i < iters; i++ {
 					switch i % 5 {
 					case 0:
-						_ = r.Upcall(ctx, fmt.Sprintf("up_%d", w%3), noop)
+						_ = r.UpcallHandler(ctx, "xpcbench_sink")
 					case 1:
-						_ = r.Downcall(ctx, "down", noop)
+						_ = r.UpcallHandler(ctx, "xpctest_down_free")
 					case 2:
-						b := r.Batch(ctx)
-						b.Upcall("batched_a", noop)
-						b.Upcall("batched_b", noop)
-						_ = b.Flush()
+						_ = r.Batch(ctx).UpcallHandler("xpcbench_sink").UpcallHandler("xpctest_down_free").Flush()
 					case 3:
 						c := r.Counters()
 						if c.Upcalls > 0 && c.PerCall == nil {
@@ -52,7 +53,7 @@ func TestConcurrentCrossings(t *testing.T) {
 						if i%60 == 4 {
 							r.ResetCounters()
 						} else {
-							_ = r.Downcall(ctx, "down_b", noop)
+							_ = r.UpcallHandler(ctx, "xpctest_down_free")
 						}
 					}
 				}
@@ -67,12 +68,12 @@ func TestConcurrentCrossings(t *testing.T) {
 		r.ResetCounters()
 		ctx := k.NewContext("verify")
 		for i := 0; i < 3; i++ {
-			if err := r.Upcall(ctx, "verify", func(c *kernel.Context) error { return nil }); err != nil {
+			if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		c := r.Counters()
-		if c.Trips() != 3 || c.PerCall["verify"] != 3 {
+		if c.Trips() != 3 || c.PerCall["xpcbench_sink"] != 3 {
 			t.Fatalf("post-storm counters incoherent: %+v", c)
 		}
 	}

@@ -28,7 +28,7 @@ type Counters struct {
 	PerCall map[string]uint64
 
 	// Submissions counts calls admitted through the submit/complete API
-	// (every Upcall, Downcall and Batch call flows through it).
+	// (every handler upcall and every downcall flows through it).
 	Submissions uint64
 	// Faults counts contained decaf-side panics (each failed its own
 	// Completion and aborted the rest of its crossing).
@@ -81,8 +81,8 @@ type Counters struct {
 	WireBytesOut uint64
 	WireBytesIn  uint64
 	// WorkerServedCalls counts call bodies that executed to completion (or
-	// failed, or faulted) in the worker process — dispatched through the
-	// handler table rather than run as kernel-resident closures. Injected
+	// failed, or faulted) in the worker process rather than inline in the
+	// kernel process. Injected
 	// faults do not count: the worker skips the body. Zero under every
 	// in-process transport; under ProcTransport this is the proof that
 	// worker-side execution is live.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/trace"
 )
 
@@ -30,7 +29,7 @@ func TestCountersSnapshotDuringReset(t *testing.T) {
 			defer crossWG.Done()
 			ctx := k.NewContext("crosser")
 			for i := 0; i < crossings; i++ {
-				if err := r.Upcall(ctx, "race_call", func(*kernel.Context) error { return nil }); err != nil {
+				if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 					t.Errorf("upcall: %v", err)
 					return
 				}
@@ -62,8 +61,8 @@ func TestCountersSnapshotDuringReset(t *testing.T) {
 					t.Errorf("snapshot overcounted: %d upcalls", c.Upcalls)
 					return
 				}
-				if c.PerCall["race_call"] > crossers*crossings {
-					t.Errorf("snapshot overcounted per-call: %d", c.PerCall["race_call"])
+				if c.PerCall["xpcbench_sink"] > crossers*crossings {
+					t.Errorf("snapshot overcounted per-call: %d", c.PerCall["xpcbench_sink"])
 					return
 				}
 			}

@@ -2,10 +2,9 @@ package xpc
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
-
-	"decafdrivers/internal/kernel"
 )
 
 // TestFaultInjectorThrowsInsideContainment: an armed injector fails the
@@ -14,15 +13,12 @@ import (
 func TestFaultInjectorThrowsInsideContainment(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	r.SetFaultInjector(func(call string) bool { return call == "target" })
+	r.SetFaultInjector(func(call string) bool { return call == "xpctest_count" })
 
 	ctx := k.NewContext("t")
-	ran := false
-	err := r.Upcall(ctx, "target", func(uctx *kernel.Context) error {
-		ran = true
-		return nil
-	})
-	if ran {
+	served := r.SharedState().Load(testCellServed)
+	err := r.UpcallHandler(ctx, "xpctest_count")
+	if r.SharedState().Load(testCellServed) != served {
 		t.Fatal("call body ran despite injected fault")
 	}
 	var uf *UserFault
@@ -35,20 +31,20 @@ func TestFaultInjectorThrowsInsideContainment(t *testing.T) {
 	if !IsUserFault(err) {
 		t.Fatal("IsUserFault = false for an injected fault")
 	}
-	if err := r.Upcall(ctx, "other", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatalf("untargeted call failed: %v", err)
 	}
 	c := r.Counters()
 	if c.Faults != 1 || c.FaultsInjected != 1 {
 		t.Fatalf("Faults=%d FaultsInjected=%d, want 1/1", c.Faults, c.FaultsInjected)
 	}
-	if c.FaultsByCall["target"] != 1 || c.FaultsByCall["other"] != 0 {
+	if c.FaultsByCall["xpctest_count"] != 1 || c.FaultsByCall["xpcbench_sink"] != 0 {
 		t.Fatalf("FaultsByCall = %v", c.FaultsByCall)
 	}
 
 	// Disarming restores the call.
 	r.SetFaultInjector(nil)
-	if err := r.Upcall(ctx, "target", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
 		t.Fatalf("call failed after disarm: %v", err)
 	}
 }
@@ -90,9 +86,7 @@ func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
 			})
 
 			ctx := k.NewContext("t")
-			err := r.Upcall(ctx, "boom", func(uctx *kernel.Context) error {
-				panic("decaf crash")
-			})
+			err := r.UpcallHandler(ctx, "xpctest_panic")
 			if !IsUserFault(err) {
 				t.Fatalf("err = %v, want UserFault", err)
 			}
@@ -103,8 +97,64 @@ func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
 				t.Fatalf("notifier fired %d times, want 1", len(events))
 			}
 			ev := events[0]
-			if ev.Call != "boom" || !ev.Up || !IsUserFault(ev.Err) {
+			if ev.Call != "xpctest_panic" || !ev.Up || !IsUserFault(ev.Err) {
 				t.Fatalf("event = %+v", ev)
+			}
+		})
+	}
+}
+
+// TestSubmitRefusesHandlerlessCall: a call with no registered handler
+// behind it is an isolation probe, which only ProcTransport.CrossChunk
+// carries. Submitting one between two handler calls fails the whole submit
+// before any body runs, under every transport: each submission resolves
+// with an error naming the probe, none of them a fault, the fault notifier
+// stays quiet, and the worker is the same process afterwards.
+func TestSubmitRefusesHandlerlessCall(t *testing.T) {
+	for _, tc := range faultRigs {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newTestKernel()
+			r := newDecafRuntime(k)
+			tr := tc.transport(t)
+			r.SetTransport(tr)
+			defer r.SetTransport(nil)
+			ctx := k.NewContext("t")
+			if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+				t.Fatal(err)
+			}
+			// Only the unix ProcTransport has a worker to ask.
+			pt, isProc := tr.(interface{ WorkerPID() int })
+			pid := 0
+			if isProc {
+				pid = pt.WorkerPID()
+			}
+			faults := 0
+			r.SetFaultNotifier(func(FaultEvent) { faults++ })
+			served, ran := r.SharedState().Load(testCellServed), testParentRan.Load()
+
+			subs := handlerSubs(r, "xpctest_count", "xpctest_count")
+			probe := r.NewSubmission(&Call{Name: "probe", Up: true, Data: []byte{1}})
+			subs = []*Submission{subs[0], probe, subs[1]}
+			err := tr.Submit(r, ctx, subs)
+			if err == nil || !strings.Contains(err.Error(), `"probe"`) || IsUserFault(err) {
+				t.Fatalf("Submit = %v, want a non-fault error naming the probe", err)
+			}
+			for i, sub := range subs {
+				if cerr := sub.Completion.Err(); cerr == nil || sub.Completion.Faulted() || IsUserFault(cerr) {
+					t.Fatalf("submission %d resolved with %v (fault %v), want a non-fault error", i, cerr, sub.Completion.Faulted())
+				}
+			}
+			if r.SharedState().Load(testCellServed) != served || testParentRan.Load() != ran {
+				t.Fatal("a body ran in a submit that held a probe")
+			}
+			if faults != 0 {
+				t.Fatalf("fault notifier fired %d times", faults)
+			}
+			if c := r.Counters(); c.InFlight != 0 || c.Faults != 0 {
+				t.Fatalf("InFlight = %d, Faults = %d, want 0 and 0", c.InFlight, c.Faults)
+			}
+			if isProc && pt.WorkerPID() != pid {
+				t.Fatalf("worker pid %d -> %d: a refused submit touched the worker", pid, pt.WorkerPID())
 			}
 		})
 	}

@@ -163,16 +163,6 @@ func (r *Runtime) handlerData(c *Call) []byte {
 	return c.Data
 }
 
-// runHandler dispatches a handler-table call body inline, inside runUser's
-// containment region — the in-process transports' half of handler dispatch
-// (under a process-separated transport the worker ran the body and
-// applyRemote maps its outcome). The body sees the call's own dispatch
-// context, re-armed: the same registered Fn, the same modeled cost.
-func (r *Runtime) runHandler(c *Call) error {
-	r.decafCtx.Charge(c.h.Cost)
-	return c.h.Fn(c.hctx.Arm(c.h, r.handlerData(c), r.SharedState(), r.downHook))
-}
-
 // applyRemote maps a worker-served dispatch outcome onto the call's result:
 // the body already executed in the worker (the wire trip precedes
 // execution) and remoteStatus carries how it went. For executed bodies (ok
@@ -227,6 +217,11 @@ func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call, cell *counterCell) e
 //     crossing's elapsed and the worker-downcall counter ticks;
 //   - in ModeNative there is no boundary: the target is a plain function
 //     call on caller, the context the body itself runs on.
+//
+// The downcall rides a pooled call record, like a Batch call, so a nested
+// crossing allocates nothing.
+//
+//decaf:hotpath
 func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64) (uint64, error) {
 	fn := r.downcallFn(name)
 	if fn == nil {
@@ -235,12 +230,12 @@ func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64)
 	if r.Mode == ModeNative {
 		return fn(caller, arg)
 	}
-	var res uint64
-	subs := []*Submission{r.NewSubmission(&Call{Name: name, Fn: func(kctx *kernel.Context) error {
-		var derr error
-		res, derr = fn(kctx, arg)
-		return derr
-	}})}
+	s := r.takeScratch()
+	rec := s.spare()
+	rec.call = Call{Name: name, down: fn, arg: arg}
+	rec.comp = Completion{name: name, r: r}
+	s.n, s.submitted = 1, 1
+	subs := s.subs[:1:1]
 	r.Admit(subs)
 	userStart := r.decafCtx.Elapsed()
 	err := r.crossSubmissions(r.decafCtx, subs, decafSide)
@@ -250,6 +245,8 @@ func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64)
 		}
 		r.noteWorkerDowncall(name)
 	}
+	res := rec.call.res
+	r.putScratch(s)
 	return res, err
 }
 

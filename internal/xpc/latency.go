@@ -39,8 +39,8 @@ var ZeroLatencyModel = LatencyModel{}
 
 // chargeTrip accounts the control-transfer cost of one call/return trip —
 // the kernel/user transition plus the C/Java transition — as blocked time on
-// the calling context. It is charged once per Upcall/Downcall regardless of
-// how many objects travel.
+// the calling context. It is charged once per single-call crossing, upcall
+// or downcall, regardless of how many bytes travel.
 func (m LatencyModel) chargeTrip(ctx *kernel.Context) {
 	if base := m.KernelUserBase + m.CJavaBase; base > 0 {
 		ctx.Sleep(base)

@@ -14,42 +14,33 @@ import (
 // as it allowed us to eliminate any new bugs in our Java implementation by
 // comparing its behavior to that of the original C code."
 //
-// The same operation runs once as kernel-resident C (a downcall body) and
-// once as a decaf-driver function on the decaf copy, whose state reaches the
-// kernel through the object tracker's sync; the observable kernel state must
-// match.
+// The same operation runs once as kernel-resident C (the body calls down
+// into a kernel-side target that writes the kernel copy) and once as a
+// decaf-driver function (the body computes the value itself and hands it
+// back through a state cell the kernel adopts); the observable kernel state
+// must match.
 func TestIncrementalMigration(t *testing.T) {
 	run := func(useDecafVersion bool) adapter {
 		k := newTestKernel()
 		r := newDecafRuntime(k)
-		ka, da := &adapter{MsgEnable: 1}, &adapter{}
-		if _, err := r.Share(ka, da); err != nil {
-			t.Fatal(err)
-		}
+		ka := &adapter{MsgEnable: 1}
 		ctx := k.NewContext("t")
 
-		// The operation under migration: bump MsgEnable and record a name.
+		// The operation under migration: set MsgEnable to 7.
 		if useDecafVersion {
-			// Converted: runs in the decaf driver on the decaf copy.
-			err := r.Upcall(ctx, "set_debug", func(uctx *kernel.Context) error {
-				da.MsgEnable = 7
-				da.Name = "eth0"
-				return nil
-			})
-			if err == nil {
-				err = r.SyncToKernel(ctx, da)
-			}
-			if err != nil {
+			// Converted: the decaf body computes the value; the kernel adopts
+			// the cell it left.
+			if err := r.UpcallHandlerData(ctx, "xpctest_count", []byte{7}); err != nil {
 				t.Fatal(err)
 			}
+			ka.MsgEnable = int32(r.SharedState().Load(testCellEcho))
 		} else {
 			// Staged: still C, running kernel-side on the kernel copy.
-			err := r.Downcall(r.DecafContext(), "set_debug_c", func(kctx *kernel.Context) error {
-				ka.MsgEnable = 7
-				ka.Name = "eth0"
-				return nil
+			r.RegisterDowncall("xpctest_read_reg", func(_ *kernel.Context, arg uint64) (uint64, error) {
+				ka.MsgEnable = int32(arg)
+				return arg, nil
 			})
-			if err != nil {
+			if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -58,7 +49,7 @@ func TestIncrementalMigration(t *testing.T) {
 
 	cVersion := run(false)
 	javaVersion := run(true)
-	if cVersion.MsgEnable != javaVersion.MsgEnable || cVersion.Name != javaVersion.Name {
+	if cVersion.MsgEnable != javaVersion.MsgEnable {
 		t.Fatalf("library version %+v != decaf version %+v", cVersion, javaVersion)
 	}
 	if cVersion.MsgEnable != 7 {
@@ -93,12 +84,10 @@ func TestConcurrentUpcallsSafe(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				err := r.SyncToUser(ctx, pairs[w].ka)
 				if err == nil {
-					err = r.Upcall(ctx, "concurrent", func(uctx *kernel.Context) error {
-						pairs[w].da.Tx.Head++
-						return nil
-					})
+					err = r.UpcallHandler(ctx, "xpcbench_sink")
 				}
 				if err == nil {
+					pairs[w].da.Tx.Head++
 					err = r.SyncToKernel(ctx, pairs[w].ka)
 				}
 				if err != nil {

@@ -130,8 +130,8 @@ type ProcConfig struct {
 // worker lifecycle and teardown; tests assert the steady state acquires it
 // zero times (see ControlAcquires).
 //
-// Call bodies dispatch two ways. Handler-table calls (Batch.UpcallHandler;
-// see internal/decaf/registry) execute in the worker process for real: the
+// Call bodies are handler-table calls (Batch.UpcallHandler; see
+// internal/decaf/registry) and execute in the worker process for real: the
 // worker is a re-exec of the same binary, so it holds the same registered
 // handler table, and each FrameCall names the handler to run against the
 // payload bytes the worker reads through its own shm mapping. Results,
@@ -142,13 +142,10 @@ type ProcConfig struct {
 // a time, as the paper's single-threaded decaf driver does: while a body
 // waits on a downcall no other lane is served, so a downcall target must
 // not wait on a lock held across another in-flight crossing. Shared driver
-// state lives in a
-// state window of the same mapping (FrameStateMap), so both processes read
-// and write it through registry.State. Legacy closure calls (Batch.Upcall)
-// still execute in the parent — a Go closure cannot cross a process
-// boundary — with the wire carrying their frames for real. Either way the
-// virtual cost model matches BatchTransport exactly: crossings per packet,
-// stall and marshaling charges are identical, and the wire adds real-world
+// state lives in a state window of the same mapping (FrameStateMap), so
+// both processes read and write it through registry.State. The virtual
+// cost model matches BatchTransport exactly: crossings per packet, stall
+// and marshaling charges are identical, and the wire adds real-world
 // counters on top rather than perturbing the modeled timeline.
 //
 // A ProcTransport binds to the first Runtime that submits through it and
@@ -373,6 +370,9 @@ func (t *ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submissi
 		return nil
 	}
 	r.Admit(subs)
+	if err := refuseProbes(subs); err != nil {
+		return err
+	}
 	if err := t.bind(r); err != nil {
 		for _, sub := range subs {
 			sub.Completion.resolve(err, false, 0)
@@ -467,7 +467,10 @@ func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 // CrossChunk exposes the boundary layer of one crossing — lane claim,
 // descriptor encode, completion await and checksum validation, without the
 // submit/complete bookkeeping around it — so benchmarks can pin the lane
-// submit path's allocation count in isolation.
+// submit path's allocation count in isolation. It is the one way an
+// isolation probe (a Call with no handler behind it, which Submit refuses)
+// crosses: its frame is a FrameSubmit, and the worker's whole service is
+// proving it read the payload.
 func (t *ProcTransport) CrossChunk(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
 	return t.wireCross(r, ctx, chunk)
 }

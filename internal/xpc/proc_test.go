@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,12 +42,14 @@ func newProcRig(t *testing.T, batch int) (*kernel.Kernel, *Runtime, *ProcTranspo
 func TestProcUpcallCrossesRealProcess(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
-	ran := false
-	if err := r.Upcall(ctx, "probe", func(uctx *kernel.Context) error { ran = true; return nil }); err != nil {
+	served, ran := r.SharedState().Load(testCellServed), testParentRan.Load()
+	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("upcall body did not run")
+	// The body ran in the worker: the shared cell moved, while the parent's
+	// copy of the handler never ran.
+	if r.SharedState().Load(testCellServed) != served+1 || testParentRan.Load() != ran {
+		t.Fatal("upcall body did not run in the worker")
 	}
 	if pid := pt.WorkerPID(); pid <= 0 || pid == os.Getpid() {
 		t.Fatalf("worker pid = %d, want a live separate process", pid)
@@ -85,15 +86,11 @@ func TestProcUpcallCrossesRealProcess(t *testing.T) {
 func TestProcTransportBoundToOneRuntime(t *testing.T) {
 	k, r1, pt := newProcRig(t, 4)
 	ctx := k.NewContext("t")
-	noop := func(*kernel.Context) error { return nil }
-	if err := r1.Upcall(ctx, "fn", noop); err != nil {
+	if err := r1.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	r2 := newDecafRuntime(k)
-	subs := []*Submission{
-		r2.NewSubmission(&Call{Name: "fn", Up: true, Fn: noop}),
-		r2.NewSubmission(&Call{Name: "fn", Up: true, Fn: noop}),
-	}
+	subs := handlerSubs(r2, "xpcbench_sink", "xpcbench_sink")
 	if err := pt.Submit(r2, ctx, subs); !errors.Is(err, ErrTransportBound) {
 		t.Fatalf("cross-runtime submit: err = %v, want ErrTransportBound", err)
 	}
@@ -105,7 +102,7 @@ func TestProcTransportBoundToOneRuntime(t *testing.T) {
 	if c := r2.Counters(); c.InFlight != 0 {
 		t.Fatalf("refused runtime InFlight = %d, want 0", c.InFlight)
 	}
-	if err := r1.Upcall(ctx, "fn", noop); err != nil {
+	if err := r1.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatalf("owner crossing after a refused submit: %v", err)
 	}
 	if c := r1.Counters(); c.InFlight != 0 || c.RingCrossings != 2 {
@@ -119,7 +116,7 @@ func TestProcBatchCoalescesIntoOneWireCrossing(t *testing.T) {
 	ctx := k.NewContext("test")
 	b := r.Batch(ctx)
 	for i := 0; i < n; i++ {
-		b.Upcall("tx", func(uctx *kernel.Context) error { return nil })
+		b.UpcallHandler("xpcbench_sink")
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -143,18 +140,17 @@ func TestProcNestedDowncallFromUpcallBody(t *testing.T) {
 	k, r, _ := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	inner := false
-	err := r.Upcall(ctx, "configure", func(uctx *kernel.Context) error {
-		return r.Downcall(uctx, "register_netdev", func(kctx *kernel.Context) error {
-			inner = true
-			return nil
-		})
+	r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) {
+		inner = true
+		return 0, nil
 	})
-	if err != nil || !inner {
+	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil || !inner {
 		t.Fatalf("nested downcall: err=%v inner=%v", err, inner)
 	}
+	// The downcall rides the upcall's own lane: one ring crossing for both.
 	c := r.Counters()
-	if c.Upcalls != 1 || c.Downcalls != 1 || c.RingCrossings != 2 {
-		t.Fatalf("Upcalls=%d Downcalls=%d RingCrossings=%d", c.Upcalls, c.Downcalls, c.RingCrossings)
+	if c.Upcalls != 1 || c.Downcalls != 1 || c.WorkerDowncalls != 1 || c.RingCrossings != 1 {
+		t.Fatalf("Upcalls=%d Downcalls=%d WorkerDowncalls=%d RingCrossings=%d", c.Upcalls, c.Downcalls, c.WorkerDowncalls, c.RingCrossings)
 	}
 }
 
@@ -166,7 +162,7 @@ func TestProcNestedDowncallFromUpcallBody(t *testing.T) {
 func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 	k, r, pt := newProcRig(t, 2)
 	ctx := k.NewContext("test")
-	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	pid, before, served := pt.WorkerPID(), r.Counters(), r.SharedState().Load(testCellServed)
@@ -181,10 +177,7 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 			return b.UpcallHandlerData("xpctest_count", make([]byte, 1<<20+1))
 		}},
 		{"name over the frame limit", func(b *Batch) *Batch {
-			return b.Upcall(strings.Repeat("n", 256), func(uctx *kernel.Context) error {
-				t.Error("the body of a refused call ran")
-				return nil
-			})
+			return b.UpcallHandler(longNameHandler)
 		}},
 	} {
 		err := tc.call(r.Batch(ctx)).Flush()
@@ -205,7 +198,7 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 		t.Fatalf("pid %d -> %d, WorkerRespawns=%d WorkerDeaths=%d WorkerAlive=%v: a refusal must not touch the worker",
 			pid, pt.WorkerPID(), c.WorkerRespawns, c.WorkerDeaths, c.WorkerAlive)
 	}
-	if err := r.Upcall(ctx, "small", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	if c := r.Counters(); c.RingCrossings != before.RingCrossings+1 {
@@ -262,7 +255,7 @@ func TestProcRingCrossingAllocFree(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	// Warm up: spawn the worker, register the rings, fault in the pools.
-	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xA5}, 1462)
@@ -292,7 +285,7 @@ func BenchmarkProcRingCrossing(b *testing.B) {
 	r.SetTransport(pt)
 	defer r.SetTransport(nil)
 	ctx := k.NewContext("bench")
-	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		b.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xA5}, 1462)
@@ -341,6 +334,43 @@ func TestProcMappedRingZeroCopy(t *testing.T) {
 	}
 }
 
+// TestProcCrossChunkCarriesProbes: CrossChunk is the one way a call with no
+// handler behind it crosses. Two such isolation probes, one by copy and one
+// by slot, cross in one chunk: the worker proves it read both payloads — a
+// checksum mismatch would fail the crossing — and serves no body.
+func TestProcCrossChunkCarriesProbes(t *testing.T) {
+	k, r, pt := newProcRig(t, 4)
+	ctx := k.NewContext("test")
+	ring, err := r.NewRing(8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+		t.Fatal(err)
+	}
+	p := r.AcquirePayload(bytes.Repeat([]byte{0x5A, 0xC3}, 150))
+	if !p.Direct() {
+		t.Fatal("payload fell back to the copy path with a fresh mapped ring")
+	}
+	defer r.ReleasePayload(p)
+	chunk := []*Submission{
+		r.NewSubmission(&Call{Name: "probe_copy", Up: true, Data: bytes.Repeat([]byte{0xA5}, 1462)}),
+		r.NewSubmission(&Call{Name: "probe_slot", Up: true, Data: p.Data, Slot: p.Slot}),
+	}
+	before, served := r.Counters(), r.SharedState().Load(testCellServed)
+	if err := pt.CrossChunk(r, ctx, chunk); err != nil {
+		t.Fatalf("probe chunk: %v", err)
+	}
+	c := r.Counters()
+	if c.RingCrossings != before.RingCrossings+1 || c.WorkerServedCalls != before.WorkerServedCalls {
+		t.Fatalf("RingCrossings %d -> %d, WorkerServedCalls %d -> %d: want one ring crossing and no body served",
+			before.RingCrossings, c.RingCrossings, before.WorkerServedCalls, c.WorkerServedCalls)
+	}
+	if r.SharedState().Load(testCellServed) != served || !c.WorkerAlive || c.WorkerDeaths != 0 {
+		t.Fatalf("served cell moved or worker lost: %+v", c)
+	}
+}
+
 // TestProcRejectsHeapRing: a ring the worker cannot see must be refused at
 // registration, not fail silently per payload.
 func TestProcRejectsHeapRing(t *testing.T) {
@@ -363,14 +393,14 @@ func TestProcExternalSigkillDetectedAsFault(t *testing.T) {
 	ctx := k.NewContext("test")
 	var events []FaultEvent
 	r.SetFaultNotifier(func(ev FaultEvent) { events = append(events, ev) })
-	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	oldPID := pt.WorkerPID()
 	if !pt.KillWorker() {
 		t.Fatal("no worker to kill")
 	}
-	err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil })
+	err := r.UpcallHandler(ctx, "xpcbench_sink")
 	if !IsUserFault(err) {
 		t.Fatalf("crossing into a SIGKILLed worker returned %v, want a contained UserFault", err)
 	}
@@ -378,11 +408,11 @@ func TestProcExternalSigkillDetectedAsFault(t *testing.T) {
 	if !errors.As(err, &death) || death.PID != oldPID {
 		t.Fatalf("fault cause = %v, want WorkerDeath of pid %d", err, oldPID)
 	}
-	if len(events) != 1 || events[0].Call != "tx" {
+	if len(events) != 1 || events[0].Call != "xpcbench_sink" {
 		t.Fatalf("fault notifier events = %+v", events)
 	}
 	// The boundary heals: the next crossing runs on a respawned worker.
-	if err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatalf("crossing after respawn: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == 0 || pid == oldPID {
@@ -400,26 +430,26 @@ func TestProcExternalSigkillDetectedAsFault(t *testing.T) {
 func TestProcInjectedFaultKillsWorker(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+		t.Fatal(err)
+	}
 	armed := true
 	r.SetFaultInjector(func(call string) bool {
-		if call == "tx" && armed {
+		if call == "xpcbench_sink" && armed {
 			armed = false
 			return true
 		}
 		return false
 	})
-	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
 	oldPID := pt.WorkerPID()
-	err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil })
+	err := r.UpcallHandler(ctx, "xpcbench_sink")
 	if !IsUserFault(err) {
 		t.Fatalf("injected fault returned %v", err)
 	}
 	if c := r.Counters(); c.FaultsInjected != 1 || c.WorkerAlive {
 		t.Fatalf("FaultsInjected=%d WorkerAlive=%v, want 1/false (the crash killed the process)", c.FaultsInjected, c.WorkerAlive)
 	}
-	if err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatalf("crossing after fault: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == oldPID {
@@ -469,7 +499,7 @@ func TestProcSubmitAfterCloseFails(t *testing.T) {
 	}
 	r.SetTransport(pt)
 	ctx := k.NewContext("test")
-	if err := r.Upcall(ctx, "probe", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	if err := pt.Close(); err != nil {
@@ -478,7 +508,7 @@ func TestProcSubmitAfterCloseFails(t *testing.T) {
 	if err := pt.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	err = r.Upcall(ctx, "probe", func(uctx *kernel.Context) error { return nil })
+	err = r.UpcallHandler(ctx, "xpcbench_sink")
 	if !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("submit after close = %v", err)
 	}
@@ -493,7 +523,7 @@ func TestProcSubmitAfterCloseFails(t *testing.T) {
 func TestProcNoMutexUnderContention(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	warm := k.NewContext("warm")
-	if err := r.Upcall(warm, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(warm, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	base := pt.ControlAcquires()
@@ -508,7 +538,7 @@ func TestProcNoMutexUnderContention(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				b := r.Batch(ctx)
 				for j := 0; j < calls; j++ {
-					b.Upcall("tx", func(uctx *kernel.Context) error { return nil })
+					b.UpcallHandler("xpcbench_sink")
 				}
 				if err := b.Flush(); err != nil {
 					errs <- err
@@ -547,7 +577,7 @@ func TestProcSpillLaneAbsorbsOversubscription(t *testing.T) {
 	r.SetTransport(pt)
 	t.Cleanup(func() { r.SetTransport(nil) })
 	warm := k.NewContext("warm")
-	if err := r.Upcall(warm, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(warm, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, rounds = 6, 30
@@ -559,7 +589,7 @@ func TestProcSpillLaneAbsorbsOversubscription(t *testing.T) {
 			defer wg.Done()
 			ctx := k.NewContext(fmt.Sprintf("submitter-%d", w))
 			for i := 0; i < rounds; i++ {
-				if err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil }); err != nil {
+				if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 					errs <- err
 					return
 				}
@@ -596,7 +626,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Upcall(ctx, "warmup", func(uctx *kernel.Context) error { return nil }); err != nil {
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, rounds = 6, 60
@@ -610,7 +640,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 			ctx := k.NewContext(fmt.Sprintf("storm-%d", w))
 			<-start
 			for i := 1; i <= rounds; i++ {
-				err := r.Upcall(ctx, "tx", func(uctx *kernel.Context) error { return nil })
+				err := r.UpcallHandler(ctx, "xpcbench_sink")
 				if err != nil && !IsUserFault(err) && !errors.Is(err, ErrCrossingAborted) {
 					unexpected <- fmt.Errorf("submitter %d round %d: %w", w, i, err)
 					return

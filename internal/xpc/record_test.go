@@ -284,7 +284,7 @@ func TestRecordReuseStorm(t *testing.T) {
 			}
 			r.SetFaultNotifier(func(ev FaultEvent) { sawPoison(ev.Call, ev.Err) })
 			r.SetCompletionObserver(func(name string, _ time.Duration, _ bool) { sawPoison(name, nil) })
-			r.SetFaultInjector(func(call string) bool { return call == "storm_inject" })
+			r.SetFaultInjector(func(call string) bool { return call == "xpcbench_sink" })
 
 			// The proc row storms from three submitters at once: each
 			// resolves its own completions and recycles its own records,
@@ -294,7 +294,6 @@ func TestRecordReuseStorm(t *testing.T) {
 			if isProc {
 				submitters = 3
 			}
-			noop := func(*kernel.Context) error { return nil }
 			fail := []byte{1}
 			check := func(what string, err error, wantSub string) {
 				t.Helper()
@@ -330,7 +329,7 @@ func TestRecordReuseStorm(t *testing.T) {
 							b.UpcallHandler("xpctest_count")
 						}
 						done := b.FlushAsync()
-						_ = r.Upcall(ctx, "between", noop) // proc: may meet a dead worker
+						_ = r.UpcallHandler(ctx, "xpctest_count") // proc: may meet a dead worker
 						check("flush async", done.Wait(ctx), "")
 						if !done.Settled() || done.Err() != done.Wait(nil) {
 							t.Error("aggregate handle is not stable after Wait")
@@ -343,8 +342,8 @@ func TestRecordReuseStorm(t *testing.T) {
 						b.UpcallHandler("xpctest_count").UpcallHandler("xpctest_count")
 						check("chunk abort", b.Flush(), "requested failure")
 					case 4: // an injected fault, through the sugar and through a batch
-						check("injected", r.Upcall(ctx, "storm_inject", noop), "user-level fault")
-						b.Upcall("storm_ok", noop).Upcall("storm_inject", noop).Upcall("storm_ok", noop)
+						check("injected", r.UpcallHandler(ctx, "xpcbench_sink"), "user-level fault")
+						b.UpcallHandler("xpctest_count").UpcallHandler("xpcbench_sink").UpcallHandler("xpctest_count")
 						check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
 					case 5: // the worker dies under (or between) flushes
 						if isProc {

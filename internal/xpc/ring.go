@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/xdr"
 )
@@ -403,14 +404,11 @@ func (r *Runtime) RegisterPayloadRing(ctx *kernel.Context, ring *PayloadRing) er
 	if ring == nil {
 		return errors.New("xpc: RegisterPayloadRing of nil ring")
 	}
-	if r.Mode == ModeNative {
-		if !r.payloadRing.CompareAndSwap(nil, ring) {
-			return ErrPayloadRingRegistered
-		}
-		return nil
-	}
 	if !r.payloadRing.CompareAndSwap(nil, ring) {
 		return ErrPayloadRingRegistered
+	}
+	if r.Mode == ModeNative {
+		return nil
 	}
 	// A process-separated transport publishes the geometry to its worker
 	// first, so the registration upcall below — and every slot descriptor
@@ -424,12 +422,17 @@ func (r *Runtime) RegisterPayloadRing(ctx *kernel.Context, ring *PayloadRing) er
 	// The one-time registration crossing: the kernel side publishes the
 	// ring's buffers to the decaf runtime, which records the shared mapping.
 	// Paid once at initialization, never per payload.
-	err := r.Upcall(ctx, "xpc_register_payload_ring", func(uctx *kernel.Context) error {
-		return nil
-	})
-	if err != nil {
+	if err := r.UpcallHandler(ctx, registerRingHandler); err != nil {
 		r.payloadRing.Store(nil)
 		return err
 	}
 	return nil
+}
+
+// registerRingHandler names the registration crossing's body: empty and
+// free (Cost 0), registered at init so every worker holds it too.
+const registerRingHandler = "xpc_register_payload_ring"
+
+func init() {
+	registry.Register(registerRingHandler, registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
 }

@@ -2,6 +2,7 @@ package xpc
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -31,9 +32,8 @@ var (
 type Submission struct {
 	// Call is the crossing request.
 	Call *Call
-	// Completion is the observable outcome. Runtime.Admit populates it when
-	// nil; callers that need the handle before submitting may create it via
-	// Runtime.NewSubmission.
+	// Completion is the observable outcome, bound to its runtime by
+	// Runtime.NewSubmission (or by the pooled record a call rides).
 	Completion *Completion
 
 	// err and mark are the crossing engine's scratch while the chunk this
@@ -45,10 +45,28 @@ type Submission struct {
 }
 
 // NewSubmission wraps a call with a fresh Completion handle bound to this
-// runtime. The Batch builder and the blocking sugar do not come through
-// here: their calls ride pooled records (see callRecord).
+// runtime. The Batch builder and the runtime's downcalls do not come
+// through here: their calls ride pooled records (see callRecord).
 func (r *Runtime) NewSubmission(c *Call) *Submission {
-	return &Submission{Call: c, Completion: newCompletion(r, c.Name, c.Up)}
+	return &Submission{Call: c, Completion: &Completion{name: c.Name, up: c.Up, r: r}}
+}
+
+// refuseProbes fails a whole Submit that holds an isolation probe (a Call
+// with no handler) before any body runs: every submission resolves with an
+// error naming the probe, not a fault — nothing crossed.
+//
+//decaf:hotpath
+func refuseProbes(subs []*Submission) error {
+	for _, sub := range subs {
+		if sub.Call.h == nil {
+			err := fmt.Errorf("xpc: %q has no registered handler: only ProcTransport.CrossChunk carries such a call", sub.Call.Name)
+			for _, s := range subs {
+				s.Completion.resolve(err, false, 0)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // FaultEvent describes one contained decaf-side fault, delivered to the
@@ -105,10 +123,6 @@ var settledCh = func() *chan struct{} {
 	close(ch)
 	return &ch
 }()
-
-func newCompletion(r *Runtime, name string, up bool) *Completion {
-	return &Completion{name: name, up: up, r: r}
-}
 
 // settle publishes the resolved fields and wakes whoever blocked. A second
 // settle closes settledCh itself and panics: the exactly-once rule has the
@@ -231,20 +245,16 @@ func (c *Completion) Wait(ctx *kernel.Context) error {
 	return c.err
 }
 
-// Admit prepares submissions for transport: it creates missing Completion
-// handles, stamps the submit instant, and bumps the submission counters and
-// in-flight gauge. Every Transport implementation calls Admit before
-// queueing or crossing; a transport must then resolve every admitted
-// completion exactly once.
+// Admit prepares submissions for transport: it stamps the submit instant
+// and bumps the submission counters and in-flight gauge. Every Transport
+// implementation calls Admit before queueing or crossing; a transport must
+// then resolve every admitted completion exactly once.
 //
 //decaf:hotpath
 func (r *Runtime) Admit(subs []*Submission) {
 	now := r.Kernel.Clock().Now()
 	cells := cellCursor{r: r}
 	for _, sub := range subs {
-		if sub.Completion == nil {
-			sub.Completion = newCompletion(r, sub.Call.Name, sub.Call.Up)
-		}
 		sub.Completion.submitClock = now
 		cells.at(sub.Call.Name).submissions.Add(1)
 	}

@@ -9,16 +9,18 @@ import (
 )
 
 // Call is one crossing request: a named entry point, the direction it
-// crosses in, the function to run on the far side, and an optional opaque
-// payload (packet data) that is transferred directly (§4.2) without
-// reflection-driven marshaling.
+// crosses in, and an optional opaque payload (packet data) that is
+// transferred directly (§4.2) without reflection-driven marshaling. A call
+// is either an upcall to a registered handler (Batch.UpcallHandler and
+// friends) or the runtime's own scalar downcall, which a handler body's
+// Ctx.Downcall issues (serveDowncall). A Call built outside this package
+// carries neither: it is an isolation probe, which ProcTransport.CrossChunk
+// carries across for its payload proof and Submit refuses.
 type Call struct {
 	// Name is the entry point, used for per-call statistics.
 	Name string
 	// Up is true for kernel→user calls (upcalls), false for downcalls.
 	Up bool
-	// Fn runs on the far side of the crossing.
-	Fn func(ctx *kernel.Context) error
 	// Data is an opaque payload carried with the call. It pays per-byte
 	// marshaling cost but no reflection walk. The slice is aliased, not
 	// copied: it belongs to the batch from queueing until the call's
@@ -31,12 +33,16 @@ type Call struct {
 	// value selects the Data copy path.
 	Slot xdr.SlotDescriptor
 
-	// h, when non-nil, marks a handler-table call: the body is the
-	// registered handler looked up by Name (Fn is nil), dispatchable in the
-	// worker process under a process-separated transport and inline
-	// elsewhere. Resolved at call creation (Batch.UpcallHandler and
-	// friends).
+	// h marks an upcall: the body is the registered handler looked up by
+	// Name, dispatched in the worker process under a process-separated
+	// transport and inline elsewhere. Resolved at call creation.
 	h *registry.Handler
+
+	// down marks a downcall: the kernel-side target serveDowncall resolved,
+	// run with arg; res holds its scalar result once the call executed.
+	down DowncallHandler
+	arg  uint64
+	res  uint64
 
 	// remoteServed and friends record a worker-side dispatch outcome: the
 	// wire layer sets them when the worker executed (or skipped) the body,
@@ -128,6 +134,9 @@ func (t BatchTransport) MaxBatch() int { return t.size() }
 // the remaining chunks, whose submissions resolve with ErrCrossingAborted.
 func (t BatchTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submission) error {
 	r.Admit(subs)
+	if err := refuseProbes(subs); err != nil {
+		return err
+	}
 	n := t.size()
 	var first error
 	for len(subs) > 0 {

@@ -575,7 +575,7 @@ func (s *laneServer) serveLane(l *workerLane) int {
 		held := true
 		switch f.Kind {
 		case xdr.FrameSubmit:
-			// A legacy closure call, whose body runs kernel-side: the
+			// An isolation probe (ProcTransport.CrossChunk): no body, the
 			// payload proof is the whole service.
 			_, ack.Aux, ack.Status = s.payload(f.Slot, f.Data)
 		case xdr.FrameCall:

@@ -5,90 +5,10 @@ package xpc
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 )
-
-// Test handlers and cells, registered at init() so the re-exec'd worker (a
-// copy of this test binary) holds the identical table and cell indices.
-var (
-	testCellServed = registry.RegisterCell("xpctest.served")
-	testCellEcho   = registry.RegisterCell("xpctest.echo")
-	testCellDown   = registry.RegisterCell("xpctest.down")
-
-	// testParentRan counts executions of the dispatch handlers in THIS
-	// process: under the proc transport it must stay flat while the shared
-	// cells move — the proof the body ran in the worker's address space,
-	// not merely "was routed through new plumbing".
-	testParentRan atomic.Uint64
-)
-
-func init() {
-	registry.Register("xpctest_count", registry.Handler{
-		Cost: 500 * time.Nanosecond,
-		Fn: func(c *registry.Ctx) error {
-			testParentRan.Add(1)
-			c.State.Add(testCellServed, 1)
-			if len(c.Data) > 0 {
-				c.State.Store(testCellEcho, uint64(c.Data[0]))
-			}
-			return nil
-		},
-	})
-	registry.Register("xpctest_panic", registry.Handler{
-		Cost: 100 * time.Nanosecond,
-		Fn: func(c *registry.Ctx) error {
-			panic("worker-side boom")
-		},
-	})
-	registry.Register("xpctest_fail", registry.Handler{
-		Cost: 100 * time.Nanosecond,
-		Fn: func(c *registry.Ctx) error {
-			if len(c.Data) > 0 && c.Data[0] == 1 {
-				return errors.New("requested failure")
-			}
-			c.State.Add(testCellServed, 1)
-			return nil
-		},
-	})
-	registry.Register("xpctest_down", registry.Handler{
-		Cost: 200 * time.Nanosecond,
-		Down: true,
-		Fn: func(c *registry.Ctx) error {
-			v, err := c.Downcall("xpctest_read_reg", 7)
-			if err != nil {
-				return err
-			}
-			c.State.Store(testCellDown, v)
-			return nil
-		},
-	})
-	// xpctest_down_many calls down Data[0] times, summing the results into
-	// the down cell, then stores its last payload byte in the echo cell: the
-	// inline payload has to outlive every result that passed through the
-	// submit ring the call itself arrived on.
-	registry.Register("xpctest_down_many", registry.Handler{
-		Cost: 200 * time.Nanosecond,
-		Down: true,
-		Fn: func(c *registry.Ctx) error {
-			var sum uint64
-			for i := 0; i < int(c.Data[0]); i++ {
-				v, err := c.Downcall("xpctest_read_reg", uint64(i))
-				if err != nil {
-					return err
-				}
-				sum += v
-			}
-			c.State.Store(testCellDown, sum)
-			c.State.Store(testCellEcho, uint64(c.Data[len(c.Data)-1]))
-			return nil
-		},
-	})
-}
 
 // TestProcHandlerExecutesInWorker: a handler-table upcall under the proc
 // transport runs the registered body in the worker process — the parent's
@@ -253,16 +173,6 @@ func TestProcHandlerNestedDowncall(t *testing.T) {
 		t.Fatalf("RingCrossings=%d WorkerDowncalls=%d WorkerServedCalls=%d, want %d each",
 			c.RingCrossings, c.WorkerDowncalls, c.WorkerServedCalls, storm+1)
 	}
-}
-
-// handlerSubs builds one admitted-by-Submit chunk of handler calls, so a
-// test can read each call's own completion.
-func handlerSubs(r *Runtime, calls ...string) []*Submission {
-	subs := make([]*Submission, len(calls))
-	for i, name := range calls {
-		subs[i] = r.NewSubmission(&Call{Name: name, Up: true, h: registry.Lookup(name), Data: []byte{byte(i + 1)}})
-	}
-	return subs
 }
 
 // TestProcDowncallMidChunk: a downcall-making handler second in a chunk of

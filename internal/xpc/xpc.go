@@ -26,8 +26,8 @@
 // interface, whose API is submit/complete: a Submission pairs a Call with a
 // Completion handle carrying the call's result, its crossing cost and the
 // fault-containment outcome. Transport.Submit crosses the submissions and
-// resolves every completion before it returns. Runtime.Upcall and
-// Runtime.Downcall are sugar — a one-call Batch flush: Submit plus an
+// resolves every completion before it returns. Runtime.UpcallHandler and
+// UpcallHandlerData are sugar — a one-call Batch flush: Submit plus an
 // immediate Wait — so the seed call-and-return semantics are a degenerate
 // use of the submit/complete API, not a separate path.
 //
@@ -105,12 +105,11 @@
 // respawn. Counters.WorkerServedCalls and WorkerDowncalls meter where
 // bodies actually ran.
 //
-// Every driver crosses through the table only, so under proc every one of
-// their decaf bodies executes in the worker, and what a body learns comes
-// back as downcall arguments and state cells — no object travels with a
-// call. Closure-based Upcall/Downcall remain for tests and benchmark rigs; a
-// closure executes in the kernel process under every transport and carries
-// no payload: the payload builders are handler-only.
+// The table is the only way to cross: a Call is a handler upcall or the
+// runtime's own scalar downcall, and no crossing takes a closure. So under
+// proc every decaf body executes in the worker, and what a body learns
+// comes back as downcall arguments and state cells — no object travels
+// with a call.
 //
 // Hot paths written against the Batch builder are transport-agnostic:
 // Batch.Flush waits for its calls under any transport, while
@@ -242,8 +241,8 @@ type Runtime struct {
 	// context allocates nothing.
 	downHook func(name string, arg uint64) (uint64, error)
 
-	// scratch pools the call records the Batch builder and the blocking
-	// sugar queue calls on (see batch.go).
+	// scratch pools the call records the Batch builder queues calls on and
+	// serveDowncall crosses on (see batch.go).
 	scratch [scratchSlots]atomic.Pointer[flushScratch]
 
 	// transport performs crossings; nil selects the default per-call
@@ -607,29 +606,6 @@ func (r *Runtime) SetFaultInjector(fn func(call string) bool) {
 	r.faultInjector.Store(&fn)
 }
 
-// Upcall transfers control from the kernel to a user-level driver function:
-// the stub path of Figure 1. In ModeNative, fn simply runs in the calling
-// kernel context with no crossing, cost or counter.
-//
-// Upcall is sugar for Submit followed by an immediate Wait on the
-// submission's Completion: exactly the seed call-and-return crossing.
-//
-// The nuclear runtime masks the driver's interrupts for the duration and
-// converts a panic in fn into a *UserFault error rather than a kernel crash
-// (driver isolation).
-func (r *Runtime) Upcall(ctx *kernel.Context, name string, fn func(uctx *kernel.Context) error) error {
-	b := Batch{r: r, ctx: ctx}
-	return b.Upcall(name, fn).Flush()
-}
-
-// Downcall transfers control from the decaf driver into the kernel — the
-// stub path of Figure 2. In ModeNative fn runs directly. Like Upcall,
-// Downcall is Submit + immediate Wait.
-func (r *Runtime) Downcall(uctx *kernel.Context, name string, fn func(kctx *kernel.Context) error) error {
-	b := Batch{r: r, ctx: uctx}
-	return b.Downcall(name, fn).Flush()
-}
-
 // maskIRQs disables the runtime's listed interrupt lines, so "the driver
 // cannot interrupt itself" while its user-level half runs (§3.1.3);
 // unmaskIRQs restores them.
@@ -693,10 +669,11 @@ func (r *Runtime) transferSlot(ctx *kernel.Context, c *Call, cell *counterCell) 
 }
 
 // execute runs a call's body on the far side, charging the far side's
-// elapsed time to the caller as wait time. Upcall bodies run under fault
-// containment; downcall bodies run in the kernel, where a panic is a crash.
-// A handler body the worker process already ran (the wire trip precedes
-// execution) is not run again: its outcome is applied, counted on cell.
+// elapsed time to the caller as wait time. An upcall's handler runs under
+// fault containment; a downcall's target runs in the kernel, where a panic
+// is a crash. A handler body the worker process already ran (the wire trip
+// precedes execution) is not run again: its outcome is applied, counted on
+// cell.
 func (r *Runtime) execute(ctx *kernel.Context, c *Call, cell *counterCell) error {
 	if c.remoteServed {
 		return r.applyRemote(ctx, c, cell)
@@ -705,19 +682,22 @@ func (r *Runtime) execute(ctx *kernel.Context, c *Call, cell *counterCell) error
 		return r.runUser(ctx, c)
 	}
 	kernelStart := r.downCtx.Elapsed()
-	err := c.Fn(r.downCtx)
+	var err error
+	c.res, err = c.down(r.downCtx, c.arg)
 	if d := r.downCtx.Elapsed() - kernelStart; d > 0 {
 		ctx.Sleep(d)
 	}
 	return err
 }
 
-// runUser runs an upcall's body — its closure, or its registered handler —
-// in the decaf context, converting a panic into a *UserFault (driver
-// isolation) and charging the user execution's elapsed time to the caller as
-// wait time. An installed fault injector may panic before the body runs —
-// inside the containment region, so the injection is exactly a real
-// decaf-side crash.
+// runUser runs an upcall's registered handler in the decaf context — its
+// modeled cost charged there, its Ctx the call's own dispatch context,
+// re-armed — converting a panic into a *UserFault (driver isolation) and
+// charging the user execution's elapsed time to the caller as wait time.
+// An installed fault injector may panic before the body runs — inside the
+// containment region, so the injection is exactly a real decaf-side crash.
+// (Under a process-separated transport the worker ran the body and
+// applyRemote maps its outcome instead.)
 func (r *Runtime) runUser(ctx *kernel.Context, c *Call) (err error) {
 	userStart := r.decafCtx.Elapsed()
 	func() {
@@ -730,11 +710,12 @@ func (r *Runtime) runUser(ctx *kernel.Context, c *Call) (err error) {
 			r.noteInjected(c.Name)
 			panic(&InjectedFault{Call: c.Name})
 		}
-		if c.h != nil {
-			err = r.runHandler(c)
-		} else {
-			err = c.Fn(r.decafCtx)
+		// A free body leaves the decaf context unwritten, so concurrent
+		// inline submitters of free handlers do not race on it.
+		if cost := c.h.Cost; cost > 0 {
+			r.decafCtx.Charge(cost)
 		}
+		err = c.h.Fn(c.hctx.Arm(c.h, r.handlerData(c), r.SharedState(), r.downHook))
 	}()
 	if d := r.decafCtx.Elapsed() - userStart; d > 0 {
 		ctx.Sleep(d)
@@ -773,11 +754,10 @@ func assertMayBlock(ctx *kernel.Context, up bool, name string) {
 }
 
 // crossSubmissions performs ONE physical crossing delivering every
-// submission (the Batch builder only produces single-direction lists; a
-// mixed list is counted and masked by its first call's direction). The
-// kernel/user transition is paid once for the whole chunk, each call still
-// pays its language-boundary transition and per-byte payload cost, and every
-// submission's Completion resolves before
+// submission — a transport's chunk of handler upcalls, or the one downcall
+// serveDowncall crosses. The kernel/user transition is paid once for the
+// whole chunk, each call still pays its language-boundary transition and
+// per-byte payload cost, and every submission's Completion resolves before
 // the function returns — after which, by the Transport rule, nothing here
 // looks at them again. It returns the first error.
 //

@@ -134,22 +134,20 @@ func TestUpcallRoundTrip(t *testing.T) {
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("t")
 
-	ran := false
-	err := r.Upcall(ctx, "e1000_open", func(uctx *kernel.Context) error {
-		if uctx != r.DecafContext() {
-			t.Error("upcall body not on the decaf context")
-		}
-		ran = true
-		return nil
-	})
-	if err != nil || !ran {
-		t.Fatalf("upcall ran=%v err=%v", ran, err)
+	served := r.SharedState().Load(testCellServed)
+	err := r.UpcallHandler(ctx, "xpctest_count")
+	if ran := r.SharedState().Load(testCellServed) - served; err != nil || ran != 1 {
+		t.Fatalf("upcall ran=%d err=%v", ran, err)
+	}
+	// The body's modeled cost was spent on the decaf context.
+	if busy := r.DecafContext().Busy(); busy != xpctestCountCost {
+		t.Fatalf("decaf context busy %v, want the body's %v", busy, xpctestCountCost)
 	}
 	c := r.Counters()
 	if c.Upcalls != 1 || c.Downcalls != 0 || c.Trips() != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
-	if c.PerCall["e1000_open"] != 1 {
+	if c.PerCall["xpctest_count"] != 1 {
 		t.Fatalf("PerCall = %v", c.PerCall)
 	}
 	// A payload crosses both legs: kernel→library and library→decaf.
@@ -165,22 +163,18 @@ func TestUpcallNativeModeBypassesXPC(t *testing.T) {
 	k := newTestKernel()
 	r := NewRuntime(k, "test", ModeNative, nil)
 	ctx := k.NewContext("t")
-	ran := false
-	err := r.Upcall(ctx, "fn", func(uctx *kernel.Context) error {
-		ran = true
-		if uctx != ctx {
-			t.Error("native upcall switched context")
-		}
-		return nil
-	})
-	if err != nil || !ran {
+	served := r.SharedState().Load(testCellServed)
+	err := r.UpcallHandler(ctx, "xpctest_count")
+	if err != nil || r.SharedState().Load(testCellServed)-served != 1 {
 		t.Fatal("native upcall failed")
 	}
 	if r.Counters().Trips() != 0 {
 		t.Fatal("native mode counted a crossing")
 	}
-	if ctx.Elapsed() != 0 {
-		t.Fatal("native mode charged latency")
+	// The caller ran the body itself: it paid the body's cost and no
+	// crossing latency, and the decaf context never ran.
+	if ctx.Elapsed() != xpctestCountCost || r.DecafContext().Elapsed() != 0 {
+		t.Fatalf("caller elapsed %v, decaf elapsed %v: native mode charged latency", ctx.Elapsed(), r.DecafContext().Elapsed())
 	}
 }
 
@@ -213,7 +207,7 @@ func TestUpcallFromAtomicContextFaults(t *testing.T) {
 			t.Fatal("upcall under spinlock did not fault")
 		}
 	}()
-	_ = r.Upcall(ctx, "fn", func(uctx *kernel.Context) error { return nil })
+	_ = r.UpcallHandler(ctx, "xpcbench_sink")
 }
 
 func TestUpcallDisablesIRQs(t *testing.T) {
@@ -223,8 +217,8 @@ func TestUpcallDisablesIRQs(t *testing.T) {
 	line := k.Bus().IRQ(9)
 	fired := 0
 	_ = k.RequestIRQ(9, "dev", func(c *kernel.Context, irq int, dev any) { fired++ }, nil)
-	ctx := k.NewContext("t")
-	err := r.Upcall(ctx, "fn", func(uctx *kernel.Context) error {
+	// The body's downcall target runs while the decaf half executes.
+	r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) {
 		if !line.Disabled() {
 			t.Error("IRQ not disabled during decaf execution")
 		}
@@ -232,9 +226,10 @@ func TestUpcallDisablesIRQs(t *testing.T) {
 		if fired != 0 {
 			t.Error("interrupt delivered while masked")
 		}
-		return nil
+		return 0, nil
 	})
-	if err != nil {
+	ctx := k.NewContext("t")
+	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
 		t.Fatal(err)
 	}
 	if line.Disabled() {
@@ -249,14 +244,12 @@ func TestUpcallContainsUserFault(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("t")
-	err := r.Upcall(ctx, "buggy", func(uctx *kernel.Context) error {
-		panic("NullPointerException")
-	})
+	err := r.UpcallHandler(ctx, "xpctest_panic")
 	var fault *UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want *UserFault", err)
 	}
-	if !strings.Contains(fault.Error(), "buggy") {
+	if !strings.Contains(fault.Error(), "xpctest_panic") {
 		t.Fatalf("fault message %q lacks call name", fault.Error())
 	}
 	if c := r.Counters(); c.Faults != 1 {
@@ -264,33 +257,38 @@ func TestUpcallContainsUserFault(t *testing.T) {
 	}
 }
 
+// TestDowncallRoundTrip: a handler body's downcall crosses into the kernel
+// as a crossing of its own, runs its target on a kernel context — not the
+// decaf one — and hands the scalar result back to the body.
 func TestDowncallRoundTrip(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	uctx := r.DecafContext()
-	ran := false
-	err := r.Downcall(uctx, "snd_card_register", func(kctx *kernel.Context) error {
-		if kctx == uctx {
-			t.Error("downcall body ran on the decaf context")
+	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+		if kctx == r.DecafContext() {
+			t.Error("downcall target ran on the decaf context")
 		}
-		ran = true
-		return nil
+		return arg * 6, nil
 	})
-	if err != nil || !ran {
-		t.Fatalf("downcall ran=%v err=%v", ran, err)
+	if err := r.UpcallHandler(k.NewContext("t"), "xpctest_down"); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SharedState().Load(testCellDown); got != 42 {
+		t.Fatalf("down cell = %d, want the target's 42", got)
 	}
 	c := r.Counters()
-	if c.Downcalls != 1 || c.Trips() != 1 {
+	if c.Upcalls != 1 || c.Downcalls != 1 || c.Trips() != 2 || c.PerCall["xpctest_read_reg"] != 1 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
 
+// TestDowncallPropagatesError: a target's error reaches the body, which
+// returns it as the upcall's own.
 func TestDowncallPropagatesError(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	boom := errors.New("EIO")
-	err := r.Downcall(r.DecafContext(), "fn", func(kctx *kernel.Context) error { return boom })
-	if !errors.Is(err, boom) {
+	r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) { return 0, boom })
+	if err := r.UpcallHandler(k.NewContext("t"), "xpctest_down"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -360,7 +358,7 @@ func TestDirectTransferFasterThanStaged(t *testing.T) {
 func TestResetCounters(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	_ = r.Upcall(k.NewContext("t"), "fn", func(uctx *kernel.Context) error { return nil })
+	_ = r.UpcallHandler(k.NewContext("t"), "xpcbench_sink")
 	if r.Counters().Trips() != 1 {
 		t.Fatal("setup failed")
 	}
