@@ -65,7 +65,6 @@ var errRecycled = errors.New("xpc: call record used after its flush recycled it"
 //decaf:hotpath
 func (rec *callRecord) recycle() {
 	rec.call = Call{Name: recycledName}
-	rec.sub.err = nil
 	rec.comp = Completion{name: recycledName, err: errRecycled}
 	rec.comp.ch.Store(settledCh)
 }

@@ -1,6 +1,7 @@
 package xpc
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -317,35 +318,50 @@ const descSpinBudget = 4096
 // frees a P for one of them, and laneCrossOn's scaled budget stands.
 const soloSpinBudget = 4 * descSpinBudget
 
+// errWorkerExited is the death awaitSlotBudget reports when its exit flag
+// says the producing process is gone and the ring holds nothing more from
+// it: the exit observation, rather than the doorbell EOF that follows.
+var errWorkerExited = errors.New("worker process exit observed")
+
 // awaitSlot polls q until a slot is pending, parking on the doorbell when
-// the spin budget runs out. A zero deadline means block indefinitely
-// (worker side); otherwise the doorbell wait fails past the deadline
-// (kernel side, the wedged-worker backstop). wakes counts the doorbell
-// blocks that ended during the wait — returned rather than reported through
-// a callback so the caller's hot path stays closure-free (a captured-counter
-// closure would allocate per crossing).
+// the spin budget runs out. A zero timeout means block indefinitely;
+// otherwise each doorbell wait fails once timeout has passed since its park
+// (the wedged-worker backstop). wakes counts the doorbell blocks that ended
+// during the wait — returned rather than reported through a callback so the
+// caller's hot path stays closure-free (a captured-counter closure would
+// allocate per crossing).
 //
 //decaf:hotpath
-func (q *descRing) awaitSlot(bell doorbell, deadline time.Time) (slot []byte, wakes int, err error) {
-	return q.awaitSlotBudget(bell, deadline, descSpinBudget)
+func (q *descRing) awaitSlot(bell doorbell, timeout time.Duration) (slot []byte, wakes int, err error) {
+	return q.awaitSlotBudget(bell, timeout, descSpinBudget, nil)
 }
 
-// awaitSlotBudget is awaitSlot with an explicit spin budget. Concurrent lane
-// holders pass a budget scaled down by the number of active lanes: K
-// submitters spinning with Gosched on an oversubscribed machine take ~K
-// times longer wall-clock to exhaust a fixed budget, starving the worker
-// process of CPU exactly when it has the most pending work — the full
-// budget's tail latency under 8-way contention measured ~20x its
-// single-submitter value before this scaling.
+// awaitSlotBudget is awaitSlot with an explicit spin budget and, when
+// exited is non-nil, the producer's exit flag. Concurrent lane holders pass
+// a budget scaled down by the number of active lanes: K submitters spinning
+// with Gosched on an oversubscribed machine take ~K times longer wall-clock
+// to exhaust a fixed budget, starving the worker process of CPU exactly
+// when it has the most pending work — the full budget's tail latency under
+// 8-way contention measured ~20x its single-submitter value before this
+// scaling. Each yield reads the exit flag: a producer that died while its
+// consumer spins is seen within 64 polls, not after the budget and a park,
+// and whatever it published before dying is still consumed first. The clock
+// is read only at a park, so a wait the spin absorbs costs no clock read.
 //
 //decaf:hotpath
-func (q *descRing) awaitSlotBudget(bell doorbell, deadline time.Time, budget int) (slot []byte, wakes int, err error) {
+func (q *descRing) awaitSlotBudget(bell doorbell, timeout time.Duration, budget int, exited *atomic.Bool) (slot []byte, wakes int, err error) {
 	for spins := 0; ; spins++ {
 		if s := q.pending(); s != nil {
 			return s, wakes, nil
 		}
 		if spins < budget {
 			if spins%64 == 63 {
+				if exited != nil && exited.Load() {
+					if s := q.pending(); s != nil {
+						return s, wakes, nil
+					}
+					return nil, wakes, errWorkerExited
+				}
 				runtime.Gosched()
 			}
 			continue
@@ -354,6 +370,10 @@ func (q *descRing) awaitSlotBudget(bell doorbell, deadline time.Time, budget int
 		if s := q.pending(); s != nil {
 			q.unpark()
 			return s, wakes, nil
+		}
+		var deadline time.Time
+		if timeout > 0 {
+			deadline = time.Now().Add(timeout)
 		}
 		werr := bell.wait(deadline)
 		q.unpark()

@@ -163,7 +163,7 @@ func TestDescRingConcurrentStress(t *testing.T) {
 	prod, cons := twoSides(t, 8, 16)
 	bell := newChanDoorbell()
 	const total = 20000
-	deadline := time.Now().Add(30 * time.Second)
+	const timeout = 30 * time.Second
 	errc := make(chan error, 1)
 	go func() {
 		for i := 0; i < total; i++ {
@@ -180,7 +180,7 @@ func TestDescRingConcurrentStress(t *testing.T) {
 		errc <- nil
 	}()
 	for i := 0; i < total; i++ {
-		slot, _, err := cons.awaitSlot(bell, deadline)
+		slot, _, err := cons.awaitSlot(bell, timeout)
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
@@ -201,7 +201,7 @@ func TestDescRingParkWakeRaces(t *testing.T) {
 	prod, cons := twoSides(t, 4, 16)
 	bell := newChanDoorbell()
 	const total = 300
-	deadline := time.Now().Add(30 * time.Second)
+	const timeout = 30 * time.Second
 	ready := make(chan struct{})
 	go func() {
 		for i := 0; i < total; i++ {
@@ -217,7 +217,7 @@ func TestDescRingParkWakeRaces(t *testing.T) {
 	wakes := 0
 	for i := 0; i < total; i++ {
 		ready <- struct{}{}
-		slot, w, err := cons.awaitSlot(bell, deadline)
+		slot, w, err := cons.awaitSlot(bell, timeout)
 		if err != nil {
 			t.Fatalf("item %d: %v (lost wakeup?)", i, err)
 		}
@@ -236,7 +236,7 @@ func TestDescRingAwaitDeadline(t *testing.T) {
 	_, cons := twoSides(t, 4, 16)
 	bell := newChanDoorbell()
 	start := time.Now()
-	_, _, err := cons.awaitSlot(bell, start.Add(50*time.Millisecond))
+	_, _, err := cons.awaitSlot(bell, 50*time.Millisecond)
 	if err == nil {
 		t.Fatal("awaitSlot returned a slot from an empty ring")
 	}
@@ -390,7 +390,7 @@ func TestDescRingLaneStressWrapAround(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			deadline := time.Now().Add(30 * time.Second)
+			const timeout = 30 * time.Second
 			for b := 0; b < batches; b++ {
 				lane := -1
 				for lane < 0 {
@@ -421,7 +421,7 @@ func TestDescRingLaneStressWrapAround(t *testing.T) {
 				}
 				base := seqs[lane] - batchN
 				for i := 0; i < batchN; i++ {
-					slot, _, err := prodRings[lane].cmp.awaitSlot(laneBells[lane], deadline)
+					slot, _, err := prodRings[lane].cmp.awaitSlot(laneBells[lane], timeout)
 					if err != nil {
 						t.Errorf("producer %d: lane %d completion %d: %v", p, lane, i, err)
 						claims[lane].Store(0)

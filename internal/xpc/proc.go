@@ -40,7 +40,8 @@ const DefaultProcLanes = 8
 const MaxProcLanes = 64
 
 // procWireTimeout bounds every parent-side wire operation — including a
-// parked doorbell wait on the ring fast path. A dead worker surfaces
+// parked doorbell wait on the ring fast path, measured from the park. A
+// dead worker surfaces within one spin-yield quantum (its exit flag) or
 // immediately as EOF/EPIPE (the doorbell socketpair closes with it); this
 // deadline is the backstop for a wedged one (stopped, swapped out,
 // livelocked), which would otherwise block a crossing forever. On expiry the
@@ -113,8 +114,8 @@ type ProcConfig struct {
 //     is an error, not a silent simulation.
 //   - Fault containment is physical. A decaf-side panic (real or injected)
 //     SIGKILLs the worker; a worker that dies externally (kill -9, crash)
-//     is detected by the next crossing (its doorbell or parked wait reads
-//     EOF). Either way the failure
+//     is detected by the next crossing (its spin reads the exit flag, or
+//     its doorbell or parked wait reads EOF). Either way the failure
 //     surfaces as a contained *UserFault whose cause is a *WorkerDeath,
 //     flowing through SetFaultNotifier to a recovery.Supervisor, which
 //     respawns the worker (WorkerRespawner), re-registers the shared ring
@@ -248,13 +249,27 @@ type procEpoch struct {
 
 // procWorker is one live worker process. sock carries the framed control
 // protocol (handshake, ring registration, shutdown — never a call); bell is
-// the parent end of the submit doorbell socketpair.
+// the parent end of the submit doorbell socketpair. The cmd.Wait goroutine
+// sets dead, then closes exited: lane holders spinning on a completion read
+// the flag, teardown waits on the channel.
 type procWorker struct {
 	cmd    *exec.Cmd
 	sock   *os.File
 	bell   *os.File
 	br     *bufio.Reader
+	dead   atomic.Bool
 	exited chan struct{}
+}
+
+// death is the *WorkerDeath a failed wire operation on ep reports: the exit
+// observation once the worker process is known to have exited — the cause,
+// of which an EOF or EPIPE on its doorbell is only a symptom — and err
+// otherwise.
+func (ep *procEpoch) death(err error) *WorkerDeath {
+	if ep.w.dead.Load() {
+		err = errWorkerExited
+	}
+	return &WorkerDeath{PID: ep.pid, Err: err}
 }
 
 // NewProcTransport creates a process-separated transport. The worker
@@ -358,11 +373,11 @@ func (t *ProcTransport) bindLocked(r *Runtime) error {
 	return nil
 }
 
-// Submit implements Transport: chunk like a BatchTransport, push each chunk
-// through the boundary to the worker, then execute the call bodies inline
-// with the standard crossing engine. The wire trip precedes body execution,
-// so the worker has acknowledged the frames — including reading any
-// shared-ring payloads — before completions resolve.
+// Submit implements Transport: chunk like a BatchTransport and push each
+// chunk through the boundary to the worker, which runs the call bodies; the
+// crossing engine applies each call's outcome and resolves it as soon as
+// the worker's completion for it — proof it read any shared-ring payload —
+// is validated.
 //
 //decaf:hotpath
 func (t *ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submission) error {
@@ -399,33 +414,24 @@ func (t *ProcTransport) Submit(r *Runtime, ctx *kernel.Context, subs []*Submissi
 	return first
 }
 
-// crossChunk performs one crossing: wire round trip, then inline execution.
-// A wire failure means the decaf process is dead or suspect: the chunk's
-// first submission resolves as a contained fault (firing the runtime's
+// crossChunk performs one crossing: the wire conversation, which steps the
+// crossing engine through each call as its completion lands. A wire
+// failure means the decaf process is dead or suspect: of the calls not yet
+// resolved, the first resolves as a contained fault (firing the runtime's
 // fault notifier, the recovery trigger) and the rest abort — mirroring the
 // inline batch abort semantics for an in-process decaf crash. A chunk
 // refused at admission (errProcEncode) is not a fault: nothing crossed and
-// the worker is fine, so the chunk just fails. A fault raised by the call bodies themselves
-// makes the containment physical by SIGKILLing the worker.
+// the worker is fine, so the chunk just fails. A fault raised by the call
+// bodies themselves makes the containment physical by SIGKILLing the
+// worker.
 //
 //decaf:hotpath
 func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
-	if werr := t.wireCross(r, ctx, chunk); werr != nil {
-		abortRest := func(first error, fault bool) {
-			chunk[0].Completion.resolve(first, fault, 0)
-			for _, sub := range chunk[1:] {
-				sub.Completion.resolve(ErrCrossingAborted, false, 0)
-			}
-		}
-		if errors.Is(werr, errProcEncode) {
-			abortRest(werr, false)
-			return werr
-		}
-		fault := &UserFault{Call: chunk[0].Call.Name, Cause: werr}
-		abortRest(fault, true)
-		return fault
+	e := r.engine(ctx, kernelSide)
+	if werr := t.wireCross(r, ctx, chunk, &e); werr != nil {
+		return e.fail(chunk[e.n:], werr, !errors.Is(werr, errProcEncode))
 	}
-	err := r.crossSubmissions(ctx, chunk, kernelSide)
+	err := e.end()
 	if _, faulted := err.(*UserFault); faulted {
 		// The decaf driver crashed: its process dies with it. The next
 		// crossing (or the recovery supervisor) respawns a fresh worker.
@@ -444,9 +450,11 @@ func (t *ProcTransport) crossChunk(r *Runtime, ctx *kernel.Context, chunk []*Sub
 // published the crossing is committed to its epoch and a failure surfaces
 // instead. Any boundary failure retires the worker epoch and returns the
 // death or protocol error; a chunk admitChunk refuses never reaches a lane.
+// A non-nil eng steps through each call as its completion lands (see
+// laneConverse).
 //
 //decaf:hotpath
-func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
+func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Submission, eng *chunkEngine) error {
 	if t.closed.Load() {
 		return ErrTransportClosed
 	}
@@ -459,7 +467,7 @@ func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 			return err
 		}
 		if lane := t.claimLane(ep, ctx); lane != nil {
-			return t.laneCrossOn(r, ctx, ep, lane, chunk)
+			return t.laneCrossOn(r, ctx, ep, lane, chunk, eng)
 		}
 	}
 }
@@ -470,9 +478,9 @@ func (t *ProcTransport) wireCross(r *Runtime, ctx *kernel.Context, chunk []*Subm
 // submit path's allocation count in isolation. It is the one way an
 // isolation probe (a Call with no handler behind it, which Submit refuses)
 // crosses: its frame is a FrameSubmit, and the worker's whole service is
-// proving it read the payload.
+// proving it read the payload. Nothing resolves the chunk's completions.
 func (t *ProcTransport) CrossChunk(r *Runtime, ctx *kernel.Context, chunk []*Submission) error {
-	return t.wireCross(r, ctx, chunk)
+	return t.wireCross(r, ctx, chunk, nil)
 }
 
 // admitChunk is the one admission check of the data plane, made before any
@@ -594,8 +602,8 @@ func (t *ProcTransport) releaseLane(lane *procLane) {
 // teardown waits for every claim to drain.
 //
 //decaf:hotpath
-func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission) error {
-	err := t.laneConverse(r, ctx, ep, lane, chunk)
+func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission, eng *chunkEngine) error {
+	err := t.laneConverse(r, ctx, ep, lane, chunk, eng)
 	t.releaseLane(lane)
 	if err != nil {
 		t.retireEpoch(ep)
@@ -620,12 +628,24 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpo
 // the next entry the blocked body can see. A downcall-free chunk is one run,
 // published and pipelined whole.
 //
-// The error is the worker's death (*WorkerDeath: EOF, EPIPE, doorbell
-// timeout) or the protocol violation of a live-but-suspect one, returned as
-// itself; either way the caller retires the epoch.
+// With a crossing engine (every Submit; CrossChunk passes none, and carries
+// only probes, which never call down), call i's
+// step — transfer accounting, the outcome applied, its mark and its resolve
+// — runs as soon as completion i is validated, the engine's begin just
+// before the first: the kernel's bookkeeping for call i overlaps the
+// worker's service of calls i+1…n, and only the last call's step is left
+// once the wire is done. A downcall served mid-chunk runs in a window the
+// engine lifts: the driver's IRQs unmasked and the caller's sleep for it
+// kept out of the marks and the stall. Once the last call is stepped the
+// chunk is the submitter's again, and nothing here reads it.
+//
+// The error is the worker's death (*WorkerDeath: its exit observed while
+// spinning, EOF, EPIPE, doorbell timeout) or the protocol violation of a
+// live-but-suspect one, returned as itself; either way the caller retires
+// the epoch, and eng.n says how many calls were resolved before it.
 //
 //decaf:hotpath
-func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission) error {
+func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission, eng *chunkEngine) error {
 	name := chunk[0].Call.Name
 	ring := r.payloadRing.Load()
 	reg := t.reg.Load()
@@ -640,7 +660,6 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 		}
 	}
 	injector := r.faultInjector.Load()
-	var deadline time.Time
 	totalWakes := 0
 	for next, done := 0, 0; done < len(chunk); {
 		first := next
@@ -703,7 +722,6 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 		if first == 0 {
 			r.noteRingCrossing(name)
 		}
-		deadline = time.Now().Add(procWireTimeout)
 		// Scale the completion spin budget down by the lanes currently in
 		// flight: K holders spinning concurrently on an oversubscribed machine
 		// take ~K times longer wall-clock to exhaust a fixed budget, starving
@@ -715,13 +733,13 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 			budget = descSpinBudget / int(active)
 		}
 		for done < next {
-			slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, deadline, budget)
+			slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, procWireTimeout, budget, &ep.w.dead)
 			if wakes > 0 {
 				r.noteDoorbells(chunk[done].Call.Name, wakes)
 				totalWakes += wakes
 			}
 			if err != nil {
-				return &WorkerDeath{PID: ep.pid, Err: err}
+				return ep.death(err)
 			}
 			resp, _, derr := xdr.DecodeFrame(slot)
 			lane.cmp.advance()
@@ -738,10 +756,12 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 				// The body of call `done` called down mid-execution: serve the
 				// nested crossing and resume waiting for its completion. The
 				// time the kernel-side target took is not the worker's.
-				if err := t.serveLaneDowncall(r, ctx, ep, lane, resp); err != nil {
+				since := eng.lift()
+				err := t.serveLaneDowncall(r, ctx, ep, lane, resp)
+				eng.land(since)
+				if err != nil {
 					return err
 				}
-				deadline = time.Now().Add(procWireTimeout)
 				continue
 			case resp.Status != wireStatusOK && (c.h == nil || !remoteStatusValid(resp.Status)):
 				return fmt.Errorf("xpc: proc worker rejected %q: status %d %s", c.Name, resp.Status, resp.Name)
@@ -758,6 +778,12 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 				c.remoteServed = true
 				c.remoteStatus = resp.Status
 				c.remoteErr = resp.Name
+			}
+			if eng != nil {
+				if done == 0 {
+					eng.begin(chunk)
+				}
+				eng.step(chunk[done])
 			}
 			done++
 		}
@@ -801,7 +827,7 @@ func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, na
 		return nil
 	}
 	if err := ep.bell.ring(); err != nil {
-		return &WorkerDeath{PID: ep.pid, Err: err}
+		return ep.death(err)
 	}
 	r.noteDoorbells(name, 1)
 	if lane.tr != nil {
@@ -1144,6 +1170,7 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 	w := &procWorker{cmd: cmd, sock: parent, bell: bellParent, br: bufio.NewReader(parent), exited: make(chan struct{})}
 	go func() {
 		_ = cmd.Wait()
+		w.dead.Store(true)
 		close(w.exited)
 	}()
 	ep := &procEpoch{

@@ -264,7 +264,7 @@ func TestProcRingCrossingAllocFree(t *testing.T) {
 		r.NewSubmission(&Call{Name: "tx", Up: true, Data: payload}),
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := pt.wireCross(r, ctx, chunk); err != nil {
+		if err := pt.wireCross(r, ctx, chunk, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -296,7 +296,7 @@ func BenchmarkProcRingCrossing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pt.wireCross(r, ctx, chunk); err != nil {
+		if err := pt.wireCross(r, ctx, chunk, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,13 +35,6 @@ type Submission struct {
 	// Completion is the observable outcome, bound to its runtime by
 	// Runtime.NewSubmission (or by the pooled record a call rides).
 	Completion *Completion
-
-	// err and mark are the crossing engine's scratch while the chunk this
-	// submission rides in executes: the body's outcome and the chunk's
-	// cumulative cost once it ran, held here until the whole chunk is known
-	// to have survived (a fault resolves nothing back) and resolution starts.
-	err  error
-	mark time.Duration
 }
 
 // NewSubmission wraps a call with a fresh Completion handle bound to this

@@ -64,6 +64,10 @@ type Call struct {
 // Completion resolves with the call's result, crossing cost and
 // fault-containment outcome. Both transports resolve every completion
 // before Submit returns, and the submitting context pays the crossing cost.
+// Within a chunk, completions resolve one at a time in chunk order, each as
+// soon as the crossing engine has stepped its call (see chunkEngine): under
+// ProcTransport that is when the worker's completion for it has been
+// validated, while later calls of the chunk are still in the worker.
 //
 // The transport owns the policy of how submissions map onto physical
 // crossings (one per call, coalesced batches, chunks sent to a worker

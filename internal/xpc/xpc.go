@@ -725,7 +725,7 @@ func (r *Runtime) runUser(ctx *kernel.Context, c *Call) (err error) {
 
 // crossSide selects the crossing engine's policy by the side that performs
 // the crossing. Both policies execute on the performing context and share
-// the batch semantics of runChunkAborting.
+// the engine's batch semantics.
 type crossSide bool
 
 const (
@@ -753,80 +753,172 @@ func assertMayBlock(ctx *kernel.Context, up bool, name string) {
 	}
 }
 
+// chunkEngine is the crossing engine: ONE physical crossing of a chunk of
+// submissions, in three parts. begin runs once per chunk: the may-block
+// assertion, the IRQ mask and the trip's count and charge — the kernel/user
+// transition is paid once for the whole chunk. step runs once per call, in
+// chunk order: the call's language-boundary and per-byte payload cost, its
+// execution (or, for a body the worker ran, its outcome applied), its mark
+// and its resolve, with the batch semantics — after the first failure every
+// later call resolves ErrCrossingAborted without executing. end runs once
+// per chunk: unmask and the stall note.
+//
+// Every crossing drives it. crossSubmissions runs the three parts back to
+// back for an inline chunk and for serveDowncall's downcall; the proc
+// transport's lane conversation steps each call as soon as its completion is
+// validated, so the kernel's bookkeeping for one call overlaps the worker's
+// service of the calls behind it. An engine lives on its submitter's stack.
+type chunkEngine struct {
+	r     *Runtime
+	ctx   *kernel.Context
+	side  crossSide
+	cells cellCursor
+
+	// name is the chunk's first call, under which its trip and stall count.
+	name   string
+	begun  bool
+	masked bool
+	// base is ctx's elapsed time at begin plus the downcall windows landed
+	// since, busy its busy time at begin: a call's mark is its elapsed time
+	// past base, and prev is the mark of the call stepped last.
+	base, busy, prev time.Duration
+	// n counts the calls stepped; err is the first failure.
+	n   int
+	err error
+}
+
+// engine returns a crossing engine for one chunk on ctx.
+//
+//decaf:hotpath
+func (r *Runtime) engine(ctx *kernel.Context, side crossSide) chunkEngine {
+	return chunkEngine{r: r, ctx: ctx, side: side, cells: cellCursor{r: r}}
+}
+
+// begin opens the crossing of subs, none of which is resolved yet.
+//
+//decaf:hotpath
+func (e *chunkEngine) begin(subs []*Submission) {
+	r, ctx := e.r, e.ctx
+	e.name = subs[0].Call.Name
+	up := subs[0].Call.Up
+	assertMayBlock(ctx, up, e.name)
+	if up && e.side == kernelSide && len(r.DisableIRQs) > 0 {
+		r.maskIRQs()
+		e.masked = true
+	}
+	e.begun = true
+	e.base, e.busy = ctx.Elapsed(), ctx.Busy()
+	if len(subs) == 1 {
+		r.countTrip(e.name, up)
+		r.Latency.chargeTrip(ctx)
+	} else {
+		r.countBatch(subs)
+		r.Latency.chargeBatchTrip(ctx, len(subs))
+	}
+}
+
+// step crosses the chunk's next call and resolves it with its share of the
+// crossing cost: the elapsed time since the previous call's mark. Resolving
+// hands the submission back, so nothing reads it afterwards.
+//
+//decaf:hotpath
+func (e *chunkEngine) step(sub *Submission) {
+	e.n++
+	cell := e.cells.at(sub.Call.Name)
+	if e.err != nil {
+		sub.Completion.resolveOn(cell, ErrCrossingAborted, false, 0)
+		return
+	}
+	e.r.transferData(e.ctx, sub.Call, cell)
+	err := e.r.execute(e.ctx, sub.Call, cell)
+	mark := e.ctx.Elapsed() - e.base
+	cost := mark - e.prev
+	e.prev, e.err = mark, err
+	_, fault := err.(*UserFault)
+	sub.Completion.resolveOn(cell, err, fault, cost)
+}
+
+// lift opens a window in the crossing for a downcall the proc transport
+// serves while the chunk is in flight: the driver's IRQs are unmasked for
+// its target, as they are when no chunk is open. It returns ctx's elapsed
+// time, which land takes back.
+//
+//decaf:hotpath
+func (e *chunkEngine) lift() time.Duration {
+	if e.masked {
+		e.r.unmaskIRQs()
+	}
+	return e.ctx.Elapsed()
+}
+
+// land closes lift's window: the IRQs are masked again and the time ctx
+// slept for the downcall stays out of the marks and the stall, which count
+// only the chunk's own crossing. (Before begin, begin's base supersedes
+// it.)
+//
+//decaf:hotpath
+func (e *chunkEngine) land(since time.Duration) {
+	if e.masked {
+		e.r.maskIRQs()
+	}
+	e.base += e.ctx.Elapsed() - since
+}
+
+// end closes the crossing and returns its first error.
+//
+//decaf:hotpath
+func (e *chunkEngine) end() error {
+	if e.masked {
+		e.r.unmaskIRQs()
+		e.masked = false
+	}
+	if e.begun && e.side == kernelSide {
+		// The sleep portion of what this crossing charged the submitting
+		// context is the caller-visible stall; record it so benchmarks can
+		// compare transports.
+		if slept := e.ctx.Elapsed() - e.base - (e.ctx.Busy() - e.busy); slept > 0 {
+			e.r.noteStall(e.name, slept)
+		}
+	}
+	return e.err
+}
+
+// fail resolves the calls a failed wire crossing left unresolved, rest,
+// and ends the chunk. The first takes cause — contained in a *UserFault
+// when contain is set, the outcome of a dead or suspect worker — unless an
+// earlier call already failed; every other one aborts.
+func (e *chunkEngine) fail(rest []*Submission, cause error, contain bool) error {
+	for _, sub := range rest {
+		cell := e.cells.at(sub.Call.Name)
+		if e.err != nil {
+			sub.Completion.resolveOn(cell, ErrCrossingAborted, false, 0)
+			continue
+		}
+		e.err = cause
+		if contain {
+			e.err = &UserFault{Call: sub.Call.Name, Cause: cause}
+		}
+		sub.Completion.resolveOn(cell, e.err, contain, 0)
+	}
+	return e.end()
+}
+
 // crossSubmissions performs ONE physical crossing delivering every
-// submission — a transport's chunk of handler upcalls, or the one downcall
-// serveDowncall crosses. The kernel/user transition is paid once for the
-// whole chunk, each call still pays its language-boundary transition and
-// per-byte payload cost, and every submission's Completion resolves before
-// the function returns — after which, by the Transport rule, nothing here
-// looks at them again. It returns the first error.
+// submission — a BatchTransport chunk of handler upcalls, or the one
+// downcall serveDowncall crosses — as the engine's begin, one step per
+// call, and end. Every submission's Completion resolves before it returns,
+// each as soon as its own call has crossed; by the Transport rule nothing
+// here looks at one again. It returns the first error.
 //
 //decaf:hotpath
 func (r *Runtime) crossSubmissions(ctx *kernel.Context, subs []*Submission, side crossSide) error {
 	if len(subs) == 0 {
 		return nil
 	}
-	name, up := subs[0].Call.Name, subs[0].Call.Up
-	assertMayBlock(ctx, up, name)
-	if up && side == kernelSide && len(r.DisableIRQs) > 0 {
-		r.maskIRQs()
-		defer r.unmaskIRQs()
+	e := r.engine(ctx, side)
+	e.begin(subs)
+	for _, sub := range subs {
+		e.step(sub)
 	}
-
-	startElapsed, startBusy := ctx.Elapsed(), ctx.Busy()
-	if len(subs) == 1 {
-		r.countTrip(name, up)
-		r.Latency.chargeTrip(ctx)
-	} else {
-		r.countBatch(subs)
-		r.Latency.chargeBatchTrip(ctx, len(subs))
-	}
-
-	err := r.runChunkAborting(ctx, subs, startElapsed)
-	if side == kernelSide {
-		// The sleep portion of what this crossing charged the submitting
-		// context is the caller-visible stall; record it so benchmarks can
-		// compare transports.
-		if slept := ctx.Elapsed() - startElapsed - (ctx.Busy() - startBusy); slept > 0 {
-			r.noteStall(name, slept)
-		}
-	}
-	return err
-}
-
-// runChunkAborting executes the chunk with the batch semantics: the first
-// failing call stops execution of the remaining calls, which resolve as
-// aborted. Each submission then resolves with its share of the crossing
-// cost. Returns the first error.
-//
-//decaf:hotpath
-func (r *Runtime) runChunkAborting(ctx *kernel.Context, subs []*Submission, baseElapsed time.Duration) error {
-	reached := 0
-	cells := cellCursor{r: r}
-	var err error
-	for i, sub := range subs {
-		cell := cells.at(sub.Call.Name)
-		r.transferData(ctx, sub.Call, cell)
-		err = r.execute(ctx, sub.Call, cell)
-		sub.err, sub.mark = err, ctx.Elapsed()-baseElapsed
-		reached = i + 1
-		if err != nil {
-			break
-		}
-	}
-	var prev time.Duration
-	for i, sub := range subs {
-		cell := cells.at(sub.Call.Name)
-		if i >= reached {
-			// Never reached: aborted by an earlier failure.
-			sub.Completion.resolveOn(cell, ErrCrossingAborted, false, 0)
-			continue
-		}
-		// Read the scratch out first: resolving hands the submission back.
-		serr, mark := sub.err, sub.mark
-		_, f := serr.(*UserFault)
-		sub.Completion.resolveOn(cell, serr, f, mark-prev)
-		prev = mark
-	}
-	return err
+	return e.end()
 }
