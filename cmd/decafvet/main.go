@@ -5,20 +5,26 @@
 //
 // Usage:
 //
-//	decafvet [-json] [-list] [packages...]
+//	decafvet [-json] [-list] [-hotpaths] [packages...]
 //
 // Package patterns follow the go tool ("./...", "internal/xpc"); the default
 // is "./...". Exit status is 0 when clean, 1 when findings were reported,
-// and 2 on usage or load errors.
+// and 2 on usage or load errors. -hotpaths runs no analyzer: it lists every
+// //decaf:hotpath function, one tab-separated line each (module-relative
+// file, first line, last line, import path, name), for
+// scripts/bce_report.py to attribute bounds checks to.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/types"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"decafdrivers/internal/lint"
 )
@@ -47,6 +53,7 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list the analyzers and exit")
+	hotpaths := fs.Bool("hotpaths", false, "list the //decaf:hotpath functions and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -75,7 +82,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "decafvet:", err)
 		return 2
 	}
-	findings := lint.Run(pkgs, lint.Analyzers())
 	// Report paths relative to the module root so output is stable across
 	// checkouts.
 	rel := func(path string) string {
@@ -84,6 +90,11 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		}
 		return path
 	}
+	if *hotpaths {
+		listHotpaths(stdout, pkgs, rel)
+		return 0
+	}
+	findings := lint.Run(pkgs, lint.Analyzers())
 	if *jsonOut {
 		out := make([]jsonFinding, 0, len(findings))
 		for _, f := range findings {
@@ -114,4 +125,29 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// listHotpaths writes one line per //decaf:hotpath function of pkgs, in
+// source order: module-relative file, the declaration's first and last
+// lines, import path and name ("payloadSum", "(*descRing).reserve"),
+// tab-separated — the extents scripts/bce_report.py attributes the
+// compiler's surviving bounds checks to.
+func listHotpaths(w io.Writer, pkgs []*lint.Package, rel func(string) string) {
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+				if fn == nil || !pkg.Ann.HotpathFuncs[fn] {
+					continue
+				}
+				pos, end := pkg.Fset.Position(fd.Pos()), pkg.Fset.Position(fd.End())
+				name := strings.ReplaceAll(fn.FullName(), pkg.Path+".", "")
+				fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%s\n", rel(pos.Filename), pos.Line, end.Line, pkg.Path, name)
+			}
+		}
+	}
 }

@@ -234,3 +234,28 @@ func TestCtlAddRejectsOutOfRangeIndex(t *testing.T) {
 		t.Fatalf("controls = %d after a rejected add, want %d", card.Controls(), before)
 	}
 }
+
+// TestAdoptProbeRejectsWideCodecVendor: the vendor cell is memory the
+// worker writes, and the AC'97 vendor id is 32 bits. A wider value makes
+// adoptProbe fail before it adopts anything, so the chip keeps what the
+// last good probe established.
+func TestAdoptProbeRejectsWideCodecVendor(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
+		t.Fatal(err)
+	}
+	st := r.drv.Runtime().SharedState()
+	before := *r.drv.Chip
+	good := st.Load(cellCodecVendor)
+	st.Store(cellCodecVendor, 1<<32|good)
+	if err := r.drv.adoptProbe(); err == nil {
+		t.Fatalf("adoptProbe accepted vendor %#x", st.Load(cellCodecVendor))
+	}
+	if *r.drv.Chip != before {
+		t.Fatalf("rejected adoption changed the chip: %+v, want %+v", *r.drv.Chip, before)
+	}
+	st.Store(cellCodecVendor, good)
+	if err := r.drv.adoptProbe(); err != nil || *r.drv.Chip != before {
+		t.Fatalf("adoptProbe of the probe body's own cell = %v, chip %+v, want %+v", err, *r.drv.Chip, before)
+	}
+}

@@ -232,8 +232,20 @@ func (d *Driver) probe(ctx *kernel.Context, data []byte) error {
 	if err := d.rt.UpcallHandlerData(ctx, "snd_ens1371_probe", data); err != nil {
 		return err
 	}
+	return d.adoptProbe()
+}
+
+// adoptProbe copies what the probe body established into the
+// kernel-resident chip. The vendor cell comes from memory the worker
+// writes, and the AC'97 vendor id is 32 bits: a wider value is refused
+// before anything is adopted.
+func (d *Driver) adoptProbe() error {
+	vendor := d.rt.SharedState().Load(cellCodecVendor)
+	if vendor > 0xFFFFFFFF {
+		return fmt.Errorf("ens1371: probe reported codec vendor %#x, wider than the AC'97 vendor id", vendor)
+	}
 	d.Chip.Name = "ens1371"
-	d.Chip.CodecVendor = uint32(d.rt.SharedState().Load(cellCodecVendor))
+	d.Chip.CodecVendor = uint32(vendor)
 	d.Chip.MixerCtls = int32(len(ctlNames))
 	return nil
 }

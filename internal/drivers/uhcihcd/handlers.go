@@ -190,13 +190,22 @@ func (d *Driver) stopHC() {
 }
 
 // adoptStart copies what the start body established into the
-// kernel-resident controller state.
-func (d *Driver) adoptStart() {
+// kernel-resident controller state. The port cells come from memory the
+// worker writes, and PORTSC is a 16-bit register read with Inw: a wider
+// value is refused before anything is adopted.
+func (d *Driver) adoptStart() error {
 	st := d.rt.SharedState()
+	var ports [numPorts]uint64
 	for i, cell := range cellPort {
-		d.State.Port[i] = uint32(st.Load(cell))
+		if ports[i] = st.Load(cell); ports[i] > 0xFFFF {
+			return fmt.Errorf("uhci-hcd: start reported port %d status %#x, wider than PORTSC", i, ports[i])
+		}
+	}
+	for i, v := range ports {
+		d.State.Port[i] = uint32(v)
 	}
 	d.State.Running = true
+	return nil
 }
 
 // ControllerRunning reports whether the controller is running.

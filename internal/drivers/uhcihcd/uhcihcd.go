@@ -254,7 +254,9 @@ func (m *uhciModule) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
 	err := d.rt.UpcallHandler(ctx, "uhci_start")
 	if err == nil {
-		d.adoptStart()
+		err = d.adoptStart()
+	}
+	if err == nil {
 		err = d.kern.RequestIRQ(d.irq, "uhci-hcd", d.intr, d.State)
 	}
 	if err != nil {

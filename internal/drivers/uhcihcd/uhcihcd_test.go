@@ -211,3 +211,33 @@ func TestResetWriteRejectsOutOfRangeStep(t *testing.T) {
 		t.Fatal("controller stopped by a rejected reset step")
 	}
 }
+
+// TestAdoptStartRejectsWidePortStatus: the port cells are memory the worker
+// writes, and PORTSC is 16 bits. A wider value in either cell makes
+// adoptStart fail before it adopts anything, so the kernel-resident state
+// keeps what the last good start established.
+func TestAdoptStartRejectsWidePortStatus(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
+		t.Fatal(err)
+	}
+	st := r.drv.Runtime().SharedState()
+	before := *r.drv.State
+	good := [numPorts]uint64{st.Load(cellPort[0]), st.Load(cellPort[1])}
+	for port := range cellPort {
+		st.Store(cellPort[0], 0x95)
+		st.Store(cellPort[1], 0x95)
+		st.Store(cellPort[port], 0x1_0000|good[port])
+		if err := r.drv.adoptStart(); err == nil {
+			t.Fatalf("port %d: adoptStart accepted %#x", port, st.Load(cellPort[port]))
+		}
+		if *r.drv.State != before {
+			t.Fatalf("port %d: rejected adoption changed the state: %+v, want %+v", port, *r.drv.State, before)
+		}
+	}
+	st.Store(cellPort[0], good[0])
+	st.Store(cellPort[1], good[1])
+	if err := r.drv.adoptStart(); err != nil || *r.drv.State != before {
+		t.Fatalf("adoptStart of the start body's own cells = %v, state %+v, want %+v", err, *r.drv.State, before)
+	}
+}

@@ -1,0 +1,226 @@
+//go:build unix
+
+package xpc
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"decafdrivers/internal/decaf/registry"
+	"decafdrivers/internal/xdr"
+)
+
+// converseRig drives laneConverse itself over one heap-backed lane: the
+// kernel side is a minimal procEpoch whose rings and doorbells are real, and
+// the worker is a goroutine with its own views of the same bytes, as a
+// second process would have. Its answers are scripted per call.
+type converseRig struct {
+	pt   *ProcTransport
+	ep   *procEpoch
+	lane *procLane
+	// wsub and wcmp are the fake worker's views; wbell rings the lane's
+	// completion doorbell when the kernel side parked on it.
+	wsub, wcmp *descRing
+	wbell      *fdDoorbell
+}
+
+func newConverseRig(tb testing.TB, batch int) *converseRig {
+	tb.Helper()
+	const entries = 4
+	region := alignedRegion(laneRegionBytes(1, entries, descSlotBytes))
+	kdir, krings, err := carveLanes(region, 1, entries, descSlotBytes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, wrings, err := carveLanes(region, 1, entries, descSlotBytes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	laneParent, laneChild, err := socketPair()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	subParent, subChild, err := socketPair()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		for _, f := range []interface{ Close() error }{laneParent, laneChild, subParent, subChild} {
+			f.Close()
+		}
+	})
+	// The fake worker never parks on the directory, so the submit doorbell
+	// is never rung; the lane doorbell is, whenever the holder out-waits
+	// its spin budget.
+	return &converseRig{
+		pt: &ProcTransport{cfg: ProcConfig{Batch: batch}},
+		ep: &procEpoch{
+			w:    &procWorker{exited: make(chan struct{})},
+			dir:  kdir,
+			bell: &fdDoorbell{f: subParent},
+		},
+		lane: &procLane{
+			sub:  krings[0].sub,
+			cmp:  krings[0].cmp,
+			bell: &fdDoorbell{f: laneParent},
+			ids:  make([]uint64, batch),
+			sums: make([]uint64, batch),
+		},
+		wsub:  wrings[0].sub,
+		wcmp:  wrings[0].cmp,
+		wbell: &fdDoorbell{f: laneChild},
+	}
+}
+
+// serve runs the fake worker for n frames: it takes each frame as soon as
+// it is visible, sums the payload it can see (the frame's bytes, or the
+// slot's through ring), and answers at once with lie(i, sum) as the
+// completion's sum. It reports the first thing that went wrong, or nil.
+func (g *converseRig) serve(n int, ring *PayloadRing, lie func(i int, sum uint64) uint64) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; {
+			slot := g.wsub.pending()
+			if slot == nil {
+				runtime.Gosched()
+				continue
+			}
+			f, _, err := xdr.DecodeFrame(slot)
+			g.wsub.advance()
+			if err != nil {
+				done <- err
+				return
+			}
+			payload := f.Data
+			if f.Slot.Valid() {
+				if payload, err = ring.Buffer(f.Slot); err != nil {
+					done <- err
+					return
+				}
+			}
+			var sum uint64
+			if len(payload) > 0 {
+				sum = payloadSum(payload)
+			}
+			ack := xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Lane: f.Lane, Status: remoteCallOK, Aux: lie(i, sum)}
+			out := g.wcmp.reserve()
+			if out == nil {
+				done <- errors.New("completion ring full")
+				return
+			}
+			if _, err := xdr.AppendFrame(out[:0], ack); err != nil {
+				done <- err
+				return
+			}
+			g.wcmp.publish()
+			if g.wcmp.consumerParked() {
+				if err := g.wbell.ring(); err != nil {
+					done <- err
+					return
+				}
+			}
+			i++
+		}
+		done <- nil
+	}()
+	return done
+}
+
+// TestLaneConverseLyingChecksum: the kernel's half of the payload proof is
+// hashed after the frame is published, and still fails a completion whose
+// sum is off. For a 3-call chunk, by copy and by slot, a worker that answers
+// call 1 with its sum plus one makes the crossing return the checksum
+// mismatch; the engine has stepped call 0 alone, call 1 is unresolved until
+// the failure path contains it, and call 2 aborts. The control worker
+// answers every call instantly with the right sum and the chunk resolves
+// whole: the kernel's sums are in place before the first await.
+func TestLaneConverseLyingChecksum(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		bySlot, lies bool
+	}{
+		{"copy/honest", false, false},
+		{"copy/lying", false, true},
+		{"slot/honest", true, false},
+		{"slot/lying", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newConverseRig(t, 4)
+			k := newTestKernel()
+			r := newDecafRuntime(k)
+			ctx := k.NewContext("converse")
+			payloads := seededPayloads(3, 1462)
+			names := []string{"xpcbench_sink", "xpcbench_sink", "xpcbench_sink"}
+			var chunk []*Submission
+			var ring *PayloadRing
+			if tc.bySlot {
+				ring = NewPayloadRing(4, 2048)
+				r.payloadRing.Store(ring)
+				g.pt.reg.Store(&ringGeom{slots: 4, slotSize: 2048})
+				chunk = make([]*Submission, len(payloads))
+				for i, p := range payloads {
+					desc, buf, ok := ring.Acquire(len(p))
+					if !ok {
+						t.Fatal("payload ring exhausted")
+					}
+					copy(buf, p)
+					chunk[i] = r.NewSubmission(&Call{Name: names[i], Up: true, h: registry.Lookup(names[i]), Slot: desc})
+				}
+			} else {
+				chunk = procSubs(r, names, payloads)
+			}
+			served := g.serve(len(chunk), ring, func(i int, sum uint64) uint64 {
+				if tc.lies && i == 1 {
+					return sum + 1
+				}
+				return sum
+			})
+			eng := r.engine(ctx, kernelSide)
+			err := g.pt.laneConverse(r, ctx, g.ep, g.lane, chunk, &eng)
+			if werr := <-served; werr != nil {
+				t.Fatalf("fake worker: %v", werr)
+			}
+			if !tc.lies {
+				if err != nil {
+					t.Fatalf("honest worker: %v", err)
+				}
+				if eng.n != len(chunk) {
+					t.Fatalf("engine stepped %d calls, want %d", eng.n, len(chunk))
+				}
+				if err := eng.end(); err != nil {
+					t.Fatal(err)
+				}
+				for i, sub := range chunk {
+					if !sub.Completion.Settled() || sub.Completion.Err() != nil {
+						t.Fatalf("call %d: settled=%v err=%v", i, sub.Completion.Settled(), sub.Completion.Err())
+					}
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "payload checksum mismatch") {
+				t.Fatalf("lying worker: crossing returned %v, want a checksum mismatch", err)
+			}
+			if eng.n != 1 {
+				t.Fatalf("engine stepped %d calls before the lie, want 1", eng.n)
+			}
+			if c := chunk[0].Completion; !c.Settled() || c.Err() != nil {
+				t.Fatalf("call 0: settled=%v err=%v, want success", c.Settled(), c.Err())
+			}
+			if chunk[1].Completion.Settled() || chunk[2].Completion.Settled() {
+				t.Fatal("a call behind the lie resolved before the failure path")
+			}
+			// crossChunk's failure path: the lied-about call is contained,
+			// the one behind it aborts.
+			eng.fail(chunk[eng.n:], err, true)
+			var uf *UserFault
+			if ferr := chunk[1].Completion.Err(); !errors.As(ferr, &uf) {
+				t.Fatalf("call 1 resolved %v, want a contained *UserFault", ferr)
+			}
+			if ferr := chunk[2].Completion.Err(); !errors.Is(ferr, ErrCrossingAborted) {
+				t.Fatalf("call 2 resolved %v, want ErrCrossingAborted", ferr)
+			}
+		})
+	}
+}

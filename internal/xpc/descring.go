@@ -24,26 +24,42 @@ import (
 // # Memory-ordering invariants (the park/doorbell handshake)
 //
 // All header fields are Go sync/atomic operations, which are sequentially
-// consistent; the slot bytes themselves are plain writes. Three invariants
-// make the protocol correct across the process boundary (the mapping is
-// MAP_SHARED, so both sides observe the same physical cache lines):
+// consistent; the slot bytes themselves are plain writes. Each side also
+// keeps, in its own process-private descRing view, the last value of the
+// peer's index it loaded: the producer its copy of tail, the consumer its
+// copy of head. A cache lives in one view of one epoch, never in the
+// mapping, and is only ever an earlier load of a monotonic counter, so it
+// is never ahead of the real index. Three invariants make the protocol
+// correct across the process boundary (the mapping is MAP_SHARED, so both
+// sides observe the same physical cache lines):
 //
 //  1. Publication. The producer fully writes a slot's bytes BEFORE its
-//     head.Add(1). The consumer loads head BEFORE reading the slot. The
-//     release/acquire pairing on head therefore makes every slot byte
-//     visible to a consumer that observed the advanced head.
+//     head.Add(1). The consumer reads a slot only below a head value it
+//     loaded — fresh, or cached from an earlier load, which program order
+//     puts before the read all the same. The release/acquire pairing on head
+//     therefore makes every slot byte visible to a consumer that observed
+//     the advanced head. A cached head only under-reports the published
+//     slots; pending reloads it exactly when the cache says empty.
 //  2. Reclamation. The consumer finishes reading a slot BEFORE its
-//     tail.Add(1); the producer loads tail before reusing the slot. The
-//     pairing on tail guarantees the producer never overwrites bytes the
-//     consumer is still reading.
+//     tail.Add(1); the producer reuses a slot only below a tail value it
+//     loaded, fresh or cached. The pairing on tail guarantees the producer
+//     never overwrites bytes the consumer is still reading. A cached tail
+//     only under-reports the free slots; reserve reloads it exactly when
+//     the cache says full.
 //  3. No lost wakeup. A consumer that found the ring empty parks in two
-//     steps: store parked=1, THEN re-check head; only if still empty does it
-//     block on the doorbell. A producer publishes (head.Add) THEN checks
-//     parked (Swap(0)), ringing the doorbell on 1. Sequential consistency
-//     forbids both sides reading the old value: either the producer's swap
-//     observes parked=1 (and rings), or the consumer's re-check observes the
-//     new head (and does not block). A spurious doorbell byte is harmless —
-//     waiters drain and re-check — so the protocol errs toward waking.
+//     steps: store parked=1, THEN re-check with pending(), which returns nil
+//     only after a fresh load of head; only if still empty does it block on
+//     the doorbell. A producer publishes (head.Add) THEN checks parked
+//     (Swap(0)), ringing the doorbell on 1. Sequential consistency forbids
+//     both sides reading the old value: either the producer's swap observes
+//     parked=1 (and rings), or the consumer's re-check observes the new head
+//     (and does not block). A spurious doorbell byte is harmless — waiters
+//     drain and re-check — so the protocol errs toward waking.
+//
+// reset zeroes the counters under the caches, so it clears the resetting
+// view's own, and a view never outlives its epoch: the kernel side carves
+// fresh views for every worker it spawns (ensureEpochLocked), and a fresh
+// worker process carves its own.
 //
 // The doorbell itself is a dedicated socketpair (byte written only when the
 // peer declared itself parked), so steady-state crossings perform zero
@@ -64,11 +80,12 @@ import (
 //     so per-lane head/tail/sequence state needs no further fencing.
 //  5. Worker-wide park. The worker parks on ONE flag spanning all submit
 //     lanes (laneDir.parked), not per-lane flags: it stores parked=1, THEN
-//     re-sweeps every submit lane, and only blocks if all were empty. A
-//     producer on any lane publishes THEN swaps parked; as in invariant 3,
-//     sequential consistency forbids the publish escaping both the sweep
-//     and the swap, so no lane's submission is stranded while the worker
-//     sleeps. Completion rings keep per-ring parked flags (invariant 3)
+//     re-sweeps every submit lane with pending() — each nil a fresh load of
+//     that lane's head, whatever its cache held — and only blocks if all
+//     were empty. A producer on any lane publishes THEN swaps parked; as in
+//     invariant 3, sequential consistency forbids the publish escaping both
+//     the sweep and the swap, so no lane's submission is stranded while the
+//     worker sleeps. Completion rings keep per-ring parked flags (invariant 3)
 //     because each lane's claimant is its own independent waiter, woken by
 //     a per-lane doorbell.
 //  6. Per-lane ordering only. Frame IDs are per-lane sequence numbers;
@@ -175,14 +192,25 @@ func carveLanes(region []byte, lanes, entries, slotSize int) (*laneDir, []laneRi
 
 // descRing is one direction's SPSC descriptor ring over a shared-memory
 // region: [descHdr][entries × slotSize]. Both processes construct their own
-// descRing over the same bytes; the struct itself holds only derived
-// pointers and constants.
+// descRing over the same bytes; the struct holds derived pointers and
+// constants plus, per side, the last value of the peer's index it loaded.
+// Those caches are process-private: they never enter the mapping, and a
+// view's owner (one lane holder at a time, or the worker's serve goroutine)
+// is their only reader and writer.
 type descRing struct {
 	hdr      *descHdr
 	buf      []byte
 	mask     uint64
 	entries  uint64
 	slotSize int
+
+	// peerTail is the producer's copy of the consumer's tail, peerHead the
+	// consumer's copy of the producer's head. Each is some earlier load of a
+	// monotonic index, so it is never ahead of the real one (invariants 1
+	// and 2) and is refreshed only when it would make reserve refuse or
+	// pending report empty.
+	peerTail uint64
+	peerHead uint64
 }
 
 // descRingBytes is the region footprint of one ring.
@@ -223,14 +251,18 @@ func nextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// reset zeroes the sequence counters and parked flag. The kernel side calls
-// it before handing the rings to a freshly spawned worker, so a dead
-// worker's stale positions cannot leak into the next epoch. Never call it
-// while a peer is attached.
+// reset zeroes the sequence counters and parked flag, and this view's
+// cached peer indices. The kernel side calls it before handing the rings to
+// a freshly spawned worker, so a dead worker's stale positions cannot leak
+// into the next epoch. Never call it while a peer is attached, and never
+// use another view of the same ring across it: a surviving consumer cache
+// would be ahead of the zeroed head. Both sides carve fresh views per epoch
+// (ensureEpochLocked, and a new worker process), so none does.
 func (q *descRing) reset() {
 	q.hdr.head.Store(0)
 	q.hdr.tail.Store(0)
 	q.hdr.parked.Store(0)
+	q.peerTail, q.peerHead = 0, 0
 }
 
 // occupancy reports the published-but-unconsumed slot count.
@@ -242,13 +274,17 @@ func (q *descRing) occupancy() uint64 { return q.hdr.head.Load() - q.hdr.tail.Lo
 
 // reserve returns the next free slot's bytes, or nil when the ring is full.
 // The producer writes the slot, then publish()es it; until then the consumer
-// cannot observe it.
+// cannot observe it. The consumer's tail is loaded only when the cached copy
+// says full, so a ring with room costs no read of the line the consumer
+// rewrites on every advance.
 //
 //decaf:hotpath
 func (q *descRing) reserve() []byte {
 	head := q.hdr.head.Load()
-	if head-q.hdr.tail.Load() >= q.entries {
-		return nil
+	if head-q.peerTail >= q.entries {
+		if q.peerTail = q.hdr.tail.Load(); head-q.peerTail >= q.entries {
+			return nil
+		}
 	}
 	i := int(head&q.mask) * q.slotSize
 	return q.buf[i : i+q.slotSize : i+q.slotSize]
@@ -269,13 +305,18 @@ func (q *descRing) consumerParked() bool { return q.hdr.parked.Swap(0) == 1 }
 // --- consumer side ---
 
 // pending returns the oldest published slot's bytes, or nil when the ring is
-// empty. The consumer reads the slot, then advance()s past it.
+// empty. The consumer reads the slot, then advance()s past it. The
+// producer's head is loaded only when the cached copy says empty, so nil
+// always rests on a fresh load: every re-check after park sees the real
+// head.
 //
 //decaf:hotpath
 func (q *descRing) pending() []byte {
 	tail := q.hdr.tail.Load()
-	if q.hdr.head.Load() == tail {
-		return nil
+	if q.peerHead == tail {
+		if q.peerHead = q.hdr.head.Load(); q.peerHead == tail {
+			return nil
+		}
 	}
 	i := int(tail&q.mask) * q.slotSize
 	return q.buf[i : i+q.slotSize : i+q.slotSize]

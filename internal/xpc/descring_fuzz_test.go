@@ -9,15 +9,20 @@ import (
 // FuzzDescRing drives the SPSC ring through an arbitrary operation stream
 // against a FIFO model: values must come out in publication order, a full
 // ring must refuse reservations, occupancy must track the model exactly,
-// and the park flag must behave as a consume-once declaration. The
-// committed seed corpus under testdata/fuzz covers fill/drain, wrap-around,
-// full-ring backpressure and park interleavings; `go test -fuzz=FuzzDescRing`
-// grows it from there.
+// the park flag must behave as a consume-once declaration, and neither
+// view's cached peer index may ever be ahead of the real one. A re-carve
+// op starts a new epoch the way ensureEpochLocked does: reset through one
+// view, then fresh views over the same region. The committed seed corpus
+// under testdata/fuzz covers fill/drain, wrap-around, full-ring
+// backpressure, park interleavings, stale tail and head caches, and
+// re-carves after several wraps; `go test -fuzz=FuzzDescRing` grows it from
+// there.
 func FuzzDescRing(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1})                // fill then drain
 	f.Add(bytes.Repeat([]byte{0, 1}, 16))          // lockstep wrap-around
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 3}) // overfill, drain, occupancy
 	f.Add([]byte{2, 0, 2, 1, 2, 3, 0, 0, 1, 2})    // park interleavings
+	f.Add([]byte{0, 1, 0, 0, 4, 1, 0, 1, 3})       // re-carve with slots in flight
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -26,7 +31,7 @@ func FuzzDescRing(f *testing.F) {
 		var model []uint64
 		var next uint64
 		for _, op := range ops {
-			switch op % 4 {
+			switch op % 5 {
 			case 0: // produce
 				slot := prod.reserve()
 				if slot == nil {
@@ -73,6 +78,18 @@ func FuzzDescRing(f *testing.F) {
 				if got := prod.occupancy(); got != uint64(len(model)) {
 					t.Fatalf("occupancy %d, model holds %d", got, len(model))
 				}
+			case 4: // a new epoch: reset through one view, carve fresh ones
+				if op%2 == 0 {
+					prod.reset()
+				} else {
+					cons.reset()
+				}
+				prod, cons = recarve(t, prod)
+				model = model[:0]
+			}
+			if prod.peerTail > prod.hdr.tail.Load() || cons.peerHead > cons.hdr.head.Load() {
+				t.Fatalf("cached peer index ahead of the ring: tail %d cached %d, head %d cached %d",
+					prod.hdr.tail.Load(), prod.peerTail, cons.hdr.head.Load(), cons.peerHead)
 			}
 		}
 	})

@@ -466,3 +466,159 @@ func TestDescRingReset(t *testing.T) {
 		t.Fatal("reset left state behind")
 	}
 }
+
+// recarve lays fresh producer and consumer views over q's region, as
+// ensureEpochLocked (and a freshly spawned worker) does for every epoch.
+func recarve(t testing.TB, q *descRing) (prod, cons *descRing) {
+	t.Helper()
+	entries := int(q.entries)
+	region := unsafe.Slice((*byte)(unsafe.Pointer(q.hdr)), descRingBytes(entries, q.slotSize))
+	var err error
+	if prod, err = newDescRing(region, entries, q.slotSize); err != nil {
+		t.Fatal(err)
+	}
+	if cons, err = newDescRing(region, entries, q.slotSize); err != nil {
+		t.Fatal(err)
+	}
+	return prod, cons
+}
+
+// TestDescRingCachedIndices runs a fixed schedule over two views and checks
+// that the cached peer indices are conservative and epoch-local: reserve
+// refuses only when the real ring is full, pending returns nil only when it
+// is really empty — both also when the cache is stale — a publication made
+// while the consumer's cache was stale is seen by the re-check after park,
+// and views carved after a reset start with zero caches. After every step
+// neither cache is ahead of the index it copies.
+func TestDescRingCachedIndices(t *testing.T) {
+	const entries = 4
+	prod, cons := twoSides(t, entries, 16)
+	var next uint64
+	check := func(step string) {
+		t.Helper()
+		if prod.peerTail > prod.hdr.tail.Load() || cons.peerHead > cons.hdr.head.Load() {
+			t.Fatalf("%s: cache ahead of the ring (tail %d cached %d, head %d cached %d)", step,
+				prod.hdr.tail.Load(), prod.peerTail, cons.hdr.head.Load(), cons.peerHead)
+		}
+	}
+	produce := func(step string) bool {
+		t.Helper()
+		slot := prod.reserve()
+		if full := prod.occupancy() == entries; (slot == nil) != full {
+			t.Fatalf("%s: reserve returned slot=%v with the ring full=%v", step, slot != nil, full)
+		}
+		if slot != nil {
+			binary.BigEndian.PutUint64(slot, next)
+			prod.publish()
+			next++
+		}
+		check(step)
+		return slot != nil
+	}
+	consume := func(step string, want uint64) bool {
+		t.Helper()
+		slot := cons.pending()
+		if empty := prod.occupancy() == 0; (slot == nil) != empty {
+			t.Fatalf("%s: pending returned slot=%v with the ring empty=%v", step, slot != nil, empty)
+		}
+		if slot != nil {
+			if got := binary.BigEndian.Uint64(slot); got != want {
+				t.Fatalf("%s: slot carries %d, want %d", step, got, want)
+			}
+			cons.advance()
+		}
+		check(step)
+		return slot != nil
+	}
+
+	// Several wraps of lockstep traffic: each side reloads only when its
+	// cache says full or empty.
+	for i := uint64(0); i < 3*entries; i++ {
+		if !produce("lockstep") || !consume("lockstep", i) {
+			t.Fatal("lockstep traffic stalled")
+		}
+	}
+	base := next
+
+	// Full ring, then a stale tail cache: the consumer frees two slots the
+	// producer has not seen; the cache says full, so reserve reloads.
+	for i := 0; i < entries; i++ {
+		produce("fill")
+	}
+	if produce("full") {
+		t.Fatal("reserve succeeded on a full ring")
+	}
+	consume("drain", base)
+	consume("drain", base+1)
+	if prod.peerTail == prod.hdr.tail.Load() {
+		t.Fatal("schedule did not leave the producer's cache stale")
+	}
+	if !produce("stale tail") || !produce("stale tail") {
+		t.Fatal("reserve refused with free slots behind a stale tail cache")
+	}
+	if produce("full again") {
+		t.Fatal("reserve succeeded on a full ring")
+	}
+
+	// Empty ring, then a stale head cache: the consumer drains to the head
+	// it cached, and the producer publishes behind its back.
+	for i := base + 2; i < next; i++ {
+		consume("drain", i)
+	}
+	if consume("empty", 0) {
+		t.Fatal("pending returned a slot from an empty ring")
+	}
+	produce("behind the cache")
+	if cons.peerHead == cons.hdr.head.Load() {
+		t.Fatal("schedule did not leave the consumer's cache stale")
+	}
+	if !consume("stale head", next-1) {
+		t.Fatal("pending returned nil with a slot published behind a stale head cache")
+	}
+
+	// Invariant 3: the consumer finds the ring empty, the producer publishes
+	// before the park (its swap sees no parked flag, so it rings nothing),
+	// and the re-check after park must see the publication through the
+	// stale cache. A budget of zero goes straight to park; a missed
+	// re-check would block on the silent doorbell until it times out.
+	if consume("empty", 0) {
+		t.Fatal("pending returned a slot from an empty ring")
+	}
+	produce("before park")
+	if prod.consumerParked() {
+		t.Fatal("producer saw a park that has not happened")
+	}
+	slot, wakes, err := cons.awaitSlotBudget(newChanDoorbell(), 50*time.Millisecond, 0, nil)
+	if err != nil || slot == nil || wakes != 0 {
+		t.Fatalf("post-park re-check: slot=%v wakes=%d err=%v", slot != nil, wakes, err)
+	}
+	if got := binary.BigEndian.Uint64(slot); got != next-1 {
+		t.Fatalf("re-check slot carries %d, want %d", got, next-1)
+	}
+	cons.advance()
+	check("re-check")
+
+	// A new epoch: reset through the producer's view clears its caches, and
+	// the views carved afterwards start from zero and see an empty ring.
+	produce("before reset")
+	prod.reset()
+	if prod.peerTail != 0 || prod.peerHead != 0 {
+		t.Fatalf("reset left the resetting view's caches at tail %d head %d", prod.peerTail, prod.peerHead)
+	}
+	prod, cons = recarve(t, prod)
+	if prod.peerTail != 0 || prod.peerHead != 0 || cons.peerTail != 0 || cons.peerHead != 0 {
+		t.Fatal("freshly carved views start with non-zero caches")
+	}
+	if consume("new epoch", 0) {
+		t.Fatal("a fresh epoch's ring is not empty")
+	}
+	for i := 0; i < entries; i++ {
+		produce("new epoch")
+	}
+	if produce("new epoch full") {
+		t.Fatal("reserve succeeded on a full ring in the new epoch")
+	}
+	for i := next - entries; i < next; i++ {
+		consume("new epoch", i)
+	}
+}

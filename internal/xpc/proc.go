@@ -628,6 +628,15 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpo
 // the next entry the blocked body can see. A downcall-free chunk is one run,
 // published and pipelined whole.
 //
+// A crossing waits only on the transfer. The lane's rings read the worker's
+// index only when their cached copy says full or empty (descring.go), and
+// the kernel's half of each payload proof is hashed right after that
+// frame's publish, while the worker is already reading it. The slot lookup
+// stays ahead of the publish, because it decides whether the descriptor or
+// the bytes cross. The sum is compared against the completion's Aux before
+// the call is stepped, for every dispatch outcome; program order puts it in
+// place before the run's first await, however fast the worker answers.
+//
 // With a crossing engine (every Submit; CrossChunk passes none, and carries
 // only probes, which never call down), call i's
 // step — transfer accounting, the outcome applied, its mark and its resolve
@@ -687,27 +696,32 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 					r.noteInjected(c.Name)
 				}
 			}
+			// The payload the proof covers: the slot's bytes through the
+			// kernel side's mapping (zero-copy: only the descriptor crosses),
+			// or the bytes the frame copies. A stale descriptor (slot released
+			// before its crossing) transfers nothing, matching the in-process
+			// transferSlot semantics — the ring's stale counter records it.
+			// The lookup stays ahead of the publish: it decides what crosses.
+			var payload []byte
 			if c.Slot.Valid() && ring != nil && reg != nil {
-				// Zero-copy: only the descriptor crosses; checksum the bytes
-				// through the kernel side's mapping for comparison against what
-				// the worker reads through its own. A stale descriptor (slot
-				// released before its crossing) transfers nothing, matching the
-				// in-process transferSlot semantics — the ring's stale counter
-				// records it.
-				if payload, berr := ring.Buffer(c.Slot); berr == nil {
-					f.Slot = c.Slot
-					sums[next] = payloadSum(payload)
+				if b, berr := ring.Buffer(c.Slot); berr == nil {
+					f.Slot, payload = c.Slot, b
 				}
 			}
 			if !f.Slot.Valid() && len(c.Data) > 0 {
-				f.Data = c.Data
-				sums[next] = payloadSum(c.Data)
+				f.Data, payload = c.Data, c.Data
 			}
 			if err := lane.publish(&f); err != nil {
 				// Unreachable by construction (see publish). Earlier frames of
 				// the chunk were published — the worker is mid-chunk and must
 				// not survive it.
 				return err
+			}
+			// The kernel's half of the proof is hashed while the worker is
+			// already reading the frame; it is compared against the
+			// completion's before the call is stepped.
+			if payload != nil {
+				sums[next] = payloadSum(payload)
 			}
 		}
 		atomicMaxU64(&t.descPeak, lane.sub.occupancy())
