@@ -24,8 +24,9 @@
 //	       descriptor rings — frames encoded in place in the mmap
 //	       mapping, published with one atomic store, zero syscalls and
 //	       zero allocations per crossing, nested downcalls included —
-//	       with a park/doorbell wakeup protocol and the socketpair left
-//	       carrying handshake control frames only; payload rings are mmap-shared
+//	       with a park/doorbell wakeup protocol; the worker reads the
+//	       region's layout from a header in it, so the socketpair carries
+//	       one acknowledgement per worker epoch; payload rings are mmap-shared
 //	       memory the worker checksums through its own mapping, and
 //	       fault containment is physical — a decaf panic SIGKILLs the
 //	       worker and recovery respawns a process that actually died
@@ -43,7 +44,7 @@
 // are comparable across all transports while Counters.RingCrossings,
 // DoorbellWakeups, SyscallCrossings and WireBytesOut/In meter the real
 // boundary: descriptor-ring traffic, doorbell syscalls (the only syscalls a
-// crossing can pay), and socketpair control frames. decafbench's zerocopy rows add
+// crossing can pay), and the worker's layout acknowledgements. decafbench's zerocopy rows add
 // caller-visible p50/p99/p999 completion latency and GC pause/cycle
 // columns, banded in CI against the committed BENCH_*.json baselines.
 //

@@ -104,8 +104,8 @@ func RunProcTrace(cfg ProcTraceConfig) (ProcTraceResult, error) {
 	r.Latency = xpc.ZeroLatencyModel
 
 	// The recorder must be installed before the transport establishes its
-	// first epoch: the FrameTraceRing handshake (which hands the worker its
-	// ring) happens once per epoch, gated on a tracer being present.
+	// first epoch: the layout header describes the trace rings to the worker
+	// once per epoch, and only when a tracer is present.
 	rec := trace.NewRecorder(0)
 	r.SetTracer(rec)
 	col := trace.NewCollector(rec, 0)

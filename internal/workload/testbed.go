@@ -148,9 +148,9 @@ type NetOptions struct {
 	TxHoldLimit int
 	// Trace arms the cross-process flight recorder: shm trace rings are
 	// carved in the transport's shared region, a Recorder is installed
-	// before the transport (so the first epoch's FrameTraceRing handshake
-	// hands the worker its ring), and a Collector drains the merged
-	// timeline for export. Ignored unless Proc is set.
+	// before the transport (so the first epoch's layout header describes
+	// the worker's ring), and a Collector drains the merged timeline for
+	// export. Ignored unless Proc is set.
 	Trace bool
 	// TraceEntries sizes each shm trace ring; <1 means the transport
 	// default. Ignored unless Trace is set.

@@ -8,48 +8,31 @@ import (
 // FrameKind discriminates the messages of the process-separated XPC wire
 // protocol: the frames a ProcTransport exchanges with its decaf worker
 // process — calls, completions and downcalls in the slots of the
-// shared-memory lane rings, control frames over the socketpair. The codec is
-// reflection-free — every field is encoded by hand with the XDR primitives —
-// because the frame is the per-crossing hot path of a real process boundary.
+// shared-memory lane rings, and the worker's one acknowledgement per epoch
+// over the socketpair. The codec is reflection-free — every field is encoded
+// by hand with the XDR primitives — because the frame is the per-crossing
+// hot path of a real process boundary.
 type FrameKind uint8
 
-// Wire frame kinds.
+// Wire frame kinds. Numbers 3–7 and 11 belonged to the socket handshake the
+// shared region's layout header replaced; they are retired, never reused,
+// and rejected as corrupt.
 const (
 	// FrameSubmit carries an isolation probe to the worker: a call with no
 	// handler behind it (xpc's ProcTransport.CrossChunk), whose entry-point
 	// name, direction, and either a payload-ring slot descriptor (zero-copy
 	// fast path: the bytes stay in the shared mapping) or the payload bytes
 	// themselves (copy fallback) the worker only proves it read.
-	FrameSubmit FrameKind = 1 + iota
+	FrameSubmit FrameKind = 1
 	// FrameComplete acknowledges one frame by ID: Status is zero on
 	// success, and Aux carries the worker's 64-bit checksum of the payload it
 	// observed (xpc's payloadSum; zero when the frame carried no payload) —
 	// the kernel side compares it against its own view, which only matches
-	// if the two address spaces really share the bytes.
-	FrameComplete
-	// FrameRingRegister publishes a payload ring's geometry to the worker:
-	// Aux packs slots<<32 | slotSize. The ring's buffers are the shared
-	// memory region the worker mapped at startup.
-	FrameRingRegister
-	// FrameRingRelease withdraws the ring registration (recovery teardown).
-	FrameRingRelease
-	// FrameShutdown asks the worker to exit cleanly; it is not acknowledged.
-	FrameShutdown
-	// FrameDescRing publishes the shared-memory descriptor-ring geometry to
-	// the worker: Aux packs entries<<32 | slotSize, Lane the lane count. Each
-	// lane's two SPSC rings (one per direction) live at the tail of the
-	// shared region; once the worker acknowledges, every submit, call,
-	// completion and downcall frame rides the rings and the socketpair
-	// carries control frames only.
-	FrameDescRing
-	// FrameTraceRing publishes the flight-recorder trace-ring geometry to
-	// the worker: Aux packs entries<<32 | ringCount. The rings live at the
-	// very tail of the shared region (behind the descriptor-ring lanes);
-	// the worker appends its service-loop events into the last ring, so
-	// both processes write one shared timeline. Sent before FrameDescRing
-	// when tracing is enabled; a worker that never receives it traces
-	// nothing.
-	FrameTraceRing
+	// if the two address spaces really share the bytes. A fresh worker also
+	// sends one, unsolicited, on the socketpair: its acceptance of the
+	// layout header, or (non-zero Status) its refusal with the reason in
+	// Name.
+	FrameComplete FrameKind = 2
 	// FrameCall dispatches one decaf call body to the worker's handler
 	// table: Name is the registered handler name, the payload travels like
 	// FrameSubmit (slot descriptor or copy bytes), and Aux counts the
@@ -58,28 +41,27 @@ const (
 	// parity). The Inject flag asks the worker to report an injected fault
 	// without executing the body. The completion's Status distinguishes
 	// executed / failed / faulted / injected / skipped outcomes.
-	FrameCall
+	FrameCall FrameKind = 8
 	// FrameDown is a worker→kernel nested downcall made by an executing
 	// handler, published on the completion ring of the call's lane: Name is
 	// the registered downcall name, Aux the scalar argument, and ID and
 	// Lane echo the FrameCall that is mid-execution. The lane's holder
 	// serves it and answers with FrameDownResult before the handler's own
 	// completion is written.
-	FrameDown
+	FrameDown FrameKind = 9
 	// FrameDownResult answers a FrameDown on the lane's submit ring: Aux is
 	// the downcall's scalar result; a non-zero Status carries the error
 	// text in Name.
-	FrameDownResult
-	// FrameStateMap publishes the shm-backed shared-state area to the
-	// worker: Aux packs offset<<32 | length, the offset 64-byte aligned
-	// within the shared mapping. Sent before FrameDescRing; the worker
-	// binds its handler-visible state cells over that window, so a
-	// worker-side Store is immediately visible through the kernel side's
-	// own mapping.
-	FrameStateMap
+	FrameDownResult FrameKind = 10
 )
 
-func (k FrameKind) valid() bool { return k >= FrameSubmit && k <= FrameStateMap }
+func (k FrameKind) valid() bool {
+	switch k {
+	case FrameSubmit, FrameComplete, FrameCall, FrameDown, FrameDownResult:
+		return true
+	}
+	return false
+}
 
 func (k FrameKind) String() string {
 	switch k {
@@ -87,24 +69,12 @@ func (k FrameKind) String() string {
 		return "submit"
 	case FrameComplete:
 		return "complete"
-	case FrameRingRegister:
-		return "ring-register"
-	case FrameRingRelease:
-		return "ring-release"
-	case FrameShutdown:
-		return "shutdown"
-	case FrameDescRing:
-		return "desc-ring"
-	case FrameTraceRing:
-		return "trace-ring"
 	case FrameCall:
 		return "call"
 	case FrameDown:
 		return "down"
 	case FrameDownResult:
 		return "down-result"
-	case FrameStateMap:
-		return "state-map"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -132,14 +102,15 @@ type Frame struct {
 	// Status is the completion outcome: 0 ok, non-zero a worker-side error.
 	Status uint32
 	// Aux is kind-specific: the observed payload's checksum on FrameComplete
-	// (zero: no payload), frames left in the chunk on FrameCall, packed ring
-	// geometry (slots<<32 | slotSize) on FrameRingRegister.
+	// (zero: no payload), frames left in the chunk on FrameCall, the scalar
+	// argument on FrameDown and the scalar result on FrameDownResult.
 	Aux uint64
 	// Lane identifies the submission lane a descriptor-ring frame rides: a
 	// FrameComplete echoes the lane of the submit it acknowledges (so
-	// completions demux without ordering across lanes), and FrameDescRing
-	// carries the lane count being carved. ID sequences are per-lane, so
-	// (Lane, ID) is the unique key of an in-flight ring crossing.
+	// completions demux without ordering across lanes), and a FrameDown or
+	// FrameDownResult the lane of the call it serves. ID sequences are
+	// per-lane, so (Lane, ID) is the unique key of an in-flight ring
+	// crossing.
 	Lane uint32
 }
 

@@ -9,15 +9,20 @@ import (
 // panic, never over-consume, and anything it accepts must re-encode to an
 // equivalent frame (the codec is its own inverse on the accepted set); the
 // in-place DecodeFrameView must reach the same verdict on every input. The
-// committed seed corpus under testdata/fuzz covers every frame kind plus
-// truncated and bit-flipped variants; `go test -fuzz=FuzzDecodeFrame` grows
-// it from there.
+// seeds cover every frame kind, the retired kinds as rejections, and
+// truncated and bit-flipped variants of each; the committed corpus under
+// testdata/fuzz keeps the retired kinds' old encodings too.
+// `go test -fuzz=FuzzDecodeFrame` grows it from there.
 func FuzzDecodeFrame(f *testing.F) {
+	seeds := retiredFrames()
 	for _, fr := range everyFrameKind() {
 		wire, err := AppendFrame(nil, fr)
 		if err != nil {
 			f.Fatal(err)
 		}
+		seeds = append(seeds, wire)
+	}
+	for _, wire := range seeds {
 		f.Add(wire)
 		if len(wire) > 5 {
 			f.Add(wire[:len(wire)-3]) // truncated tail

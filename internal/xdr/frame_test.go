@@ -18,11 +18,6 @@ func everyFrameKind() []Frame {
 		{Kind: FrameSubmit, ID: 3, Up: true, Name: "watchdog"},
 		{Kind: FrameComplete, ID: 2, Status: 0, Aux: 0xCBF29CE484222325, Lane: 3},
 		{Kind: FrameComplete, ID: 9, Status: 2, Name: "slot out of range", Lane: 7},
-		{Kind: FrameRingRegister, ID: 4, Aux: 256<<32 | 2048},
-		{Kind: FrameRingRelease, ID: 5},
-		{Kind: FrameShutdown, ID: 7},
-		{Kind: FrameDescRing, ID: 8, Aux: 1024<<32 | 2048, Lane: 4},
-		{Kind: FrameTraceRing, ID: 10, Aux: 4096<<32 | 9},
 		{Kind: FrameCall, ID: 11, Up: true, Name: "e1000_xmit_frame", Aux: 3,
 			Slot: SlotDescriptor{Index: 2, Length: 640, Generation: 1}, Lane: 2},
 		{Kind: FrameCall, ID: 12, Up: true, Inject: true, Name: "ens1371_trigger",
@@ -34,8 +29,34 @@ func everyFrameKind() []Frame {
 		// lane its call was claimed on, the result that lane's submit ring.
 		{Kind: FrameDown, ID: 14, Name: "netif_carrier_change", Aux: 1, Lane: 5},
 		{Kind: FrameDownResult, ID: 14, Lane: 5},
-		{Kind: FrameStateMap, ID: 13, Aux: 1<<20<<32 | 512},
 	}
+}
+
+// retiredFrames returns one frame per retired kind — 3 to 7 and 11, the
+// socket handshake the shared region's layout header replaced — encoded as
+// the codec used to emit it. Every one is now corrupt.
+func retiredFrames() [][]byte {
+	var out [][]byte
+	for _, r := range []struct {
+		kind byte
+		f    Frame
+	}{
+		{3, Frame{ID: 4, Aux: 256<<32 | 2048}},           // ring-register
+		{4, Frame{ID: 5}},                                // ring-release
+		{5, Frame{ID: 7}},                                // shutdown
+		{6, Frame{ID: 8, Aux: 1024<<32 | 2048, Lane: 4}}, // desc-ring
+		{7, Frame{ID: 10, Aux: 4096<<32 | 9}},            // trace-ring
+		{11, Frame{ID: 13, Aux: 1<<20<<32 | 512}},        // state-map
+	} {
+		r.f.Kind = FrameComplete
+		wire, err := AppendFrame(nil, r.f)
+		if err != nil {
+			panic(err)
+		}
+		wire[4] = r.kind
+		out = append(out, wire)
+	}
+	return out
 }
 
 // viewAgrees decodes data with DecodeFrame and with DecodeFrameView and
@@ -248,6 +269,26 @@ func TestFrameRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: decoded successfully", tc.name)
 		}
 		viewAgrees(t, wire)
+	}
+}
+
+// TestFrameRetiredKindsRejected: a retired kind number neither decodes nor
+// encodes — both directions report ErrFrameCorrupt — while the surviving
+// kinds keep their numbers.
+func TestFrameRetiredKindsRejected(t *testing.T) {
+	for _, wire := range retiredFrames() {
+		if _, _, err := DecodeFrame(wire); !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("retired kind %d: decode err = %v, want ErrFrameCorrupt", wire[4], err)
+		}
+		viewAgrees(t, wire)
+		if _, err := AppendFrame(nil, Frame{Kind: FrameKind(wire[4])}); !errors.Is(err, ErrFrameCorrupt) {
+			t.Errorf("retired kind %d: encode err = %v, want ErrFrameCorrupt", wire[4], err)
+		}
+	}
+	for kind, want := range map[FrameKind]FrameKind{FrameSubmit: 1, FrameComplete: 2, FrameCall: 8, FrameDown: 9, FrameDownResult: 10} {
+		if kind != want {
+			t.Errorf("%v renumbered to %d, want %d", kind, uint8(kind), uint8(want))
+		}
 	}
 }
 

@@ -75,9 +75,10 @@ type Counters struct {
 	// how often the rings actually needed the slow path.
 	DoorbellWakeups uint64
 	// WireBytesOut / WireBytesIn total the framed bytes a process-separated
-	// transport moved over its socketpair: control frames only (the worker
-	// handshake, payload-ring registration) and their acknowledgements. No
-	// crossing moves wire bytes, so both stay flat in a steady state.
+	// transport moved over its socketpair. The worker learns its layout from
+	// the shared region itself, so the kernel side writes nothing
+	// (WireBytesOut stays 0) and each worker epoch adds one acknowledgement
+	// to WireBytesIn. No crossing moves wire bytes.
 	WireBytesOut uint64
 	WireBytesIn  uint64
 	// WorkerServedCalls counts call bodies that executed to completion (or

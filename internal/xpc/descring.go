@@ -12,8 +12,8 @@ import (
 
 // This file implements the shared-memory descriptor rings that carry a
 // ProcTransport's whole data plane — calls, completions, and the nested
-// downcalls of executing bodies — leaving the socketpairs the handshake and
-// the doorbells. Two single-producer single-consumer rings live at the tail
+// downcalls of executing bodies — leaving the socketpairs the worker's
+// layout acknowledgement and the doorbells. Two single-producer single-consumer rings live at the tail
 // of the mmap-shared region — one per direction: the kernel side produces
 // encoded xdr.Frame submit descriptors (and downcall results) into the
 // submit ring and consumes completion descriptors (and downcall requests)

@@ -3,9 +3,10 @@
 package xpc
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -13,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/trace"
 	"decafdrivers/internal/xdr"
@@ -98,15 +98,18 @@ type ProcConfig struct {
 // the boundary is a real child process — a re-exec of the current binary in
 // its hidden worker mode (see MaybeRunWorker) — reached through a genuinely
 // shared mmap region holding the submission lanes and the payload rings, with
-// a socketpair beside it for the handshake. Where the in-process transports
+// a socketpair beside it for the worker's acknowledgement. Where the
+// in-process transports
 // simulate the user/kernel boundary, ProcTransport makes its mechanics
 // physical:
 //
 //   - Every crossing is framed through internal/xdr's reflection-free wire
 //     codec into shared-memory descriptor rings, with no syscalls at all
 //     unless a side parked (doorbells: Counters.SyscallCrossings). The
-//     socketpair carries handshake and lifecycle control frames only, through
-//     real write/read syscalls (Counters.WireBytesOut/In).
+//     worker learns the region's geometry from a layout header at its start
+//     (layout.go), so the socketpair carries one frame per worker epoch: the
+//     worker's acknowledgement that it accepted the header
+//     (Counters.WireBytesIn). The kernel side writes nothing to it.
 //   - Zero-copy payloads stay zero-copy across address spaces: a slot
 //     descriptor crosses the wire and the worker resolves it against its
 //     own mapping of the shared region, returning a checksum of the bytes
@@ -143,7 +146,7 @@ type ProcConfig struct {
 // a time, as the paper's single-threaded decaf driver does: while a body
 // waits on a downcall no other lane is served, so a downcall target must
 // not wait on a lock held across another in-flight crossing. Shared driver
-// state lives in a state window of the same mapping (FrameStateMap), so
+// state lives in a state window of the same mapping (layout.go), so
 // both processes read and write it through registry.State. The virtual
 // cost model matches BatchTransport exactly: crossings per packet, stall
 // and marshaling charges are identical, and the wire adds real-world
@@ -173,9 +176,12 @@ type ProcTransport struct {
 	// Close) retires the whole epoch; the next crossing carves a fresh one.
 	epoch atomic.Pointer[procEpoch]
 
-	shm        *shmRegion // mu
-	payloadLen int        // mu (set once with shm)
-	stateLen   int        // mu (set once with shm): shared state cell area
+	// shm is the shared region and lay its geometry (mu; set once). hdr is
+	// the layout header at its start, rewritten from lay for every epoch and
+	// never read back.
+	shm *shmRegion
+	lay layout
+	hdr *layoutHdr
 
 	// Flight-recorder rings carved from the shared-region tail (mu; set
 	// once with shm when TraceEntries > 0). traceKern[i] is lane i's
@@ -183,9 +189,7 @@ type ProcTransport struct {
 	// positions persist across worker epochs — the timeline spans respawns.
 	traceKern     []*trace.Ring
 	traceWorker   *trace.Ring
-	traceAttached bool   // mu: rings handed to the runtime's recorder
-	encBuf        []byte // mu: control-frame scratch
-	nextID        uint64 // mu: control-frame sequence (lane IDs are per-lane)
+	traceAttached bool // mu: rings handed to the runtime's recorder
 
 	// geoms maps rings created by NewMappedRing to their geometry (mu).
 	geoms map[*PayloadRing]ringGeom
@@ -202,14 +206,20 @@ type ProcTransport struct {
 	// rrHint rotates lane claims of hintless callers across the lane table.
 	rrHint atomic.Uint32
 
-	spawns uint64 // mu
-	deaths uint64 // mu
+	// spawns counts workers that acknowledged their layout, deaths the
+	// epochs retired by a failure. Atomic, so a counters snapshot never
+	// waits on the control mutex.
+	spawns atomic.Uint64
+	deaths atomic.Uint64
 }
 
 type ringGeom struct {
 	slots    uint32
 	slotSize uint32
 }
+
+// word packs the geometry as the layout header carries it.
+func (g ringGeom) word() uint64 { return uint64(g.slots)<<32 | uint64(g.slotSize) }
 
 // procLane is one submission lane of an epoch: a submit/complete SPSC ring
 // pair in the shared mapping, a dedicated completion doorbell, and the
@@ -247,8 +257,8 @@ type procEpoch struct {
 	torn   bool // mu: teardown completed
 }
 
-// procWorker is one live worker process. sock carries the framed control
-// protocol (handshake, ring registration, shutdown — never a call); bell is
+// procWorker is one live worker process. sock carries one frame, the
+// worker's layout acknowledgement, and closing it is the shutdown; bell is
 // the parent end of the submit doorbell socketpair. The cmd.Wait goroutine
 // sets dead, then closes exited: lane holders spinning on a completion read
 // the flag, teardown waits on the channel.
@@ -256,7 +266,6 @@ type procWorker struct {
 	cmd    *exec.Cmd
 	sock   *os.File
 	bell   *os.File
-	br     *bufio.Reader
 	dead   atomic.Bool
 	exited chan struct{}
 }
@@ -925,7 +934,7 @@ func (t *ProcTransport) teardownEpochLocked(ep *procEpoch, countDeath bool) {
 		}
 	}
 	if countDeath {
-		t.deaths++
+		t.deaths.Add(1)
 	}
 	ep.torn = true
 	if t.epoch.Load() == ep {
@@ -946,11 +955,11 @@ func (t *ProcTransport) NewMappedRing(slots, slotSize int) (*PayloadRing, error)
 		return nil, err
 	}
 	need := slots * slotSize
-	if slots < 1 || slotSize < 1 || need > t.payloadLen {
+	if slots < 1 || slotSize < 1 || need > t.lay.payload.n {
 		return nil, fmt.Errorf("xpc: mapped ring %dx%dB exceeds the %dB payload area of the shared region",
-			slots, slotSize, t.payloadLen)
+			slots, slotSize, t.lay.payload.n)
 	}
-	ring, err := NewPayloadRingOver(t.shm.mem[:need], slots, slotSize)
+	ring, err := NewPayloadRingOver(t.lay.payload.of(t.shm.mem)[:need], slots, slotSize)
 	if err != nil {
 		return nil, err
 	}
@@ -958,9 +967,10 @@ func (t *ProcTransport) NewMappedRing(slots, slotSize int) (*PayloadRing, error)
 	return ring, nil
 }
 
-// RegisterRing implements ringRegistrar: publish the ring's geometry to the
-// worker. Only rings created by NewMappedRing are accepted — a heap-backed
-// ring would be invisible to the worker's address space.
+// RegisterRing implements ringRegistrar: publish the ring's geometry in the
+// layout header, where a live worker loads it for its next slot and every
+// later epoch finds it. Only rings created by NewMappedRing are accepted — a
+// heap-backed ring would be invisible to the worker's address space.
 func (t *ProcTransport) RegisterRing(r *Runtime, ring *PayloadRing) error {
 	t.lockControl()
 	defer t.mu.Unlock()
@@ -971,134 +981,64 @@ func (t *ProcTransport) RegisterRing(r *Runtime, ring *PayloadRing) error {
 	if !ok {
 		return fmt.Errorf("xpc: ProcTransport requires a shared-memory ring (Runtime.NewRing / NewMappedRing)")
 	}
-	ep, err := t.ensureEpochLocked()
-	if err != nil {
-		return err
-	}
-	if err := t.sendRingRegisterLocked(ep, geom); err != nil {
-		return err
-	}
 	t.reg.Store(&geom)
+	t.hdr.ringGeom.Store(geom.word())
 	return nil
 }
 
-// UnregisterRing implements ringRegistrar: withdraw the registration,
-// best-effort — the usual caller is recovery teardown, where the worker is
-// already dead.
+// UnregisterRing implements ringRegistrar: withdraw the registration from
+// the transport and from the header.
 func (t *ProcTransport) UnregisterRing(r *Runtime, ring *PayloadRing) {
 	t.lockControl()
 	defer t.mu.Unlock()
 	t.reg.Store(nil)
 	delete(t.geoms, ring)
-	ep := t.epoch.Load()
-	if ep == nil || ep.torn || t.closed.Load() {
-		return
+	if t.hdr != nil {
+		t.hdr.ringGeom.Store(0)
 	}
-	t.nextID++
-	f := xdr.Frame{Kind: xdr.FrameRingRelease, ID: t.nextID}
-	if _, err := t.roundTripLocked(ep.w, f); err != nil {
-		t.teardownEpochLocked(ep, true)
-	}
-}
-
-// sendRingRegisterLocked publishes geometry to ep's worker and awaits the
-// ack.
-func (t *ProcTransport) sendRingRegisterLocked(ep *procEpoch, geom ringGeom) error {
-	t.nextID++
-	f := xdr.Frame{
-		Kind: xdr.FrameRingRegister,
-		ID:   t.nextID,
-		Aux:  uint64(geom.slots)<<32 | uint64(geom.slotSize),
-	}
-	resp, err := t.roundTripLocked(ep.w, f)
-	if err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
-	}
-	if resp.Kind != xdr.FrameComplete || resp.ID != f.ID || resp.Status != wireStatusOK {
-		t.teardownEpochLocked(ep, true)
-		return fmt.Errorf("xpc: worker refused ring registration: %v status %d", resp.Kind, resp.Status)
-	}
-	return nil
-}
-
-// roundTripLocked writes one control frame and reads one response.
-func (t *ProcTransport) roundTripLocked(w *procWorker, f xdr.Frame) (xdr.Frame, error) {
-	wire, err := xdr.AppendFrame(t.encBuf[:0], f)
-	if err != nil {
-		return xdr.Frame{}, err
-	}
-	t.encBuf = wire[:0]
-	_ = w.sock.SetDeadline(time.Now().Add(procWireTimeout))
-	defer func() { _ = w.sock.SetDeadline(time.Time{}) }()
-	if _, err := w.sock.Write(wire); err != nil {
-		return xdr.Frame{}, err
-	}
-	if r := t.rt.Load(); r != nil {
-		r.noteWire(f.Kind.String(), len(wire), 0)
-	}
-	resp, n, err := readWireFrame(w.br)
-	if err != nil {
-		return xdr.Frame{}, err
-	}
-	if r := t.rt.Load(); r != nil {
-		r.noteWire(f.Kind.String(), 0, n)
-	}
-	return resp, nil
 }
 
 // laneCount is the carved lane total: the configured lanes plus the
 // dedicated spill lane.
 func (t *ProcTransport) laneCount() int { return t.cfg.Lanes + 1 }
 
-// ensureShmLocked creates and maps the shared region on first need:
-// payloadLen bytes for mapped payload rings, then the shared state cell
-// area (registry cells, both processes' registry.State backing), then the
-// lane directory and the per-lane descriptor-ring pairs, then the trace
-// rings at the tail. The worker derives the lane and trace layout from the
-// region size and the FrameDescRing geometry; the state window's offset
-// travels explicitly in FrameStateMap.
+// ensureShmLocked creates and maps the shared region on first need, laid
+// out by planLayout: the header, the payload rings' area, the shared state
+// cells (both processes' registry.State backing), the lane directory and the
+// per-lane descriptor-ring pairs, then the trace rings at the tail.
 func (t *ProcTransport) ensureShmLocked() error {
 	if t.shm != nil {
 		return nil
 	}
-	payload := (t.cfg.ShmBytes + 63) &^ 63
-	stateBytes := (registry.StateBytes() + 63) &^ 63
-	laneBytes := laneRegionBytes(t.laneCount(), t.descEntries, descSlotBytes)
-	traceBytes := 0
-	if t.cfg.TraceEntries > 0 {
-		traceBytes = trace.RegionBytes(t.laneCount()+1, t.cfg.TraceEntries)
-	}
-	shm, err := newShmRegion(payload + stateBytes + laneBytes + traceBytes)
+	l := planLayout(t.cfg.ShmBytes, t.laneCount(), t.descEntries, t.cfg.TraceEntries)
+	shm, err := newShmRegion(l.trace.end())
 	if err != nil {
 		return err
 	}
-	t.shm, t.payloadLen, t.stateLen = shm, payload, stateBytes
-	if traceBytes > 0 {
+	if l.traceRings > 0 {
 		// One trace ring per lane for the kernel side plus the worker's own
-		// ring, at the very tail — behind the lane region, so the worker
-		// derives the identical layout from the region size and the
-		// FrameTraceRing geometry. A fresh mapping is zeroed, which is the
-		// rings' initial state; positions then persist across worker epochs.
-		rings, terr := trace.CarveRings(shm.mem[payload+stateBytes+laneBytes:], t.laneCount()+1, t.cfg.TraceEntries)
+		// ring. A fresh mapping is zeroed, which is the rings' initial state;
+		// positions then persist across worker epochs.
+		rings, terr := trace.CarveRings(l.trace.of(shm.mem), l.traceRings, l.traceEntries)
 		if terr != nil {
-			t.shm, t.payloadLen, t.stateLen = nil, 0, 0
 			_ = shm.Close()
 			return terr
 		}
 		t.traceKern = rings[:t.laneCount()]
 		t.traceWorker = rings[t.laneCount()]
 	}
+	t.shm, t.lay, t.hdr = shm, l, layoutAt(shm.mem)
 	return nil
 }
 
 // ensureEpochLocked returns the live epoch, retiring a failed one and
-// carving a fresh one when needed: spawn the worker (a re-exec of the
-// current binary in worker mode, with the socketpair child end, the shared
-// region, the submit doorbell and one completion doorbell per lane
-// inherited at fixed fd numbers), reset the lane rings a dead predecessor
-// left behind, hand the worker its geometry, and replay any registered
-// payload-ring geometry so the fresh worker serves crossings immediately.
+// carving a fresh one when needed: rewrite the layout header and reset the
+// lane rings a dead predecessor left behind, spawn the worker (a re-exec of
+// the current binary in worker mode, with the socketpair child end, the
+// shared region, the submit doorbell and one completion doorbell per lane
+// inherited at fixed fd numbers), and await its one acknowledgement. The
+// header carries any registered payload-ring geometry, so the fresh worker
+// serves slot crossings immediately.
 func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 	if t.closed.Load() {
 		return nil, ErrTransportClosed
@@ -1117,7 +1057,7 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 		return nil, fmt.Errorf("xpc: locate executable for worker re-exec: %w", err)
 	}
 	lanes := t.laneCount()
-	dir, rings, err := carveLanes(t.shm.mem[t.payloadLen+t.stateLen:], lanes, t.descEntries, descSlotBytes)
+	dir, rings, err := carveLanes(t.lay.lanes.of(t.shm.mem), lanes, t.descEntries, descSlotBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -1125,63 +1065,64 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 	// worker can touch it: cells written before the transport bound are
 	// copied in, and a respawn rebinding the same window is a no-op (the
 	// area — and the driver state in it — survives worker epochs).
-	if t.stateLen > 0 {
+	if t.lay.state.n > 0 {
 		if r := t.rt.Load(); r != nil {
-			if serr := r.InstallSharedState(t.shm.mem[t.payloadLen : t.payloadLen+t.stateLen]); serr != nil {
+			if serr := r.InstallSharedState(t.lay.state.of(t.shm.mem)); serr != nil {
 				return nil, serr
 			}
 		}
 	}
-	parent, child, err := socketPair()
-	if err != nil {
-		return nil, err
+	// Everything the worker reads as it boots is written before it starts:
+	// the whole header, from the kernel side's own values (a dead worker may
+	// have scribbled on it), and zeroed lane positions and parked flag. The
+	// trace rings are described only when this epoch traces, and their
+	// positions are deliberately NOT reset — the flight recorder's timeline
+	// spans worker respawns (the gap between the old worker's last record
+	// and the new one's first IS the outage).
+	l, rec := t.lay, t.epochRecorderLocked()
+	if rec == nil {
+		l.trace, l.traceRings, l.traceEntries = area{off: l.trace.off}, 0, 0
 	}
-	bellParent, bellChild, err := socketPair()
-	if err != nil {
-		parent.Close()
-		child.Close()
-		return nil, err
+	var geom uint64
+	if reg := t.reg.Load(); reg != nil {
+		geom = reg.word()
 	}
-	laneParents := make([]*os.File, lanes)
-	laneChildren := make([]*os.File, lanes)
-	closeAll := func() {
-		parent.Close()
-		child.Close()
-		bellParent.Close()
-		bellChild.Close()
-		for i := range laneParents {
-			if laneParents[i] != nil {
-				laneParents[i].Close()
-			}
-			if laneChildren[i] != nil {
-				laneChildren[i].Close()
+	t.hdr.store(l, geom)
+	dir.parked.Store(0)
+	for i := range rings {
+		rings[i].sub.reset()
+		rings[i].cmp.reset()
+	}
+	// One socketpair each for the control socket, the submit doorbell and
+	// every lane's completion doorbell. The children are inherited at fd 3
+	// and 5 around the shared region at 4, the lane doorbells from fd 6.
+	parents, children := make([]*os.File, 2+lanes), make([]*os.File, 2+lanes)
+	closeAll := func(files []*os.File) {
+		for _, f := range files {
+			if f != nil {
+				f.Close()
 			}
 		}
 	}
-	for i := 0; i < lanes; i++ {
-		laneParents[i], laneChildren[i], err = socketPair()
-		if err != nil {
-			closeAll()
+	for i := range parents {
+		if parents[i], children[i], err = socketPair(); err != nil {
+			closeAll(parents)
+			closeAll(children)
 			return nil, err
 		}
 	}
 	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(), workerEnv+"=1")
-	extra := make([]*os.File, 0, 3+lanes)
-	extra = append(extra, child, t.shm.file, bellChild) // fd 3, 4, 5
-	extra = append(extra, laneChildren...)              // fd 6 + lane index
-	cmd.ExtraFiles = extra
+	cmd.ExtraFiles = append([]*os.File{children[0], t.shm.file}, children[1:]...)
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		closeAll()
+	err = cmd.Start()
+	closeAll(children)
+	if err != nil {
+		closeAll(parents)
 		return nil, fmt.Errorf("xpc: spawn decaf worker: %w", err)
 	}
-	child.Close()
-	bellChild.Close()
-	for i := range laneChildren {
-		laneChildren[i].Close()
-	}
-	w := &procWorker{cmd: cmd, sock: parent, bell: bellParent, br: bufio.NewReader(parent), exited: make(chan struct{})}
+	parent, bellParent, laneParents := parents[0], parents[1], parents[2:]
+	w := &procWorker{cmd: cmd, sock: parent, bell: bellParent, exited: make(chan struct{})}
 	go func() {
 		_ = cmd.Wait()
 		w.dead.Store(true)
@@ -1194,16 +1135,7 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 		bell:  &fdDoorbell{f: bellParent},
 		lanes: make([]*procLane, lanes),
 	}
-	// A fresh worker epoch: zero the lane directory and ring positions a
-	// dead predecessor left behind before this worker attaches to them.
-	// Trace-ring positions are deliberately NOT reset — the flight
-	// recorder's timeline spans worker respawns (the gap between the old
-	// worker's last record and the new one's first IS the outage).
-	dir.parked.Store(0)
-	rec := t.epochRecorderLocked()
-	for i := 0; i < lanes; i++ {
-		rings[i].sub.reset()
-		rings[i].cmp.reset()
+	for i := range ep.lanes {
 		ep.lanes[i] = &procLane{
 			idx:  uint32(i),
 			sub:  rings[i].sub,
@@ -1216,30 +1148,40 @@ func (t *ProcTransport) ensureEpochLocked() (*procEpoch, error) {
 			ep.lanes[i].tr = t.traceKern[i]
 		}
 	}
-	if rec != nil {
-		if err := t.sendTraceRingLocked(ep); err != nil {
-			return nil, err
-		}
-	}
-	if t.stateLen > 0 {
-		if err := t.sendStateMapLocked(ep); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.sendDescRingLocked(ep); err != nil {
+	if err := t.awaitAck(ep); err != nil {
+		t.teardownEpochLocked(ep, true)
 		return nil, err
 	}
-	if reg := t.reg.Load(); reg != nil {
-		if err := t.sendRingRegisterLocked(ep, *reg); err != nil {
-			return nil, err
-		}
-	}
-	// Count the spawn only once the worker is serviceable (geometry
-	// replayed): a worker that died during its own setup never served a
-	// crossing and must not inflate the respawn metric the CI gate pins.
-	t.spawns++
+	// Count the spawn only once the worker accepted its layout: a worker
+	// that died during its own setup never served a crossing and must not
+	// inflate the respawn metric the CI gate pins.
+	t.spawns.Add(1)
 	t.epoch.Store(ep)
 	return ep, nil
+}
+
+// awaitAck reads the one frame a fresh worker sends, unsolicited: the
+// acknowledgement that it accepted the layout header and serves its lanes.
+// A read error or timeout is the worker's death; a failing status is its
+// refusal, with the worker's reason.
+func (t *ProcTransport) awaitAck(ep *procEpoch) error {
+	// The parent end is poller-registered (socketPair), so the deadline
+	// takes effect.
+	_ = ep.w.sock.SetReadDeadline(time.Now().Add(procWireTimeout))
+	ack, n, err := readWireFrame(ep.w.sock)
+	if err != nil {
+		return ep.death(err)
+	}
+	if r := t.rt.Load(); r != nil {
+		r.noteWire(xdr.FrameComplete.String(), 0, n)
+	}
+	switch {
+	case ack.Kind != xdr.FrameComplete:
+		return fmt.Errorf("xpc: proc worker protocol: got %v, want the layout acknowledgement", ack.Kind)
+	case ack.Status != wireStatusOK:
+		return &LayoutRefusal{PID: ep.pid, Reason: ack.Name}
+	}
+	return nil
 }
 
 // epochRecorderLocked resolves the flight recorder a fresh epoch should
@@ -1266,79 +1208,23 @@ func (t *ProcTransport) epochRecorderLocked() *trace.Recorder {
 	return rec
 }
 
-// sendTraceRingLocked publishes the flight-recorder ring geometry to a
-// fresh worker and awaits the ack. Sent BEFORE FrameDescRing: the worker
-// subtracts the trace area from the region tail before carving its lanes,
-// so the order is part of the layout handshake. Aux packs the per-ring
-// entry count and the total ring count (kernel lanes + the worker's own
-// ring, which is the last one).
-func (t *ProcTransport) sendTraceRingLocked(ep *procEpoch) error {
-	t.nextID++
-	f := xdr.Frame{
-		Kind: xdr.FrameTraceRing,
-		ID:   t.nextID,
-		Aux:  uint64(t.cfg.TraceEntries)<<32 | uint64(t.laneCount()+1),
+// readWireFrame reads one length-prefixed frame from r, returning the frame
+// and the bytes it took.
+func readWireFrame(r io.Reader) (xdr.Frame, int, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return xdr.Frame{}, 0, err
 	}
-	resp, err := t.roundTripLocked(ep.w, f)
-	if err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > xdr.MaxFrameSize {
+		return xdr.Frame{}, 0, fmt.Errorf("frame length %d exceeds max %d", n, xdr.MaxFrameSize)
 	}
-	if resp.Kind != xdr.FrameComplete || resp.ID != f.ID || resp.Status != wireStatusOK {
-		t.teardownEpochLocked(ep, true)
-		return fmt.Errorf("xpc: worker refused trace rings: %v status %d", resp.Kind, resp.Status)
+	buf := make([]byte, 4+int(n))
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		return xdr.Frame{}, 0, err
 	}
-	return nil
-}
-
-// sendStateMapLocked publishes the shared state window to a fresh worker
-// and awaits the ack: Aux packs the window's byte offset into the region
-// and its length. Sent before FrameDescRing so the worker's handler table
-// runs against shm-backed cells before any call can dispatch. The window
-// sits between the payload area and the lane area; its contents persist
-// across worker epochs — driver state survives a respawn.
-func (t *ProcTransport) sendStateMapLocked(ep *procEpoch) error {
-	t.nextID++
-	f := xdr.Frame{
-		Kind: xdr.FrameStateMap,
-		ID:   t.nextID,
-		Aux:  uint64(t.payloadLen)<<32 | uint64(t.stateLen),
-	}
-	resp, err := t.roundTripLocked(ep.w, f)
-	if err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
-	}
-	if resp.Kind != xdr.FrameComplete || resp.ID != f.ID || resp.Status != wireStatusOK {
-		t.teardownEpochLocked(ep, true)
-		return fmt.Errorf("xpc: worker refused state map: %v status %d %s", resp.Kind, resp.Status, resp.Name)
-	}
-	return nil
-}
-
-// sendDescRingLocked publishes the lane geometry to a fresh worker and
-// awaits the ack; only then may crossings ride the rings. Aux packs the
-// per-ring entries and slot size, Lane carries the lane count. Sent before
-// any payload-ring replay, so the worker can bound payload geometries by
-// the region minus the lane area.
-func (t *ProcTransport) sendDescRingLocked(ep *procEpoch) error {
-	t.nextID++
-	f := xdr.Frame{
-		Kind: xdr.FrameDescRing,
-		ID:   t.nextID,
-		Aux:  uint64(t.descEntries)<<32 | uint64(descSlotBytes),
-		Lane: uint32(t.laneCount()),
-	}
-	resp, err := t.roundTripLocked(ep.w, f)
-	if err != nil {
-		t.teardownEpochLocked(ep, true)
-		return &WorkerDeath{PID: ep.pid, Err: err}
-	}
-	if resp.Kind != xdr.FrameComplete || resp.ID != f.ID || resp.Status != wireStatusOK {
-		t.teardownEpochLocked(ep, true)
-		return fmt.Errorf("xpc: worker refused descriptor lanes: %v status %d", resp.Kind, resp.Status)
-	}
-	return nil
+	return xdr.DecodeFrame(buf)
 }
 
 // killWorkerOnFault makes a decaf fault physical: the worker process is
@@ -1364,9 +1250,9 @@ func (t *ProcTransport) KillWorker() bool {
 }
 
 // RespawnWorker implements WorkerRespawner: discard any current worker and
-// start a fresh one, replaying ring registration. The recovery supervisor
-// calls it between teardown and journal replay, so the replayed crossings
-// land on a process that was actually restarted.
+// start a fresh one, whose layout header carries the ring registration. The
+// recovery supervisor calls it between teardown and journal replay, so the
+// replayed crossings land on a process that was actually restarted.
 func (t *ProcTransport) RespawnWorker() error {
 	t.lockControl()
 	defer t.mu.Unlock()
@@ -1389,15 +1275,14 @@ func (t *ProcTransport) WorkerPID() int {
 }
 
 // workerStats implements the counters snapshot hook: respawns beyond the
-// first spawn, observed deaths, and current liveness.
+// first spawn, observed deaths, and current liveness. Lock-free, so a
+// metrics scrape never waits behind a respawn.
 func (t *ProcTransport) workerStats() (respawns, deaths uint64, alive bool) {
-	t.lockControl()
-	defer t.mu.Unlock()
-	if t.spawns > 0 {
-		respawns = t.spawns - 1
+	if n := t.spawns.Load(); n > 0 {
+		respawns = n - 1
 	}
 	ep := t.epoch.Load()
-	return respawns, t.deaths, ep != nil && !ep.failed.Load()
+	return respawns, t.deaths.Load(), ep != nil && !ep.failed.Load()
 }
 
 // descRingStats implements the counters snapshot hook for the descriptor
@@ -1414,8 +1299,8 @@ func (t *ProcTransport) laneStats() (acquisitions, spills, activePeak uint64) {
 	return t.laneAcq.Load(), t.laneSpills.Load(), t.laneActivePeak.Load()
 }
 
-// Close stops the worker (a polite shutdown frame, then SIGKILL after a
-// grace period) and releases the shared region. Close is idempotent;
+// Close stops the worker (closing its socket, which it reads as EOF and
+// exits 0; SIGKILL after a grace period) and releases the shared region. Close is idempotent;
 // SetTransport calls it when replacing the transport.
 func (t *ProcTransport) Close() error {
 	t.lockControl()
@@ -1427,11 +1312,7 @@ func (t *ProcTransport) Close() error {
 	if ep := t.epoch.Load(); ep != nil && !ep.torn {
 		w := ep.w
 		ep.failed.Store(true)
-		t.nextID++
-		_ = w.sock.SetWriteDeadline(time.Now().Add(procWireTimeout))
-		if wire, err := xdr.AppendFrame(nil, xdr.Frame{Kind: xdr.FrameShutdown, ID: t.nextID}); err == nil {
-			_, _ = w.sock.Write(wire)
-		}
+		_ = w.sock.Close()
 		select {
 		case <-w.exited:
 		case <-time.After(2 * time.Second):
@@ -1445,6 +1326,7 @@ func (t *ProcTransport) Close() error {
 		// WorkerDeaths.
 		t.teardownEpochLocked(ep, false)
 	}
+	t.hdr = nil
 	if len(t.geoms) == 0 && t.reg.Load() == nil {
 		err := t.shm.Close()
 		t.shm = nil

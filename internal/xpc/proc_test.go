@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -66,10 +67,12 @@ func TestProcUpcallCrossesRealProcess(t *testing.T) {
 	if c.SyscallCrossings != c.DoorbellWakeups {
 		t.Fatalf("SyscallCrossings = %d, DoorbellWakeups = %d: ring crossings must not write the wire", c.SyscallCrossings, c.DoorbellWakeups)
 	}
-	// Control traffic (descriptor-ring registration) still frames over the
-	// socketpair.
-	if c.WireBytesOut == 0 || c.WireBytesIn == 0 {
-		t.Fatalf("wire bytes out/in = %d/%d, want both > 0", c.WireBytesOut, c.WireBytesIn)
+	// The socketpair is silent but for one acknowledgement per worker epoch:
+	// the kernel side writes nothing to it.
+	ack := uint64(xdr.FrameWireSize(xdr.Frame{Kind: xdr.FrameComplete}))
+	if c.WireBytesOut != 0 || c.WireBytesIn != (c.WorkerRespawns+1)*ack {
+		t.Fatalf("wire bytes out/in = %d/%d, want 0/%d (one %dB ack for each of %d epochs)",
+			c.WireBytesOut, c.WireBytesIn, (c.WorkerRespawns+1)*ack, ack, c.WorkerRespawns+1)
 	}
 	if c.DescRingEntries == 0 || c.DescRingPeak == 0 {
 		t.Fatalf("DescRingEntries=%d DescRingPeak=%d, want both > 0 after a ring crossing", c.DescRingEntries, c.DescRingPeak)
@@ -712,4 +715,115 @@ func TestProcRespawnReplaysRingRegistration(t *testing.T) {
 		t.Fatalf("slot crossing after respawn (ring geometry not replayed?): %v", err)
 	}
 	r.ReleasePayload(p)
+}
+
+// TestProcCountersSnapshotLockFree: a counters snapshot reads the worker
+// gauges without the control mutex, so a metrics scrape neither counts as
+// an acquisition nor waits behind a respawn that holds the mutex.
+func TestProcCountersSnapshotLockFree(t *testing.T) {
+	k, r, pt := newProcRig(t, 1)
+	if err := r.UpcallHandler(k.NewContext("test"), "xpcbench_sink"); err != nil {
+		t.Fatal(err)
+	}
+	base := pt.ControlAcquires()
+	if c := r.Counters(); !c.WorkerAlive || c.WorkerRespawns != 0 {
+		t.Fatalf("WorkerAlive=%v WorkerRespawns=%d, want true/0", c.WorkerAlive, c.WorkerRespawns)
+	}
+	if delta := pt.ControlAcquires() - base; delta != 0 {
+		t.Fatalf("a counters snapshot acquired the control mutex %d times, want 0", delta)
+	}
+	pt.mu.Lock()
+	done := make(chan Counters, 1)
+	go func() { done <- r.Counters() }()
+	select {
+	case c := <-done:
+		pt.mu.Unlock()
+		if !c.WorkerAlive {
+			t.Fatal("snapshot taken under a held control mutex lost the live worker")
+		}
+	case <-time.After(10 * time.Second):
+		pt.mu.Unlock()
+		t.Fatal("Counters blocked on the control mutex")
+	}
+}
+
+// TestProcLayoutRefused: a worker that rejects its layout header says why
+// instead of acknowledging. The crossing fails as a contained fault caused
+// by a *LayoutRefusal carrying the worker's reason, no spawn is counted, and
+// once the kernel side writes a sound header again the next crossing runs.
+func TestProcLayoutRefused(t *testing.T) {
+	k, r, pt := newProcRig(t, 1)
+	ctx := k.NewContext("test")
+	pt.lockControl()
+	err := pt.ensureShmLocked()
+	pt.lay.slotSize = 7
+	pt.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = r.UpcallHandler(ctx, "xpcbench_sink")
+	var refusal *LayoutRefusal
+	if !IsUserFault(err) || !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "slot size 7") {
+		t.Fatalf("crossing over a refused layout: %v, want a contained *LayoutRefusal naming the slot size", err)
+	}
+	if c := r.Counters(); c.WorkerRespawns != 0 || c.WorkerDeaths != 1 || c.WorkerAlive {
+		t.Fatalf("WorkerRespawns=%d WorkerDeaths=%d WorkerAlive=%v, want 0/1/false", c.WorkerRespawns, c.WorkerDeaths, c.WorkerAlive)
+	}
+	pt.lockControl()
+	pt.lay.slotSize = descSlotBytes
+	pt.mu.Unlock()
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+		t.Fatalf("crossing after the layout was repaired: %v", err)
+	}
+}
+
+// TestProcScribbledHeaderContained: the layout header lives in memory the
+// worker can write, so a lying worker can rewrite the payload-ring geometry
+// there. The kernel side never reads it back: a slot call resolved against
+// an out-of-range geometry fails as a protocol error and retires the epoch,
+// and the next crossing runs on a fresh worker whose header was rewritten
+// from the kernel side's own values, serving the same slot call with a
+// matching checksum.
+func TestProcScribbledHeaderContained(t *testing.T) {
+	k, r, pt := newProcRig(t, 4)
+	ctx := k.NewContext("test")
+	ring, err := r.NewRing(8, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+		t.Fatal(err)
+	}
+	// The staged payload sits in slot 1: any slot but the first lies past
+	// the payload area under the scribbled 2 GiB slot size.
+	first := r.AcquirePayload([]byte("slot zero"))
+	p := r.AcquirePayload(bytes.Repeat([]byte{0x5A, 0xC3, 0x3C}, 100))
+	r.ReleasePayload(first)
+	defer r.ReleasePayload(p)
+	if !p.Direct() || p.Slot.Index == 0 {
+		t.Fatalf("payload staged in slot %d (direct %v), want a ring slot past the first", p.Slot.Index, p.Direct())
+	}
+	cross := func() error { return r.Batch(ctx).UpcallHandlerPayload("xpcbench_sink", p).Flush() }
+	if err := cross(); err != nil {
+		t.Fatal(err)
+	}
+	pid, deaths, want := pt.WorkerPID(), r.Counters().WorkerDeaths, pt.hdr.ringGeom.Load()
+	pt.hdr.ringGeom.Store(1<<31<<32 | 1<<31)
+	err = cross()
+	var death *WorkerDeath
+	if !IsUserFault(err) || errors.As(err, &death) || !strings.Contains(err.Error(), "rejected") {
+		t.Fatalf("slot call under a scribbled geometry: %v, want a contained protocol error", err)
+	}
+	if c := r.Counters(); c.WorkerDeaths != deaths+1 || c.WorkerAlive {
+		t.Fatalf("WorkerDeaths %d -> %d, WorkerAlive=%v: the suspect epoch was not retired", deaths, c.WorkerDeaths, c.WorkerAlive)
+	}
+	if err := cross(); err != nil {
+		t.Fatalf("slot call on the next epoch: %v", err)
+	}
+	if got := pt.WorkerPID(); got == pid || got == 0 {
+		t.Fatalf("worker pid %d after the retirement, want a fresh process (old %d)", got, pid)
+	}
+	if got := pt.hdr.ringGeom.Load(); got != want {
+		t.Fatalf("header ring geometry %#x after the respawn, want the kernel side's %#x", got, want)
+	}
 }

@@ -65,12 +65,14 @@ func (s *shmRegion) closeFile() {
 	}
 }
 
-// mapShared maps n bytes of f MAP_SHARED read/write.
+// mapShared maps n bytes of f MAP_SHARED read/write, advised as touched
+// at random.
 func mapShared(f *os.File, n int) ([]byte, error) {
 	mem, err := syscall.Mmap(int(f.Fd()), 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, fmt.Errorf("xpc: shm mmap %d bytes: %w", n, err)
 	}
+	adviseRandom(mem)
 	return mem, nil
 }
 

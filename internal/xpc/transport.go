@@ -180,6 +180,21 @@ func (d *WorkerDeath) Error() string {
 
 func (d *WorkerDeath) Unwrap() error { return d.Err }
 
+// LayoutRefusal is the error of a worker epoch whose fresh worker refused
+// the shared region's layout header instead of acknowledging it. Reason is
+// the worker's own account of the field it rejected. The epoch is retired
+// like a death.
+type LayoutRefusal struct {
+	// PID is the refusing worker's process id.
+	PID int
+	// Reason is the worker's rejection text.
+	Reason string
+}
+
+func (e *LayoutRefusal) Error() string {
+	return fmt.Sprintf("xpc: decaf worker process %d refused the shared-region layout: %s", e.PID, e.Reason)
+}
+
 // WorkerRespawner is a transport whose decaf side is an external process a
 // recovery supervisor must respawn during driver restart, before the
 // journal replay crosses again (ProcTransport implements it).

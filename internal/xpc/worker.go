@@ -3,7 +3,6 @@
 package xpc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"decafdrivers/internal/decaf/registry"
@@ -58,15 +56,14 @@ func MaybeRunWorker() {
 	os.Exit(runWorker())
 }
 
-// runWorker is the decaf-side process: it maps the shared region, then
-// serves the control protocol on the socketpair — the handshake that carves
-// the trace rings, the state window and the submission lanes out of its own
-// mapping, payload-ring registration, shutdown. No call ever crosses here:
-// once FrameDescRing starts the lane server (serveLanes), every call body,
-// its downcalls and its completion ride the lane rings, and a submit or call
-// frame on the socket is a protocol violation like any other unexpected
-// kind. It exits 0 on FrameShutdown or a clean EOF (the parent died or
-// closed), non-zero on a protocol violation.
+// runWorker is the decaf-side process: it maps the shared region, checks the
+// layout header at its start (parseLayout), binds the state cells, carves
+// the lanes and its trace ring out of its own mapping, starts the lane server
+// (serveLanes) and acknowledges on the socketpair — a refusal carries the
+// reason instead. From then on every call body, its downcalls and its
+// completion ride the lane rings, and the socket carries nothing: a frame
+// arriving there is a protocol violation. It exits 0 on EOF (the parent
+// closed the socket or died), non-zero on a refused layout or a violation.
 func runWorker() int {
 	sock := os.NewFile(workerSockFD, "xpc-worker-sock")
 	shmf := os.NewFile(workerShmFD, "xpc-worker-shm")
@@ -87,143 +84,71 @@ func runWorker() int {
 	}
 	defer func() { _ = shmf.Close() }()
 
-	br := bufio.NewReader(sock)
-	// geom is the registered payload-ring geometry, packed exactly as the
-	// FrameRingRegister Aux (slots<<32 | slotSize, zero = none). It is
-	// atomic because this loop stores it and the lane server resolves slot
-	// descriptors against it. descArea is the region tail the lane rings
-	// own; payload geometries must fit in front of it (this loop only, plain
-	// var). traceArea is the flight-recorder ring area behind even that
-	// (FrameTraceRing, optional, always published before FrameDescRing);
-	// wring is the worker's own trace ring — the last of the carved rings —
-	// nil when tracing is off.
-	var geom atomic.Uint64
-	var descArea int
-	var traceArea int
-	var wring *trace.Ring
-	// wstate is the handler table's shared state: heap-backed until the
-	// parent maps the shm window with FrameStateMap (always before
-	// FrameDescRing, so the lane server is spawned with the final binding).
-	// stateArea is the window's size, subtracted from the payload bound.
+	ack := xdr.Frame{Kind: xdr.FrameComplete}
+	s, err := attachLanes(mem, &fdDoorbell{f: bell})
+	if err != nil {
+		ack.Status, ack.Name = wireStatusBadFrame, clipFrameName(err.Error())
+	} else {
+		go s.serveLanes()
+	}
+	wire, _ := xdr.AppendFrame(nil, ack) // a complete frame with a clipped name always encodes
+	if _, err := sock.Write(wire); err != nil {
+		fmt.Fprintln(os.Stderr, "xpc worker: acknowledge:", err)
+		return workerErrExit
+	}
+	if ack.Status != wireStatusOK {
+		fmt.Fprintln(os.Stderr, "xpc worker: layout refused:", ack.Name)
+		return workerErrExit
+	}
+	// Nothing may arrive after the acknowledgement: EOF is the shutdown (or
+	// the parent's death), a byte is a protocol violation.
+	var b [1]byte
+	if n, err := sock.Read(b[:]); n > 0 || err != io.EOF {
+		fmt.Fprintf(os.Stderr, "xpc worker: control socket read %d byte(s) after the acknowledgement (%v)\n", n, err)
+		return workerErrExit
+	}
+	return workerOKExit
+}
+
+// attachLanes builds the lane server over a mapping whose header
+// parseLayout accepts: the handler table's state cells over the state area
+// (heap-backed when it is empty), the lanes with their inherited completion
+// doorbells, and the worker's own trace ring — the last of the carved rings —
+// when the epoch traces.
+func attachLanes(mem []byte, subBell doorbell) (*laneServer, error) {
+	l, err := parseLayout(mem)
+	if err != nil {
+		return nil, err
+	}
 	wstate := registry.NewState()
-	var stateArea int
-	var wire []byte
-	for {
-		f, _, err := readWireFrame(br)
-		if err == io.EOF {
-			return workerOKExit
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xpc worker: read:", err)
-			return workerErrExit
-		}
-		status := wireStatusOK
-		switch f.Kind {
-		case xdr.FrameShutdown:
-			return workerOKExit
-		case xdr.FrameRingRegister:
-			slots, slotSize := uint32(f.Aux>>32), uint32(f.Aux)
-			if slots > 0 && slotSize > 0 &&
-				int64(slots)*int64(slotSize) <= int64(len(mem)-descArea-traceArea-stateArea) {
-				geom.Store(f.Aux)
-			} else {
-				status = wireStatusBadSlot
-			}
-		case xdr.FrameTraceRing:
-			entries, nrings := int(f.Aux>>32), int(uint32(f.Aux))
-			switch {
-			case traceArea != 0 || descArea != 0:
-				// Trace rings are carved once per worker process and must
-				// precede the lane carve (the lanes sit in front of them).
-				status = wireStatusBadFrame
-			case nrings < 2 || nrings > MaxProcLanes+2 ||
-				entries < 2 || entries&(entries-1) != 0 || entries > MaxTraceEntries ||
-				trace.RegionBytes(nrings, entries) > len(mem):
-				status = wireStatusBadSlot
-			default:
-				need := trace.RegionBytes(nrings, entries)
-				rings, terr := trace.CarveRings(mem[len(mem)-need:], nrings, entries)
-				if terr != nil {
-					fmt.Fprintln(os.Stderr, "xpc worker: trace rings:", terr)
-					status = wireStatusBadSlot
-					break
-				}
-				traceArea = need
-				// The last ring is this process's: the service loop appends
-				// its dequeue/complete/park records into it, resuming at
-				// whatever position a predecessor epoch left.
-				wring = rings[nrings-1]
-			}
-		case xdr.FrameRingRelease:
-			geom.Store(0)
-		case xdr.FrameDescRing:
-			entries, slotSize := int(f.Aux>>32), int(uint32(f.Aux))
-			laneCount := int(f.Lane)
-			switch {
-			case descArea != 0:
-				// The lanes are carved once per worker process; a second
-				// geometry while the server goroutine runs is a protocol bug.
-				status = wireStatusBadFrame
-			case laneCount < 2 || laneCount > MaxProcLanes+1 ||
-				entries < 1 || entries > 1<<20 || slotSize < 8 || slotSize > 1<<20 ||
-				laneRegionBytes(laneCount, entries, slotSize) > len(mem)-traceArea:
-				status = wireStatusBadSlot
-			default:
-				// The lanes sit immediately in front of the trace-ring area
-				// (when one was published), mirroring the parent's carve.
-				need := laneRegionBytes(laneCount, entries, slotSize)
-				dir, rings, serr := carveLanes(mem[len(mem)-traceArea-need:len(mem)-traceArea], laneCount, entries, slotSize)
-				if serr != nil {
-					fmt.Fprintln(os.Stderr, "xpc worker: desc lanes:", serr)
-					status = wireStatusBadSlot
-					break
-				}
-				bells := make([]doorbell, laneCount)
-				for i := range bells {
-					lf := os.NewFile(uintptr(workerLaneBellFD+i), "xpc-worker-lane-bell")
-					if lf == nil {
-						status = wireStatusBadSlot
-						break
-					}
-					bells[i] = &fdDoorbell{f: lf}
-				}
-				if status == wireStatusOK {
-					descArea = need
-					go newLaneServer(dir, rings, bells, slotSize, mem, &geom, &fdDoorbell{f: bell}, wring, wstate).serveLanes()
-				}
-			}
-		case xdr.FrameStateMap:
-			off, ln := int(f.Aux>>32), int(uint32(f.Aux))
-			switch {
-			case descArea != 0 || stateArea != 0:
-				// The state window binds once per worker process, before the
-				// lane carve: the lane server captures the binding at spawn.
-				status = wireStatusBadFrame
-			case off < 0 || ln < 0 || off+ln > len(mem) || off%8 != 0:
-				status = wireStatusBadSlot
-			default:
-				st, serr := registry.BindState(mem[off : off+ln])
-				if serr != nil {
-					fmt.Fprintln(os.Stderr, "xpc worker: state map:", serr)
-					status = wireStatusBadSlot
-				} else {
-					wstate = st
-					stateArea = ln
-				}
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "xpc worker: unexpected %v frame\n", f.Kind)
-			return workerErrExit
-		}
-		// Every control frame but shutdown is acknowledged by ID.
-		if wire, err = xdr.AppendFrame(wire[:0], xdr.Frame{Kind: xdr.FrameComplete, ID: f.ID, Status: status}); err == nil {
-			_, err = sock.Write(wire)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xpc worker: reply:", err)
-			return workerErrExit
+	if l.state.n > 0 {
+		if wstate, err = registry.BindState(l.state.of(mem)); err != nil {
+			return nil, err
 		}
 	}
+	var wring *trace.Ring
+	if l.traceRings > 0 {
+		rings, err := trace.CarveRings(l.trace.of(mem), l.traceRings, l.traceEntries)
+		if err != nil {
+			return nil, err
+		}
+		// The service loop appends its dequeue/complete/park records here,
+		// resuming at whatever position a predecessor epoch left.
+		wring = rings[l.traceRings-1]
+	}
+	dir, rings, err := carveLanes(l.lanes.of(mem), l.laneCount, l.descEntries, l.slotSize)
+	if err != nil {
+		return nil, err
+	}
+	bells := make([]doorbell, l.laneCount)
+	for i := range bells {
+		lf := os.NewFile(uintptr(workerLaneBellFD+i), "xpc-worker-lane-bell")
+		if lf == nil {
+			return nil, fmt.Errorf("lane %d doorbell descriptor missing", i)
+		}
+		bells[i] = &fdDoorbell{f: lf}
+	}
+	return newLaneServer(dir, rings, bells, l.slotSize, l.payload.of(mem), layoutAt(mem), subBell, wring, wstate), nil
 }
 
 // workerLane is the worker's end of one submission lane: the ring pair, the
@@ -245,8 +170,8 @@ type laneServer struct {
 	dir     *laneDir
 	lanes   []workerLane
 	subBell doorbell // the submit doorbell: wakes this loop when it parked
-	mem     []byte
-	geom    *atomic.Uint64
+	ringMem []byte   // the payload area: what slot descriptors index
+	hdr     *layoutHdr
 	wring   *trace.Ring
 	st      *registry.State
 
@@ -265,9 +190,9 @@ type laneServer struct {
 
 // newLaneServer assembles the serve state over carved lanes: one-time
 // set-up, the only allocations the lane path ever makes.
-func newLaneServer(dir *laneDir, rings []laneRings, bells []doorbell, slotSize int, mem []byte, geom *atomic.Uint64, subBell doorbell, wring *trace.Ring, st *registry.State) *laneServer {
+func newLaneServer(dir *laneDir, rings []laneRings, bells []doorbell, slotSize int, ringMem []byte, hdr *layoutHdr, subBell doorbell, wring *trace.Ring, st *registry.State) *laneServer {
 	s := &laneServer{dir: dir, lanes: make([]workerLane, len(rings)), subBell: subBell,
-		mem: mem, geom: geom, wring: wring, st: st, scratch: make([]byte, slotSize)}
+		ringMem: ringMem, hdr: hdr, wring: wring, st: st, scratch: make([]byte, slotSize)}
 	for i := range rings {
 		s.lanes[i] = workerLane{laneRings: rings[i], bell: bells[i], idx: uint16(i)}
 	}
@@ -279,8 +204,9 @@ func newLaneServer(dir *laneDir, rings []laneRings, bells []doorbell, slotSize i
 // address space, and sums the bytes the worker can actually see — the
 // completion's proof that the mapping is shared (zero when the frame carried
 // no payload). A slot descriptor is resolved against the registered
-// payload-ring geometry (geom packs slots<<32 | slotSize; zero means no ring)
-// and bounds-checked, because the indices are peer-supplied; otherwise the
+// payload-ring geometry the layout header carries (slots<<32 | slotSize;
+// zero means no ring) and bounded by the payload area, because neither the
+// indices nor the header word can be trusted to fit it; otherwise the
 // payload is the frame's inline bytes.
 //
 //decaf:hotpath
@@ -291,19 +217,19 @@ func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byt
 		}
 		return inline, payloadSum(inline), wireStatusOK
 	}
-	g := s.geom.Load()
+	g := s.hdr.ringGeom.Load()
 	if g == 0 {
 		return nil, 0, wireStatusNoRing
 	}
 	slots, slotSize := uint32(g>>32), uint32(g)
 	off := int64(slot.Index) * int64(slotSize)
 	end := off + int64(slot.Length)
-	if slot.Index >= slots || slot.Length > slotSize || end > int64(len(s.mem)) {
+	if slot.Index >= slots || slot.Length > slotSize || end > int64(len(s.ringMem)) {
 		return nil, 0, wireStatusBadSlot
 	}
 	// The payload never crossed the wire: read it out of the shared mapping,
 	// exactly as a real decaf driver would.
-	return s.mem[off:end], payloadSum(s.mem[off:end]), wireStatusOK
+	return s.ringMem[off:end], payloadSum(s.ringMem[off:end]), wireStatusOK
 }
 
 // callAck services one handler-table dispatch in this address space and
@@ -654,30 +580,4 @@ func payloadSum(b []byte) uint64 {
 	h = (h ^ h>>33) * p2
 	h = (h ^ h>>29) * p3
 	return h ^ h>>32
-}
-
-// readWireFrame reads one length-prefixed frame from r, returning the frame
-// and total bytes consumed.
-func readWireFrame(r *bufio.Reader) (xdr.Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return xdr.Frame{}, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > xdr.MaxFrameSize {
-		return xdr.Frame{}, 0, fmt.Errorf("frame length %d exceeds max %d", n, xdr.MaxFrameSize)
-	}
-	buf := make([]byte, 4+int(n))
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
-		return xdr.Frame{}, 0, err
-	}
-	f, used, err := xdr.DecodeFrame(buf)
-	if err != nil {
-		return xdr.Frame{}, 0, err
-	}
-	return f, used, nil
 }

@@ -5,7 +5,6 @@ package xpc
 import (
 	"math/rand/v2"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"decafdrivers/internal/decaf/registry"
@@ -106,7 +105,6 @@ func BenchmarkPayloadSum(b *testing.B) {
 type laneRig struct {
 	*laneServer
 	lr   laneRings
-	geom atomic.Uint64
 	bell chanDoorbell
 	seq  uint64
 }
@@ -126,11 +124,12 @@ func newLaneRigEntries(t testing.TB, entries int) *laneRig {
 		t.Fatal(err)
 	}
 	g := &laneRig{lr: rings[0], bell: newChanDoorbell()}
-	g.geom.Store(rigSlots<<32 | rigSlotSize)
+	hdr := layoutAt(alignedRegion(layoutHdrSize))
+	hdr.ringGeom.Store(rigSlots<<32 | rigSlotSize)
 	// The completion ring's consumer never parks here, so the lane doorbell
 	// is never rung and needs no descriptor.
 	g.laneServer = newLaneServer(dir, rings, []doorbell{&fdDoorbell{}}, descSlotBytes,
-		make([]byte, rigSlots*rigSlotSize), &g.geom, g.bell, nil, registry.NewState())
+		make([]byte, rigSlots*rigSlotSize), hdr, g.bell, nil, registry.NewState())
 	return g
 }
 
@@ -143,7 +142,7 @@ func (g *laneRig) publish(t testing.TB, name string, payload []byte, left int, b
 	f := xdr.Frame{Kind: xdr.FrameCall, ID: g.seq, Up: true, Name: name, Aux: uint64(left)}
 	if bySlot {
 		idx := uint32(g.seq % rigSlots)
-		copy(g.mem[idx*rigSlotSize:], payload)
+		copy(g.ringMem[idx*rigSlotSize:], payload)
 		f.Slot = xdr.SlotDescriptor{Index: idx, Length: uint32(len(payload)), Generation: 1}
 	} else {
 		f.Data = payload

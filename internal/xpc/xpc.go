@@ -57,7 +57,7 @@
 //     lane-ownership rules). The lanes are the only data plane: every
 //     call, downcall-making bodies included, crosses on them, and a
 //     healthy crossing performs zero syscalls and zero heap allocations —
-//     the socketpair carries only handshake and lifecycle control frames,
+//     the socketpair carries only the worker's layout acknowledgement,
 //     separate ones the doorbell byte that wakes a parked peer; the
 //     transport mutex guards only the control plane (bind, ring
 //     registration, worker lifecycle). A copy-path payload that does not

@@ -118,8 +118,9 @@ def check_proc_rings(row, ctx):
     descriptors (RingCrossings > 0 — a proc leg that silently ran
     in-process cannot pass) and the doorbell fires far less than once per
     packet. WireBytes is a phase delta and is expected to be ~0: the
-    socketpair's control traffic (handshake, ring registration) happens at
-    boot, outside the measured window.
+    socketpair carries only the worker's layout acknowledgement, once per
+    worker epoch, and the first epoch starts at boot, outside the measured
+    window.
     """
     assert row["RingCrossings"] > 0, f"{ctx}: proc row crossed nothing on the rings: {row}"
     assert row["WorkerServedCalls"] > 0, \
@@ -178,10 +179,11 @@ def check_recovery(rows):
             # The process-separated boundary must be real in every scenario:
             # chunks on the descriptor rings AND call bodies executed by the
             # worker's handler table. Steady-state scenarios frame no wire
-            # bytes (control traffic happens at boot), but the fault
-            # scenario's recovery must have SIGKILLed and respawned an
-            # actual worker process — and the respawn's handshake rides the
-            # socketpair mid-phase, so its wire bytes must show.
+            # bytes (the first worker acknowledges its layout at boot), but
+            # the fault scenario's recovery must have SIGKILLed and respawned
+            # an actual worker process — and the respawned worker's layout
+            # acknowledgement rides the socketpair mid-phase, so its wire
+            # bytes must show.
             for scenario, row in c.items():
                 assert row["RingCrossings"] > 0, f"{key}/{scenario}: no ring crossings: {row}"
                 assert row["WorkerServedCalls"] > 0, \
