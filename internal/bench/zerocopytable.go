@@ -58,8 +58,9 @@ type ZeroCopyRow struct {
 	// bounds DoorbellWakeups per packet.
 	RingCrossings   uint64
 	DoorbellWakeups uint64
-	// DescRingPeak is the descriptor rings' occupancy high-water mark over
-	// the transport's lifetime (proc rows only).
+	// DescRingPeak is the longest run of frames published to one submit
+	// ring at once, a bound on its occupancy, over the transport's lifetime
+	// (proc rows only).
 	DescRingPeak uint64
 	// WorkerServedCalls counts decaf call bodies the worker process
 	// actually executed from its handler table during the phase, and

@@ -95,3 +95,56 @@ func BenchmarkMarshalMasked(b *testing.B) {
 		buf = out
 	}
 }
+
+// benchFrames are the two frames every ring crossing carries: a handler
+// call with a full-size inline payload, and its completion.
+func benchFrames() []struct {
+	name string
+	f    Frame
+} {
+	return []struct {
+		name string
+		f    Frame
+	}{
+		{"call", Frame{Kind: FrameCall, ID: 7, Up: true, Name: "e1000_xmit_frame", Aux: 31, Lane: 2, Data: make([]byte, 1462)}},
+		{"complete", Frame{Kind: FrameComplete, ID: 7, Aux: 0xCBF29CE484222325, Lane: 2}},
+	}
+}
+
+// BenchmarkAppendFrame encodes into a reused slot-sized buffer, as both
+// processes do into a descriptor-ring slot. CI runs it with -benchmem and
+// gates allocs/op at zero.
+func BenchmarkAppendFrame(b *testing.B) {
+	for _, bf := range benchFrames() {
+		b.Run(bf.name, func(b *testing.B) {
+			slot := make([]byte, 0, 2048)
+			b.SetBytes(int64(FrameWireSize(bf.f)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := AppendFrame(slot[:0], bf.f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeFrameView decodes in place, as the worker does per submit
+// descriptor. CI runs it with -benchmem and gates allocs/op at zero.
+func BenchmarkDecodeFrameView(b *testing.B) {
+	for _, bf := range benchFrames() {
+		b.Run(bf.name, func(b *testing.B) {
+			wire, err := AppendFrame(nil, bf.f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(wire)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, _, err := DecodeFrameView(wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

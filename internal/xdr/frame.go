@@ -1,6 +1,7 @@
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -9,9 +10,11 @@ import (
 // protocol: the frames a ProcTransport exchanges with its decaf worker
 // process — calls, completions and downcalls in the slots of the
 // shared-memory lane rings, and the worker's one acknowledgement per epoch
-// over the socketpair. The codec is reflection-free — every field is encoded
-// by hand with the XDR primitives — because the frame is the per-crossing
-// hot path of a real process boundary.
+// over the socketpair. The frame is the per-crossing hot path of a real
+// process boundary, so the codec is reflection-free and walks no fields:
+// the 44-byte fixed header sits at fixed offsets, and one length check
+// covers all of it, so each field is a single big-endian load or store.
+// The bytes are the XDR encoding of the same fields in the same order.
 type FrameKind uint8
 
 // Wire frame kinds. Numbers 3–7 and 11 belonged to the socket handshake the
@@ -155,10 +158,28 @@ func FrameWireSize(f Frame) int {
 	return 4 + frameFixedSize + len(f.Name) + pad(len(f.Name)) + len(f.Data) + pad(len(f.Data))
 }
 
+// Wire offsets of the fixed fields, counted from the length prefix. The
+// name starts at frameHdrSize, zero-padded to four bytes, and the payload
+// follows it, padded likewise.
+const (
+	offKind      = 4
+	offFlags     = 5
+	offNameLen   = 6 // 16 bits
+	offID        = 8
+	offStatus    = 16
+	offAux       = 20
+	offLane      = 28
+	offSlot      = 32 // index, length, generation
+	offDataLen   = 44
+	frameHdrSize = 4 + frameFixedSize
+)
+
 // AppendFrame encodes f with a length prefix, appending to dst. The name
 // and payload bytes are copied into the output, so the frame does not alias
 // caller memory once encoded — mutating the source slice afterwards cannot
 // corrupt a frame already on (or headed for) the wire.
+//
+//decaf:hotpath
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if !f.Kind.valid() {
 		return dst, fmt.Errorf("%w: kind %d", ErrFrameCorrupt, f.Kind)
@@ -166,6 +187,16 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Name) > MaxFrameName || len(f.Data) > MaxFramePayload {
 		return dst, fmt.Errorf("%w: name %dB, payload %dB", ErrFrameTooBig, len(f.Name), len(f.Data))
 	}
+	dataOff := frameHdrSize + len(f.Name) + pad(len(f.Name))
+	size := dataOff + len(f.Data) + pad(len(f.Data))
+	n := len(dst)
+	if cap(dst)-n < size {
+		//decaf:allowalloc only a destination short of one whole frame grows; a ring slot is sized to hold any frame it is given
+		dst = append(dst, make([]byte, size)...)
+	}
+	dst = dst[:n+size]
+	b := dst[n:]
+	h := (*[frameHdrSize]byte)(b)
 	var flags byte
 	if f.Up {
 		flags |= frameFlagUp
@@ -173,19 +204,28 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if f.Inject {
 		flags |= frameFlagInject
 	}
-	body := frameFixedSize + len(f.Name) + pad(len(f.Name)) + len(f.Data) + pad(len(f.Data))
-	e := Encoder{buf: dst}
-	e.PutUint32(uint32(body))
-	e.buf = append(e.buf, byte(f.Kind), flags, byte(len(f.Name)>>8), byte(len(f.Name)))
-	e.PutUint64(f.ID)
-	e.PutUint32(f.Status)
-	e.PutUint64(f.Aux)
-	e.PutUint32(f.Lane)
-	e.PutSlotDescriptor(f.Slot)
-	e.PutUint32(uint32(len(f.Data)))
-	e.PutFixedString(f.Name)
-	e.PutFixedOpaque(f.Data)
-	return e.buf, nil
+	binary.BigEndian.PutUint32(h[0:], uint32(size-4))
+	h[offKind], h[offFlags] = byte(f.Kind), flags
+	binary.BigEndian.PutUint16(h[offNameLen:], uint16(len(f.Name)))
+	binary.BigEndian.PutUint64(h[offID:], f.ID)
+	binary.BigEndian.PutUint32(h[offStatus:], f.Status)
+	binary.BigEndian.PutUint64(h[offAux:], f.Aux)
+	binary.BigEndian.PutUint32(h[offLane:], f.Lane)
+	binary.BigEndian.PutUint32(h[offSlot:], f.Slot.Index)
+	binary.BigEndian.PutUint32(h[offSlot+4:], f.Slot.Length)
+	binary.BigEndian.PutUint32(h[offSlot+8:], f.Slot.Generation)
+	binary.BigEndian.PutUint32(h[offDataLen:], uint32(len(f.Data)))
+	// A reused buffer holds stale bytes: each padded field's last word is
+	// zeroed before the field is copied over its front.
+	if len(f.Name) > 0 {
+		binary.BigEndian.PutUint32(b[dataOff-4:], 0)
+		copy(b[frameHdrSize:], f.Name)
+	}
+	if len(f.Data) > 0 {
+		binary.BigEndian.PutUint32(b[size-4:], 0)
+		copy(b[dataOff:], f.Data)
+	}
+	return dst, nil
 }
 
 // DecodeFrame decodes one length-prefixed frame from the start of data,
@@ -213,69 +253,63 @@ func DecodeFrame(data []byte) (Frame, int, error) {
 // submit-ring slot): the same validation, but f.Data and the returned name
 // alias data and are valid only as long as data is. f.Name stays empty — a
 // Go string cannot borrow bytes.
+//
+//decaf:hotpath
 func DecodeFrameView(data []byte) (f Frame, name []byte, n int, err error) {
-	d := Decoder{buf: data}
-	body, err := d.Uint32()
-	if err != nil {
-		return Frame{}, nil, 0, err
+	if len(data) < 4 {
+		return Frame{}, nil, 0, fmt.Errorf("%w: need 4 bytes at offset 0 of %d", ErrShortBuffer, len(data))
 	}
+	body := binary.BigEndian.Uint32(data)
 	if body > MaxFrameSize {
 		return Frame{}, nil, 0, fmt.Errorf("%w: length %d exceeds max %d", ErrFrameCorrupt, body, MaxFrameSize)
 	}
 	if int(body) < frameFixedSize {
 		return Frame{}, nil, 0, fmt.Errorf("%w: length %d below fixed size %d", ErrFrameCorrupt, body, frameFixedSize)
 	}
-	if d.Remaining() < int(body) {
-		return Frame{}, nil, 0, fmt.Errorf("%w: frame needs %d bytes, have %d", ErrShortBuffer, body, d.Remaining())
+	if len(data)-4 < int(body) {
+		return Frame{}, nil, 0, fmt.Errorf("%w: frame needs %d bytes, have %d", ErrShortBuffer, body, len(data)-4)
 	}
-	hdr, _ := d.take(4)
-	f.Kind = FrameKind(hdr[0])
+	n = 4 + int(body)
+	frame := data[:n]
+	h := (*[frameHdrSize]byte)(frame)
+	f.Kind = FrameKind(h[offKind])
 	if !f.Kind.valid() {
-		return Frame{}, nil, 0, fmt.Errorf("%w: kind %d", ErrFrameCorrupt, hdr[0])
+		return Frame{}, nil, 0, fmt.Errorf("%w: kind %d", ErrFrameCorrupt, h[offKind])
 	}
-	flags := hdr[1]
+	flags := h[offFlags]
 	if flags&^byte(frameFlagUp|frameFlagInject) != 0 {
 		return Frame{}, nil, 0, fmt.Errorf("%w: reserved flag bits %#x", ErrFrameCorrupt, flags)
 	}
 	f.Up = flags&frameFlagUp != 0
 	f.Inject = flags&frameFlagInject != 0
-	nameLen := int(hdr[2])<<8 | int(hdr[3])
+	nameLen := int(binary.BigEndian.Uint16(h[offNameLen:]))
 	if nameLen > MaxFrameName {
 		return Frame{}, nil, 0, fmt.Errorf("%w: name length %d", ErrFrameCorrupt, nameLen)
 	}
-	if f.ID, err = d.Uint64(); err != nil {
-		return Frame{}, nil, 0, err
+	f.ID = binary.BigEndian.Uint64(h[offID:])
+	f.Status = binary.BigEndian.Uint32(h[offStatus:])
+	f.Aux = binary.BigEndian.Uint64(h[offAux:])
+	f.Lane = binary.BigEndian.Uint32(h[offLane:])
+	f.Slot = SlotDescriptor{
+		Index:      binary.BigEndian.Uint32(h[offSlot:]),
+		Length:     binary.BigEndian.Uint32(h[offSlot+4:]),
+		Generation: binary.BigEndian.Uint32(h[offSlot+8:]),
 	}
-	if f.Status, err = d.Uint32(); err != nil {
-		return Frame{}, nil, 0, err
-	}
-	if f.Aux, err = d.Uint64(); err != nil {
-		return Frame{}, nil, 0, err
-	}
-	if f.Lane, err = d.Uint32(); err != nil {
-		return Frame{}, nil, 0, err
-	}
-	if f.Slot, err = d.SlotDescriptor(); err != nil {
-		return Frame{}, nil, 0, err
-	}
-	dataLen, err := d.Uint32()
-	if err != nil {
-		return Frame{}, nil, 0, err
-	}
+	dataLen := binary.BigEndian.Uint32(h[offDataLen:])
 	if dataLen > MaxFramePayload {
 		return Frame{}, nil, 0, fmt.Errorf("%w: payload length %d", ErrFrameCorrupt, dataLen)
 	}
-	want := frameFixedSize + nameLen + pad(nameLen) + int(dataLen) + pad(int(dataLen))
-	if int(body) != want {
+	nameEnd := frameHdrSize + nameLen
+	dataOff := nameEnd + pad(nameLen)
+	dataEnd := dataOff + int(dataLen)
+	if want := dataEnd + pad(int(dataLen)) - 4; int(body) != want {
 		return Frame{}, nil, 0, fmt.Errorf("%w: length prefix %d, contents need %d", ErrFrameCorrupt, body, want)
 	}
-	// The length checks above cover every byte taken from here on. Capacity
-	// is clipped so an append to a view cannot write into the buffer.
-	name, _ = d.take(nameLen + pad(nameLen))
-	name = name[:nameLen:nameLen]
+	// The length check above covers both views. Capacity is clipped so an
+	// append to a view cannot write into the buffer.
+	name = frame[frameHdrSize:nameEnd:nameEnd]
 	if dataLen > 0 {
-		f.Data, _ = d.take(int(dataLen) + pad(int(dataLen)))
-		f.Data = f.Data[:dataLen:dataLen]
+		f.Data = frame[dataOff:dataEnd:dataEnd]
 	}
-	return f, name, d.off, nil
+	return f, name, n, nil
 }

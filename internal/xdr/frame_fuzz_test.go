@@ -8,7 +8,9 @@ import (
 // FuzzDecodeFrame drives DecodeFrame with arbitrary bytes: it must never
 // panic, never over-consume, and anything it accepts must re-encode to an
 // equivalent frame (the codec is its own inverse on the accepted set); the
-// in-place DecodeFrameView must reach the same verdict on every input. The
+// in-place DecodeFrameView and the reference Decoder walk must reach the
+// same verdict on every input, and the re-encode must match the reference
+// Encoder walk byte for byte. The
 // seeds cover every frame kind, the retired kinds as rejections, and
 // truncated and bit-flipped variants of each; the committed corpus under
 // testdata/fuzz keeps the retired kinds' old encodings too.
@@ -47,6 +49,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted frame %+v fails to re-encode: %v", fr, err)
 		}
+		// Behind a 0–7 byte prefix, so the encode starts at every offset
+		// within a word.
+		encodeAgrees(t, data[:n%8], fr)
 		back, m, err := DecodeFrame(wire)
 		if err != nil {
 			t.Fatalf("re-encoded frame fails to decode: %v", err)

@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -61,9 +62,11 @@ func retiredFrames() [][]byte {
 
 // viewAgrees decodes data with DecodeFrame and with DecodeFrameView and
 // requires one verdict from both: the same accept/reject decision with the
-// same error, the same bytes consumed, the same field values.
+// same error, the same bytes consumed, the same field values. The view must
+// also agree with the reference walk (refAgrees).
 func viewAgrees(t testing.TB, data []byte) {
 	t.Helper()
+	refAgrees(t, data)
 	want, wn, werr := DecodeFrame(data)
 	got, name, gn, gerr := DecodeFrameView(data)
 	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
@@ -77,6 +80,56 @@ func viewAgrees(t testing.TB, data []byte) {
 		got.Status != want.Status || got.Aux != want.Aux || got.Lane != want.Lane ||
 		!bytes.Equal(got.Data, want.Data) || (got.Data == nil) != (want.Data == nil) {
 		t.Fatalf("decodes disagree:\n copy %+v (%d bytes)\n view %+v name %q (%d bytes)", want, wn, got, name, gn)
+	}
+}
+
+// frameGolden is the wire encoding of each everyFrameKind frame, in order,
+// as the field-by-field XDR walk emitted it before the fixed-offset codec.
+var frameGolden = []string{
+	"00000044010100100000000000000001000000000000000000000000000000000000000000000000000000000000000565313030305f786d69745f6672616d65deadbeef01000000",
+	"000000380100000b00000000000000020000000000000000000000000000000300000007000005b60000000300000000656570726f6d5f7265616400",
+	"0000003401010008000000000000000300000000000000000000000000000000000000000000000000000000000000007761746368646f67",
+	"0000002c02000000000000000000000200000000cbf29ce4842223250000000300000000000000000000000000000000",
+	"000000400200001100000000000000090000000200000000000000000000000700000000000000000000000000000000736c6f74206f7574206f662072616e6765000000",
+	"0000003c08010010000000000000000b000000000000000000000003000000020000000200000280000000010000000065313030305f786d69745f6672616d65",
+	"000000400803000f000000000000000c0000000000000000000000000000000000000000000000000000000000000001656e73313337315f747269676765720001000000",
+	"0000004009000011000000000000000b000000000000000000000083000000000000000000000000000000000000000065313030305f726561645f737461747573000000",
+	"0000002c0a000000000000000000000b0000000000000000800807830000000000000000000000000000000000000000",
+	"0000003c0a000010000000000000000c0000000100000000000000000000000000000000000000000000000000000000756e6b6e6f776e20646f776e63616c6c",
+	"0000004009000014000000000000000e00000000000000000000000100000005000000000000000000000000000000006e657469665f636172726965725f6368616e6765",
+	"0000002c0a000000000000000000000e0000000000000000000000000000000500000000000000000000000000000000",
+}
+
+// TestFrameGoldenBytes pins the wire format: every kind encodes to the bytes
+// the reference walk emitted, whether appended to nothing, to a prefix, or
+// into a reused buffer whose spare capacity holds stale bytes (a ring slot
+// is never cleared between frames, so every pad byte must be written).
+func TestFrameGoldenBytes(t *testing.T) {
+	frames := everyFrameKind()
+	if len(frames) != len(frameGolden) {
+		t.Fatalf("%d frames, %d golden encodings", len(frames), len(frameGolden))
+	}
+	stale := bytes.Repeat([]byte{0xA5}, 512)
+	for i, f := range frames {
+		want, err := hex.DecodeString(frameGolden[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dst := range [][]byte{nil, []byte("pre"), stale[:0], stale[:5]} {
+			prefix := append([]byte(nil), dst...)
+			got, err := AppendFrame(dst, f)
+			if err != nil {
+				t.Fatalf("%v #%d: encode: %v", f.Kind, i, err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%v #%d after %d bytes:\n got %x\nwant %x%x", f.Kind, i, len(prefix), got, prefix, want)
+			}
+			encodeAgrees(t, prefix, f)
+		}
+		if FrameWireSize(f) != len(want) {
+			t.Errorf("%v #%d: FrameWireSize = %d, golden is %d bytes", f.Kind, i, FrameWireSize(f), len(want))
+		}
+		viewAgrees(t, want)
 	}
 }
 

@@ -84,17 +84,6 @@ func (e *Encoder) PutFixedOpaque(b []byte) {
 	}
 }
 
-// PutFixedString encodes a string exactly as PutFixedOpaque would its bytes,
-// but appends the string directly — no []byte(s) conversion, so encoding a
-// name into a preallocated buffer performs zero heap allocations (the frame
-// codec's steady-state requirement under the descriptor rings).
-func (e *Encoder) PutFixedString(s string) {
-	e.buf = append(e.buf, s...)
-	for i := 0; i < pad(len(s)); i++ {
-		e.buf = append(e.buf, 0)
-	}
-}
-
 // PutOpaque encodes variable-length opaque data with its length prefix.
 func (e *Encoder) PutOpaque(b []byte) {
 	e.PutUint32(uint32(len(b)))

@@ -129,7 +129,9 @@ type Counters struct {
 	// gauges like the worker fields: ResetCounters does not zero them.
 	//
 	// DescRingEntries is the configured slot count per direction;
-	// DescRingPeak is the submit ring's occupancy high-water mark.
+	// DescRingPeak is the longest run of frames the kernel side published
+	// to one submit ring at once. A run starts on an empty ring, so this
+	// bounds the submit ring's occupancy high-water mark.
 	DescRingEntries uint64
 	DescRingPeak    uint64
 
@@ -191,7 +193,7 @@ type workerStatser interface {
 
 // descRingStatser is the snapshot hook a transport crossing through
 // shared-memory descriptor rings implements (ProcTransport): configured
-// entries per direction and the submit ring's occupancy high-water mark.
+// entries per direction and the longest publish run on a submit ring.
 type descRingStatser interface {
 	descRingStats() (entries, peak uint64)
 }

@@ -265,11 +265,6 @@ func (q *descRing) reset() {
 	q.peerTail, q.peerHead = 0, 0
 }
 
-// occupancy reports the published-but-unconsumed slot count.
-//
-//decaf:hotpath
-func (q *descRing) occupancy() uint64 { return q.hdr.head.Load() - q.hdr.tail.Load() }
-
 // --- producer side ---
 
 // reserve returns the next free slot's bytes, or nil when the ring is full.

@@ -11,6 +11,11 @@ import (
 	"unsafe"
 )
 
+// occupancy reports the published-but-unconsumed slot count: the tests'
+// oracle for a ring's state. The transport never needs it — its gauge
+// counts publish runs — so it reads both indices fresh.
+func (q *descRing) occupancy() uint64 { return q.hdr.head.Load() - q.hdr.tail.Load() }
+
 // alignedRegion returns an 8-byte-aligned heap region for ring tests — the
 // same alignment guarantee an mmap mapping gives the real transport.
 func alignedRegion(n int) []byte {

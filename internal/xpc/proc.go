@@ -733,7 +733,9 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 				sums[next] = payloadSum(payload)
 			}
 		}
-		atomicMaxU64(&t.descPeak, lane.sub.occupancy())
+		// The run's length, not a read of the worker's tail: the submit
+		// ring is empty when a run starts, so it bounds the occupancy.
+		atomicMaxU64(&t.descPeak, uint64(next-first))
 		if lane.tr != nil {
 			lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[first], uint64(next-first))
 		}
@@ -1286,8 +1288,9 @@ func (t *ProcTransport) workerStats() (respawns, deaths uint64, alive bool) {
 }
 
 // descRingStats implements the counters snapshot hook for the descriptor
-// rings: configured entries per direction and the per-lane submit rings'
-// occupancy high-water mark over the transport's lifetime.
+// rings: configured entries per direction and the longest run of frames
+// published to one lane's submit ring at once over the transport's
+// lifetime, which bounds that ring's occupancy.
 func (t *ProcTransport) descRingStats() (entries, peak uint64) {
 	return uint64(t.descEntries), t.descPeak.Load()
 }

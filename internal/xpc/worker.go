@@ -186,6 +186,9 @@ type laneServer struct {
 	down   func(name string, arg uint64) (uint64, error)
 	cur    *workerLane
 	callID uint64
+	// pulled keeps pullLines' loads live: a result nobody stores would let
+	// the compiler drop them.
+	pulled byte
 }
 
 // newLaneServer assembles the serve state over carved lanes: one-time
@@ -203,11 +206,12 @@ func newLaneServer(dir *laneDir, rings []laneRings, bells []doorbell, slotSize i
 // payload resolves the payload a submit or call frame carries, in this
 // address space, and sums the bytes the worker can actually see — the
 // completion's proof that the mapping is shared (zero when the frame carried
-// no payload). A slot descriptor is resolved against the registered
-// payload-ring geometry the layout header carries (slots<<32 | slotSize;
-// zero means no ring) and bounded by the payload area, because neither the
-// indices nor the header word can be trusted to fit it; otherwise the
-// payload is the frame's inline bytes.
+// no payload). The kernel has just written those bytes, so every line is
+// pulled across before the hash starts (pullLines). A slot descriptor is
+// resolved against the registered payload-ring geometry the layout header
+// carries (slots<<32 | slotSize; zero means no ring) and bounded by the
+// payload area, because neither the indices nor the header word can be
+// trusted to fit it; otherwise the payload is the frame's inline bytes.
 //
 //decaf:hotpath
 func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byte, sum uint64, status uint32) {
@@ -215,6 +219,7 @@ func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byt
 		if len(inline) == 0 {
 			return nil, 0, wireStatusOK
 		}
+		s.pulled = pullLines(inline)
 		return inline, payloadSum(inline), wireStatusOK
 	}
 	g := s.hdr.ringGeom.Load()
@@ -229,7 +234,29 @@ func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byt
 	}
 	// The payload never crossed the wire: read it out of the shared mapping,
 	// exactly as a real decaf driver would.
-	return s.ringMem[off:end], payloadSum(s.ringMem[off:end]), wireStatusOK
+	data = s.ringMem[off:end]
+	s.pulled = pullLines(data)
+	return data, payloadSum(data), wireStatusOK
+}
+
+// pullLines loads one byte of every 64-byte cache line b spans and returns
+// their OR. The loads do not depend on each other, so the lines the other
+// process just wrote transfer in parallel; payloadSum's loads would each
+// wait behind its multiply chain, one line at a time.
+//
+//decaf:hotpath
+func pullLines(b []byte) byte {
+	if len(b) == 0 {
+		return 0
+	}
+	x := b[len(b)-1]
+	for ; len(b) >= 64; b = b[64:] {
+		x |= b[0]
+	}
+	if len(b) > 0 {
+		x |= b[0]
+	}
+	return x
 }
 
 // callAck services one handler-table dispatch in this address space and

@@ -3,6 +3,7 @@
 package xpc
 
 import (
+	"errors"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -91,6 +92,35 @@ func TestPayloadSumDetectsDamage(t *testing.T) {
 
 var sinkSum uint64
 
+// TestPullLinesTouchesEveryLine: pullLines must load at least one byte of
+// every 64-byte line a payload spans, at any length and any offset into the
+// line, and never read outside the payload (its capacity is clipped). Each
+// line's share of the payload is lit alone in a region of zeroes; only a
+// load from that line can return it.
+func TestPullLinesTouchesEveryLine(t *testing.T) {
+	region := alignedRegion(64 * 8)
+	for off := 0; off < 64; off++ {
+		for n := 0; off+n <= len(region)-64; n++ {
+			b := region[off : off+n : off+n]
+			if n == 0 {
+				if got := pullLines(b); got != 0 {
+					t.Fatalf("empty payload pulled %#x", got)
+				}
+				continue
+			}
+			for line := off / 64; line <= (off+n-1)/64; line++ {
+				clear(region)
+				for i := max(line*64, off); i < min(line*64+64, off+n); i++ {
+					region[i] = 0xFF
+				}
+				if got := pullLines(b); got != 0xFF {
+					t.Fatalf("offset %d, %d bytes: line %d never loaded", off, n, line)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkPayloadSum(b *testing.B) {
 	p := seededPayloads(1, 1462)[0]
 	b.SetBytes(int64(len(p)))
@@ -138,6 +168,16 @@ func newLaneRigEntries(t testing.TB, entries int) *laneRig {
 // the payload in the payload-ring region and sends only its descriptor.
 func (g *laneRig) publish(t testing.TB, name string, payload []byte, left int, bySlot bool) uint64 {
 	t.Helper()
+	sum, err := g.publishFrame(name, payload, left, bySlot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// publishFrame is publish without the testing.TB: the per-frame path of
+// visit, which BenchmarkWorkerServeLane times.
+func (g *laneRig) publishFrame(name string, payload []byte, left int, bySlot bool) (uint64, error) {
 	g.seq++
 	f := xdr.Frame{Kind: xdr.FrameCall, ID: g.seq, Up: true, Name: name, Aux: uint64(left)}
 	if bySlot {
@@ -149,16 +189,16 @@ func (g *laneRig) publish(t testing.TB, name string, payload []byte, left int, b
 	}
 	slot := g.lr.sub.reserve()
 	if slot == nil {
-		t.Fatal("submit ring full")
+		return 0, errors.New("submit ring full")
 	}
 	if _, err := xdr.AppendFrame(slot[:0], f); err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	g.lr.sub.publish()
 	if len(payload) == 0 {
-		return 0
+		return 0, nil
 	}
-	return payloadSum(payload)
+	return payloadSum(payload), nil
 }
 
 // serve runs one serveLane visit.
@@ -168,16 +208,22 @@ func (g *laneRig) serve() int { return g.serveLane(&g.lanes[0]) }
 // does.
 func (g *laneRig) complete(t testing.TB) xdr.Frame {
 	t.Helper()
+	f, err := g.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// next is complete without the testing.TB, for visit and answer.
+func (g *laneRig) next() (xdr.Frame, error) {
 	slot := g.lr.cmp.pending()
 	for ; slot == nil; slot = g.lr.cmp.pending() {
 		runtime.Gosched()
 	}
 	f, _, err := xdr.DecodeFrame(slot)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g.lr.cmp.advance()
-	return f
+	return f, err
 }
 
 // TestServeLaneChunk drives the worker's serve visit in-process over a
@@ -262,7 +308,10 @@ func TestServeLaneChunkAbort(t *testing.T) {
 // server if it parked. errText, when set, makes it a failed downcall.
 func (g *laneRig) answer(t testing.TB, res uint64, errText string) xdr.Frame {
 	t.Helper()
-	req := g.complete(t)
+	req, err := g.next()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res, Lane: req.Lane}
 	if errText != "" {
 		ack.Status, ack.Name = 1, errText
@@ -368,16 +417,22 @@ func TestServeLaneDowncallOrdering(t *testing.T) {
 }
 
 // visit is one steady-state serve visit from both ends: a full chunk
-// published, served, and its completions consumed.
+// published, served, and its completions consumed. Its frames take the
+// rig's paths without testing.TB: t.Helper per frame would outweigh the
+// serve visit in BenchmarkWorkerServeLane.
 func (g *laneRig) visit(t testing.TB, pool [][]byte, bySlot bool) {
 	for i, p := range pool {
-		g.publish(t, "xpctest_count", p, len(pool)-1-i, bySlot)
+		if _, err := g.publishFrame("xpctest_count", p, len(pool)-1-i, bySlot); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if n := g.serve(); n != len(pool) {
 		t.Fatalf("served %d frames, want %d", n, len(pool))
 	}
 	for range pool {
-		g.complete(t)
+		if _, err := g.next(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
