@@ -99,5 +99,5 @@ func RegisterHandler(name string, h Handler) { registry.Register(name, h) }
 // every cell's index — is deterministic across re-execs.
 func RegisterCell(name string) Cell { return registry.RegisterCell(name) }
 
-// HandlerNames lists the registered call names, sorted.
+// HandlerNames lists the registered call names in table index order.
 func HandlerNames() []string { return registry.Names() }

@@ -1,11 +1,11 @@
 // Package registry is the decaf handler table: the process-global,
 // re-exec-able registry that lets decaf call bodies execute in the worker
 // process. A driver registers its decaf-side call bodies as named Handler
-// values from init(), keyed by the same stable call names the XPC layer
-// submits. Because the proc transport's worker is a re-exec of the current
-// binary, the same init() functions run in the worker image, so the handler
-// table is identical on both sides of the boundary by construction — no
-// serialized code, no plugin loading, just deterministic init order.
+// values from init(), each at the next index of a dense table. The proc
+// transport's worker is a re-exec of the current binary, so the same init()
+// functions number the table alike in both images — no serialized code, no
+// plugin loading, just deterministic init order — and Digest, checked once
+// per epoch, proves it. A call crosses as its index (ByID).
 //
 // Handlers are package-level pure functions over a Ctx: they see the call's
 // payload bytes, the driver's shared state cells (shm-backed under the proc
@@ -23,7 +23,8 @@ package registry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,18 +100,27 @@ type Handler struct {
 	// to the worker process.
 	Fn func(*Ctx) error
 
-	// name is the call name Register installed this copy under.
+	// name and id are the call name and index Register gave this copy.
 	name string
+	id   uint32
 }
 
-// table is the immutable snapshot Lookup reads lock-free.
-var table atomic.Pointer[map[string]*Handler]
+// handlerTable is the immutable snapshot Lookup and ByID read lock-free:
+// every handler at its index, and the same handlers by name.
+type handlerTable struct {
+	byID   []*Handler
+	byName map[string]*Handler
+}
+
+var table atomic.Pointer[handlerTable]
 
 var regMu sync.Mutex
 
+func init() { table.Store(&handlerTable{byName: map[string]*Handler{}}) }
+
 // Register installs (or replaces) the handler for a call name. Call it from
 // init() so the table is identical in every exec of the binary, parent and
-// worker alike.
+// worker alike. A new name takes the next index, a replacement the old one.
 func Register(name string, h Handler) {
 	if name == "" || h.Fn == nil {
 		panic("registry: Register needs a name and a body")
@@ -118,59 +128,82 @@ func Register(name string, h Handler) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := table.Load()
-	next := make(map[string]*Handler, 1+lenOf(old))
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
+	next := &handlerTable{byID: slices.Clone(old.byID), byName: maps.Clone(old.byName)}
+	h.name, h.id = name, uint32(len(old.byID))
+	if prev := old.byName[name]; prev != nil {
+		h.id = prev.id
+		next.byID[h.id] = &h
+	} else {
+		next.byID = append(next.byID, &h)
 	}
-	hc := h
-	hc.name = name
-	next[name] = &hc
-	table.Store(&next)
+	next.byName[name] = &h
+	table.Store(next)
 }
 
-func lenOf(m *map[string]*Handler) int {
-	if m == nil {
-		return 0
-	}
-	return len(*m)
-}
+// ID is the handler's index in the table: what a FrameCall carries in place
+// of the name.
+func (h *Handler) ID() uint32 { return h.id }
 
 // Lookup returns the handler registered for name, or nil. Lock-free and
 // allocation-free: safe on the submit hot path.
 //
 //decaf:hotpath
 func Lookup(name string) *Handler {
-	m := table.Load()
-	if m == nil {
-		return nil
-	}
-	return (*m)[name]
+	return table.Load().byName[name]
 }
 
-// LookupBytes is Lookup for a name held as bytes — a view of a wire frame —
-// without materialising a string for it.
+// ByID returns the handler at index id, or nil outside the table. Lock-free
+// and allocation-free: the worker resolves every call through it.
 //
 //decaf:hotpath
-func LookupBytes(name []byte) *Handler {
-	m := table.Load()
-	if m == nil {
+func ByID(id uint32) *Handler {
+	t := table.Load().byID
+	if int(id) >= len(t) {
 		return nil
 	}
-	return (*m)[string(name)]
+	return t[id]
 }
 
-// Names lists the registered handler names, sorted (for docs and tests).
+// Digest fingerprints what both sides must agree on for an index to mean
+// the same body in each: every handler's name and Down flag, then every
+// cell name, in index order. The worker compares its own with the one the
+// kernel side writes into the layout header.
+func Digest() uint64 {
+	cellMu.Lock()
+	defer cellMu.Unlock()
+	return digest(table.Load().byID, cellNames)
+}
+
+// digest is FNV-1a over the names, each closed by a control byte that also
+// says what it named: 1 a handler, 2 a Down handler, 0 a cell.
+func digest(handlers []*Handler, cells []string) uint64 {
+	h := uint64(14695981039346656037)
+	add := func(name string, end byte) {
+		for i := 0; i < len(name); i++ {
+			h = (h ^ uint64(name[i])) * 1099511628211
+		}
+		h = (h ^ uint64(end)) * 1099511628211
+	}
+	for _, hd := range handlers {
+		end := byte(1)
+		if hd.Down {
+			end = 2
+		}
+		add(hd.name, end)
+	}
+	for _, name := range cells {
+		add(name, 0)
+	}
+	return h
+}
+
+// Names lists the registered handler names in index order: Names()[i]
+// names ByID(i).
 func Names() []string {
-	m := table.Load()
-	if m == nil {
-		return nil
+	t := table.Load().byID
+	out := make([]string, len(t))
+	for i, h := range t {
+		out[i] = h.name
 	}
-	out := make([]string, 0, len(*m))
-	for k := range *m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

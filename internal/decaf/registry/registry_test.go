@@ -13,10 +13,7 @@ func TestLookupHitAndMiss(t *testing.T) {
 	if h == nil || h.Cost != time.Microsecond || h.Fn == nil {
 		t.Fatalf("Lookup(hit) = %+v", h)
 	}
-	if hb := LookupBytes([]byte("regtest_hit")); hb != h {
-		t.Fatalf("LookupBytes resolved %p, Lookup %p: one table, one entry", hb, h)
-	}
-	if Lookup("regtest_no_such") != nil || LookupBytes([]byte("regtest_no_such")) != nil || LookupBytes(nil) != nil {
+	if Lookup("regtest_no_such") != nil {
 		t.Fatal("lookup of an unregistered name returned a handler")
 	}
 	found := false
@@ -26,15 +23,97 @@ func TestLookupHitAndMiss(t *testing.T) {
 	if !found {
 		t.Fatalf("Names() = %v lacks the registered name", Names())
 	}
-	name := []byte("regtest_hit")
-	if avg := testing.AllocsPerRun(100, func() { _ = LookupBytes(name) }); avg != 0 {
-		t.Fatalf("LookupBytes allocates %.1f objects per call, want 0", avg)
+}
+
+// TestByID: the table is dense in registration order, so every index below
+// its length resolves to the handler registered there — the one Lookup
+// finds by name — and every index at or past it resolves to nil, without
+// allocating.
+func TestByID(t *testing.T) {
+	Register("regtest_byid_a", Handler{Fn: func(*Ctx) error { return nil }})
+	Register("regtest_byid_b", Handler{Fn: func(*Ctx) error { return nil }})
+	a, b := Lookup("regtest_byid_a"), Lookup("regtest_byid_b")
+	if b.ID() != a.ID()+1 {
+		t.Fatalf("consecutive registrations took indices %d and %d", a.ID(), b.ID())
+	}
+	if ByID(a.ID()) != a || ByID(b.ID()) != b {
+		t.Fatalf("ByID(%d), ByID(%d) = %p, %p, want %p, %p", a.ID(), b.ID(), ByID(a.ID()), ByID(b.ID()), a, b)
+	}
+	n := uint32(len(Names()))
+	for id := uint32(0); id < n; id++ {
+		if h := ByID(id); h == nil || h.ID() != id || Lookup(h.name) != h {
+			t.Fatalf("ByID(%d) = %+v: a hole or a misnumbered entry in a %d-entry table", id, h, n)
+		}
+	}
+	for _, id := range []uint32{n, n + 1, 1 << 31, ^uint32(0)} {
+		if h := ByID(id); h != nil {
+			t.Fatalf("ByID(%d) past a %d-entry table = %+v, want nil", id, n, h)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = ByID(b.ID()), ByID(n) }); avg != 0 {
+		t.Fatalf("ByID allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestDigest: the digest moves with every handler name, Down flag and index,
+// and with the cell order, and with nothing else — re-registering a name
+// under the same flag, as a test swapping a body does, leaves it alone.
+func TestDigest(t *testing.T) {
+	hs := func(names string, downs ...bool) []*Handler {
+		var out []*Handler
+		for i, n := range strings.Split(names, ",") {
+			out = append(out, &Handler{name: n, id: uint32(i), Down: downs[i]})
+		}
+		return out
+	}
+	base := digest(hs("a,b", false, true), []string{"x", "y"})
+	for _, tc := range []struct {
+		what string
+		got  uint64
+	}{
+		{"a handler renamed", digest(hs("a,c", false, true), []string{"x", "y"})},
+		{"a Down flag flipped", digest(hs("a,b", true, true), []string{"x", "y"})},
+		{"the handler order swapped", digest(hs("b,a", true, false), []string{"x", "y"})},
+		{"a name boundary moved", digest(hs("ab,", false, true), []string{"x", "y"})},
+		{"the cell order swapped", digest(hs("a,b", false, true), []string{"y", "x"})},
+		{"a cell added", digest(hs("a,b", false, true), []string{"x", "y", "z"})},
+	} {
+		if tc.got == base {
+			t.Errorf("%s: digest unchanged at %#x", tc.what, base)
+		}
+	}
+	if again := digest(hs("a,b", false, true), []string{"x", "y"}); again != base {
+		t.Fatalf("the same table digests to %#x and %#x", base, again)
+	}
+
+	Register("regtest_digest", Handler{Fn: func(*Ctx) error { return nil }})
+	d := Digest()
+	Register("regtest_digest", Handler{Fn: func(*Ctx) error { return errors.New("swapped body") }})
+	if Digest() != d {
+		t.Fatal("a body swapped under the same name and flag moved the digest")
+	}
+	Register("regtest_digest", Handler{Down: true, Fn: func(*Ctx) error { return nil }})
+	if Digest() == d {
+		t.Fatal("a Down flag flipped by re-registering left the digest unchanged")
+	}
+	Register("regtest_digest", Handler{Fn: func(*Ctx) error { return nil }})
+	if Digest() != d {
+		t.Fatal("restoring the flag did not restore the digest")
+	}
+	Register("regtest_digest_new", Handler{Fn: func(*Ctx) error { return nil }})
+	if Digest() == d {
+		t.Fatal("a new handler left the digest unchanged")
+	}
+	// Each worker spawn computes it on the kernel side.
+	if avg := testing.AllocsPerRun(10, func() { _ = Digest() }); avg != 0 {
+		t.Fatalf("Digest allocates %.1f objects per call, want 0", avg)
 	}
 }
 
 // TestRegisterReplaces: a second Register under the same name replaces the
-// body for later lookups; a handler resolved earlier keeps the body it was
-// resolved with (the table is copy-on-write, entries are never mutated).
+// body for later lookups at the same index; a handler resolved earlier keeps
+// the body it was resolved with (the table is copy-on-write, entries are
+// never mutated).
 func TestRegisterReplaces(t *testing.T) {
 	Register("regtest_replace", Handler{Fn: func(*Ctx) error { return errors.New("first") }})
 	first := Lookup("regtest_replace")
@@ -42,6 +121,9 @@ func TestRegisterReplaces(t *testing.T) {
 	second := Lookup("regtest_replace")
 	if second == first || !second.Down {
 		t.Fatalf("replacement not installed: first %p, second %p %+v", first, second, second)
+	}
+	if second.ID() != first.ID() || ByID(first.ID()) != second {
+		t.Fatalf("the replacement moved from index %d to %d (ByID resolves %p)", first.ID(), second.ID(), ByID(first.ID()))
 	}
 	if err := second.Fn(nil); err == nil || err.Error() != "second" {
 		t.Fatalf("replaced body returned %v", err)

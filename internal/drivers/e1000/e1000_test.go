@@ -406,12 +406,12 @@ func TestOpenNestedReleaseOrder(t *testing.T) {
 // registered at init, as every cell must be, so the state area holds it.
 var refused = registry.RegisterCell("e1000test.refused")
 
-// TestOutOfRangeTargetsRefused: the EEPROM and PHY targets check the
-// address a decaf body hands them and refuse one outside the device before
-// touching a register.
-func TestOutOfRangeTargetsRefused(t *testing.T) {
-	r := newRig(t, xpc.ModeDecaf)
-	r.load(t)
+// The test-only body below hands the EEPROM and PHY targets addresses
+// outside the device. It is registered at init, as every handler must be:
+// the worker's table is the one its init builds, so a handler registered
+// later would change the kernel side's digest and every later proc epoch
+// would be refused.
+func init() {
 	registry.Register("e1000test_out_of_range", registry.Handler{
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
@@ -432,6 +432,14 @@ func TestOutOfRangeTargetsRefused(t *testing.T) {
 			return nil
 		},
 	})
+}
+
+// TestOutOfRangeTargetsRefused: the EEPROM and PHY targets check the
+// address a decaf body hands them and refuse one outside the device before
+// touching a register.
+func TestOutOfRangeTargetsRefused(t *testing.T) {
+	r := newRig(t, xpc.ModeDecaf)
+	r.load(t)
 	reg := func(off uint32) uint64 { return r.dev.PCI.MMIORead(0, off, 4) }
 	eerd, mdic, shadow := reg(e1000hw.RegEERD), reg(e1000hw.RegMDIC), r.drv.Adapter.EEPROM
 	if err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "e1000test_out_of_range"); err != nil {

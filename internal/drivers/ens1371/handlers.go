@@ -157,15 +157,17 @@ func init() {
 			return down(c, "snd_es1371_dac2_ctrl", v)
 		},
 	})
-	// The open, prepare and close bodies are one downcall each.
-	for body, target := range map[string]string{
-		"snd_ens1371_playback_open":  "snd_dma_alloc",
-		"snd_ens1371_prepare":        "snd_es1371_reset_pointer",
-		"snd_ens1371_playback_close": "snd_dma_free",
+	// The open, prepare and close bodies are one downcall each. A slice, not
+	// a map: registration order numbers the table, so it must be the same
+	// in every exec of the binary.
+	for _, p := range [...][2]string{
+		{"snd_ens1371_playback_open", "snd_dma_alloc"},
+		{"snd_ens1371_prepare", "snd_es1371_reset_pointer"},
+		{"snd_ens1371_playback_close", "snd_dma_free"},
 	} {
-		registry.Register(body, registry.Handler{
+		registry.Register(p[0], registry.Handler{
 			Down: true,
-			Fn:   func(c *registry.Ctx) error { return down(c, target, 0) },
+			Fn:   func(c *registry.Ctx) error { return down(c, p[1], 0) },
 		})
 	}
 }

@@ -90,27 +90,6 @@ func (c *Codec) MarshalAppend(dst []byte, v any) ([]byte, error) {
 	return out, nil
 }
 
-// MarshalSize reports the encoded size of v without retaining the buffer.
-func (c *Codec) MarshalSize(v any) (int, error) {
-	bp := sizeBufPool.Get().(*[]byte)
-	b, err := c.MarshalAppend((*bp)[:0], v)
-	if err != nil {
-		sizeBufPool.Put(bp)
-		return 0, err
-	}
-	n := len(b)
-	*bp = b[:0]
-	sizeBufPool.Put(bp)
-	return n, nil
-}
-
-var sizeBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	},
-}
-
 func (s *encState) value(v reflect.Value) error {
 	switch v.Kind() {
 	case reflect.Bool:

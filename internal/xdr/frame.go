@@ -22,9 +22,9 @@ type FrameKind uint8
 // and rejected as corrupt.
 const (
 	// FrameSubmit carries an isolation probe to the worker: a call with no
-	// handler behind it (xpc's ProcTransport.CrossChunk), whose entry-point
-	// name, direction, and either a payload-ring slot descriptor (zero-copy
-	// fast path: the bytes stay in the shared mapping) or the payload bytes
+	// handler behind it (xpc's ProcTransport.CrossChunk) and no name, whose
+	// direction and either a payload-ring slot descriptor (zero-copy fast
+	// path: the bytes stay in the shared mapping) or the payload bytes
 	// themselves (copy fallback) the worker only proves it read.
 	FrameSubmit FrameKind = 1
 	// FrameComplete acknowledges one frame by ID: Status is zero on
@@ -37,10 +37,10 @@ const (
 	// Name.
 	FrameComplete FrameKind = 2
 	// FrameCall dispatches one decaf call body to the worker's handler
-	// table: Name is the registered handler name, the payload travels like
-	// FrameSubmit (slot descriptor or copy bytes), and Aux counts the
-	// FrameCall frames remaining after this one in the same chunk (so the
-	// worker can skip the rest of an aborting chunk with kernel-side
+	// table: Status is the handler's table index (no name crosses), the
+	// payload travels like FrameSubmit (slot descriptor or copy bytes), and
+	// Aux counts the FrameCall frames after this one in the same chunk (so
+	// the worker can skip the rest of an aborting chunk with kernel-side
 	// parity). The Inject flag asks the worker to report an injected fault
 	// without executing the body. The completion's Status distinguishes
 	// executed / failed / faulted / injected / skipped outcomes.
@@ -94,15 +94,16 @@ type Frame struct {
 	// side's fault injector elected this call, and the worker acknowledges
 	// it as an injected fault instead of dispatching the handler.
 	Inject bool
-	// Name is the entry-point name for submit frames, or an error message
-	// on a non-zero-Status completion.
+	// Name is the downcall name on FrameDown, or an error message on a
+	// non-zero-Status completion. Call and probe frames carry none.
 	Name string
 	// Slot references a payload resident in the shared ring (zero value:
 	// no slot, see SlotDescriptor.Valid).
 	Slot SlotDescriptor
 	// Data is the copy-path payload (nil when the payload rides the ring).
 	Data []byte
-	// Status is the completion outcome: 0 ok, non-zero a worker-side error.
+	// Status is kind-specific, like Aux: the handler's table index on
+	// FrameCall, else the outcome (0 ok, non-zero a worker-side error).
 	Status uint32
 	// Aux is kind-specific: the observed payload's checksum on FrameComplete
 	// (zero: no payload), frames left in the chunk on FrameCall, the scalar

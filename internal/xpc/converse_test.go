@@ -24,6 +24,8 @@ type converseRig struct {
 	// completion doorbell when the kernel side parked on it.
 	wsub, wcmp *descRing
 	wbell      *fdDoorbell
+	// got holds every frame the fake worker took, decoded as it found it.
+	got []xdr.Frame
 }
 
 func newConverseRig(tb testing.TB, batch int) *converseRig {
@@ -93,6 +95,7 @@ func (g *converseRig) serve(n int, ring *PayloadRing, lie func(i int, sum uint64
 				done <- err
 				return
 			}
+			g.got = append(g.got, f)
 			payload := f.Data
 			if f.Slot.Valid() {
 				if payload, err = ring.Buffer(f.Slot); err != nil {
@@ -222,5 +225,42 @@ func TestLaneConverseLyingChecksum(t *testing.T) {
 				t.Fatalf("call 2 resolved %v, want ErrCrossingAborted", ferr)
 			}
 		})
+	}
+}
+
+// TestLaneConverseFramesCarryNoName: no kernel→worker frame names what it
+// carries. A call published by laneConverse carries its handler's table
+// index in Status and a probe carries nothing; both cross with a name
+// length of 0, however long the handler's name.
+func TestLaneConverseFramesCarryNoName(t *testing.T) {
+	g := newConverseRig(t, 4)
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	ctx := k.NewContext("converse")
+	chunk := append(procSubs(r, []string{"xpctest_count", longNameHandler}, [][]byte{{1}, nil}),
+		r.NewSubmission(&Call{Name: "probe_copy", Up: true, Data: []byte{2, 3}}))
+	served := g.serve(len(chunk), nil, func(_ int, sum uint64) uint64 { return sum })
+	if err := g.pt.laneConverse(r, ctx, g.ep, g.lane, chunk, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("fake worker: %v", err)
+	}
+	want := []struct {
+		kind   xdr.FrameKind
+		status uint32
+	}{
+		{xdr.FrameCall, registry.Lookup("xpctest_count").ID()},
+		{xdr.FrameCall, registry.Lookup(longNameHandler).ID()},
+		{xdr.FrameSubmit, 0},
+	}
+	if len(g.got) != len(want) {
+		t.Fatalf("the worker took %d frames, want %d", len(g.got), len(want))
+	}
+	for i, f := range g.got {
+		if f.Kind != want[i].kind || f.Status != want[i].status || f.Name != "" {
+			t.Fatalf("frame %d crossed as %v status %d name %q, want %v status %d and no name",
+				i, f.Kind, f.Status, f.Name, want[i].kind, want[i].status)
+		}
 	}
 }

@@ -61,10 +61,10 @@ type Counters struct {
 
 	// SyscallCrossings counts syscalls a process-separated transport spent
 	// moving crossings. Every call — downcall-making bodies included — rides
-	// the shared-memory lanes, so the only such syscalls are doorbells: it
-	// equals DoorbellWakeups. Zero under the in-process transports, and — the
-	// point of the descriptor rings — far below one per packet in a proc
-	// steady state, where the doorbell stays silent.
+	// the shared-memory lanes, so the only such syscalls are doorbells: the
+	// snapshot fills it from DoorbellWakeups. Zero under the in-process
+	// transports, and — the point of the descriptor rings — far below one
+	// per packet in a proc steady state, where the doorbell stays silent.
 	SyscallCrossings uint64
 	// RingCrossings counts coalesced chunks that crossed through the
 	// shared-memory descriptor rings: under ProcTransport, every chunk.
@@ -76,9 +76,9 @@ type Counters struct {
 	DoorbellWakeups uint64
 	// WireBytesOut / WireBytesIn total the framed bytes a process-separated
 	// transport moved over its socketpair. The worker learns its layout from
-	// the shared region itself, so the kernel side writes nothing
-	// (WireBytesOut stays 0) and each worker epoch adds one acknowledgement
-	// to WireBytesIn. No crossing moves wire bytes.
+	// the shared region itself, so WireBytesOut is always zero (kept for
+	// readers that sum both), and each worker epoch adds one
+	// acknowledgement to WireBytesIn. No crossing moves wire bytes.
 	WireBytesOut uint64
 	WireBytesIn  uint64
 	// WorkerServedCalls counts call bodies that executed to completion (or
@@ -229,14 +229,12 @@ type counterCell struct {
 	bytesDirect     atomic.Uint64
 	copiedTransfers atomic.Uint64
 	directTransfers atomic.Uint64
-	syscallCross    atomic.Uint64
 	ringCross       atomic.Uint64
 	doorbells       atomic.Uint64
-	wireBytesOut    atomic.Uint64
 	wireBytesIn     atomic.Uint64
 	workerServed    atomic.Uint64
 	workerDown      atomic.Uint64
-	_               [24]byte
+	_               [32]byte
 }
 
 // counterState is one epoch of statistics. ResetCounters swaps in a fresh
@@ -422,28 +420,13 @@ func (r *Runtime) noteRingCrossing(name string) {
 }
 
 // noteDoorbells records n doorbell syscalls spent waking a parked peer (or
-// being woken). They are the only syscalls a crossing can pay, so the same
-// n feeds SyscallCrossings — in a healthy steady state both stay near zero
+// being woken). They are the only syscalls a crossing can pay, so they are
+// SyscallCrossings too — in a healthy steady state both stay near zero
 // while RingCrossings climbs.
 //
 //decaf:hotpath
 func (r *Runtime) noteDoorbells(name string, n int) {
-	c := r.state().cell(name)
-	c.doorbells.Add(uint64(n))
-	c.syscallCross.Add(uint64(n))
-}
-
-// noteWire accumulates framed bytes moved over the worker socketpair.
-//
-//decaf:hotpath
-func (r *Runtime) noteWire(name string, out, in int) {
-	c := r.state().cell(name)
-	if out > 0 {
-		c.wireBytesOut.Add(uint64(out))
-	}
-	if in > 0 {
-		c.wireBytesIn.Add(uint64(in))
-	}
+	r.state().cell(name).doorbells.Add(uint64(n))
 }
 
 // noteWorkerDowncall ticks the nested-downcall counter: one FrameDown from
@@ -493,14 +476,13 @@ func (r *Runtime) Counters() Counters {
 		snap.BytesPayloadDirect += c.bytesDirect.Load()
 		snap.CopiedTransfers += c.copiedTransfers.Load()
 		snap.DirectTransfers += c.directTransfers.Load()
-		snap.SyscallCrossings += c.syscallCross.Load()
 		snap.RingCrossings += c.ringCross.Load()
 		snap.DoorbellWakeups += c.doorbells.Load()
-		snap.WireBytesOut += c.wireBytesOut.Load()
 		snap.WireBytesIn += c.wireBytesIn.Load()
 		snap.WorkerServedCalls += c.workerServed.Load()
 		snap.WorkerDowncalls += c.workerDown.Load()
 	}
+	snap.SyscallCrossings = snap.DoorbellWakeups
 	snap.InFlight = r.inFlight.Load()
 	if wt, ok := r.Transport().(workerStatser); ok {
 		snap.WorkerRespawns, snap.WorkerDeaths, snap.WorkerAlive = wt.workerStats()

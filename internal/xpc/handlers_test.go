@@ -33,8 +33,9 @@ var (
 // a native-mode dispatch of it charges.
 const xpctestCountCost = 500 * time.Nanosecond
 
-// longNameHandler is registered under a name the wire frame cannot carry,
-// so the proc transport's admission check has a handler call to refuse.
+// longNameHandler is registered under a name no frame's name field could
+// carry: a call crosses as its table index, so the proc transport serves it
+// like any other.
 var longNameHandler = strings.Repeat("n", xdr.MaxFrameName+1)
 
 func init() {

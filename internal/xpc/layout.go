@@ -25,7 +25,7 @@ import (
 
 // layoutMagic tags a region laid out by this version of the header: "DCFLAY"
 // followed by a 16-bit layout version. A worker refuses any other value.
-const layoutMagic uint64 = 0x4443_464C_4159_0001
+const layoutMagic uint64 = 0x4443_464C_4159_0002
 
 // layoutHdrSize is the encoded size of the header: two cache lines of its
 // own, read in the steady state but never written there, so no hot word
@@ -36,7 +36,8 @@ const layoutHdrSize = 128
 // field but ringGeom is written once per epoch, before the worker starts;
 // ringGeom is the registered payload ring's geometry (slots<<32 | slotSize,
 // zero for none), which the kernel side rewrites on registration and the
-// worker loads for each slot descriptor it resolves.
+// worker loads for each slot descriptor it resolves. digest is the kernel
+// side's registry.Digest, which the worker's own must equal.
 type layoutHdr struct {
 	magic atomic.Uint64 //decaf:shared
 	// Offset and length of each area, in region order.
@@ -51,7 +52,7 @@ type layoutHdr struct {
 	// and entries per ring; both zero when the epoch is untraced.
 	traceRings, traceEntries atomic.Uint64 //decaf:shared
 	ringGeom                 atomic.Uint64 //decaf:shared
-	_                        [layoutHdrSize - 15*8]byte
+	digest                   atomic.Uint64 //decaf:shared
 }
 
 // Compile-time proof the header layout matches layoutHdrSize.
@@ -96,9 +97,11 @@ func planLayout(payloadBytes, laneCount, descEntries, traceEntries int) layout {
 }
 
 // store writes the whole header: every field, the magic included, so
-// nothing a previous epoch's worker left there survives.
+// nothing a previous epoch's worker left there survives. The handler
+// table's digest is computed here, once per epoch.
 func (h *layoutHdr) store(l layout, ringGeom uint64) {
 	h.magic.Store(layoutMagic)
+	h.digest.Store(registry.Digest())
 	h.payloadOff.Store(uint64(l.payload.off))
 	h.payloadLen.Store(uint64(l.payload.n))
 	h.stateOff.Store(uint64(l.state.off))
@@ -116,14 +119,15 @@ func (h *layoutHdr) store(l layout, ringGeom uint64) {
 }
 
 // parseLayout is the one check of the header, made by the worker before it
-// carves anything: the magic; every area cache-line aligned, in region
-// order, disjoint and inside the mapping; the state area large enough for
-// the registry's cells; the lane count, ring entries and slot size within
-// their bounds and the lane area exactly their footprint; and the trace
-// rings either absent or one per lane plus one, a power of two of at most
-// MaxTraceEntries entries each, filling the trace area exactly. The payload
-// ring geometry is not part of it: it may change while the worker runs, so
-// each slot is bounded against the payload area as it is resolved.
+// carves anything: the magic; the handler table digest against this image's
+// own; every area cache-line aligned, in region order, disjoint and inside
+// the mapping; the state area large enough for the registry's cells; the
+// lane count, ring entries and slot size within their bounds and the lane
+// area exactly their footprint; and the trace rings either absent or one per
+// lane plus one, a power of two of at most MaxTraceEntries entries each,
+// filling the trace area exactly. The payload ring geometry is not part of
+// it: it may change while the worker runs, so each slot is bounded against
+// the payload area as it is resolved.
 func parseLayout(mem []byte) (layout, error) {
 	if len(mem) < layoutHdrSize || uintptr(unsafe.Pointer(&mem[0]))%8 != 0 {
 		return layout{}, fmt.Errorf("a %dB region holds no aligned %dB layout header", len(mem), layoutHdrSize)
@@ -131,6 +135,9 @@ func parseLayout(mem []byte) (layout, error) {
 	h := layoutAt(mem)
 	if m := h.magic.Load(); m != layoutMagic {
 		return layout{}, fmt.Errorf("layout magic %#x, want %#x", m, layoutMagic)
+	}
+	if d, own := h.digest.Load(), registry.Digest(); d != own {
+		return layout{}, fmt.Errorf("layout handler table digest %#x, this image's is %#x", d, own)
 	}
 	// Every word is bounded by the mapping size before it becomes an int,
 	// so none of the sums below can overflow.

@@ -32,6 +32,10 @@ func layoutCases() []layoutCase {
 			scribble: func(mem []byte) { clear(mem[:layoutHdrSize]) }, want: "layout magic 0x0,"},
 		{name: "other version", payload: page, lanes: 2, entries: 4,
 			scribble: func(mem []byte) { layoutAt(mem).magic.Add(1) }, want: "layout magic"},
+		{name: "version 1", payload: page, lanes: 2, entries: 4,
+			scribble: func(mem []byte) { layoutAt(mem).magic.Store(0x4443_464C_4159_0001) }, want: "layout magic 0x4443464c41590001"},
+		{name: "other handler table", payload: page, lanes: 2, entries: 4,
+			scribble: func(mem []byte) { layoutAt(mem).digest.Add(1) }, want: "handler table digest"},
 		{name: "word past the region", payload: page, lanes: 2, entries: 4,
 			edit: func(l *layout) { l.payload.n = l.trace.end() + 1 }, want: "payload length"},
 		{name: "region shorter than its areas", payload: page, lanes: 2, entries: 4, short: 1,

@@ -19,9 +19,8 @@ import (
 	"decafdrivers/internal/xdr"
 )
 
-// DefaultProcShmBytes sizes the shared payload region a zero ProcConfig
-// gets: room for the default payload ring with headroom for larger
-// geometries.
+// DefaultProcShmBytes sizes the payload area of every shared region: room
+// for the default payload ring with headroom for larger geometries.
 const DefaultProcShmBytes = 8 << 20
 
 // MaxProcBatch caps a ProcTransport's coalescing size. Every lane's two
@@ -77,9 +76,6 @@ type ProcConfig struct {
 	// Batch is the most calls one wire crossing may coalesce; <1 means
 	// DefaultBatchSize.
 	Batch int
-	// ShmBytes sizes the shared memory region backing mapped payload
-	// rings; <1 means DefaultProcShmBytes.
-	ShmBytes int
 	// Lanes is the number of independent submission lanes concurrent
 	// submitters claim (one extra contended spill lane is always carved on
 	// top); <1 means DefaultProcLanes, capped at MaxProcLanes.
@@ -137,20 +133,21 @@ type ProcConfig struct {
 // Call bodies are handler-table calls (Batch.UpcallHandler; see
 // internal/decaf/registry) and execute in the worker process for real: the
 // worker is a re-exec of the same binary, so it holds the same registered
-// handler table, and each FrameCall names the handler to run against the
-// payload bytes the worker reads through its own shm mapping. Results,
-// contained panics and injected-fault outcomes travel back as completion
-// statuses; nested downcalls from an executing handler cross back as
-// FrameDown round trips on the lane the call was claimed on, served by that
-// lane's holder (see laneConverse). The worker executes strictly one body at
-// a time, as the paper's single-threaded decaf driver does: while a body
-// waits on a downcall no other lane is served, so a downcall target must
-// not wait on a lock held across another in-flight crossing. Shared driver
-// state lives in a state window of the same mapping (layout.go), so
-// both processes read and write it through registry.State. The virtual
-// cost model matches BatchTransport exactly: crossings per packet, stall
-// and marshaling charges are identical, and the wire adds real-world
-// counters on top rather than perturbing the modeled timeline.
+// handler table, numbered alike (the layout header's digest proves it), and
+// each FrameCall carries the index of the handler to run against the payload
+// bytes the worker reads through its own shm mapping. Results, contained
+// panics and injected-fault outcomes travel back as completion statuses;
+// nested downcalls from an executing handler cross back as FrameDown round
+// trips on the lane the call was claimed on, served by that lane's holder
+// (see laneConverse). The worker executes strictly one body at a time, as
+// the paper's single-threaded decaf driver does: while a body waits on a
+// downcall no other lane is served, so a downcall target must not wait on a
+// lock held across another in-flight crossing. Shared driver state lives in
+// a state window of the same mapping (layout.go), so both processes read and
+// write it through registry.State. The virtual cost model matches
+// BatchTransport exactly: crossings per packet, stall and marshaling charges
+// are identical, and the wire adds real-world counters on top rather than
+// perturbing the modeled timeline.
 //
 // A ProcTransport binds to the first Runtime that submits through it and
 // must be Closed (directly, or by SetTransport replacing it) to stop the
@@ -291,9 +288,6 @@ func NewProcTransport(cfg ProcConfig) (*ProcTransport, error) {
 	}
 	if cfg.Batch > MaxProcBatch {
 		cfg.Batch = MaxProcBatch
-	}
-	if cfg.ShmBytes < 1 {
-		cfg.ShmBytes = DefaultProcShmBytes
 	}
 	if cfg.Lanes < 1 {
 		cfg.Lanes = DefaultProcLanes
@@ -494,23 +488,23 @@ func (t *ProcTransport) CrossChunk(r *Runtime, ctx *kernel.Context, chunk []*Sub
 
 // admitChunk is the one admission check of the data plane, made before any
 // lane is claimed: every frame of the chunk must be guaranteed to encode
-// into one descriptor-ring slot. Each frame is sized against its copy-path
-// form (Data counted even when a slot descriptor would cross), so a stale
-// zero-copy descriptor degrading to its Data fallback at encode time cannot
-// overflow the slot the chunk was admitted for — which is what lets
-// laneConverse treat an encode failure as impossible rather than unwinding
-// a partially published ring. A refusal is errProcEncode: nothing crossed,
-// the worker is untouched. (No driver comes near it: the largest copy-path
-// payload is a 1514 B ethernet frame, and bigger ones are staged in payload
-// ring slots, of which only the 12-byte descriptor crosses.)
+// into one descriptor-ring slot. A frame carries no name, so each is sized
+// by its payload in its copy-path form (Data counted even when a slot
+// descriptor would cross), so a stale zero-copy descriptor degrading to its
+// Data fallback at encode time cannot overflow the slot the chunk was
+// admitted for — which is what lets laneConverse treat an encode failure as
+// impossible rather than unwinding a partially published ring. A refusal is
+// errProcEncode: nothing crossed, the worker is untouched. (No driver comes
+// near it: the largest copy-path payload is a 1514 B ethernet frame, and
+// bigger ones are staged in payload ring slots, of which only the 12-byte
+// descriptor crosses.)
 //
 //decaf:hotpath
 func admitChunk(chunk []*Submission) error {
 	for _, sub := range chunk {
 		c := sub.Call
-		if n := xdr.FrameWireSize(xdr.Frame{Name: c.Name, Data: c.Data}); len(c.Name) > xdr.MaxFrameName || n > descSlotBytes {
-			return fmt.Errorf("%w: %.64q (name %dB, limit %dB) encodes to %dB, a descriptor slot holds %dB",
-				errProcEncode, c.Name, len(c.Name), xdr.MaxFrameName, n, descSlotBytes)
+		if n := xdr.FrameWireSize(xdr.Frame{Data: c.Data}); n > descSlotBytes {
+			return fmt.Errorf("%w: %.64q encodes to %dB, a descriptor slot holds %dB", errProcEncode, c.Name, n, descSlotBytes)
 		}
 	}
 	return nil
@@ -686,9 +680,10 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 			lane.seq++
 			ids[next] = lane.seq
 			sums[next] = 0
-			f := xdr.Frame{Kind: xdr.FrameSubmit, ID: lane.seq, Up: c.Up, Name: c.Name, Lane: lane.idx}
+			f := xdr.Frame{Kind: xdr.FrameSubmit, ID: lane.seq, Up: c.Up, Lane: lane.idx}
 			if c.h != nil {
-				// Handler-table call: the worker executes the registered body.
+				// Handler-table call: the worker executes the body at the
+				// handler's table index, which Status carries; no name crosses.
 				// Aux carries the count of handler frames after this one in the
 				// chunk, so the worker can mirror the kernel side's chunk-abort
 				// by skipping them when this body fails. Injection is decided
@@ -697,6 +692,7 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 				// never both).
 				handlersLeft--
 				f.Kind = xdr.FrameCall
+				f.Status = c.h.ID()
 				f.Aux = uint64(handlersLeft)
 				c.remoteServed = false
 				barrier = c.h.Down
@@ -836,7 +832,7 @@ func (lane *procLane) publish(f *xdr.Frame) error {
 		return fmt.Errorf("xpc: lane %d submit ring full at %d entries", lane.idx, lane.sub.entries)
 	}
 	if _, err := xdr.AppendFrame(slot[:0], *f); err != nil {
-		return fmt.Errorf("xpc: lane %d descriptor encode %v %q: %v", lane.idx, f.Kind, f.Name, err)
+		return fmt.Errorf("xpc: lane %d descriptor encode %v id %d: %v", lane.idx, f.Kind, f.ID, err)
 	}
 	lane.sub.publish()
 	return nil
@@ -1012,7 +1008,7 @@ func (t *ProcTransport) ensureShmLocked() error {
 	if t.shm != nil {
 		return nil
 	}
-	l := planLayout(t.cfg.ShmBytes, t.laneCount(), t.descEntries, t.cfg.TraceEntries)
+	l := planLayout(DefaultProcShmBytes, t.laneCount(), t.descEntries, t.cfg.TraceEntries)
 	shm, err := newShmRegion(l.trace.end())
 	if err != nil {
 		return err
@@ -1175,7 +1171,7 @@ func (t *ProcTransport) awaitAck(ep *procEpoch) error {
 		return ep.death(err)
 	}
 	if r := t.rt.Load(); r != nil {
-		r.noteWire(xdr.FrameComplete.String(), 0, n)
+		r.state().cell(xdr.FrameComplete.String()).wireBytesIn.Add(uint64(n))
 	}
 	switch {
 	case ack.Kind != xdr.FrameComplete:

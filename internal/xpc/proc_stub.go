@@ -30,7 +30,6 @@ const MaxTraceEntries = 1 << 15
 // ProcConfig sizes a ProcTransport (unsupported on this platform).
 type ProcConfig struct {
 	Batch        int
-	ShmBytes     int
 	Lanes        int
 	TraceEntries int
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/xdr"
 )
@@ -158,10 +159,12 @@ func TestProcNestedDowncallFromUpcallBody(t *testing.T) {
 }
 
 // TestProcOversizedPayloadRejectedCleanly: a copy-path payload a descriptor
-// slot cannot hold — or a name the frame cannot — is refused at admission,
-// before any lane is claimed: an ordinary error, not a fault; nothing
-// crossed, the worker is the same process and was not respawned; and the
-// next crossing rides the rings as if nothing had happened.
+// slot cannot hold is refused at admission, before any lane is claimed: an
+// ordinary error, not a fault; nothing crossed, the worker is the same
+// process and was not respawned; and the next crossing rides the rings as
+// if nothing had happened. A handler name longer than any frame could carry
+// is no reason to refuse: the call crosses as its table index, and its body
+// runs in the worker.
 func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 	k, r, pt := newProcRig(t, 2)
 	ctx := k.NewContext("test")
@@ -178,9 +181,6 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 		}},
 		{"payload over the frame codec's limit", func(b *Batch) *Batch {
 			return b.UpcallHandlerData("xpctest_count", make([]byte, 1<<20+1))
-		}},
-		{"name over the frame limit", func(b *Batch) *Batch {
-			return b.UpcallHandler(longNameHandler)
 		}},
 	} {
 		err := tc.call(r.Batch(ctx)).Flush()
@@ -206,6 +206,17 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 	}
 	if c := r.Counters(); c.RingCrossings != before.RingCrossings+1 {
 		t.Fatalf("RingCrossings moved by %d after the refusals, want 1", c.RingCrossings-before.RingCrossings)
+	}
+	parentRan := testParentRan.Load()
+	if err := r.UpcallHandler(ctx, longNameHandler); err != nil {
+		t.Fatalf("a %dB handler name: %v, want the call to cross by index", len(longNameHandler), err)
+	}
+	if got := r.SharedState().Load(testCellServed); got != served+1 || testParentRan.Load() != parentRan {
+		t.Fatalf("long-name body: served cell %d -> %d, parent-side runs %d -> %d, want one run in the worker",
+			served, got, parentRan, testParentRan.Load())
+	}
+	if pt.WorkerPID() != pid {
+		t.Fatalf("worker pid %d -> %d across the long-name call", pid, pt.WorkerPID())
 	}
 }
 
@@ -825,5 +836,55 @@ func TestProcScribbledHeaderContained(t *testing.T) {
 	}
 	if got := pt.hdr.ringGeom.Load(); got != want {
 		t.Fatalf("header ring geometry %#x after the respawn, want the kernel side's %#x", got, want)
+	}
+}
+
+// TestProcHandlerTableDigestRefused: calls cross as table indices, so a
+// worker whose handler table differs from the kernel side's must not serve
+// one. The kernel side re-registers a handler with its Down flag flipped,
+// so the digest it writes into the next header is one the worker's image
+// cannot match. The respawn fails as a *LayoutRefusal naming the digest, a
+// crossing meanwhile is contained without claiming a lane, and once the
+// flag is restored the next epoch, on a rewritten header, serves.
+func TestProcHandlerTableDigestRefused(t *testing.T) {
+	k, r, pt := newProcRig(t, 1)
+	ctx := k.NewContext("test")
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+		t.Fatal(err)
+	}
+	orig := *registry.Lookup("xpctest_store")
+	flipped := orig
+	flipped.Down = !orig.Down
+	registry.Register("xpctest_store", flipped)
+	t.Cleanup(func() { registry.Register("xpctest_store", orig) })
+
+	pid, before := pt.WorkerPID(), r.Counters()
+	var refusal *LayoutRefusal
+	if err := pt.RespawnWorker(); !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "handler table digest") {
+		t.Fatalf("respawn under another handler table: %v, want a *LayoutRefusal naming the digest", err)
+	}
+	err := r.UpcallHandler(ctx, "xpcbench_sink")
+	if !IsUserFault(err) || !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "handler table digest") {
+		t.Fatalf("crossing under another handler table: %v, want a contained *LayoutRefusal naming the digest", err)
+	}
+	c := r.Counters()
+	if c.WorkerAlive || pt.WorkerPID() != 0 || c.WorkerRespawns != before.WorkerRespawns || c.WorkerDeaths != before.WorkerDeaths+3 {
+		t.Fatalf("WorkerAlive=%v pid %d WorkerRespawns %d -> %d WorkerDeaths %d -> %d, want no live worker, no spawn counted and three epochs retired",
+			c.WorkerAlive, pt.WorkerPID(), before.WorkerRespawns, c.WorkerRespawns, before.WorkerDeaths, c.WorkerDeaths)
+	}
+	if c.RingCrossings != before.RingCrossings || c.LaneAcquisitions != before.LaneAcquisitions {
+		t.Fatalf("RingCrossings %d -> %d, LaneAcquisitions %d -> %d: a call crossed to a refusing worker",
+			before.RingCrossings, c.RingCrossings, before.LaneAcquisitions, c.LaneAcquisitions)
+	}
+
+	registry.Register("xpctest_store", orig)
+	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+		t.Fatalf("crossing once the tables agree again: %v", err)
+	}
+	if got := pt.WorkerPID(); got == 0 || got == pid {
+		t.Fatalf("worker pid %d after the refusals, want a fresh process (old %d)", got, pid)
+	}
+	if got, want := pt.hdr.digest.Load(), registry.Digest(); got != want {
+		t.Fatalf("header digest %#x on the serving epoch, want the table's %#x", got, want)
 	}
 }

@@ -54,7 +54,6 @@ type PayloadRing struct {
 
 	inUse     atomic.Int64
 	peak      atomic.Int64
-	acquired  atomic.Uint64
 	exhausted atomic.Uint64
 	stale     atomic.Uint64
 }
@@ -115,9 +114,6 @@ func (p *PayloadRing) InUse() int64 { return p.inUse.Load() }
 // Peak reports the occupancy high-water mark.
 func (p *PayloadRing) Peak() int64 { return p.peak.Load() }
 
-// Acquired reports total successful slot acquisitions.
-func (p *PayloadRing) Acquired() uint64 { return p.acquired.Load() }
-
 // Exhausted reports acquisition attempts that found no usable slot (ring
 // empty, or payload larger than a slot) and fell back to the copy path.
 func (p *PayloadRing) Exhausted() uint64 { return p.exhausted.Load() }
@@ -151,7 +147,6 @@ func (p *PayloadRing) Acquire(n int) (s xdr.SlotDescriptor, buf []byte, ok bool)
 	buf = slot.buf[:n]
 	p.mu.Unlock()
 
-	p.acquired.Add(1)
 	cur := p.inUse.Add(1)
 	for {
 		peak := p.peak.Load()

@@ -260,15 +260,16 @@ func pullLines(b []byte) byte {
 }
 
 // callAck services one handler-table dispatch in this address space and
-// fills in its completion: the worker IS the decaf driver process, and h — the
-// handler the frame names — runs here, against the resolved payload and the
-// shared state cells both processes see. The sum is computed before dispatch
-// (and for every outcome), so the parent's payload proof is independent of
-// how the body fared. A panic is contained and reported as a fault status —
-// the parent makes the containment physical by killing this process. A
-// failing or faulting body arms l.skip with the frame's Aux (the count of
-// handler frames left in its chunk), and armed skips consume subsequent
-// FrameCall frames unexecuted — mirroring the kernel side's chunk abort.
+// fills in its completion: the worker IS the decaf driver process, and h —
+// the handler at the frame's table index — runs here, against the resolved
+// payload and the shared state cells both processes see. The sum is computed
+// before dispatch (and for every outcome), so the parent's payload proof is
+// independent of how the body fared. A panic is contained and reported as a
+// fault status — the parent makes the containment physical by killing this
+// process. A failing or faulting body arms l.skip with the frame's Aux (the
+// count of handler frames left in its chunk), and armed skips consume
+// subsequent FrameCall frames unexecuted — mirroring the kernel side's chunk
+// abort.
 //
 //decaf:hotpath
 func (s *laneServer) callAck(l *workerLane, f *xdr.Frame, h *registry.Handler, ack *xdr.Frame) {
@@ -289,9 +290,9 @@ func (s *laneServer) callAck(l *workerLane, f *xdr.Frame, h *registry.Handler, a
 		return
 	}
 	if h == nil {
-		// The parent resolved this handler before encoding and the worker is
-		// a re-exec of the same binary: a miss is a protocol violation. The
-		// parent's error names the call.
+		// The parent resolved this handler before encoding and the layout
+		// digest proved both tables alike: an index outside the table is a
+		// protocol violation. The parent's error names the call.
 		ack.Status = wireStatusBadFrame
 		ack.Name = "no handler registered"
 		return
@@ -490,8 +491,8 @@ func (s *laneServer) serveLanes() {
 
 // serveLane drains up to one quantum of submit descriptors from a lane,
 // publishing each acknowledgement into the lane's completion ring. The frame
-// is decoded in place — its name and copy-path payload are views of the
-// submit slot — so the slot stays ours until the handler has run, and is
+// is decoded in place — its copy-path payload is a view of the submit
+// slot — so the slot stays ours until the handler has run, and is
 // advanced after that but BEFORE the completion publishes: the kernel side
 // assumes a fully acknowledged chunk has left the submit ring, so the next
 // full-batch chunk on the lane always finds room (laneConverse treats a full
@@ -509,7 +510,7 @@ func (s *laneServer) serveLane(l *workerLane) int {
 		if slot == nil {
 			break
 		}
-		f, name, _, derr := xdr.DecodeFrameView(slot)
+		f, _, _, derr := xdr.DecodeFrameView(slot)
 		if derr != nil {
 			fmt.Fprintln(os.Stderr, "xpc worker: corrupt submit descriptor:", derr)
 			os.Exit(workerErrExit)
@@ -532,7 +533,7 @@ func (s *laneServer) serveLane(l *workerLane) int {
 			// payload proof is the whole service.
 			_, ack.Aux, ack.Status = s.payload(f.Slot, f.Data)
 		case xdr.FrameCall:
-			h := registry.LookupBytes(name)
+			h := registry.ByID(f.Status)
 			if h != nil && h.Down {
 				f.Data = s.scratch[:copy(s.scratch, f.Data)]
 				l.sub.advance()

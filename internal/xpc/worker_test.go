@@ -163,23 +163,24 @@ func newLaneRigEntries(t testing.TB, entries int) *laneRig {
 	return g
 }
 
-// publish encodes one FrameCall into the submit ring the way laneCrossOn
-// does and returns the sum the kernel side would hold for it. bySlot stages
-// the payload in the payload-ring region and sends only its descriptor.
+// publish encodes one FrameCall of the named handler into the submit ring
+// the way laneCrossOn does — its table index in Status, no name — and
+// returns the sum the kernel side would hold for it. bySlot stages the
+// payload in the payload-ring region and sends only its descriptor.
 func (g *laneRig) publish(t testing.TB, name string, payload []byte, left int, bySlot bool) uint64 {
 	t.Helper()
-	sum, err := g.publishFrame(name, payload, left, bySlot)
+	sum, err := g.publishFrame(registry.Lookup(name).ID(), payload, left, bySlot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sum
 }
 
-// publishFrame is publish without the testing.TB: the per-frame path of
-// visit, which BenchmarkWorkerServeLane times.
-func (g *laneRig) publishFrame(name string, payload []byte, left int, bySlot bool) (uint64, error) {
+// publishFrame is publish by table index and without the testing.TB: the
+// per-frame path of visit, which BenchmarkWorkerServeLane times.
+func (g *laneRig) publishFrame(id uint32, payload []byte, left int, bySlot bool) (uint64, error) {
 	g.seq++
-	f := xdr.Frame{Kind: xdr.FrameCall, ID: g.seq, Up: true, Name: name, Aux: uint64(left)}
+	f := xdr.Frame{Kind: xdr.FrameCall, ID: g.seq, Up: true, Status: id, Aux: uint64(left)}
 	if bySlot {
 		idx := uint32(g.seq % rigSlots)
 		copy(g.ringMem[idx*rigSlotSize:], payload)
@@ -303,6 +304,35 @@ func TestServeLaneChunkAbort(t *testing.T) {
 	}
 }
 
+// TestServeLaneUnknownIndex: a FrameCall whose table index is past the
+// worker's table is acknowledged as a bad frame naming the miss, with the
+// payload proof still in place, and no body runs; the call behind it on the
+// lane is served as usual.
+func TestServeLaneUnknownIndex(t *testing.T) {
+	g := newLaneRig(t)
+	n := uint32(len(registry.Names()))
+	for _, id := range []uint32{n, ^uint32(0)} {
+		sum, err := g.publishFrame(id, []byte{9}, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.serve(); got != 1 {
+			t.Fatalf("index %d: served %d frames, want 1", id, got)
+		}
+		ack := g.complete(t)
+		if ack.Status != wireStatusBadFrame || ack.Name != "no handler registered" || ack.Aux != sum {
+			t.Fatalf("index %d: completion %+v, want a bad-frame refusal carrying sum %#x", id, ack, sum)
+		}
+	}
+	if got := g.st.Load(testCellServed); got != 0 {
+		t.Fatalf("%d bodies ran for indices outside the table", got)
+	}
+	g.publish(t, "xpctest_count", []byte{1}, 0, false)
+	if g.serve() != 1 || g.complete(t).Status != remoteCallOK || g.st.Load(testCellServed) != 1 {
+		t.Fatal("the call behind the refused indices was not served")
+	}
+}
+
 // answer plays the lane holder's half of one downcall: take the FrameDown
 // off the completion ring, publish its result on the submit ring, wake the
 // server if it parked. errText, when set, makes it a failed downcall.
@@ -421,8 +451,9 @@ func TestServeLaneDowncallOrdering(t *testing.T) {
 // rig's paths without testing.TB: t.Helper per frame would outweigh the
 // serve visit in BenchmarkWorkerServeLane.
 func (g *laneRig) visit(t testing.TB, pool [][]byte, bySlot bool) {
+	id := registry.Lookup("xpctest_count").ID()
 	for i, p := range pool {
-		if _, err := g.publishFrame("xpctest_count", p, len(pool)-1-i, bySlot); err != nil {
+		if _, err := g.publishFrame(id, p, len(pool)-1-i, bySlot); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,15 +75,19 @@
 //
 // Decaf call bodies are not closures but entries in a process-global handler
 // table (internal/decaf/registry, re-exported by internal/decaf): named
-// registry.Handler values installed from init(), dispatched by call name.
-// Runtime.UpcallHandler / UpcallHandlerData and the Batch builder's
-// UpcallHandler / UpcallHandlerData / UpcallHandlerPayload submit handler
-// calls; because the proc transport's worker is a re-exec of the same
-// binary, the worker's init() builds the identical table, so under
-// ProcTransport the body executes in the worker's address space — the
-// paper's architecture for real. The in-process transports dispatch the
-// same Fn inline, so the virtual cost model (Handler.Cost, charged
-// kernel-side) is comparable across all transports.
+// registry.Handler values installed from init(), each at the next index of a
+// dense table. Runtime.UpcallHandler / UpcallHandlerData and the Batch
+// builder's UpcallHandler / UpcallHandlerData / UpcallHandlerPayload submit
+// handler calls by name, resolved once when queued; because the proc
+// transport's worker is a re-exec of the same binary, the worker's init()
+// builds the identical table, so under ProcTransport a call crosses as its
+// index alone and the body executes in the worker's address space — the
+// paper's architecture for real. The worker checks the kernel side's
+// registry.Digest in the layout header once per epoch, and refuses an epoch
+// whose table differs from its own (*LayoutRefusal) before any call crosses.
+// The in-process transports dispatch the same Fn inline, so the virtual cost
+// model (Handler.Cost, charged kernel-side) is comparable across all
+// transports.
 //
 // A handler sees only its registry.Ctx: the payload bytes, the shared state
 // cells (shm-backed under proc, so worker-side writes are immediately
