@@ -132,13 +132,15 @@ func (g *converseRig) serve(n int, ring *PayloadRing, lie func(i int, sum uint64
 }
 
 // TestLaneConverseLyingChecksum: the kernel's half of the payload proof is
-// hashed after the frame is published, and still fails a completion whose
-// sum is off. For a 3-call chunk, by copy and by slot, a worker that answers
-// call 1 with its sum plus one makes the crossing return the checksum
-// mismatch; the engine has stepped call 0 alone, call 1 is unresolved until
-// the failure path contains it, and call 2 aborts. The control worker
-// answers every call instantly with the right sum and the chunk resolves
-// whole: the kernel's sums are in place before the first await.
+// hashed between the frame's encode and its publish — before the head store,
+// which would otherwise wait for the slot's freshly written lines — and
+// fails a completion whose sum is off. For a 3-call chunk, by copy and by
+// slot, a worker that answers call 1 with its sum plus one makes the
+// crossing return the checksum mismatch; the engine has stepped call 0
+// alone, call 1 is unresolved until the failure path contains it, and call
+// 2 aborts. The control worker answers every call instantly with the right
+// sum and the chunk resolves whole: each sum is in place before its frame
+// can be seen.
 func TestLaneConverseLyingChecksum(t *testing.T) {
 	for _, tc := range []struct {
 		name         string

@@ -24,42 +24,49 @@ import (
 // # Memory-ordering invariants (the park/doorbell handshake)
 //
 // All header fields are Go sync/atomic operations, which are sequentially
-// consistent; the slot bytes themselves are plain writes. Each side also
-// keeps, in its own process-private descRing view, the last value of the
-// peer's index it loaded: the producer its copy of tail, the consumer its
-// copy of head. A cache lives in one view of one epoch, never in the
-// mapping, and is only ever an earlier load of a monotonic counter, so it
-// is never ahead of the real index. Three invariants make the protocol
-// correct across the process boundary (the mapping is MAP_SHARED, so both
-// sides observe the same physical cache lines):
+// consistent; the slot bytes themselves are plain writes. Each side keeps
+// two indices in its own process-private descRing view: the one it alone
+// writes, and the last value of the peer's it loaded — the producer head
+// and a copy of tail, the consumer tail and a copy of head. Both live in
+// one view of one epoch, never in the mapping. Three invariants make the
+// protocol correct across the process boundary (the mapping is MAP_SHARED,
+// so both sides observe the same physical cache lines):
 //
-//  1. Publication. The producer fully writes a slot's bytes BEFORE its
-//     head.Add(1). The consumer reads a slot only below a head value it
-//     loaded — fresh, or cached from an earlier load, which program order
-//     puts before the read all the same. The release/acquire pairing on head
-//     therefore makes every slot byte visible to a consumer that observed
-//     the advanced head. A cached head only under-reports the published
-//     slots; pending reloads it exactly when the cache says empty.
-//  2. Reclamation. The consumer finishes reading a slot BEFORE its
-//     tail.Add(1); the producer reuses a slot only below a tail value it
-//     loaded, fresh or cached. The pairing on tail guarantees the producer
-//     never overwrites bytes the consumer is still reading. A cached tail
-//     only under-reports the free slots; reserve reloads it exactly when
-//     the cache says full.
+//  1. Publication. The producer fully writes a slot's bytes BEFORE it
+//     stores head+1. Its head is private and exact — it has no other
+//     writer — so reserve never loads it, and a peer's scribble on the
+//     mapped word is overwritten by the next store. The store is a locked
+//     instruction that completes only once the slot's cache lines are
+//     owned; the kernel side hashes its payload proof before it, where that
+//     wait would otherwise be spent. The consumer reads a slot only below a
+//     head value it loaded — fresh, or cached from an earlier load, which
+//     program order puts before the read all the same. The release/acquire
+//     pairing on head therefore makes every slot byte visible to a consumer
+//     that observed the advanced head. A cached head is an earlier load of
+//     a monotonic counter, so it only under-reports the published slots;
+//     pending reloads it exactly when the cache says empty.
+//  2. Reclamation. The consumer finishes reading a slot BEFORE it stores
+//     tail+1; its tail is private and exact in the same way, so pending
+//     never loads it. The producer reuses a slot only below a tail value
+//     it loaded, fresh or cached. The pairing on tail guarantees the
+//     producer never overwrites bytes the consumer is still reading. A
+//     cached tail only under-reports the free slots; reserve reloads it
+//     exactly when the cache says full.
 //  3. No lost wakeup. A consumer that found the ring empty parks in two
 //     steps: store parked=1, THEN re-check with pending(), which returns nil
 //     only after a fresh load of head; only if still empty does it block on
-//     the doorbell. A producer publishes (head.Add) THEN checks parked
+//     the doorbell. A producer publishes (the head store) THEN checks parked
 //     (Swap(0)), ringing the doorbell on 1. Sequential consistency forbids
 //     both sides reading the old value: either the producer's swap observes
 //     parked=1 (and rings), or the consumer's re-check observes the new head
 //     (and does not block). A spurious doorbell byte is harmless — waiters
 //     drain and re-check — so the protocol errs toward waking.
 //
-// reset zeroes the counters under the caches, so it clears the resetting
-// view's own, and a view never outlives its epoch: the kernel side carves
-// fresh views for every worker it spawns (ensureEpochLocked), and a fresh
-// worker process carves its own.
+// A view starts at the header's indices when it is carved. reset zeroes the
+// counters under the private indices, so it clears the resetting view's
+// own, and a view never outlives its epoch: the kernel side carves fresh
+// views for every worker it spawns (ensureEpochLocked), and a fresh worker
+// process carves its own.
 //
 // The doorbell itself is a dedicated socketpair (byte written only when the
 // peer declared itself parked), so steady-state crossings perform zero
@@ -193,10 +200,10 @@ func carveLanes(region []byte, lanes, entries, slotSize int) (*laneDir, []laneRi
 // descRing is one direction's SPSC descriptor ring over a shared-memory
 // region: [descHdr][entries × slotSize]. Both processes construct their own
 // descRing over the same bytes; the struct holds derived pointers and
-// constants plus, per side, the last value of the peer's index it loaded.
-// Those caches are process-private: they never enter the mapping, and a
-// view's owner (one lane holder at a time, or the worker's serve goroutine)
-// is their only reader and writer.
+// constants plus, per side, the index that side writes and the last value
+// of the peer's index it loaded. Those indices are process-private: they
+// never enter the mapping, and a view's owner (one lane holder at a time,
+// or the worker's serve goroutine) is their only reader and writer.
 type descRing struct {
 	hdr      *descHdr
 	buf      []byte
@@ -204,6 +211,13 @@ type descRing struct {
 	entries  uint64
 	slotSize int
 
+	// ownHead is the producer's copy of the head it alone writes, ownTail
+	// the consumer's copy of its tail: exact, because no other writer
+	// exists, so neither side ever loads its own index from the mapping
+	// (invariants 1 and 2), and a peer that scribbles on it is overwritten
+	// by the next store.
+	ownHead uint64
+	ownTail uint64
 	// peerTail is the producer's copy of the consumer's tail, peerHead the
 	// consumer's copy of the producer's head. Each is some earlier load of a
 	// monotonic index, so it is never ahead of the real one (invariants 1
@@ -234,12 +248,22 @@ func newDescRing(region []byte, entries, slotSize int) (*descRing, error) {
 	if uintptr(unsafe.Pointer(&region[0]))%8 != 0 {
 		return nil, fmt.Errorf("xpc: desc ring region not 8-byte aligned")
 	}
+	// Both sides start at the header's indices, tail loaded first so the
+	// head seen after it is never behind it; the peer caches start at the
+	// same loads, which are earlier loads of the peer's index like any other.
+	hdr := (*descHdr)(unsafe.Pointer(&region[0]))
+	tail := hdr.tail.Load()
+	head := hdr.head.Load()
 	return &descRing{
-		hdr:      (*descHdr)(unsafe.Pointer(&region[0])),
+		hdr:      hdr,
 		buf:      region[descHdrSize:],
 		mask:     uint64(entries) - 1,
 		entries:  uint64(entries),
 		slotSize: slotSize,
+		ownHead:  head,
+		ownTail:  tail,
+		peerTail: tail,
+		peerHead: head,
 	}, nil
 }
 
@@ -251,31 +275,32 @@ func nextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// reset zeroes the sequence counters and parked flag, and this view's
-// cached peer indices. The kernel side calls it before handing the rings to
-// a freshly spawned worker, so a dead worker's stale positions cannot leak
-// into the next epoch. Never call it while a peer is attached, and never
-// use another view of the same ring across it: a surviving consumer cache
-// would be ahead of the zeroed head. Both sides carve fresh views per epoch
-// (ensureEpochLocked, and a new worker process), so none does.
+// reset zeroes the sequence counters and parked flag, and this view's own
+// and cached peer indices. The kernel side calls it before handing the
+// rings to a freshly spawned worker, so a dead worker's stale positions
+// cannot leak into the next epoch. Never call it while a peer is attached,
+// and never use another view of the same ring across it: that view's
+// private indices would still hold the old epoch's positions, ahead of the
+// zeroed header. Both sides carve fresh views per epoch (ensureEpochLocked,
+// and a new worker process), so none does.
 func (q *descRing) reset() {
 	q.hdr.head.Store(0)
 	q.hdr.tail.Store(0)
 	q.hdr.parked.Store(0)
-	q.peerTail, q.peerHead = 0, 0
+	q.ownHead, q.ownTail, q.peerTail, q.peerHead = 0, 0, 0, 0
 }
 
 // --- producer side ---
 
 // reserve returns the next free slot's bytes, or nil when the ring is full.
 // The producer writes the slot, then publish()es it; until then the consumer
-// cannot observe it. The consumer's tail is loaded only when the cached copy
-// says full, so a ring with room costs no read of the line the consumer
-// rewrites on every advance.
+// cannot observe it. The head is the view's own copy, and the consumer's
+// tail is loaded only when the cached copy says full, so a ring with room
+// reads nothing from the mapping.
 //
 //decaf:hotpath
 func (q *descRing) reserve() []byte {
-	head := q.hdr.head.Load()
+	head := q.ownHead
 	if head-q.peerTail >= q.entries {
 		if q.peerTail = q.hdr.tail.Load(); head-q.peerTail >= q.entries {
 			return nil
@@ -285,10 +310,16 @@ func (q *descRing) reserve() []byte {
 	return q.buf[i : i+q.slotSize : i+q.slotSize]
 }
 
-// publish makes the last reserved slot visible to the consumer (invariant 1).
+// publish makes the last reserved slot visible to the consumer (invariant
+// 1). The store is a locked instruction: it completes only once the slot's
+// cache lines are owned, so a caller with work of its own to do does it
+// between the slot write and this call.
 //
 //decaf:hotpath
-func (q *descRing) publish() { q.hdr.head.Add(1) }
+func (q *descRing) publish() {
+	q.ownHead++
+	q.hdr.head.Store(q.ownHead)
+}
 
 // consumerParked atomically consumes the consumer's parked declaration,
 // reporting whether a doorbell is owed (invariant 3, producer half). The
@@ -300,14 +331,14 @@ func (q *descRing) consumerParked() bool { return q.hdr.parked.Swap(0) == 1 }
 // --- consumer side ---
 
 // pending returns the oldest published slot's bytes, or nil when the ring is
-// empty. The consumer reads the slot, then advance()s past it. The
-// producer's head is loaded only when the cached copy says empty, so nil
-// always rests on a fresh load: every re-check after park sees the real
-// head.
+// empty. The consumer reads the slot, then advance()s past it. The tail is
+// the view's own copy, and the producer's head is loaded only when the
+// cached copy says empty, so nil always rests on a fresh load: every
+// re-check after park sees the real head.
 //
 //decaf:hotpath
 func (q *descRing) pending() []byte {
-	tail := q.hdr.tail.Load()
+	tail := q.ownTail
 	if q.peerHead == tail {
 		if q.peerHead = q.hdr.head.Load(); q.peerHead == tail {
 			return nil
@@ -321,7 +352,10 @@ func (q *descRing) pending() []byte {
 // (invariant 2). The slot's bytes must not be touched afterwards.
 //
 //decaf:hotpath
-func (q *descRing) advance() { q.hdr.tail.Add(1) }
+func (q *descRing) advance() {
+	q.ownTail++
+	q.hdr.tail.Store(q.ownTail)
+}
 
 // park declares this consumer about to block (invariant 3, consumer half):
 // the caller must re-check pending() after park() and only then block on the

@@ -9,8 +9,9 @@ import (
 // FuzzDescRing drives the SPSC ring through an arbitrary operation stream
 // against a FIFO model: values must come out in publication order, a full
 // ring must refuse reservations, occupancy must track the model exactly,
-// the park flag must behave as a consume-once declaration, and neither
-// view's cached peer index may ever be ahead of the real one. A re-carve
+// the park flag must behave as a consume-once declaration, neither view's
+// cached peer index may ever be ahead of the real one, and each view's
+// private index must equal the header word it writes. A re-carve
 // op starts a new epoch the way ensureEpochLocked does: reset through one
 // view, then fresh views over the same region. The committed seed corpus
 // under testdata/fuzz covers fill/drain, wrap-around, full-ring
@@ -90,6 +91,10 @@ func FuzzDescRing(f *testing.F) {
 			if prod.peerTail > prod.hdr.tail.Load() || cons.peerHead > cons.hdr.head.Load() {
 				t.Fatalf("cached peer index ahead of the ring: tail %d cached %d, head %d cached %d",
 					prod.hdr.tail.Load(), prod.peerTail, cons.hdr.head.Load(), cons.peerHead)
+			}
+			if prod.ownHead != prod.hdr.head.Load() || cons.ownTail != cons.hdr.tail.Load() {
+				t.Fatalf("private index off the ring: head %d own %d, tail %d own %d",
+					prod.hdr.head.Load(), prod.ownHead, cons.hdr.tail.Load(), cons.ownTail)
 			}
 		}
 	})

@@ -457,7 +457,9 @@ func TestDescRingLaneStressWrapAround(t *testing.T) {
 }
 
 // TestDescRingReset: reset must restore a used ring to empty with no parked
-// flag, the state a freshly spawned worker expects.
+// flag, the state a freshly spawned worker expects. As in every epoch, the
+// consumer is a view carved after the reset: a view kept across it would
+// still hold the old epoch's private tail.
 func TestDescRingReset(t *testing.T) {
 	prod, cons := twoSides(t, 4, 16)
 	for i := 0; i < 3; i++ {
@@ -467,6 +469,7 @@ func TestDescRingReset(t *testing.T) {
 	cons.advance()
 	cons.park()
 	prod.reset()
+	_, cons = recarve(t, prod)
 	if prod.occupancy() != 0 || cons.pending() != nil || prod.consumerParked() {
 		t.Fatal("reset left state behind")
 	}
@@ -488,13 +491,83 @@ func recarve(t testing.TB, q *descRing) (prod, cons *descRing) {
 	return prod, cons
 }
 
+// TestDescRingOwnIndexIgnoresPeerScribble: each view keeps the index it
+// alone writes in private memory, so a peer that scribbles on that word in
+// the mapping — the worker on the submit ring's head, or on the completion
+// ring's tail — neither moves the owner's next slot nor survives the
+// owner's next store. A view carved over a live, non-empty ring starts at
+// the header's indices.
+func TestDescRingOwnIndexIgnoresPeerScribble(t *testing.T) {
+	const entries = 4
+	slotAt := func(q *descRing, idx uint64) *byte { return &q.buf[int(idx&q.mask)*q.slotSize] }
+
+	// Seeding: three slots published and one consumed, then fresh views.
+	prod, cons := twoSides(t, entries, 16)
+	for i := uint64(0); i < 3; i++ {
+		binary.BigEndian.PutUint64(prod.reserve(), i)
+		prod.publish()
+	}
+	cons.advance()
+	prod, cons = recarve(t, prod)
+	if prod.ownHead != 3 || cons.ownTail != 1 {
+		t.Fatalf("views carved over a live ring start at head %d tail %d, want 3 and 1", prod.ownHead, cons.ownTail)
+	}
+	if s := cons.pending(); s == nil || binary.BigEndian.Uint64(s) != 1 {
+		t.Fatal("a fresh consumer view does not start at the header's tail")
+	}
+	if s := prod.reserve(); s == nil || &s[0] != slotAt(prod, 3) {
+		t.Fatal("a fresh producer view does not start at the header's head")
+	}
+
+	// Submit ring: the consumer scribbles the producer's head.
+	for _, scribble := range []uint64{0, 1, 3 + entries, ^uint64(0)} {
+		head := prod.ownHead
+		prod.hdr.head.Store(scribble)
+		s := prod.reserve()
+		if s == nil || &s[0] != slotAt(prod, head) {
+			t.Fatalf("head scribbled to %d: reserve returned slot=%v, want the slot at the private head %d", scribble, s != nil, head)
+		}
+		binary.BigEndian.PutUint64(s, head)
+		prod.publish()
+		if got := prod.hdr.head.Load(); got != head+1 {
+			t.Fatalf("head scribbled to %d: publish stored %d, want %d", scribble, got, head+1)
+		}
+		if s := cons.pending(); s == nil || binary.BigEndian.Uint64(s) != cons.ownTail {
+			t.Fatalf("head scribbled to %d: the consumer lost the FIFO", scribble)
+		}
+		cons.advance()
+	}
+
+	// Completion ring: the producer scribbles the consumer's tail.
+	prod, cons = twoSides(t, entries, 16)
+	for i := uint64(0); i < 2; i++ {
+		binary.BigEndian.PutUint64(prod.reserve(), i)
+		prod.publish()
+	}
+	for i, scribble := range []uint64{2, 0, 7} {
+		tail := cons.ownTail
+		cons.hdr.tail.Store(scribble)
+		s := cons.pending()
+		if s == nil || &s[0] != slotAt(cons, tail) || binary.BigEndian.Uint64(s) != tail {
+			t.Fatalf("tail scribbled to %d: pending returned slot=%v, want the slot at the private tail %d", scribble, s != nil, tail)
+		}
+		cons.advance()
+		if got := cons.hdr.tail.Load(); got != tail+1 {
+			t.Fatalf("tail scribbled to %d: advance stored %d, want %d", scribble, got, tail+1)
+		}
+		binary.BigEndian.PutUint64(prod.reserve(), uint64(i)+2)
+		prod.publish()
+	}
+}
+
 // TestDescRingCachedIndices runs a fixed schedule over two views and checks
 // that the cached peer indices are conservative and epoch-local: reserve
 // refuses only when the real ring is full, pending returns nil only when it
 // is really empty — both also when the cache is stale — a publication made
 // while the consumer's cache was stale is seen by the re-check after park,
-// and views carved after a reset start with zero caches. After every step
-// neither cache is ahead of the index it copies.
+// and views carved after a reset start with zero indices. After every step
+// neither cache is ahead of the index it copies, and each view's own index
+// equals the header word it writes.
 func TestDescRingCachedIndices(t *testing.T) {
 	const entries = 4
 	prod, cons := twoSides(t, entries, 16)
@@ -504,6 +577,10 @@ func TestDescRingCachedIndices(t *testing.T) {
 		if prod.peerTail > prod.hdr.tail.Load() || cons.peerHead > cons.hdr.head.Load() {
 			t.Fatalf("%s: cache ahead of the ring (tail %d cached %d, head %d cached %d)", step,
 				prod.hdr.tail.Load(), prod.peerTail, cons.hdr.head.Load(), cons.peerHead)
+		}
+		if prod.ownHead != prod.hdr.head.Load() || cons.ownTail != cons.hdr.tail.Load() {
+			t.Fatalf("%s: private index off the ring (head %d own %d, tail %d own %d)", step,
+				prod.hdr.head.Load(), prod.ownHead, cons.hdr.tail.Load(), cons.ownTail)
 		}
 	}
 	produce := func(step string) bool {
@@ -607,12 +684,14 @@ func TestDescRingCachedIndices(t *testing.T) {
 	// the views carved afterwards start from zero and see an empty ring.
 	produce("before reset")
 	prod.reset()
-	if prod.peerTail != 0 || prod.peerHead != 0 {
-		t.Fatalf("reset left the resetting view's caches at tail %d head %d", prod.peerTail, prod.peerHead)
+	if prod.peerTail != 0 || prod.peerHead != 0 || prod.ownHead != 0 || prod.ownTail != 0 {
+		t.Fatalf("reset left the resetting view's indices at tail %d head %d, own head %d tail %d",
+			prod.peerTail, prod.peerHead, prod.ownHead, prod.ownTail)
 	}
 	prod, cons = recarve(t, prod)
-	if prod.peerTail != 0 || prod.peerHead != 0 || cons.peerTail != 0 || cons.peerHead != 0 {
-		t.Fatal("freshly carved views start with non-zero caches")
+	if prod.peerTail != 0 || prod.peerHead != 0 || cons.peerTail != 0 || cons.peerHead != 0 ||
+		prod.ownHead != 0 || cons.ownTail != 0 {
+		t.Fatal("freshly carved views start with non-zero indices")
 	}
 	if consume("new epoch", 0) {
 		t.Fatal("a fresh epoch's ring is not empty")

@@ -3,6 +3,10 @@
 package xpc
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -148,22 +152,106 @@ func checkCarves(t *testing.T, mem []byte, l layout) {
 	}
 }
 
-// FuzzLayout writes arbitrary header bytes over a fixed-size mapping:
-// parseLayout either refuses them or returns areas the worker can carve —
-// inside the mapping, aligned and disjoint — and never panics. The seeds
-// are the planned header and, under testdata/fuzz, the headers
-// TestParseLayout refuses.
+// fuzzLayoutMaxRegion bounds the mapping a FuzzLayout input asks for: past
+// the largest region TestParseLayout plans, the trace-entries bound's 6 MB.
+const fuzzLayoutMaxRegion = 8 << 20
+
+// fuzzLayoutRegion is FuzzLayout's mapping: hdr written over the start of an
+// aligned region of layoutHdrSize plus size bytes, the size taken modulo
+// fuzzLayoutMaxRegion.
+func fuzzLayoutRegion(hdr []byte, size uint32) []byte {
+	mem := alignedRegion(layoutHdrSize + int(size%fuzzLayoutMaxRegion))
+	copy(mem[:layoutHdrSize], hdr)
+	return mem
+}
+
+// FuzzLayout writes arbitrary header bytes over a mapping of arbitrary
+// size: parseLayout either refuses them or returns areas the worker can
+// carve — inside the mapping, aligned and disjoint — and never panics. The
+// seeds are the planned header and, under testdata/fuzz, every header
+// TestParseLayout refuses, each over its own region (TestFuzzLayoutCorpus
+// keeps them current).
 func FuzzLayout(f *testing.F) {
 	l0 := planLayout(4<<10, 2, 4, 4)
-	size := l0.trace.end()
-	seed := alignedRegion(size)
+	seed := alignedRegion(l0.trace.end())
 	layoutAt(seed).store(l0, 0)
-	f.Add(append([]byte(nil), seed[:layoutHdrSize]...))
-	f.Fuzz(func(t *testing.T, hdr []byte) {
-		mem := alignedRegion(size)
-		copy(mem[:layoutHdrSize], hdr)
+	f.Add(append([]byte(nil), seed[:layoutHdrSize]...), uint32(len(seed)-layoutHdrSize))
+	f.Fuzz(func(t *testing.T, hdr []byte, size uint32) {
+		mem := fuzzLayoutRegion(hdr, size)
 		if l, err := parseLayout(mem); err == nil {
 			checkCarves(t, mem, l)
 		}
 	})
+}
+
+// layoutCorpusEntry is the FuzzLayout corpus file of a refused case: its
+// header and region size in the fuzzer's encoding, under the case's name
+// lower-cased with '+' spelt "-plus-" and spaces as dashes.
+func layoutCorpusEntry(tc layoutCase) (name, file string) {
+	name = strings.NewReplacer(" ", "-", "+", "-plus-").Replace(strings.ToLower(tc.name))
+	mem := tc.region()
+	return name, fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nuint32(%d)\n", mem[:layoutHdrSize], len(mem)-layoutHdrSize)
+}
+
+// TestFuzzLayoutCorpus: the committed FuzzLayout corpus holds exactly one
+// entry per header TestParseLayout refuses, and over the fuzzer's mapping
+// each is refused for its own case's reason. A header change — a new magic,
+// a new handler table digest, a moved field — that would leave the entries
+// stopping at an earlier check fails here, and the message carries the
+// fresh file.
+func TestFuzzLayoutCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzLayout")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := make(map[string]bool, len(files))
+	for _, f := range files {
+		committed[f.Name()] = true
+	}
+	for _, tc := range layoutCases() {
+		if tc.want == "" {
+			continue
+		}
+		name, fresh := layoutCorpusEntry(tc)
+		if !committed[name] {
+			t.Errorf("%s: no corpus entry; write %s as:\n%s", tc.name, filepath.Join(dir, name), fresh)
+			continue
+		}
+		delete(committed, name)
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, size, err := parseLayoutCorpus(string(data))
+		if err == nil {
+			if _, perr := parseLayout(fuzzLayoutRegion(hdr, size)); perr == nil {
+				err = fmt.Errorf("accepted")
+			} else if !strings.Contains(perr.Error(), tc.want) {
+				err = perr
+			}
+		}
+		if err != nil {
+			t.Errorf("%s: entry %s refused for %v, want %q; regenerate it as:\n%s", tc.name, name, err, tc.want, fresh)
+		}
+	}
+	for name := range committed {
+		t.Errorf("corpus entry %s names no refused case", name)
+	}
+}
+
+// parseLayoutCorpus decodes a FuzzLayout corpus file: the header bytes and
+// the region size, each on its own line in the fuzzer's encoding.
+func parseLayoutCorpus(file string) (hdr []byte, size uint32, err error) {
+	lines := strings.Split(strings.TrimSpace(file), "\n")
+	if len(lines) != 3 || lines[0] != "go test fuzz v1" ||
+		!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasPrefix(lines[2], "uint32(") {
+		return nil, 0, fmt.Errorf("not a (header, size) corpus file")
+	}
+	q, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(lines[2], "uint32("), ")"), 10, 32)
+	return []byte(q), uint32(n), err
 }

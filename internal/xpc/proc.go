@@ -631,14 +631,16 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpo
 // the next entry the blocked body can see. A downcall-free chunk is one run,
 // published and pipelined whole.
 //
-// A crossing waits only on the transfer. The lane's rings read the worker's
-// index only when their cached copy says full or empty (descring.go), and
-// the kernel's half of each payload proof is hashed right after that
-// frame's publish, while the worker is already reading it. The slot lookup
-// stays ahead of the publish, because it decides whether the descriptor or
-// the bytes cross. The sum is compared against the completion's Aux before
-// the call is stepped, for every dispatch outcome; program order puts it in
-// place before the run's first await, however fast the worker answers.
+// A crossing waits only on the transfer. The lane's rings keep their own
+// index in private memory and read the worker's only when their cached
+// copy says full or empty (descring.go). Each frame is encoded, then the
+// kernel's half of its payload proof is hashed, then it is published: the
+// head store is a locked instruction that waits until the frame's freshly
+// copied cache lines are owned, and the worker last read those lines, so
+// the hash of the kernel's own source bytes fills that wait. The slot
+// lookup stays ahead of the encode, because it decides whether the
+// descriptor or the bytes cross. The sum is compared against the
+// completion's Aux before the call is stepped, for every dispatch outcome.
 //
 // With a crossing engine (every Submit; CrossChunk passes none, and carries
 // only probes, which never call down), call i's
@@ -706,7 +708,7 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 			// or the bytes the frame copies. A stale descriptor (slot released
 			// before its crossing) transfers nothing, matching the in-process
 			// transferSlot semantics — the ring's stale counter records it.
-			// The lookup stays ahead of the publish: it decides what crosses.
+			// The lookup stays ahead of the encode: it decides what crosses.
 			var payload []byte
 			if c.Slot.Valid() && ring != nil && reg != nil {
 				if b, berr := ring.Buffer(c.Slot); berr == nil {
@@ -716,18 +718,20 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 			if !f.Slot.Valid() && len(c.Data) > 0 {
 				f.Data, payload = c.Data, c.Data
 			}
-			if err := lane.publish(&f); err != nil {
-				// Unreachable by construction (see publish). Earlier frames of
+			if err := lane.stage(&f); err != nil {
+				// Unreachable by construction (see stage). Earlier frames of
 				// the chunk were published — the worker is mid-chunk and must
 				// not survive it.
 				return err
 			}
-			// The kernel's half of the proof is hashed while the worker is
-			// already reading the frame; it is compared against the
-			// completion's before the call is stepped.
+			// The kernel's half of the proof is hashed from its own bytes
+			// between the copy into the slot and the head store, where the
+			// store would otherwise wait for the slot's lines; it is compared
+			// against the completion's before the call is stepped.
 			if payload != nil {
 				sums[next] = payloadSum(payload)
 			}
+			lane.sub.publish()
 		}
 		// The run's length, not a read of the worker's tail: the submit
 		// ring is empty when a run starts, so it bounds the occupancy.
@@ -818,15 +822,16 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 	return nil
 }
 
-// publish encodes one frame into the lane's submit ring. Neither failure
-// can happen on a healthy lane: the ring holds a full batch, the holder
-// drained its completions before releasing, and the worker advances each
-// submit descriptor before acknowledging it (a downcall-making call's even
-// before running it), so a full ring means a corrupted header; admitChunk
-// sized every call frame, and a downcall result is bounded by clipFrameName.
+// stage encodes one frame into the lane's next submit slot; the caller
+// publishes it with lane.sub.publish(). Neither failure can happen on a
+// healthy lane: the ring holds a full batch, the holder drained its
+// completions before releasing, and the worker advances each submit
+// descriptor before acknowledging it (a downcall-making call's even before
+// running it), so a full ring means a corrupted header; admitChunk sized
+// every call frame, and a downcall result is bounded by clipFrameName.
 //
 //decaf:hotpath
-func (lane *procLane) publish(f *xdr.Frame) error {
+func (lane *procLane) stage(f *xdr.Frame) error {
 	slot := lane.sub.reserve()
 	if slot == nil {
 		return fmt.Errorf("xpc: lane %d submit ring full at %d entries", lane.idx, lane.sub.entries)
@@ -834,7 +839,6 @@ func (lane *procLane) publish(f *xdr.Frame) error {
 	if _, err := xdr.AppendFrame(slot[:0], *f); err != nil {
 		return fmt.Errorf("xpc: lane %d descriptor encode %v id %d: %v", lane.idx, f.Kind, f.ID, err)
 	}
-	lane.sub.publish()
 	return nil
 }
 
@@ -871,9 +875,10 @@ func (t *ProcTransport) serveLaneDowncall(r *Runtime, ctx *kernel.Context, ep *p
 		ack.Status = 1
 		ack.Name = clipFrameName(derr.Error())
 	}
-	if err := lane.publish(&ack); err != nil {
+	if err := lane.stage(&ack); err != nil {
 		return err
 	}
+	lane.sub.publish()
 	return t.wakeWorker(r, ep, lane, req.Name, req.ID)
 }
 
