@@ -295,10 +295,15 @@ func newBenchKernel() *kernel.Kernel {
 	return kernel.New(clock, hw.NewBus(clock, 1<<20))
 }
 
+var (
+	hBenchNoop, hBenchXmitInUser *registry.Handler
+	downBenchXmit                = registry.DeclareDowncall("bench_xmit")
+)
+
 func init() {
-	registry.Register("bench_noop", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
-	registry.Register("bench_xmit_in_user", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
-		_, err := c.Downcall("bench_xmit", 0)
+	hBenchNoop = registry.Register("bench_noop", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+	hBenchXmitInUser = registry.Register("bench_xmit_in_user", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
+		_, err := c.Downcall(downBenchXmit, 0)
 		return err
 	}})
 }
@@ -309,7 +314,7 @@ func BenchmarkXPCUpcallRoundTrip(b *testing.B) {
 	ctx := k.NewContext("bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rt.UpcallHandler(ctx, "bench_noop"); err != nil {
+		if err := rt.Call(ctx, hBenchNoop); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,14 +374,14 @@ func BenchmarkAblationDataPathUser(b *testing.B) {
 	nd := tb.E1000.NetDevice()
 	pkt := knet.NewPacket([6]byte{1}, nd.MAC, 0x0800, 1000)
 	rt := tb.Runtime
-	rt.RegisterDowncall("bench_xmit", func(kctx *kernel.Context, _ uint64) (uint64, error) {
+	rt.BindDowncall(downBenchXmit, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 		return 0, nd.Transmit(kctx, pkt)
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Force the transmit through an upcall, as if xmit lived in the
 		// decaf driver: its body reaches the device through a downcall.
-		if err := rt.UpcallHandler(ctx, "bench_xmit_in_user"); err != nil {
+		if err := rt.Call(ctx, hBenchXmitInUser); err != nil {
 			b.Fatal(err)
 		}
 	}

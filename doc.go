@@ -32,7 +32,8 @@
 //	       worker and recovery respawns a process that actually died
 //
 // Decaf call bodies live in a process-global handler table
-// (internal/decaf/registry) dispatched by name: under the proc transport
+// (internal/decaf/registry) dispatched by index — a driver crosses with the
+// handle Register returned, never a name: under the proc transport
 // the body executes in the worker's address space (the worker re-execs the
 // same binary, so init() builds the identical table), with shared driver
 // state in shm-backed cells and nested downcalls crossing back for real;

@@ -112,10 +112,10 @@ type contendRig struct {
 
 // stormHandler is the empty, free body the contend and proc-trace storms
 // cross, registered at init so the re-exec'd worker holds it too.
-const stormHandler = "bench_storm"
+var stormHandler *registry.Handler
 
 func init() {
-	registry.Register(stormHandler, registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+	stormHandler = registry.Register("bench_storm", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
 }
 
 func (cfg ContendTableConfig) newRig(transport string) (contendRig, string, error) {
@@ -161,7 +161,7 @@ func (cfg ContendTableConfig) runContendRow(transport string, submitters int) (C
 	}
 	defer rig.r.SetTransport(nil)
 	warm := rig.k.NewContext("warmup")
-	if err := rig.r.UpcallHandler(warm, stormHandler); err != nil {
+	if err := rig.r.Call(warm, stormHandler); err != nil {
 		return ContendRow{}, fmt.Errorf("contend %s K=%d: warmup: %w", name, submitters, err)
 	}
 	var lockBase uint64
@@ -185,7 +185,7 @@ func (cfg ContendTableConfig) runContendRow(transport string, submitters int) (C
 			for i := 0; i < per; i++ {
 				b := rig.r.Batch(ctx)
 				for j := 0; j < cfg.BatchN; j++ {
-					b.UpcallHandler(stormHandler)
+					b.Call(stormHandler)
 				}
 				t0 := time.Now()
 				if err := b.Flush(); err != nil {

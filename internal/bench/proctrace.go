@@ -123,7 +123,7 @@ func RunProcTrace(cfg ProcTraceConfig) (ProcTraceResult, error) {
 
 	col.Start()
 	warm := k.NewContext("warmup")
-	if err := r.UpcallHandler(warm, stormHandler); err != nil {
+	if err := r.Call(warm, stormHandler); err != nil {
 		col.Stop()
 		return ProcTraceResult{}, fmt.Errorf("proc trace: warmup: %w", err)
 	}
@@ -152,7 +152,7 @@ func RunProcTrace(cfg ProcTraceConfig) (ProcTraceResult, error) {
 				}
 				b := r.Batch(ctx)
 				for j := 0; j < cfg.BatchN; j++ {
-					b.UpcallHandler(stormHandler)
+					b.Call(stormHandler)
 				}
 				t0 := time.Now()
 				if err := b.Flush(); err != nil {

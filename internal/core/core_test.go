@@ -42,10 +42,15 @@ func TestRuntimeRegistry(t *testing.T) {
 	}
 }
 
+var (
+	hCoreNoop, hCoreDown *registry.Handler
+	downCoreTarget       = registry.DeclareDowncall("coretest_target")
+)
+
 func init() {
-	registry.Register("coretest_noop", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
-	registry.Register("coretest_down", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
-		_, err := c.Downcall("coretest_target", 0)
+	hCoreNoop = registry.Register("coretest_noop", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+	hCoreDown = registry.Register("coretest_down", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
+		_, err := c.Downcall(downCoreTarget, 0)
 		return err
 	}})
 }
@@ -54,13 +59,13 @@ func TestTotalCrossings(t *testing.T) {
 	s := NewSystem(Options{DMABytes: 1 << 20})
 	rt1, _ := s.NewRuntime("a", xpc.ModeDecaf, nil)
 	rt2, _ := s.NewRuntime("b", xpc.ModeDecaf, nil)
-	rt2.RegisterDowncall("coretest_target", func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
+	rt2.BindDowncall(downCoreTarget, func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
 	ctx := s.Kernel.NewContext("t")
 	// One upcall on a, then one on b whose body calls down once.
-	if err := rt1.UpcallHandler(ctx, "coretest_noop"); err != nil {
+	if err := rt1.Call(ctx, hCoreNoop); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt2.UpcallHandler(ctx, "coretest_down"); err != nil {
+	if err := rt2.Call(ctx, hCoreDown); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.TotalCrossings(); got != 3 {
@@ -77,5 +82,33 @@ func TestDrainDeferredWorkAdvancesClock(t *testing.T) {
 	s.DrainDeferredWork()
 	if s.Clock.Now()-before < 25*1e6 {
 		t.Fatalf("clock advanced %v, want >= 25ms", s.Clock.Now()-before)
+	}
+}
+
+// TestLateEntryPointsCounted: the per-call counts sit at each entry point's
+// index, so a handler registered — and a downcall declared — after the
+// counter epoch began still counts under its name. (No proc worker runs in
+// this package, so registering from a test body changes no layout digest.)
+func TestLateEntryPointsCounted(t *testing.T) {
+	s := NewSystem(Options{DMABytes: 1 << 20})
+	rt, _ := s.NewRuntime("late", xpc.ModeDecaf, nil)
+	ctx := s.Kernel.NewContext("t")
+	if err := rt.Call(ctx, hCoreNoop); err != nil {
+		t.Fatal(err)
+	}
+	rt.ResetCounters()
+	down := registry.DeclareDowncall("coretest_late_target")
+	late := registry.Register("coretest_late", registry.Handler{Down: true, Fn: func(c *registry.Ctx) error {
+		_, err := c.Downcall(down, 0)
+		return err
+	}})
+	rt.BindDowncall(down, func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
+	if err := rt.Call(ctx, late); err != nil {
+		t.Fatal(err)
+	}
+	c := rt.Counters()
+	want := map[string]uint64{"coretest_late": 1, "coretest_late_target": 1}
+	if len(c.PerCall) != len(want) || c.PerCall["coretest_late"] != 1 || c.PerCall["coretest_late_target"] != 1 {
+		t.Fatalf("PerCall = %v, want %v", c.PerCall, want)
 	}
 }

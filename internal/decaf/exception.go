@@ -10,8 +10,8 @@
 // waits out the sleep.
 //
 // Decaf call bodies themselves are registered in the handler table
-// (handlers.go in this package re-exports internal/decaf/registry): named,
-// package-level functions the XPC layer dispatches by name, in the worker
+// (handlers.go in this package re-exports internal/decaf/registry):
+// package-level functions the XPC layer dispatches by handle, in the worker
 // process under the proc transport and inline otherwise.
 //
 // The whole package is decaf-side: it may reach kernel-side state only

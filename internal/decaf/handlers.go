@@ -10,11 +10,11 @@ import "decafdrivers/internal/decaf/registry"
 //
 // # Writing a decaf call body
 //
-// A decaf call body is a named, package-level function registered from
-// init(). It must not close over the driver instance: under the proc
-// transport the body executes in the worker process, which is a re-exec of
-// the same binary — the init()-built table and cell indices match on both
-// sides, but a *Driver pointer would not. Everything the body needs arrives
+// A decaf call body is a package-level function registered from init(). It
+// must not close over the driver instance: under the proc transport the
+// body executes in the worker process, which is a re-exec of the same
+// binary — the init()-built tables and cell indices match on both sides,
+// but a *Driver pointer would not. Everything the body needs arrives
 // through its HandlerCtx:
 //
 //   - ctx.Data — the call's payload bytes (marshaled copy, or the worker's
@@ -24,21 +24,29 @@ import "decafdrivers/internal/decaf/registry"
 //   - ctx.Downcall — a real boundary crossing back into the kernel, for
 //     bodies registered with Down: true.
 //
-// A worked example, following the e1000 conversion (its watchdog reads link
-// status from the device and tells the kernel when the carrier changes):
+// A driver crosses by handle, never by name: RegisterHandler returns the
+// *Handler the kernel side calls, and DeclareDowncall the Downcall a body
+// makes, so a misspelt crossing does not compile. A worked example,
+// following the e1000 conversion (its watchdog reads link status from the
+// device and tells the kernel when the carrier changes):
 //
 //	var (
 //		cellRuns   = decaf.RegisterCell("e1000.watchdog_runs")
 //		cellLinkUp = decaf.RegisterCell("e1000.link_up")
+//
+//		downReadStatus    = decaf.DeclareDowncall("e1000_read_status")
+//		downCarrierChange = decaf.DeclareDowncall("netif_carrier_change")
 //	)
 //
+//	var hWatchdog *decaf.Handler
+//
 //	func init() {
-//		decaf.RegisterHandler("e1000_watchdog", decaf.Handler{
+//		hWatchdog = decaf.RegisterHandler("e1000_watchdog", decaf.Handler{
 //			Cost: 500 * time.Nanosecond, // virtual CPU charged kernel-side
 //			Down: true,                  // body makes nested downcalls
 //			Fn: func(c *decaf.HandlerCtx) error {
 //				c.State.Add(cellRuns, 1)
-//				status, err := c.Downcall("e1000_read_status", 0)
+//				status, err := c.Downcall(downReadStatus, 0)
 //				if err != nil {
 //					return err
 //				}
@@ -48,34 +56,33 @@ import "decafdrivers/internal/decaf/registry"
 //				}
 //				if c.State.Load(cellLinkUp) != up {
 //					c.State.Store(cellLinkUp, up)
-//					_, err = c.Downcall("netif_carrier_change", up)
+//					_, err = c.Downcall(downCarrierChange, up)
 //				}
 //				return err
 //			},
 //		})
 //	}
 //
-// The downcall targets are per-driver-instance closures, registered on the
+// The downcall targets are per-driver-instance closures, bound on the
 // Runtime (not the process-global table) because they run kernel-side in the
 // parent and may touch the device and kernel state freely:
 //
 //	func (d *Driver) registerDowncalls() { // called from New()
-//		d.rt.RegisterDowncall("e1000_read_status", func(kctx *kernel.Context, _ uint64) (uint64, error) {
+//		d.rt.BindDowncall(downReadStatus, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 //			return uint64(d.dev.PCI.MMIORead(0, e1000hw.RegSTATUS, 4)), nil
 //		})
-//		d.rt.RegisterDowncall("netif_carrier_change", func(kctx *kernel.Context, up uint64) (uint64, error) {
+//		d.rt.BindDowncall(downCarrierChange, func(kctx *kernel.Context, up uint64) (uint64, error) {
 //			d.Adapter.LinkUp = up != 0 // kernel-side mirror of the cell
 //			// ... netif_carrier_on/off ...
 //			return 0, nil
 //		})
 //	}
 //
-// The kernel side invokes the body by name — rt.UpcallHandler(ctx,
-// "e1000_watchdog") for control-path calls, b.UpcallHandlerPayload(
-// "e1000_xmit_frame", payload) for batched data-path calls — and reads the
-// results back through the same cells: d.rt.SharedState().Load(cellRuns).
-// Every transport dispatches the identical Fn; only where it executes
-// differs.
+// The kernel side invokes the body by its handle — rt.Call(ctx, hWatchdog)
+// for control-path calls, b.CallPayload(hXmitFrame, payload) for batched
+// data-path calls — and reads the results back through the same cells:
+// d.rt.SharedState().Load(cellRuns). Every transport dispatches the
+// identical Fn; only where it executes differs.
 type (
 	// Handler is one registered decaf call body; see registry.Handler.
 	Handler = registry.Handler
@@ -88,11 +95,19 @@ type (
 	// SharedState is a driver instance's state-cell area; see
 	// registry.State.
 	SharedState = registry.State
+	// Downcall is a declared downcall's handle; see registry.Downcall.
+	Downcall = registry.Downcall
 )
 
-// RegisterHandler installs a decaf call body under a stable name. Call it
-// from init() so parent and re-exec'd worker build identical tables.
-func RegisterHandler(name string, h Handler) { registry.Register(name, h) }
+// RegisterHandler installs a decaf call body under a stable name and
+// returns the handle the kernel side crosses with. Call it from init() so
+// parent and re-exec'd worker build identical tables.
+func RegisterHandler(name string, h Handler) *Handler { return registry.Register(name, h) }
+
+// DeclareDowncall numbers a downcall the bodies make and returns its
+// handle. Call it from package-level var initializers so every index is
+// the same in every exec of the binary.
+func DeclareDowncall(name string) Downcall { return registry.DeclareDowncall(name) }
 
 // RegisterCell allocates (or finds) the named shared-state cell. Call it
 // from package-level var initializers so the allocation order — and thus

@@ -1,11 +1,12 @@
 // Package registry is the decaf handler table: the process-global,
 // re-exec-able registry that lets decaf call bodies execute in the worker
-// process. A driver registers its decaf-side call bodies as named Handler
-// values from init(), each at the next index of a dense table. The proc
-// transport's worker is a re-exec of the current binary, so the same init()
-// functions number the table alike in both images — no serialized code, no
-// plugin loading, just deterministic init order — and Digest, checked once
-// per epoch, proves it. A call crosses as its index (ByID).
+// process. A driver registers its call bodies from init(), each at the next
+// index of a dense table, and crosses with the *Handler Register returns;
+// DeclareDowncall numbers the downcalls those bodies make the same way. The
+// proc transport's worker is a re-exec of the current binary, so the same
+// init() functions number both tables alike in both images — no serialized
+// code, no plugin loading — and Digest, checked once per epoch, proves it.
+// A call crosses as its handler's index (ByID), a downcall as its Downcall.
 //
 // Handlers are package-level pure functions over a Ctx: they see the call's
 // payload bytes, the driver's shared state cells (shm-backed under the proc
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,27 +48,30 @@ type Ctx struct {
 	// processes share; under the in-process transports it is heap memory.
 	State *State
 
-	// down is the boundary crossing installed by the dispatcher: in the
-	// worker it publishes a FrameDown on the executing call's lane and
-	// waits for the result there; in-process it is a real Runtime.Downcall.
-	down func(name string, arg uint64) (uint64, error)
+	// down is the dispatcher's downcall route: in the worker a FrameDown on
+	// the executing call's lane; in-process the runtime's own route.
+	down DownFunc
 }
 
-// Downcall crosses back into the kernel: the named downcall runs
+// DownFunc is a dispatcher's downcall route: it runs the declared downcall
+// d kernel-side with arg and returns its scalar result.
+type DownFunc func(d Downcall, arg uint64) (uint64, error)
+
+// Downcall crosses back into the kernel: the declared downcall d runs
 // kernel-side with arg and returns its scalar result. Only handlers
 // registered with Down: true may call it — the declaration is what gets a
 // body its downcall route.
-func (c *Ctx) Downcall(name string, arg uint64) (uint64, error) {
+func (c *Ctx) Downcall(d Downcall, arg uint64) (uint64, error) {
 	if c.down == nil {
 		return 0, fmt.Errorf("registry: handler %q has no downcall route (register it with Down: true)", c.Name)
 	}
-	return c.down(name, arg)
+	return c.down(d, arg)
 }
 
-// NewCtx builds a dispatch context. Dispatchers (internal/xpc, the proc
-// worker) call it; handlers never do.
+// NewCtx builds a standalone dispatch context whose downcalls reach down by
+// name. Only benchmark/ still calls it; dispatchers arm their own Ctx.
 func NewCtx(name string, data []byte, st *State, down func(string, uint64) (uint64, error)) *Ctx {
-	return &Ctx{Name: name, Data: data, State: st, down: down}
+	return &Ctx{Name: name, Data: data, State: st, down: func(d Downcall, arg uint64) (uint64, error) { return down(d.Name(), arg) }}
 }
 
 // Arm readies a dispatcher-owned context for one call of the registered
@@ -76,7 +81,7 @@ func NewCtx(name string, data []byte, st *State, down func(string, uint64) (uint
 // call instead of allocating; Name is the name h was registered under.
 //
 //decaf:hotpath
-func (c *Ctx) Arm(h *Handler, data []byte, st *State, down func(string, uint64) (uint64, error)) *Ctx {
+func (c *Ctx) Arm(h *Handler, data []byte, st *State, down DownFunc) *Ctx {
 	c.Name, c.Data, c.State, c.down = h.name, data, st, down
 	return c
 }
@@ -105,6 +110,13 @@ type Handler struct {
 	id   uint32
 }
 
+// MaxHandlers and MaxDowncalls bound the two tables, so a per-entry count
+// is a fixed array slot reached by index. Both are powers of two.
+const (
+	MaxHandlers  = 256
+	MaxDowncalls = 64
+)
+
 // handlerTable is the immutable snapshot Lookup and ByID read lock-free:
 // every handler at its index, and the same handlers by name.
 type handlerTable struct {
@@ -112,16 +124,19 @@ type handlerTable struct {
 	byName map[string]*Handler
 }
 
-var table atomic.Pointer[handlerTable]
-
-var regMu sync.Mutex
+var (
+	table atomic.Pointer[handlerTable]
+	regMu sync.Mutex
+)
 
 func init() { table.Store(&handlerTable{byName: map[string]*Handler{}}) }
 
-// Register installs (or replaces) the handler for a call name. Call it from
-// init() so the table is identical in every exec of the binary, parent and
-// worker alike. A new name takes the next index, a replacement the old one.
-func Register(name string, h Handler) {
+// Register installs (or replaces) the handler for a call name and returns
+// it: the handle the driver crosses with. Call it from init() so the table
+// is identical in every exec of the binary, parent and worker alike. A new
+// name takes the next index, a replacement the old one — so a handle from
+// the first registration still reaches the replacement's body (Current).
+func Register(name string, h Handler) *Handler {
 	if name == "" || h.Fn == nil {
 		panic("registry: Register needs a name and a body")
 	}
@@ -133,16 +148,35 @@ func Register(name string, h Handler) {
 	if prev := old.byName[name]; prev != nil {
 		h.id = prev.id
 		next.byID[h.id] = &h
+	} else if h.id >= MaxHandlers {
+		panic(fmt.Sprintf("registry: %q would be handler %d; the table holds %d", name, h.id, MaxHandlers))
 	} else {
 		next.byID = append(next.byID, &h)
 	}
 	next.byName[name] = &h
 	table.Store(next)
+	return &h
 }
 
 // ID is the handler's index in the table: what a FrameCall carries in place
 // of the name.
 func (h *Handler) ID() uint32 { return h.id }
+
+// Name is the call name the handler was registered under.
+func (h *Handler) Name() string { return h.name }
+
+// Current is the handler registered at h's index now: h itself, or the
+// replacement a later Register under the same name installed — nil for a
+// Handler that Register never returned. Lock-free and allocation-free:
+// every queued call resolves its handle through it.
+//
+//decaf:hotpath
+func (h *Handler) Current() *Handler {
+	if cur := ByID(h.id); cur != nil && cur.name == h.name {
+		return cur
+	}
+	return nil
+}
 
 // Lookup returns the handler registered for name, or nil. Lock-free and
 // allocation-free: safe on the submit hot path.
@@ -166,17 +200,16 @@ func ByID(id uint32) *Handler {
 
 // Digest fingerprints what both sides must agree on for an index to mean
 // the same body in each: every handler's name and Down flag, then every
-// cell name, in index order. The worker compares its own with the one the
-// kernel side writes into the layout header.
+// cell name, then every downcall name, in index order. The worker compares
+// its own with the one the kernel side writes into the layout header.
 func Digest() uint64 {
-	cellMu.Lock()
-	defer cellMu.Unlock()
-	return digest(table.Load().byID, cellNames)
+	return digest(table.Load().byID, cells.all(), downcalls.all())
 }
 
 // digest is FNV-1a over the names, each closed by a control byte that also
-// says what it named: 1 a handler, 2 a Down handler, 0 a cell.
-func digest(handlers []*Handler, cells []string) uint64 {
+// says what it named: 1 a handler, 2 a Down handler, 0 a cell, 3 a
+// downcall.
+func digest(handlers []*Handler, cells, downcalls []string) uint64 {
 	h := uint64(14695981039346656037)
 	add := func(name string, end byte) {
 		for i := 0; i < len(name); i++ {
@@ -194,6 +227,9 @@ func digest(handlers []*Handler, cells []string) uint64 {
 	for _, name := range cells {
 		add(name, 0)
 	}
+	for _, name := range downcalls {
+		add(name, 3)
+	}
 	return h
 }
 
@@ -206,4 +242,73 @@ func Names() []string {
 		out[i] = h.name
 	}
 	return out
+}
+
+// A Downcall is a declared downcall's index in the process-global downcall
+// table: what a handler body passes to Ctx.Downcall, what a FrameDown
+// carries, and what a runtime binds its kernel-side target to. Declare
+// every downcall from a package-level var initializer, so the indices are
+// identical in every exec of the binary.
+type Downcall uint32
+
+var downcalls names
+
+// DeclareDowncall allocates (or returns the existing) downcall for name.
+func DeclareDowncall(name string) Downcall {
+	if name == "" {
+		panic("registry: DeclareDowncall needs a name")
+	}
+	d := Downcall(downcalls.index(name))
+	if d >= MaxDowncalls {
+		panic(fmt.Sprintf("registry: downcall %q is number %d; the table holds %d", name, d, MaxDowncalls))
+	}
+	return d
+}
+
+// Name is the name d was declared under, or "#<index>" for an index
+// outside the table (a lying peer's). Lock-free.
+//
+//decaf:hotpath
+func (d Downcall) Name() string {
+	if all := downcalls.all(); int(d) < len(all) {
+		return all[d]
+	}
+	return "#" + strconv.FormatUint(uint64(d), 10) //decaf:allowalloc an index outside the table: a lying peer's, on its error path
+}
+
+// DowncallNames lists the declared downcall names in index order:
+// DowncallNames()[i] names Downcall(i). The slice is shared: do not modify.
+func DowncallNames() []string { return downcalls.all() }
+
+// names is a dense, append-only table of names, the shape of both the cell
+// and the downcall tables: a name gets the next index the first time it is
+// declared, and reads are lock-free.
+type names struct {
+	mu   sync.Mutex
+	list atomic.Pointer[[]string]
+}
+
+// index returns name's index, appending it first when it is new. The
+// append may reuse the backing array a published view shares: no view
+// reaches past its own length, so none sees the new element early.
+func (t *names) index(name string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	all := t.all()
+	if i := slices.Index(all, name); i >= 0 {
+		return i
+	}
+	next := append(all, name)
+	t.list.Store(&next)
+	return len(all)
+}
+
+// all lists the names in index order. The slice is shared: do not modify.
+//
+//decaf:hotpath
+func (t *names) all() []string {
+	if p := t.list.Load(); p != nil {
+		return *p
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -66,23 +67,27 @@ func TestDigest(t *testing.T) {
 		}
 		return out
 	}
-	base := digest(hs("a,b", false, true), []string{"x", "y"})
+	xy, dd := []string{"x", "y"}, []string{"d", "e"}
+	base := digest(hs("a,b", false, true), xy, dd)
 	for _, tc := range []struct {
 		what string
 		got  uint64
 	}{
-		{"a handler renamed", digest(hs("a,c", false, true), []string{"x", "y"})},
-		{"a Down flag flipped", digest(hs("a,b", true, true), []string{"x", "y"})},
-		{"the handler order swapped", digest(hs("b,a", true, false), []string{"x", "y"})},
-		{"a name boundary moved", digest(hs("ab,", false, true), []string{"x", "y"})},
-		{"the cell order swapped", digest(hs("a,b", false, true), []string{"y", "x"})},
-		{"a cell added", digest(hs("a,b", false, true), []string{"x", "y", "z"})},
+		{"a handler renamed", digest(hs("a,c", false, true), xy, dd)},
+		{"a Down flag flipped", digest(hs("a,b", true, true), xy, dd)},
+		{"the handler order swapped", digest(hs("b,a", true, false), xy, dd)},
+		{"a name boundary moved", digest(hs("ab,", false, true), xy, dd)},
+		{"the cell order swapped", digest(hs("a,b", false, true), []string{"y", "x"}, dd)},
+		{"a cell added", digest(hs("a,b", false, true), []string{"x", "y", "z"}, dd)},
+		{"the downcall order swapped", digest(hs("a,b", false, true), xy, []string{"e", "d"})},
+		{"a downcall added", digest(hs("a,b", false, true), xy, []string{"d", "e", "f"})},
+		{"a cell turned downcall", digest(hs("a,b", false, true), []string{"x"}, []string{"y", "d", "e"})},
 	} {
 		if tc.got == base {
 			t.Errorf("%s: digest unchanged at %#x", tc.what, base)
 		}
 	}
-	if again := digest(hs("a,b", false, true), []string{"x", "y"}); again != base {
+	if again := digest(hs("a,b", false, true), xy, dd); again != base {
 		t.Fatalf("the same table digests to %#x and %#x", base, again)
 	}
 
@@ -103,6 +108,11 @@ func TestDigest(t *testing.T) {
 	Register("regtest_digest_new", Handler{Fn: func(*Ctx) error { return nil }})
 	if Digest() == d {
 		t.Fatal("a new handler left the digest unchanged")
+	}
+	d = Digest()
+	DeclareDowncall("regtest_digest_down")
+	if Digest() == d {
+		t.Fatal("a new downcall left the digest unchanged")
 	}
 	// Each worker spawn computes it on the kernel side.
 	if avg := testing.AllocsPerRun(10, func() { _ = Digest() }); avg != 0 {
@@ -162,19 +172,25 @@ func TestArmLeavesNothingBehind(t *testing.T) {
 	Register("regtest_arm_a", Handler{Down: true, Fn: func(*Ctx) error { return nil }})
 	Register("regtest_arm_b", Handler{Fn: func(*Ctx) error { return nil }})
 	stA, stB := NewState(), NewState()
+	reg := DeclareDowncall("regtest_arm_reg")
 	var ctx Ctx
-	c := ctx.Arm(Lookup("regtest_arm_a"), []byte{1, 2, 3}, stA, func(name string, arg uint64) (uint64, error) { return arg + 1, nil })
+	c := ctx.Arm(Lookup("regtest_arm_a"), []byte{1, 2, 3}, stA, func(d Downcall, arg uint64) (uint64, error) {
+		if d != reg {
+			return 0, errors.New("routed to the wrong downcall")
+		}
+		return arg + 1, nil
+	})
 	if c != &ctx || c.Name != "regtest_arm_a" || len(c.Data) != 3 || c.State != stA {
 		t.Fatalf("first arm = %+v", c)
 	}
-	if v, err := c.Downcall("reg", 41); err != nil || v != 42 {
+	if v, err := c.Downcall(reg, 41); err != nil || v != 42 {
 		t.Fatalf("routed downcall = %d, %v", v, err)
 	}
 	c = ctx.Arm(Lookup("regtest_arm_b"), nil, stB, nil)
 	if c.Name != "regtest_arm_b" || c.Data != nil || c.State != stB {
 		t.Fatalf("second arm kept state of the first: %+v", c)
 	}
-	if _, err := c.Downcall("reg", 41); err == nil {
+	if _, err := c.Downcall(reg, 41); err == nil {
 		t.Fatal("second call inherited the first call's downcall route")
 	}
 	if avg := testing.AllocsPerRun(100, func() { ctx.Arm(Lookup("regtest_arm_b"), nil, stB, nil) }); avg != 0 {
@@ -183,12 +199,79 @@ func TestArmLeavesNothingBehind(t *testing.T) {
 }
 
 func TestDowncallWithoutRoute(t *testing.T) {
-	c := NewCtx("regtest_noroute", nil, NewState(), nil)
-	v, err := c.Downcall("read_reg", 7)
+	h := Register("regtest_noroute", Handler{Fn: func(*Ctx) error { return nil }})
+	c := new(Ctx).Arm(h, nil, NewState(), nil)
+	v, err := c.Downcall(DeclareDowncall("regtest_read_reg"), 7)
 	if v != 0 || err == nil {
 		t.Fatalf("Downcall without a route = %d, %v", v, err)
 	}
 	if msg := err.Error(); !strings.Contains(msg, `"regtest_noroute"`) || !strings.Contains(msg, "Down: true") {
 		t.Fatalf("error %q should name the handler and the fix", msg)
 	}
+}
+
+// TestNewCtxRoutesByName: the by-name context benchmark/ builds reaches its
+// name-keyed route with the declared downcall's name.
+func TestNewCtxRoutesByName(t *testing.T) {
+	d := DeclareDowncall("regtest_newctx_reg")
+	var got string
+	c := NewCtx("regtest_newctx", nil, NewState(), func(name string, arg uint64) (uint64, error) {
+		got = name
+		return arg * 2, nil
+	})
+	if v, err := c.Downcall(d, 21); err != nil || v != 42 || got != "regtest_newctx_reg" {
+		t.Fatalf("Downcall = %d, %v via %q, want 42 via the declared name", v, err, got)
+	}
+}
+
+// TestHandleSurvivesReregistration: the handle Register returns stays the
+// way to cross after a second Register under its name swaps the body — as
+// tests that swap a driver's body do — because Current resolves it through
+// its index. A Handler that Register never returned resolves to nil.
+func TestHandleSurvivesReregistration(t *testing.T) {
+	h := Register("regtest_handle", Handler{Fn: func(*Ctx) error { return errors.New("first") }})
+	if h != Lookup("regtest_handle") || h.Current() != h || h.Name() != "regtest_handle" {
+		t.Fatalf("Register returned %p, Lookup finds %p, Current %p", h, Lookup("regtest_handle"), h.Current())
+	}
+	swapped := Register("regtest_handle", Handler{Fn: func(*Ctx) error { return errors.New("second") }})
+	if cur := h.Current(); cur != swapped || cur.ID() != h.ID() {
+		t.Fatalf("the first handle resolves to %p (id %d), want the replacement %p (id %d)", cur, cur.ID(), swapped, h.ID())
+	}
+	if err := h.Current().Fn(nil); err == nil || err.Error() != "second" {
+		t.Fatalf("the first handle dispatches a body returning %v, want the replacement's", err)
+	}
+	for _, stray := range []*Handler{{Fn: func(*Ctx) error { return nil }}, {name: "regtest_never", id: h.ID()}} {
+		if cur := stray.Current(); cur != nil {
+			t.Fatalf("a Handler Register never returned resolves to %+v", cur)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = h.Current() }); avg != 0 {
+		t.Fatalf("Current allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestDeclareDowncall: downcalls are numbered densely in declaration order,
+// a second declaration of a name returns its index, and the names read back
+// by index, lock-free — with an index outside the table named by number.
+func TestDeclareDowncall(t *testing.T) {
+	a, b := DeclareDowncall("regtest_down_a"), DeclareDowncall("regtest_down_b")
+	if b != a+1 || DeclareDowncall("regtest_down_a") != a {
+		t.Fatalf("declarations took %d, %d; redeclaring a took %d", a, b, DeclareDowncall("regtest_down_a"))
+	}
+	names := DowncallNames()
+	if a.Name() != "regtest_down_a" || names[b] != "regtest_down_b" {
+		t.Fatalf("names %q, %q", a.Name(), names[b])
+	}
+	if past := Downcall(len(names)); past.Name() != "#"+strconv.Itoa(len(names)) {
+		t.Fatalf("an index past the table is named %q", past.Name())
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = b.Name() }); avg != 0 {
+		t.Fatalf("Name allocates %.1f objects per call, want 0", avg)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DeclareDowncall accepted an empty name")
+		}
+	}()
+	DeclareDowncall("")
 }

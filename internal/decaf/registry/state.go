@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -15,44 +14,24 @@ import (
 // meaningful on either side of the boundary without any negotiation.
 type Cell int
 
-var (
-	cellMu    sync.Mutex
-	cellNames []string
-	cellIndex = map[string]Cell{}
-)
+var cells names
 
 // RegisterCell allocates (or returns the existing) state cell for name.
 // Call it from package-level var initializers or init() so the allocation
 // order is deterministic across re-execs. Names are namespaced by
 // convention ("e1000.watchdog_runs").
-func RegisterCell(name string) Cell {
-	cellMu.Lock()
-	defer cellMu.Unlock()
-	if c, ok := cellIndex[name]; ok {
-		return c
-	}
-	c := Cell(len(cellNames))
-	cellNames = append(cellNames, name)
-	cellIndex[name] = c
-	return c
-}
+func RegisterCell(name string) Cell { return Cell(cells.index(name)) }
 
 // CellCount reports how many cells have been registered.
-func CellCount() int {
-	cellMu.Lock()
-	defer cellMu.Unlock()
-	return len(cellNames)
-}
+func CellCount() int { return len(cells.all()) }
 
 // CellName returns the name a cell was registered under ("" if out of
 // range), for metrics and debugging.
 func CellName(c Cell) string {
-	cellMu.Lock()
-	defer cellMu.Unlock()
-	if c < 0 || int(c) >= len(cellNames) {
-		return ""
+	if all := cells.all(); c >= 0 && int(c) < len(all) {
+		return all[c]
 	}
-	return cellNames[c]
+	return ""
 }
 
 // StateBytes is the byte size of a state area holding every registered

@@ -44,10 +44,10 @@ type decafCall struct{ *registry.Ctx }
 
 // down crosses to a kernel target and returns its scalar result; a failed
 // crossing throws.
-func (c decafCall) down(name string, arg uint64) uint64 {
-	v, err := c.Downcall(name, arg)
+func (c decafCall) down(d registry.Downcall, arg uint64) uint64 {
+	v, err := c.Downcall(d, arg)
 	if err != nil {
-		decaf.ThrowCause(HWException, err, "%s(%#x)", name, arg)
+		decaf.ThrowCause(HWException, err, "%s(%#x)", d.Name(), arg)
 	}
 	return v
 }
@@ -73,14 +73,14 @@ func (c decafCall) params() map[string]int {
 // returns the C convention — the value, or a negative errno — and Check
 // turns the errno into a throw, so call sites shrink to bare calls.
 func (c decafCall) readPhyReg(reg uint64) uint16 {
-	v := int64(c.down("e1000_read_phy_reg", reg))
+	v := int64(c.down(downReadPHYReg, reg))
 	decaf.Check(HWException, int(v), "read_phy_reg")
 	return uint16(v)
 }
 
 // writePhyReg is the write twin of readPhyReg.
 func (c decafCall) writePhyReg(reg uint64, v uint16) {
-	decaf.Check(HWException, int(int64(c.down("e1000_write_phy_reg", reg<<16|uint64(v)))), "write_phy_reg")
+	decaf.Check(HWException, int(int64(c.down(downWritePHYReg, reg<<16|uint64(v)))), "write_phy_reg")
 }
 
 // configDSPAfterLinkChange is the Figure 5 function rewritten with
@@ -105,12 +105,12 @@ func (c decafCall) powerUpPhy() {
 // they read them; the settings this body derives go out through the cells.
 func (c decafCall) probe() {
 	resolved := decaf.ValidateAll(moduleParams, c.params())
-	c.down("e1000_reset_hw", 0)
+	c.down(downResetHW, 0)
 
 	var words [EEPROMWords]uint16
 	var sum uint16
 	for addr := range words {
-		words[addr] = uint16(c.down("e1000_read_eeprom", uint64(addr)))
+		words[addr] = uint16(c.down(downReadEEPROM, uint64(addr)))
 		sum += words[addr]
 	}
 	if sum != e1000hw.EEPROMChecksum {
@@ -118,7 +118,7 @@ func (c decafCall) probe() {
 	}
 	mac := uint64(words[0]) | uint64(words[1])<<16 | uint64(words[2])<<32
 	phyID := uint64(c.readPhyReg(e1000hw.PhyID1))<<16 | uint64(c.readPhyReg(e1000hw.PhyID2))
-	c.down("pci_save_state", 0)
+	c.down(downPCISaveState, 0)
 
 	c.State.Store(cellTxRing, uint64(resolved["TxDescriptors"]))
 	c.State.Store(cellRxRing, uint64(resolved["RxDescriptors"]))
@@ -143,35 +143,35 @@ func (c decafCall) open() {
 	}()
 
 	/* allocate transmit descriptors */
-	c.down("e1000_setup_all_tx_resources", 0)
+	c.down(downSetupTxResources, 0)
 	decaf.TryCatch(func() {
 		/* allocate receive descriptors */
-		c.down("e1000_setup_all_rx_resources", 0)
+		c.down(downSetupRxResources, 0)
 		decaf.TryCatch(func() {
-			c.down("e1000_request_irq", 0)
+			c.down(downRequestIRQ, 0)
 			c.powerUpPhy()
 			c.configDSPAfterLinkChange()
-			c.down("e1000_up", 0)
+			c.down(downUp, 0)
 		}, func(e *decaf.Exception) {
-			_, _ = c.Downcall("e1000_free_all_rx_resources", 0)
+			_, _ = c.Downcall(downFreeRxResources, 0)
 			decaf.Rethrow(e)
 		})
 	}, func(e *decaf.Exception) {
-		_, _ = c.Downcall("e1000_free_all_tx_resources", 0)
+		_, _ = c.Downcall(downFreeTxResources, 0)
 		decaf.Rethrow(e)
 	})
 }
 
 // reset quiesces and reinitializes the device after a failure (e1000_reset).
 func (c decafCall) reset() {
-	_, _ = c.Downcall("e1000_down", 0)
-	_, _ = c.Downcall("e1000_reset_hw", 0)
+	_, _ = c.Downcall(downDown, 0)
+	_, _ = c.Downcall(downResetHW, 0)
 }
 
 // close tears the interface down (e1000_close).
 func (c decafCall) close() {
-	for _, name := range [...]string{"e1000_down", "e1000_free_irq", "e1000_free_all_tx_resources", "e1000_free_all_rx_resources"} {
-		_, _ = c.Downcall(name, 0)
+	for _, down := range [...]registry.Downcall{downDown, downFreeIRQ, downFreeTxResources, downFreeRxResources} {
+		_, _ = c.Downcall(down, 0)
 	}
 }
 

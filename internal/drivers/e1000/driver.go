@@ -207,7 +207,7 @@ func (d *Driver) scheduleWatchdogWork() {
 		if d.recovering {
 			return
 		}
-		_ = d.rt.UpcallHandler(wctx, "e1000_watchdog")
+		_ = d.rt.Call(wctx, hWatchdog)
 	})
 }
 
@@ -251,7 +251,7 @@ func (o *e1000Ops) Stop(ctx *kernel.Context) error {
 	if d.journal != nil {
 		d.journal.Remove("ifup")
 	}
-	err := d.rt.UpcallHandler(ctx, "e1000_close")
+	err := d.rt.Call(ctx, hClose)
 	if err != nil {
 		d.nuc.release(ctx)
 	}
@@ -333,7 +333,7 @@ func (d *Driver) FlushTx(ctx *kernel.Context) error {
 		d.txQueue = d.txQueue[:0]
 		b := d.rt.Batch(ctx)
 		for _, p := range fl.Payloads {
-			b.UpcallHandlerPayload("e1000_xmit_frame", p)
+			b.CallPayload(hXmitFrame, p)
 		}
 		d.txInFlight.Push(b.FlushAsync(), fl)
 	}
@@ -445,7 +445,7 @@ func (d *Driver) deliverRx(burst []knet.Packet) {
 		}
 		b := d.rt.Batch(wctx)
 		for _, p := range fl.Payloads {
-			b.UpcallHandlerPayload("e1000_rx_frame", p)
+			b.CallPayload(hRxFrame, p)
 		}
 		d.rxInFlight.Push(b.FlushAsync(), fl)
 		d.reapRx(wctx, d.rxInFlight.Len() >= maxRxInFlight)

@@ -352,7 +352,7 @@ func TestUserFaultContained(t *testing.T) {
 	r := newRig(t, xpc.ModeDecaf)
 	r.load(t)
 	ctx := r.kern.NewContext("t")
-	err := r.drv.Runtime().UpcallHandler(ctx, "buggy_user_code")
+	err := r.drv.Runtime().Call(ctx, registry.Lookup("buggy_user_code"))
 	var fault *xpc.UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want UserFault", err)
@@ -385,7 +385,7 @@ func TestOpenNestedReleaseOrder(t *testing.T) {
 	record("e1000_free_all_tx_resources", n.freeTxResources)
 	record("e1000_down", n.down)
 	record("e1000_reset_hw", n.resetHW)
-	rt.RegisterDowncall("e1000_request_irq", func(*kernel.Context, uint64) (uint64, error) {
+	rt.BindDowncall(downRequestIRQ, func(*kernel.Context, uint64) (uint64, error) {
 		return 0, errors.New("EBUSY")
 	})
 	dma := r.kern.Bus().DMA()
@@ -416,16 +416,16 @@ func init() {
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			for _, d := range []struct {
-				name string
+				down registry.Downcall
 				arg  uint64
 			}{
-				{"e1000_read_eeprom", EEPROMWords},
-				{"e1000_read_eeprom", 1 << 32},
-				{"e1000_read_phy_reg", phyMaxReg + 1},
-				{"e1000_write_phy_reg", (phyMaxReg+1)<<16 | 0x1234},
-				{"e1000_write_phy_reg", 1 << 40},
+				{downReadEEPROM, EEPROMWords},
+				{downReadEEPROM, 1 << 32},
+				{downReadPHYReg, phyMaxReg + 1},
+				{downWritePHYReg, (phyMaxReg+1)<<16 | 0x1234},
+				{downWritePHYReg, 1 << 40},
 			} {
-				if _, err := c.Downcall(d.name, d.arg); err != nil {
+				if _, err := c.Downcall(d.down, d.arg); err != nil {
 					c.State.Add(refused, 1)
 				}
 			}
@@ -442,7 +442,7 @@ func TestOutOfRangeTargetsRefused(t *testing.T) {
 	r.load(t)
 	reg := func(off uint32) uint64 { return r.dev.PCI.MMIORead(0, off, 4) }
 	eerd, mdic, shadow := reg(e1000hw.RegEERD), reg(e1000hw.RegMDIC), r.drv.Adapter.EEPROM
-	if err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "e1000test_out_of_range"); err != nil {
+	if err := r.drv.Runtime().Call(r.kern.NewContext("t"), registry.Lookup("e1000test_out_of_range")); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.drv.Runtime().SharedState().Load(refused); got != 5 {

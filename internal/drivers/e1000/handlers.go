@@ -33,6 +33,26 @@ var (
 // probeCells are the cells the probe body writes and recovery clears.
 var probeCells = [...]registry.Cell{cellTxRing, cellRxRing, cellFlowControl, cellMsgEnable, cellMAC, cellPhyID}
 
+// The downcalls the bodies make: each body names its kernel-side entry
+// point by handle, and registerDowncalls binds this instance's target to it.
+var (
+	downReadStatus       = registry.DeclareDowncall("e1000_read_status")
+	downCarrierChange    = registry.DeclareDowncall("netif_carrier_change")
+	downResetHW          = registry.DeclareDowncall("e1000_reset_hw")
+	downReadEEPROM       = registry.DeclareDowncall("e1000_read_eeprom")
+	downReadPHYReg       = registry.DeclareDowncall("e1000_read_phy_reg")
+	downWritePHYReg      = registry.DeclareDowncall("e1000_write_phy_reg")
+	downPCISaveState     = registry.DeclareDowncall("pci_save_state")
+	downSetupTxResources = registry.DeclareDowncall("e1000_setup_all_tx_resources")
+	downSetupRxResources = registry.DeclareDowncall("e1000_setup_all_rx_resources")
+	downRequestIRQ       = registry.DeclareDowncall("e1000_request_irq")
+	downUp               = registry.DeclareDowncall("e1000_up")
+	downDown             = registry.DeclareDowncall("e1000_down")
+	downFreeIRQ          = registry.DeclareDowncall("e1000_free_irq")
+	downFreeTxResources  = registry.DeclareDowncall("e1000_free_all_tx_resources")
+	downFreeRxResources  = registry.DeclareDowncall("e1000_free_all_rx_resources")
+)
+
 // Decaf-side per-frame handling costs in the decaf data path: cheaper than a
 // crossing by orders of magnitude, so batching gains show up as crossing
 // savings rather than being drowned by user-level work.
@@ -49,19 +69,21 @@ const (
 // inline under the in-process ones). Bodies reach driver state only through
 // the shared cells and reach the kernel or device only through the scalar
 // downcalls registerDowncalls installs — the same discipline process
-// separation enforces physically.
-//
+// separation enforces physically. The kernel side crosses with the handles
+// init assigns.
+var hProbe, hOpen, hClose, hXmitFrame, hRxFrame, hWatchdog *registry.Handler
+
 //decaf:boundary
 func init() {
 	// The control plane (decaf.go): probe takes the module parameters as
 	// its payload; open is Figure 4; close releases what open acquired.
-	registry.Register("e1000_probe", registry.Handler{Down: true, Fn: run(decafCall.probe)})
-	registry.Register("e1000_open", registry.Handler{Down: true, Fn: run(decafCall.open)})
-	registry.Register("e1000_close", registry.Handler{Down: true, Fn: run(decafCall.close)})
+	hProbe = registry.Register("e1000_probe", registry.Handler{Down: true, Fn: run(decafCall.probe)})
+	hOpen = registry.Register("e1000_open", registry.Handler{Down: true, Fn: run(decafCall.open)})
+	hClose = registry.Register("e1000_close", registry.Handler{Down: true, Fn: run(decafCall.close)})
 	// e1000_xmit_frame is the decaf-driver TX body in the decaf data path:
 	// user-level frame validation and accounting. The hardware submit stays
 	// in the nucleus after the flight is reaped.
-	registry.Register("e1000_xmit_frame", registry.Handler{
+	hXmitFrame = registry.Register("e1000_xmit_frame", registry.Handler{
 		Cost: decafTxFrameCost,
 		Fn: func(c *registry.Ctx) error {
 			c.State.Add(cellTxFrames, 1)
@@ -70,7 +92,7 @@ func init() {
 	})
 	// e1000_rx_frame is the decaf-driver RX body: user-level inspection of a
 	// received frame before the nucleus hands it up the stack.
-	registry.Register("e1000_rx_frame", registry.Handler{
+	hRxFrame = registry.Register("e1000_rx_frame", registry.Handler{
 		Cost: decafRxFrameCost,
 		Fn: func(c *registry.Ctx) error {
 			c.State.Add(cellRxFrames, 1)
@@ -81,12 +103,12 @@ func init() {
 	// driver because the kernel timer defers it to a work item (§3.1.3). It
 	// reads link state from the device through a downcall and reports
 	// carrier changes to the kernel through another.
-	registry.Register("e1000_watchdog", registry.Handler{
+	hWatchdog = registry.Register("e1000_watchdog", registry.Handler{
 		Cost: watchdogBodyCost,
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			c.State.Add(cellWatchdogRuns, 1)
-			status, err := c.Downcall("e1000_read_status", 0)
+			status, err := c.Downcall(downReadStatus, 0)
 			if err != nil {
 				return err
 			}
@@ -97,7 +119,7 @@ func init() {
 					v = 1
 				}
 				c.State.Store(cellLinkUp, v)
-				if _, err := c.Downcall("netif_carrier_change", v); err != nil {
+				if _, err := c.Downcall(downCarrierChange, v); err != nil {
 					return err
 				}
 			}
@@ -106,7 +128,7 @@ func init() {
 	})
 }
 
-// registerDowncalls installs the kernel-side targets the decaf bodies name:
+// registerDowncalls binds the kernel-side targets of the bodies' downcalls:
 // the nucleus entry points, each a scalar in and a scalar out. Registration
 // is per-Runtime, so each driver instance's bodies reach that instance's
 // device and netdev. The arguments come from the untrusted side and are
@@ -115,21 +137,21 @@ func init() {
 // clock.
 func (d *Driver) registerDowncalls() {
 	n := d.nuc
-	void := func(name string, fn func(kctx *kernel.Context)) {
-		d.rt.RegisterDowncall(name, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+	void := func(down registry.Downcall, fn func(kctx *kernel.Context)) {
+		d.rt.BindDowncall(down, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 			fn(kctx)
 			return 0, nil
 		})
 	}
-	errno := func(name string, fn func(kctx *kernel.Context) error) {
-		d.rt.RegisterDowncall(name, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+	errno := func(down registry.Downcall, fn func(kctx *kernel.Context) error) {
+		d.rt.BindDowncall(down, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 			return 0, fn(kctx)
 		})
 	}
-	d.rt.RegisterDowncall("e1000_read_status", func(kctx *kernel.Context, _ uint64) (uint64, error) {
+	d.rt.BindDowncall(downReadStatus, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 		return d.dev.PCI.MMIORead(0, e1000hw.RegSTATUS, 4), nil
 	})
-	d.rt.RegisterDowncall("netif_carrier_change", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	d.rt.BindDowncall(downCarrierChange, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		up := arg != 0
 		// Mirror the cell into the kernel adapter: the nucleus and the
 		// harness read link state here, not from the decaf cells.
@@ -145,15 +167,15 @@ func (d *Driver) registerDowncalls() {
 		return 0, nil
 	})
 	// e1000_reset_hw resets the device and waits out the 100 ms settle.
-	void("e1000_reset_hw", func(kctx *kernel.Context) {
+	void(downResetHW, func(kctx *kernel.Context) {
 		n.resetHW(kctx)
 		kctx.MSleep(100)
 	})
-	d.rt.RegisterDowncall("e1000_read_eeprom", d.readEEPROM)
+	d.rt.BindDowncall(downReadEEPROM, d.readEEPROM)
 	// e1000_read_phy_reg and e1000_write_phy_reg (reg<<16 | value) return
 	// the C convention, a negative errno on an MDIC failure, which the body
 	// turns into an exception (Figure 5).
-	d.rt.RegisterDowncall("e1000_read_phy_reg", func(kctx *kernel.Context, reg uint64) (uint64, error) {
+	d.rt.BindDowncall(downReadPHYReg, func(kctx *kernel.Context, reg uint64) (uint64, error) {
 		if reg > phyMaxReg {
 			return 0, fmt.Errorf("e1000: PHY register %#x out of range", reg)
 		}
@@ -165,7 +187,7 @@ func (d *Driver) registerDowncalls() {
 	})
 	// Writing dspReconfigure to the DSP register starts the DSP's
 	// reconfiguration, which the write waits out (20 ms).
-	d.rt.RegisterDowncall("e1000_write_phy_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	d.rt.BindDowncall(downWritePHYReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		reg, val := arg>>16, uint16(arg)
 		if reg > phyMaxReg {
 			return 0, fmt.Errorf("e1000: PHY register %#x out of range", reg)
@@ -179,18 +201,18 @@ func (d *Driver) registerDowncalls() {
 	// pci_save_state is probe's last step: the device is identified, so
 	// autonegotiation starts, and the target waits its 200 ms as the C
 	// probe does.
-	void("pci_save_state", func(kctx *kernel.Context) {
+	void(downPCISaveState, func(kctx *kernel.Context) {
 		n.snapshotConfigSpace(kctx)
 		kctx.MSleep(200)
 	})
-	errno("e1000_setup_all_tx_resources", n.setupTxResources)
-	errno("e1000_setup_all_rx_resources", n.setupRxResources)
-	errno("e1000_request_irq", n.requestIRQ)
-	void("e1000_up", n.up)
-	void("e1000_down", n.down)
-	void("e1000_free_irq", n.freeIRQ)
-	void("e1000_free_all_tx_resources", n.freeTxResources)
-	void("e1000_free_all_rx_resources", n.freeRxResources)
+	errno(downSetupTxResources, n.setupTxResources)
+	errno(downSetupRxResources, n.setupRxResources)
+	errno(downRequestIRQ, n.requestIRQ)
+	void(downUp, n.up)
+	void(downDown, n.down)
+	void(downFreeIRQ, n.freeIRQ)
+	void(downFreeTxResources, n.freeTxResources)
+	void(downFreeRxResources, n.freeRxResources)
 }
 
 // phyMaxReg is the last register of the 5-bit MII space.
@@ -228,7 +250,7 @@ func (d *Driver) probe(ctx *kernel.Context) error {
 		binary.LittleEndian.PutUint32(params[i*paramSlot:], 1)
 		binary.LittleEndian.PutUint32(params[i*paramSlot+4:], uint32(int32(v)))
 	}
-	if err := d.rt.UpcallHandlerData(ctx, "e1000_probe", params[:]); err != nil {
+	if err := d.rt.CallData(ctx, hProbe, params[:]); err != nil {
 		return err
 	}
 	st := d.rt.SharedState()
@@ -256,7 +278,7 @@ func (d *Driver) probe(ctx *kernel.Context) error {
 // the cell mirrors it so the watchdog body (which may run in another
 // process) compares against current state.
 func (d *Driver) open(ctx *kernel.Context) error {
-	if err := d.rt.UpcallHandler(ctx, "e1000_open"); err != nil {
+	if err := d.rt.Call(ctx, hOpen); err != nil {
 		d.nuc.release(ctx)
 		return err
 	}

@@ -73,7 +73,7 @@ func TestProcEveryDecafBodyRunsInWorker(t *testing.T) {
 // worker.
 func TestProcWorkerDiesMidEEPROMWalk(t *testing.T) {
 	r, pt := newProcRig(t)
-	r.drv.Runtime().RegisterDowncall("e1000_read_eeprom", func(kctx *kernel.Context, addr uint64) (uint64, error) {
+	r.drv.Runtime().BindDowncall(downReadEEPROM, func(kctx *kernel.Context, addr uint64) (uint64, error) {
 		if addr == 32 && !pt.KillWorker() {
 			t.Error("no worker to kill from inside the downcall target")
 		}
@@ -111,7 +111,7 @@ func TestProcWorkerDiesInsideUp(t *testing.T) {
 	r.load(t)
 	dma := r.kern.Bus().DMA()
 	inUse := dma.InUse()
-	r.drv.Runtime().RegisterDowncall("e1000_up", func(kctx *kernel.Context, _ uint64) (uint64, error) {
+	r.drv.Runtime().BindDowncall(downUp, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 		r.drv.nuc.up(kctx)
 		if !pt.KillWorker() {
 			t.Error("no worker to kill from inside the downcall target")

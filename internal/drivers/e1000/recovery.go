@@ -31,7 +31,7 @@ func (d *Driver) journalProbe() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{Key: "probe", Name: "e1000_probe", Replay: d.probe})
+	d.journal.Record(recovery.Entry{Key: "probe", Name: hProbe.Name(), Replay: d.probe})
 }
 
 // journalOpen records the interface bring-up (resource allocation, IRQ,
@@ -41,7 +41,7 @@ func (d *Driver) journalOpen() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{Key: "ifup", Name: "e1000_open", Replay: d.open})
+	d.journal.Record(recovery.Entry{Key: "ifup", Name: hOpen.Name(), Replay: d.open})
 }
 
 // RecoveryName implements recovery.Target.

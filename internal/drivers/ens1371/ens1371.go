@@ -234,7 +234,7 @@ type pcmOps Driver
 func (o *pcmOps) Open(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	return d.proxyOp(d.journalPCMOpen, d.journalPCMOpen, func() error {
-		return d.rt.UpcallHandler(ctx, "snd_ens1371_playback_open")
+		return d.rt.Call(ctx, hPlaybackOpen)
 	})
 }
 
@@ -254,7 +254,7 @@ func (o *pcmOps) HWParams(ctx *kernel.Context, rate, channels, periodFrames int)
 func (o *pcmOps) Prepare(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	return d.proxyOp(nil, func() { d.Chip.HWPos = 0 }, func() error {
-		return d.rt.UpcallHandler(ctx, "snd_ens1371_prepare")
+		return d.rt.Call(ctx, hPrepare)
 	})
 }
 
@@ -265,7 +265,7 @@ func (o *pcmOps) Trigger(ctx *kernel.Context, start bool) error {
 	d := (*Driver)(o)
 	journal := func() { d.journalTrigger(start) }
 	return d.proxyOp(journal, journal, func() error {
-		return d.rt.UpcallHandlerData(ctx, "snd_ens1371_trigger", flagPayload[start])
+		return d.rt.CallData(ctx, hTrigger, flagPayload[start])
 	})
 }
 
@@ -305,7 +305,7 @@ func (o *pcmOps) Close(ctx *kernel.Context) error {
 		d.freeBuffer(ctx)
 	}
 	return d.proxyOp(d.unjournalStream, deferred, func() error {
-		return d.rt.UpcallHandler(ctx, "snd_ens1371_playback_close")
+		return d.rt.Call(ctx, hPlaybackClose)
 	})
 }
 

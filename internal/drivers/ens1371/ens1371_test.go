@@ -210,7 +210,7 @@ func init() {
 	registry.Register("ens1371_test_ctl_add_out_of_range", registry.Handler{
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
-			_, err := c.Downcall("snd_ctl_add", uint64(len(ctlNames)))
+			_, err := c.Downcall(downCtlAdd, uint64(len(ctlNames)))
 			return err
 		},
 	})
@@ -226,7 +226,7 @@ func TestCtlAddRejectsOutOfRangeIndex(t *testing.T) {
 	}
 	card, _ := r.snd.Card("ens1371")
 	before := card.Controls()
-	err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "ens1371_test_ctl_add_out_of_range")
+	err := r.drv.Runtime().Call(r.kern.NewContext("t"), registry.Lookup("ens1371_test_ctl_add_out_of_range"))
 	if err == nil || xpc.IsUserFault(err) {
 		t.Fatalf("out-of-range snd_ctl_add = %v, want a plain error (not accepted, not a crash)", err)
 	}

@@ -35,6 +35,20 @@ var (
 	cellCodecVendor = registry.RegisterCell("ens1371.codec_vendor")
 )
 
+// The downcalls the bodies make: each body names its kernel-side entry
+// point by handle, and registerDowncalls binds this instance's target to it.
+var (
+	downSRCWrite     = registry.DeclareDowncall("snd_es1371_src_write")
+	downAC97Write    = registry.DeclareDowncall("snd_ac97_write")
+	downAC97Read     = registry.DeclareDowncall("snd_ac97_read")
+	downCtlAdd       = registry.DeclareDowncall("snd_ctl_add")
+	downCardRegister = registry.DeclareDowncall("snd_card_register")
+	downDMAAlloc     = registry.DeclareDowncall("snd_dma_alloc")
+	downDMAFree      = registry.DeclareDowncall("snd_dma_free")
+	downResetPointer = registry.DeclareDowncall("snd_es1371_reset_pointer")
+	downDAC2Ctrl     = registry.DeclareDowncall("snd_es1371_dac2_ctrl")
+)
+
 // triggerBodyCost is the user-level work of one trigger pass, excluding the
 // engine-control downcall.
 const triggerBodyCost = 200 * time.Nanosecond
@@ -54,10 +68,10 @@ func hwErr(what string, err error) error {
 }
 
 // down issues one downcall per arg, stopping at the first failure.
-func down(c *registry.Ctx, name string, args ...uint64) error {
+func down(c *registry.Ctx, d registry.Downcall, args ...uint64) error {
 	for _, arg := range args {
-		if _, err := c.Downcall(name, arg); err != nil {
-			return hwErr(name, err)
+		if _, err := c.Downcall(d, arg); err != nil {
+			return hwErr(d.Name(), err)
 		}
 	}
 	return nil
@@ -68,17 +82,17 @@ func down(c *registry.Ctx, name string, args ...uint64) error {
 // replayable half of probe.
 func initChipConfig(c *registry.Ctx) error {
 	for addr := uint64(0); addr < es1371hw.SRCRAMSize; addr++ {
-		if err := down(c, "snd_es1371_src_write", addr<<16|0x8000|addr); err != nil {
+		if err := down(c, downSRCWrite, addr<<16|0x8000|addr); err != nil {
 			return err
 		}
 	}
 	// AC'97 codec bring-up: reset, vendor id, then the mixer register file.
-	if err := down(c, "snd_ac97_write", 0x00<<16); err != nil {
+	if err := down(c, downAC97Write, 0x00<<16); err != nil {
 		return err
 	}
 	var vendor uint64
 	for _, addr := range []uint64{0x7C, 0x7E} {
-		v, err := c.Downcall("snd_ac97_read", addr)
+		v, err := c.Downcall(downAC97Read, addr)
 		if err != nil {
 			return hwErr("ac97 vendor read", err)
 		}
@@ -88,7 +102,7 @@ func initChipConfig(c *registry.Ctx) error {
 		return fmt.Errorf("%s: no AC'97 codec detected", HWException)
 	}
 	for reg := uint64(0x02); reg <= 0x38; reg += 2 {
-		if err := down(c, "snd_ac97_write", reg<<16|0x0808); err != nil {
+		if err := down(c, downAC97Write, reg<<16|0x0808); err != nil {
 			return err
 		}
 	}
@@ -102,14 +116,16 @@ func flag(c *registry.Ctx) bool { return len(c.Data) > 0 && c.Data[0] != 0 }
 // The decaf driver: every body is registered in the handler table, so a
 // process-separated transport executes all of them in the worker process.
 // They reach the chip and the sound core only through the scalar downcalls
-// registerDowncalls installs.
-//
+// registerDowncalls installs. The kernel side crosses with the handles init
+// assigns.
+var hProbe, hHWParams, hTrigger, hPlaybackOpen, hPrepare, hPlaybackClose *registry.Handler
+
 //decaf:boundary
 func init() {
 	// snd_ens1371_probe initializes the SRC and codec — the crossing-heavy
 	// path behind Table 3's 237 init crossings — then registers the mixer
 	// controls and the card, unless the payload flags a journal replay.
-	registry.Register("snd_ens1371_probe", registry.Handler{
+	hProbe = registry.Register("snd_ens1371_probe", registry.Handler{
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			if err := initChipConfig(c); err != nil {
@@ -117,11 +133,11 @@ func init() {
 			}
 			if !flag(c) {
 				for i := range ctlNames {
-					if err := down(c, "snd_ctl_add", uint64(i)); err != nil {
+					if err := down(c, downCtlAdd, uint64(i)); err != nil {
 						return err
 					}
 				}
-				if err := down(c, "snd_card_register", 0); err != nil {
+				if err := down(c, downCardRegister, 0); err != nil {
 					return err
 				}
 			}
@@ -130,7 +146,7 @@ func init() {
 	})
 	// snd_ens1371_hw_params validates the stream configuration and sets the
 	// DAC2 rate through the SRC (two register downcalls).
-	registry.Register("snd_ens1371_hw_params", registry.Handler{
+	hHWParams = registry.Register("snd_ens1371_hw_params", registry.Handler{
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			if len(c.Data) != paramsLen {
@@ -140,12 +156,12 @@ func init() {
 			if rate != 44100 && rate != 48000 && rate != 22050 {
 				return fmt.Errorf("%s: unsupported rate %d", HWException, rate)
 			}
-			return down(c, "snd_es1371_src_write", 0x70<<16|rate, 0x71<<16|rate/2)
+			return down(c, downSRCWrite, 0x70<<16|rate, 0x71<<16|rate/2)
 		},
 	})
 	// snd_ens1371_trigger records the requested engine state and programs
 	// the DAC2 engine; the payload flags start.
-	registry.Register("snd_ens1371_trigger", registry.Handler{
+	hTrigger = registry.Register("snd_ens1371_trigger", registry.Handler{
 		Cost: triggerBodyCost,
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
@@ -154,36 +170,40 @@ func init() {
 				v = 1
 			}
 			c.State.Store(cellRunning, v)
-			return down(c, "snd_es1371_dac2_ctrl", v)
+			return down(c, downDAC2Ctrl, v)
 		},
 	})
 	// The open, prepare and close bodies are one downcall each. A slice, not
 	// a map: registration order numbers the table, so it must be the same
 	// in every exec of the binary.
-	for _, p := range [...][2]string{
-		{"snd_ens1371_playback_open", "snd_dma_alloc"},
-		{"snd_ens1371_prepare", "snd_es1371_reset_pointer"},
-		{"snd_ens1371_playback_close", "snd_dma_free"},
+	for _, p := range [...]struct {
+		h    **registry.Handler
+		name string
+		down registry.Downcall
+	}{
+		{&hPlaybackOpen, "snd_ens1371_playback_open", downDMAAlloc},
+		{&hPrepare, "snd_ens1371_prepare", downResetPointer},
+		{&hPlaybackClose, "snd_ens1371_playback_close", downDMAFree},
 	} {
-		registry.Register(p[0], registry.Handler{
+		*p.h = registry.Register(p.name, registry.Handler{
 			Down: true,
-			Fn:   func(c *registry.Ctx) error { return down(c, p[1], 0) },
+			Fn:   func(c *registry.Ctx) error { return down(c, p.down, 0) },
 		})
 	}
 }
 
-// registerDowncalls installs the kernel-side targets the decaf bodies name:
+// registerDowncalls binds the kernel-side targets of the bodies' downcalls:
 // the nucleus entry points, each a scalar in and a scalar out. Per-Runtime,
 // so each driver instance's bodies reach that instance's chip. The
 // arguments come from the untrusted side and are checked here.
 func (d *Driver) registerDowncalls() {
-	errno := func(name string, fn func(kctx *kernel.Context) error) {
-		d.rt.RegisterDowncall(name, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+	errno := func(down registry.Downcall, fn func(kctx *kernel.Context) error) {
+		d.rt.BindDowncall(down, func(kctx *kernel.Context, _ uint64) (uint64, error) {
 			return 0, fn(kctx)
 		})
 	}
 	// snd_es1371_src_write takes addr<<16 | value.
-	d.rt.RegisterDowncall("snd_es1371_src_write", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	d.rt.BindDowncall(downSRCWrite, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		if addr := arg >> 16; addr >= es1371hw.SRCRAMSize {
 			return 0, fmt.Errorf("ens1371: SRC address %#x out of range", addr)
 		}
@@ -193,7 +213,7 @@ func (d *Driver) registerDowncalls() {
 	// snd_ac97_write takes addr<<16 | value. Writing the reset register
 	// resets the codec, and the write waits out its 750 ms ready time here,
 	// as the C driver sleeps: a body in the worker has no virtual clock.
-	d.rt.RegisterDowncall("snd_ac97_write", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	d.rt.BindDowncall(downAC97Write, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		addr := uint32(arg>>16) & 0x7E
 		d.codecWrite(kctx, addr, uint16(arg))
 		if addr == 0 {
@@ -201,23 +221,23 @@ func (d *Driver) registerDowncalls() {
 		}
 		return 0, nil
 	})
-	d.rt.RegisterDowncall("snd_ac97_read", func(kctx *kernel.Context, addr uint64) (uint64, error) {
+	d.rt.BindDowncall(downAC97Read, func(kctx *kernel.Context, addr uint64) (uint64, error) {
 		v, err := d.codecRead(kctx, uint32(addr)&0x7E)
 		return uint64(v), err
 	})
 	// snd_ctl_add takes an index into ctlNames.
-	d.rt.RegisterDowncall("snd_ctl_add", func(kctx *kernel.Context, i uint64) (uint64, error) {
+	d.rt.BindDowncall(downCtlAdd, func(kctx *kernel.Context, i uint64) (uint64, error) {
 		if i >= uint64(len(ctlNames)) {
 			return 0, fmt.Errorf("ens1371: no mixer control %d", i)
 		}
 		d.card.AddControl(ctlNames[i], 0x0808)
 		return 0, nil
 	})
-	errno("snd_card_register", func(*kernel.Context) error { return d.snd.Register(d.card) })
-	errno("snd_dma_alloc", d.allocBuffer)
-	errno("snd_dma_free", func(kctx *kernel.Context) error { d.freeBuffer(kctx); return nil })
-	errno("snd_es1371_reset_pointer", func(*kernel.Context) error { d.Chip.HWPos = 0; return nil })
-	d.rt.RegisterDowncall("snd_es1371_dac2_ctrl", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	errno(downCardRegister, func(*kernel.Context) error { return d.snd.Register(d.card) })
+	errno(downDMAAlloc, d.allocBuffer)
+	errno(downDMAFree, func(kctx *kernel.Context) error { d.freeBuffer(kctx); return nil })
+	errno(downResetPointer, func(*kernel.Context) error { d.Chip.HWPos = 0; return nil })
+	d.rt.BindDowncall(downDAC2Ctrl, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		d.Chip.Running = arg != 0
 		if d.Chip.Running {
 			d.startDAC2(kctx)
@@ -231,7 +251,7 @@ func (d *Driver) registerDowncalls() {
 // probe crosses into the decaf driver's probe body and adopts its results;
 // data is nil at load and flagPayload[true] from the journal.
 func (d *Driver) probe(ctx *kernel.Context, data []byte) error {
-	if err := d.rt.UpcallHandlerData(ctx, "snd_ens1371_probe", data); err != nil {
+	if err := d.rt.CallData(ctx, hProbe, data); err != nil {
 		return err
 	}
 	return d.adoptProbe()
@@ -260,7 +280,7 @@ func (d *Driver) hwParams(ctx *kernel.Context, rate, channels, periodFrames int)
 	binary.LittleEndian.PutUint32(p[0:], uint32(rate))
 	binary.LittleEndian.PutUint32(p[4:], uint32(channels))
 	binary.LittleEndian.PutUint32(p[8:], uint32(periodFrames))
-	if err := d.rt.UpcallHandlerData(ctx, "snd_ens1371_hw_params", p[:]); err != nil {
+	if err := d.rt.CallData(ctx, hHWParams, p[:]); err != nil {
 		return err
 	}
 	d.Chip.Rate, d.Chip.Channels, d.Chip.PeriodLen = int32(rate), int32(channels), int32(periodFrames)

@@ -196,7 +196,7 @@ func TestProcWorkerDiesMidSRCWalkRecovers(t *testing.T) {
 	preCtls := card.Controls()
 
 	bootPID, killed := pt.WorkerPID(), false
-	rt.RegisterDowncall("snd_es1371_src_write", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	rt.BindDowncall(downSRCWrite, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		if arg>>16 == 64 && !killed {
 			killed = pt.KillWorker()
 		}

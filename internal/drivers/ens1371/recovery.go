@@ -31,32 +31,32 @@ func (d *Driver) record(key, name string, replay func(ctx *kernel.Context) error
 // mixer registers). Kernel-object registrations — controls, the card, the
 // IRQ — persist across a restart and are not replayed.
 func (d *Driver) journalProbe() {
-	d.record("probe", "snd_ens1371_probe(config)", func(ctx *kernel.Context) error {
+	d.record("probe", hProbe.Name()+"(config)", func(ctx *kernel.Context) error {
 		return d.probe(ctx, flagPayload[true])
 	})
 }
 
 // journalPCMOpen records the playback buffer allocation.
 func (d *Driver) journalPCMOpen() {
-	d.record("pcm/open", "snd_ens1371_playback_open", func(ctx *kernel.Context) error {
+	d.record("pcm/open", hPlaybackOpen.Name(), func(ctx *kernel.Context) error {
 		if d.buf != 0 {
 			return nil // buffer survived (kernel-side state)
 		}
-		return d.rt.UpcallHandler(ctx, "snd_ens1371_playback_open")
+		return d.rt.Call(ctx, hPlaybackOpen)
 	})
 }
 
 // journalHWParams records the stream configuration (rate, channels, period).
 func (d *Driver) journalHWParams(rate, channels, periodFrames int) {
-	d.record("pcm/params", "snd_ens1371_hw_params", func(ctx *kernel.Context) error {
+	d.record("pcm/params", hHWParams.Name(), func(ctx *kernel.Context) error {
 		return d.hwParams(ctx, rate, channels, periodFrames)
 	})
 }
 
 // journalTrigger records the DAC2 engine state.
 func (d *Driver) journalTrigger(start bool) {
-	d.record("pcm/trigger", "snd_ens1371_trigger", func(ctx *kernel.Context) error {
-		return d.rt.UpcallHandlerData(ctx, "snd_ens1371_trigger", flagPayload[start])
+	d.record("pcm/trigger", hTrigger.Name(), func(ctx *kernel.Context) error {
+		return d.rt.CallData(ctx, hTrigger, flagPayload[start])
 	})
 }
 

@@ -16,6 +16,9 @@ var (
 	cellMouseID    = registry.RegisterCell("psmouse.mouse_id")
 	cellRate       = registry.RegisterCell("psmouse.rate")
 	cellResolution = registry.RegisterCell("psmouse.resolution")
+
+	// downCmd is the serio command downcall both bodies make.
+	downCmd = registry.DeclareDowncall("psmouse_cmd")
 )
 
 // detectBodyCost is the user-level work of the detection pass, excluding its
@@ -32,7 +35,7 @@ func psCmd(c *registry.Ctx, cmd byte, arg *byte, respLen int) (uint64, error) {
 	if arg != nil {
 		req |= 1<<16 | uint64(*arg)<<8
 	}
-	return c.Downcall("psmouse_cmd", req)
+	return c.Downcall(downCmd, req)
 }
 
 // The decaf driver is two bodies, registered in the handler table so a
@@ -40,11 +43,13 @@ func psCmd(c *registry.Ctx, cmd byte, arg *byte, respLen int) (uint64, error) {
 // the reset half of probe: reset the mouse and verify its self-test, then
 // make sure stream mode is off before detection. psmouse_detect is the
 // device-interrogation half: protocol detection (the IntelliMouse rate
-// knock), rate/resolution programming, and reporting enable.
-//
+// knock), rate/resolution programming, and reporting enable. The kernel
+// side crosses with the handles init assigns.
+var hProbe, hDetect *registry.Handler
+
 //decaf:boundary
 func init() {
-	registry.Register("psmouse_probe", registry.Handler{
+	hProbe = registry.Register("psmouse_probe", registry.Handler{
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			// Reset: expect self-test OK + id.
@@ -60,7 +65,7 @@ func init() {
 			return err
 		},
 	})
-	registry.Register("psmouse_detect", registry.Handler{
+	hDetect = registry.Register("psmouse_detect", registry.Handler{
 		Cost: detectBodyCost,
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
@@ -135,7 +140,7 @@ func init() {
 // bodies name; per-Runtime, so each driver instance's handlers reach its
 // port.
 func (d *Driver) registerDowncalls() {
-	d.rt.RegisterDowncall("psmouse_cmd", func(kctx *kernel.Context, req uint64) (uint64, error) {
+	d.rt.BindDowncall(downCmd, func(kctx *kernel.Context, req uint64) (uint64, error) {
 		cmd := byte(req >> 24)
 		var argp *byte
 		if req>>16&1 != 0 {

@@ -66,7 +66,7 @@ func TestProcEveryDecafBodyRunsInWorker(t *testing.T) {
 func TestProcWorkerDiesMidProbe(t *testing.T) {
 	r, pt := newProcRig(t)
 	rt := r.drv.Runtime()
-	rt.RegisterDowncall("psmouse_cmd", func(kctx *kernel.Context, req uint64) (uint64, error) {
+	rt.BindDowncall(downCmd, func(kctx *kernel.Context, req uint64) (uint64, error) {
 		if !pt.KillWorker() {
 			t.Error("no worker to kill from inside the downcall target")
 		}

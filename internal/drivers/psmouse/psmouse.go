@@ -180,10 +180,10 @@ func (m *psmouseModule) ModuleName() string { return "psmouse" }
 // reports through the shared state cells, adopted into the kernel state here.
 func (m *psmouseModule) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
-	if err := d.rt.UpcallHandler(ctx, "psmouse_probe"); err != nil {
+	if err := d.rt.Call(ctx, hProbe); err != nil {
 		return fmt.Errorf("psmouse: probe: %w", err)
 	}
-	if err := d.rt.UpcallHandler(ctx, "psmouse_detect"); err != nil {
+	if err := d.rt.Call(ctx, hDetect); err != nil {
 		return fmt.Errorf("psmouse: detect: %w", err)
 	}
 	d.adoptDetection()

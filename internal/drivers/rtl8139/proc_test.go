@@ -194,7 +194,7 @@ func TestProcWorkerDiesMidProbeRecovers(t *testing.T) {
 
 	bootPID, killed := pt.WorkerPID(), false
 	rt := r.drv.Runtime()
-	rt.RegisterDowncall("rtl8139_read_eeprom", func(kctx *kernel.Context, w uint64) (uint64, error) {
+	rt.BindDowncall(downReadEEPROM, func(kctx *kernel.Context, w uint64) (uint64, error) {
 		if w == 5 && !killed {
 			killed = pt.KillWorker()
 		}

@@ -29,7 +29,7 @@ func (d *Driver) journalProbe() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{Key: "probe", Name: "rtl8139_probe", Replay: d.probe})
+	d.journal.Record(recovery.Entry{Key: "probe", Name: hProbe.Name(), Replay: d.probe})
 }
 
 // journalOpen records the interface bring-up (buffers, IRQ, chip start);
@@ -38,7 +38,7 @@ func (d *Driver) journalOpen() {
 	if d.journal == nil {
 		return
 	}
-	d.journal.Record(recovery.Entry{Key: "ifup", Name: "rtl8139_open", Replay: d.open})
+	d.journal.Record(recovery.Entry{Key: "ifup", Name: hOpen.Name(), Replay: d.open})
 }
 
 // RecoveryName implements recovery.Target.

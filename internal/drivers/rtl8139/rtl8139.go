@@ -434,7 +434,7 @@ func (d *Driver) flushRx(wctx *kernel.Context) {
 		d.rxPending = d.rxPending[:0]
 		b := d.rt.Batch(wctx)
 		for _, p := range fl.Payloads {
-			b.UpcallHandlerPayload("rtl8139_rx_frame", p)
+			b.CallPayload(hRxFrame, p)
 		}
 		d.rxInFlight.Push(b.FlushAsync(), fl)
 	}
@@ -573,7 +573,7 @@ func (o *rtlOps) Stop(ctx *kernel.Context) error {
 	if d.journal != nil {
 		d.journal.Remove("ifup")
 	}
-	return d.rt.UpcallHandler(ctx, "rtl8139_close")
+	return d.rt.Call(ctx, hClose)
 }
 
 // StartXmit implements knet.DeviceOps in the nucleus.

@@ -252,7 +252,7 @@ func (m *uhciModule) ModuleName() string { return "uhci-hcd" }
 // failed load stops the controller and frees it.
 func (m *uhciModule) Init(ctx *kernel.Context) error {
 	d := (*Driver)(m)
-	err := d.rt.UpcallHandler(ctx, "uhci_start")
+	err := d.rt.Call(ctx, hStart)
 	if err == nil {
 		err = d.adoptStart()
 	}
@@ -270,7 +270,7 @@ func (m *uhciModule) Init(ctx *kernel.Context) error {
 // Exit suspends the controller and unregisters.
 func (m *uhciModule) Exit(ctx *kernel.Context) {
 	d := (*Driver)(m)
-	_ = d.rt.UpcallHandler(ctx, "uhci_suspend")
+	_ = d.rt.Call(ctx, hSuspend)
 	_ = d.kern.FreeIRQ(d.irq, "uhci-hcd")
 	_ = d.usb.UnregisterHCD("uhci-hcd")
 	d.freeSchedule(ctx)

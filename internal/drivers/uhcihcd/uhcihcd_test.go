@@ -182,7 +182,7 @@ func init() {
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			for _, arg := range []uint64{uhcihw.RegFLBASEADD<<16 | 0x1000, uint64(len(resetWrites))} {
-				if _, err := c.Downcall("uhci_reset_write", arg); err == nil {
+				if _, err := c.Downcall(downResetWrite, arg); err == nil {
 					return nil
 				}
 			}
@@ -200,7 +200,7 @@ func TestResetWriteRejectsOutOfRangeStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	flbase := r.kern.Bus().Inl(0xE000 + uhcihw.RegFLBASEADD)
-	err := r.drv.Runtime().UpcallHandler(r.kern.NewContext("t"), "uhci_test_reset_write_out_of_range")
+	err := r.drv.Runtime().Call(r.kern.NewContext("t"), registry.Lookup("uhci_test_reset_write_out_of_range"))
 	if err == nil || xpc.IsUserFault(err) {
 		t.Fatalf("out-of-range uhci_reset_write = %v, want every step rejected with a plain error", err)
 	}

@@ -20,9 +20,9 @@ import (
 //     (the kernel-side half living in the same package) is a violation.
 //
 // There is no escape hatch: a function literal is checked like the code
-// around it, and no xpc crossing takes a closure — a crossing names a
-// registered handler, and a handler body's kernel-side work lives behind
-// named scalar downcalls, whose targets are nucleus code. That is what makes
+// around it, and no xpc crossing takes a closure — a crossing passes a
+// registered handler's handle, and a handler body's kernel-side work lives
+// behind declared scalar downcalls, whose targets are nucleus code. That is what makes
 // a handler table re-executable in the worker process. Types and constants
 // are always fair game; they exist on both sides at compile time.
 var BoundaryAnalyzer = &Analyzer{

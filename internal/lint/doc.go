@@ -17,12 +17,13 @@
 //     or type) is decaf-side: it may not reach kernel-side packages
 //     (internal/kernel, internal/hw, the k* device stacks) or
 //     //decaf:nucleus types at all, function literals included (no xpc
-//     crossing takes a closure: it names a registered handler). The
-//     decaf-side bodies are registry handlers (each driver's
-//     handlers.go init() registration carries the annotation): a handler
-//     Fn sees only its registry.Ctx — payload bytes, shared state cells,
-//     and the Downcall hook — and the kernel-side resources it needs live
-//     behind per-Runtime RegisterDowncall targets, which are nucleus code.
+//     crossing takes a closure: it passes a registered handler's handle).
+//     The decaf-side bodies are registry handlers (each driver's
+//     handlers.go init() registration, which assigns the handles, carries
+//     the annotation): a handler Fn sees only its registry.Ctx — payload
+//     bytes, shared state cells, and the Downcall hook — and the
+//     kernel-side resources it needs live behind per-Runtime BindDowncall
+//     targets of declared downcalls, which are nucleus code.
 //     The analyzer keeps handler bodies honest about that contract: under
 //     ProcTransport they execute in the worker's address space, where a
 //     direct kernel-side reference is a different process's memory; the

@@ -28,10 +28,13 @@ func (d *dev) open(ctx *kernel.Context) error {
 	return nil
 }
 
-// register installs the kernel-side target of the "reset" downcall: nucleus
+// downReset is the downcall probe makes.
+var downReset = xpc.DeclareDowncall("reset")
+
+// register binds the kernel-side target of the "reset" downcall: nucleus
 // code, where reaching the nucleus is the point.
 func (n *nucleus) register(rt *xpc.Runtime) {
-	rt.RegisterDowncall("reset", func(*kernel.Context, uint64) (uint64, error) {
+	rt.BindDowncall(downReset, func(*kernel.Context, uint64) (uint64, error) {
 		n.reset()
 		return 0, nil
 	})
@@ -40,15 +43,31 @@ func (n *nucleus) register(rt *xpc.Runtime) {
 // nuc is the driver's nucleus instance.
 var nuc = &nucleus{}
 
-// probe is a handler body: it crosses to reset the nucleus by name, then
+// probe is a handler body: it crosses to reset the nucleus by handle, then
 // reaches the nucleus directly as well.
 //
 //decaf:boundary
 func probe(c *xpc.Ctx) error {
-	if _, err := c.Downcall("reset", 0); err != nil {
+	if _, err := c.Downcall(downReset, 0); err != nil {
 		return err
 	}
 	nuc.reset()  // want "calls nucleus method (nucleus).reset directly"
 	nuc.irqs = 2 // want "writes nucleus field (nucleus).irqs directly"
 	return nil
+}
+
+// hStart is the handle the kernel side crosses with, assigned where the
+// body is registered.
+var hStart *xpc.Handler
+
+// init registers a body the way drivers do — assigning its handle to a
+// package-level var inside the annotated init — and that body reaches the
+// kernel directly: the rule still sees it.
+//
+//decaf:boundary
+func init() {
+	hStart = xpc.Register("start", xpc.Handler{Fn: func(c *xpc.Ctx) error {
+		kernel.Poke() // want "calls kernel-side kernel.Poke directly"
+		return nil
+	}})
 }

@@ -1,5 +1,5 @@
 // Package good is decaf-side code that crosses correctly: it calls handlers
-// by name, and its handler bodies reach the kernel only through named
+// by handle, and its handler bodies reach the kernel only through declared
 // downcalls.
 //
 //decaf:boundary
@@ -10,14 +10,19 @@ import (
 	"decafdrivers/internal/lint/testdata/boundary/internal/xpc"
 )
 
-// Open charges the capability it was handed, then crosses by name.
+var (
+	downReset = xpc.DeclareDowncall("reset")
+	hOpen     = xpc.Register("open", xpc.Handler{Fn: Probe})
+)
+
+// Open charges the capability it was handed, then crosses by handle.
 func Open(rt *xpc.Runtime, ctx *kernel.Context) error {
 	ctx.Charge(kernel.MaxFrame)
-	return rt.UpcallHandler("open")
+	return rt.Call(hOpen)
 }
 
 // Probe is a handler body: the kernel-side work sits behind a downcall.
 func Probe(c *xpc.Ctx) error {
-	_, err := c.Downcall("reset", 0)
+	_, err := c.Downcall(downReset, 0)
 	return err
 }

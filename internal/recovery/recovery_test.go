@@ -133,13 +133,12 @@ func (f *fakeTarget) ResumeFromRecovery(*kernel.Context) (uint64, uint64) {
 }
 func (f *fakeTarget) FailStop(*kernel.Context) { f.failstop++ }
 
-func init() {
-	registry.Register("fake_op", registry.Handler{Fn: func(*registry.Ctx) error { panic("decaf crash") }})
-}
+// fakeOp is the crashing body crash crosses into.
+var fakeOp = registry.Register("fake_op", registry.Handler{Fn: func(*registry.Ctx) error { panic("decaf crash") }})
 
 func crash(t *testing.T, k *kernel.Kernel, rt *xpc.Runtime) {
 	t.Helper()
-	err := rt.UpcallHandler(k.NewContext("crash"), "fake_op")
+	err := rt.Call(k.NewContext("crash"), fakeOp)
 	if !xpc.IsUserFault(err) {
 		t.Fatalf("crash err = %v", err)
 	}

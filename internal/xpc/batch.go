@@ -2,7 +2,6 @@ package xpc
 
 import (
 	"errors"
-	"fmt"
 
 	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
@@ -155,51 +154,69 @@ func (r *Runtime) Batch(ctx *kernel.Context) *Batch {
 	return &Batch{r: r, ctx: ctx}
 }
 
-// UpcallHandler queues a kernel→user call dispatched through the handler
-// table (registry.Register): under a process-separated transport the
-// registered body executes in the worker process; under the in-process
-// transports it dispatches inline. The handler is resolved now, so a
-// missing registration is a sticky batch error.
-func (b *Batch) UpcallHandler(name string) *Batch {
-	return b.addHandler(name, nil, xdr.SlotDescriptor{})
+// Call queues a kernel→user call of the registered handler h (the handle
+// registry.Register returned): under a process-separated transport the body
+// executes in the worker process; under the in-process transports it
+// dispatches inline. The call runs whatever body is registered at h's index
+// when it is queued.
+func (b *Batch) Call(h *registry.Handler) *Batch {
+	return b.add(h, nil, xdr.SlotDescriptor{})
 }
 
-// UpcallHandlerData is UpcallHandler with an opaque payload (packet bytes),
-// delivered to the handler as its Ctx.Data.
+// CallData is Call with an opaque payload (packet bytes), delivered to the
+// handler as its Ctx.Data.
 //
 // Ownership rule: the slice is aliased into the queued Call, not copied —
 // it belongs to the batch from this call until the submission's Completion
 // resolves, and the caller must not mutate or reuse it in that window.
 // Callers that need content-stable payloads stage them through
-// Runtime.AcquirePayload and UpcallHandlerPayload instead: a ring slot
-// snapshots the bytes at acquire time.
+// Runtime.AcquirePayload and CallPayload instead: a ring slot snapshots the
+// bytes at acquire time.
+func (b *Batch) CallData(h *registry.Handler, data []byte) *Batch {
+	return b.add(h, data, xdr.SlotDescriptor{})
+}
+
+// CallPayload is Call with a staged payload: a ring slot on the zero-copy
+// fast path (only its descriptor crosses; the handler reads the slot's
+// bytes — under the proc transport, through the worker's own shm mapping),
+// or the raw bytes when the payload fell back to the copy path. The
+// payload's slot, if any, must stay acquired until the flush's completion
+// settles; drivers release it with Runtime.ReleasePayload when they reap
+// the flush.
+func (b *Batch) CallPayload(h *registry.Handler, p Payload) *Batch {
+	return b.add(h, p.Data, p.Slot)
+}
+
+// UpcallHandler, UpcallHandlerData and UpcallHandlerPayload are Call,
+// CallData and CallPayload by name, for benchmark/ alone: an unregistered
+// name is a sticky batch error.
+func (b *Batch) UpcallHandler(name string) *Batch { return b.Call(registry.Lookup(name)) }
 func (b *Batch) UpcallHandlerData(name string, data []byte) *Batch {
-	return b.addHandler(name, data, xdr.SlotDescriptor{})
+	return b.CallData(registry.Lookup(name), data)
 }
-
-// UpcallHandlerPayload is UpcallHandler with a staged payload: a ring slot
-// on the zero-copy fast path (only its descriptor crosses; the handler reads
-// the slot's bytes — under the proc transport, through the worker's own shm
-// mapping), or the raw bytes when the payload fell back to the copy path.
-// The payload's slot, if any, must stay acquired until the flush's
-// completion settles; drivers release it with Runtime.ReleasePayload when
-// they reap the flush.
 func (b *Batch) UpcallHandlerPayload(name string, p Payload) *Batch {
-	return b.addHandler(name, p.Data, p.Slot)
+	return b.CallPayload(registry.Lookup(name), p)
 }
 
-// addHandler queues one handler call on this flush's next record — or, in
-// native mode, runs it on the spot. Once the batch carries a sticky error
-// the call is dropped.
+// errNoHandler is the sticky error of a call queued without a handler: a
+// name a by-name form could not resolve, or a Handler Register never
+// returned.
+var errNoHandler = errors.New("xpc: no handler registered for the call")
+
+// add queues one handler call on this flush's next record — or, in native
+// mode, runs it on the spot. Once the batch carries a sticky error the call
+// is dropped.
 //
 //decaf:hotpath
-func (b *Batch) addHandler(name string, data []byte, slot xdr.SlotDescriptor) *Batch {
+func (b *Batch) add(h *registry.Handler, data []byte, slot xdr.SlotDescriptor) *Batch {
 	if b.err != nil {
 		return b
 	}
-	h := registry.Lookup(name)
+	if h != nil {
+		h = h.Current()
+	}
 	if h == nil {
-		b.err = fmt.Errorf("xpc: no handler registered for %q", name)
+		b.err = errNoHandler
 		return b
 	}
 	if b.s == nil {
@@ -207,13 +224,13 @@ func (b *Batch) addHandler(name string, data []byte, slot xdr.SlotDescriptor) *B
 	}
 	s := b.s
 	rec := s.spare()
-	rec.call = Call{Name: name, Up: true, Data: data, Slot: slot, h: h}
+	rec.call = Call{Name: h.Name(), Up: true, Data: data, Slot: slot, h: h, id: h.ID()}
 	if b.r.Mode == ModeNative {
 		b.err = b.r.runHandlerNative(b.ctx, &rec.call)
 		rec.recycle()
 		return b
 	}
-	rec.comp = Completion{name: name, up: true, r: b.r}
+	rec.comp = Completion{name: rec.call.Name, up: true, id: rec.call.id, r: b.r}
 	s.n++
 	if s.n-s.submitted >= b.r.Transport().MaxBatch() {
 		b.err = b.submit()

@@ -18,7 +18,7 @@ func TestBatchOneCrossingForManyCalls(t *testing.T) {
 	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
 	for i := 0; i < 5; i++ {
-		b.UpcallHandler("xpctest_count")
+		b.Call(hCount)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestBatchAutoFlushAtMaxBatch(t *testing.T) {
 
 	b := r.Batch(ctx)
 	for i := 0; i < 10; i++ {
-		b.UpcallHandler("xpcbench_sink")
+		b.Call(hSink)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestBatchUnderSyncTransportCrossesPerCall(t *testing.T) {
 
 	b := r.Batch(ctx)
 	for i := 0; i < 6; i++ {
-		b.UpcallHandler("xpcbench_sink")
+		b.Call(hSink)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestBatchNativeModeRunsImmediately(t *testing.T) {
 
 	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.UpcallHandler("xpctest_count")
+	b.Call(hCount)
 	if r.SharedState().Load(testCellServed)-served != 1 {
 		t.Fatal("native batch call did not run immediately")
 	}
@@ -116,7 +116,7 @@ func TestBatchChargesBaseOnce(t *testing.T) {
 		ctx := k.NewContext(name)
 		b := r.Batch(ctx)
 		for i := 0; i < calls; i++ {
-			b.UpcallHandler("xpcbench_sink")
+			b.Call(hSink)
 		}
 		if err := b.Flush(); err != nil {
 			t.Fatal(err)
@@ -144,7 +144,7 @@ func TestBatchFaultAbortsRemainingCalls(t *testing.T) {
 	ctx := k.NewContext("t")
 
 	served := r.SharedState().Load(testCellServed)
-	err := r.Batch(ctx).UpcallHandler("xpctest_count").UpcallHandler("xpctest_panic").UpcallHandler("xpctest_count").Flush()
+	err := r.Batch(ctx).Call(hCount).Call(hPanic).Call(hCount).Flush()
 	var fault *UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want *UserFault", err)
@@ -166,9 +166,9 @@ func TestBatchErrorStopsExecutionButSyncsCompleted(t *testing.T) {
 
 	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.UpcallHandlerData("xpctest_store", []byte{7})
-	b.UpcallHandlerData("xpctest_fail", []byte{1})
-	b.UpcallHandler("xpctest_count")
+	b.CallData(hStore, []byte{7})
+	b.CallData(hFail, []byte{1})
+	b.Call(hCount)
 	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the requested failure", err)
 	}
@@ -187,9 +187,9 @@ func TestBatchStickyErrorDropsLaterCalls(t *testing.T) {
 
 	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.UpcallHandlerData("xpctest_fail", []byte{1})
+	b.CallData(hFail, []byte{1})
 	// The per-call default auto-flushes per call, so the error is already sticky.
-	b.UpcallHandler("xpctest_count")
+	b.Call(hCount)
 	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the requested failure", err)
 	}
@@ -197,7 +197,7 @@ func TestBatchStickyErrorDropsLaterCalls(t *testing.T) {
 		t.Fatal("call queued after a sticky error still ran")
 	}
 	// The batch is reusable after Flush clears the sticky error.
-	err := b.UpcallHandler("xpctest_count").Flush()
+	err := b.Call(hCount).Flush()
 	if ran := r.SharedState().Load(testCellServed) - served; err != nil || ran != 1 {
 		t.Fatalf("reused batch: err = %v ran = %d", err, ran)
 	}
@@ -211,8 +211,8 @@ func TestBatchDataPaysPerByte(t *testing.T) {
 
 	payload := make([]byte, 1024)
 	b := r.Batch(ctx)
-	b.UpcallHandlerData("xpcbench_sink", payload)
-	b.UpcallHandlerData("xpcbench_sink", payload)
+	b.CallData(hSink, payload)
+	b.CallData(hSink, payload)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBatchNativeModeFlushAsyncSettled(t *testing.T) {
 
 	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.UpcallHandler("xpctest_count")
+	b.Call(hCount)
 	if r.SharedState().Load(testCellServed)-served != 1 {
 		t.Fatal("native batch call did not run immediately")
 	}
@@ -262,13 +262,13 @@ func TestBatchStickyErrorAfterAutoFlush(t *testing.T) {
 
 	served := r.SharedState().Load(testCellServed)
 	b := r.Batch(ctx)
-	b.UpcallHandler("xpctest_count")
+	b.Call(hCount)
 	// Reaching MaxBatch=2 auto-flushes; the second call fails inside it.
-	b.UpcallHandlerData("xpctest_fail", []byte{1})
+	b.CallData(hFail, []byte{1})
 	if b.Err() == nil {
 		t.Fatal("auto-flush error not sticky")
 	}
-	b.UpcallHandler("xpctest_count")
+	b.Call(hCount)
 	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the requested failure", err)
 	}
@@ -287,18 +287,18 @@ func TestBatchReuseAfterFlush(t *testing.T) {
 	ctx := k.NewContext("t")
 
 	b := r.Batch(ctx)
-	b.UpcallHandler("xpcbench_sink")
+	b.Call(hSink)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 || b.Outstanding() != 0 || b.Err() != nil {
 		t.Fatalf("batch not clean after Flush: len=%d outstanding=%d err=%v", b.Len(), b.Outstanding(), b.Err())
 	}
-	if err := b.UpcallHandlerData("xpctest_fail", []byte{1}).Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
+	if err := b.CallData(hFail, []byte{1}).Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the requested failure", err)
 	}
 	served := r.SharedState().Load(testCellServed)
-	err := b.UpcallHandler("xpctest_count").Flush()
+	err := b.Call(hCount).Flush()
 	if ran := r.SharedState().Load(testCellServed) - served; err != nil || ran != 1 {
 		t.Fatalf("reuse after failed flush: err=%v ran=%d", err, ran)
 	}

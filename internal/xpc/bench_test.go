@@ -10,8 +10,10 @@ import (
 
 // The benchmark handler is registered at init() so the re-exec'd worker (a
 // copy of this test binary) holds it too.
+var hSink *registry.Handler
+
 func init() {
-	registry.Register("xpcbench_sink", registry.Handler{Fn: func(c *registry.Ctx) error { return nil }})
+	hSink = registry.Register("xpcbench_sink", registry.Handler{Fn: func(c *registry.Ctx) error { return nil }})
 }
 
 // BenchmarkUpcallPerCall is the seed crossing path: one full crossing per
@@ -22,7 +24,7 @@ func BenchmarkUpcallPerCall(b *testing.B) {
 	ctx := k.NewContext("bench")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+		if err := r.Call(ctx, hSink); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,15 +36,15 @@ func BenchmarkUpcallPerCall(b *testing.B) {
 func BenchmarkHandlerDowncallInline(b *testing.B) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	r.RegisterDowncall("xpctest_read_reg", func(_ *kernel.Context, arg uint64) (uint64, error) { return arg, nil })
+	r.BindDowncall(dcReadReg, func(_ *kernel.Context, arg uint64) (uint64, error) { return arg, nil })
 	ctx := k.NewContext("bench")
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+	if err := r.Call(ctx, hDown); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+		if err := r.Call(ctx, hDown); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +59,7 @@ func BenchmarkUpcallHandlerPerCall(b *testing.B) {
 	payload := make([]byte, 1462)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := r.UpcallHandlerData(ctx, "xpcbench_sink", payload); err != nil {
+		if err := r.CallData(ctx, hSink, payload); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +107,7 @@ func BenchmarkProcHandlerFlush(b *testing.B) {
 			batch := r.Batch(ctx)
 			flush := func() {
 				for _, p := range ps {
-					batch.UpcallHandlerPayload("xpcbench_sink", p)
+					batch.CallPayload(hSink, p)
 				}
 				if err := batch.Flush(); err != nil {
 					b.Fatal(err)
@@ -136,7 +138,7 @@ func BenchmarkCrossingBatched(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				batch := r.Batch(ctx)
 				for j := 0; j < n; j++ {
-					batch.UpcallHandlerData("xpcbench_sink", payload)
+					batch.CallData(hSink, payload)
 				}
 				if err := batch.Flush(); err != nil {
 					b.Fatal(err)
@@ -156,7 +158,7 @@ func BenchmarkCrossingPerCallData(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		batch := r.Batch(ctx)
-		batch.UpcallHandlerData("xpcbench_sink", payload)
+		batch.CallData(hSink, payload)
 		if err := batch.Flush(); err != nil {
 			b.Fatal(err)
 		}
@@ -184,9 +186,10 @@ func BenchmarkSyncToUser(b *testing.B) {
 func BenchmarkCounters(b *testing.B) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
+	subs := []*Submission{r.NewSubmission(handlerCall("xpcbench_sink", nil))}
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			r.countTrip("fn", true)
+			r.countCrossing(subs)
 		}
 	})
 }

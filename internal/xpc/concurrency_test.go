@@ -23,7 +23,7 @@ func TestConcurrentCrossings(t *testing.T) {
 	driverB.Latency = ZeroLatencyModel
 	driverB.SetTransport(BatchTransport{N: 4})
 	for _, r := range []*Runtime{driverA, driverB} {
-		r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
+		r.BindDowncall(dcReadReg, func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
 	}
 
 	const workers = 8
@@ -39,11 +39,11 @@ func TestConcurrentCrossings(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					switch i % 5 {
 					case 0:
-						_ = r.UpcallHandler(ctx, "xpcbench_sink")
+						_ = r.Call(ctx, hSink)
 					case 1:
-						_ = r.UpcallHandler(ctx, "xpctest_down_free")
+						_ = r.Call(ctx, hDownFree)
 					case 2:
-						_ = r.Batch(ctx).UpcallHandler("xpcbench_sink").UpcallHandler("xpctest_down_free").Flush()
+						_ = r.Batch(ctx).Call(hSink).Call(hDownFree).Flush()
 					case 3:
 						c := r.Counters()
 						if c.Upcalls > 0 && c.PerCall == nil {
@@ -53,7 +53,7 @@ func TestConcurrentCrossings(t *testing.T) {
 						if i%60 == 4 {
 							r.ResetCounters()
 						} else {
-							_ = r.UpcallHandler(ctx, "xpctest_down_free")
+							_ = r.Call(ctx, hDownFree)
 						}
 					}
 				}
@@ -68,7 +68,7 @@ func TestConcurrentCrossings(t *testing.T) {
 		r.ResetCounters()
 		ctx := k.NewContext("verify")
 		for i := 0; i < 3; i++ {
-			if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+			if err := r.Call(ctx, hSink); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,11 +4,13 @@ package xpc
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"decafdrivers/internal/decaf/registry"
+	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/xdr"
 )
 
@@ -171,7 +173,9 @@ func TestLaneConverseLyingChecksum(t *testing.T) {
 						t.Fatal("payload ring exhausted")
 					}
 					copy(buf, p)
-					chunk[i] = r.NewSubmission(&Call{Name: names[i], Up: true, h: registry.Lookup(names[i]), Slot: desc})
+					c := handlerCall(names[i], nil)
+					c.Slot = desc
+					chunk[i] = r.NewSubmission(c)
 				}
 			} else {
 				chunk = procSubs(r, names, payloads)
@@ -264,5 +268,106 @@ func TestLaneConverseFramesCarryNoName(t *testing.T) {
 			t.Fatalf("frame %d crossed as %v status %d name %q, want %v status %d and no name",
 				i, f.Kind, f.Status, f.Name, want[i].kind, want[i].status)
 		}
+	}
+}
+
+// serveDown runs the fake worker for one call of a Down body that lies
+// about its downcall: it answers the call frame with a FrameDown whose
+// Status is idx, waits for the kernel's FrameDownResult on the submit ring,
+// and fails the call with the result's error text, as the worker's body
+// would on a failed downcall. It hands back the result frame.
+func (g *converseRig) serveDown(idx uint32) <-chan any {
+	done := make(chan any, 1)
+	publish := func(f xdr.Frame) error {
+		out := g.wcmp.reserve()
+		if out == nil {
+			return errors.New("completion ring full")
+		}
+		if _, err := xdr.AppendFrame(out[:0], f); err != nil {
+			return err
+		}
+		g.wcmp.publish()
+		if g.wcmp.consumerParked() {
+			return g.wbell.ring()
+		}
+		return nil
+	}
+	take := func() (xdr.Frame, error) {
+		for {
+			if slot := g.wsub.pending(); slot != nil {
+				f, _, err := xdr.DecodeFrame(slot)
+				g.wsub.advance()
+				return f, err
+			}
+			runtime.Gosched()
+		}
+	}
+	go func() {
+		call, err := take()
+		if err == nil {
+			err = publish(xdr.Frame{Kind: xdr.FrameDown, ID: call.ID, Lane: call.Lane, Status: idx, Aux: 7})
+		}
+		var res xdr.Frame
+		if err == nil {
+			res, err = take()
+		}
+		if err == nil {
+			err = publish(xdr.Frame{Kind: xdr.FrameComplete, ID: call.ID, Lane: call.Lane, Status: remoteCallFailed, Name: res.Name})
+		}
+		if err != nil {
+			done <- err
+			return
+		}
+		done <- res
+	}()
+	return done
+}
+
+// TestLaneConverseLyingDowncall: a worker whose body sends a FrameDown with
+// an index past the downcall table, or one of a declared downcall this
+// Runtime bound no target to, gets what an unknown downcall always got — a
+// FrameDownResult with the error — and the call fails with that error as a
+// plain dispatch outcome: no protocol violation, no target run, no downcall
+// counted.
+func TestLaneConverseLyingDowncall(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		idx  uint32
+		want string
+	}{
+		{"past-table", registry.MaxDowncalls + 5, fmt.Sprintf(`"#%d"`, registry.MaxDowncalls+5)},
+		{"past-declared", uint32(len(registry.DowncallNames())), fmt.Sprintf(`"#%d"`, len(registry.DowncallNames()))},
+		{"unbound", uint32(dcUnbound), `"xpctest_unbound"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newConverseRig(t, 4)
+			k := newTestKernel()
+			r := newDecafRuntime(k)
+			r.BindDowncall(dcReadReg, func(*kernel.Context, uint64) (uint64, error) {
+				t.Error("a lying downcall index reached a bound target")
+				return 0, nil
+			})
+			ctx := k.NewContext("converse")
+			chunk := procSubs(r, []string{"xpctest_down"}, [][]byte{nil})
+			served := g.serveDown(tc.idx)
+			eng := r.engine(ctx, kernelSide)
+			if err := g.pt.laneConverse(r, ctx, g.ep, g.lane, chunk, &eng); err != nil {
+				t.Fatalf("the conversation failed: %v, want the downcall refused inside it", err)
+			}
+			res, ok := (<-served).(xdr.Frame)
+			if !ok {
+				t.Fatal("the fake worker saw no downcall result")
+			}
+			if res.Kind != xdr.FrameDownResult || res.Status != 1 || !strings.Contains(res.Name, "no downcall registered for "+tc.want) {
+				t.Fatalf("downcall result %+v, want status 1 naming %s", res, tc.want)
+			}
+			err := eng.end()
+			if cerr := chunk[0].Completion.Err(); err == nil || cerr == nil || !strings.Contains(cerr.Error(), "no downcall registered") || IsUserFault(cerr) {
+				t.Fatalf("call resolved %v (chunk %v), want the refused downcall's plain error", cerr, err)
+			}
+			if c := r.Counters(); c.Downcalls != 0 || c.WorkerDowncalls != 0 {
+				t.Fatalf("Downcalls %d, WorkerDowncalls %d after a refused downcall, want 0", c.Downcalls, c.WorkerDowncalls)
+			}
+		})
 	}
 }

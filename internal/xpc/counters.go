@@ -2,9 +2,10 @@ package xpc
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"decafdrivers/internal/decaf/registry"
 )
 
 // Counters accumulate crossing statistics — the source of the Table 3
@@ -165,16 +166,6 @@ type Counters struct {
 // the paper's crossing metric. A batched flush is one trip.
 func (c Counters) Trips() uint64 { return c.Upcalls + c.Downcalls }
 
-// Calls reports total entry-point invocations delivered across the boundary,
-// counting every call inside a batch individually.
-func (c Counters) Calls() uint64 {
-	var n uint64
-	for _, v := range c.PerCall {
-		n += v
-	}
-	return n
-}
-
 // CallNames lists the entry points that crossed, sorted.
 func (c Counters) CallNames() []string {
 	names := make([]string, 0, len(c.PerCall))
@@ -185,29 +176,16 @@ func (c Counters) CallNames() []string {
 	return names
 }
 
-// workerStatser is the snapshot hook a transport owning an external worker
-// process implements (ProcTransport): transport-lifetime worker gauges.
-type workerStatser interface {
-	workerStats() (respawns, deaths uint64, alive bool)
+// statsFiller is the snapshot hook of a transport that owns an external
+// worker process, descriptor rings and submission lanes (ProcTransport): it
+// fills in their transport-lifetime gauges.
+type statsFiller interface {
+	fillStats(c *Counters)
 }
 
-// descRingStatser is the snapshot hook a transport crossing through
-// shared-memory descriptor rings implements (ProcTransport): configured
-// entries per direction and the longest publish run on a submit ring.
-type descRingStatser interface {
-	descRingStats() (entries, peak uint64)
-}
-
-// laneStatser is the snapshot hook a transport sharding submissions over
-// concurrent lanes implements (ProcTransport): claim, spill and occupancy
-// gauges for the lock-free lane table.
-type laneStatser interface {
-	laneStats() (acquisitions, spills, activePeak uint64)
-}
-
-// counterShards is the number of independently updated counter cells. Distinct
-// entry points hash to distinct cells, so concurrent crossings of different
-// calls never touch the same cache line.
+// counterShards is the number of independently updated counter cells. An
+// entry point's cell is picked by its index, so concurrent crossings of
+// neighbouring handlers never touch the same cache line.
 const counterShards = 8
 
 // counterCell is one shard of the runtime's statistics. All fields are
@@ -237,69 +215,37 @@ type counterCell struct {
 	_               [32]byte
 }
 
+// callCount is one entry point's invocations and contained faults.
+type callCount struct {
+	calls, faults atomic.Uint64
+}
+
 // counterState is one epoch of statistics. ResetCounters swaps in a fresh
 // state rather than zeroing in place, so resets are atomic with respect to
-// concurrent crossings.
+// concurrent crossings. Every entry point the registry can number has its
+// counts in place from the start, so one registered after a reset counts
+// like the rest; Counters names them.
 type counterState struct {
-	cells [counterShards]counterCell
-	// perCall maps entry-point name -> *atomic.Uint64. sync.Map is
-	// lock-free on the steady-state hit path.
-	perCall sync.Map
-	// faultsByCall maps entry-point name -> *atomic.Uint64 of contained
-	// faults. Touched only on the fault path, never on a healthy crossing.
-	faultsByCall sync.Map
+	cells     [counterShards]counterCell
+	handlers  [registry.MaxHandlers]callCount
+	downcalls [registry.MaxDowncalls]callCount
 }
 
-// shardIndex hashes an entry-point name to a counter cell (FNV-1a).
+// cell returns the shard of the entry point with index id.
 //
 //decaf:hotpath
-func shardIndex(name string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return int(h % counterShards)
+func (s *counterState) cell(id uint32) *counterCell {
+	return &s.cells[id%counterShards]
 }
 
-// cell returns the shard for an entry-point name.
+// entry returns the counts of an upcall's handler or a downcall at index id.
 //
 //decaf:hotpath
-func (s *counterState) cell(name string) *counterCell {
-	return &s.cells[shardIndex(name)]
-}
-
-// cellCursor resolves counter cells for the calls of one chunk. A chunk's
-// calls mostly share one name (a burst of frames through one handler), so
-// the cursor hashes a name only when it differs from the previous call's,
-// or when ResetCounters swapped the epoch in between: the six counter
-// updates along a call's crossing cost one hash per run of equal names, not
-// six per call. The epoch is re-read on every use, so a reset still splits
-// the counts exactly where it lands.
-type cellCursor struct {
-	r    *Runtime
-	s    *counterState
-	name string
-	cell *counterCell
-}
-
-// at returns the current epoch's cell for name.
-//
-//decaf:hotpath
-func (cc *cellCursor) at(name string) *counterCell {
-	// String equality looks at the headers first: a run of calls queued
-	// under one name constant never reaches the byte compare.
-	if s := cc.r.state(); s != cc.s || name != cc.name {
-		cc.s, cc.name, cc.cell = s, name, s.cell(name)
+func (s *counterState) entry(up bool, id uint32) *callCount {
+	if up {
+		return &s.handlers[id%registry.MaxHandlers]
 	}
-	return cc.cell
-}
-
-func (s *counterState) perCallCounter(name string) *atomic.Uint64 {
-	if v, ok := s.perCall.Load(name); ok {
-		return v.(*atomic.Uint64)
-	}
-	v, _ := s.perCall.LoadOrStore(name, new(atomic.Uint64))
-	return v.(*atomic.Uint64)
+	return &s.downcalls[id%registry.MaxDowncalls]
 }
 
 // state returns the current counter epoch, initializing it on first use.
@@ -315,82 +261,57 @@ func (r *Runtime) state() *counterState {
 	return r.counters.Load()
 }
 
-// countTrip records one single-call crossing.
-func (r *Runtime) countTrip(name string, up bool) {
-	s := r.state()
-	c := s.cell(name)
-	if up {
-		c.upcalls.Add(1)
-	} else {
-		c.downcalls.Add(1)
-	}
-	s.perCallCounter(name).Add(1)
-}
-
-// countBatch records one batched crossing delivering the submissions'
-// calls. The per-name counters are looked up once per run of equal names.
+// countCrossing records one crossing delivering the submissions' calls: a
+// trip on the first call's cell, counted as a batch when it coalesced more
+// than one call. The per-call counts are added once per run of equal entry
+// points.
 //
 //decaf:hotpath
-func (r *Runtime) countBatch(subs []*Submission) {
+func (r *Runtime) countCrossing(subs []*Submission) {
 	s := r.state()
 	first := subs[0].Call
-	c := s.cell(first.Name)
+	c := s.cell(first.id)
 	if first.Up {
 		c.upcalls.Add(1)
 	} else {
 		c.downcalls.Add(1)
 	}
-	c.batches.Add(1)
-	c.batchedCalls.Add(uint64(len(subs)))
+	if len(subs) > 1 {
+		c.batches.Add(1)
+		c.batchedCalls.Add(uint64(len(subs)))
+	}
 	for i := 0; i < len(subs); {
-		name, run := subs[i].Call.Name, 1
-		for i+run < len(subs) && subs[i+run].Call.Name == name {
+		call, run := subs[i].Call, 1
+		for i+run < len(subs) && subs[i+run].Call.id == call.id && subs[i+run].Call.Up == call.Up {
 			run++
 		}
-		s.perCallCounter(name).Add(uint64(run))
+		s.entry(call.Up, call.id).calls.Add(uint64(run))
 		i += run
 	}
 }
 
 // noteCompletion records a resolved submission's crossing cost and fault
-// outcome on c, the cell of its name, and feeds the completion observer
-// when one is installed.
+// outcome on c, the cell of its entry point, and feeds the completion
+// observer when one is installed.
 //
 //decaf:hotpath
-func (r *Runtime) noteCompletion(c *counterCell, name string, crossCost time.Duration, fault bool) {
+func (r *Runtime) noteCompletion(c *counterCell, comp *Completion, crossCost time.Duration, fault bool) {
 	if ob := r.completionObserver.Load(); ob != nil {
-		(*ob)(name, crossCost, fault)
+		(*ob)(comp.name, crossCost, fault)
 	}
 	if crossCost > 0 {
 		c.crossNs.Add(uint64(crossCost))
 	}
 	if fault {
 		c.faults.Add(1)
-		r.noteFaultBy(name)
+		r.state().entry(comp.up, comp.id).faults.Add(1)
 	}
 }
 
-// noteFaultBy ticks the per-name fault breakdown. Fault path only.
-func (r *Runtime) noteFaultBy(name string) {
-	s := r.state()
-	v, ok := s.faultsByCall.Load(name)
-	if !ok {
-		v, _ = s.faultsByCall.LoadOrStore(name, new(atomic.Uint64))
-	}
-	v.(*atomic.Uint64).Add(1)
-}
-
-// noteInjected records one fault thrown by the installed injector.
-func (r *Runtime) noteInjected(name string) {
-	r.state().cell(name).faultsInjected.Add(1)
-}
-
-// noteStall records caller-visible crossing stall: sleep charged to a
-// submitting context by its crossing.
-func (r *Runtime) noteStall(name string, d time.Duration) {
-	if d > 0 {
-		r.state().cell(name).stallNs.Add(uint64(d))
-	}
+// noteInjected records one fault thrown by the installed injector into the
+// handler at index id.
+func (r *Runtime) noteInjected(id uint32) {
+	r.state().cell(id).faultsInjected.Add(1)
 }
 
 // noteCopied records one payload of n bytes crossing by copy (the
@@ -411,36 +332,14 @@ func (c *counterCell) noteDirect(n int) {
 	c.directTransfers.Add(1)
 }
 
-// noteRingCrossing records one coalesced chunk crossing through the
-// shared-memory descriptor rings — the syscall-free steady-state path.
-//
-//decaf:hotpath
-func (r *Runtime) noteRingCrossing(name string) {
-	r.state().cell(name).ringCross.Add(1)
-}
-
 // noteDoorbells records n doorbell syscalls spent waking a parked peer (or
 // being woken). They are the only syscalls a crossing can pay, so they are
 // SyscallCrossings too — in a healthy steady state both stay near zero
 // while RingCrossings climbs.
 //
 //decaf:hotpath
-func (r *Runtime) noteDoorbells(name string, n int) {
-	r.state().cell(name).doorbells.Add(uint64(n))
-}
-
-// noteWorkerDowncall ticks the nested-downcall counter: one FrameDown from
-// an executing worker-side handler served by the kernel.
-//
-//decaf:hotpath
-func (r *Runtime) noteWorkerDowncall(name string) {
-	r.state().cell(name).workerDown.Add(1)
-}
-
-// addBytes accumulates marshaled byte counts on the shard keyed by name
-// (a shared-object type name).
-func (r *Runtime) addBytes(name string, ku, cj int) {
-	r.state().cell(name).addBytes(ku, cj)
+func (r *Runtime) noteDoorbells(id uint32, n int) {
+	r.state().cell(id).doorbells.Add(uint64(n))
 }
 
 // addBytes accumulates marshaled byte counts.
@@ -484,14 +383,8 @@ func (r *Runtime) Counters() Counters {
 	}
 	snap.SyscallCrossings = snap.DoorbellWakeups
 	snap.InFlight = r.inFlight.Load()
-	if wt, ok := r.Transport().(workerStatser); ok {
-		snap.WorkerRespawns, snap.WorkerDeaths, snap.WorkerAlive = wt.workerStats()
-	}
-	if dt, ok := r.Transport().(descRingStatser); ok {
-		snap.DescRingEntries, snap.DescRingPeak = dt.descRingStats()
-	}
-	if lt, ok := r.Transport().(laneStatser); ok {
-		snap.LaneAcquisitions, snap.LaneSpills, snap.LaneActivePeak = lt.laneStats()
+	if sf, ok := r.Transport().(statsFiller); ok {
+		sf.fillStats(&snap)
 	}
 	if rec := r.tracer.Load(); rec != nil {
 		snap.TraceEvents, snap.TraceDropped = rec.Stats()
@@ -503,16 +396,19 @@ func (r *Runtime) Counters() Counters {
 		snap.RingExhausted = ring.Exhausted()
 		snap.RingStale = ring.Stale()
 	}
-	snap.PerCall = make(map[string]uint64)
-	s.perCall.Range(func(k, v any) bool {
-		snap.PerCall[k.(string)] = v.(*atomic.Uint64).Load()
-		return true
-	})
-	snap.FaultsByCall = make(map[string]uint64)
-	s.faultsByCall.Range(func(k, v any) bool {
-		snap.FaultsByCall[k.(string)] = v.(*atomic.Uint64).Load()
-		return true
-	})
+	snap.PerCall, snap.FaultsByCall = make(map[string]uint64), make(map[string]uint64)
+	tally := func(names []string, counts []callCount) {
+		for i, name := range names {
+			if n := counts[i].calls.Load(); n > 0 {
+				snap.PerCall[name] += n
+			}
+			if n := counts[i].faults.Load(); n > 0 {
+				snap.FaultsByCall[name] += n
+			}
+		}
+	}
+	tally(registry.Names(), s.handlers[:])
+	tally(registry.DowncallNames(), s.downcalls[:])
 	return snap
 }
 

@@ -29,7 +29,7 @@ func TestCountersSnapshotDuringReset(t *testing.T) {
 			defer crossWG.Done()
 			ctx := k.NewContext("crosser")
 			for i := 0; i < crossings; i++ {
-				if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+				if err := r.Call(ctx, hSink); err != nil {
 					t.Errorf("upcall: %v", err)
 					return
 				}

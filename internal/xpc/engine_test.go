@@ -14,8 +14,10 @@ import (
 
 // xpctest_exit ends the process that runs it. Only the proc transport's
 // worker may dispatch it: inline, it would end the test binary.
+var hExit *registry.Handler
+
 func init() {
-	registry.Register("xpctest_exit", registry.Handler{Fn: func(*registry.Ctx) error {
+	hExit = registry.Register("xpctest_exit", registry.Handler{Fn: func(*registry.Ctx) error {
 		os.Exit(workerErrExit)
 		return nil
 	}})
@@ -25,7 +27,7 @@ func init() {
 func procSubs(r *Runtime, names []string, data [][]byte) []*Submission {
 	subs := make([]*Submission, len(names))
 	for i, name := range names {
-		subs[i] = r.NewSubmission(&Call{Name: name, Up: true, h: registry.Lookup(name), Data: data[i]})
+		subs[i] = r.NewSubmission(handlerCall(name, data[i]))
 	}
 	return subs
 }
@@ -40,12 +42,12 @@ func procSubs(r *Runtime, names []string, data [][]byte) []*Submission {
 func TestProcVirtualNumbersPinned(t *testing.T) {
 	k, r, _ := newProcRig(t, 4)
 	ctx := k.NewContext("golden")
-	r.RegisterDowncall("xpctest_read_reg", func(kc *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kc *kernel.Context, arg uint64) (uint64, error) {
 		kc.Charge(3 * time.Microsecond)
 		kc.Sleep(2 * time.Microsecond)
 		return arg + 1, nil
 	})
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	r.ResetCounters()
@@ -104,7 +106,7 @@ func TestProcWorkerDiesMidChunk(t *testing.T) {
 	ctx := k.NewContext("test")
 	var events []FaultEvent
 	r.SetFaultNotifier(func(ev FaultEvent) { events = append(events, ev) })
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	oldPID := pt.WorkerPID()
@@ -136,7 +138,7 @@ func TestProcWorkerDiesMidChunk(t *testing.T) {
 	if c.InFlight != 0 {
 		t.Fatalf("InFlight = %d after the chunk resolved", c.InFlight)
 	}
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("crossing after the death: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == 0 || pid == oldPID {
@@ -152,7 +154,7 @@ func TestProcWorkerDiesMidChunk(t *testing.T) {
 func TestProcKilledWorkerSeenExited(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	oldPID := pt.WorkerPID()
@@ -160,7 +162,7 @@ func TestProcKilledWorkerSeenExited(t *testing.T) {
 		t.Fatal("no worker to kill")
 	}
 	start := time.Now()
-	err := r.UpcallHandler(ctx, "xpcbench_sink")
+	err := r.Call(ctx, hSink)
 	t.Logf("crossing into the killed worker failed in %v", time.Since(start))
 	var death *WorkerDeath
 	if !IsUserFault(err) || !errors.As(err, &death) || death.PID != oldPID {
@@ -169,7 +171,7 @@ func TestProcKilledWorkerSeenExited(t *testing.T) {
 	if !errors.Is(err, errWorkerExited) {
 		t.Fatalf("death cause = %v, want the exit observation (%v)", death.Err, errWorkerExited)
 	}
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("crossing after the death: %v", err)
 	}
 }

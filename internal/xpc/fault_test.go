@@ -17,7 +17,7 @@ func TestFaultInjectorThrowsInsideContainment(t *testing.T) {
 
 	ctx := k.NewContext("t")
 	served := r.SharedState().Load(testCellServed)
-	err := r.UpcallHandler(ctx, "xpctest_count")
+	err := r.Call(ctx, hCount)
 	if r.SharedState().Load(testCellServed) != served {
 		t.Fatal("call body ran despite injected fault")
 	}
@@ -31,7 +31,7 @@ func TestFaultInjectorThrowsInsideContainment(t *testing.T) {
 	if !IsUserFault(err) {
 		t.Fatal("IsUserFault = false for an injected fault")
 	}
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("untargeted call failed: %v", err)
 	}
 	c := r.Counters()
@@ -44,7 +44,7 @@ func TestFaultInjectorThrowsInsideContainment(t *testing.T) {
 
 	// Disarming restores the call.
 	r.SetFaultInjector(nil)
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatalf("call failed after disarm: %v", err)
 	}
 }
@@ -86,7 +86,7 @@ func TestFaultNotifierObservesEveryContainedFault(t *testing.T) {
 			})
 
 			ctx := k.NewContext("t")
-			err := r.UpcallHandler(ctx, "xpctest_panic")
+			err := r.Call(ctx, hPanic)
 			if !IsUserFault(err) {
 				t.Fatalf("err = %v, want UserFault", err)
 			}
@@ -119,7 +119,7 @@ func TestSubmitRefusesHandlerlessCall(t *testing.T) {
 			r.SetTransport(tr)
 			defer r.SetTransport(nil)
 			ctx := k.NewContext("t")
-			if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+			if err := r.Call(ctx, hSink); err != nil {
 				t.Fatal(err)
 			}
 			// Only the unix ProcTransport has a worker to ask.
@@ -208,7 +208,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 
 			b := r.Batch(ctx)
 			for i := range frames {
-				b.UpcallHandlerPayload("xpcbench_sink", fl.Payloads[i])
+				b.CallPayload(hSink, fl.Payloads[i])
 			}
 			var pipe FlushPipeline[Flight[[]byte]]
 			pipe.Push(b.FlushAsync(), fl)

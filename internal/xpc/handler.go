@@ -2,6 +2,7 @@ package xpc
 
 import (
 	"fmt"
+	"slices"
 
 	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
@@ -62,36 +63,35 @@ func (f *WorkerHandlerFault) String() string {
 // process separation forces on nested crossings.
 type DowncallHandler func(kctx *kernel.Context, arg uint64) (uint64, error)
 
-// RegisterDowncall installs the kernel-side target for a named downcall.
-// Drivers register their downcalls at construction, before any handler that
-// names them can cross. Registration is per-Runtime (two driver instances
-// never share downcall tables) and last-registration-wins.
-func (r *Runtime) RegisterDowncall(name string, fn DowncallHandler) {
-	if name == "" || fn == nil {
-		panic("xpc: RegisterDowncall needs a name and a function")
+// BindDowncall installs this runtime's kernel-side target for the declared
+// downcall d; an undeclared d panics. Drivers bind their downcalls at
+// construction, before any handler that makes them can cross. Binding is
+// per-Runtime (two driver instances never share targets) and
+// last-binding-wins.
+func (r *Runtime) BindDowncall(d registry.Downcall, fn DowncallHandler) {
+	if fn == nil || int(d) >= len(registry.DowncallNames()) {
+		panic(fmt.Sprintf("xpc: BindDowncall needs a function and a declared downcall, got index %d", int32(d)))
 	}
-	r.downMu.Lock()
-	defer r.downMu.Unlock()
-	old := r.downcalls.Load()
-	next := make(map[string]DowncallHandler, 1)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[name] = fn
-	r.downcalls.Store(&next)
+	r.downcalls[d].Store(&fn)
 }
 
-// downcallFn resolves a registered downcall target (nil when absent).
+// RegisterDowncall is BindDowncall by name, for benchmark/ alone.
+func (r *Runtime) RegisterDowncall(name string, fn DowncallHandler) {
+	r.BindDowncall(registry.Downcall(slices.Index(registry.DowncallNames(), name)), fn)
+}
+
+// downcallFn resolves this runtime's target for the downcall at index d —
+// nil when none is bound, or d is outside the table (a lying peer's).
 //
 //decaf:hotpath
-func (r *Runtime) downcallFn(name string) DowncallHandler {
-	m := r.downcalls.Load()
-	if m == nil {
+func (r *Runtime) downcallFn(d registry.Downcall) DowncallHandler {
+	if int(d) >= len(r.downcalls) {
 		return nil
 	}
-	return (*m)[name]
+	if fn := r.downcalls[d].Load(); fn != nil {
+		return *fn
+	}
+	return nil
 }
 
 // SharedState returns this runtime's shared state area — the cells
@@ -132,20 +132,23 @@ func (r *Runtime) InstallSharedState(mem []byte) error {
 	return nil
 }
 
-// UpcallHandler performs one blocking upcall dispatched through the handler
-// table: a single-call Batch flush of UpcallHandler. The handler is resolved
-// on the submitting side, so a missing registration fails loudly here
-// instead of in the worker.
-func (r *Runtime) UpcallHandler(ctx *kernel.Context, name string) error {
+// Call performs one blocking upcall of the registered handler h: a
+// single-call Batch flush.
+func (r *Runtime) Call(ctx *kernel.Context, h *registry.Handler) error {
 	b := Batch{r: r, ctx: ctx}
-	return b.UpcallHandler(name).Flush()
+	return b.Call(h).Flush()
 }
 
-// UpcallHandlerData is UpcallHandler with an opaque payload, delivered to
-// the handler as its Ctx.Data.
-func (r *Runtime) UpcallHandlerData(ctx *kernel.Context, name string, data []byte) error {
+// CallData is Call with an opaque payload, delivered to the handler as its
+// Ctx.Data.
+func (r *Runtime) CallData(ctx *kernel.Context, h *registry.Handler, data []byte) error {
 	b := Batch{r: r, ctx: ctx}
-	return b.UpcallHandlerData(name, data).Flush()
+	return b.CallData(h, data).Flush()
+}
+
+// UpcallHandlerData is CallData by name, for benchmark/ alone.
+func (r *Runtime) UpcallHandlerData(ctx *kernel.Context, name string, data []byte) error {
+	return r.CallData(ctx, registry.Lookup(name), data)
 }
 
 // handlerData resolves the payload bytes a handler body sees: the staged
@@ -222,28 +225,29 @@ func (r *Runtime) applyRemote(ctx *kernel.Context, c *Call, cell *counterCell) e
 // crossing allocates nothing.
 //
 //decaf:hotpath
-func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64) (uint64, error) {
-	fn := r.downcallFn(name)
+func (r *Runtime) serveDowncall(caller *kernel.Context, d registry.Downcall, arg uint64) (uint64, error) {
+	fn := r.downcallFn(d)
 	if fn == nil {
-		return 0, fmt.Errorf("xpc: no downcall registered for %q", name)
+		return 0, fmt.Errorf("xpc: no downcall registered for %q", d.Name())
 	}
 	if r.Mode == ModeNative {
 		return fn(caller, arg)
 	}
 	s := r.takeScratch()
 	rec := s.spare()
-	rec.call = Call{Name: name, down: fn, arg: arg}
-	rec.comp = Completion{name: name, r: r}
+	name := d.Name()
+	rec.call = Call{Name: name, id: uint32(d), down: fn, arg: arg}
+	rec.comp = Completion{name: name, id: uint32(d), r: r}
 	s.n, s.submitted = 1, 1
 	subs := s.subs[:1:1]
 	r.Admit(subs)
 	userStart := r.decafCtx.Elapsed()
 	err := r.crossSubmissions(r.decafCtx, subs, decafSide)
 	if caller != nil {
-		if d := r.decafCtx.Elapsed() - userStart; d > 0 {
-			caller.Sleep(d)
+		if slept := r.decafCtx.Elapsed() - userStart; slept > 0 {
+			caller.Sleep(slept)
 		}
-		r.noteWorkerDowncall(name)
+		r.state().cell(uint32(d)).workerDown.Add(1)
 	}
 	res := rec.call.res
 	r.putScratch(s)
@@ -257,7 +261,7 @@ func (r *Runtime) serveDowncall(caller *kernel.Context, name string, arg uint64)
 // invoke their registered targets as plain function calls.
 func (r *Runtime) runHandlerNative(ctx *kernel.Context, c *Call) error {
 	ctx.Charge(c.h.Cost)
-	return c.h.Fn(c.hctx.Arm(c.h, r.handlerData(c), r.SharedState(), func(name string, arg uint64) (uint64, error) {
-		return r.serveDowncall(ctx, name, arg)
+	return c.h.Fn(c.hctx.Arm(c.h, r.handlerData(c), r.SharedState(), func(d registry.Downcall, arg uint64) (uint64, error) {
+		return r.serveDowncall(ctx, d, arg)
 	}))
 }

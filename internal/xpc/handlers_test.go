@@ -2,6 +2,7 @@ package xpc
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,6 +23,12 @@ var (
 	// first byte.
 	testCellStore = registry.RegisterCell("xpctest.store")
 
+	// dcReadReg is the downcall the Down test bodies make; each test binds
+	// its own target.
+	dcReadReg = registry.DeclareDowncall("xpctest_read_reg")
+	// dcUnbound is declared and never bound: a body naming it is refused.
+	dcUnbound = registry.DeclareDowncall("xpctest_unbound")
+
 	// testParentRan counts executions of the dispatch handlers in THIS
 	// process: under the proc transport it must stay flat while the shared
 	// cells move — the proof the body ran in the worker's address space,
@@ -38,8 +45,11 @@ const xpctestCountCost = 500 * time.Nanosecond
 // like any other.
 var longNameHandler = strings.Repeat("n", xdr.MaxFrameName+1)
 
+// The test handlers' handles, assigned where they are registered.
+var hCount, hPanic, hFail, hDown, hDownFree, hDownMany, hStore, hLongName *registry.Handler
+
 func init() {
-	registry.Register("xpctest_count", registry.Handler{
+	hCount = registry.Register("xpctest_count", registry.Handler{
 		Cost: xpctestCountCost,
 		Fn: func(c *registry.Ctx) error {
 			testParentRan.Add(1)
@@ -50,13 +60,13 @@ func init() {
 			return nil
 		},
 	})
-	registry.Register("xpctest_panic", registry.Handler{
+	hPanic = registry.Register("xpctest_panic", registry.Handler{
 		Cost: 100 * time.Nanosecond,
 		Fn: func(c *registry.Ctx) error {
 			panic("worker-side boom")
 		},
 	})
-	registry.Register("xpctest_fail", registry.Handler{
+	hFail = registry.Register("xpctest_fail", registry.Handler{
 		Cost: 100 * time.Nanosecond,
 		Fn: func(c *registry.Ctx) error {
 			if len(c.Data) > 0 && c.Data[0] == 1 {
@@ -66,11 +76,11 @@ func init() {
 			return nil
 		},
 	})
-	registry.Register("xpctest_down", registry.Handler{
+	hDown = registry.Register("xpctest_down", registry.Handler{
 		Cost: 200 * time.Nanosecond,
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
-			v, err := c.Downcall("xpctest_read_reg", 7)
+			v, err := c.Downcall(dcReadReg, 7)
 			if err != nil {
 				return err
 			}
@@ -81,10 +91,10 @@ func init() {
 	// xpctest_down_free is xpctest_down with no modeled cost and no cell
 	// write: under ZeroLatencyModel it writes nothing on the decaf context,
 	// so concurrent inline submitters may cross it on one runtime.
-	registry.Register("xpctest_down_free", registry.Handler{
+	hDownFree = registry.Register("xpctest_down_free", registry.Handler{
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
-			_, err := c.Downcall("xpctest_read_reg", 0)
+			_, err := c.Downcall(dcReadReg, 0)
 			return err
 		},
 	})
@@ -92,13 +102,13 @@ func init() {
 	// the down cell, then stores its last payload byte in the echo cell: the
 	// inline payload has to outlive every result that passed through the
 	// submit ring the call itself arrived on.
-	registry.Register("xpctest_down_many", registry.Handler{
+	hDownMany = registry.Register("xpctest_down_many", registry.Handler{
 		Cost: 200 * time.Nanosecond,
 		Down: true,
 		Fn: func(c *registry.Ctx) error {
 			var sum uint64
 			for i := 0; i < int(c.Data[0]); i++ {
-				v, err := c.Downcall("xpctest_read_reg", uint64(i))
+				v, err := c.Downcall(dcReadReg, uint64(i))
 				if err != nil {
 					return err
 				}
@@ -109,15 +119,34 @@ func init() {
 			return nil
 		},
 	})
-	registry.Register("xpctest_store", registry.Handler{Fn: func(c *registry.Ctx) error {
+	hStore = registry.Register("xpctest_store", registry.Handler{Fn: func(c *registry.Ctx) error {
 		c.State.Store(testCellStore, uint64(c.Data[0]))
 		return nil
 	}})
-	registry.Register(longNameHandler, registry.Handler{Fn: func(c *registry.Ctx) error {
+	hLongName = registry.Register(longNameHandler, registry.Handler{Fn: func(c *registry.Ctx) error {
 		testParentRan.Add(1)
 		c.State.Add(testCellServed, 1)
 		return nil
 	}})
+}
+
+// workerExtraDowncallEnv, set in the environment a worker is spawned with,
+// has that worker declare one downcall more than the kernel side: the
+// downcall-table case of TestProcHandlerTableDigestRefused. It is read in
+// init(), after every package-level declaration, so it only appends.
+const workerExtraDowncallEnv = "XPCTEST_WORKER_EXTRA_DOWNCALL"
+
+func init() {
+	if os.Getenv(workerExtraDowncallEnv) != "" {
+		registry.DeclareDowncall("xpctest_worker_only")
+	}
+}
+
+// handlerCall builds the Call Batch.CallData queues for the handler
+// registered under name.
+func handlerCall(name string, data []byte) *Call {
+	h := registry.Lookup(name)
+	return &Call{Name: name, Up: true, Data: data, h: h, id: h.ID()}
 }
 
 // handlerSubs builds one admitted-by-Submit chunk of handler calls, so a
@@ -125,7 +154,7 @@ func init() {
 func handlerSubs(r *Runtime, calls ...string) []*Submission {
 	subs := make([]*Submission, len(calls))
 	for i, name := range calls {
-		subs[i] = r.NewSubmission(&Call{Name: name, Up: true, h: registry.Lookup(name), Data: []byte{byte(i + 1)}})
+		subs[i] = r.NewSubmission(handlerCall(name, []byte{byte(i + 1)}))
 	}
 	return subs
 }

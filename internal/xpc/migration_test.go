@@ -30,17 +30,17 @@ func TestIncrementalMigration(t *testing.T) {
 		if useDecafVersion {
 			// Converted: the decaf body computes the value; the kernel adopts
 			// the cell it left.
-			if err := r.UpcallHandlerData(ctx, "xpctest_count", []byte{7}); err != nil {
+			if err := r.CallData(ctx, hCount, []byte{7}); err != nil {
 				t.Fatal(err)
 			}
 			ka.MsgEnable = int32(r.SharedState().Load(testCellEcho))
 		} else {
 			// Staged: still C, running kernel-side on the kernel copy.
-			r.RegisterDowncall("xpctest_read_reg", func(_ *kernel.Context, arg uint64) (uint64, error) {
+			r.BindDowncall(dcReadReg, func(_ *kernel.Context, arg uint64) (uint64, error) {
 				ka.MsgEnable = int32(arg)
 				return arg, nil
 			})
-			if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+			if err := r.Call(ctx, hDown); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -84,7 +84,7 @@ func TestConcurrentUpcallsSafe(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				err := r.SyncToUser(ctx, pairs[w].ka)
 				if err == nil {
-					err = r.UpcallHandler(ctx, "xpcbench_sink")
+					err = r.Call(ctx, hSink)
 				}
 				if err == nil {
 					pairs[w].da.Tx.Head++

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/trace"
 	"decafdrivers/internal/xdr"
@@ -130,7 +131,7 @@ type ProcConfig struct {
 // worker lifecycle and teardown; tests assert the steady state acquires it
 // zero times (see ControlAcquires).
 //
-// Call bodies are handler-table calls (Batch.UpcallHandler; see
+// Call bodies are handler-table calls (Batch.Call; see
 // internal/decaf/registry) and execute in the worker process for real: the
 // worker is a re-exec of the same binary, so it holds the same registered
 // handler table, numbered alike (the layout header's digest proves it), and
@@ -660,7 +661,7 @@ func (t *ProcTransport) laneCrossOn(r *Runtime, ctx *kernel.Context, ep *procEpo
 //
 //decaf:hotpath
 func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, chunk []*Submission, eng *chunkEngine) error {
-	name := chunk[0].Call.Name
+	key := chunk[0].Call.id
 	ring := r.payloadRing.Load()
 	reg := t.reg.Load()
 	if lane.tr != nil {
@@ -700,7 +701,7 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 				barrier = c.h.Down
 				if injector != nil && (*injector)(c.Name) {
 					f.Inject = true
-					r.noteInjected(c.Name)
+					r.noteInjected(c.id)
 				}
 			}
 			// The payload the proof covers: the slot's bytes through the
@@ -739,13 +740,13 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 		if lane.tr != nil {
 			lane.tr.Emit(trace.KindEnqueue, uint16(lane.idx), trace.SrcKernel, ids[first], uint64(next-first))
 		}
-		if err := t.wakeWorker(r, ep, lane, name, ids[first]); err != nil {
+		if err := t.wakeWorker(r, ep, lane, key, ids[first]); err != nil {
 			return err
 		}
 		// The bookkeeping sits behind the publication on purpose: it runs
 		// while the worker is already serving the frames.
 		if first == 0 {
-			r.noteRingCrossing(name)
+			r.state().cell(key).ringCross.Add(1)
 		}
 		// Scale the completion spin budget down by the lanes currently in
 		// flight: K holders spinning concurrently on an oversubscribed machine
@@ -760,7 +761,7 @@ func (t *ProcTransport) laneConverse(r *Runtime, ctx *kernel.Context, ep *procEp
 		for done < next {
 			slot, wakes, err := lane.cmp.awaitSlotBudget(lane.bell, procWireTimeout, budget, &ep.w.dead)
 			if wakes > 0 {
-				r.noteDoorbells(chunk[done].Call.Name, wakes)
+				r.noteDoorbells(chunk[done].Call.id, wakes)
 				totalWakes += wakes
 			}
 			if err != nil {
@@ -847,14 +848,14 @@ func (lane *procLane) stage(f *xdr.Frame) error {
 // one observes 1 and pays the wake syscall.
 //
 //decaf:hotpath
-func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, name string, id uint64) error {
+func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, key uint32, id uint64) error {
 	if ep.dir.parked.Swap(0) != 1 {
 		return nil
 	}
 	if err := ep.bell.ring(); err != nil {
 		return ep.death(err)
 	}
-	r.noteDoorbells(name, 1)
+	r.noteDoorbells(key, 1)
 	if lane.tr != nil {
 		lane.tr.Emit(trace.KindDoorbell, uint16(lane.idx), trace.SrcKernel, id, 1)
 	}
@@ -862,14 +863,16 @@ func (t *ProcTransport) wakeWorker(r *Runtime, ep *procEpoch, lane *procLane, na
 }
 
 // serveLaneDowncall serves one FrameDown of a body executing in the worker:
-// the registered kernel-side target runs as a real downcall crossing (the
+// the kernel-side target bound to the downcall index the frame's Status
+// carries runs as a real downcall crossing (the
 // runtime's serveDowncall carries the cost accounting), and the scalar
 // result — or the error text — returns to the blocked body as a
 // FrameDownResult on the lane's submit ring, which is empty: the worker
 // released the call's slot before running it and the barrier kept anything
 // else from being published behind it.
 func (t *ProcTransport) serveLaneDowncall(r *Runtime, ctx *kernel.Context, ep *procEpoch, lane *procLane, req xdr.Frame) error {
-	res, derr := r.serveDowncall(ctx, req.Name, req.Aux)
+	d := registry.Downcall(req.Status)
+	res, derr := r.serveDowncall(ctx, d, req.Aux)
 	ack := xdr.Frame{Kind: xdr.FrameDownResult, ID: req.ID, Aux: res, Lane: lane.idx}
 	if derr != nil {
 		ack.Status = 1
@@ -879,7 +882,7 @@ func (t *ProcTransport) serveLaneDowncall(r *Runtime, ctx *kernel.Context, ep *p
 		return err
 	}
 	lane.sub.publish()
-	return t.wakeWorker(r, ep, lane, req.Name, req.ID)
+	return t.wakeWorker(r, ep, lane, uint32(d), req.ID)
 }
 
 // currentEpoch returns the live epoch, carving a fresh one under the
@@ -1176,7 +1179,7 @@ func (t *ProcTransport) awaitAck(ep *procEpoch) error {
 		return ep.death(err)
 	}
 	if r := t.rt.Load(); r != nil {
-		r.state().cell(xdr.FrameComplete.String()).wireBytesIn.Add(uint64(n))
+		r.state().cell(0).wireBytesIn.Add(uint64(n))
 	}
 	switch {
 	case ack.Kind != xdr.FrameComplete:
@@ -1277,30 +1280,21 @@ func (t *ProcTransport) WorkerPID() int {
 	return 0
 }
 
-// workerStats implements the counters snapshot hook: respawns beyond the
-// first spawn, observed deaths, and current liveness. Lock-free, so a
-// metrics scrape never waits behind a respawn.
-func (t *ProcTransport) workerStats() (respawns, deaths uint64, alive bool) {
+// fillStats implements the counters snapshot hook, lock-free so a metrics
+// scrape never waits behind a respawn: respawns beyond the first spawn,
+// observed deaths and current liveness; the descriptor rings' entries per
+// direction and the longest run of frames published to one lane's submit
+// ring at once, which bounds its occupancy; and the lanes' total claims,
+// spills to the contended fallback lane and peak of simultaneously held
+// lanes.
+func (t *ProcTransport) fillStats(c *Counters) {
 	if n := t.spawns.Load(); n > 0 {
-		respawns = n - 1
+		c.WorkerRespawns = n - 1
 	}
 	ep := t.epoch.Load()
-	return respawns, t.deaths.Load(), ep != nil && !ep.failed.Load()
-}
-
-// descRingStats implements the counters snapshot hook for the descriptor
-// rings: configured entries per direction and the longest run of frames
-// published to one lane's submit ring at once over the transport's
-// lifetime, which bounds that ring's occupancy.
-func (t *ProcTransport) descRingStats() (entries, peak uint64) {
-	return uint64(t.descEntries), t.descPeak.Load()
-}
-
-// laneStats implements the counters snapshot hook for the submission
-// lanes: total claims, spills to the contended fallback lane, and the
-// high-water mark of simultaneously held lanes.
-func (t *ProcTransport) laneStats() (acquisitions, spills, activePeak uint64) {
-	return t.laneAcq.Load(), t.laneSpills.Load(), t.laneActivePeak.Load()
+	c.WorkerDeaths, c.WorkerAlive = t.deaths.Load(), ep != nil && !ep.failed.Load()
+	c.DescRingEntries, c.DescRingPeak = uint64(t.descEntries), t.descPeak.Load()
+	c.LaneAcquisitions, c.LaneSpills, c.LaneActivePeak = t.laneAcq.Load(), t.laneSpills.Load(), t.laneActivePeak.Load()
 }
 
 // Close stops the worker (closing its socket, which it reads as EOF and

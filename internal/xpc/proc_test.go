@@ -45,7 +45,7 @@ func TestProcUpcallCrossesRealProcess(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
 	served, ran := r.SharedState().Load(testCellServed), testParentRan.Load()
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatal(err)
 	}
 	// The body ran in the worker: the shared cell moved, while the parent's
@@ -90,7 +90,7 @@ func TestProcUpcallCrossesRealProcess(t *testing.T) {
 func TestProcTransportBoundToOneRuntime(t *testing.T) {
 	k, r1, pt := newProcRig(t, 4)
 	ctx := k.NewContext("t")
-	if err := r1.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r1.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	r2 := newDecafRuntime(k)
@@ -106,7 +106,7 @@ func TestProcTransportBoundToOneRuntime(t *testing.T) {
 	if c := r2.Counters(); c.InFlight != 0 {
 		t.Fatalf("refused runtime InFlight = %d, want 0", c.InFlight)
 	}
-	if err := r1.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r1.Call(ctx, hSink); err != nil {
 		t.Fatalf("owner crossing after a refused submit: %v", err)
 	}
 	if c := r1.Counters(); c.InFlight != 0 || c.RingCrossings != 2 {
@@ -120,7 +120,7 @@ func TestProcBatchCoalescesIntoOneWireCrossing(t *testing.T) {
 	ctx := k.NewContext("test")
 	b := r.Batch(ctx)
 	for i := 0; i < n; i++ {
-		b.UpcallHandler("xpcbench_sink")
+		b.Call(hSink)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -144,11 +144,11 @@ func TestProcNestedDowncallFromUpcallBody(t *testing.T) {
 	k, r, _ := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	inner := false
-	r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(*kernel.Context, uint64) (uint64, error) {
 		inner = true
 		return 0, nil
 	})
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil || !inner {
+	if err := r.Call(ctx, hDown); err != nil || !inner {
 		t.Fatalf("nested downcall: err=%v inner=%v", err, inner)
 	}
 	// The downcall rides the upcall's own lane: one ring crossing for both.
@@ -168,7 +168,7 @@ func TestProcNestedDowncallFromUpcallBody(t *testing.T) {
 func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 	k, r, pt := newProcRig(t, 2)
 	ctx := k.NewContext("test")
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	pid, before, served := pt.WorkerPID(), r.Counters(), r.SharedState().Load(testCellServed)
@@ -177,10 +177,10 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 		call func(b *Batch) *Batch
 	}{
 		{"payload one byte over a slot", func(b *Batch) *Batch {
-			return b.UpcallHandlerData("xpctest_count", bytes.Repeat([]byte{0x42}, descSlotBytes+1))
+			return b.CallData(hCount, bytes.Repeat([]byte{0x42}, descSlotBytes+1))
 		}},
 		{"payload over the frame codec's limit", func(b *Batch) *Batch {
-			return b.UpcallHandlerData("xpctest_count", make([]byte, 1<<20+1))
+			return b.CallData(hCount, make([]byte, 1<<20+1))
 		}},
 	} {
 		err := tc.call(r.Batch(ctx)).Flush()
@@ -201,14 +201,14 @@ func TestProcOversizedPayloadRejectedCleanly(t *testing.T) {
 		t.Fatalf("pid %d -> %d, WorkerRespawns=%d WorkerDeaths=%d WorkerAlive=%v: a refusal must not touch the worker",
 			pid, pt.WorkerPID(), c.WorkerRespawns, c.WorkerDeaths, c.WorkerAlive)
 	}
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	if c := r.Counters(); c.RingCrossings != before.RingCrossings+1 {
 		t.Fatalf("RingCrossings moved by %d after the refusals, want 1", c.RingCrossings-before.RingCrossings)
 	}
 	parentRan := testParentRan.Load()
-	if err := r.UpcallHandler(ctx, longNameHandler); err != nil {
+	if err := r.Call(ctx, hLongName); err != nil {
 		t.Fatalf("a %dB handler name: %v, want the call to cross by index", len(longNameHandler), err)
 	}
 	if got := r.SharedState().Load(testCellServed); got != served+1 || testParentRan.Load() != parentRan {
@@ -228,7 +228,7 @@ func TestProcWorkerRejectsCallsOnSocket(t *testing.T) {
 	for _, kind := range []xdr.FrameKind{xdr.FrameSubmit, xdr.FrameCall} {
 		k, r, pt := newProcRig(t, 1)
 		ctx := k.NewContext("test")
-		if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+		if err := r.Call(ctx, hCount); err != nil {
 			t.Fatal(err)
 		}
 		served := r.SharedState().Load(testCellServed)
@@ -252,10 +252,10 @@ func TestProcWorkerRejectsCallsOnSocket(t *testing.T) {
 			t.Fatalf("%v on the control socket was served", kind)
 		}
 		// The death is found by the next crossing; the one after it is served.
-		if err := r.UpcallHandler(ctx, "xpctest_count"); !IsUserFault(err) {
+		if err := r.Call(ctx, hCount); !IsUserFault(err) {
 			t.Fatalf("crossing into the exited worker: %v, want a contained fault", err)
 		}
-		if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+		if err := r.Call(ctx, hCount); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func TestProcRingCrossingAllocFree(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	// Warm up: spawn the worker, register the rings, fault in the pools.
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xA5}, 1462)
@@ -299,7 +299,7 @@ func BenchmarkProcRingCrossing(b *testing.B) {
 	r.SetTransport(pt)
 	defer r.SetTransport(nil)
 	ctx := k.NewContext("bench")
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		b.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0xA5}, 1462)
@@ -335,7 +335,7 @@ func TestProcMappedRingZeroCopy(t *testing.T) {
 	if !p.Direct() {
 		t.Fatal("payload fell back to the copy path with a fresh mapped ring")
 	}
-	if err := r.Batch(ctx).UpcallHandlerPayload("xpcbench_sink", p).Flush(); err != nil {
+	if err := r.Batch(ctx).CallPayload(hSink, p).Flush(); err != nil {
 		t.Fatalf("slot crossing failed (checksum mismatch would mean the mapping is not shared): %v", err)
 	}
 	r.ReleasePayload(p)
@@ -407,14 +407,14 @@ func TestProcExternalSigkillDetectedAsFault(t *testing.T) {
 	ctx := k.NewContext("test")
 	var events []FaultEvent
 	r.SetFaultNotifier(func(ev FaultEvent) { events = append(events, ev) })
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	oldPID := pt.WorkerPID()
 	if !pt.KillWorker() {
 		t.Fatal("no worker to kill")
 	}
-	err := r.UpcallHandler(ctx, "xpcbench_sink")
+	err := r.Call(ctx, hSink)
 	if !IsUserFault(err) {
 		t.Fatalf("crossing into a SIGKILLed worker returned %v, want a contained UserFault", err)
 	}
@@ -426,7 +426,7 @@ func TestProcExternalSigkillDetectedAsFault(t *testing.T) {
 		t.Fatalf("fault notifier events = %+v", events)
 	}
 	// The boundary heals: the next crossing runs on a respawned worker.
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("crossing after respawn: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == 0 || pid == oldPID {
@@ -444,7 +444,7 @@ func TestProcExternalSigkillDetectedAsFault(t *testing.T) {
 func TestProcInjectedFaultKillsWorker(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	armed := true
@@ -456,14 +456,14 @@ func TestProcInjectedFaultKillsWorker(t *testing.T) {
 		return false
 	})
 	oldPID := pt.WorkerPID()
-	err := r.UpcallHandler(ctx, "xpcbench_sink")
+	err := r.Call(ctx, hSink)
 	if !IsUserFault(err) {
 		t.Fatalf("injected fault returned %v", err)
 	}
 	if c := r.Counters(); c.FaultsInjected != 1 || c.WorkerAlive {
 		t.Fatalf("FaultsInjected=%d WorkerAlive=%v, want 1/false (the crash killed the process)", c.FaultsInjected, c.WorkerAlive)
 	}
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("crossing after fault: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == oldPID {
@@ -481,7 +481,7 @@ func TestProcDataAliasingRule(t *testing.T) {
 	ctx := k.NewContext("test")
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	b := r.Batch(ctx)
-	b.UpcallHandlerData("xpcbench_sink", data)
+	b.CallData(hSink, data)
 	// Rule violation: mutate between staging and flush. The checksum is
 	// computed over the same bytes the frame copies, so the wire stays
 	// self-consistent and the flush must still succeed.
@@ -495,7 +495,7 @@ func TestProcDataAliasingRule(t *testing.T) {
 	for i := range data {
 		data[i] = 0xEE
 	}
-	b.UpcallHandlerData("xpcbench_sink", []byte{9, 9, 9})
+	b.CallData(hSink, []byte{9, 9, 9})
 	if err := b.Flush(); err != nil {
 		t.Fatalf("flush after post-completion mutation of the previous payload: %v", err)
 	}
@@ -513,7 +513,7 @@ func TestProcSubmitAfterCloseFails(t *testing.T) {
 	}
 	r.SetTransport(pt)
 	ctx := k.NewContext("test")
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	if err := pt.Close(); err != nil {
@@ -522,7 +522,7 @@ func TestProcSubmitAfterCloseFails(t *testing.T) {
 	if err := pt.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	err = r.UpcallHandler(ctx, "xpcbench_sink")
+	err = r.Call(ctx, hSink)
 	if !errors.Is(err, ErrTransportClosed) {
 		t.Fatalf("submit after close = %v", err)
 	}
@@ -537,7 +537,7 @@ func TestProcSubmitAfterCloseFails(t *testing.T) {
 func TestProcNoMutexUnderContention(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	warm := k.NewContext("warm")
-	if err := r.UpcallHandler(warm, "xpcbench_sink"); err != nil {
+	if err := r.Call(warm, hSink); err != nil {
 		t.Fatal(err)
 	}
 	base := pt.ControlAcquires()
@@ -552,7 +552,7 @@ func TestProcNoMutexUnderContention(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				b := r.Batch(ctx)
 				for j := 0; j < calls; j++ {
-					b.UpcallHandler("xpcbench_sink")
+					b.Call(hSink)
 				}
 				if err := b.Flush(); err != nil {
 					errs <- err
@@ -591,7 +591,7 @@ func TestProcSpillLaneAbsorbsOversubscription(t *testing.T) {
 	r.SetTransport(pt)
 	t.Cleanup(func() { r.SetTransport(nil) })
 	warm := k.NewContext("warm")
-	if err := r.UpcallHandler(warm, "xpcbench_sink"); err != nil {
+	if err := r.Call(warm, hSink); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, rounds = 6, 30
@@ -603,7 +603,7 @@ func TestProcSpillLaneAbsorbsOversubscription(t *testing.T) {
 			defer wg.Done()
 			ctx := k.NewContext(fmt.Sprintf("submitter-%d", w))
 			for i := 0; i < rounds; i++ {
-				if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+				if err := r.Call(ctx, hSink); err != nil {
 					errs <- err
 					return
 				}
@@ -640,7 +640,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	const submitters, rounds = 6, 60
@@ -654,7 +654,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 			ctx := k.NewContext(fmt.Sprintf("storm-%d", w))
 			<-start
 			for i := 1; i <= rounds; i++ {
-				err := r.UpcallHandler(ctx, "xpcbench_sink")
+				err := r.Call(ctx, hSink)
 				if err != nil && !IsUserFault(err) && !errors.Is(err, ErrCrossingAborted) {
 					unexpected <- fmt.Errorf("submitter %d round %d: %w", w, i, err)
 					return
@@ -681,7 +681,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 		t.Fatal("payload not staged in the mapped ring")
 	}
 	cross := func() error {
-		return r.Batch(post).UpcallHandlerPayload("xpcbench_sink", p).Flush()
+		return r.Batch(post).CallPayload(hSink, p).Flush()
 	}
 	err = cross()
 	var death *WorkerDeath
@@ -722,7 +722,7 @@ func TestProcRespawnReplaysRingRegistration(t *testing.T) {
 	if !p.Direct() {
 		t.Fatal("payload not staged in the ring")
 	}
-	if err := r.Batch(ctx).UpcallHandlerPayload("xpcbench_sink", p).Flush(); err != nil {
+	if err := r.Batch(ctx).CallPayload(hSink, p).Flush(); err != nil {
 		t.Fatalf("slot crossing after respawn (ring geometry not replayed?): %v", err)
 	}
 	r.ReleasePayload(p)
@@ -733,7 +733,7 @@ func TestProcRespawnReplaysRingRegistration(t *testing.T) {
 // an acquisition nor waits behind a respawn that holds the mutex.
 func TestProcCountersSnapshotLockFree(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
-	if err := r.UpcallHandler(k.NewContext("test"), "xpcbench_sink"); err != nil {
+	if err := r.Call(k.NewContext("test"), hSink); err != nil {
 		t.Fatal(err)
 	}
 	base := pt.ControlAcquires()
@@ -772,7 +772,7 @@ func TestProcLayoutRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.UpcallHandler(ctx, "xpcbench_sink")
+	err = r.Call(ctx, hSink)
 	var refusal *LayoutRefusal
 	if !IsUserFault(err) || !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "slot size 7") {
 		t.Fatalf("crossing over a refused layout: %v, want a contained *LayoutRefusal naming the slot size", err)
@@ -783,7 +783,7 @@ func TestProcLayoutRefused(t *testing.T) {
 	pt.lockControl()
 	pt.lay.slotSize = descSlotBytes
 	pt.mu.Unlock()
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("crossing after the layout was repaired: %v", err)
 	}
 }
@@ -814,7 +814,7 @@ func TestProcScribbledHeaderContained(t *testing.T) {
 	if !p.Direct() || p.Slot.Index == 0 {
 		t.Fatalf("payload staged in slot %d (direct %v), want a ring slot past the first", p.Slot.Index, p.Direct())
 	}
-	cross := func() error { return r.Batch(ctx).UpcallHandlerPayload("xpcbench_sink", p).Flush() }
+	cross := func() error { return r.Batch(ctx).CallPayload(hSink, p).Flush() }
 	if err := cross(); err != nil {
 		t.Fatal(err)
 	}
@@ -849,7 +849,7 @@ func TestProcScribbledHeaderContained(t *testing.T) {
 func TestProcHandlerTableDigestRefused(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatal(err)
 	}
 	orig := *registry.Lookup("xpctest_store")
@@ -863,7 +863,7 @@ func TestProcHandlerTableDigestRefused(t *testing.T) {
 	if err := pt.RespawnWorker(); !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "handler table digest") {
 		t.Fatalf("respawn under another handler table: %v, want a *LayoutRefusal naming the digest", err)
 	}
-	err := r.UpcallHandler(ctx, "xpcbench_sink")
+	err := r.Call(ctx, hSink)
 	if !IsUserFault(err) || !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "handler table digest") {
 		t.Fatalf("crossing under another handler table: %v, want a contained *LayoutRefusal naming the digest", err)
 	}
@@ -878,7 +878,7 @@ func TestProcHandlerTableDigestRefused(t *testing.T) {
 	}
 
 	registry.Register("xpctest_store", orig)
-	if err := r.UpcallHandler(ctx, "xpcbench_sink"); err != nil {
+	if err := r.Call(ctx, hSink); err != nil {
 		t.Fatalf("crossing once the tables agree again: %v", err)
 	}
 	if got := pt.WorkerPID(); got == 0 || got == pid {
@@ -886,5 +886,16 @@ func TestProcHandlerTableDigestRefused(t *testing.T) {
 	}
 	if got, want := pt.hdr.digest.Load(), registry.Digest(); got != want {
 		t.Fatalf("header digest %#x on the serving epoch, want the table's %#x", got, want)
+	}
+
+	// The downcall table is covered too: a worker that declares one
+	// downcall more than this image refuses the epoch the same way.
+	t.Setenv(workerExtraDowncallEnv, "1")
+	if err := pt.RespawnWorker(); !errors.As(err, &refusal) || !strings.Contains(refusal.Reason, "handler table digest") {
+		t.Fatalf("respawn under another downcall table: %v, want a *LayoutRefusal naming the digest", err)
+	}
+	os.Unsetenv(workerExtraDowncallEnv)
+	if err := r.Call(ctx, hSink); err != nil {
+		t.Fatalf("crossing once the downcall tables agree again: %v", err)
 	}
 }

@@ -91,7 +91,7 @@ func TestFlushAllocFree(t *testing.T) {
 			b := r.Batch(ctx)
 			queue := func() {
 				for _, p := range ps {
-					b.UpcallHandlerPayload("xpctest_count", p)
+					b.CallPayload(hCount, p)
 				}
 			}
 			flush := func() {
@@ -107,7 +107,7 @@ func TestFlushAllocFree(t *testing.T) {
 				}
 			}
 			sugar := func() {
-				if err := r.UpcallHandlerData(ctx, "xpctest_count", payload); err != nil {
+				if err := r.CallData(ctx, hCount, payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -242,7 +242,7 @@ func TestFlushAsyncCarriesStickyError(t *testing.T) {
 			k, r := rig.new(t)
 			ctx := k.NewContext("t")
 			build := func() *Batch {
-				return r.Batch(ctx).UpcallHandler("xpctest_count").UpcallHandler("no_such_handler").UpcallHandler("xpctest_count")
+				return r.Batch(ctx).Call(hCount).UpcallHandler("no_such_handler").Call(hCount)
 			}
 			want := build().Flush()
 			if want == nil || !strings.Contains(want.Error(), "no handler registered") {
@@ -321,35 +321,35 @@ func TestRecordReuseStorm(t *testing.T) {
 					switch i % 6 {
 					case 0: // several chunks, waited out
 						for j := 0; j < 9; j++ {
-							b.UpcallHandlerData("xpctest_count", []byte{byte(j)})
+							b.CallData(hCount, []byte{byte(j)})
 						}
 						check("flush", b.Flush(), "")
 					case 1: // the aggregate handle, waited on later
 						for j := 0; j < 5; j++ {
-							b.UpcallHandler("xpctest_count")
+							b.Call(hCount)
 						}
 						done := b.FlushAsync()
-						_ = r.UpcallHandler(ctx, "xpctest_count") // proc: may meet a dead worker
+						_ = r.Call(ctx, hCount) // proc: may meet a dead worker
 						check("flush async", done.Wait(ctx), "")
 						if !done.Settled() || done.Err() != done.Wait(nil) {
 							t.Error("aggregate handle is not stable after Wait")
 						}
 					case 2: // sticky builder error, later adds dropped
-						b.UpcallHandler("xpctest_count").UpcallHandler("no_such_handler").UpcallHandler("xpctest_count")
+						b.Call(hCount).UpcallHandler("no_such_handler").Call(hCount)
 						check("sticky", b.Flush(), "no handler registered")
 					case 3: // a failing body aborts its chunk
-						b.UpcallHandler("xpctest_count").UpcallHandlerData("xpctest_fail", fail)
-						b.UpcallHandler("xpctest_count").UpcallHandler("xpctest_count")
+						b.Call(hCount).CallData(hFail, fail)
+						b.Call(hCount).Call(hCount)
 						check("chunk abort", b.Flush(), "requested failure")
 					case 4: // an injected fault, through the sugar and through a batch
-						check("injected", r.UpcallHandler(ctx, "xpcbench_sink"), "user-level fault")
-						b.UpcallHandler("xpctest_count").UpcallHandler("xpcbench_sink").UpcallHandler("xpctest_count")
+						check("injected", r.Call(ctx, hSink), "user-level fault")
+						b.Call(hCount).Call(hSink).Call(hCount)
 						check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
 					case 5: // the worker dies under (or between) flushes
 						if isProc {
 							pt.KillWorker()
 						}
-						check("sugar", r.UpcallHandlerData(ctx, "xpctest_count", []byte{9}), "")
+						check("sugar", r.CallData(ctx, hCount, []byte{9}), "")
 					}
 				}
 			}

@@ -217,7 +217,7 @@ func (p *PayloadRing) Release(s xdr.SlotDescriptor) error {
 // Payload is a staged crossing payload: slot-backed on the zero-copy fast
 // path (Slot valid, contents snapshotted into the ring at acquire time), or
 // the raw bytes on the fallback copy path (Data aliased; see
-// Batch.UpcallHandlerData for the aliasing rule).
+// Batch.CallData for the aliasing rule).
 type Payload struct {
 	Slot xdr.SlotDescriptor
 	Data []byte
@@ -417,17 +417,17 @@ func (r *Runtime) RegisterPayloadRing(ctx *kernel.Context, ring *PayloadRing) er
 	// The one-time registration crossing: the kernel side publishes the
 	// ring's buffers to the decaf runtime, which records the shared mapping.
 	// Paid once at initialization, never per payload.
-	if err := r.UpcallHandler(ctx, registerRingHandler); err != nil {
+	if err := r.Call(ctx, registerRingHandler); err != nil {
 		r.payloadRing.Store(nil)
 		return err
 	}
 	return nil
 }
 
-// registerRingHandler names the registration crossing's body: empty and
-// free (Cost 0), registered at init so every worker holds it too.
-const registerRingHandler = "xpc_register_payload_ring"
+// registerRingHandler is the registration crossing's body: empty and free
+// (Cost 0), registered at init so every worker holds it too.
+var registerRingHandler *registry.Handler
 
 func init() {
-	registry.Register(registerRingHandler, registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
+	registerRingHandler = registry.Register("xpc_register_payload_ring", registry.Handler{Fn: func(*registry.Ctx) error { return nil }})
 }

@@ -212,7 +212,7 @@ func TestSlotPayloadCountsDirectBytes(t *testing.T) {
 		t.Fatal("expected slot-backed payload")
 	}
 	b := r.Batch(ctx)
-	b.UpcallHandlerPayload("xpcbench_sink", p)
+	b.CallPayload(hSink, p)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCopyPayloadCountsCopiedBytes(t *testing.T) {
 
 	data := bytes.Repeat([]byte{0xCD}, 500)
 	b := r.Batch(ctx)
-	b.UpcallHandlerData("xpcbench_sink", data)
+	b.CallData(hSink, data)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestExhaustedRingFallsBackToCopy(t *testing.T) {
 		t.Fatal("second acquire should fall back: ring exhausted")
 	}
 	b := r.Batch(ctx)
-	b.UpcallHandlerPayload("xpcbench_sink", second)
+	b.CallPayload(hSink, second)
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ type Submission struct {
 // runtime. The Batch builder and the runtime's downcalls do not come
 // through here: their calls ride pooled records (see callRecord).
 func (r *Runtime) NewSubmission(c *Call) *Submission {
-	return &Submission{Call: c, Completion: &Completion{name: c.Name, up: c.Up, r: r}}
+	return &Submission{Call: c, Completion: &Completion{name: c.Name, up: c.Up, id: c.id, r: r}}
 }
 
 // refuseProbes fails a whole Submit that holds an isolation probe (a Call
@@ -88,6 +88,7 @@ type FaultEvent struct {
 type Completion struct {
 	name string
 	up   bool
+	id   uint32 // the call's Call.id: where it counts
 	r    *Runtime
 
 	// ch is the whole settle state in one word: nil while unresolved with
@@ -140,7 +141,7 @@ func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
 }
 
 // resolveOn is resolve for a caller that already holds the counter cell of
-// the completion's name (nil: look it up).
+// the completion's entry point (nil: look it up).
 //
 //decaf:hotpath
 func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCost time.Duration) {
@@ -150,9 +151,9 @@ func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCo
 	c.crossCost = crossCost
 	if r != nil {
 		if cell == nil {
-			cell = r.state().cell(ev.Call)
+			cell = r.state().cell(c.id)
 		}
-		r.noteCompletion(cell, ev.Call, crossCost, fault)
+		r.noteCompletion(cell, c, crossCost, fault)
 		r.inFlight.Add(-1)
 	}
 	c.settle()
@@ -246,10 +247,10 @@ func (c *Completion) Wait(ctx *kernel.Context) error {
 //decaf:hotpath
 func (r *Runtime) Admit(subs []*Submission) {
 	now := r.Kernel.Clock().Now()
-	cells := cellCursor{r: r}
+	s := r.state()
 	for _, sub := range subs {
 		sub.Completion.submitClock = now
-		cells.at(sub.Call.Name).submissions.Add(1)
+		s.cell(sub.Call.id).submissions.Add(1)
 	}
 	r.inFlight.Add(int64(len(subs)))
 	if rec := r.tracer.Load(); rec != nil {

@@ -8,24 +8,24 @@ import (
 	"decafdrivers/internal/xdr"
 )
 
-// Call is one crossing request: a named entry point, the direction it
-// crosses in, and an optional opaque payload (packet data) that is
-// transferred directly (§4.2) without reflection-driven marshaling. A call
-// is either an upcall to a registered handler (Batch.UpcallHandler and
-// friends) or the runtime's own scalar downcall, which a handler body's
+// Call is one crossing request: an entry point, the direction it crosses
+// in, and an optional opaque payload (packet data) that is transferred
+// directly (§4.2) without reflection-driven marshaling. A call is either an
+// upcall to a registered handler (Batch.Call and friends) or the runtime's
+// own scalar downcall, which a handler body's
 // Ctx.Downcall issues (serveDowncall). A Call built outside this package
 // carries neither: it is an isolation probe, which ProcTransport.CrossChunk
 // carries across for its payload proof and Submit refuses.
 type Call struct {
-	// Name is the entry point, used for per-call statistics.
+	// Name is the entry point, carried for errors and observers: calls
+	// count under id, not under their name.
 	Name string
 	// Up is true for kernel→user calls (upcalls), false for downcalls.
 	Up bool
 	// Data is an opaque payload carried with the call. It pays per-byte
 	// marshaling cost but no reflection walk. The slice is aliased, not
 	// copied: it belongs to the batch from queueing until the call's
-	// Completion resolves (see Batch.UpcallHandlerData for the ownership
-	// rule).
+	// Completion resolves (see Batch.CallData for the ownership rule).
 	Data []byte
 	// Slot references a payload staged in the runtime's registered
 	// PayloadRing: the zero-copy fast path. When valid, only the
@@ -33,10 +33,14 @@ type Call struct {
 	// value selects the Data copy path.
 	Slot xdr.SlotDescriptor
 
-	// h marks an upcall: the body is the registered handler looked up by
-	// Name, dispatched in the worker process under a process-separated
-	// transport and inline elsewhere. Resolved at call creation.
+	// h marks an upcall: the body is the registered handler, dispatched in
+	// the worker process under a process-separated transport and inline
+	// elsewhere. Resolved through its handle when the call is queued.
 	h *registry.Handler
+	// id is the entry point's index — h's table index for an upcall, the
+	// registry.Downcall for a downcall, 0 for a probe — which picks the
+	// call's counter cell and per-call count.
+	id uint32
 
 	// down marks a downcall: the kernel-side target serveDowncall resolved,
 	// run with arg; res holds its scalar result once the call executed.

@@ -183,7 +183,7 @@ type laneServer struct {
 	scratch []byte
 	// down is the downcall method bound once, so arming it costs a call
 	// nothing; cur and callID name the lane and the call it crosses for.
-	down   func(name string, arg uint64) (uint64, error)
+	down   registry.DownFunc
 	cur    *workerLane
 	callID uint64
 	// pulled keeps pullLines' loads live: a result nobody stores would let
@@ -355,12 +355,9 @@ func clipFrameName(s string) string {
 // the worker serves nobody else — one body at a time — so the wait parks on
 // the worker-wide flag like the idle loop does (descring.go invariant 5);
 // publications on other lanes wake it early, which only costs a re-check.
-func (s *laneServer) downcall(name string, arg uint64) (uint64, error) {
+func (s *laneServer) downcall(d registry.Downcall, arg uint64) (uint64, error) {
 	l := s.cur
-	if len(name) > xdr.MaxFrameName {
-		return 0, fmt.Errorf("xpc: downcall name of %dB exceeds the frame limit", len(name))
-	}
-	s.publish(l, &xdr.Frame{Kind: xdr.FrameDown, ID: s.callID, Name: name, Aux: arg, Lane: uint32(l.idx)})
+	s.publish(l, &xdr.Frame{Kind: xdr.FrameDown, ID: s.callID, Status: uint32(d), Aux: arg, Lane: uint32(l.idx)})
 	for spins := 0; ; spins++ {
 		slot := l.sub.pending()
 		if slot == nil {

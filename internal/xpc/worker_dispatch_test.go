@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/kernel"
 )
 
@@ -18,7 +19,7 @@ func TestProcHandlerExecutesInWorker(t *testing.T) {
 	k, r, _ := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	before := testParentRan.Load()
-	if err := r.Batch(ctx).UpcallHandlerData("xpctest_count", []byte{42}).Flush(); err != nil {
+	if err := r.Batch(ctx).CallData(hCount, []byte{42}).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if got := testParentRan.Load(); got != before {
@@ -51,12 +52,12 @@ func TestProcHandlerPanicIsContainedFault(t *testing.T) {
 	k, r, pt := newProcRig(t, 1)
 	ctx := k.NewContext("test")
 	// Seed state through a healthy dispatch first, so survival is testable.
-	if err := r.UpcallHandlerData(ctx, "xpctest_count", []byte{9}); err != nil {
+	if err := r.CallData(ctx, hCount, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
 	served := r.SharedState().Load(testCellServed)
 
-	err := r.UpcallHandler(ctx, "xpctest_panic")
+	err := r.Call(ctx, hPanic)
 	var uf *UserFault
 	if !errors.As(err, &uf) {
 		t.Fatalf("err = %v, want *UserFault", err)
@@ -81,7 +82,7 @@ func TestProcHandlerPanicIsContainedFault(t *testing.T) {
 	oldPID := pt.WorkerPID()
 
 	// The next dispatch respawns and the state cells kept their values.
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatalf("dispatch after respawn: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == oldPID {
@@ -101,7 +102,7 @@ func TestProcHandlerPanicIsContainedFault(t *testing.T) {
 func TestProcHandlerErrorDoesNotKillWorker(t *testing.T) {
 	k, r, _ := newProcRig(t, 1)
 	ctx := k.NewContext("test")
-	err := r.UpcallHandlerData(ctx, "xpctest_fail", []byte{1})
+	err := r.CallData(ctx, hFail, []byte{1})
 	if err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the worker-side error text", err)
 	}
@@ -115,7 +116,7 @@ func TestProcHandlerErrorDoesNotKillWorker(t *testing.T) {
 	if c.WorkerServedCalls != 1 {
 		t.Fatalf("WorkerServedCalls = %d: a failing body still executed in the worker", c.WorkerServedCalls)
 	}
-	if err := r.UpcallHandlerData(ctx, "xpctest_fail", nil); err != nil {
+	if err := r.CallData(ctx, hFail, nil); err != nil {
 		t.Fatalf("same worker, next call: %v", err)
 	}
 }
@@ -129,11 +130,11 @@ func TestProcHandlerNestedDowncall(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	var kernelSaw uint64
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		kernelSaw = arg
 		return arg*2 + 1, nil
 	})
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+	if err := r.Call(ctx, hDown); err != nil {
 		t.Fatal(err)
 	}
 	if kernelSaw != 7 {
@@ -155,7 +156,7 @@ func TestProcHandlerNestedDowncall(t *testing.T) {
 	const storm = 1000
 	base, wire := pt.ControlAcquires(), c.WireBytesOut+c.WireBytesIn
 	for i := 0; i < storm; i++ {
-		if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+		if err := r.Call(ctx, hDown); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -183,13 +184,13 @@ func TestProcDowncallMidChunk(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	// The first crossing binds the runtime's state cells onto the shm window.
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatal(err)
 	}
 	st := r.SharedState()
 	served := st.Load(testCellServed)
 	var servedAtDowncall uint64
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		servedAtDowncall = st.Load(testCellServed)
 		return 99, nil
 	})
@@ -225,12 +226,12 @@ func TestProcDowncallFailureAbortsChunkTail(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
 	// The first crossing binds the runtime's state cells onto the shm window.
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatal(err)
 	}
 	st := r.SharedState()
 	served := st.Load(testCellServed)
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		return 0, errors.New("register unreadable")
 	})
 	subs := handlerSubs(r, "xpctest_count", "xpctest_down", "xpctest_count", "xpctest_count")
@@ -257,7 +258,7 @@ func TestProcDowncallFailureAbortsChunkTail(t *testing.T) {
 		t.Fatalf("WorkerServedCalls=%d WorkerDeaths=%d WorkerAlive=%v, want 3/0/true (warm-up, the call ahead, the failing body)", c.WorkerServedCalls, c.WorkerDeaths, c.WorkerAlive)
 	}
 	// The lane's skip counter was spent with the chunk: the next one runs.
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -273,11 +274,11 @@ func TestProcDowncallRingWrap(t *testing.T) {
 		ctx := k.NewContext("test")
 		n := 3*pt.descEntries + 1
 		var want uint64
-		r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+		r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 			want += arg * 3
 			return arg * 3, nil
 		})
-		if err := r.UpcallHandlerData(ctx, "xpctest_down_many", []byte{byte(n), 0xAB, 0xCD}); err != nil {
+		if err := r.CallData(ctx, hDownMany, []byte{byte(n), 0xAB, 0xCD}); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 		st := r.SharedState()
@@ -293,7 +294,7 @@ func TestProcDowncallRingWrap(t *testing.T) {
 				batch, c.WorkerDowncalls, c.RingCrossings, c.WorkerServedCalls, n)
 		}
 		// A downcall-free chunk follows on the same lane without trouble.
-		if err := r.UpcallHandlerData(ctx, "xpctest_count", []byte{1}); err != nil {
+		if err := r.CallData(ctx, hCount, []byte{1}); err != nil {
 			t.Fatalf("batch %d: next crossing: %v", batch, err)
 		}
 	}
@@ -307,17 +308,17 @@ func TestProcDowncallRingWrap(t *testing.T) {
 func TestProcWorkerDiesMidDowncall(t *testing.T) {
 	k, r, pt := newProcRig(t, 4)
 	ctx := k.NewContext("test")
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatal(err)
 	}
 	oldPID, ep := pt.WorkerPID(), pt.epoch.Load()
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		if !pt.KillWorker() {
 			t.Error("no worker to kill from inside the downcall target")
 		}
 		return 1, nil
 	})
-	err := r.UpcallHandler(ctx, "xpctest_down")
+	err := r.Call(ctx, hDown)
 	var death *WorkerDeath
 	if !IsUserFault(err) || !errors.As(err, &death) || death.PID != oldPID {
 		t.Fatalf("err = %v, want a contained *UserFault wrapping the *WorkerDeath of pid %d", err, oldPID)
@@ -330,8 +331,8 @@ func TestProcWorkerDiesMidDowncall(t *testing.T) {
 	if n := pt.laneActive.Load(); n != 0 {
 		t.Fatalf("laneActive = %d after the failed crossing, want 0", n)
 	}
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) { return 5, nil })
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) { return 5, nil })
+	if err := r.Call(ctx, hDown); err != nil {
 		t.Fatalf("crossing after the death: %v", err)
 	}
 	if pid := pt.WorkerPID(); pid == 0 || pid == oldPID {
@@ -350,7 +351,7 @@ func TestProcHandlerInjectedFault(t *testing.T) {
 	ctx := k.NewContext("test")
 	r.SetFaultInjector(func(call string) bool { return call == "xpctest_count" })
 	served := r.SharedState().Load(testCellServed)
-	err := r.UpcallHandler(ctx, "xpctest_count")
+	err := r.Call(ctx, hCount)
 	var uf *UserFault
 	if !errors.As(err, &uf) {
 		t.Fatalf("err = %v, want *UserFault", err)
@@ -369,7 +370,7 @@ func TestProcHandlerInjectedFault(t *testing.T) {
 		t.Fatalf("WorkerServedCalls = %d: an injected call's body must not count as served", c.WorkerServedCalls)
 	}
 	r.SetFaultInjector(nil)
-	if err := r.UpcallHandler(ctx, "xpctest_count"); err != nil {
+	if err := r.Call(ctx, hCount); err != nil {
 		t.Fatalf("call failed after disarm: %v", err)
 	}
 }
@@ -382,9 +383,9 @@ func TestProcHandlerChunkAbort(t *testing.T) {
 	ctx := k.NewContext("test")
 	served := r.SharedState().Load(testCellServed)
 	err := r.Batch(ctx).
-		UpcallHandlerData("xpctest_fail", []byte{1}).
-		UpcallHandlerData("xpctest_fail", nil).
-		UpcallHandlerData("xpctest_fail", nil).
+		CallData(hFail, []byte{1}).
+		CallData(hFail, nil).
+		CallData(hFail, nil).
 		Flush()
 	if err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the first call's failure", err)
@@ -407,7 +408,7 @@ func TestInlineHandlerDispatch(t *testing.T) {
 	ctx := k.NewContext("test")
 	before := testParentRan.Load()
 	servedBefore := r.SharedState().Load(testCellServed)
-	if err := r.UpcallHandlerData(ctx, "xpctest_count", []byte{7}); err != nil {
+	if err := r.CallData(ctx, hCount, []byte{7}); err != nil {
 		t.Fatal(err)
 	}
 	if got := testParentRan.Load(); got != before+1 {
@@ -435,10 +436,10 @@ func TestInlineHandlerDowncall(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("test")
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		return arg * 3, nil
 	})
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+	if err := r.Call(ctx, hDown); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.SharedState().Load(testCellDown); got != 21 {
@@ -456,10 +457,10 @@ func TestNativeHandlerDispatch(t *testing.T) {
 	k := newTestKernel()
 	r := &Runtime{Kernel: k, Mode: ModeNative}
 	ctx := k.NewContext("test")
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		return 100, nil
 	})
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+	if err := r.Call(ctx, hDown); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.SharedState().Load(testCellDown); got != 100 {
@@ -474,7 +475,7 @@ func TestNativeHandlerDispatch(t *testing.T) {
 	if !p.Direct() || p.Data != nil {
 		t.Fatalf("payload = %+v, want slot-staged with no Data", p)
 	}
-	if err := r.Batch(ctx).UpcallHandlerPayload("xpctest_count", p).Flush(); err != nil {
+	if err := r.Batch(ctx).CallPayload(hCount, p).Flush(); err != nil {
 		t.Fatal(err)
 	}
 	r.ReleasePayload(p)
@@ -483,17 +484,22 @@ func TestNativeHandlerDispatch(t *testing.T) {
 	}
 }
 
-// TestHandlerUnknownNameFailsLoudly: a dispatch naming an unregistered
-// handler fails at call creation, on the submitting side.
+// TestHandlerUnknownNameFailsLoudly: a by-name dispatch of an unregistered
+// handler, and a dispatch of a Handler that Register never returned, fail
+// at call creation, on the submitting side.
 func TestHandlerUnknownNameFailsLoudly(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("test")
-	err := r.UpcallHandler(ctx, "xpctest_no_such_handler")
+	err := r.UpcallHandlerData(ctx, "xpctest_no_such_handler", nil)
 	if err == nil || !strings.Contains(err.Error(), "no handler registered") {
 		t.Fatalf("err = %v, want a missing-registration error", err)
 	}
 	if err := r.Batch(ctx).UpcallHandler("xpctest_no_such_handler").Flush(); err == nil {
 		t.Fatal("batch dispatch of an unregistered handler succeeded")
+	}
+	stray := &registry.Handler{Fn: func(*registry.Ctx) error { return nil }}
+	if err := r.Call(ctx, stray); err == nil || !strings.Contains(err.Error(), "no handler registered") {
+		t.Fatalf("dispatch of a never-registered Handler = %v, want a missing-registration error", err)
 	}
 }

@@ -386,7 +386,7 @@ func TestServeLaneDowncallConversation(t *testing.T) {
 			}
 			req := g.answer(t, uint64(i)*3, "")
 			want += uint64(i) * 3
-			if req.Kind != xdr.FrameDown || req.ID != g.seq || req.Lane != 0 || req.Name != "xpctest_read_reg" || req.Aux != uint64(i) {
+			if req.Kind != xdr.FrameDown || req.ID != g.seq || req.Lane != 0 || req.Status != uint32(dcReadReg) || req.Name != "" || req.Aux != uint64(i) {
 				t.Fatalf("entries=%d: downcall %d arrived as %+v", entries, i, req)
 			}
 		}

@@ -26,10 +26,10 @@
 // interface, whose API is submit/complete: a Submission pairs a Call with a
 // Completion handle carrying the call's result, its crossing cost and the
 // fault-containment outcome. Transport.Submit crosses the submissions and
-// resolves every completion before it returns. Runtime.UpcallHandler and
-// UpcallHandlerData are sugar — a one-call Batch flush: Submit plus an
-// immediate Wait — so the seed call-and-return semantics are a degenerate
-// use of the submit/complete API, not a separate path.
+// resolves every completion before it returns. Runtime.Call and CallData
+// are sugar — a one-call Batch flush: Submit plus an immediate Wait — so
+// the seed call-and-return semantics are a degenerate use of the
+// submit/complete API, not a separate path.
 //
 // Two transports implement the interface:
 //
@@ -74,40 +74,41 @@
 // # The handler table: worker-side call bodies
 //
 // Decaf call bodies are not closures but entries in a process-global handler
-// table (internal/decaf/registry, re-exported by internal/decaf): named
-// registry.Handler values installed from init(), each at the next index of a
-// dense table. Runtime.UpcallHandler / UpcallHandlerData and the Batch
-// builder's UpcallHandler / UpcallHandlerData / UpcallHandlerPayload submit
-// handler calls by name, resolved once when queued; because the proc
-// transport's worker is a re-exec of the same binary, the worker's init()
-// builds the identical table, so under ProcTransport a call crosses as its
-// index alone and the body executes in the worker's address space — the
-// paper's architecture for real. The worker checks the kernel side's
-// registry.Digest in the layout header once per epoch, and refuses an epoch
-// whose table differs from its own (*LayoutRefusal) before any call crosses.
-// The in-process transports dispatch the same Fn inline, so the virtual cost
-// model (Handler.Cost, charged kernel-side) is comparable across all
-// transports.
+// table (internal/decaf/registry, re-exported by internal/decaf): registry.Handler
+// values installed from init(), each at the next index of a dense table.
+// registry.Register returns the *Handler a driver keeps as its handle, and
+// the kernel side crosses with it — Runtime.Call / CallData and the Batch
+// builder's Call / CallData / CallPayload — so a misspelt crossing does not
+// compile. The proc transport's worker is a re-exec of the same binary, so
+// its init() builds the identical table and a call crosses as its index
+// alone: the body executes in the worker's address space, the paper's
+// architecture for real. The worker checks the kernel side's registry.Digest
+// in the layout header once per epoch, and refuses an epoch whose table
+// differs from its own (*LayoutRefusal) before any call crosses. The
+// in-process transports dispatch the same Fn inline, so the virtual cost
+// model (Handler.Cost, charged kernel-side) is comparable across transports.
 //
 // A handler sees only its registry.Ctx: the payload bytes, the shared state
 // cells (shm-backed under proc, so worker-side writes are immediately
 // visible kernel-side), and — for handlers registered Down: true — a
-// Downcall hook that crosses back into the kernel, where per-Runtime
-// targets installed with Runtime.RegisterDowncall run with full kernel
-// access. Every dispatcher — inline, worker, native — routes that hook
-// through one method (Runtime.serveDowncall). Under the proc transport a
-// downcall rides the rings of the lane its call was claimed on — FrameDown
-// on the completion ring, served by the lane's holder while it waits for
-// the call's completion, FrameDownResult back on the submit ring — so a
-// downcall-making body pays no mutex and no socket round trip. The worker
-// runs one body at a time: while one waits on a downcall no other lane is
-// served, so a downcall target must not wait on a lock that is held across
-// another in-flight crossing.
-// A panic inside a handler is a decaf fault like any other — contained,
-// surfaced as a *UserFault wrapping *WorkerHandlerFault, and under proc
-// fatal to the worker process, with the shm-backed cells surviving the
-// respawn. Counters.WorkerServedCalls and WorkerDowncalls meter where
-// bodies actually ran.
+// Downcall hook that crosses back into the kernel. Downcalls are numbered
+// too: registry.DeclareDowncall returns the registry.Downcall a body passes
+// to Ctx.Downcall, the digest covers that table as well, and each Runtime
+// binds its own kernel-side target to each one (Runtime.BindDowncall), in a
+// slot read lock-free. Every dispatcher — inline, worker, native — routes
+// the hook through one method (Runtime.serveDowncall). Under the proc
+// transport a downcall rides the rings of the lane its call was claimed on —
+// a FrameDown carrying the downcall's index on the completion ring, served
+// by the lane's holder while it waits for the call's completion,
+// FrameDownResult back on the submit ring — so a downcall-making body pays
+// no mutex and no socket round trip, and no name crosses. The worker runs
+// one body at a time: while one waits on a downcall no other lane is served,
+// so a downcall target must not wait on a lock that is held across another
+// in-flight crossing. A panic inside a handler is a decaf fault like any
+// other — contained, surfaced as a *UserFault wrapping *WorkerHandlerFault,
+// and under proc fatal to the worker process, with the shm-backed cells
+// surviving the respawn. Counters.WorkerServedCalls and WorkerDowncalls
+// meter where bodies actually ran.
 //
 // The table is the only way to cross: a Call is a handler upcall or the
 // runtime's own scalar downcall, and no crossing takes a closure. So under
@@ -127,7 +128,7 @@
 // fixed-size buffers is registered with the transport once at
 // initialization (Runtime.RegisterPayloadRing, one crossing), after which
 // drivers stage frames with Runtime.AcquirePayload and queue them through
-// Batch.UpcallHandlerPayload — the crossing then carries a
+// Batch.CallPayload — the crossing then carries a
 // twelve-byte slot descriptor (index, length, generation; see
 // xdr.SlotDescriptor) instead of the frame, and the cost model charges
 // per-byte copy only on the fallback. Slot lifetime equals completion
@@ -135,8 +136,9 @@
 // exhausted ring degrades to the full-payload marshal: never a block, never
 // a drop, always visible in the ring counters.
 //
-// Crossing statistics are kept in sharded atomic counters: the fast path of
-// a crossing acquires no mutex, so concurrent crossings of different entry
+// Crossing statistics are kept in sharded atomic counters, each entry
+// point's per-call count at its index: the fast path of a crossing acquires
+// no mutex and hashes no name, and concurrent crossings of different entry
 // points never contend (see counters.go). The counters separate
 // caller-visible stall from crossing time, and gauge submissions in flight
 // and ring occupancy.
@@ -243,7 +245,7 @@ type Runtime struct {
 	// downHook is serveDowncall with no outside caller, bound once: the
 	// downcall route of handler bodies dispatched inline, so arming their
 	// context allocates nothing.
-	downHook func(name string, arg uint64) (uint64, error)
+	downHook registry.DownFunc
 
 	// scratch pools the call records the Batch builder queues calls on and
 	// serveDowncall crosses on (see batch.go).
@@ -288,10 +290,9 @@ type Runtime struct {
 	// backing via InstallSharedState. See SharedState.
 	userState atomic.Pointer[registry.State]
 
-	// downcalls maps downcall names to their kernel-side targets
-	// (RegisterDowncall). Copy-on-write so the serving path is lock-free.
-	downcalls atomic.Pointer[map[string]DowncallHandler]
-	downMu    sync.Mutex
+	// downcalls holds this runtime's kernel-side target of each declared
+	// downcall at its index (BindDowncall), each slot read lock-free.
+	downcalls [registry.MaxDowncalls]atomic.Pointer[DowncallHandler]
 
 	// mu guards the shared-object registry only; the crossing fast path
 	// never takes it.
@@ -323,7 +324,7 @@ func NewRuntime(k *kernel.Kernel, name string, mode Mode, mask xdr.FieldMask) *R
 		decafCtx:     k.NewContext(name + "/decaf"),
 		downCtx:      k.NewContext(name + "/downcall"),
 	}
-	r.downHook = func(name string, arg uint64) (uint64, error) { return r.serveDowncall(nil, name, arg) }
+	r.downHook = func(d registry.Downcall, arg uint64) (uint64, error) { return r.serveDowncall(nil, d, arg) }
 	return r
 }
 
@@ -458,7 +459,7 @@ func (r *Runtime) SyncToUser(ctx *kernel.Context, obj any) error {
 	}
 	if r.DirectTransfer {
 		n, err := r.syncLeg(ctx, s.kernelObj, s.decafObj)
-		r.addBytes(string(s.typeID), n, 0)
+		r.state().cell(0).addBytes(n, 0)
 		return err
 	}
 	n1, err := r.syncLeg(ctx, s.kernelObj, s.libObj)
@@ -466,7 +467,7 @@ func (r *Runtime) SyncToUser(ctx *kernel.Context, obj any) error {
 		return err
 	}
 	n2, err := r.syncLeg(ctx, s.libObj, s.decafObj)
-	r.addBytes(string(s.typeID), n1, n2)
+	r.state().cell(0).addBytes(n1, n2)
 	return err
 }
 
@@ -478,7 +479,7 @@ func (r *Runtime) SyncToKernel(ctx *kernel.Context, obj any) error {
 	}
 	if r.DirectTransfer {
 		n, err := r.syncLeg(ctx, s.decafObj, s.kernelObj)
-		r.addBytes(string(s.typeID), n, 0)
+		r.state().cell(0).addBytes(n, 0)
 		return err
 	}
 	n2, err := r.syncLeg(ctx, s.decafObj, s.libObj)
@@ -486,7 +487,7 @@ func (r *Runtime) SyncToKernel(ctx *kernel.Context, obj any) error {
 		return err
 	}
 	n1, err := r.syncLeg(ctx, s.libObj, s.kernelObj)
-	r.addBytes(string(s.typeID), n1, n2)
+	r.state().cell(0).addBytes(n1, n2)
 	return err
 }
 
@@ -711,7 +712,7 @@ func (r *Runtime) runUser(ctx *kernel.Context, c *Call) (err error) {
 			}
 		}()
 		if ip := r.faultInjector.Load(); ip != nil && (*ip)(c.Name) {
-			r.noteInjected(c.Name)
+			r.noteInjected(c.id)
 			panic(&InjectedFault{Call: c.Name})
 		}
 		// A free body leaves the decaf context unwritten, so concurrent
@@ -773,13 +774,13 @@ func assertMayBlock(ctx *kernel.Context, up bool, name string) {
 // validated, so the kernel's bookkeeping for one call overlaps the worker's
 // service of the calls behind it. An engine lives on its submitter's stack.
 type chunkEngine struct {
-	r     *Runtime
-	ctx   *kernel.Context
-	side  crossSide
-	cells cellCursor
+	r    *Runtime
+	ctx  *kernel.Context
+	side crossSide
 
-	// name is the chunk's first call, under which its trip and stall count.
-	name   string
+	// first is the chunk's first call, under whose entry point its trip and
+	// stall count.
+	first  *Call
 	begun  bool
 	masked bool
 	// base is ctx's elapsed time at begin plus the downcall windows landed
@@ -795,7 +796,7 @@ type chunkEngine struct {
 //
 //decaf:hotpath
 func (r *Runtime) engine(ctx *kernel.Context, side crossSide) chunkEngine {
-	return chunkEngine{r: r, ctx: ctx, side: side, cells: cellCursor{r: r}}
+	return chunkEngine{r: r, ctx: ctx, side: side}
 }
 
 // begin opens the crossing of subs, none of which is resolved yet.
@@ -803,20 +804,19 @@ func (r *Runtime) engine(ctx *kernel.Context, side crossSide) chunkEngine {
 //decaf:hotpath
 func (e *chunkEngine) begin(subs []*Submission) {
 	r, ctx := e.r, e.ctx
-	e.name = subs[0].Call.Name
-	up := subs[0].Call.Up
-	assertMayBlock(ctx, up, e.name)
+	e.first = subs[0].Call
+	up := e.first.Up
+	assertMayBlock(ctx, up, e.first.Name)
 	if up && e.side == kernelSide && len(r.DisableIRQs) > 0 {
 		r.maskIRQs()
 		e.masked = true
 	}
 	e.begun = true
 	e.base, e.busy = ctx.Elapsed(), ctx.Busy()
+	r.countCrossing(subs)
 	if len(subs) == 1 {
-		r.countTrip(e.name, up)
 		r.Latency.chargeTrip(ctx)
 	} else {
-		r.countBatch(subs)
 		r.Latency.chargeBatchTrip(ctx, len(subs))
 	}
 }
@@ -828,7 +828,7 @@ func (e *chunkEngine) begin(subs []*Submission) {
 //decaf:hotpath
 func (e *chunkEngine) step(sub *Submission) {
 	e.n++
-	cell := e.cells.at(sub.Call.Name)
+	cell := e.r.state().cell(sub.Call.id)
 	if e.err != nil {
 		sub.Completion.resolveOn(cell, ErrCrossingAborted, false, 0)
 		return
@@ -881,7 +881,7 @@ func (e *chunkEngine) end() error {
 		// context is the caller-visible stall; record it so benchmarks can
 		// compare transports.
 		if slept := e.ctx.Elapsed() - e.base - (e.ctx.Busy() - e.busy); slept > 0 {
-			e.r.noteStall(e.name, slept)
+			e.r.state().cell(e.first.id).stallNs.Add(uint64(slept))
 		}
 	}
 	return e.err
@@ -893,7 +893,7 @@ func (e *chunkEngine) end() error {
 // earlier call already failed; every other one aborts.
 func (e *chunkEngine) fail(rest []*Submission, cause error, contain bool) error {
 	for _, sub := range rest {
-		cell := e.cells.at(sub.Call.Name)
+		cell := e.r.state().cell(sub.Call.id)
 		if e.err != nil {
 			sub.Completion.resolveOn(cell, ErrCrossingAborted, false, 0)
 			continue

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"decafdrivers/internal/decaf/registry"
 	"decafdrivers/internal/hw"
 	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/ktime"
@@ -135,7 +136,7 @@ func TestUpcallRoundTrip(t *testing.T) {
 	ctx := k.NewContext("t")
 
 	served := r.SharedState().Load(testCellServed)
-	err := r.UpcallHandler(ctx, "xpctest_count")
+	err := r.Call(ctx, hCount)
 	if ran := r.SharedState().Load(testCellServed) - served; err != nil || ran != 1 {
 		t.Fatalf("upcall ran=%d err=%v", ran, err)
 	}
@@ -151,7 +152,7 @@ func TestUpcallRoundTrip(t *testing.T) {
 		t.Fatalf("PerCall = %v", c.PerCall)
 	}
 	// A payload crosses both legs: kernel→library and library→decaf.
-	if err := r.UpcallHandlerData(ctx, "xpcbench_sink", []byte{1, 2, 3}); err != nil {
+	if err := r.CallData(ctx, hSink, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if c := r.Counters(); c.BytesKernelUser == 0 || c.BytesCJava == 0 {
@@ -164,7 +165,7 @@ func TestUpcallNativeModeBypassesXPC(t *testing.T) {
 	r := NewRuntime(k, "test", ModeNative, nil)
 	ctx := k.NewContext("t")
 	served := r.SharedState().Load(testCellServed)
-	err := r.UpcallHandler(ctx, "xpctest_count")
+	err := r.Call(ctx, hCount)
 	if err != nil || r.SharedState().Load(testCellServed)-served != 1 {
 		t.Fatal("native upcall failed")
 	}
@@ -182,7 +183,7 @@ func TestUpcallChargesLatency(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("t")
-	if err := r.UpcallHandlerData(ctx, "xpcbench_sink", make([]byte, 64)); err != nil {
+	if err := r.CallData(ctx, hSink, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
 	// One call/return trip's control-transfer base plus marshaling CPU.
@@ -207,7 +208,7 @@ func TestUpcallFromAtomicContextFaults(t *testing.T) {
 			t.Fatal("upcall under spinlock did not fault")
 		}
 	}()
-	_ = r.UpcallHandler(ctx, "xpcbench_sink")
+	_ = r.Call(ctx, hSink)
 }
 
 func TestUpcallDisablesIRQs(t *testing.T) {
@@ -218,7 +219,7 @@ func TestUpcallDisablesIRQs(t *testing.T) {
 	fired := 0
 	_ = k.RequestIRQ(9, "dev", func(c *kernel.Context, irq int, dev any) { fired++ }, nil)
 	// The body's downcall target runs while the decaf half executes.
-	r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(*kernel.Context, uint64) (uint64, error) {
 		if !line.Disabled() {
 			t.Error("IRQ not disabled during decaf execution")
 		}
@@ -229,7 +230,7 @@ func TestUpcallDisablesIRQs(t *testing.T) {
 		return 0, nil
 	})
 	ctx := k.NewContext("t")
-	if err := r.UpcallHandler(ctx, "xpctest_down"); err != nil {
+	if err := r.Call(ctx, hDown); err != nil {
 		t.Fatal(err)
 	}
 	if line.Disabled() {
@@ -244,7 +245,7 @@ func TestUpcallContainsUserFault(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	ctx := k.NewContext("t")
-	err := r.UpcallHandler(ctx, "xpctest_panic")
+	err := r.Call(ctx, hPanic)
 	var fault *UserFault
 	if !errors.As(err, &fault) {
 		t.Fatalf("err = %v, want *UserFault", err)
@@ -263,13 +264,13 @@ func TestUpcallContainsUserFault(t *testing.T) {
 func TestDowncallRoundTrip(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	r.RegisterDowncall("xpctest_read_reg", func(kctx *kernel.Context, arg uint64) (uint64, error) {
+	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
 		if kctx == r.DecafContext() {
 			t.Error("downcall target ran on the decaf context")
 		}
 		return arg * 6, nil
 	})
-	if err := r.UpcallHandler(k.NewContext("t"), "xpctest_down"); err != nil {
+	if err := r.Call(k.NewContext("t"), hDown); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.SharedState().Load(testCellDown); got != 42 {
@@ -287,9 +288,41 @@ func TestDowncallPropagatesError(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	boom := errors.New("EIO")
-	r.RegisterDowncall("xpctest_read_reg", func(*kernel.Context, uint64) (uint64, error) { return 0, boom })
-	if err := r.UpcallHandler(k.NewContext("t"), "xpctest_down"); !errors.Is(err, boom) {
+	r.BindDowncall(dcReadReg, func(*kernel.Context, uint64) (uint64, error) { return 0, boom })
+	if err := r.Call(k.NewContext("t"), hDown); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDowncallBindingByName: RegisterDowncall binds the target of the
+// downcall declared under its name, as BindDowncall does by handle, and
+// panics at once — at driver construction, not on the first crossing — on a
+// name no DeclareDowncall declared; BindDowncall panics on an index outside
+// the declared table.
+func TestDowncallBindingByName(t *testing.T) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	r.RegisterDowncall("xpctest_read_reg", func(_ *kernel.Context, arg uint64) (uint64, error) { return arg + 35, nil })
+	if err := r.Call(k.NewContext("t"), hDown); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SharedState().Load(testCellDown); got != 42 {
+		t.Fatalf("down cell = %d, want the by-name target's 42", got)
+	}
+	target := func(*kernel.Context, uint64) (uint64, error) { return 0, nil }
+	for name, bind := range map[string]func(){
+		"undeclared name":    func() { r.RegisterDowncall("xpctest_never_declared", target) },
+		"index past table":   func() { r.BindDowncall(registry.Downcall(len(registry.DowncallNames())), target) },
+		"declared, nil func": func() { r.BindDowncall(dcReadReg, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the binding did not panic", name)
+				}
+			}()
+			bind()
+		}()
 	}
 }
 
@@ -358,7 +391,7 @@ func TestDirectTransferFasterThanStaged(t *testing.T) {
 func TestResetCounters(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
-	_ = r.UpcallHandler(k.NewContext("t"), "xpcbench_sink")
+	_ = r.Call(k.NewContext("t"), hSink)
 	if r.Counters().Trips() != 1 {
 		t.Fatal("setup failed")
 	}
