@@ -1,7 +1,10 @@
 // Command decafvet runs the decaf static-checker suite (internal/lint) over
 // the module: the boundary, hotpath, sharedmem, and erraudit analyzers that
 // enforce at lint time the invariants the runtime gates (the CI alloc gate,
-// -race, the bench matrix) can only sample.
+// -race, the bench matrix) can only sample, and the unused analyzer, which
+// reports package-level API that nothing outside its own package's tests
+// references. unused indexes references over the whole module whatever the
+// patterns, so checking one package reports its share of the ./... run.
 //
 // Usage:
 //

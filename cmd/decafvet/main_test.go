@@ -72,7 +72,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, name := range []string{"boundary", "hotpath", "sharedmem", "erraudit"} {
+	for _, name := range []string{"boundary", "hotpath", "sharedmem", "erraudit", "unused"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s", name)
 		}

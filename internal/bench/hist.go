@@ -41,8 +41,6 @@ func (h *latencyHist) record(d time.Duration) {
 	h.total.Add(1)
 }
 
-func (h *latencyHist) count() uint64 { return h.total.Load() }
-
 // histBucket maps a value to its bucket index.
 func histBucket(v uint64) int {
 	if v < histSub {

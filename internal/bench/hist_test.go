@@ -65,7 +65,7 @@ func TestHistQuantiles(t *testing.T) {
 	if rel := relErr(p999, 100*time.Millisecond); rel > 1.0/histSub {
 		t.Fatalf("p999 = %v, want ~100ms within 1/%d relative error", p999, histSub)
 	}
-	if got, want := h.count(), uint64(1011); got != want {
+	if got, want := h.total.Load(), uint64(1011); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
 }
@@ -87,7 +87,7 @@ func TestHistConcurrentRecord(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if got := h.count(); got != workers*per {
+	if got := h.total.Load(); got != workers*per {
 		t.Fatalf("count = %d, want %d", got, workers*per)
 	}
 	if p1, p99 := h.quantile(0.01), h.quantile(0.99); p1 > p99 {

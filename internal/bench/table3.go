@@ -37,22 +37,6 @@ type Table3Config struct {
 	MouseDuration   time.Duration
 }
 
-// DefaultTable3Config mirrors the paper's workloads at simulation-friendly
-// durations (the paper ran netperf for 600 s; the shape is duration-
-// independent once past a few watchdog periods).
-var DefaultTable3Config = Table3Config{
-	NetperfDuration: 10 * time.Second,
-	AudioDuration:   30 * time.Second,
-	TarBytes:        2 << 20,
-	MouseDuration:   30 * time.Second,
-}
-
-type pair struct {
-	native, decaf *workload.Testbed
-	resNative     workload.Result
-	resDecaf      workload.Result
-}
-
 // RunTable3 executes every workload on native and decaf deployments.
 func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 	var rows []Table3Row

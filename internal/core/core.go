@@ -15,7 +15,6 @@ import (
 	"decafdrivers/internal/ksound"
 	"decafdrivers/internal/ktime"
 	"decafdrivers/internal/kusb"
-	"decafdrivers/internal/xdr"
 	"decafdrivers/internal/xpc"
 )
 
@@ -60,17 +59,6 @@ func NewSystem(opts Options) *System {
 	}
 }
 
-// NewRuntime creates (and records) the XPC runtime for one driver on this
-// machine. Driver names must be unique per system.
-func (s *System) NewRuntime(driver string, mode xpc.Mode, mask xdr.FieldMask) (*xpc.Runtime, error) {
-	if _, dup := s.runtimes[driver]; dup {
-		return nil, fmt.Errorf("core: runtime for %q already exists", driver)
-	}
-	rt := xpc.NewRuntime(s.Kernel, driver, mode, mask)
-	s.runtimes[driver] = rt
-	return rt, nil
-}
-
 // AdoptRuntime records an externally created driver runtime so the system
 // can aggregate its counters. Drivers that build their own runtime (the
 // five converted drivers do) are adopted by their harness.
@@ -80,12 +68,6 @@ func (s *System) AdoptRuntime(driver string, rt *xpc.Runtime) error {
 	}
 	s.runtimes[driver] = rt
 	return nil
-}
-
-// Runtime returns a previously created driver runtime.
-func (s *System) Runtime(driver string) (*xpc.Runtime, bool) {
-	rt, ok := s.runtimes[driver]
-	return rt, ok
 }
 
 // TotalCrossings sums user/kernel trips across every driver on the machine.

@@ -24,21 +24,24 @@ func TestNewSystemWiresSubsystems(t *testing.T) {
 	}
 }
 
-func TestRuntimeRegistry(t *testing.T) {
-	s := NewSystem(Options{DMABytes: 1 << 20})
-	rt, err := s.NewRuntime("e1000", xpc.ModeDecaf, nil)
-	if err != nil {
+// newRuntime builds a runtime for driver and adopts it, as a harness does.
+func newRuntime(t *testing.T, s *System, driver string) *xpc.Runtime {
+	t.Helper()
+	rt := xpc.NewRuntime(s.Kernel, driver, xpc.ModeDecaf, nil)
+	if err := s.AdoptRuntime(driver, rt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NewRuntime("e1000", xpc.ModeNative, nil); err == nil {
+	return rt
+}
+
+func TestRuntimeRegistry(t *testing.T) {
+	s := NewSystem(Options{DMABytes: 1 << 20})
+	rt := newRuntime(t, s, "e1000")
+	if err := s.AdoptRuntime("e1000", xpc.NewRuntime(s.Kernel, "e1000", xpc.ModeNative, nil)); err == nil {
 		t.Fatal("duplicate runtime accepted")
 	}
-	got, ok := s.Runtime("e1000")
-	if !ok || got != rt {
-		t.Fatal("Runtime lookup failed")
-	}
-	if _, ok := s.Runtime("nope"); ok {
-		t.Fatal("phantom runtime")
+	if got := s.runtimes["e1000"]; got != rt {
+		t.Fatal("adopted runtime not recorded")
 	}
 }
 
@@ -57,8 +60,8 @@ func init() {
 
 func TestTotalCrossings(t *testing.T) {
 	s := NewSystem(Options{DMABytes: 1 << 20})
-	rt1, _ := s.NewRuntime("a", xpc.ModeDecaf, nil)
-	rt2, _ := s.NewRuntime("b", xpc.ModeDecaf, nil)
+	rt1 := newRuntime(t, s, "a")
+	rt2 := newRuntime(t, s, "b")
 	rt2.BindDowncall(downCoreTarget, func(*kernel.Context, uint64) (uint64, error) { return 0, nil })
 	ctx := s.Kernel.NewContext("t")
 	// One upcall on a, then one on b whose body calls down once.
@@ -91,7 +94,7 @@ func TestDrainDeferredWorkAdvancesClock(t *testing.T) {
 // this package, so registering from a test body changes no layout digest.)
 func TestLateEntryPointsCounted(t *testing.T) {
 	s := NewSystem(Options{DMABytes: 1 << 20})
-	rt, _ := s.NewRuntime("late", xpc.ModeDecaf, nil)
+	rt := newRuntime(t, s, "late")
 	ctx := s.Kernel.NewContext("t")
 	if err := rt.Call(ctx, hCoreNoop); err != nil {
 		t.Fatal(err)

@@ -2,17 +2,15 @@
 // shared by all decaf drivers (paper §3). It supplies the managed-language
 // amenities the paper gets from Java — checked-exception-style error
 // handling with nested handlers (Figure 4) and standard-library collections
-// for module-parameter validation (§5.1) — plus the finalizer-based
-// automatic release of shared objects that the paper describes as future
-// work (§3.1.2, §5.1). What a managed language cannot express (port I/O,
-// msleep; §5.3) is not a helper library here: a decaf body reaches it
-// through a named downcall, and the kernel-side target does the I/O or
-// waits out the sleep.
+// for module-parameter validation (§5.1). What a managed language cannot
+// express (port I/O, msleep; §5.3) is not a helper library here: a decaf
+// body reaches it through a named downcall, and the kernel-side target does
+// the I/O or waits out the sleep.
 //
-// Decaf call bodies themselves are registered in the handler table
-// (handlers.go in this package re-exports internal/decaf/registry):
-// package-level functions the XPC layer dispatches by handle, in the worker
-// process under the proc transport and inline otherwise.
+// Decaf call bodies themselves are not in this package: a driver registers
+// them in the handler table of internal/decaf/registry, which the XPC layer
+// dispatches by handle, in the worker process under the proc transport and
+// inline otherwise. The registry package doc has a worked example.
 //
 // The whole package is decaf-side: it may reach kernel-side state only
 // through xpc.Runtime crossings, and decafvet's boundary analyzer enforces
@@ -21,10 +19,7 @@
 //decaf:boundary
 package decaf
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Exception is a checked-exception analogue: user-level driver code throws
 // it (via panic) and handlers established with Try/TryCatch receive it. The
@@ -124,13 +119,6 @@ func Check(class string, ret int, what string) int {
 		ThrowErrno(class, ret, what)
 	}
 	return ret
-}
-
-// AsException extracts an *Exception from an error chain.
-func AsException(err error) (*Exception, bool) {
-	var e *Exception
-	ok := errors.As(err, &e)
-	return e, ok
 }
 
 // ToError converts the result of Try into a plain error for returning

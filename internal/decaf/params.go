@@ -1,7 +1,5 @@
 package decaf
 
-import "fmt"
-
 // This file reproduces the module-parameter validation classes from the
 // E1000 case study (§5.1): "A base class provides basic parameter checking,
 // and the two derived classes provide additional functionality. ... The
@@ -99,16 +97,4 @@ func ValidateAll(params []Param, values map[string]int) map[string]int {
 		out[p.Name()] = p.Validate(v, ok)
 	}
 	return out
-}
-
-// String renders resolved parameters for diagnostics.
-func ParamString(resolved map[string]int, order []Param) string {
-	s := ""
-	for i, p := range order {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", p.Name(), resolved[p.Name()])
-	}
-	return s
 }

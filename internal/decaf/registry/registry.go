@@ -17,9 +17,76 @@
 // different address space, and the in-process transports dispatch the same
 // Fn so the cost model stays comparable across transports.
 //
-// The package is deliberately leaf-level (stdlib only): both internal/xpc
-// (which dispatches handlers) and internal/decaf (which re-exports the API
-// to driver authors) import it.
+// # Writing a decaf call body
+//
+// A body is a package-level function registered from init(). It must not
+// close over the driver instance: under the proc transport it executes in
+// the worker, a re-exec of the same binary, where the init()-built tables
+// and cell indices match but a *Driver pointer would not. Everything the
+// body needs arrives through its Ctx: Data (the payload bytes), State (the
+// shared state cells) and Downcall (a real crossing back into the kernel,
+// for bodies registered with Down: true). A driver crosses by handle, never
+// by name, so a misspelt crossing does not compile. A worked example,
+// following the e1000 conversion (its watchdog reads link status from the
+// device and tells the kernel when the carrier changes):
+//
+//	var (
+//		cellRuns   = registry.RegisterCell("e1000.watchdog_runs")
+//		cellLinkUp = registry.RegisterCell("e1000.link_up")
+//
+//		downReadStatus    = registry.DeclareDowncall("e1000_read_status")
+//		downCarrierChange = registry.DeclareDowncall("netif_carrier_change")
+//	)
+//
+//	var hWatchdog *registry.Handler
+//
+//	func init() {
+//		hWatchdog = registry.Register("e1000_watchdog", registry.Handler{
+//			Cost: 500 * time.Nanosecond, // virtual CPU charged kernel-side
+//			Down: true,                  // body makes nested downcalls
+//			Fn: func(c *registry.Ctx) error {
+//				c.State.Add(cellRuns, 1)
+//				status, err := c.Downcall(downReadStatus, 0)
+//				if err != nil {
+//					return err
+//				}
+//				up := uint64(0)
+//				if uint32(status)&e1000hw.StatusLU != 0 {
+//					up = 1
+//				}
+//				if c.State.Load(cellLinkUp) != up {
+//					c.State.Store(cellLinkUp, up)
+//					_, err = c.Downcall(downCarrierChange, up)
+//				}
+//				return err
+//			},
+//		})
+//	}
+//
+// The downcall targets are bound per driver instance on its xpc.Runtime,
+// not in this process-global table, because they run kernel-side and may
+// touch the device and kernel state freely:
+//
+//	func (d *Driver) registerDowncalls() { // called from New()
+//		d.rt.BindDowncall(downReadStatus, func(kctx *kernel.Context, _ uint64) (uint64, error) {
+//			return uint64(d.dev.PCI.MMIORead(0, e1000hw.RegSTATUS, 4)), nil
+//		})
+//		d.rt.BindDowncall(downCarrierChange, func(kctx *kernel.Context, up uint64) (uint64, error) {
+//			d.Adapter.LinkUp = up != 0 // kernel-side mirror of the cell
+//			// ... netif_carrier_on/off ...
+//			return 0, nil
+//		})
+//	}
+//
+// The kernel side invokes the body by its handle — rt.Call(ctx, hWatchdog)
+// for control-path calls, b.CallPayload(hXmitFrame, payload) for batched
+// data-path calls — and reads results back through the same cells:
+// d.rt.SharedState().Load(cellRuns). Every transport dispatches the same
+// Fn; only where it executes differs.
+//
+// The package is deliberately leaf-level (stdlib only): internal/xpc, which
+// dispatches handlers, and every driver, which registers them, import it
+// directly.
 package registry
 
 import (

@@ -145,7 +145,7 @@ func TestDecafDataPathRx(t *testing.T) {
 	if received != 5 {
 		t.Fatalf("received %d frames, want 5", received)
 	}
-	if got := r.drv.DecafRxFrames(); got != 5 {
+	if got := r.drv.rt.SharedState().Load(cellRxFrames); got != 5 {
 		t.Fatalf("decaf driver saw %d RX frames, want 5", got)
 	}
 	if got := r.drv.Runtime().Counters().Trips(); got == 0 || got > 5 {

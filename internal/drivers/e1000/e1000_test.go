@@ -206,8 +206,8 @@ func TestSteadyStateNoCrossingsExceptWatchdog(t *testing.T) {
 	if c.PerCall["e1000_watchdog"] != 2 {
 		t.Fatalf("watchdog upcalls = %d, want 2", c.PerCall["e1000_watchdog"])
 	}
-	if r.drv.WatchdogRuns() != 2 {
-		t.Fatalf("WatchdogRuns = %d", r.drv.WatchdogRuns())
+	if r.drv.rt.SharedState().Load(cellWatchdogRuns) != 2 {
+		t.Fatalf("WatchdogRuns = %d", r.drv.rt.SharedState().Load(cellWatchdogRuns))
 	}
 }
 
@@ -293,10 +293,10 @@ func TestModuleUnload(t *testing.T) {
 		t.Fatal("netdev still registered after unload")
 	}
 	// Watchdog must not fire after unload.
-	runs := r.drv.WatchdogRuns()
+	runs := r.drv.rt.SharedState().Load(cellWatchdogRuns)
 	r.clock.Advance(10 * WatchdogPeriod)
 	r.kern.DefaultWorkqueue().Drain()
-	if r.drv.WatchdogRuns() != runs {
+	if r.drv.rt.SharedState().Load(cellWatchdogRuns) != runs {
 		t.Fatal("watchdog ran after unload")
 	}
 }

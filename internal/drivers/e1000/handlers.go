@@ -300,11 +300,5 @@ func (d *Driver) setLinkCell(up bool) {
 	d.rt.SharedState().Store(cellLinkUp, v)
 }
 
-// WatchdogRuns reads the watchdog pass count from the shared state cells.
-func (d *Driver) WatchdogRuns() uint64 { return d.rt.SharedState().Load(cellWatchdogRuns) }
-
 // DecafTxFrames reads the decaf data path's TX frame count.
 func (d *Driver) DecafTxFrames() uint64 { return d.rt.SharedState().Load(cellTxFrames) }
-
-// DecafRxFrames reads the decaf data path's RX frame count.
-func (d *Driver) DecafRxFrames() uint64 { return d.rt.SharedState().Load(cellRxFrames) }

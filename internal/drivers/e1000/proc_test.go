@@ -301,13 +301,13 @@ func TestProcWatchdogRunsInWorker(t *testing.T) {
 	r, _ := newProcPathRig(t, 1)
 	r.load(t)
 	r.up(t)
-	runs := r.drv.WatchdogRuns()
+	runs := r.drv.rt.SharedState().Load(cellWatchdogRuns)
 	r.drv.Runtime().ResetCounters()
 
 	r.clock.Advance(WatchdogPeriod)
 	r.kern.DefaultWorkqueue().Drain()
 
-	if got := r.drv.WatchdogRuns(); got != runs+1 {
+	if got := r.drv.rt.SharedState().Load(cellWatchdogRuns); got != runs+1 {
 		t.Fatalf("WatchdogRuns = %d, want %d", got, runs+1)
 	}
 	c := r.drv.Runtime().Counters()

@@ -74,12 +74,16 @@ type Driver struct {
 	buf    hw.DMAAddr
 	stream *ksound.Substream
 
-	// Recovery supervision state (EnableRecovery): during an outage the PCM
-	// ops act as the kernel-facing proxy — they journal their intent and
-	// defer the crossing to the journal replay instead of reaching the
-	// suspect decaf driver, so the card looks slow, not dead. deferredOps
-	// counts ops absorbed that way. failed marks a fail-stopped device:
-	// every PCM op then errors explicitly instead of silently deferring.
+	// Recovery supervision state. A non-nil journal, set before LoadModule
+	// so the probe is journaled, arms the driver for supervision: the
+	// probe's hardware configuration and the PCM stream state (open,
+	// hw_params, trigger) are journaled for replay, and during an outage
+	// the PCM ops act as the kernel-facing proxy — they journal their
+	// intent and defer the crossing to the journal replay instead of
+	// reaching the suspect decaf driver, so the card looks slow, not dead.
+	// deferredOps counts ops absorbed that way. failed marks a fail-stopped
+	// device: every PCM op then errors explicitly instead of silently
+	// deferring.
 	journal     *recovery.StateJournal
 	recovering  bool
 	failed      bool
@@ -139,9 +143,6 @@ func New(k *kernel.Kernel, snd *ksound.Subsystem, dev *es1371hw.Device, ioBase u
 
 // Runtime exposes the XPC runtime.
 func (d *Driver) Runtime() *xpc.Runtime { return d.rt }
-
-// Card returns the registered sound card (after module init).
-func (d *Driver) Card() *ksound.Card { return d.card }
 
 // --- nucleus ---
 

@@ -286,6 +286,3 @@ func (d *Driver) hwParams(ctx *kernel.Context, rate, channels, periodFrames int)
 	d.Chip.Rate, d.Chip.Channels, d.Chip.PeriodLen = int32(rate), int32(channels), int32(periodFrames)
 	return nil
 }
-
-// DAC2Running reads the engine state from the shared state cells.
-func (d *Driver) DAC2Running() bool { return d.rt.SharedState().Load(cellRunning) != 0 }

@@ -41,7 +41,7 @@ func newProcRig(t *testing.T) (*rig, *xpc.ProcTransport) {
 func TestProcTriggerExecutesInWorkerAndRecovers(t *testing.T) {
 	r, pt := newProcRig(t)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j)
+	r.drv.journal = j
 	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestProcTriggerExecutesInWorkerAndRecovers(t *testing.T) {
 	if c.WorkerDowncalls == 0 {
 		t.Fatal("the trigger's engine-control downcall did not cross from the worker")
 	}
-	if !r.drv.DAC2Running() {
+	if r.drv.rt.SharedState().Load(cellRunning) == 0 {
 		t.Fatal("running cell not set after a worker-served start trigger")
 	}
 	if !r.drv.Chip.Running {
@@ -110,7 +110,7 @@ func TestProcTriggerExecutesInWorkerAndRecovers(t *testing.T) {
 	if pid := pt.WorkerPID(); pid == bootPID {
 		t.Fatalf("worker pid %d unchanged across recovery", pid)
 	}
-	if r.drv.DAC2Running() {
+	if r.drv.rt.SharedState().Load(cellRunning) != 0 {
 		t.Fatal("running cell still set: the journaled stop was not replayed through the new worker")
 	}
 	if r.drv.Chip.Running {
@@ -120,7 +120,7 @@ func TestProcTriggerExecutesInWorkerAndRecovers(t *testing.T) {
 	if err := st.Start(ctx); err != nil {
 		t.Fatalf("start after recovery: %v", err)
 	}
-	if !r.drv.DAC2Running() {
+	if r.drv.rt.SharedState().Load(cellRunning) == 0 {
 		t.Fatal("running cell not set after post-recovery start")
 	}
 	if err := st.Stop(ctx); err != nil {
@@ -183,7 +183,7 @@ func TestProcEveryDecafBodyRunsInWorker(t *testing.T) {
 func TestProcWorkerDiesMidSRCWalkRecovers(t *testing.T) {
 	r, pt := newProcRig(t)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j)
+	r.drv.journal = j
 	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
 		t.Fatal(err)
 	}

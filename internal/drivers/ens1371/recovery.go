@@ -6,20 +6,6 @@ import (
 	"decafdrivers/internal/xpc"
 )
 
-// EnableRecovery attaches the shadow-driver state journal and arms the
-// driver for supervision: the probe's hardware configuration and the PCM
-// stream state (open, hw_params, trigger) are journaled for replay, and the
-// PCM ops act as the kernel-facing proxy during an outage (journal intent,
-// defer the crossing, report success — slow, not dead). Call before
-// LoadModule so the probe is journaled.
-func (d *Driver) EnableRecovery(j *recovery.StateJournal) {
-	d.journal = j
-}
-
-// DeferredOps reports PCM operations absorbed by the recovery proxy
-// (journaled and deferred to replay instead of crossing).
-func (d *Driver) DeferredOps() uint64 { return d.deferredOps }
-
 // record journals one replayable crossing under key.
 func (d *Driver) record(key, name string, replay func(ctx *kernel.Context) error) {
 	if d.journal != nil {

@@ -14,7 +14,7 @@ import (
 func TestRecoveryRestoresChipConfigAndStreamState(t *testing.T) {
 	r := newRig(t, xpc.ModeDecaf)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j)
+	r.drv.journal = j
 	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRecoveryRestoresChipConfigAndStreamState(t *testing.T) {
 func TestPrepareFaultAbsorbedAndFailStopErrors(t *testing.T) {
 	r := newRig(t, xpc.ModeDecaf)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j)
+	r.drv.journal = j
 	if _, err := r.kern.LoadModule(r.drv.Module()); err != nil {
 		t.Fatal(err)
 	}

@@ -50,12 +50,12 @@ func (r *rig) injectPaced(t *testing.T, n int, gap time.Duration) {
 func TestAdaptiveWindowTracksInterarrival(t *testing.T) {
 	r := newAdaptiveRig(t, 8, 0)
 	r.loadAndUp(t)
-	if got := r.drv.RxCoalesceWindow(); got != rxCoalesceWindow {
+	if got := r.drv.coalesceWindow(); got != rxCoalesceWindow {
 		t.Fatalf("window before any traffic = %v, want the 2 ms default", got)
 	}
 	r.injectPaced(t, 16, 50*time.Microsecond)
 	want := 50 * time.Microsecond * 8 * 5 / 4
-	if got := r.drv.RxCoalesceWindow(); got != want {
+	if got := r.drv.coalesceWindow(); got != want {
 		t.Fatalf("adaptive window = %v, want %v", got, want)
 	}
 }
@@ -67,14 +67,14 @@ func TestAdaptiveWindowClamps(t *testing.T) {
 	fast := newAdaptiveRig(t, 8, 0)
 	fast.loadAndUp(t)
 	fast.injectPaced(t, 16, time.Microsecond) // raw window 10µs
-	if got := fast.drv.RxCoalesceWindow(); got != rxCoalesceMin {
+	if got := fast.drv.coalesceWindow(); got != rxCoalesceMin {
 		t.Fatalf("fast-traffic window = %v, want the %v floor", got, rxCoalesceMin)
 	}
 
 	slow := newAdaptiveRig(t, 8, 0)
 	slow.loadAndUp(t)
 	slow.injectPaced(t, 4, 10*time.Millisecond) // raw window 100ms
-	if got := slow.drv.RxCoalesceWindow(); got != rxCoalesceWindow {
+	if got := slow.drv.coalesceWindow(); got != rxCoalesceWindow {
 		t.Fatalf("slow-traffic window = %v, want the %v ceiling", got, rxCoalesceWindow)
 	}
 }
@@ -86,7 +86,7 @@ func TestExplicitWindowOverridesAdaptive(t *testing.T) {
 	r := newAdaptiveRig(t, 8, fixed)
 	r.loadAndUp(t)
 	r.injectPaced(t, 16, 50*time.Microsecond)
-	if got := r.drv.RxCoalesceWindow(); got != fixed {
+	if got := r.drv.coalesceWindow(); got != fixed {
 		t.Fatalf("overridden window = %v, want %v", got, fixed)
 	}
 }

@@ -54,7 +54,7 @@ func TestRxCoalescingFillsBatch(t *testing.T) {
 	if c.BatchedCalls != batchN {
 		t.Fatalf("BatchedCalls = %d, want %d", c.BatchedCalls, batchN)
 	}
-	if got := r.drv.DecafRxFrames(); got != batchN {
+	if got := r.drv.rt.SharedState().Load(cellRxFrames); got != batchN {
 		t.Fatalf("decaf driver saw %d frames, want %d", got, batchN)
 	}
 }

@@ -205,7 +205,3 @@ func (d *Driver) open(ctx *kernel.Context) error {
 	}
 	return nil
 }
-
-// DecafRxFrames reads the decaf data path's frame count from the shared
-// state cells.
-func (d *Driver) DecafRxFrames() uint64 { return d.rt.SharedState().Load(cellRxFrames) }

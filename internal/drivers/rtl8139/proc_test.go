@@ -136,7 +136,7 @@ func TestProcRxDecafPathDelivers(t *testing.T) {
 	if received != 2*batchN {
 		t.Fatalf("received %d frames, want %d", received, 2*batchN)
 	}
-	if got := r.drv.DecafRxFrames(); got != 2*batchN {
+	if got := r.drv.rt.SharedState().Load(cellRxFrames); got != 2*batchN {
 		t.Fatalf("decaf driver saw %d frames, want %d", got, 2*batchN)
 	}
 	c := r.drv.Runtime().Counters()

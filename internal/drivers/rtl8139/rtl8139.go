@@ -373,10 +373,6 @@ func (d *Driver) coalesceWindow() time.Duration {
 	return w
 }
 
-// RxCoalesceWindow reports the coalescing window currently in effect
-// (fixed, or the adaptive window's present value).
-func (d *Driver) RxCoalesceWindow() time.Duration { return d.coalesceWindow() }
-
 // deliverRx hands drained frames up the stack. In the decaf data path the
 // frames accumulate until a transport batch fills (or the coalescing window
 // closes), then cross to the decaf driver in one batched flush before

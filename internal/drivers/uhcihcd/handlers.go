@@ -230,6 +230,3 @@ func (d *Driver) adoptStart() error {
 	d.State.Running = true
 	return nil
 }
-
-// ControllerRunning reports whether the controller is running.
-func (d *Driver) ControllerRunning() bool { return d.State.Running }

@@ -58,7 +58,7 @@ func TestProcEveryDecafBodyRunsInWorker(t *testing.T) {
 	if c.WorkerDowncalls != c.Downcalls {
 		t.Fatalf("WorkerDowncalls=%d of %d downcalls: a downcall did not ride a lane", c.WorkerDowncalls, c.Downcalls)
 	}
-	if r.drv.ControllerRunning() || r.drv.State.Running {
+	if r.drv.State.Running {
 		t.Fatal("controller still running after unload")
 	}
 }
@@ -98,7 +98,7 @@ func TestProcWorkerDiesMidStartFreesSchedule(t *testing.T) {
 			if _, ok := r.usb.HCDByName("uhci-hcd"); ok {
 				t.Fatal("HCD registered by a start body that died")
 			}
-			if r.drv.ControllerRunning() || r.drv.inw(uhcihw.RegUSBCMD)&uhcihw.CmdRS != 0 {
+			if r.drv.State.Running || r.drv.inw(uhcihw.RegUSBCMD)&uhcihw.CmdRS != 0 {
 				t.Fatal("controller left running by a failed load")
 			}
 
@@ -109,7 +109,7 @@ func TestProcWorkerDiesMidStartFreesSchedule(t *testing.T) {
 			if pid := pt.WorkerPID(); pid == 0 || pid == death.PID {
 				t.Fatalf("worker pid = %d after the retry, want a fresh process (old %d)", pid, death.PID)
 			}
-			if _, ok := r.usb.HCDByName("uhci-hcd"); !ok || !r.drv.ControllerRunning() {
+			if _, ok := r.usb.HCDByName("uhci-hcd"); !ok || !r.drv.State.Running {
 				t.Fatal("retried load did not bring the controller up")
 			}
 		})

@@ -56,8 +56,7 @@ func (b *Bus) IRQ(num int) *IRQLine {
 	return line
 }
 
-// Attach adds a PCI device to the bus, assigning it the next free slot.
-// It panics if the device is nil or already attached.
+// Attach adds a PCI device to the bus, in the next free slot. It panics if the device is nil or already attached.
 func (b *Bus) Attach(dev *PCIDevice) {
 	if dev == nil {
 		panic("hw: Attach(nil)")
@@ -68,30 +67,7 @@ func (b *Bus) Attach(dev *PCIDevice) {
 		panic(fmt.Sprintf("hw: device %s already attached", dev.Name))
 	}
 	dev.bus = b
-	dev.slot = len(b.devices)
 	b.devices = append(b.devices, dev)
-}
-
-// Devices returns the attached PCI devices in slot order.
-func (b *Bus) Devices() []*PCIDevice {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*PCIDevice, len(b.devices))
-	copy(out, b.devices)
-	return out
-}
-
-// FindDevice returns the first attached device matching vendor/device IDs,
-// or nil if none matches.
-func (b *Bus) FindDevice(vendor, device uint16) *PCIDevice {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, d := range b.devices {
-		if d.VendorID == vendor && d.DeviceID == device {
-			return d
-		}
-	}
-	return nil
 }
 
 // PortHandler services port I/O for a contiguous range of ports registered
@@ -99,12 +75,6 @@ func (b *Bus) FindDevice(vendor, device uint16) *PCIDevice {
 type PortHandler interface {
 	PortRead(offset uint16, size int) uint32
 	PortWrite(offset uint16, size int, value uint32)
-}
-
-type portRange struct {
-	base    uint16
-	size    uint16
-	handler PortHandler
 }
 
 // RegisterPorts claims [base, base+size) in the port I/O space for handler.

@@ -169,14 +169,6 @@ func (d *DMAMemory) Write32(addr DMAAddr, v uint32) {
 	binary.LittleEndian.PutUint32(d.mem[addr:], v)
 }
 
-// Read64 reads a little-endian 64-bit value at addr.
-func (d *DMAMemory) Read64(addr DMAAddr) uint64 {
-	d.CheckRange(addr, 8)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return binary.LittleEndian.Uint64(d.mem[addr:])
-}
-
 // Write64 writes a little-endian 64-bit value at addr.
 func (d *DMAMemory) Write64(addr DMAAddr, v uint64) {
 	d.CheckRange(addr, 8)

@@ -44,7 +44,6 @@ const (
 // CTRL bits.
 const (
 	CtrlRST = 1 << 26
-	CtrlSLU = 1 << 6
 )
 
 // STATUS bits.
@@ -476,17 +475,6 @@ func (d *Device) InjectRx(frame []byte) bool {
 	d.mu.Unlock()
 	d.cause(IntRXT0)
 	return true
-}
-
-// EEPROMChecksumValid recomputes the checksum the driver verifies at probe.
-func (d *Device) EEPROMChecksumValid() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var sum uint16
-	for _, w := range d.eeprom {
-		sum += w
-	}
-	return sum == EEPROMChecksum
 }
 
 // CorruptEEPROM flips a word so the checksum fails — fault injection for the

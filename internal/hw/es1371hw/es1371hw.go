@@ -24,7 +24,6 @@ const (
 	RegStatus        = 0x04
 	RegSRC           = 0x10
 	RegCodec         = 0x14
-	RegSerialControl = 0x20
 	RegDAC2Count     = 0x28 // period length in samples
 	RegDAC2FrameAddr = 0x38 // playback buffer bus address
 	RegDAC2FrameSize = 0x3C // playback buffer size in dwords
@@ -235,20 +234,6 @@ func (d *Device) Consumed() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.consumed
-}
-
-// Periods reports period interrupts raised.
-func (d *Device) Periods() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.periodsRaised
-}
-
-// CodecReg reads back a codec register (test/diagnostic access).
-func (d *Device) CodecReg(addr int) uint16 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.codecRegs[addr/2]
 }
 
 // SRCReg reads back an SRC RAM entry (test/diagnostic access).

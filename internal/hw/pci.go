@@ -8,18 +8,12 @@ import (
 
 // Standard PCI configuration-space offsets used by the device models.
 const (
-	PCIVendorID  = 0x00
-	PCIDeviceID  = 0x02
-	PCICommand   = 0x04
-	PCIStatus    = 0x06
-	PCIRevision  = 0x08
-	PCIClassCode = 0x09
-	PCIBAR0      = 0x10
-	PCIBAR1      = 0x14
-	PCIBAR2      = 0x18
-	PCISubVendor = 0x2C
-	PCISubDevice = 0x2E
-	PCIIRQLine   = 0x3C
+	PCIVendorID = 0x00
+	PCIDeviceID = 0x02
+	PCICommand  = 0x04
+	PCIRevision = 0x08
+	PCIBAR0     = 0x10
+	PCIIRQLine  = 0x3C
 
 	// PCIConfigSpaceLen is the size of the configuration space, and of the
 	// config_space array the E1000 driver snapshots during initialization —
@@ -68,7 +62,6 @@ type PCIDevice struct {
 	bars   [6]*BAR
 	irq    *IRQLine
 	bus    *Bus
-	slot   int
 }
 
 // NewPCIDevice creates a device with the given identity and interrupt number.
@@ -80,12 +73,6 @@ func NewPCIDevice(name string, vendor, device uint16, revision uint8) *PCIDevice
 	d.config[PCIRevision] = revision
 	return d
 }
-
-// Slot reports the bus slot the device occupies (valid after Attach).
-func (d *PCIDevice) Slot() int { return d.slot }
-
-// Bus returns the bus the device is attached to, or nil.
-func (d *PCIDevice) Bus() *Bus { return d.bus }
 
 // SetIRQ wires the device to an interrupt line and records the line number
 // in configuration space.
@@ -137,13 +124,6 @@ func (d *PCIDevice) GetBAR(index int) *BAR {
 	return d.bars[index]
 }
 
-// ConfigRead8 reads one byte of configuration space.
-func (d *PCIDevice) ConfigRead8(offset int) uint8 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.config[offset]
-}
-
 // ConfigRead16 reads a little-endian 16-bit configuration value.
 func (d *PCIDevice) ConfigRead16(offset int) uint16 {
 	d.mu.Lock()
@@ -151,32 +131,11 @@ func (d *PCIDevice) ConfigRead16(offset int) uint16 {
 	return binary.LittleEndian.Uint16(d.config[offset:])
 }
 
-// ConfigRead32 reads a little-endian 32-bit configuration value.
-func (d *PCIDevice) ConfigRead32(offset int) uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return binary.LittleEndian.Uint32(d.config[offset:])
-}
-
-// ConfigWrite8 writes one byte of configuration space.
-func (d *PCIDevice) ConfigWrite8(offset int, v uint8) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.config[offset] = v
-}
-
 // ConfigWrite16 writes a little-endian 16-bit configuration value.
 func (d *PCIDevice) ConfigWrite16(offset int, v uint16) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	binary.LittleEndian.PutUint16(d.config[offset:], v)
-}
-
-// ConfigWrite32 writes a little-endian 32-bit configuration value.
-func (d *PCIDevice) ConfigWrite32(offset int, v uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	binary.LittleEndian.PutUint32(d.config[offset:], v)
 }
 
 // ConfigSnapshot returns the full configuration space as 32-bit words — the
@@ -196,11 +155,6 @@ func (d *PCIDevice) ConfigSnapshot() [PCIConfigDwords]uint32 {
 func (d *PCIDevice) EnableBusMaster() {
 	cmd := d.ConfigRead16(PCICommand)
 	d.ConfigWrite16(PCICommand, cmd|PCICommandIO|PCICommandMemory|PCICommandMaster)
-}
-
-// BusMasterEnabled reports whether bus mastering is on.
-func (d *PCIDevice) BusMasterEnabled() bool {
-	return d.ConfigRead16(PCICommand)&PCICommandMaster != 0
 }
 
 // MMIORead performs a memory-mapped read through the BAR containing the

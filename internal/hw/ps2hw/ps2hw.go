@@ -151,17 +151,3 @@ func (m *Mouse) Reporting() bool {
 	defer m.mu.Unlock()
 	return m.reporting
 }
-
-// ID reports the current mouse identity (0 standard, 3 IntelliMouse).
-func (m *Mouse) ID() byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.id
-}
-
-// Reports counts movement packets generated.
-func (m *Mouse) Reports() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reports
-}

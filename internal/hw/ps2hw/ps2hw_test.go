@@ -55,7 +55,7 @@ func TestResetSequence(t *testing.T) {
 func TestIntelliMouseKnock(t *testing.T) {
 	h := newHarness(t)
 	h.cmd(t, CmdReset)
-	if h.mouse.ID() != IDStandard {
+	if h.mouse.id != IDStandard {
 		t.Fatal("fresh mouse not standard")
 	}
 	for _, rate := range []byte{200, 100, 80} {
@@ -72,7 +72,7 @@ func TestIntelliMouseKnock(t *testing.T) {
 	}
 	// Reset reverts to standard.
 	h.cmd(t, CmdReset)
-	if h.mouse.ID() != IDStandard {
+	if h.mouse.id != IDStandard {
 		t.Fatal("reset did not revert id")
 	}
 }
@@ -83,7 +83,7 @@ func TestWrongKnockNoUpgrade(t *testing.T) {
 		h.cmd(t, CmdSetRate)
 		h.cmd(t, rate)
 	}
-	if h.mouse.ID() != IDStandard {
+	if h.mouse.id != IDStandard {
 		t.Fatal("wrong knock upgraded the mouse")
 	}
 }
@@ -118,8 +118,8 @@ func TestMovementReports(t *testing.T) {
 	if int8(h.recv[1]) != 5 || int8(h.recv[2]) != -3 {
 		t.Fatalf("deltas = %d, %d", int8(h.recv[1]), int8(h.recv[2]))
 	}
-	if h.mouse.Reports() != 1 {
-		t.Fatalf("Reports = %d", h.mouse.Reports())
+	if h.mouse.reports != 1 {
+		t.Fatalf("Reports = %d", h.mouse.reports)
 	}
 	h.cmd(t, CmdDisable)
 	if h.mouse.Move(1, 1, false, false) {

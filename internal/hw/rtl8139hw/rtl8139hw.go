@@ -18,7 +18,6 @@ const (
 
 // Register offsets (relative to the I/O BAR).
 const (
-	RegIDR0    = 0x00 // MAC address, 6 bytes
 	RegTSD0    = 0x10 // transmit status of descriptor 0 (4 descs, stride 4)
 	RegTSAD0   = 0x20 // transmit start address of descriptor 0
 	RegRBSTART = 0x30 // receive buffer start (DMA)
@@ -27,10 +26,7 @@ const (
 	RegCBR     = 0x3A // current buffer address (write cursor)
 	RegIMR     = 0x3C // interrupt mask
 	RegISR     = 0x3E // interrupt status
-	RegTCR     = 0x40 // transmit configuration
-	RegRCR     = 0x44 // receive configuration
 	Reg9346CR  = 0x50 // EEPROM (93C46) access
-	RegConfig1 = 0x52
 )
 
 // Command register bits.
@@ -112,13 +108,6 @@ func New(bus *hw.Bus, irq int, ioBase uint16, mac [6]byte) *Device {
 		d.eeprom[7+i] = uint16(mac[2*i]) | uint16(mac[2*i+1])<<8
 	}
 	return d
-}
-
-// SetLink changes the modeled link state.
-func (d *Device) SetLink(up bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.linkUp = up
 }
 
 // LinkUp reports link state.

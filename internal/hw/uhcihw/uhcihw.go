@@ -339,10 +339,3 @@ func (f *FlashDrive) Written() uint64 {
 	defer f.mu.Unlock()
 	return f.written
 }
-
-// Packets reports OUT packets received.
-func (f *FlashDrive) Packets() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.packets
-}

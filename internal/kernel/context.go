@@ -1,7 +1,7 @@
 // Package kernel simulates the Linux-kernel execution environment the Decaf
 // driver nucleus runs in: modules, interrupt dispatch, kernel timers, work
-// queues, and the locking regime (spinlocks, mutexes, semaphores, and the
-// Microdrivers combolock).
+// queues, and the locking regime (spinlocks, mutexes and semaphores; a
+// Microdrivers combolock acquired only in the kernel is a spinlock).
 //
 // The property the package exists to enforce and measure is the paper's
 // placement constraint (§3.1.3): code running at high priority — in hard-IRQ
@@ -53,8 +53,8 @@ type Context struct {
 	name   string
 	kind   ContextKind
 
-	// atomicDepth counts held spinlocks (and spin-mode combolocks);
-	// while positive the context must not block.
+	// atomicDepth counts held spinlocks; while positive the context must
+	// not block.
 	atomicDepth int
 	// irqDepth counts nested hard-IRQ entries.
 	irqDepth int
@@ -78,9 +78,6 @@ func (k *Kernel) NewContext(name string) *Context {
 	return &Context{kernel: k, name: name, kind: CtxProcess}
 }
 
-// Name reports the context's diagnostic name.
-func (c *Context) Name() string { return c.name }
-
 // Kind reports the current context kind (hardirq wins over the base kind).
 func (c *Context) Kind() ContextKind {
 	if c.irqDepth > 0 {
@@ -88,12 +85,6 @@ func (c *Context) Kind() ContextKind {
 	}
 	return c.kind
 }
-
-// Kernel returns the owning kernel.
-func (c *Context) Kernel() *Kernel { return c.kernel }
-
-// InIRQ reports whether the context is in hard-IRQ context.
-func (c *Context) InIRQ() bool { return c.irqDepth > 0 }
 
 // InAtomic reports whether the context holds any spinlock or is in interrupt
 // context; in either case it must not block.
@@ -142,13 +133,6 @@ func (c *Context) popSpin(name string) {
 		}
 	}
 	panic(fmt.Sprintf("kernel: unlock of %q not held by context %q", name, c.name))
-}
-
-// HeldSpinlocks returns the names of spinlocks currently held.
-func (c *Context) HeldSpinlocks() []string {
-	out := make([]string, len(c.heldSpinlocks))
-	copy(out, c.heldSpinlocks)
-	return out
 }
 
 // LaneHint reports the XPC submission lane this context last claimed, if
@@ -201,9 +185,3 @@ func (c *Context) Busy() time.Duration { return c.busy }
 
 // Elapsed reports busy plus slept time for the context.
 func (c *Context) Elapsed() time.Duration { return c.elapsed }
-
-// ResetAccounting zeroes the context's accumulated times.
-func (c *Context) ResetAccounting() {
-	c.busy = 0
-	c.elapsed = 0
-}

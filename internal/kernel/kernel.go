@@ -20,9 +20,8 @@ type Kernel struct {
 
 	mu      sync.Mutex
 	modules map[string]*loadedModule
-	oopses  []error
-	// strictOops controls whether Oops panics (tests) or records (harness).
-	strictOops bool
+	// oopses records every fault Oops reported, before it panicked.
+	oopses []error
 
 	accounting *CPUAccounting
 
@@ -37,7 +36,6 @@ func New(clock *ktime.Clock, bus *hw.Bus) *Kernel {
 		bus:        bus,
 		modules:    make(map[string]*loadedModule),
 		accounting: &CPUAccounting{},
-		strictOops: true,
 		irqTable:   &irqTable{byNum: make(map[int]*irqState)},
 	}
 	k.defaultWQ = k.NewWorkqueue("events")
@@ -57,40 +55,14 @@ func (k *Kernel) Accounting() *CPUAccounting { return k.accounting }
 // analogue of schedule_work.
 func (k *Kernel) DefaultWorkqueue() *Workqueue { return k.defaultWQ }
 
-// SetStrictOops selects whether kernel faults panic immediately (true, the
-// default, so tests fail loudly) or are recorded for later inspection.
-func (k *Kernel) SetStrictOops(strict bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.strictOops = strict
-}
-
 // Oops reports a kernel fault: a violated invariant such as sleeping in
-// atomic context. In strict mode it panics; otherwise the fault is recorded.
+// atomic context. It records the fault and panics, so the faulting path
+// fails loudly.
 func (k *Kernel) Oops(err error) {
 	k.mu.Lock()
-	strict := k.strictOops
 	k.oopses = append(k.oopses, err)
 	k.mu.Unlock()
-	if strict {
-		panic(err)
-	}
-}
-
-// Oopses returns the recorded faults.
-func (k *Kernel) Oopses() []error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]error, len(k.oopses))
-	copy(out, k.oopses)
-	return out
-}
-
-// ClearOopses discards recorded faults.
-func (k *Kernel) ClearOopses() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.oopses = nil
+	panic(err)
 }
 
 // CPUAccounting accumulates charged CPU time by context kind. The Table 3
@@ -130,13 +102,6 @@ func (a *CPUAccounting) Totals() (process, softirq, hardirq time.Duration) {
 func (a *CPUAccounting) Busy() time.Duration {
 	p, s, h := a.Totals()
 	return p + s + h
-}
-
-// Reset zeroes the accounting.
-func (a *CPUAccounting) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.process, a.softirq, a.hardirq = 0, 0, 0
 }
 
 // Module is a loadable kernel module — in Decaf terms, a driver nucleus
@@ -216,15 +181,4 @@ func (k *Kernel) LoadedModules() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ModuleReport returns the load report for a loaded module.
-func (k *Kernel) ModuleReport(name string) (LoadReport, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	lm, ok := k.modules[name]
-	if !ok {
-		return LoadReport{}, false
-	}
-	return lm.report, true
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Cost model for lock acquisition, used by the combolock ablation benchmark
-// (DESIGN.md D3). A spinlock acquisition is a handful of cycles; a semaphore
+// Cost model for lock acquisition, used by the spinlock-versus-semaphore
+// ablation benchmark (D3). A spinlock acquisition is a handful of cycles; a semaphore
 // acquisition involves the scheduler.
 const (
 	// SpinAcquireCost is the virtual CPU cost of an uncontended spinlock
@@ -26,9 +26,6 @@ type SpinLock struct {
 
 // NewSpinLock creates a named spinlock.
 func NewSpinLock(name string) *SpinLock { return &SpinLock{name: name} }
-
-// Name reports the lock's diagnostic name.
-func (s *SpinLock) Name() string { return s.name }
 
 // Lock acquires the spinlock, entering atomic context.
 func (s *SpinLock) Lock(ctx *Context) {
@@ -54,9 +51,6 @@ type Mutex struct {
 
 // NewMutex creates a named kernel mutex.
 func NewMutex(name string) *Mutex { return &Mutex{name: name} }
-
-// Name reports the lock's diagnostic name.
-func (m *Mutex) Name() string { return m.name }
 
 // Lock acquires the mutex; it faults the kernel if called from atomic
 // context.
@@ -94,17 +88,6 @@ func (s *Semaphore) Down(ctx *Context) {
 	ctx.Charge(SemaphoreAcquireCost)
 }
 
-// TryDown acquires one unit without blocking, reporting success.
-func (s *Semaphore) TryDown(ctx *Context) bool {
-	select {
-	case <-s.ch:
-		ctx.Charge(SemaphoreAcquireCost)
-		return true
-	default:
-		return false
-	}
-}
-
 // Up releases one unit.
 func (s *Semaphore) Up(ctx *Context) {
 	select {
@@ -112,142 +95,4 @@ func (s *Semaphore) Up(ctx *Context) {
 	default:
 		panic("kernel: semaphore " + s.name + " Up past initial count")
 	}
-}
-
-// Combolock is the Microdrivers synchronization primitive Decaf relies on
-// (paper §3.1.3): "When acquired only in the kernel, a combolock is a
-// spinlock. When acquired from user mode, a combolock is a semaphore, and
-// subsequent kernel threads must wait for the semaphore."
-//
-// In spin mode the holder is atomic (may not block); once user-level code
-// acquires the lock it permanently operates in semaphore mode for as long as
-// user holders exist, and kernel acquirers block instead of spinning.
-type Combolock struct {
-	name string
-
-	state sync.Mutex // protects mode bookkeeping
-	mode  combolockMode
-	users int // live user-mode acquisitions since last drain
-
-	inner sync.Mutex // the actual mutual exclusion
-
-	stats CombolockStats
-}
-
-type combolockMode int
-
-const (
-	comboSpin combolockMode = iota
-	comboSemaphore
-)
-
-// CombolockStats counts acquisitions by path, for the D3 ablation bench.
-type CombolockStats struct {
-	SpinAcquires      uint64
-	SemaphoreAcquires uint64
-}
-
-// NewCombolock creates a named combolock, initially in spinlock mode.
-func NewCombolock(name string) *Combolock { return &Combolock{name: name} }
-
-// Name reports the lock's diagnostic name.
-func (c *Combolock) Name() string { return c.name }
-
-// Lock acquires the combolock from kernel code. In spin mode the context
-// becomes atomic for the critical section; in semaphore mode the acquisition
-// may block (and therefore faults if the context is atomic).
-func (c *Combolock) Lock(ctx *Context) {
-	c.state.Lock()
-	mode := c.mode
-	c.state.Unlock()
-	if mode == comboSpin {
-		c.inner.Lock()
-		// Re-check: a user acquirer may have switched modes while we waited.
-		c.state.Lock()
-		if c.mode == comboSpin {
-			c.stats.SpinAcquires++
-			c.state.Unlock()
-			ctx.pushSpin(c.name)
-			ctx.Charge(SpinAcquireCost)
-			return
-		}
-		c.stats.SemaphoreAcquires++
-		c.state.Unlock()
-		ctx.Charge(SemaphoreAcquireCost)
-		return
-	}
-	ctx.AssertMayBlock("combolock_lock(" + c.name + ") in semaphore mode")
-	c.inner.Lock()
-	c.state.Lock()
-	c.stats.SemaphoreAcquires++
-	c.state.Unlock()
-	ctx.Charge(SemaphoreAcquireCost)
-}
-
-// Unlock releases a kernel-side acquisition.
-func (c *Combolock) Unlock(ctx *Context) {
-	c.state.Lock()
-	spinHeld := false
-	for _, n := range ctx.heldSpinlocks {
-		if n == c.name {
-			spinHeld = true
-			break
-		}
-	}
-	c.state.Unlock()
-	if spinHeld {
-		ctx.popSpin(c.name)
-	}
-	c.inner.Unlock()
-}
-
-// LockUser acquires the combolock from user-mode code (the decaf driver or
-// driver library). This switches the lock to semaphore mode so kernel
-// threads wait rather than spin, and guarantees the user holder sees the
-// most recent version of protected objects (the XPC layer synchronizes
-// objects at acquisition).
-func (c *Combolock) LockUser(ctx *Context) {
-	ctx.AssertMayBlock("combolock_lock_user(" + c.name + ")")
-	c.state.Lock()
-	c.mode = comboSemaphore
-	c.users++
-	c.state.Unlock()
-	c.inner.Lock()
-	c.state.Lock()
-	c.stats.SemaphoreAcquires++
-	c.state.Unlock()
-	ctx.Charge(SemaphoreAcquireCost)
-}
-
-// UnlockUser releases a user-mode acquisition; when the last user holder
-// drains, the lock reverts to spinlock mode.
-func (c *Combolock) UnlockUser(ctx *Context) {
-	c.state.Lock()
-	if c.users == 0 {
-		c.state.Unlock()
-		panic("kernel: UnlockUser of combolock " + c.name + " with no user holders")
-	}
-	c.users--
-	if c.users == 0 {
-		c.mode = comboSpin
-	}
-	c.state.Unlock()
-	c.inner.Unlock()
-}
-
-// Mode reports "spin" or "semaphore" for tests and diagnostics.
-func (c *Combolock) Mode() string {
-	c.state.Lock()
-	defer c.state.Unlock()
-	if c.mode == comboSpin {
-		return "spin"
-	}
-	return "semaphore"
-}
-
-// Stats returns acquisition counters.
-func (c *Combolock) Stats() CombolockStats {
-	c.state.Lock()
-	defer c.state.Unlock()
-	return c.stats
 }

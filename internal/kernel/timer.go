@@ -68,9 +68,6 @@ func (t *KTimer) Stop() bool {
 	return t.inner.Stop()
 }
 
-// Fired reports how many times the timer has expired.
-func (t *KTimer) Fired() uint64 { return t.fired }
-
 // DeferToWork queues fn on the kernel's default work queue. This is the
 // bridge Decaf uses to let high-priority code (IRQ handlers, timers) request
 // work that must run in user level: the work item runs later in process

@@ -38,9 +38,6 @@ func (k *Kernel) NewWorkqueue(name string) *Workqueue {
 	return &Workqueue{kernel: k, name: name, ctx: k.NewContext("kworker/" + name)}
 }
 
-// Name reports the queue name.
-func (w *Workqueue) Name() string { return w.name }
-
 // Queue appends a work item. Safe from any context, including hard IRQ.
 func (w *Workqueue) Queue(fn WorkFunc) {
 	if fn == nil {
@@ -50,13 +47,6 @@ func (w *Workqueue) Queue(fn WorkFunc) {
 	w.items = append(w.items, fn)
 	w.queued++
 	w.mu.Unlock()
-}
-
-// Pending reports how many items await draining.
-func (w *Workqueue) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.items)
 }
 
 // Drain runs queued items (including ones queued by the items themselves)
@@ -80,13 +70,6 @@ func (w *Workqueue) Drain() int {
 		fn(ctx)
 		ran++
 	}
-}
-
-// Stats reports items queued and drained over the queue's lifetime.
-func (w *Workqueue) Stats() (queued, drained uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.queued, w.drained
 }
 
 // WorkerContext exposes the queue's process context (for accounting

@@ -274,20 +274,6 @@ func (d *NetDevice) BeginRecovery(limit int) {
 	d.holdLimit = limit
 }
 
-// InRecovery reports whether the recovery proxy is armed.
-func (d *NetDevice) InRecovery() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recovering
-}
-
-// HeldTx reports the frames currently held by the recovery proxy.
-func (d *NetDevice) HeldTx() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.heldTx)
-}
-
 // EndRecovery disarms the proxy and replays the held frames through the
 // (restarted) driver in arrival order, reporting how many transmitted vs
 // dropped. A frame the driver rejects counts as both a TX error and a held
@@ -358,11 +344,4 @@ func (d *NetDevice) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// ResetStats zeroes the counters (between workload phases).
-func (d *NetDevice) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
 }

@@ -161,10 +161,6 @@ func TestReceivePath(t *testing.T) {
 	if st.RxPackets != 1 || st.RxBytes != 80 {
 		t.Fatalf("stats = %+v", st)
 	}
-	dev.ResetStats()
-	if dev.Stats().RxPackets != 0 {
-		t.Fatal("ResetStats failed")
-	}
 }
 
 func TestCarrierToggle(t *testing.T) {
@@ -215,7 +211,7 @@ func TestRecoveryProxyHoldsAndReplays(t *testing.T) {
 	dev.CarrierOn()
 
 	dev.BeginRecovery(3)
-	if !dev.InRecovery() {
+	if !dev.recovering {
 		t.Fatal("proxy not armed")
 	}
 	var pkts []*Packet
@@ -229,8 +225,8 @@ func TestRecoveryProxyHoldsAndReplays(t *testing.T) {
 	if len(ops.sent) != 0 {
 		t.Fatal("frames reached the driver during the outage")
 	}
-	if dev.HeldTx() != 3 {
-		t.Fatalf("HeldTx = %d, want the hold limit", dev.HeldTx())
+	if len(dev.heldTx) != 3 {
+		t.Fatalf("HeldTx = %d, want the hold limit", len(dev.heldTx))
 	}
 	st := dev.Stats()
 	if st.TxHeld != 5 || st.TxHeldDropped != 2 {
@@ -241,7 +237,7 @@ func TestRecoveryProxyHoldsAndReplays(t *testing.T) {
 	if replayed != 3 || dropped != 0 {
 		t.Fatalf("EndRecovery = %d, %d", replayed, dropped)
 	}
-	if dev.InRecovery() || dev.HeldTx() != 0 {
+	if dev.recovering || len(dev.heldTx) != 0 {
 		t.Fatal("proxy still armed after EndRecovery")
 	}
 	// Replay preserved arrival order and counted the transmits.

@@ -234,10 +234,3 @@ func (st *Substream) Periods() uint64 {
 	defer st.mu.Unlock()
 	return st.periodsSoFar
 }
-
-// Running reports whether playback is triggered.
-func (st *Substream) Running() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.running
-}

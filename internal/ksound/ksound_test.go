@@ -109,7 +109,7 @@ func TestPlaybackLifecycle(t *testing.T) {
 	if err := st.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Running() {
+	if !st.running {
 		t.Fatal("not running after Start")
 	}
 	n, err := st.Write(ctx, make([]byte, 400))
@@ -127,7 +127,7 @@ func TestPlaybackLifecycle(t *testing.T) {
 	if err := st.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st.Running() {
+	if st.running {
 		t.Fatal("running after Stop")
 	}
 	if err := st.Close(ctx); err != nil {

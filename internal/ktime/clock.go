@@ -87,46 +87,6 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 	}
 }
 
-// RunUntilIdle fires all pending timers regardless of deadline, advancing
-// time to each. It returns the number of timers fired. This is the virtual
-// equivalent of letting the machine sit idle until every deferred action has
-// completed.
-func (c *Clock) RunUntilIdle() int {
-	fired := 0
-	for {
-		c.mu.Lock()
-		var next *Timer
-		for len(c.timers) > 0 {
-			t := c.timers[0]
-			if t.cancelled {
-				heap.Pop(&c.timers)
-				continue
-			}
-			next = t
-			break
-		}
-		c.mu.Unlock()
-		if next == nil {
-			return fired
-		}
-		c.AdvanceTo(next.deadline)
-		fired++
-	}
-}
-
-// PendingTimers reports how many scheduled, uncancelled timers exist.
-func (c *Clock) PendingTimers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.timers {
-		if !t.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // NextDeadline reports the deadline of the earliest pending timer and whether
 // one exists.
 func (c *Clock) NextDeadline() (time.Duration, bool) {
@@ -159,9 +119,6 @@ type Timer struct {
 	fired     bool
 	clock     *Clock
 }
-
-// Deadline reports the virtual instant the timer fires at.
-func (t *Timer) Deadline() time.Duration { return t.deadline }
 
 // Stop cancels the timer. It reports whether the timer was still pending
 // (false if it already fired or was already stopped).

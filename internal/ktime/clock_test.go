@@ -150,29 +150,24 @@ func TestTimerCallbackCanSchedule(t *testing.T) {
 	}
 }
 
-func TestRunUntilIdle(t *testing.T) {
-	c := NewClock()
-	fired := 0
-	c.Schedule(time.Hour, func() { fired++ })
-	c.Schedule(2*time.Hour, func() { fired++ })
-	n := c.RunUntilIdle()
-	if n != 2 || fired != 2 {
-		t.Fatalf("RunUntilIdle fired %d (%d observed), want 2", n, fired)
-	}
-	if got := c.Now(); got != 2*time.Hour {
-		t.Fatalf("Now() = %v, want 2h", got)
-	}
-}
-
 func TestPendingTimers(t *testing.T) {
 	c := NewClock()
+	pending := func() int {
+		n := 0
+		for _, t := range c.timers {
+			if !t.cancelled {
+				n++
+			}
+		}
+		return n
+	}
 	t1 := c.Schedule(time.Millisecond, func() {})
 	c.Schedule(2*time.Millisecond, func() {})
-	if got := c.PendingTimers(); got != 2 {
+	if got := pending(); got != 2 {
 		t.Fatalf("PendingTimers = %d, want 2", got)
 	}
 	t1.Stop()
-	if got := c.PendingTimers(); got != 1 {
+	if got := pending(); got != 1 {
 		t.Fatalf("PendingTimers after Stop = %d, want 1", got)
 	}
 }

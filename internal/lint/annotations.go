@@ -11,8 +11,9 @@ import (
 // They are the contract between the prose invariants this codebase states
 // and the analyzers that enforce them:
 //
-//	//decaf:boundary   (package doc, func, or type) — decaf-side code: may
-//	                   reach kernel-side state only through xpc.Runtime
+//	//decaf:boundary   (package doc, func, type, or package-level var) —
+//	                   decaf-side code: may reach kernel-side state only
+//	                   through xpc.Runtime
 //	//decaf:hotpath    (func) — steady-state path: no heap allocation
 //	//decaf:shared     (struct field) — shm-resident: sync/atomic access only
 //	//decaf:nucleus    (type) — kernel-side half of a split driver; boundary

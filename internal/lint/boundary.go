@@ -2,12 +2,14 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
 // BoundaryAnalyzer enforces the kernel/decaf split statically: code marked
-// //decaf:boundary (a package, a function, or every method of a type) is
+// //decaf:boundary (a package, a function, every method of a type, or a
+// package-level var declaration's initializers) is
 // the user-level half of a driver and may reach kernel-side state only by
 // crossing through the XPC runtime. Concretely, inside a boundary function:
 //
@@ -54,28 +56,49 @@ func isKernelSidePath(path string) bool {
 
 func runBoundary(p *Pass) {
 	p.eachFuncDecl(func(decl *ast.FuncDecl) {
-		if !p.Pkg.Ann.boundarySubject(p.Pkg, decl) {
-			return
+		if p.Pkg.Ann.boundarySubject(p.Pkg, decl) {
+			p.checkBoundaryBody(decl.Body)
 		}
-		// Sel identifiers are reported at their SelectorExpr; skip the
-		// child visit so a qualified use fires once.
-		inSelector := make(map[*ast.Ident]bool)
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				p.checkBoundaryCall(n)
-			case *ast.SelectorExpr:
-				inSelector[n.Sel] = true
-				p.checkBoundaryVar(n)
-			case *ast.Ident:
-				if !inSelector[n] {
-					p.checkBoundaryIdent(n)
-				}
-			case *ast.AssignStmt:
-				p.checkNucleusWrite(n)
+	})
+	// A package-level var initializer runs decaf-side too when its package
+	// or its declaration is marked: a handler registered as
+	// var h = registry.Register(…, registry.Handler{Fn: func…}) has its
+	// body there.
+	for _, f := range p.Pkg.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR || !(p.Pkg.Ann.PackageBoundary || hasDirective(gd.Doc, dirBoundary)) {
+				continue
 			}
-			return true
-		})
+			for _, spec := range gd.Specs {
+				for _, v := range spec.(*ast.ValueSpec).Values {
+					p.checkBoundaryBody(v)
+				}
+			}
+		}
+	}
+}
+
+// checkBoundaryBody reports every boundary violation under root.
+func (p *Pass) checkBoundaryBody(root ast.Node) {
+	// Sel identifiers are reported at their SelectorExpr; skip the child
+	// visit so a qualified use fires once.
+	inSelector := make(map[*ast.Ident]bool)
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			p.checkBoundaryCall(n)
+		case *ast.SelectorExpr:
+			inSelector[n.Sel] = true
+			p.checkBoundaryVar(n)
+		case *ast.Ident:
+			if !inSelector[n] {
+				p.checkBoundaryIdent(n)
+			}
+		case *ast.AssignStmt:
+			p.checkNucleusWrite(n)
+		}
+		return true
 	})
 }
 

@@ -1,6 +1,7 @@
 // Package lint is decafvet: a static checker suite that enforces the
 // decaf architecture's boundary, hot-path, and shared-memory invariants
-// on the real Go tree, plus the paper's §5.1 error-handling audit.
+// on the real Go tree, plus the paper's §5.1 error-handling audit and a
+// rule that keeps API without a caller out.
 //
 // The runtime already polices these invariants dynamically — the XPC
 // exception path catches boundary faults, the alloc-gate benchmark fails
@@ -14,7 +15,8 @@
 // directives, no space after the slashes):
 //
 //   - boundary — code marked //decaf:boundary (a package doc, function,
-//     or type) is decaf-side: it may not reach kernel-side packages
+//     type, or package-level var, whose initializers are then checked) is
+//     decaf-side: it may not reach kernel-side packages
 //     (internal/kernel, internal/hw, the k* device stacks) or
 //     //decaf:nucleus types at all, function literals included (no xpc
 //     crossing takes a closure: it passes a registered handler's handle).
@@ -51,8 +53,19 @@
 //     analysis.Defect format, so findings on real Go read identically to
 //     the toy-IR audit's numbers.
 //
+//   - unused — no annotation; reports a package-level func, method, type,
+//     var or const of a non-main module package outside testdata that
+//     nothing references but its own declaration and its own package's
+//     tests. Non-test code anywhere in the module counts (cmd/, examples/
+//     and benchmark/ included), and so does another package's test for an
+//     exported identifier; a method also counts as used when a module type
+//     provides it to an interface it satisfies (the stdlib's error and
+//     fmt.Stringer included), and a generic instantiation resolves to its
+//     origin. Test-only API is deleted with its tests, or moves into an
+//     export_test.go. There is no allowlist and no escape annotation.
+//
 // Everything is stdlib-only (go/ast, go/parser, go/types): Module loads
-// and type-checks packages with a source importer, Run applies the
-// analyzers and returns sorted Findings, and cmd/decafvet is the CLI with
-// -json and -list modes.
+// and type-checks packages with a source importer (test files too, for
+// unused's reference index), Run applies the analyzers and returns sorted
+// Findings, and cmd/decafvet is the CLI with -json and -list modes.
 package lint

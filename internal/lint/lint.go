@@ -60,7 +60,7 @@ func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full decafvet suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{BoundaryAnalyzer, ErrAuditAnalyzer, HotpathAnalyzer, SharedMemAnalyzer}
+	return []*Analyzer{BoundaryAnalyzer, ErrAuditAnalyzer, HotpathAnalyzer, SharedMemAnalyzer, UnusedAnalyzer}
 }
 
 // Run applies the analyzers to the packages and returns the findings sorted

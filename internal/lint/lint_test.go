@@ -58,7 +58,11 @@ func expectations(pkgs []*lint.Package) []expectation {
 // findings against the want comments, both ways.
 func checkGolden(t *testing.T, a *lint.Analyzer, patterns ...string) {
 	t.Helper()
-	pkgs := loadPkgs(t, patterns...)
+	checkGoldenPkgs(t, a, loadPkgs(t, patterns...))
+}
+
+func checkGoldenPkgs(t *testing.T, a *lint.Analyzer, pkgs []*lint.Package) {
+	t.Helper()
 	findings := lint.Run(pkgs, []*lint.Analyzer{a})
 	wants := expectations(pkgs)
 	if len(wants) == 0 {
@@ -104,6 +108,55 @@ func TestSharedMemGolden(t *testing.T) {
 
 func TestErrAuditGolden(t *testing.T) {
 	checkGolden(t, lint.ErrAuditAnalyzer, "internal/lint/testdata/erraudit/drv")
+}
+
+// TestUnusedGolden runs the unused rule over its fixture, a module of its
+// own: the rule indexes references over a whole module, and the fixture's
+// cases need a package whose test calls in and a main package.
+func TestUnusedGolden(t *testing.T) {
+	mod, err := lint.LoadModule("testdata/unused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := mod.Packages(mod.Root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoldenPkgs(t, lint.UnusedAnalyzer, pkgs)
+}
+
+// TestUnusedSubsetOfWholeModule: the reference index always covers the
+// whole module, so checking one package reports exactly its share of the
+// whole-module run.
+func TestUnusedSubsetOfWholeModule(t *testing.T) {
+	whole, err := lint.LoadModule("testdata/unused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := whole.Packages(whole.Root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := lint.LoadModule("testdata/unused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := one.Packages(one.Root, "lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, f := range lint.Run(all, []*lint.Analyzer{lint.UnusedAnalyzer}) {
+		if strings.Contains(f.Pos.Filename, "/lib/") {
+			want = append(want, f.String())
+		}
+	}
+	for _, f := range lint.Run(lib, []*lint.Analyzer{lint.UnusedAnalyzer}) {
+		got = append(got, f.String())
+	}
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("lib alone reports\n%s\nthe whole module reports for lib\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // TestWholeTreeClean is the acceptance criterion in test form: the full

@@ -34,6 +34,8 @@ type Package struct {
 	Info *types.Info
 	// Ann holds the package's decaf annotations (see annotations.go).
 	Ann *Annotations
+
+	mod *Module
 }
 
 // Module loads and caches packages of one Go module using only the standard
@@ -52,6 +54,10 @@ type Module struct {
 	pkgs map[string]*Package
 	// loading guards against import cycles during recursive loads.
 	loading map[string]bool
+	// refs is the module-wide reference index of the unused rule, built
+	// on first use.
+	refs    *refIndex
+	refsErr error
 }
 
 // FindModuleRoot walks upward from dir to the nearest directory containing
@@ -105,9 +111,6 @@ func LoadModule(root string) (*Module, error) {
 	}, nil
 }
 
-// Fset returns the module-wide file set.
-func (m *Module) Fset() *token.FileSet { return m.fset }
-
 // Import implements types.Importer for the type checker: module-internal
 // paths load recursively from source; unsafe is the checker's builtin;
 // everything else (the standard library) goes through the stdlib source
@@ -150,14 +153,9 @@ func (m *Module) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: %s: %w", path, err)
 	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parse %s: %w", name, err)
-		}
-		files = append(files, f)
+	files, err := m.parseFiles(dir, bp.GoFiles, parser.ParseComments)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -180,6 +178,7 @@ func (m *Module) Load(path string) (*Package, error) {
 		Files: files,
 		Types: tpkg,
 		Info:  info,
+		mod:   m,
 	}
 	pkg.Ann = collectAnnotations(pkg)
 	m.pkgs[path] = pkg

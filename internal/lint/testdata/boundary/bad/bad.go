@@ -71,3 +71,13 @@ func init() {
 		return nil
 	}})
 }
+
+// hStop is registered from a package-level initializer marked like a
+// boundary function, and its body reaches the kernel directly: the rule
+// checks initializers too.
+//
+//decaf:boundary
+var hStop = xpc.Register("stop", xpc.Handler{Fn: func(c *xpc.Ctx) error {
+	kernel.Poke() // want "calls kernel-side kernel.Poke directly"
+	return nil
+}})

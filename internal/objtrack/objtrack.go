@@ -71,43 +71,6 @@ func (a *AddressSpace) Register(obj any) CPtr {
 	return p
 }
 
-// Lookup resolves an address to its object.
-func (a *AddressSpace) Lookup(p CPtr) (any, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	obj, ok := a.byAddr[p]
-	return obj, ok
-}
-
-// Resolve returns the address previously assigned to obj.
-func (a *AddressSpace) Resolve(obj any) (CPtr, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p, ok := a.byIdent[obj]
-	return p, ok
-}
-
-// Unregister removes obj from the space (kfree). The address is never
-// reused.
-func (a *AddressSpace) Unregister(obj any) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p, ok := a.byIdent[obj]
-	if !ok {
-		return fmt.Errorf("objtrack: %s: unregister of unknown object", a.name)
-	}
-	delete(a.byIdent, obj)
-	delete(a.byAddr, p)
-	return nil
-}
-
-// Live reports the number of registered objects.
-func (a *AddressSpace) Live() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.byAddr)
-}
-
 type assocKey struct {
 	ptr CPtr
 	typ TypeID
@@ -133,9 +96,6 @@ func NewTracker(name string) *Tracker {
 		toC:    make(map[any]assocKey),
 	}
 }
-
-// Name reports the tracker's domain name.
-func (t *Tracker) Name() string { return t.name }
 
 // Associate records that the user object obj is the domain's version of the
 // C object at ptr with the given type. Re-associating the same key replaces
@@ -198,46 +158,9 @@ func (t *Tracker) Release(ptr CPtr, typ TypeID) bool {
 	return true
 }
 
-// ReleaseUser removes the association for a user object.
-func (t *Tracker) ReleaseUser(obj any) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key, ok := t.toC[obj]
-	if !ok {
-		return false
-	}
-	delete(t.toC, obj)
-	delete(t.toUser, key)
-	return true
-}
-
-// ReleaseAllForPtr removes every association whose C pointer is ptr,
-// regardless of type — used when the C object is freed, taking its embedded
-// structures with it. It reports how many associations were removed.
-func (t *Tracker) ReleaseAllForPtr(ptr CPtr) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for key, obj := range t.toUser {
-		if key.ptr == ptr {
-			delete(t.toUser, key)
-			delete(t.toC, obj)
-			n++
-		}
-	}
-	return n
-}
-
 // Count reports the number of live associations.
 func (t *Tracker) Count() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.toUser)
-}
-
-// Stats reports lookup hits and misses (tracker effectiveness).
-func (t *Tracker) Stats() (hits, misses uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hits, t.misses
 }

@@ -111,24 +111,6 @@ func (j *StateJournal) Len() int {
 	return len(j.entries)
 }
 
-// Keys lists the live entry keys in replay order.
-func (j *StateJournal) Keys() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	keys := make([]string, len(j.entries))
-	for i, e := range j.entries {
-		keys[i] = e.Key
-	}
-	return keys
-}
-
-// Stats snapshots the journal's bookkeeping.
-func (j *StateJournal) Stats() JournalStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.stats
-}
-
 // Replay re-issues every live entry in order, stopping at the first failure,
 // and reports how many entries ran (including a failed one) and the first
 // error. Entries run outside the journal lock — they cross — against a

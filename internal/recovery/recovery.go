@@ -186,15 +186,6 @@ func (s *Supervisor) Attach() {
 	s.target.Runtime().SetFaultNotifier(s.onFault)
 }
 
-// Detach removes the fault notifier (the supervisor stops reacting; an
-// in-flight recovery still completes).
-func (s *Supervisor) Detach() {
-	s.target.Runtime().SetFaultNotifier(nil)
-}
-
-// Journal returns the supervised driver's state journal.
-func (s *Supervisor) Journal() *StateJournal { return s.journal }
-
 // Policy returns the restart policy.
 func (s *Supervisor) Policy() Policy { return s.policy }
 

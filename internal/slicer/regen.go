@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"decafdrivers/internal/xdr"
 )
 
 // MarshalSpec records, per structure, which fields the generated marshaling
@@ -63,19 +61,6 @@ func BuildMarshalSpec(p *Partition) *MarshalSpec {
 		spec.Fields[sname] = names
 	}
 	return spec
-}
-
-// FieldMask converts the specification into the runtime codec's mask form.
-func (m *MarshalSpec) FieldMask() xdr.FieldMask {
-	mask := make(xdr.FieldMask, len(m.Fields))
-	for sname, fields := range m.Fields {
-		fm := make(map[string]bool, len(fields))
-		for _, f := range fields {
-			fm[f] = true
-		}
-		mask[sname] = fm
-	}
-	return mask
 }
 
 // Includes reports whether the spec transfers struct field s.f.

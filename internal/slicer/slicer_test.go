@@ -261,10 +261,6 @@ func TestBuildMarshalSpec(t *testing.T) {
 	if spec.Includes("toy_adapter", "stats_total") {
 		t.Error("unaccessed field marshaled")
 	}
-	mask := spec.FieldMask()
-	if !mask.Allows("toy_adapter", "flags") || mask.Allows("toy_adapter", "stats_total") {
-		t.Error("FieldMask conversion wrong")
-	}
 }
 
 func TestRegenerateDetectsNewField(t *testing.T) {

@@ -36,7 +36,7 @@ var _ = [1]struct{}{}[hdrBytes-unsafe.Sizeof(ringHdr{})]
 // Ring is one single-producer single-consumer flight-recorder ring laid over
 // a byte region: [ringHdr][entries × RecordBytes]. The region may be a slice
 // of the xpc shared mapping (so the worker process appends into a timeline
-// the kernel side drains) or heap memory from NewRing. The struct holds only
+// the kernel side drains) or, in tests, heap memory. The struct holds only
 // derived pointers; both processes construct their own Ring over the same
 // bytes.
 type Ring struct {
@@ -53,7 +53,7 @@ func RingBytes(entries int) int { return hdrBytes + entries*RecordBytes }
 // MapRing lays a ring over region without touching its contents, so a
 // respawned worker re-attaches to the timeline its predecessor was writing.
 // entries must be a power of two and the region 8-byte aligned (mmap regions
-// are page-aligned; heap regions come from NewRing).
+// are page-aligned).
 func MapRing(region []byte, entries int) (*Ring, error) {
 	if entries < 2 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("trace: ring entries %d not a power of two >= 2", entries)
@@ -70,17 +70,6 @@ func MapRing(region []byte, entries int) (*Ring, error) {
 		mask:    uint64(entries) - 1,
 		entries: uint64(entries),
 	}, nil
-}
-
-// NewRing allocates a heap-backed ring (tests, in-process recorders). The
-// backing array is built from uint64s so the header cast is aligned.
-func NewRing(entries int) (*Ring, error) {
-	if entries < 2 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("trace: ring entries %d not a power of two >= 2", entries)
-	}
-	words := make([]uint64, RingBytes(entries)/8)
-	region := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
-	return MapRing(region, entries)
 }
 
 // Emit appends one record, stamping it with the wall clock. When the ring is
@@ -125,14 +114,6 @@ func (r *Ring) Emitted() uint64 { return r.hdr.head.Load() }
 
 // Dropped reports the total records discarded on overflow.
 func (r *Ring) Dropped() uint64 { return r.hdr.dropped.Load() }
-
-// Reset zeroes the ring positions and drop count. Only for a region no
-// producer or consumer is attached to (fresh carve before any worker ran).
-func (r *Ring) Reset() {
-	r.hdr.head.Store(0)
-	r.hdr.tail.Store(0)
-	r.hdr.dropped.Store(0)
-}
 
 // RegionBytes computes the shared-mapping footprint of nrings trace rings of
 // the given entry count, placed back to back. Both processes derive the

@@ -102,14 +102,14 @@ func TestMarshalUnsupportedFieldFailsCleanly(t *testing.T) {
 func TestHostileLengthBounded(t *testing.T) {
 	c := &Codec{}
 	f := func(claim uint32) bool {
-		e := NewEncoder()
+		e := &Encoder{}
 		e.PutUint32(claim | 1<<20) // huge claimed slice length
 		var out robustSane
 		op := &out
-		err := c.Unmarshal(e.Bytes(), &op)
+		err := c.Unmarshal(e.buf, &op)
 		// Either it errors, or it decoded something tiny; the Stats slice
 		// can never exceed the input length in elements.
-		return err != nil || len(out.Stats) <= len(e.Bytes())
+		return err != nil || len(out.Stats) <= len(e.buf)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

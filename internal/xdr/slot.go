@@ -27,42 +27,3 @@ const SlotDescriptorWireSize = 12
 // Valid reports whether the descriptor references a slot (rings never issue
 // generation 0).
 func (s SlotDescriptor) Valid() bool { return s.Generation != 0 }
-
-// PutSlotDescriptor encodes a slot descriptor.
-func (e *Encoder) PutSlotDescriptor(s SlotDescriptor) {
-	e.PutUint32(s.Index)
-	e.PutUint32(s.Length)
-	e.PutUint32(s.Generation)
-}
-
-// SlotDescriptor decodes a slot descriptor.
-func (d *Decoder) SlotDescriptor() (SlotDescriptor, error) {
-	var s SlotDescriptor
-	var err error
-	if s.Index, err = d.Uint32(); err != nil {
-		return SlotDescriptor{}, err
-	}
-	if s.Length, err = d.Uint32(); err != nil {
-		return SlotDescriptor{}, err
-	}
-	if s.Generation, err = d.Uint32(); err != nil {
-		return SlotDescriptor{}, err
-	}
-	return s, nil
-}
-
-// AppendSlotDescriptor encodes s without a reflection walk, appending to dst
-// — the descriptor is the zero-copy fast path, so its encode cost must not
-// scale with anything. Field masks do not apply: every descriptor field is
-// load-bearing.
-func (c *Codec) AppendSlotDescriptor(dst []byte, s SlotDescriptor) []byte {
-	e := Encoder{buf: dst}
-	e.PutSlotDescriptor(s)
-	return e.buf
-}
-
-// DecodeSlotDescriptor decodes the descriptor at the start of data.
-func (c *Codec) DecodeSlotDescriptor(data []byte) (SlotDescriptor, error) {
-	d := Decoder{buf: data}
-	return d.SlotDescriptor()
-}

@@ -32,18 +32,6 @@ type Encoder struct {
 	buf []byte
 }
 
-// NewEncoder returns an empty encoder.
-func NewEncoder() *Encoder { return &Encoder{} }
-
-// Bytes returns the encoded buffer.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len reports the encoded size so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// Reset discards the buffer contents, retaining capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // PutUint32 encodes an XDR unsigned int.
 func (e *Encoder) PutUint32(v uint32) {
 	var b [4]byte
@@ -98,9 +86,6 @@ type Decoder struct {
 	buf []byte
 	off int
 }
-
-// NewDecoder returns a decoder reading from b.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
 // Remaining reports undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPrimitiveRoundTrips(t *testing.T) {
-	e := NewEncoder()
+	e := &Encoder{}
 	e.PutInt32(-42)
 	e.PutUint32(0xDEADBEEF)
 	e.PutInt64(-1 << 40)
@@ -19,7 +19,7 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 	e.PutOpaque([]byte{1, 2, 3})
 	e.PutFixedOpaque([]byte{9, 8})
 
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.buf}
 	if v, _ := d.Int32(); v != -42 {
 		t.Fatalf("Int32 = %d", v)
 	}
@@ -54,32 +54,32 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 
 func TestAllItemsFourByteAligned(t *testing.T) {
 	for _, s := range []string{"", "a", "ab", "abc", "abcd", "abcde"} {
-		e := NewEncoder()
+		e := &Encoder{}
 		e.PutString(s)
-		if e.Len()%4 != 0 {
-			t.Fatalf("string %q encodes to %d bytes, not 4-aligned", s, e.Len())
+		if len(e.buf)%4 != 0 {
+			t.Fatalf("string %q encodes to %d bytes, not 4-aligned", s, len(e.buf))
 		}
 	}
 }
 
 func TestShortBuffer(t *testing.T) {
-	d := NewDecoder([]byte{0, 0})
+	d := &Decoder{buf: []byte{0, 0}}
 	if _, err := d.Uint32(); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("err = %v", err)
 	}
 	// Opaque with absurd length prefix must not allocate/overread.
-	e := NewEncoder()
+	e := &Encoder{}
 	e.PutUint32(1 << 30)
-	d = NewDecoder(e.Bytes())
+	d = &Decoder{buf: e.buf}
 	if _, err := d.Opaque(); !errors.Is(err, ErrShortBuffer) {
 		t.Fatalf("opaque overlength err = %v", err)
 	}
 }
 
 func TestBadBoolEncoding(t *testing.T) {
-	e := NewEncoder()
+	e := &Encoder{}
 	e.PutUint32(7)
-	d := NewDecoder(e.Bytes())
+	d := &Decoder{buf: e.buf}
 	if _, err := d.Bool(); err == nil {
 		t.Fatal("Bool accepted encoding 7")
 	}
@@ -89,13 +89,13 @@ func TestBadBoolEncoding(t *testing.T) {
 // 4 + ceil(len/4)*4.
 func TestStringProperty(t *testing.T) {
 	f := func(s string) bool {
-		e := NewEncoder()
+		e := &Encoder{}
 		e.PutString(s)
 		want := 4 + (len(s)+3)/4*4
-		if e.Len() != want {
+		if len(e.buf) != want {
 			return false
 		}
-		got, err := NewDecoder(e.Bytes()).String()
+		got, err := (&Decoder{buf: e.buf}).String()
 		return err == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -106,12 +106,12 @@ func TestStringProperty(t *testing.T) {
 // Property: integer round trips are identity.
 func TestIntegerProperty(t *testing.T) {
 	f := func(a int32, b uint32, c int64, d uint64) bool {
-		e := NewEncoder()
+		e := &Encoder{}
 		e.PutInt32(a)
 		e.PutUint32(b)
 		e.PutInt64(c)
 		e.PutUint64(d)
-		dec := NewDecoder(e.Bytes())
+		dec := &Decoder{buf: e.buf}
 		ga, _ := dec.Int32()
 		gb, _ := dec.Uint32()
 		gc, _ := dec.Int64()
@@ -359,11 +359,11 @@ func TestCodecTruncatedInput(t *testing.T) {
 
 func TestCodecBadBackReference(t *testing.T) {
 	c := &Codec{}
-	e := NewEncoder()
+	e := &Encoder{}
 	e.PutUint32(ptrRef)
 	e.PutUint32(99)
 	var out *node
-	if err := c.Unmarshal(e.Bytes(), &out); err == nil {
+	if err := c.Unmarshal(e.buf, &out); err == nil {
 		t.Fatal("dangling back-reference decoded")
 	}
 }

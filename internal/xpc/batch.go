@@ -238,25 +238,6 @@ func (b *Batch) add(h *registry.Handler, data []byte, slot xdr.SlotDescriptor) *
 	return b
 }
 
-// Len reports the calls queued and not yet submitted.
-func (b *Batch) Len() int {
-	if b.s == nil {
-		return 0
-	}
-	return b.s.n - b.s.submitted
-}
-
-// Outstanding reports the calls submitted but not yet waited for.
-func (b *Batch) Outstanding() int {
-	if b.s == nil {
-		return 0
-	}
-	return b.s.submitted
-}
-
-// Err reports the sticky error, if any, without flushing.
-func (b *Batch) Err() error { return b.err }
-
 // submit hands the queued calls to the transport and returns the first
 // synchronously-known error. The window of Submissions the transport gets
 // is capped at its own length: whatever the transport does with the slice,

@@ -265,7 +265,7 @@ func TestBatchStickyErrorAfterAutoFlush(t *testing.T) {
 	b.Call(hCount)
 	// Reaching MaxBatch=2 auto-flushes; the second call fails inside it.
 	b.CallData(hFail, []byte{1})
-	if b.Err() == nil {
+	if b.err == nil {
 		t.Fatal("auto-flush error not sticky")
 	}
 	b.Call(hCount)
@@ -291,8 +291,8 @@ func TestBatchReuseAfterFlush(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 0 || b.Outstanding() != 0 || b.Err() != nil {
-		t.Fatalf("batch not clean after Flush: len=%d outstanding=%d err=%v", b.Len(), b.Outstanding(), b.Err())
+	if b.s != nil || b.err != nil {
+		t.Fatalf("batch not clean after Flush: submission %v err=%v", b.s, b.err)
 	}
 	if err := b.CallData(hFail, []byte{1}).Flush(); err == nil || !strings.Contains(err.Error(), "requested failure") {
 		t.Fatalf("err = %v, want the requested failure", err)

@@ -202,8 +202,8 @@ func TestLaneConverseLyingChecksum(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, sub := range chunk {
-					if !sub.Completion.Settled() || sub.Completion.Err() != nil {
-						t.Fatalf("call %d: settled=%v err=%v", i, sub.Completion.Settled(), sub.Completion.Err())
+					if !sub.Completion.Settled() || sub.Completion.Wait(nil) != nil {
+						t.Fatalf("call %d: settled=%v err=%v", i, sub.Completion.Settled(), sub.Completion.Wait(nil))
 					}
 				}
 				return
@@ -214,8 +214,8 @@ func TestLaneConverseLyingChecksum(t *testing.T) {
 			if eng.n != 1 {
 				t.Fatalf("engine stepped %d calls before the lie, want 1", eng.n)
 			}
-			if c := chunk[0].Completion; !c.Settled() || c.Err() != nil {
-				t.Fatalf("call 0: settled=%v err=%v, want success", c.Settled(), c.Err())
+			if c := chunk[0].Completion; !c.Settled() || c.Wait(nil) != nil {
+				t.Fatalf("call 0: settled=%v err=%v, want success", c.Settled(), c.Wait(nil))
 			}
 			if chunk[1].Completion.Settled() || chunk[2].Completion.Settled() {
 				t.Fatal("a call behind the lie resolved before the failure path")
@@ -224,10 +224,10 @@ func TestLaneConverseLyingChecksum(t *testing.T) {
 			// the one behind it aborts.
 			eng.fail(chunk[eng.n:], err, true)
 			var uf *UserFault
-			if ferr := chunk[1].Completion.Err(); !errors.As(ferr, &uf) {
+			if ferr := chunk[1].Completion.Wait(nil); !errors.As(ferr, &uf) {
 				t.Fatalf("call 1 resolved %v, want a contained *UserFault", ferr)
 			}
-			if ferr := chunk[2].Completion.Err(); !errors.Is(ferr, ErrCrossingAborted) {
+			if ferr := chunk[2].Completion.Wait(nil); !errors.Is(ferr, ErrCrossingAborted) {
 				t.Fatalf("call 2 resolved %v, want ErrCrossingAborted", ferr)
 			}
 		})
@@ -362,7 +362,7 @@ func TestLaneConverseLyingDowncall(t *testing.T) {
 				t.Fatalf("downcall result %+v, want status 1 naming %s", res, tc.want)
 			}
 			err := eng.end()
-			if cerr := chunk[0].Completion.Err(); err == nil || cerr == nil || !strings.Contains(cerr.Error(), "no downcall registered") || IsUserFault(cerr) {
+			if cerr := chunk[0].Completion.Wait(nil); err == nil || cerr == nil || !strings.Contains(cerr.Error(), "no downcall registered") || IsUserFault(cerr) {
 				t.Fatalf("call resolved %v (chunk %v), want the refused downcall's plain error", cerr, err)
 			}
 			if c := r.Counters(); c.Downcalls != 0 || c.WorkerDowncalls != 0 {

@@ -393,21 +393,14 @@ const soloSpinBudget = 4 * descSpinBudget
 // it: the exit observation, rather than the doorbell EOF that follows.
 var errWorkerExited = errors.New("worker process exit observed")
 
-// awaitSlot polls q until a slot is pending, parking on the doorbell when
-// the spin budget runs out. A zero timeout means block indefinitely;
-// otherwise each doorbell wait fails once timeout has passed since its park
-// (the wedged-worker backstop). wakes counts the doorbell blocks that ended
-// during the wait — returned rather than reported through a callback so the
-// caller's hot path stays closure-free (a captured-counter closure would
-// allocate per crossing).
-//
-//decaf:hotpath
-func (q *descRing) awaitSlot(bell doorbell, timeout time.Duration) (slot []byte, wakes int, err error) {
-	return q.awaitSlotBudget(bell, timeout, descSpinBudget, nil)
-}
-
-// awaitSlotBudget is awaitSlot with an explicit spin budget and, when
-// exited is non-nil, the producer's exit flag. Concurrent lane holders pass
+// awaitSlotBudget polls q until a slot is pending, spinning for budget
+// polls and then parking on the doorbell. A zero timeout means block
+// indefinitely; otherwise each doorbell wait fails once timeout has passed
+// since its park (the wedged-worker backstop). wakes counts the doorbell
+// blocks that ended during the wait — returned rather than reported through
+// a callback so the caller's hot path stays closure-free (a
+// captured-counter closure would allocate per crossing). exited, when
+// non-nil, is the producer's exit flag. Concurrent lane holders pass
 // a budget scaled down by the number of active lanes: K submitters spinning
 // with Gosched on an oversubscribed machine take ~K times longer wall-clock
 // to exhaust a fixed budget, starving the worker process of CPU exactly

@@ -185,7 +185,7 @@ func TestDescRingConcurrentStress(t *testing.T) {
 		errc <- nil
 	}()
 	for i := 0; i < total; i++ {
-		slot, _, err := cons.awaitSlot(bell, timeout)
+		slot, _, err := cons.awaitSlotBudget(bell, timeout, descSpinBudget, nil)
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
@@ -222,7 +222,7 @@ func TestDescRingParkWakeRaces(t *testing.T) {
 	wakes := 0
 	for i := 0; i < total; i++ {
 		ready <- struct{}{}
-		slot, w, err := cons.awaitSlot(bell, timeout)
+		slot, w, err := cons.awaitSlotBudget(bell, timeout, descSpinBudget, nil)
 		if err != nil {
 			t.Fatalf("item %d: %v (lost wakeup?)", i, err)
 		}
@@ -241,9 +241,9 @@ func TestDescRingAwaitDeadline(t *testing.T) {
 	_, cons := twoSides(t, 4, 16)
 	bell := newChanDoorbell()
 	start := time.Now()
-	_, _, err := cons.awaitSlot(bell, 50*time.Millisecond)
+	_, _, err := cons.awaitSlotBudget(bell, 50*time.Millisecond, descSpinBudget, nil)
 	if err == nil {
-		t.Fatal("awaitSlot returned a slot from an empty ring")
+		t.Fatal("awaitSlotBudget returned a slot from an empty ring")
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Fatal("deadline ignored")
@@ -426,7 +426,7 @@ func TestDescRingLaneStressWrapAround(t *testing.T) {
 				}
 				base := seqs[lane] - batchN
 				for i := 0; i < batchN; i++ {
-					slot, _, err := prodRings[lane].cmp.awaitSlot(laneBells[lane], timeout)
+					slot, _, err := prodRings[lane].cmp.awaitSlotBudget(laneBells[lane], timeout, descSpinBudget, nil)
 					if err != nil {
 						t.Errorf("producer %d: lane %d completion %d: %v", p, lane, i, err)
 						claims[lane].Store(0)

@@ -58,8 +58,10 @@ func TestProcVirtualNumbersPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, want := range []time.Duration{31000416, 224, 256} {
-		if got := subs[i].Completion.CrossLatency(); got != want {
-			t.Errorf("call %d CrossLatency = %d, want %d", i, got, want)
+		c := subs[i].Completion
+		c.wait()
+		if got := c.crossCost; got != want {
+			t.Errorf("call %d crossCost = %d, want %d", i, got, want)
 		}
 	}
 	// The caller slept both downcall crossings on top of the chunk's cost.
@@ -115,17 +117,17 @@ func TestProcWorkerDiesMidChunk(t *testing.T) {
 	if err := r.Transport().Submit(r, ctx, subs); !IsUserFault(err) {
 		t.Fatalf("Submit = %v, want a contained UserFault", err)
 	}
-	if err := subs[0].Completion.Err(); err != nil {
+	if err := subs[0].Completion.Wait(nil); err != nil {
 		t.Fatalf("call 0 (served before the death) = %v, want nil", err)
 	}
 	var death *WorkerDeath
-	if err := subs[1].Completion.Err(); !IsUserFault(err) || !errors.As(err, &death) || death.PID != oldPID {
+	if err := subs[1].Completion.Wait(nil); !IsUserFault(err) || !errors.As(err, &death) || death.PID != oldPID {
 		t.Fatalf("call 1 = %v, want a UserFault wrapping the WorkerDeath of pid %d", err, oldPID)
 	}
-	if !subs[1].Completion.Faulted() {
+	if !subs[1].Completion.fault {
 		t.Fatal("call 1 did not resolve as a fault")
 	}
-	if err := subs[2].Completion.Err(); !errors.Is(err, ErrCrossingAborted) {
+	if err := subs[2].Completion.Wait(nil); !errors.Is(err, ErrCrossingAborted) {
 		t.Fatalf("call 2 = %v, want ErrCrossingAborted", err)
 	}
 	if len(events) != 1 || events[0].Call != "xpctest_exit" {

@@ -140,8 +140,8 @@ func TestSubmitRefusesHandlerlessCall(t *testing.T) {
 				t.Fatalf("Submit = %v, want a non-fault error naming the probe", err)
 			}
 			for i, sub := range subs {
-				if cerr := sub.Completion.Err(); cerr == nil || sub.Completion.Faulted() || IsUserFault(cerr) {
-					t.Fatalf("submission %d resolved with %v (fault %v), want a non-fault error", i, cerr, sub.Completion.Faulted())
+				if cerr := sub.Completion.Wait(nil); cerr == nil || sub.Completion.fault || IsUserFault(cerr) {
+					t.Fatalf("submission %d resolved with %v (fault %v), want a non-fault error", i, cerr, sub.Completion.fault)
 				}
 			}
 			if r.SharedState().Load(testCellServed) != served || testParentRan.Load() != ran {
@@ -198,7 +198,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 				fl.Stage(r, b, b)
 			}
 			for _, p := range fl.Payloads {
-				if !p.Direct() {
+				if !p.Slot.Valid() {
 					t.Fatal("payload fell back to copy; ring should have slots")
 				}
 			}
@@ -248,14 +248,14 @@ func TestUnregisterPayloadRingSwapsCleanly(t *testing.T) {
 	}
 	// Payloads degrade to the copy path, never block or drop.
 	p := r.AcquirePayload([]byte{1, 2, 3})
-	if p.Direct() {
+	if p.Slot.Valid() {
 		t.Fatal("payload rode a detached ring")
 	}
 	fresh := NewPayloadRing(old.Slots(), old.SlotSize())
 	if err := r.RegisterPayloadRing(ctx, fresh); err != nil {
 		t.Fatalf("re-register after detach: %v", err)
 	}
-	if p := r.AcquirePayload([]byte{4, 5}); !p.Direct() {
+	if p := r.AcquirePayload([]byte{4, 5}); !p.Slot.Valid() {
 		t.Fatal("payload did not ride the fresh ring")
 	}
 }

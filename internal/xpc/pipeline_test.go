@@ -240,8 +240,8 @@ func TestFlightPoolRecyclesFlights(t *testing.T) {
 		t.Fatalf("flight carries %d items / %d payloads, want %d", len(f.Items), len(f.Payloads), len(frames))
 	}
 	for i, p := range f.Payloads {
-		if direct := i < ring.Slots(); p.Direct() != direct {
-			t.Fatalf("payload %d direct = %v: the ring has %d slots, the rest fall back to the copy path", i, p.Direct(), ring.Slots())
+		if direct := i < ring.Slots(); p.Slot.Valid() != direct {
+			t.Fatalf("payload %d direct = %v: the ring has %d slots, the rest fall back to the copy path", i, p.Slot.Valid(), ring.Slots())
 		}
 	}
 	if ring.Exhausted() != 2 {

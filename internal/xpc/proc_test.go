@@ -99,7 +99,7 @@ func TestProcTransportBoundToOneRuntime(t *testing.T) {
 		t.Fatalf("cross-runtime submit: err = %v, want ErrTransportBound", err)
 	}
 	for i, sub := range subs {
-		if err := sub.Completion.Err(); !errors.Is(err, ErrTransportBound) {
+		if err := sub.Completion.Wait(nil); !errors.Is(err, ErrTransportBound) {
 			t.Fatalf("completion %d err = %v, want ErrTransportBound", i, err)
 		}
 	}
@@ -332,7 +332,7 @@ func TestProcMappedRingZeroCopy(t *testing.T) {
 	}
 	frame := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C}, 100)
 	p := r.AcquirePayload(frame)
-	if !p.Direct() {
+	if !p.Slot.Valid() {
 		t.Fatal("payload fell back to the copy path with a fresh mapped ring")
 	}
 	if err := r.Batch(ctx).CallPayload(hSink, p).Flush(); err != nil {
@@ -363,7 +363,7 @@ func TestProcCrossChunkCarriesProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.AcquirePayload(bytes.Repeat([]byte{0x5A, 0xC3}, 150))
-	if !p.Direct() {
+	if !p.Slot.Valid() {
 		t.Fatal("payload fell back to the copy path with a fresh mapped ring")
 	}
 	defer r.ReleasePayload(p)
@@ -677,7 +677,7 @@ func TestProcSigkillMidContentionRecovers(t *testing.T) {
 	// is the first to see it: exactly one contained fault, then success.
 	post := k.NewContext("post")
 	p := r.AcquirePayload([]byte("post-storm payload"))
-	if !p.Direct() {
+	if !p.Slot.Valid() {
 		t.Fatal("payload not staged in the mapped ring")
 	}
 	cross := func() error {
@@ -719,7 +719,7 @@ func TestProcRespawnReplaysRingRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.AcquirePayload([]byte("post-respawn payload"))
-	if !p.Direct() {
+	if !p.Slot.Valid() {
 		t.Fatal("payload not staged in the ring")
 	}
 	if err := r.Batch(ctx).CallPayload(hSink, p).Flush(); err != nil {
@@ -811,8 +811,8 @@ func TestProcScribbledHeaderContained(t *testing.T) {
 	p := r.AcquirePayload(bytes.Repeat([]byte{0x5A, 0xC3, 0x3C}, 100))
 	r.ReleasePayload(first)
 	defer r.ReleasePayload(p)
-	if !p.Direct() || p.Slot.Index == 0 {
-		t.Fatalf("payload staged in slot %d (direct %v), want a ring slot past the first", p.Slot.Index, p.Direct())
+	if !p.Slot.Valid() || p.Slot.Index == 0 {
+		t.Fatalf("payload staged in slot %d (direct %v), want a ring slot past the first", p.Slot.Index, p.Slot.Valid())
 	}
 	cross := func() error { return r.Batch(ctx).CallPayload(hSink, p).Flush() }
 	if err := cross(); err != nil {

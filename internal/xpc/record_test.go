@@ -156,8 +156,8 @@ func TestCompletionSettleSemantics(t *testing.T) {
 			t.Fatal("second Done returned a different channel")
 		}
 		c.resolve(boom, false, 0)
-		if !closed(ch) || !c.Settled() || c.Err() != boom {
-			t.Fatalf("after resolve: closed=%v settled=%v err=%v", closed(ch), c.Settled(), c.Err())
+		if !closed(ch) || !c.Settled() || c.Wait(nil) != boom {
+			t.Fatalf("after resolve: closed=%v settled=%v err=%v", closed(ch), c.Settled(), c.Wait(nil))
 		}
 	})
 
@@ -167,7 +167,7 @@ func TestCompletionSettleSemantics(t *testing.T) {
 		if !closed(c.Done()) || c.Done() != c.Done() {
 			t.Fatal("Done after resolve is not one closed channel")
 		}
-		if c.Err() != boom || c.Wait(nil) != boom {
+		if c.Wait(nil) != boom || c.Wait(nil) != boom {
 			t.Fatal("accessors lost the outcome")
 		}
 	})
@@ -193,7 +193,7 @@ func TestCompletionSettleSemantics(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					<-c.Done()
-					if c.Err() != boom {
+					if c.Wait(nil) != boom {
 						t.Error("woke before the outcome was published")
 					}
 				}()
@@ -218,7 +218,7 @@ func TestCompletionSettleSemantics(t *testing.T) {
 					err = c.Wait(nil)
 				} else {
 					<-c.Done()
-					err = c.Err()
+					err = c.Wait(nil)
 				}
 				if err != boom {
 					t.Errorf("waiter %d: err = %v", w, err)
@@ -253,7 +253,7 @@ func TestFlushAsyncCarriesStickyError(t *testing.T) {
 				t.Fatalf("FlushAsync().Wait = %v, want %v", got, want)
 			}
 			// An empty flush after a builder error carries it too.
-			if got := r.Batch(ctx).UpcallHandler("no_such_handler").FlushAsync().Err(); got == nil {
+			if got := r.Batch(ctx).UpcallHandler("no_such_handler").FlushAsync().Wait(nil); got == nil {
 				t.Fatal("empty FlushAsync swallowed the sticky error")
 			}
 		})
@@ -331,7 +331,7 @@ func TestRecordReuseStorm(t *testing.T) {
 						done := b.FlushAsync()
 						_ = r.Call(ctx, hCount) // proc: may meet a dead worker
 						check("flush async", done.Wait(ctx), "")
-						if !done.Settled() || done.Err() != done.Wait(nil) {
+						if !done.Settled() || done.Wait(nil) != done.Wait(nil) {
 							t.Error("aggregate handle is not stable after Wait")
 						}
 					case 2: // sticky builder error, later adds dropped

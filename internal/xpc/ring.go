@@ -223,10 +223,6 @@ type Payload struct {
 	Data []byte
 }
 
-// Direct reports whether the payload rides a ring slot (zero-copy) rather
-// than the marshal fallback.
-func (p Payload) Direct() bool { return p.Slot.Valid() }
-
 // AcquirePayload stages data for a crossing. With a registered ring and a
 // free slot, the bytes are snapshotted into the slot and the payload carries
 // only the descriptor — the crossing then transfers twelve bytes regardless

@@ -135,7 +135,7 @@ func TestAcquirePayloadSnapshotsContents(t *testing.T) {
 	}
 	src := []byte("payload-ring snapshot")
 	p := r.AcquirePayload(src)
-	if !p.Direct() {
+	if !p.Slot.Valid() {
 		t.Fatal("expected a slot-backed payload")
 	}
 	// Mutating the source after staging must not reach the slot: the ring
@@ -159,7 +159,7 @@ func TestAcquirePayloadFallsBackWithoutRing(t *testing.T) {
 	r := newDecafRuntime(k)
 	data := []byte{1, 2, 3}
 	p := r.AcquirePayload(data)
-	if p.Direct() || len(p.Data) != 3 {
+	if p.Slot.Valid() || len(p.Data) != 3 {
 		t.Fatalf("payload without a ring = %+v", p)
 	}
 	r.ReleasePayload(p) // must be a harmless no-op
@@ -192,7 +192,7 @@ func TestRegisterPayloadRingNativeModeNoCrossing(t *testing.T) {
 	if c := r.Counters(); c.Trips() != 0 {
 		t.Fatalf("native registration crossed %d times", c.Trips())
 	}
-	if p := r.AcquirePayload([]byte("x")); !p.Direct() {
+	if p := r.AcquirePayload([]byte("x")); !p.Slot.Valid() {
 		t.Fatal("native-mode acquire did not use the ring")
 	}
 }
@@ -208,7 +208,7 @@ func TestSlotPayloadCountsDirectBytes(t *testing.T) {
 
 	data := bytes.Repeat([]byte{0xAB}, 1000)
 	p := r.AcquirePayload(data)
-	if !p.Direct() {
+	if !p.Slot.Valid() {
 		t.Fatal("expected slot-backed payload")
 	}
 	b := r.Batch(ctx)
@@ -263,11 +263,11 @@ func TestExhaustedRingFallsBackToCopy(t *testing.T) {
 	r.ResetCounters()
 
 	first := r.AcquirePayload([]byte("held"))
-	if !first.Direct() {
+	if !first.Slot.Valid() {
 		t.Fatal("first acquire should take the ring's only slot")
 	}
 	second := r.AcquirePayload([]byte("overflow"))
-	if second.Direct() {
+	if second.Slot.Valid() {
 		t.Fatal("second acquire should fall back: ring exhausted")
 	}
 	b := r.Batch(ctx)

@@ -208,27 +208,6 @@ func (c *Completion) wait() {
 	}
 }
 
-// Err blocks until the completion resolves and returns the call's error
-// (nil, the call's own error, a *UserFault, or a transport/abort error).
-func (c *Completion) Err() error {
-	c.wait()
-	return c.err
-}
-
-// Faulted blocks until resolution and reports whether the decaf side
-// panicked: the fault was contained and failed only this completion.
-func (c *Completion) Faulted() bool {
-	c.wait()
-	return c.fault
-}
-
-// CrossLatency blocks until resolution and reports this call's share of the
-// crossing's virtual cost (transition, marshaling, execution).
-func (c *Completion) CrossLatency() time.Duration {
-	c.wait()
-	return c.crossCost
-}
-
 // Wait blocks until the completion resolves and returns the call's error.
 // The crossing already charged its cost to the submitting context, so the
 // waiting context ctx is charged nothing.

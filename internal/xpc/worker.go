@@ -91,13 +91,17 @@ func runWorker() int {
 	} else {
 		go s.serveLanes()
 	}
+	// A refusal is printed before it is acknowledged: the parent kills a
+	// refusing worker as soon as the acknowledgement lands.
+	if ack.Status != wireStatusOK {
+		fmt.Fprintln(os.Stderr, "xpc worker: layout refused:", ack.Name)
+	}
 	wire, _ := xdr.AppendFrame(nil, ack) // a complete frame with a clipped name always encodes
 	if _, err := sock.Write(wire); err != nil {
 		fmt.Fprintln(os.Stderr, "xpc worker: acknowledge:", err)
 		return workerErrExit
 	}
 	if ack.Status != wireStatusOK {
-		fmt.Fprintln(os.Stderr, "xpc worker: layout refused:", ack.Name)
 		return workerErrExit
 	}
 	// Nothing may arrive after the acknowledgement: EOF is the shutdown (or

@@ -199,7 +199,7 @@ func TestProcDowncallMidChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, sub := range subs {
-		if err := sub.Completion.Err(); err != nil {
+		if err := sub.Completion.Wait(nil); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -239,14 +239,14 @@ func TestProcDowncallFailureAbortsChunkTail(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "register unreadable") {
 		t.Fatalf("Submit err = %v, want the downcall target's error through the failing body", err)
 	}
-	if err := subs[0].Completion.Err(); err != nil {
+	if err := subs[0].Completion.Wait(nil); err != nil {
 		t.Fatalf("call ahead of the failing one: %v", err)
 	}
-	if err := subs[1].Completion.Err(); err == nil || !strings.Contains(err.Error(), "register unreadable") || IsUserFault(err) {
+	if err := subs[1].Completion.Wait(nil); err == nil || !strings.Contains(err.Error(), "register unreadable") || IsUserFault(err) {
 		t.Fatalf("failing call resolved %v, want an ordinary error carrying the downcall's text", err)
 	}
 	for i := 2; i < 4; i++ {
-		if err := subs[i].Completion.Err(); !errors.Is(err, ErrCrossingAborted) {
+		if err := subs[i].Completion.Wait(nil); !errors.Is(err, ErrCrossingAborted) {
 			t.Fatalf("call %d resolved %v, want ErrCrossingAborted", i, err)
 		}
 	}
@@ -472,7 +472,7 @@ func TestNativeHandlerDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.AcquirePayload([]byte{77, 1, 2})
-	if !p.Direct() || p.Data != nil {
+	if !p.Slot.Valid() || p.Data != nil {
 		t.Fatalf("payload = %+v, want slot-staged with no Data", p)
 	}
 	if err := r.Batch(ctx).CallPayload(hCount, p).Flush(); err != nil {

@@ -74,8 +74,9 @@
 // # The handler table: worker-side call bodies
 //
 // Decaf call bodies are not closures but entries in a process-global handler
-// table (internal/decaf/registry, re-exported by internal/decaf): registry.Handler
-// values installed from init(), each at the next index of a dense table.
+// table (internal/decaf/registry, which drivers import directly):
+// registry.Handler values installed from init(), each at the next index of a
+// dense table.
 // registry.Register returns the *Handler a driver keeps as its handle, and
 // the kernel side crosses with it — Runtime.Call / CallData and the Batch
 // builder's Call / CallData / CallPayload — so a misspelt crossing does not
@@ -328,9 +329,6 @@ func NewRuntime(k *kernel.Kernel, name string, mode Mode, mask xdr.FieldMask) *R
 	return r
 }
 
-// DecafContext returns the context user-level decaf code executes under.
-func (r *Runtime) DecafContext() *kernel.Context { return r.decafCtx }
-
 func (r *Runtime) codec() *xdr.Codec {
 	if r.UseFullMarshal {
 		return r.Full
@@ -375,23 +373,6 @@ func (r *Runtime) Share(kernelObj, decafObj any) (objtrack.CPtr, error) {
 	})
 	r.mu.Unlock()
 	return kptr, nil
-}
-
-// Unshare releases every tracker association for a kernel object, after
-// which the decaf-side object is collectable. It reports whether the object
-// was shared.
-func (r *Runtime) Unshare(kernelObj any) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, s := range r.shared {
-		if s.kernelObj == kernelObj {
-			r.LibTracker.Release(s.kernelPtr, s.typeID)
-			r.DecafTracker.Release(s.libPtr, s.typeID)
-			r.shared = append(r.shared[:i], r.shared[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // SharedCount reports the number of live shared objects.
@@ -489,24 +470,6 @@ func (r *Runtime) SyncToKernel(ctx *kernel.Context, obj any) error {
 	n1, err := r.syncLeg(ctx, s.libObj, s.kernelObj)
 	r.state().cell(0).addBytes(n1, n2)
 	return err
-}
-
-// DecafOf returns the decaf-driver counterpart of a shared kernel object.
-func (r *Runtime) DecafOf(kernelObj any) (any, bool) {
-	s, ok := r.findShared(kernelObj)
-	if !ok {
-		return nil, false
-	}
-	return s.decafObj, true
-}
-
-// KernelOf returns the kernel counterpart of a shared decaf object.
-func (r *Runtime) KernelOf(decafObj any) (any, bool) {
-	s, ok := r.findShared(decafObj)
-	if !ok {
-		return nil, false
-	}
-	return s.kernelObj, true
 }
 
 // UserFault describes a fault (panic) in user-level driver code that the

@@ -53,13 +53,11 @@ func TestShareCreatesTrackerAssociations(t *testing.T) {
 	if r.LibTracker.Count() != 1 || r.DecafTracker.Count() != 1 {
 		t.Fatal("trackers not populated")
 	}
-	got, ok := r.DecafOf(ka)
-	if !ok || got != any(da) {
-		t.Fatal("DecafOf failed")
+	if s, ok := r.findShared(ka); !ok || s.decafObj != any(da) {
+		t.Fatal("kernel object does not lead to its decaf counterpart")
 	}
-	kback, ok := r.KernelOf(da)
-	if !ok || kback != any(ka) {
-		t.Fatal("KernelOf failed")
+	if s, ok := r.findShared(da); !ok || s.kernelObj != any(ka) {
+		t.Fatal("decaf object does not lead to its kernel counterpart")
 	}
 }
 
@@ -141,7 +139,7 @@ func TestUpcallRoundTrip(t *testing.T) {
 		t.Fatalf("upcall ran=%d err=%v", ran, err)
 	}
 	// The body's modeled cost was spent on the decaf context.
-	if busy := r.DecafContext().Busy(); busy != xpctestCountCost {
+	if busy := r.decafCtx.Busy(); busy != xpctestCountCost {
 		t.Fatalf("decaf context busy %v, want the body's %v", busy, xpctestCountCost)
 	}
 	c := r.Counters()
@@ -174,8 +172,8 @@ func TestUpcallNativeModeBypassesXPC(t *testing.T) {
 	}
 	// The caller ran the body itself: it paid the body's cost and no
 	// crossing latency, and the decaf context never ran.
-	if ctx.Elapsed() != xpctestCountCost || r.DecafContext().Elapsed() != 0 {
-		t.Fatalf("caller elapsed %v, decaf elapsed %v: native mode charged latency", ctx.Elapsed(), r.DecafContext().Elapsed())
+	if ctx.Elapsed() != xpctestCountCost || r.decafCtx.Elapsed() != 0 {
+		t.Fatalf("caller elapsed %v, decaf elapsed %v: native mode charged latency", ctx.Elapsed(), r.decafCtx.Elapsed())
 	}
 }
 
@@ -265,7 +263,7 @@ func TestDowncallRoundTrip(t *testing.T) {
 	k := newTestKernel()
 	r := newDecafRuntime(k)
 	r.BindDowncall(dcReadReg, func(kctx *kernel.Context, arg uint64) (uint64, error) {
-		if kctx == r.DecafContext() {
+		if kctx == r.decafCtx {
 			t.Error("downcall target ran on the decaf context")
 		}
 		return arg * 6, nil
