@@ -13,7 +13,6 @@ import (
 type CaseStudy struct {
 	Audit     *analysis.ErrorAudit
 	HWFile    string
-	HWLines   int
 	HWPercent float64
 	Refactor  *analysis.HWClassRefactor
 	XDRSpec   *slicer.XDRSpec
@@ -25,11 +24,11 @@ func RunCaseStudy() (*CaseStudy, error) {
 	d := drivermodel.E1000()
 	cs := &CaseStudy{HWFile: "e1000_hw.c"}
 	cs.Audit = analysis.AuditErrorHandling(d)
-	lines, frac, err := cs.Audit.FileReduction(d, cs.HWFile)
+	_, frac, err := cs.Audit.FileReduction(d, cs.HWFile)
 	if err != nil {
 		return nil, err
 	}
-	cs.HWLines, cs.HWPercent = lines, frac
+	cs.HWPercent = frac
 	cs.Refactor = analysis.AnalyzeHWClassRefactor(d, cs.HWFile)
 
 	spec, err := slicer.GenerateXDRSpec(d)

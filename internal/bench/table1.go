@@ -13,7 +13,6 @@ import (
 // Table1Row is one implementation component's size.
 type Table1Row struct {
 	Component string
-	Packages  []string
 	Lines     int
 }
 
@@ -81,7 +80,7 @@ func RunTable1(root string) ([]Table1Row, error) {
 			}
 			lines += n
 		}
-		rows = append(rows, Table1Row{Component: c.component, Packages: c.dirs, Lines: lines})
+		rows = append(rows, Table1Row{Component: c.component, Lines: lines})
 	}
 	return rows, nil
 }

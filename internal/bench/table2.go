@@ -13,7 +13,6 @@ type Table2Row struct {
 	Stats        slicer.Stats
 	UserFraction float64
 	JavaFraction float64
-	Pinned       int
 }
 
 // RunTable2 slices all five driver models and returns the rows in the
@@ -33,7 +32,6 @@ func RunTable2() ([]Table2Row, error) {
 			Stats:        s,
 			UserFraction: s.UserFraction(),
 			JavaFraction: s.JavaFraction(),
-			Pinned:       len(p.Pinned),
 		})
 	}
 	return rows, nil

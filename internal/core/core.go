@@ -51,10 +51,10 @@ func NewSystem(opts Options) *System {
 		Clock:    clock,
 		Bus:      bus,
 		Kernel:   k,
-		Net:      knet.New(k),
-		Snd:      ksound.New(k),
-		USB:      kusb.New(k),
-		Input:    kinput.New(k),
+		Net:      knet.New(),
+		Snd:      ksound.New(),
+		USB:      kusb.New(),
+		Input:    kinput.New(),
 		runtimes: make(map[string]*xpc.Runtime),
 	}
 }

@@ -154,9 +154,7 @@ func RTL8139() *slicer.Driver {
 	library := b.cluster("8139too.c", names("rtl8139_dev", []string{
 		"rtl8139_set_eeprom", "rtl8139_get_regs", "rtl8139_get_wol",
 		"rtl8139_set_wol", "rtl8139_nway_reset",
-	}, 16), 292, func(i int, f *slicer.Function) {
-		f.DeviceSpecific = true
-	})
+	}, 16), 292, nil)
 	_ = library
 
 	decaf := b.cluster("8139too.c", names("rtl8139", []string{
@@ -187,7 +185,7 @@ func RTL8139() *slicer.Driver {
 	b.d.KernelImports = []string{"pci_enable_device", "request_irq", "free_irq",
 		"netif_rx", "register_netdev"}
 	b.d.Structs = []*slicer.StructDef{{
-		Name: "rtl8139_private", SharedWithKernel: true,
+		Name: "rtl8139_private",
 		Fields: []slicer.FieldDef{
 			{Name: "mac_addr", CType: "unsigned char", ArrayLen: 6},
 			{Name: "msg_enable", CType: "int", DecafAccess: "RW"},
@@ -249,7 +247,7 @@ func Ens1371() *slicer.Driver {
 	b.d.KernelImports = []string{"snd_card_register", "pci_enable_device",
 		"request_irq", "snd_pcm_period_elapsed"}
 	b.d.Structs = []*slicer.StructDef{{
-		Name: "ensoniq", SharedWithKernel: true,
+		Name: "ensoniq",
 		Fields: []slicer.FieldDef{
 			{Name: "codec_vendor", CType: "uint32_t", DecafAccess: "R"},
 			{Name: "rate", CType: "int", DecafAccess: "RW"},
@@ -285,9 +283,7 @@ func UhciHcd() *slicer.Driver {
 
 	b.cluster("uhci-debug.c", names("uhci_debug", []string{
 		"uhci_show_td", "uhci_show_qh", "uhci_show_urbp",
-	}, 12), 287, func(i int, f *slicer.Function) {
-		f.DeviceSpecific = true
-	})
+	}, 12), 287, nil)
 
 	decaf := b.cluster("uhci-hcd.c", []string{
 		"uhci_reset_hc", "uhci_configure_hc", "uhci_suspend_rh",
@@ -314,7 +310,7 @@ func UhciHcd() *slicer.Driver {
 		{Name: "frame", CType: "uint32_t", Pointer: true, ArrayLen: 1024, LenAnnotation: "exp(FRAME_LEN)"},
 		{Name: "fsbr_ts", CType: "long long"},
 	}
-	b.d.Structs = []*slicer.StructDef{{Name: "uhci_hcd", SharedWithKernel: true, Fields: fields}}
+	b.d.Structs = []*slicer.StructDef{{Name: "uhci_hcd", Fields: fields}}
 	// uhci-hcd has by far the most annotations (94): its URB/TD/QH plumbing
 	// needed pointer annotations throughout the nucleus interface.
 	// 3x2 function + 4 DECAF_XVAR + 1 length = 11 so far; spread the rest
@@ -343,11 +339,11 @@ func Psmouse() *slicer.Driver {
 	// Device-specific protocol code for hardware we do not have: the bulk
 	// of psmouse stays in the driver library (§4.1).
 	b.cluster("alps.c", names("alps", []string{"alps_detect", "alps_init", "alps_process_packet"}, 25), 450,
-		func(i int, f *slicer.Function) { f.DeviceSpecific = true })
+		nil)
 	b.cluster("synaptics.c", names("synaptics", []string{"synaptics_detect", "synaptics_init"}, 30), 560,
-		func(i int, f *slicer.Function) { f.DeviceSpecific = true })
+		nil)
 	b.cluster("logips2pp.c", names("logips2pp", []string{"ps2pp_detect", "ps2pp_init"}, 19), 300,
-		func(i int, f *slicer.Function) { f.DeviceSpecific = true })
+		nil)
 
 	decaf := b.cluster("psmouse-base.c", names("psmouse", []string{
 		"psmouse_probe", "psmouse_reset", "psmouse_initialize",
@@ -371,7 +367,7 @@ func Psmouse() *slicer.Driver {
 		"psmouse_connect", "psmouse_disconnect", "psmouse_reset"}
 	b.d.KernelImports = []string{"input_register_device", "serio_write"}
 	b.d.Structs = []*slicer.StructDef{{
-		Name: "psmouse", SharedWithKernel: true,
+		Name: "psmouse",
 		Fields: []slicer.FieldDef{
 			{Name: "protocol", CType: "int", DecafAccess: "RW"},
 			{Name: "rate", CType: "int", DecafAccess: "RW"},

@@ -150,7 +150,7 @@ func E1000() *slicer.Driver {
 func e1000Structs() []*slicer.StructDef {
 	return []*slicer.StructDef{
 		{
-			Name: "e1000_adapter", SharedWithKernel: true,
+			Name: "e1000_adapter",
 			Fields: []slicer.FieldDef{
 				{Name: "test_tx_ring", CType: "struct e1000_tx_ring"},
 				{Name: "test_rx_ring", CType: "struct e1000_rx_ring"},

@@ -56,8 +56,6 @@ type Patch struct {
 	ID int
 	// Batch is 1 (before 2.6.22) or 2 (after).
 	Batch int
-	// Summary is a one-line description.
-	Summary string
 	// Hunks are the changes.
 	Hunks []Hunk
 }
@@ -103,7 +101,6 @@ func buildPatches(d *slicer.Driver) ([]Patch, error) {
 		id := len(patches) + 1
 		patches = append(patches, Patch{
 			ID: id, Batch: 1 + i%2,
-			Summary: fmt.Sprintf("e1000: add adapter field evo_field_%02d", i),
 			Hunks: []Hunk{{
 				Kind: HunkFieldAdd, Struct: "e1000_adapter",
 				Field: fmt.Sprintf("evo_field_%02d", i), CType: "uint32_t",
@@ -119,8 +116,7 @@ func buildPatches(d *slicer.Driver) ([]Patch, error) {
 		fn := nucleusFns[i%len(nucleusFns)]
 		patches = append(patches, Patch{
 			ID: id, Batch: batchOf(id),
-			Summary: fmt.Sprintf("e1000: fix %s", fn),
-			Hunks:   []Hunk{{Kind: HunkFunc, Func: fn, Lines: lines}},
+			Hunks: []Hunk{{Kind: HunkFunc, Func: fn, Lines: lines}},
 		})
 	}
 
@@ -132,8 +128,7 @@ func buildPatches(d *slicer.Driver) ([]Patch, error) {
 		fn := decafFns[(i*7)%len(decafFns)]
 		patches = append(patches, Patch{
 			ID: id, Batch: batchOf(id),
-			Summary: fmt.Sprintf("e1000: update %s", fn),
-			Hunks:   []Hunk{{Kind: HunkFunc, Func: fn, Lines: lines}},
+			Hunks: []Hunk{{Kind: HunkFunc, Func: fn, Lines: lines}},
 		})
 	}
 	if len(patches) != E1000PatchCount {

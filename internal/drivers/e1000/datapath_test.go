@@ -16,7 +16,7 @@ func newDecafPathRig(t *testing.T, batchN int) *rig {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 8<<20)
 	kern := kernel.New(clock, bus)
-	net := knet.New(kern)
+	net := knet.New()
 	dev := e1000hw.New(bus, 9, [6]byte{0x00, 0x1B, 0x21, 0xAA, 0xBB, 0xCC})
 	dev.SetLink(true)
 	drv := New(kern, net, dev, Config{

@@ -28,7 +28,7 @@ func newRig(t *testing.T, mode xpc.Mode) *rig {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 8<<20)
 	kern := kernel.New(clock, bus)
-	net := knet.New(kern)
+	net := knet.New()
 	dev := e1000hw.New(bus, 9, [6]byte{0x00, 0x1B, 0x21, 0xAA, 0xBB, 0xCC})
 	dev.SetLink(true)
 	drv := New(kern, net, dev, Config{Mode: mode, IRQ: 9})
@@ -91,7 +91,7 @@ func TestBadModuleParamRejected(t *testing.T) {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 8<<20)
 	kern := kernel.New(clock, bus)
-	net := knet.New(kern)
+	net := knet.New()
 	dev := e1000hw.New(bus, 9, [6]byte{1, 2, 3, 4, 5, 6})
 	dev.SetLink(true)
 	drv := New(kern, net, dev, Config{Mode: xpc.ModeDecaf, IRQ: 9,

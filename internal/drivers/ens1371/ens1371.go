@@ -81,13 +81,13 @@ type Driver struct {
 	// the PCM ops act as the kernel-facing proxy — they journal their
 	// intent and defer the crossing to the journal replay instead of
 	// reaching the suspect decaf driver, so the card looks slow, not dead.
-	// deferredOps counts ops absorbed that way. failed marks a fail-stopped
-	// device: every PCM op then errors explicitly instead of silently
-	// deferring.
-	journal     *recovery.StateJournal
-	recovering  bool
-	failed      bool
-	deferredOps uint64
+	// failed marks a fail-stopped device: every PCM op then errors
+	// explicitly instead of silently deferring. Only this package's tests
+	// arm it (the recovery.Target methods are in export_test.go): no
+	// deployment supervises ens1371.
+	journal    *recovery.StateJournal
+	recovering bool
+	failed     bool
 }
 
 // errFailStopped is what every PCM op returns once the restart budget is
@@ -109,7 +109,6 @@ func (d *Driver) proxyOp(record, deferred func(), op func() error) error {
 		if deferred != nil {
 			deferred()
 		}
-		d.deferredOps++
 		return nil
 	}
 	err := op()
@@ -123,7 +122,6 @@ func (d *Driver) proxyOp(record, deferred func(), op func() error) error {
 		if deferred != nil {
 			deferred()
 		}
-		d.deferredOps++
 		return nil
 	}
 	return err

@@ -26,7 +26,7 @@ func newRig(t *testing.T, mode xpc.Mode) *rig {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 4<<20)
 	kern := kernel.New(clock, bus)
-	snd := ksound.New(kern)
+	snd := ksound.New()
 	dev := es1371hw.New(bus, 5, 0xD000)
 	drv := New(kern, snd, dev, 0xD000, Config{Mode: mode, IRQ: 5})
 	return &rig{clock: clock, kern: kern, snd: snd, dev: dev, drv: drv}

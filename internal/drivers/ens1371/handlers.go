@@ -230,7 +230,7 @@ func (d *Driver) registerDowncalls() {
 		if i >= uint64(len(ctlNames)) {
 			return 0, fmt.Errorf("ens1371: no mixer control %d", i)
 		}
-		d.card.AddControl(ctlNames[i], 0x0808)
+		d.card.AddControl()
 		return 0, nil
 	})
 	errno(downCardRegister, func(*kernel.Context) error { return d.snd.Register(d.card) })

@@ -52,11 +52,9 @@ type Config struct {
 
 // Driver is one bound psmouse instance.
 type Driver struct {
-	kern *kernel.Kernel
 	in   *kinput.Subsystem
 	port *kinput.SerioPort
 	rt   *xpc.Runtime
-	irq  int
 
 	State *State
 
@@ -70,7 +68,7 @@ type Driver struct {
 // New binds the driver to a serio port.
 func New(k *kernel.Kernel, in *kinput.Subsystem, port *kinput.SerioPort, cfg Config) *Driver {
 	d := &Driver{
-		kern: k, in: in, port: port, irq: cfg.IRQ,
+		in: in, port: port,
 		State: &State{},
 	}
 	d.rt = xpc.NewRuntime(k, "psmouse", cfg.Mode, nil)

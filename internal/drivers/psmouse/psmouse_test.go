@@ -24,7 +24,7 @@ func newRig(t *testing.T, mode xpc.Mode) *rig {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 1<<20)
 	kern := kernel.New(clock, bus)
-	in := kinput.New(kern)
+	in := kinput.New()
 	port := kinput.NewSerioPort()
 	mouse := ps2hw.New(port, bus.IRQ(12))
 	drv := New(kern, in, port, Config{Mode: mode, IRQ: 12})

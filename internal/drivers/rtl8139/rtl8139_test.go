@@ -25,7 +25,7 @@ func newRig(t *testing.T, mode xpc.Mode) *rig {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 4<<20)
 	kern := kernel.New(clock, bus)
-	net := knet.New(kern)
+	net := knet.New()
 	dev := rtl8139hw.New(bus, 11, 0xC000, [6]byte{0x00, 0xE0, 0x4C, 0x39, 0x13, 0x9A})
 	drv := New(kern, net, dev, 0xC000, Config{Mode: mode, IRQ: 11})
 	return &rig{clock: clock, kern: kern, net: net, dev: dev, drv: drv}

@@ -28,7 +28,7 @@ func newRig(t *testing.T, mode xpc.Mode) *rig {
 	clock := ktime.NewClock()
 	bus := hw.NewBus(clock, 8<<20)
 	kern := kernel.New(clock, bus)
-	usb := kusb.New(kern)
+	usb := kusb.New()
 	dev := uhcihw.New(bus, 10, 0xE000)
 	flash := &uhcihw.FlashDrive{}
 	dev.AttachPeripheral(0, flash)

@@ -17,14 +17,13 @@ import (
 )
 
 // Bus is the root of the simulated hardware: it owns DMA memory, the port
-// I/O space, interrupt lines, and the set of attached PCI devices.
+// I/O space and interrupt lines, and PCI devices attach to it.
 type Bus struct {
-	mu      sync.Mutex
-	clock   *ktime.Clock
-	dma     *DMAMemory
-	ports   map[uint16]PortHandler
-	devices []*PCIDevice
-	irqs    map[int]*IRQLine
+	mu    sync.Mutex
+	clock *ktime.Clock
+	dma   *DMAMemory
+	ports map[uint16]PortHandler
+	irqs  map[int]*IRQLine
 }
 
 // NewBus creates a bus with the given virtual clock and dmaSize bytes of
@@ -56,7 +55,8 @@ func (b *Bus) IRQ(num int) *IRQLine {
 	return line
 }
 
-// Attach adds a PCI device to the bus, in the next free slot. It panics if the device is nil or already attached.
+// Attach attaches a PCI device to the bus. It panics if the device is nil
+// or already attached.
 func (b *Bus) Attach(dev *PCIDevice) {
 	if dev == nil {
 		panic("hw: Attach(nil)")
@@ -67,7 +67,6 @@ func (b *Bus) Attach(dev *PCIDevice) {
 		panic(fmt.Sprintf("hw: device %s already attached", dev.Name))
 	}
 	dev.bus = b
-	b.devices = append(b.devices, dev)
 }
 
 // PortHandler services port I/O for a contiguous range of ports registered

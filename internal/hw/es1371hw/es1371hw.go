@@ -63,7 +63,6 @@ type Device struct {
 
 	mu    sync.Mutex
 	clock *ktime.Clock
-	dma   *hw.DMAMemory
 
 	control    uint32
 	status     uint32
@@ -77,15 +76,14 @@ type Device struct {
 	periodLen  uint32 // samples per period
 	sampleRate int
 
-	pos           uint32 // playback position in samples
-	consumed      uint64 // total samples consumed
-	periodsRaised uint64
-	timer         *ktime.Timer
+	pos      uint32 // playback position in samples
+	consumed uint64 // total samples consumed
+	timer    *ktime.Timer
 }
 
 // New creates an ES1371 at the given I/O base.
 func New(bus *hw.Bus, irq int, ioBase uint16) *Device {
-	d := &Device{clock: bus.Clock(), dma: bus.DMA(), sampleRate: 44100}
+	d := &Device{clock: bus.Clock(), sampleRate: 44100}
 	d.PCI = hw.NewPCIDevice("ens1371", VendorID, DeviceID, 0x08)
 	d.PCI.SetBAR(0, &hw.BAR{Base: uint32(ioBase), Size: 0x40, IsIO: true})
 	bus.Attach(d.PCI)
@@ -208,7 +206,6 @@ func (d *Device) periodElapsed() {
 	}
 	d.pos = (d.pos + d.periodLen) % maxU32(d.frameSize*2, 1)
 	d.consumed += uint64(d.periodLen)
-	d.periodsRaised++
 	d.status |= StatusIntr | StatusDAC2
 	d.mu.Unlock()
 	d.PCI.RaiseIRQ()

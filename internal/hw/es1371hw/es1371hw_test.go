@@ -62,12 +62,12 @@ func TestPlaybackEngineConsumesAtRate(t *testing.T) {
 
 	// One period at 44.1kHz is ~23.2ms.
 	clock.Advance(20 * time.Millisecond)
-	if fired != 0 || d.periodsRaised != 0 {
+	if fired != 0 || d.Consumed() != 0 {
 		t.Fatal("period fired early")
 	}
 	clock.Advance(5 * time.Millisecond)
-	if fired != 1 || d.periodsRaised != 1 {
-		t.Fatalf("fired=%d periods=%d after one period time", fired, d.periodsRaised)
+	if fired != 1 || d.Consumed() != 1024 {
+		t.Fatalf("fired=%d consumed=%d after one period time", fired, d.Consumed())
 	}
 	if d.Consumed() != 1024 {
 		t.Fatalf("consumed = %d", d.Consumed())
@@ -79,8 +79,8 @@ func TestPlaybackEngineConsumesAtRate(t *testing.T) {
 	// Ack and continue.
 	bus.Outl(base+RegStatus, StatusDAC2)
 	clock.Advance(50 * time.Millisecond)
-	if d.periodsRaised < 3 {
-		t.Fatalf("periods = %d after 75ms", d.periodsRaised)
+	if periods := d.Consumed() / 1024; periods < 3 {
+		t.Fatalf("periods = %d after 75ms", periods)
 	}
 }
 
@@ -90,13 +90,13 @@ func TestDisableStopsEngine(t *testing.T) {
 	bus.Outl(base+RegDAC2FrameSize, 4096)
 	bus.Outl(base+RegControl, CtrlDAC2En)
 	clock.Advance(30 * time.Millisecond)
-	n := d.periodsRaised
+	n := d.Consumed()
 	if n == 0 {
 		t.Fatal("engine never ran")
 	}
 	bus.Outl(base+RegControl, 0)
 	clock.Advance(100 * time.Millisecond)
-	if d.periodsRaised != n {
+	if d.Consumed() != n {
 		t.Fatal("engine ran after disable")
 	}
 }
@@ -105,7 +105,7 @@ func TestEngineWithoutPeriodLenIdle(t *testing.T) {
 	d, bus, clock := newDev(t)
 	bus.Outl(base+RegControl, CtrlDAC2En) // no period programmed
 	clock.Advance(time.Second)
-	if d.periodsRaised != 0 {
+	if d.Consumed() != 0 {
 		t.Fatal("engine ran without DAC2Count")
 	}
 }

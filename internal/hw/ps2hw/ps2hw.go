@@ -37,10 +37,8 @@ type Mouse struct {
 
 	expectingArg byte // pending command awaiting its argument byte
 	rateHistory  []byte
-	resolution   byte
 	reporting    bool
 	id           byte
-	reports      uint64
 }
 
 // New creates a mouse attached to the serio port, asserting irq for each
@@ -65,6 +63,8 @@ func (m *Mouse) handleByte(b byte) {
 	pendingCmd := m.expectingArg
 	if pendingCmd != 0 {
 		m.expectingArg = 0
+		// A resolution argument is acknowledged and ignored: the model
+		// reports its deltas unscaled.
 		switch pendingCmd {
 		case CmdSetRate:
 			m.rateHistory = append(m.rateHistory, b)
@@ -75,8 +75,6 @@ func (m *Mouse) handleByte(b byte) {
 			if n >= 3 && m.rateHistory[n-3] == 200 && m.rateHistory[n-2] == 100 && m.rateHistory[n-1] == 80 {
 				m.id = IDIntelliMouse
 			}
-		case CmdSetResolution:
-			m.resolution = b
 		}
 		m.mu.Unlock()
 		m.send(RespAck)
@@ -123,7 +121,6 @@ func (m *Mouse) Move(dx, dy int, left, right bool) bool {
 		m.mu.Unlock()
 		return false
 	}
-	m.reports++
 	m.mu.Unlock()
 
 	flags := byte(0x08) // always-one bit

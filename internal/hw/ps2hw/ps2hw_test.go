@@ -118,9 +118,6 @@ func TestMovementReports(t *testing.T) {
 	if int8(h.recv[1]) != 5 || int8(h.recv[2]) != -3 {
 		t.Fatalf("deltas = %d, %d", int8(h.recv[1]), int8(h.recv[2]))
 	}
-	if h.mouse.reports != 1 {
-		t.Fatalf("Reports = %d", h.mouse.reports)
-	}
 	h.cmd(t, CmdDisable)
 	if h.mouse.Move(1, 1, false, false) {
 		t.Fatal("movement after disable")

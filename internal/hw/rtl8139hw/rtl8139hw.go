@@ -80,7 +80,6 @@ type Device struct {
 	rbstart  uint32
 	capr     uint16
 	cbr      uint16
-	linkUp   bool
 
 	// eepromAddr latches the address for the simplified serial protocol.
 	eepromAddr uint8
@@ -95,7 +94,7 @@ type Device struct {
 // New creates an RTL-8139, claims its I/O ports at ioBase, attaches it to
 // the bus and wires its interrupt.
 func New(bus *hw.Bus, irq int, ioBase uint16, mac [6]byte) *Device {
-	d := &Device{dma: bus.DMA(), mac: mac, linkUp: true}
+	d := &Device{dma: bus.DMA(), mac: mac}
 	d.PCI = hw.NewPCIDevice("rtl8139", VendorID, DeviceID, 0x10)
 	d.PCI.SetBAR(0, &hw.BAR{Base: uint32(ioBase), Size: 0x100, IsIO: true})
 	bus.Attach(d.PCI)
@@ -110,12 +109,8 @@ func New(bus *hw.Bus, irq int, ioBase uint16, mac [6]byte) *Device {
 	return d
 }
 
-// LinkUp reports link state.
-func (d *Device) LinkUp() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.linkUp
-}
+// LinkUp reports link state: the model's link never goes down.
+func (d *Device) LinkUp() bool { return true }
 
 // Counters reports adapter-level traffic counts.
 func (d *Device) Counters() (txFrames, txBytes, rxFrames, rxBytes, rxDrops uint64) {

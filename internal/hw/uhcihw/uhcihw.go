@@ -317,7 +317,6 @@ func (d *Device) Stop() {
 type FlashDrive struct {
 	mu      sync.Mutex
 	written uint64
-	packets uint64
 }
 
 // HandleOut implements Peripheral.
@@ -325,7 +324,6 @@ func (f *FlashDrive) HandleOut(endpoint int, data []byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.written += uint64(len(data))
-	f.packets++
 }
 
 // HandleIn implements Peripheral.

@@ -19,9 +19,7 @@ type Kernel struct {
 	bus   *hw.Bus
 
 	mu      sync.Mutex
-	modules map[string]*loadedModule
-	// oopses records every fault Oops reported, before it panicked.
-	oopses []error
+	modules map[string]Module
 
 	accounting *CPUAccounting
 
@@ -34,7 +32,7 @@ func New(clock *ktime.Clock, bus *hw.Bus) *Kernel {
 	k := &Kernel{
 		clock:      clock,
 		bus:        bus,
-		modules:    make(map[string]*loadedModule),
+		modules:    make(map[string]Module),
 		accounting: &CPUAccounting{},
 		irqTable:   &irqTable{byNum: make(map[int]*irqState)},
 	}
@@ -56,12 +54,9 @@ func (k *Kernel) Accounting() *CPUAccounting { return k.accounting }
 func (k *Kernel) DefaultWorkqueue() *Workqueue { return k.defaultWQ }
 
 // Oops reports a kernel fault: a violated invariant such as sleeping in
-// atomic context. It records the fault and panics, so the faulting path
-// fails loudly.
+// atomic context. It panics with the fault, so the faulting path fails
+// loudly.
 func (k *Kernel) Oops(err error) {
-	k.mu.Lock()
-	k.oopses = append(k.oopses, err)
-	k.mu.Unlock()
 	panic(err)
 }
 
@@ -115,15 +110,8 @@ type Module interface {
 	Exit(ctx *Context)
 }
 
-type loadedModule struct {
-	module Module
-	report LoadReport
-}
-
 // LoadReport describes one insmod: the paper's Table 3 init-latency metric.
 type LoadReport struct {
-	// Name is the module name.
-	Name string
 	// InitLatency is the elapsed virtual time of Init — what the paper
 	// measures as "latency to run the insmod module loader".
 	InitLatency time.Duration
@@ -146,12 +134,11 @@ func (k *Kernel) LoadModule(m Module) (LoadReport, error) {
 		return LoadReport{}, fmt.Errorf("kernel: init of %q failed: %w", m.ModuleName(), err)
 	}
 	rep := LoadReport{
-		Name:        m.ModuleName(),
 		InitLatency: ctx.Elapsed(),
 		InitBusy:    ctx.Busy(),
 	}
 	k.mu.Lock()
-	k.modules[m.ModuleName()] = &loadedModule{module: m, report: rep}
+	k.modules[m.ModuleName()] = m
 	k.mu.Unlock()
 	return rep, nil
 }
@@ -159,7 +146,7 @@ func (k *Kernel) LoadModule(m Module) (LoadReport, error) {
 // UnloadModule runs the module's Exit and forgets it.
 func (k *Kernel) UnloadModule(name string) error {
 	k.mu.Lock()
-	lm, ok := k.modules[name]
+	m, ok := k.modules[name]
 	if !ok {
 		k.mu.Unlock()
 		return fmt.Errorf("kernel: module %q not loaded", name)
@@ -167,7 +154,7 @@ func (k *Kernel) UnloadModule(name string) error {
 	delete(k.modules, name)
 	k.mu.Unlock()
 	ctx := k.NewContext("rmmod:" + name)
-	lm.module.Exit(ctx)
+	m.Exit(ctx)
 	return nil
 }
 

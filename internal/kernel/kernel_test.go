@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,8 +102,8 @@ func TestOopsRecordsBeforePanic(t *testing.T) {
 	l.Lock(ctx)
 	v := mustOops(t, func() { ctx.AssertMayBlock("test-op") })
 	l.Unlock(ctx)
-	if len(k.oopses) != 1 || k.oopses[0] != v {
-		t.Fatalf("oopses = %v, want the one panic value %v", k.oopses, v)
+	if err, ok := v.(error); !ok || !strings.Contains(err.Error(), "test-op from atomic context") {
+		t.Fatalf("oops panicked with %v, want the fault naming test-op", v)
 	}
 }
 
@@ -171,8 +172,8 @@ func TestLoadModuleReportsLatency(t *testing.T) {
 	if rep.InitBusy != 5*time.Millisecond {
 		t.Fatalf("InitBusy = %v, want 5ms", rep.InitBusy)
 	}
-	if lm := k.modules["8139too"]; lm == nil || lm.report != rep {
-		t.Fatal("loaded module keeps a different report")
+	if got := k.LoadedModules(); len(got) != 1 || got[0] != "8139too" {
+		t.Fatalf("loaded modules = %v, want just 8139too", got)
 	}
 }
 
@@ -269,9 +270,6 @@ func TestBlockingInIRQHandlerFaults(t *testing.T) {
 		ctx.AssertMayBlock("xpc-to-user")
 	}, nil)
 	mustOops(t, k.Bus().IRQ(3).Raise)
-	if len(k.oopses) != 1 {
-		t.Fatal("blocking from IRQ context did not fault")
-	}
 }
 
 func TestWorkqueueDrain(t *testing.T) {
@@ -288,9 +286,6 @@ func TestWorkqueueDrain(t *testing.T) {
 	n := wq.Drain()
 	if n != 2 || len(ran) != 2 || ran[0] != 1 || ran[1] != 2 {
 		t.Fatalf("Drain ran %d items, order %v", n, ran)
-	}
-	if q, d := wq.queued, wq.drained; q != 2 || d != 2 {
-		t.Fatalf("stats = %d,%d", q, d)
 	}
 }
 
@@ -378,14 +373,15 @@ func TestWorkItemMayBlock(t *testing.T) {
 func TestKernelTimerRunsAtomic(t *testing.T) {
 	k := newTestKernel()
 	var atomic bool
-	tm := k.NewTimer("watchdog", func(ctx *Context) { atomic = ctx.InAtomic() })
+	fired := 0
+	tm := k.NewTimer("watchdog", func(ctx *Context) { atomic = ctx.InAtomic(); fired++ })
 	tm.Schedule(2 * time.Second)
 	k.Clock().Advance(2 * time.Second)
 	if !atomic {
 		t.Fatal("timer callback context was not atomic (softirq)")
 	}
-	if tm.fired != 1 {
-		t.Fatalf("fired = %d", tm.fired)
+	if fired != 1 {
+		t.Fatalf("fired = %d", fired)
 	}
 }
 

@@ -16,21 +16,19 @@ type TimerFunc func(ctx *Context)
 // KTimer is a kernel timer bound to the virtual clock.
 type KTimer struct {
 	kernel *Kernel
-	name   string
 	fn     TimerFunc
 	ctx    *Context
 	inner  *ktime.Timer
 	expire func() // t.fire, bound once so arming does not allocate it
 
 	period time.Duration // nonzero for self-rearming timers
-	fired  uint64
 }
 
 // NewTimer creates a one-shot kernel timer; arm it with Schedule.
 func (k *Kernel) NewTimer(name string, fn TimerFunc) *KTimer {
 	ctx := k.NewContext("ktimer/" + name)
 	ctx.kind = CtxSoftIRQ
-	t := &KTimer{kernel: k, name: name, fn: fn, ctx: ctx}
+	t := &KTimer{kernel: k, fn: fn, ctx: ctx}
 	t.expire = t.fire
 	return t
 }
@@ -51,7 +49,6 @@ func (t *KTimer) SchedulePeriodic(period time.Duration) {
 }
 
 func (t *KTimer) fire() {
-	t.fired++
 	t.fn(t.ctx)
 	if t.period > 0 {
 		t.inner = t.kernel.clock.ScheduleAfter(t.period, t.expire)

@@ -20,22 +20,17 @@ const WorkScheduleCost = 3 * time.Microsecond
 // simulation loop (Drain), keeping experiments deterministic; each item runs
 // under the queue's own process context.
 type Workqueue struct {
-	kernel *Kernel
-	name   string
-
 	mu sync.Mutex
 	// items always starts at the front of its backing array: Drain pops by
 	// shifting the rest down (a handful at most), so Queue reuses the array
 	// instead of growing a fresh one behind a creeping slice.
-	items   []WorkFunc
-	ctx     *Context
-	queued  uint64
-	drained uint64
+	items []WorkFunc
+	ctx   *Context
 }
 
 // NewWorkqueue creates a named work queue with its own worker context.
 func (k *Kernel) NewWorkqueue(name string) *Workqueue {
-	return &Workqueue{kernel: k, name: name, ctx: k.NewContext("kworker/" + name)}
+	return &Workqueue{ctx: k.NewContext("kworker/" + name)}
 }
 
 // Queue appends a work item. Safe from any context, including hard IRQ.
@@ -45,7 +40,6 @@ func (w *Workqueue) Queue(fn WorkFunc) {
 	}
 	w.mu.Lock()
 	w.items = append(w.items, fn)
-	w.queued++
 	w.mu.Unlock()
 }
 
@@ -63,7 +57,6 @@ func (w *Workqueue) Drain() int {
 		n := copy(w.items, w.items[1:])
 		w.items[n] = nil // a drained item's captures are not pinned
 		w.items = w.items[:n]
-		w.drained++
 		ctx := w.ctx
 		w.mu.Unlock()
 		ctx.Charge(WorkScheduleCost)

@@ -7,8 +7,6 @@ package kinput
 import (
 	"fmt"
 	"sync"
-
-	"decafdrivers/internal/kernel"
 )
 
 // Event is one input event (EV_REL / EV_KEY simplified).
@@ -33,15 +31,13 @@ type Device struct {
 
 // Subsystem is the input core.
 type Subsystem struct {
-	kernel *kernel.Kernel
-
 	mu      sync.Mutex
 	devices map[string]*Device
 }
 
 // New creates the input subsystem.
-func New(k *kernel.Kernel) *Subsystem {
-	return &Subsystem{kernel: k, devices: make(map[string]*Device)}
+func New() *Subsystem {
+	return &Subsystem{devices: make(map[string]*Device)}
 }
 
 // Register adds an input device (input_register_device).

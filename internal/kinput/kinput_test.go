@@ -2,16 +2,11 @@ package kinput
 
 import (
 	"testing"
-
-	"decafdrivers/internal/hw"
-	"decafdrivers/internal/kernel"
-	"decafdrivers/internal/ktime"
 )
 
 func newInput(t *testing.T) *Subsystem {
 	t.Helper()
-	clock := ktime.NewClock()
-	return New(kernel.New(clock, hw.NewBus(clock, 1<<16)))
+	return New()
 }
 
 func TestDeviceRegistration(t *testing.T) {

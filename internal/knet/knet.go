@@ -99,15 +99,13 @@ type NetDevice struct {
 
 // Subsystem is the network core: the registry of interfaces.
 type Subsystem struct {
-	kernel *kernel.Kernel
-
 	mu      sync.Mutex
 	devices map[string]*NetDevice
 }
 
-// New creates the network subsystem for a kernel.
-func New(k *kernel.Kernel) *Subsystem {
-	return &Subsystem{kernel: k, devices: make(map[string]*NetDevice)}
+// New creates the network subsystem.
+func New() *Subsystem {
+	return &Subsystem{devices: make(map[string]*NetDevice)}
 }
 
 // Register adds an interface with its driver ops (register_netdev).

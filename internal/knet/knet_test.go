@@ -30,7 +30,7 @@ func newNet(t *testing.T) (*Subsystem, *kernel.Kernel) {
 	t.Helper()
 	clock := ktime.NewClock()
 	k := kernel.New(clock, hw.NewBus(clock, 1<<16))
-	return New(k), k
+	return New(), k
 }
 
 func TestRegisterUnregister(t *testing.T) {

@@ -34,12 +34,6 @@ type PCMOps interface {
 	Close(ctx *kernel.Context) error
 }
 
-// Control is one mixer control (volume, mute, ...).
-type Control struct {
-	Name  string
-	Value int
-}
-
 // Card is the snd_card analogue.
 type Card struct {
 	Name string
@@ -49,22 +43,20 @@ type Card struct {
 	Mutex *kernel.Mutex
 
 	mu       sync.Mutex
-	controls []*Control
+	controls int
 	pcm      PCMOps
 	stream   *Substream
 }
 
 // Subsystem is the sound core.
 type Subsystem struct {
-	kernel *kernel.Kernel
-
 	mu    sync.Mutex
 	cards map[string]*Card
 }
 
 // New creates the sound subsystem.
-func New(k *kernel.Kernel) *Subsystem {
-	return &Subsystem{kernel: k, cards: make(map[string]*Card)}
+func New() *Subsystem {
+	return &Subsystem{cards: make(map[string]*Card)}
 }
 
 // NewCard allocates an unregistered card (snd_card_new).
@@ -103,18 +95,19 @@ func (s *Subsystem) Card(name string) (*Card, bool) {
 	return c, ok
 }
 
-// AddControl registers a mixer control (snd_ctl_add).
-func (c *Card) AddControl(name string, value int) {
+// AddControl registers a mixer control (snd_ctl_add). The model counts
+// controls; it keeps no name or value, since nothing reads one back.
+func (c *Card) AddControl() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.controls = append(c.controls, &Control{Name: name, Value: value})
+	c.controls++
 }
 
 // Controls reports the number of registered mixer controls.
 func (c *Card) Controls() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.controls)
+	return c.controls
 }
 
 // SetPCMOps installs the driver's playback operations (snd_pcm_new).
@@ -129,12 +122,9 @@ type Substream struct {
 	card *Card
 	ops  PCMOps
 
-	Rate         int
-	Channels     int
-	PeriodFrames int
+	Channels int
 
 	mu           sync.Mutex
-	running      bool
 	appFrames    uint64 // frames written by the application
 	periodsSoFar uint64
 }
@@ -164,7 +154,7 @@ func (st *Substream) Configure(ctx *kernel.Context, rate, channels, periodFrames
 	if err := st.ops.HWParams(ctx, rate, channels, periodFrames); err != nil {
 		return err
 	}
-	st.Rate, st.Channels, st.PeriodFrames = rate, channels, periodFrames
+	st.Channels = channels
 	return st.ops.Prepare(ctx)
 }
 
@@ -172,22 +162,13 @@ func (st *Substream) Configure(ctx *kernel.Context, rate, channels, periodFrames
 func (st *Substream) Start(ctx *kernel.Context) error {
 	st.card.Mutex.Lock(ctx)
 	defer st.card.Mutex.Unlock(ctx)
-	if err := st.ops.Trigger(ctx, true); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	st.running = true
-	st.mu.Unlock()
-	return nil
+	return st.ops.Trigger(ctx, true)
 }
 
 // Stop halts playback.
 func (st *Substream) Stop(ctx *kernel.Context) error {
 	st.card.Mutex.Lock(ctx)
 	defer st.card.Mutex.Unlock(ctx)
-	st.mu.Lock()
-	st.running = false
-	st.mu.Unlock()
 	return st.ops.Trigger(ctx, false)
 }
 

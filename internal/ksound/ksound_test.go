@@ -43,7 +43,7 @@ func newSnd(t *testing.T) (*Subsystem, *kernel.Kernel) {
 	t.Helper()
 	clock := ktime.NewClock()
 	k := kernel.New(clock, hw.NewBus(clock, 1<<16))
-	return New(k), k
+	return New(), k
 }
 
 func TestCardRegistration(t *testing.T) {
@@ -70,8 +70,8 @@ func TestCardRegistration(t *testing.T) {
 func TestMixerControls(t *testing.T) {
 	s, _ := newSnd(t)
 	c := s.NewCard("x")
-	c.AddControl("Master Playback Volume", 100)
-	c.AddControl("PCM Playback Volume", 80)
+	c.AddControl()
+	c.AddControl()
 	if c.Controls() != 2 {
 		t.Fatalf("Controls = %d", c.Controls())
 	}
@@ -109,8 +109,8 @@ func TestPlaybackLifecycle(t *testing.T) {
 	if err := st.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !st.running {
-		t.Fatal("not running after Start")
+	if len(pcm.triggered) != 1 || !pcm.triggered[0] {
+		t.Fatalf("triggers after Start = %v, want one start", pcm.triggered)
 	}
 	n, err := st.Write(ctx, make([]byte, 400))
 	if err != nil || n != 400 {
@@ -127,8 +127,8 @@ func TestPlaybackLifecycle(t *testing.T) {
 	if err := st.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if st.running {
-		t.Fatal("running after Stop")
+	if len(pcm.triggered) != 2 || pcm.triggered[1] {
+		t.Fatalf("triggers after Stop = %v, want a start then a stop", pcm.triggered)
 	}
 	if err := st.Close(ctx); err != nil {
 		t.Fatal(err)

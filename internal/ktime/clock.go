@@ -114,7 +114,6 @@ type Timer struct {
 	deadline  time.Duration
 	seq       uint64
 	fn        func()
-	index     int
 	cancelled bool
 	fired     bool
 	clock     *Clock
@@ -168,14 +167,10 @@ func (h timerHeap) Less(i, j int) bool {
 
 func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
 }
 
 func (h *timerHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
+	*h = append(*h, x.(*Timer))
 }
 
 func (h *timerHeap) Pop() any {
@@ -183,7 +178,6 @@ func (h *timerHeap) Pop() any {
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.index = -1
 	*h = old[:n-1]
 	return t
 }

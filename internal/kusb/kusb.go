@@ -48,15 +48,13 @@ type HCD interface {
 
 // Core is the USB subsystem.
 type Core struct {
-	kernel *kernel.Kernel
-
 	mu   sync.Mutex
 	hcds map[string]HCD
 }
 
 // New creates the USB core.
-func New(k *kernel.Kernel) *Core {
-	return &Core{kernel: k, hcds: make(map[string]HCD)}
+func New() *Core {
+	return &Core{hcds: make(map[string]HCD)}
 }
 
 // RegisterHCD registers a host controller (usb_add_hcd).

@@ -26,7 +26,7 @@ func newCore(t *testing.T) (*Core, *kernel.Kernel) {
 	t.Helper()
 	clock := ktime.NewClock()
 	k := kernel.New(clock, hw.NewBus(clock, 1<<16))
-	return New(k), k
+	return New(), k
 }
 
 func TestHCDRegistration(t *testing.T) {

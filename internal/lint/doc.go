@@ -58,11 +58,22 @@
 //     nothing references but its own declaration and its own package's
 //     tests. Non-test code anywhere in the module counts (cmd/, examples/
 //     and benchmark/ included), and so does another package's test for an
-//     exported identifier; a method also counts as used when a module type
-//     provides it to an interface it satisfies (the stdlib's error and
-//     fmt.Stringer included), and a generic instantiation resolves to its
-//     origin. Test-only API is deleted with its tests, or moves into an
-//     export_test.go. There is no allowlist and no escape annotation.
+//     exported identifier; a generic instantiation resolves to its origin.
+//     A method also counts as used when its type escapes — some code
+//     converts a value of it to an interface type (by assignment, var
+//     initialisation, argument, return, composite-literal element, send or
+//     conversion; an escaping struct takes its exported and embedded field
+//     types with it) — and provides it to an interface it satisfies (the
+//     stdlib's error and fmt.Stringer included). A type that never becomes
+//     an interface value keeps only its direct references. The rule also
+//     reports a struct field nothing reads: assignment, op=, ++/--, a
+//     composite-literal key and the x.f of x.f = append(x.f, …) write it,
+//     every other use (a method call, an atomic, &x.f, == on its struct)
+//     reads it. An unexported field is reported when no non-test code reads
+//     it, an exported one when nothing in the module reads it, it has no tag
+//     and its struct never escapes. Test-only API is deleted with its tests,
+//     or moves into an export_test.go. There is no allowlist and no escape
+//     annotation.
 //
 // Everything is stdlib-only (go/ast, go/parser, go/types): Module loads
 // and type-checks packages with a source importer (test files too, for

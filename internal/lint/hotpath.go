@@ -18,7 +18,8 @@ import (
 //   - interface boxing at call sites: a concrete, non-pointer-shaped value
 //     passed where an interface is expected (pointer-shaped values — pointers,
 //     chans, maps, funcs, and single-pointer-field structs — store directly
-//     in the interface word and do not allocate);
+//     in the interface word, and bools and one-byte integers point into the
+//     runtime's static table: neither allocates);
 //   - non-constant string concatenation;
 //   - range over a map (hidden iterator state and nondeterministic order have
 //     no place on a latency-bound path).
@@ -152,7 +153,7 @@ func (p *Pass) checkBoxedArg(arg ast.Expr, iface types.Type) {
 	if b, ok := at.(*types.Basic); ok && b.Kind() == types.UntypedNil {
 		return
 	}
-	if types.IsInterface(at) || pointerShaped(at) {
+	if types.IsInterface(at) || pointerShaped(at) || boxesStatic(at) {
 		return
 	}
 	p.hotReportf(arg, "interface boxing allocates: %s value passed as %s", at, iface)
@@ -181,6 +182,14 @@ func builtinName(fun ast.Expr) string {
 // pointerShaped reports whether a value of type t stores directly in an
 // interface's data word without allocating: pointers, chans, maps, funcs,
 // unsafe.Pointer, and single-field structs / one-element arrays thereof.
+// boxesStatic reports whether the runtime boxes a t value without
+// allocating: a bool or one-byte integer points into its static table of
+// small values.
+func boxesStatic(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Bool || b.Kind() == types.Int8 || b.Kind() == types.Uint8)
+}
+
 func pointerShaped(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:

@@ -36,8 +36,8 @@ func allocs(r *ring, m map[int]int, s string) int {
 }
 
 // clean allocates only where the rule permits: a terminating (cold) branch,
-// an allowalloc-suppressed bounded append, and a pointer-shaped interface
-// store.
+// an allowalloc-suppressed bounded append, a pointer-shaped interface
+// store, and a byte boxed from the runtime's static table.
 //
 //decaf:hotpath
 func clean(r *ring, idx int) error {
@@ -48,6 +48,7 @@ func clean(r *ring, idx int) error {
 	//decaf:allowalloc free-list capacity fixed at construction
 	r.free = append(r.free, idx)
 	sink(&r.slots[idx])
+	sink(byte(idx))
 	return nil
 }
 

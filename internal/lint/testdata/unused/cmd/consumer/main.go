@@ -15,4 +15,11 @@ func main() {
 	fmt.Println(errors.Is(err, err))
 	var s lib.Stack[int]
 	s.Push(1)
+
+	fmt.Println(lib.ArgConn{}, lib.Outer{}, lib.Report{Count: 1})
+	_, _ = lib.Open(), lib.Closers
+	_ = lib.Handle{}
+	_ = lib.TestConn{}
+	var m lib.Meter
+	m.Add(lib.Pairs(1))
 }

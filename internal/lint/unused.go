@@ -11,29 +11,52 @@ import (
 	"strings"
 )
 
-// UnusedAnalyzer reports package-level API that nothing calls: a func,
-// method, type, var or const of a non-main module package outside testdata
-// that no code of the module references. These references count:
+// UnusedAnalyzer reports package-level API that nothing calls and struct
+// fields that nothing reads, in a non-main module package outside testdata.
+//
+// A func, method, type, var or const is reported unless one of these
+// references it:
 //
 //   - any non-test file of the module (cmd/, examples/ and benchmark/
 //     included), outside the identifier's own declaration and the receiver
 //     lists of its methods;
 //   - for an exported identifier, a _test.go file of another package — a
 //     cross-package test accessor cannot move into an export_test.go;
-//   - for a method, a module type whose method set satisfies an interface
-//     that has the method: a named interface of any package in the import
-//     closure (error, fmt.Stringer, sort.Interface, …) or an interface
-//     literal of the module's non-test code.
+//   - for a method, an interface its type provides it to, if the type
+//     escapes: a named interface of any package in the import closure
+//     (error, fmt.Stringer, sort.Interface, …) or an interface literal of
+//     the module's non-test code.
+//
+// A type escapes when code converts a value of it to an interface type: by
+// assignment, var initialisation, argument (variadic included), return,
+// composite-literal element, send or explicit conversion. A struct that
+// escapes lets the types of its exported and embedded fields escape too (fmt
+// and encoding/json walk those; neither calls a method through an unexported
+// field), and so do pointer, slice, array and map element types; every type
+// argument of an instantiation escapes (the generic body may convert it). An
+// escape in the type's own package's tests reaches its methods for the "own
+// tests" message only, one in another package's tests reaches its exported
+// methods. A type that never becomes an interface value keeps only its
+// direct references.
+//
+// A field of a package-level struct type (embedded fields aside) is read by
+// any use of x.f except a write: the left side of = or op=, ++ and --, a
+// composite-literal key, the inner x.f of x.f = append(x.f, …), and x.s of a
+// write to x.s.f when x.s is a struct value. A method call, an atomic or
+// &x.f is a read; so is == on its struct, and its struct's being a map key.
+// An unexported field is reported when no non-test code reads it; an
+// exported one when nothing in the module reads it, tests included, it has
+// no struct tag and its struct never escapes.
 //
 // The identifier's own package's tests do not count: API that only they
 // reach is deleted with them, or moves into an export_test.go. A generic
-// instantiation resolves to its origin. Struct fields and interface
-// methods are out of scope. References are indexed once over the whole
-// module, test files type-checked as the go tool builds them, so checking
-// one package reports exactly its share of the whole-module run.
+// instantiation resolves to its origin. Interface methods are out of scope.
+// References are indexed once over the whole module, test files
+// type-checked as the go tool builds them, so checking one package reports
+// exactly its share of the whole-module run.
 var UnusedAnalyzer = &Analyzer{
 	Name: "unused",
-	Doc:  "every package-level identifier is referenced outside its declaration and its own package's tests",
+	Doc:  "every package-level identifier is referenced outside its declaration and its own package's tests, and every field is read",
 	Run:  runUnused,
 }
 
@@ -55,6 +78,21 @@ func runUnused(p *Pass) {
 			p.reportf(d.name.Pos(), "%s is referenced only by its own package's tests: delete it with them, or move it into an export_test.go", what)
 		} else {
 			p.reportf(d.name.Pos(), "%s has no reference outside its own declaration: delete it", what)
+		}
+	}
+	for _, d := range declaredFields(p.Pkg) {
+		read := idx.reads[d.v.Pos()]
+		what := "field " + d.path
+		switch {
+		case d.v.Exported():
+			if read == 0 && !d.tagged && idx.escapes[d.owner.Pos()] == 0 {
+				p.reportf(d.v.Pos(), "%s is read nowhere in the module, has no tag, and its struct never becomes an interface value: delete it with the writes that feed it", what)
+			}
+		case read&inCode != 0:
+		case read&inOwnTests != 0:
+			p.reportf(d.v.Pos(), "%s is read only by its own package's tests: delete it with the writes that feed it, and test what the code does with them instead", what)
+		default:
+			p.reportf(d.v.Pos(), "%s is never read: delete it with the writes that feed it", what)
 		}
 	}
 }
@@ -145,6 +183,55 @@ func objectName(obj types.Object) string {
 	return fmt.Sprintf("(%s).%s", types.TypeString(recv, types.RelativeTo(obj.Pkg())), obj.Name())
 }
 
+// declaredField is one named, non-embedded field of a package-level struct
+// type, nested anonymous structs included.
+type declaredField struct {
+	v *types.Var
+	// owner is the package-level type the field belongs to.
+	owner *types.TypeName
+	// path names the field from its owner: T.f, or T.inner.n for a field
+	// of an anonymous struct field.
+	path   string
+	tagged bool
+}
+
+func declaredFields(pkg *Package) []declaredField {
+	var out []declaredField
+	var walk func(owner *types.TypeName, prefix string, st *ast.StructType)
+	walk = func(owner *types.TypeName, prefix string, st *ast.StructType) {
+		for _, f := range st.Fields.List {
+			for _, id := range f.Names {
+				v, ok := pkg.Info.Defs[id].(*types.Var)
+				if !ok || id.Name == "_" {
+					continue
+				}
+				out = append(out, declaredField{v: v, owner: owner, path: prefix + "." + id.Name, tagged: f.Tag != nil})
+				if inner, ok := f.Type.(*ast.StructType); ok {
+					walk(owner, prefix+"."+id.Name, inner)
+				}
+			}
+		}
+	}
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok && ts.Name.Name != "_" {
+					walk(pkg.Info.Defs[ts.Name].(*types.TypeName), ts.Name.Name, st)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // refIndex is the module-wide reference index behind the unused rule.
 type refIndex struct {
 	// live holds every object something counted references.
@@ -152,7 +239,22 @@ type refIndex struct {
 	// ownTests holds the objectKey of every object its own package's tests
 	// reference.
 	ownTests map[string]bool
+	// escapes holds where values of a type become interface values, reads
+	// where a field is read. Both are keyed by the declaring position of
+	// the type name or field, which a package and its test build share.
+	escapes map[token.Pos]site
+	reads   map[token.Pos]site
 }
+
+// site classes the code a use of a type or field sits in, relative to the
+// package that declares it.
+type site uint8
+
+const (
+	inCode site = 1 << iota
+	inOwnTests
+	inOtherTests
+)
 
 // references builds the module's reference index once.
 func (m *Module) references() (*refIndex, error) {
@@ -167,7 +269,12 @@ func (m *Module) indexReferences() (*refIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &refIndex{live: make(map[types.Object]bool), ownTests: make(map[string]bool)}
+	idx := &refIndex{
+		live:     make(map[types.Object]bool),
+		ownTests: make(map[string]bool),
+		escapes:  make(map[token.Pos]site),
+		reads:    make(map[token.Pos]site),
+	}
 	own := make(map[types.Object]ast.Node)
 	recv := make(map[*ast.Ident]bool)
 	for _, pkg := range pkgs {
@@ -197,6 +304,13 @@ func (m *Module) indexReferences() (*refIndex, error) {
 				continue
 			}
 			idx.live[obj] = true
+		}
+		fl := walkFlow(pkg.Info, pkg.Files)
+		for tn := range fl.escaped {
+			idx.escapes[tn.Pos()] |= inCode
+		}
+		for v := range fl.read {
+			idx.reads[v.Pos()] |= inCode
 		}
 		if err := m.indexTests(pkg, idx); err != nil {
 			return nil, err
@@ -258,9 +372,16 @@ func (m *Module) parseFiles(dir string, names []string, mode parser.Mode) ([]*as
 
 // checkTests type-checks files as package path and records the references
 // of the test files among them: to its own package's objects as ownTests,
-// to another package's exported objects as live.
+// to another package's exported objects as live. Their escapes and field
+// reads are recorded as the own or another package's tests'.
 func (m *Module) checkTests(path string, files, tests []*ast.File, imp types.Importer, idx *refIndex) (*types.Package, error) {
-	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
+	}
 	tpkg, err := (&types.Config{Importer: imp}).Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s tests: %w", path, err)
@@ -282,6 +403,19 @@ func (m *Module) checkTests(path string, files, tests []*ast.File, imp types.Imp
 			}
 			return true
 		})
+	}
+	class := func(obj types.Object) site {
+		if obj.Pkg() != nil && obj.Pkg().Path() == ownPath {
+			return inOwnTests
+		}
+		return inOtherTests
+	}
+	fl := walkFlow(info, tests)
+	for tn := range fl.escaped {
+		idx.escapes[tn.Pos()] |= class(tn)
+	}
+	for v := range fl.read {
+		idx.reads[v.Pos()] |= class(v)
 	}
 	return tpkg, nil
 }
@@ -316,11 +450,13 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// reachThroughInterfaces marks live every method a module type provides to
-// an interface it satisfies: a call through the interface reaches it.
+// reachThroughInterfaces marks live every method an escaping module type
+// provides to an interface it satisfies: a call through the interface
+// reaches it. A type that escapes only in tests reaches its methods as a
+// test reference does.
 func reachThroughInterfaces(pkgs []*Package, idx *refIndex) {
 	ifaces := interfacesIn(pkgs)
-	var subjects []types.Type
+	var subjects []*types.Pointer
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -340,6 +476,10 @@ func reachThroughInterfaces(pkgs []*Package, idx *refIndex) {
 		}
 	}
 	for _, t := range subjects {
+		esc := idx.escapes[t.Elem().(*types.Named).Origin().Obj().Pos()]
+		if esc == 0 {
+			continue
+		}
 		for _, iface := range ifaces {
 			if !types.Implements(t, iface) {
 				continue
@@ -347,8 +487,13 @@ func reachThroughInterfaces(pkgs []*Package, idx *refIndex) {
 			for i := 0; i < iface.NumMethods(); i++ {
 				im := iface.Method(i)
 				obj, _, _ := types.LookupFieldOrMethod(t, false, im.Pkg(), im.Name())
-				if fn, ok := obj.(*types.Func); ok {
+				fn, ok := obj.(*types.Func)
+				switch {
+				case !ok:
+				case esc&inCode != 0, esc&inOtherTests != 0 && fn.Exported():
 					idx.live[fn.Origin()] = true
+				case esc&inOwnTests != 0:
+					idx.ownTests[objectKey(fn.Origin())] = true
 				}
 			}
 		}

@@ -35,7 +35,6 @@ type TypeID string
 // heap: every registered object gets a unique, never-reused address.
 type AddressSpace struct {
 	mu      sync.Mutex
-	name    string
 	next    CPtr
 	byAddr  map[CPtr]any
 	byIdent map[any]CPtr
@@ -44,9 +43,8 @@ type AddressSpace struct {
 // NewAddressSpace creates an address space. Addresses start high and are
 // stepped by a cache-line-ish stride so they look like real heap pointers in
 // diagnostics.
-func NewAddressSpace(name string) *AddressSpace {
+func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{
-		name:    name,
 		next:    0xFFFF888000000000,
 		byAddr:  make(map[CPtr]any),
 		byIdent: make(map[any]CPtr),
@@ -84,8 +82,6 @@ type Tracker struct {
 	name   string
 	toUser map[assocKey]any
 	toC    map[any]assocKey
-	// stats
-	hits, misses uint64
 }
 
 // NewTracker creates an empty tracker for the named domain.
@@ -126,11 +122,6 @@ func (t *Tracker) LookupUser(ptr CPtr, typ TypeID) (any, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	obj, ok := t.toUser[assocKey{ptr, typ}]
-	if ok {
-		t.hits++
-	} else {
-		t.misses++
-	}
 	return obj, ok
 }
 

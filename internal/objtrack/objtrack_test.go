@@ -10,7 +10,7 @@ type outer struct{ Inner inner }
 type inner struct{ V int }
 
 func TestAddressSpaceRegisterStable(t *testing.T) {
-	as := NewAddressSpace("kernel")
+	as := NewAddressSpace()
 	o := &outer{}
 	p1 := as.Register(o)
 	p2 := as.Register(o)
@@ -29,7 +29,7 @@ func TestAddressSpaceRegisterStable(t *testing.T) {
 }
 
 func TestAddressSpaceDistinctAddresses(t *testing.T) {
-	as := NewAddressSpace("kernel")
+	as := NewAddressSpace()
 	a, b := &outer{}, &outer{}
 	if as.Register(a) == as.Register(b) {
 		t.Fatal("two objects share an address")
@@ -40,7 +40,7 @@ func TestAddressSpaceDistinctAddresses(t *testing.T) {
 }
 
 func TestAddressSpaceNilPanics(t *testing.T) {
-	as := NewAddressSpace("kernel")
+	as := NewAddressSpace()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Register(nil) did not panic")
@@ -141,10 +141,11 @@ func TestTrackerReassociateReplaces(t *testing.T) {
 func TestTrackerStats(t *testing.T) {
 	tr := NewTracker("decaf")
 	_ = tr.Associate(0x60, "outer", &outer{})
-	tr.LookupUser(0x60, "outer")
-	tr.LookupUser(0x61, "outer")
-	if h, m := tr.hits, tr.misses; h != 1 || m != 1 {
-		t.Fatalf("stats = %d hits, %d misses", h, m)
+	if _, ok := tr.LookupUser(0x60, "outer"); !ok {
+		t.Fatal("associated pointer missed")
+	}
+	if _, ok := tr.LookupUser(0x61, "outer"); ok {
+		t.Fatal("unassociated pointer hit")
 	}
 }
 

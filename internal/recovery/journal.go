@@ -29,20 +29,6 @@ type Entry struct {
 	Replay func(ctx *kernel.Context) error
 }
 
-// JournalStats snapshots a journal's bookkeeping.
-type JournalStats struct {
-	// Recorded counts Record calls that appended a new entry.
-	Recorded uint64
-	// Superseded counts Record calls that replaced an existing key.
-	Superseded uint64
-	// Removed counts entries dropped by Remove.
-	Removed uint64
-	// Replays counts Replay sweeps; LastReplayed is the entry count of the
-	// most recent sweep.
-	Replays      uint64
-	LastReplayed int
-}
-
 // StateJournal records the configuration-changing operations of one driver
 // so a recovery supervisor can replay them after a restart — the shadow
 // driver's log of state-establishing calls. Recording is kernel-side
@@ -58,7 +44,6 @@ type StateJournal struct {
 	mu      sync.Mutex
 	entries []Entry
 	index   map[string]int
-	stats   JournalStats
 }
 
 // NewStateJournal creates an empty journal.
@@ -76,12 +61,10 @@ func (j *StateJournal) Record(e Entry) {
 	defer j.mu.Unlock()
 	if i, ok := j.index[e.Key]; ok {
 		j.entries[i] = e
-		j.stats.Superseded++
 		return
 	}
 	j.index[e.Key] = len(j.entries)
 	j.entries = append(j.entries, e)
-	j.stats.Recorded++
 }
 
 // Remove drops the entry for key (configuration explicitly torn down — an
@@ -100,7 +83,6 @@ func (j *StateJournal) Remove(key string) bool {
 			j.index[k] = pos - 1
 		}
 	}
-	j.stats.Removed++
 	return true
 }
 
@@ -122,18 +104,10 @@ func (j *StateJournal) Replay(ctx *kernel.Context) (int, error) {
 	copy(entries, j.entries)
 	j.mu.Unlock()
 
-	ran := 0
-	var err error
-	for _, e := range entries {
-		ran++
-		if rerr := e.Replay(ctx); rerr != nil {
-			err = fmt.Errorf("recovery: replay of %s (%s): %w", e.Key, e.Name, rerr)
-			break
+	for i, e := range entries {
+		if err := e.Replay(ctx); err != nil {
+			return i + 1, fmt.Errorf("recovery: replay of %s (%s): %w", e.Key, e.Name, err)
 		}
 	}
-	j.mu.Lock()
-	j.stats.Replays++
-	j.stats.LastReplayed = ran
-	j.mu.Unlock()
-	return ran, err
+	return len(entries), nil
 }

@@ -53,9 +53,6 @@ type Driver struct {
 	// KernelImports lists kernel functions the driver calls; calls to them
 	// from user-mode code become kernel entry points.
 	KernelImports []string
-	// HeaderAnnotations counts marshaling annotations placed in shared
-	// kernel headers rather than in the driver itself.
-	HeaderAnnotations int
 	// FileLoC optionally records per-file total line counts where they
 	// exceed the sum of the file's function bodies.
 	FileLoC map[string]int
@@ -85,9 +82,6 @@ type Function struct {
 	// The paper converts "all the functions in user level that we observed
 	// being called"; device-specific functions for other chipsets stay in C.
 	ConvertedToJava bool
-	// DeviceSpecific marks functions serving devices other than the test
-	// hardware (the reason most unconverted functions exist).
-	DeviceSpecific bool
 	// ErrorSites model the function's error-handling structure for the
 	// case-study analysis.
 	ErrorSites []ErrorSite
@@ -120,9 +114,6 @@ type StructDef struct {
 	Name string
 	// Fields lists the members in declaration order.
 	Fields []FieldDef
-	// SharedWithKernel marks structures passed across the user/kernel
-	// interface (changes to these are interface changes in Table 4).
-	SharedWithKernel bool
 }
 
 // FieldDef is one structure member.

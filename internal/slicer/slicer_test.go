@@ -24,8 +24,8 @@ func toyDriver() *Driver {
 		"toy_open":      {Name: "toy_open", File: "toy_main.c", LoC: 70, Calls: []string{"toy_reset_hw", "request_irq"}, ConvertedToJava: true, ReadsFields: []string{"toy_adapter.mac_addr"}},
 		"toy_reset_hw":  {Name: "toy_reset_hw", File: "toy_hw.c", LoC: 90, Calls: []string{"toy_phy_init"}, ConvertedToJava: true},
 		"toy_phy_init":  {Name: "toy_phy_init", File: "toy_hw.c", LoC: 45, ConvertedToJava: true},
-		"toy_suspend":   {Name: "toy_suspend", File: "toy_main.c", LoC: 20, DeviceSpecific: false},
-		"toy_other_dev": {Name: "toy_other_dev", File: "toy_hw.c", LoC: 55, DeviceSpecific: true},
+		"toy_suspend":   {Name: "toy_suspend", File: "toy_main.c", LoC: 20},
+		"toy_other_dev": {Name: "toy_other_dev", File: "toy_hw.c", LoC: 55},
 		"toy_ethtool_wait": {Name: "toy_ethtool_wait", File: "toy_main.c", LoC: 15,
 			ForceKernel: true, Reason: "explicit data race with interrupt handler"},
 	}
@@ -39,8 +39,7 @@ func toyDriver() *Driver {
 		KernelImports:  []string{"pci_enable_device", "request_irq"},
 		Structs: []*StructDef{
 			{
-				Name:             "toy_adapter",
-				SharedWithKernel: true,
+				Name: "toy_adapter",
 				Fields: []FieldDef{
 					{Name: "flags", CType: "uint32_t"},
 					{Name: "mac_addr", CType: "unsigned char", ArrayLen: 6},

@@ -10,8 +10,6 @@ import (
 // DriverSlicer hands to the rpcgen/jrpcgen compilers. WrapperStructs are the
 // synthesized fixed-array containers of Figure 3.
 type XDRSpec struct {
-	// Driver is the source driver name.
-	Driver string
 	// Text is the rendered .x specification.
 	Text string
 	// WrapperStructs names the synthesized arrayN_T wrapper structures.
@@ -83,7 +81,7 @@ func wrapperName(elemCType string, n int) string {
 // transformations XDR requires. The generated structure names carry the
 // _autoxdr_c suffix as in the paper's figure.
 func GenerateXDRSpec(d *Driver) (*XDRSpec, error) {
-	spec := &XDRSpec{Driver: d.Name}
+	spec := &XDRSpec{}
 	var b strings.Builder
 	fmt.Fprintf(&b, "/* XDR interface specification for %s, generated by DriverSlicer. */\n\n", d.Name)
 

@@ -38,7 +38,6 @@ type Testbed struct {
 	Clock  *ktime.Clock
 	Bus    *hw.Bus
 	Kernel *kernel.Kernel
-	Mode   xpc.Mode
 
 	// Runtime is the driver's XPC runtime (crossing counters).
 	Runtime *xpc.Runtime
@@ -74,7 +73,7 @@ type Testbed struct {
 	Psmouse  *psmouse.Driver
 }
 
-func newBase(mode xpc.Mode) *Testbed {
+func newBase() *Testbed {
 	sys := core.NewSystem(core.Options{})
 	return &Testbed{
 		Sys:    sys,
@@ -85,7 +84,6 @@ func newBase(mode xpc.Mode) *Testbed {
 		Snd:    sys.Snd,
 		USB:    sys.USB,
 		Input:  sys.Input,
-		Mode:   mode,
 	}
 }
 
@@ -262,7 +260,7 @@ func NewE1000(mode xpc.Mode) (*Testbed, error) {
 
 // NewE1000With boots an E1000 machine with data-path and transport options.
 func NewE1000With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
-	tb := newBase(mode)
+	tb := newBase()
 	tb.E1000Dev = e1000hw.New(tb.Bus, 9, [6]byte{0x00, 0x1B, 0x21, 0xAA, 0xBB, 0xCC})
 	tb.E1000Dev.SetLink(true)
 	// Interrupt throttling, as the real driver programs via ITR: without
@@ -314,7 +312,7 @@ func NewRTL8139(mode xpc.Mode) (*Testbed, error) {
 // NewRTL8139With boots an RTL-8139 machine with data-path and transport
 // options.
 func NewRTL8139With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
-	tb := newBase(mode)
+	tb := newBase()
 	tb.RTLDev = rtl8139hw.New(tb.Bus, 11, 0xC000, [6]byte{0x00, 0xE0, 0x4C, 0x39, 0x13, 0x9A})
 	tb.RTL = rtl8139.New(tb.Kernel, tb.Net, tb.RTLDev, 0xC000, rtl8139.Config{
 		Mode: mode, IRQ: 11, DataPath: opts.DataPath,
@@ -345,7 +343,7 @@ func NewRTL8139With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
 
 // NewEns1371 boots a machine with an ES1371 sound card.
 func NewEns1371(mode xpc.Mode) (*Testbed, error) {
-	tb := newBase(mode)
+	tb := newBase()
 	tb.EnsDev = es1371hw.New(tb.Bus, 5, 0xD000)
 	tb.Ens = ens1371.New(tb.Kernel, tb.Snd, tb.EnsDev, 0xD000, ens1371.Config{Mode: mode, IRQ: 5})
 	tb.Runtime = tb.Ens.Runtime()
@@ -358,7 +356,7 @@ func NewEns1371(mode xpc.Mode) (*Testbed, error) {
 // NewUhci boots a machine with a UHCI controller and an attached flash
 // drive.
 func NewUhci(mode xpc.Mode) (*Testbed, error) {
-	tb := newBase(mode)
+	tb := newBase()
 	tb.UhciDev = uhcihw.New(tb.Bus, 10, 0xE000)
 	tb.Flash = &uhcihw.FlashDrive{}
 	tb.UhciDev.AttachPeripheral(0, tb.Flash)
@@ -372,7 +370,7 @@ func NewUhci(mode xpc.Mode) (*Testbed, error) {
 
 // NewPsmouse boots a machine with a PS/2 mouse.
 func NewPsmouse(mode xpc.Mode) (*Testbed, error) {
-	tb := newBase(mode)
+	tb := newBase()
 	port := kinput.NewSerioPort()
 	tb.Mouse = ps2hw.New(port, tb.Bus.IRQ(12))
 	tb.Psmouse = psmouse.New(tb.Kernel, tb.Input, port, psmouse.Config{Mode: mode, IRQ: 12})

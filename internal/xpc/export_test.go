@@ -13,8 +13,10 @@ func (r *Runtime) Unshare(kernelObj any) bool {
 	defer r.mu.Unlock()
 	for i, s := range r.shared {
 		if s.kernelObj == kernelObj {
-			r.LibTracker.Release(s.kernelPtr, s.typeID)
-			r.DecafTracker.Release(s.libPtr, s.typeID)
+			kptr, typ, _ := r.LibTracker.LookupC(s.libObj)
+			lptr, _, _ := r.DecafTracker.LookupC(s.decafObj)
+			r.LibTracker.Release(kptr, typ)
+			r.DecafTracker.Release(lptr, typ)
 			r.shared = append(r.shared[:i], r.shared[i+1:]...)
 			return true
 		}

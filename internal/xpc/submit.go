@@ -73,8 +73,6 @@ type FaultEvent struct {
 	Up bool
 	// Err is the *UserFault the completion resolved with.
 	Err error
-	// At is the virtual instant the faulted submission was admitted.
-	At time.Duration
 }
 
 // Completion is the handle for one submitted crossing. It resolves exactly
@@ -103,10 +101,6 @@ type Completion struct {
 	err       error
 	fault     bool
 	crossCost time.Duration
-
-	// submitClock is the virtual instant Admit stamped: the instant a
-	// faulted crossing is reported at (FaultEvent.At).
-	submitClock time.Duration
 }
 
 // settledCh is the value of Completion.ch once resolved: a channel closed
@@ -145,7 +139,7 @@ func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
 //
 //decaf:hotpath
 func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCost time.Duration) {
-	r, ev := c.r, FaultEvent{Call: c.name, Up: c.up, Err: err, At: c.submitClock}
+	r, ev := c.r, FaultEvent{Call: c.name, Up: c.up, Err: err}
 	c.err = err
 	c.fault = fault
 	c.crossCost = crossCost
@@ -218,17 +212,15 @@ func (c *Completion) Wait(ctx *kernel.Context) error {
 	return c.err
 }
 
-// Admit prepares submissions for transport: it stamps the submit instant
-// and bumps the submission counters and in-flight gauge. Every Transport
-// implementation calls Admit before queueing or crossing; a transport must
-// then resolve every admitted completion exactly once.
+// Admit prepares submissions for transport: it bumps the submission
+// counters and in-flight gauge. Every Transport implementation calls Admit
+// before queueing or crossing; a transport must then resolve every
+// admitted completion exactly once.
 //
 //decaf:hotpath
 func (r *Runtime) Admit(subs []*Submission) {
-	now := r.Kernel.Clock().Now()
 	s := r.state()
 	for _, sub := range subs {
-		sub.Completion.submitClock = now
 		s.cell(sub.Call.id).submissions.Add(1)
 	}
 	r.inFlight.Add(int64(len(subs)))

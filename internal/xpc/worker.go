@@ -190,9 +190,6 @@ type laneServer struct {
 	down   registry.DownFunc
 	cur    *workerLane
 	callID uint64
-	// pulled keeps pullLines' loads live: a result nobody stores would let
-	// the compiler drop them.
-	pulled byte
 }
 
 // newLaneServer assembles the serve state over carved lanes: one-time
@@ -211,7 +208,8 @@ func newLaneServer(dir *laneDir, rings []laneRings, bells []doorbell, slotSize i
 // address space, and sums the bytes the worker can actually see — the
 // completion's proof that the mapping is shared (zero when the frame carried
 // no payload). The kernel has just written those bytes, so every line is
-// pulled across before the hash starts (pullLines). A slot descriptor is
+// pulled across before the hash starts (pullLines; KeepAlive keeps its
+// loads, which a discarded result would let the compiler drop). A slot descriptor is
 // resolved against the registered payload-ring geometry the layout header
 // carries (slots<<32 | slotSize; zero means no ring) and bounded by the
 // payload area, because neither the indices nor the header word can be
@@ -223,7 +221,7 @@ func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byt
 		if len(inline) == 0 {
 			return nil, 0, wireStatusOK
 		}
-		s.pulled = pullLines(inline)
+		runtime.KeepAlive(pullLines(inline))
 		return inline, payloadSum(inline), wireStatusOK
 	}
 	g := s.hdr.ringGeom.Load()
@@ -239,7 +237,7 @@ func (s *laneServer) payload(slot xdr.SlotDescriptor, inline []byte) (data []byt
 	// The payload never crossed the wire: read it out of the shared mapping,
 	// exactly as a real decaf driver would.
 	data = s.ringMem[off:end]
-	s.pulled = pullLines(data)
+	runtime.KeepAlive(pullLines(data))
 	return data, payloadSum(data), wireStatusOK
 }
 

@@ -305,9 +305,6 @@ type sharedObject struct {
 	kernelObj any
 	libObj    any
 	decafObj  any
-	typeID    objtrack.TypeID
-	kernelPtr objtrack.CPtr
-	libPtr    objtrack.CPtr
 }
 
 // NewRuntime creates an XPC runtime for one driver on the given kernel.
@@ -315,8 +312,8 @@ func NewRuntime(k *kernel.Kernel, name string, mode Mode, mask xdr.FieldMask) *R
 	r := &Runtime{
 		Kernel:       k,
 		Mode:         mode,
-		KernelSpace:  objtrack.NewAddressSpace(name + "/kernel"),
-		LibrarySpace: objtrack.NewAddressSpace(name + "/library"),
+		KernelSpace:  objtrack.NewAddressSpace(),
+		LibrarySpace: objtrack.NewAddressSpace(),
 		LibTracker:   objtrack.NewTracker(name + "/library"),
 		DecafTracker: objtrack.NewTracker(name + "/decaf"),
 		Masked:       &xdr.Codec{Mask: mask},
@@ -367,10 +364,7 @@ func (r *Runtime) Share(kernelObj, decafObj any) (objtrack.CPtr, error) {
 		return 0, err
 	}
 	r.mu.Lock()
-	r.shared = append(r.shared, sharedObject{
-		kernelObj: kernelObj, libObj: lib, decafObj: decafObj,
-		typeID: typ, kernelPtr: kptr, libPtr: lptr,
-	})
+	r.shared = append(r.shared, sharedObject{kernelObj: kernelObj, libObj: lib, decafObj: decafObj})
 	r.mu.Unlock()
 	return kptr, nil
 }
