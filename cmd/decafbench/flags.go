@@ -10,13 +10,12 @@ import (
 // validTables and validTransports are the accepted flag values; anything
 // else is rejected with a message listing them.
 var (
-	validTables     = []string{"1", "2", "3", "4", "casestudy", "batch", "zerocopy", "recovery", "contend", "proc", "all"}
+	validTables     = []string{"1", "2", "3", "4", "casestudy", "recovery", "contend", "all"}
 	validTransports = []string{"all", "per-call", "sync", "batched", "batch", "proc"}
-	jsonTables      = []string{"batch", "zerocopy", "recovery", "contend"}
+	jsonTables      = []string{"recovery", "contend"}
 	// procTables are the tables with process-separated rows: the only ones
-	// -transport proc may select. The proc table is always
-	// process-separated, so -transport proc is redundant but accepted there.
-	procTables = []string{"zerocopy", "recovery", "contend", "proc"}
+	// -transport proc may select.
+	procTables = []string{"recovery", "contend"}
 )
 
 func oneOf(value string, valid []string) bool {
@@ -36,7 +35,6 @@ type benchFlags struct {
 	Transport     string
 	JSON          bool
 	RestartPolicy string
-	Trace         string
 	// Set holds the flag names explicitly provided on the command line
 	// (flag.Visit), for rules that reject an explicit flag the selected
 	// table would silently ignore.
@@ -54,21 +52,11 @@ func (f benchFlags) validate() error {
 		return fmt.Errorf("unknown transport %q (valid: %s)", f.Transport, strings.Join(validTransports, ", "))
 	}
 	// Only the procTables have proc rows: reject the combination for any
-	// other table (including "all", whose batch table would otherwise
-	// render empty) instead of silently selecting nothing.
+	// other table (including "all", whose paper tables have no transport
+	// rows) instead of silently selecting nothing.
 	if f.Transport == "proc" && !oneOf(f.Table, procTables) {
 		return fmt.Errorf("-transport %s requires -table %s (-table %s has no %[1]s rows)",
 			f.Transport, strings.Join(procTables, ", "), f.Table)
-	}
-	// The proc table is the traced process-separated storm: it always runs
-	// the proc transport, so only -transport proc (or the default) makes
-	// sense there.
-	if f.Table == "proc" && f.Transport != "all" && f.Transport != "proc" {
-		return fmt.Errorf("-table proc always runs the process-separated transport (drop -transport %s)", f.Transport)
-	}
-	// The flight-recorder export only exists where the shm trace rings do.
-	if f.Set["trace"] && f.Table != "proc" {
-		return fmt.Errorf("-trace requires -table proc (got -table %s)", f.Table)
 	}
 	if f.JSON && !oneOf(f.Table, jsonTables) {
 		return fmt.Errorf("-json supports -table %s (got %q)", strings.Join(jsonTables, ", "), f.Table)
@@ -83,10 +71,10 @@ func (f benchFlags) validate() error {
 			return fmt.Errorf("-%s requires -table recovery (got -table %s)", name, f.Table)
 		}
 	}
-	// Likewise the contention flags shape only the contend and proc storms.
+	// Likewise the contention flags shape only the contend storm.
 	for _, name := range []string{"submitters", "flushes"} {
-		if f.Set[name] && f.Table != "contend" && f.Table != "proc" {
-			return fmt.Errorf("-%s requires -table contend or proc (got -table %s)", name, f.Table)
+		if f.Set[name] && f.Table != "contend" {
+			return fmt.Errorf("-%s requires -table contend (got -table %s)", name, f.Table)
 		}
 	}
 	return nil
@@ -103,7 +91,7 @@ func (f benchFlags) transportNote() string {
 	}
 	covers := false
 	for _, t := range procTables {
-		if (f.Table == t || f.Table == "all") && f.Table != "proc" {
+		if f.Table == t || f.Table == "all" {
 			covers = true
 		}
 	}
@@ -111,5 +99,5 @@ func (f benchFlags) transportNote() string {
 		return ""
 	}
 	return "note: -transport all covers the in-process transports only; add -transport proc\n" +
-		"(with -table zerocopy, recovery or contend) for the process-separated rows."
+		"(with -table recovery or contend) for the process-separated rows."
 }

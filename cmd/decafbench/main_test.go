@@ -24,21 +24,25 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"defaults", benchFlags{Table: "all", Transport: "all"}, ""},
 		{"unknown table", benchFlags{Table: "5", Transport: "all"}, "unknown table"},
 		{"unknown transport", benchFlags{Table: "all", Transport: "uds"}, "unknown transport"},
-		{"proc needs proc table", benchFlags{Table: "all", Transport: "proc"}, "requires -table zerocopy, recovery"},
-		{"proc on batch table", benchFlags{Table: "batch", Transport: "proc"}, "requires -table zerocopy, recovery"},
+		{"proc needs proc table", benchFlags{Table: "all", Transport: "proc"}, "requires -table recovery, contend"},
+		{"proc on table 3", benchFlags{Table: "3", Transport: "proc"}, "requires -table recovery, contend"},
 		{"async table gone", benchFlags{Table: "async", Transport: "all"}, "unknown table"},
-		{"async transport gone", benchFlags{Table: "zerocopy", Transport: "async"}, "unknown transport"},
-		{"proc zerocopy", benchFlags{Table: "zerocopy", Transport: "proc"}, ""},
+		{"batch table gone", benchFlags{Table: "batch", Transport: "all"}, "unknown table"},
+		{"zerocopy table gone", benchFlags{Table: "zerocopy", Transport: "all"}, "unknown table"},
+		{"proc table gone", benchFlags{Table: "proc", Transport: "proc"}, "unknown table"},
+		{"async transport gone", benchFlags{Table: "recovery", Transport: "async"}, "unknown transport"},
 		{"proc recovery", benchFlags{Table: "recovery", Transport: "proc"}, ""},
-		{"proc zerocopy json", benchFlags{Table: "zerocopy", Transport: "proc", JSON: true}, ""},
+		{"proc contend", benchFlags{Table: "contend", Transport: "proc"}, ""},
+		{"proc recovery json", benchFlags{Table: "recovery", Transport: "proc", JSON: true}, ""},
 		{"json on table 1", benchFlags{Table: "1", Transport: "all", JSON: true}, "-json supports"},
 		{"json on all", benchFlags{Table: "all", Transport: "all", JSON: true}, "-json supports"},
 		{"bad restart policy", benchFlags{Table: "recovery", Transport: "all", RestartPolicy: "eventually"}, "unknown restart policy"},
 		{"good restart policy", benchFlags{Table: "recovery", Transport: "all", RestartPolicy: "backoff", Set: set("restart-policy")}, ""},
-		{"faults off-table", benchFlags{Table: "zerocopy", Transport: "all", Set: set("faults")}, "-faults requires -table recovery"},
-		{"restart-policy off-table", benchFlags{Table: "zerocopy", Transport: "all", RestartPolicy: "backoff", Set: set("restart-policy")}, "-restart-policy requires -table recovery"},
-		{"sync alias", benchFlags{Table: "batch", Transport: "sync"}, ""},
-		{"batched zerocopy", benchFlags{Table: "zerocopy", Transport: "batched"}, ""},
+		{"faults off-table", benchFlags{Table: "contend", Transport: "all", Set: set("faults")}, "-faults requires -table recovery"},
+		{"restart-policy off-table", benchFlags{Table: "contend", Transport: "all", RestartPolicy: "backoff", Set: set("restart-policy")}, "-restart-policy requires -table recovery"},
+		{"submitters off-table", benchFlags{Table: "recovery", Transport: "all", Set: set("submitters")}, "-submitters requires -table contend"},
+		{"sync alias", benchFlags{Table: "recovery", Transport: "sync"}, ""},
+		{"batched contend", benchFlags{Table: "contend", Transport: "batched"}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.f.validate()
@@ -52,10 +56,14 @@ func TestValidateFlagMatrix(t *testing.T) {
 			t.Errorf("%s: validate() = %v, want error containing %q", tc.name, err, tc.wantErr)
 		}
 	}
-	// -queue sized the deleted async transport's ring: it is no longer
-	// defined, so the flag package rejects it as unknown and exits 2.
-	if flag.Lookup("queue") != nil {
-		t.Error("-queue is still a defined flag")
+	// Flags of deleted tables and transports are no longer defined, so the
+	// flag package rejects them as unknown and exits 2: -queue sized the
+	// async transport's ring, -batch, -slots and -trace shaped the batch,
+	// zerocopy and proc tables.
+	for _, name := range []string{"queue", "batch", "slots", "trace"} {
+		if flag.Lookup(name) != nil {
+			t.Errorf("-%s is still a defined flag", name)
+		}
 	}
 }
 
@@ -66,7 +74,7 @@ func TestTransportNote(t *testing.T) {
 	noted := []benchFlags{
 		{Table: "all", Transport: "all"},
 		{Table: "contend", Transport: "all"},
-		{Table: "zerocopy", Transport: ""},
+		{Table: "recovery", Transport: ""},
 		{Table: "recovery", Transport: "all"},
 	}
 	for _, f := range noted {
@@ -76,9 +84,9 @@ func TestTransportNote(t *testing.T) {
 		}
 	}
 	quiet := []benchFlags{
-		{Table: "zerocopy", Transport: "proc"},
+		{Table: "recovery", Transport: "proc"},
 		{Table: "recovery", Transport: "batched"},
-		{Table: "batch", Transport: "all"},
+		{Table: "3", Transport: "all"},
 		{Table: "1", Transport: "all"},
 		{Table: "casestudy", Transport: "all"},
 	}

@@ -10,8 +10,8 @@
 // and zero-copy payloads (xpc.PayloadRing — frames live in a pool of
 // buffers registered once with the transport, and data-carrying calls cross
 // a twelve-byte slot descriptor instead of marshaling payload bytes,
-// falling back to the copy path on exhaustion). The decafbench batch and
-// zerocopy tables quantify each step.
+// falling back to the copy path on exhaustion). internal/workload's
+// TestNetperfGoldenCounts pins the crossings and bytes of each step.
 //
 // Two transport types, three configurations, differ in crossings, copies
 // and isolation:
@@ -45,9 +45,9 @@
 // are comparable across all transports while Counters.RingCrossings,
 // DoorbellWakeups, SyscallCrossings and WireBytesOut/In meter the real
 // boundary: descriptor-ring traffic, doorbell syscalls (the only syscalls a
-// crossing can pay), and the worker's layout acknowledgements. decafbench's zerocopy rows add
-// caller-visible p50/p99/p999 completion latency and GC pause/cycle
-// columns, banded in CI against the committed BENCH_*.json baselines.
+// crossing can pay), and the worker's layout acknowledgements. The
+// wall-clock harness (benchmark/) times the real boundary; virtual time
+// prices only the modeled trip.
 //
 // On top of fault containment, internal/recovery adds a shadow-driver-style
 // recovery subsystem: a Supervisor consumes the runtime's fault

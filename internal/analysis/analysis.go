@@ -109,8 +109,8 @@ func (a *ErrorAudit) DefectCounts() (ignored, misrouted int) {
 // FileReduction reports the removed lines in file as a fraction of the
 // file's size — the paper's "675 lines of code, or approximately 8%, from
 // e1000_hw.c".
-func (a *ErrorAudit) FileReduction(d *slicer.Driver, file string) (lines int, fraction float64, err error) {
-	lines = a.LinesRemovedByFile[file]
+func (a *ErrorAudit) FileReduction(d *slicer.Driver, file string) (float64, error) {
+	lines := a.LinesRemovedByFile[file]
 	total := d.FileLoC[file]
 	if total == 0 {
 		// Fall back to summing the file's function bodies.
@@ -121,9 +121,9 @@ func (a *ErrorAudit) FileReduction(d *slicer.Driver, file string) (lines int, fr
 		}
 	}
 	if total == 0 {
-		return 0, 0, fmt.Errorf("analysis: no line information for %s", file)
+		return 0, fmt.Errorf("analysis: no line information for %s", file)
 	}
-	return lines, float64(lines) / float64(total), nil
+	return float64(lines) / float64(total), nil
 }
 
 // HWClassRefactor models the §5.1 object-orientation result: "restructuring

@@ -26,12 +26,9 @@ func TestCaseStudyNumbers(t *testing.T) {
 	if a.LinesRemoved != 675 {
 		t.Errorf("LinesRemoved = %d, want 675", a.LinesRemoved)
 	}
-	lines, frac, err := a.FileReduction(d, "e1000_hw.c")
+	frac, err := a.FileReduction(d, "e1000_hw.c")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lines == 0 {
-		t.Error("no lines removed from e1000_hw.c")
 	}
 	// "approximately 8%"
 	if frac < 0.06 || frac > 0.10 {

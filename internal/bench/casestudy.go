@@ -24,7 +24,7 @@ func RunCaseStudy() (*CaseStudy, error) {
 	d := drivermodel.E1000()
 	cs := &CaseStudy{HWFile: "e1000_hw.c"}
 	cs.Audit = analysis.AuditErrorHandling(d)
-	_, frac, err := cs.Audit.FileReduction(d, cs.HWFile)
+	frac, err := cs.Audit.FileReduction(d, cs.HWFile)
 	if err != nil {
 		return nil, err
 	}

@@ -110,8 +110,8 @@ type contendRig struct {
 	pt *xpc.ProcTransport // nil for in-process rows
 }
 
-// stormHandler is the empty, free body the contend and proc-trace storms
-// cross, registered at init so the re-exec'd worker holds it too.
+// stormHandler is the empty, free body the contend storm crosses,
+// registered at init so the re-exec'd worker holds it too.
 var stormHandler *registry.Handler
 
 func init() {

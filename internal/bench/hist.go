@@ -2,11 +2,8 @@ package bench
 
 import (
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 	"time"
-
-	"decafdrivers/internal/xpc"
 )
 
 // latencyHist is a lock-free log-linear latency histogram in the HDR shape:
@@ -17,8 +14,8 @@ import (
 // distinct tail quantiles of a millisecond-scale distribution never collapse
 // into one bucket edge (histSubBits 5 once made p99 and p999 both report
 // 117440.512µs: the shared lower edge of a ~2ms-wide bucket). Recording is
-// one atomic add, so the completion observer can file latencies from any
-// goroutine that resolves a completion while the bench thread keeps running.
+// one atomic add, so the contend table's submitters file their flush
+// latencies into one histogram concurrently.
 const (
 	histSubBits = 8
 	histSub     = 1 << histSubBits // linear sub-buckets per power of two
@@ -104,51 +101,4 @@ func bucketMidpoint(b int) uint64 {
 // quantileUs renders a quantile in microseconds, the rows' latency unit.
 func (h *latencyHist) quantileUs(q float64) float64 {
 	return float64(h.quantile(q)) / float64(time.Microsecond)
-}
-
-// observeLatency hooks a fresh histogram to the runtime's completion
-// observer, recording each submission's caller-visible latency — the virtual
-// time from submit to completion, which is its share of the crossing.
-// Virtual time makes the percentiles deterministic for a given workload, so
-// the baseline comparison may band them tightly. The returned func detaches
-// the observer; call it before Shutdown.
-func observeLatency(r *xpc.Runtime) (*latencyHist, func()) {
-	h := new(latencyHist)
-	r.SetCompletionObserver(func(_ string, crossCost time.Duration, _ bool) {
-		h.record(crossCost)
-	})
-	return h, func() { r.SetCompletionObserver(nil) }
-}
-
-// gcMeter brackets a bench phase with runtime.ReadMemStats snapshots and
-// reports the Go collector's activity in the window. These are wall-clock
-// facts about the harness process — unlike the virtual-time columns they are
-// machine-dependent, so the baseline comparison excludes them and CI only
-// requires their presence.
-type gcMeter struct {
-	before runtime.MemStats
-}
-
-func (m *gcMeter) start() {
-	runtime.ReadMemStats(&m.before)
-}
-
-func (m *gcMeter) stop() (cycles uint64, pauseTotal, pauseMax time.Duration) {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	n := after.NumGC - m.before.NumGC
-	cycles = uint64(n)
-	pauseTotal = time.Duration(after.PauseTotalNs - m.before.PauseTotalNs)
-	// PauseNs is a circular buffer of the last 256 pause times, most recent
-	// at (NumGC+255)%256.
-	if n > 256 {
-		n = 256
-	}
-	for i := uint32(0); i < n; i++ {
-		p := time.Duration(after.PauseNs[(after.NumGC-i+255)%256])
-		if p > pauseMax {
-			pauseMax = p
-		}
-	}
-	return cycles, pauseTotal, pauseMax
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -92,25 +91,5 @@ func TestHistConcurrentRecord(t *testing.T) {
 	}
 	if p1, p99 := h.quantile(0.01), h.quantile(0.99); p1 > p99 {
 		t.Fatalf("p1=%v > p99=%v", p1, p99)
-	}
-}
-
-// TestGCMeter: forcing collections between start and stop must show up as
-// cycles with a non-negative pause total >= the max pause.
-func TestGCMeter(t *testing.T) {
-	var m gcMeter
-	m.start()
-	ballast := make([][]byte, 0, 64)
-	for i := 0; i < 3; i++ {
-		ballast = append(ballast, make([]byte, 1<<20))
-		runtime.GC()
-	}
-	_ = ballast
-	cycles, total, max := m.stop()
-	if cycles < 3 {
-		t.Fatalf("cycles = %d after 3 forced collections", cycles)
-	}
-	if total < max || max < 0 {
-		t.Fatalf("pause total %v < max %v", total, max)
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // writeTableJSON emits one table's metrics as a machine-readable envelope:
 // {"table": <name>, "rows": [...]}. Durations marshal as nanoseconds. CI
-// runs `decafbench -table zerocopy -json` as a smoke check, so perf PRs
-// inherit a parseable baseline.
+// pipes `decafbench -table recovery|contend -json` into
+// scripts/check_bench.py.
 func writeTableJSON(w io.Writer, name string, rows any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -16,24 +16,6 @@ func writeTableJSON(w io.Writer, name string, rows any) error {
 		Table string `json:"table"`
 		Rows  any    `json:"rows"`
 	}{Table: name, Rows: rows})
-}
-
-// PrintBatchTableJSON runs the batched-crossing comparison and emits JSON.
-func PrintBatchTableJSON(w io.Writer, cfg BatchTableConfig) error {
-	rows, err := RunBatchTable(cfg)
-	if err != nil {
-		return err
-	}
-	return writeTableJSON(w, "batch", rows)
-}
-
-// PrintZeroCopyTableJSON runs the zero-copy comparison and emits JSON.
-func PrintZeroCopyTableJSON(w io.Writer, cfg ZeroCopyTableConfig) error {
-	rows, err := RunZeroCopyTable(cfg.fill())
-	if err != nil {
-		return err
-	}
-	return writeTableJSON(w, "zerocopy", rows)
 }
 
 // PrintContendTableJSON runs the concurrent-submission comparison and emits

@@ -8,6 +8,7 @@ import (
 	"decafdrivers/internal/knet"
 	"decafdrivers/internal/recovery"
 	"decafdrivers/internal/workload"
+	"decafdrivers/internal/xpc"
 )
 
 // RecoveryRow is one line of the fault-tolerance comparison: a netperf
@@ -89,8 +90,8 @@ type RecoveryRow struct {
 type RecoveryTableConfig struct {
 	// NetperfDuration is each run's virtual duration.
 	NetperfDuration time.Duration
-	// OfferedMbps is the offered load (the zero-copy table's default, so
-	// the crossings-per-packet columns stay comparable).
+	// OfferedMbps is the offered load. The default is deliberately modest,
+	// a rate the decaf data path sustains under every transport.
 	OfferedMbps float64
 	// BatchN is the coalescing size shared by batched/proc rows.
 	BatchN int
@@ -109,11 +110,11 @@ type RecoveryTableConfig struct {
 var RestartPolicies = []string{"immediate", "backoff"}
 
 // DefaultRecoveryTableConfig injects a fault on the 40th data-path upcall
-// and restarts with backoff, at the zero-copy table's offered load.
+// and restarts with backoff, at 2.5 Mb/s coalescing up to 32 calls.
 var DefaultRecoveryTableConfig = RecoveryTableConfig{
 	NetperfDuration: 5 * time.Second,
-	OfferedMbps:     DefaultZeroCopyTableConfig.OfferedMbps,
-	BatchN:          DefaultZeroCopyTableConfig.BatchN,
+	OfferedMbps:     2.5,
+	BatchN:          32,
 	FaultNth:        40,
 	Policy:          "backoff",
 	Transports:      "all",
@@ -153,27 +154,41 @@ func restartPolicyFor(name string) (recovery.Policy, error) {
 	}
 }
 
-// recoveryCase is one (driver, workload) cell: the shared netperf case plus
-// the data-path entry point the fault scenario targets and accessors for
-// driver-side drop accounting.
+// recoveryCase is one (driver, workload) cell: a netperf run at the
+// configured offered load, the data-path entry point the fault scenario
+// targets and accessors for driver-side drop accounting.
 type recoveryCase struct {
-	netCase
+	driver    string
+	workload  string
+	boot      func(opts workload.NetOptions) (*workload.Testbed, error)
+	run       func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error)
 	faultCall string
 	netdev    func(tb *workload.Testbed) *knet.NetDevice
 	rxDropped func(tb *workload.Testbed) uint64
 }
 
 func recoveryCases() []recoveryCase {
-	all := netCases()
 	return []recoveryCase{
 		{
-			netCase:   all[0], // E1000 netperf-send
+			driver: "E1000", workload: "netperf-send",
+			boot: func(o workload.NetOptions) (*workload.Testbed, error) {
+				return workload.NewE1000With(xpc.ModeDecaf, o)
+			},
+			run: func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error) {
+				return workload.NetperfSend(tb, tb.E1000.NetDevice(), mbps, d)
+			},
 			faultCall: "e1000_xmit_frame",
 			netdev:    func(tb *workload.Testbed) *knet.NetDevice { return tb.E1000.NetDevice() },
 			rxDropped: func(tb *workload.Testbed) uint64 { return tb.E1000.Adapter.Stats.RxDropped },
 		},
 		{
-			netCase:   all[2], // 8139too netperf-recv
+			driver: "8139too", workload: "netperf-recv",
+			boot: func(o workload.NetOptions) (*workload.Testbed, error) {
+				return workload.NewRTL8139With(xpc.ModeDecaf, o)
+			},
+			run: func(tb *workload.Testbed, mbps float64, d time.Duration) (workload.Result, error) {
+				return workload.NetperfRecv(tb, tb.RTLDev.InjectRx, tb.RTL.NetDevice(), mbps, d)
+			},
 			faultCall: "rtl8139_rx_frame",
 			netdev:    func(tb *workload.Testbed) *knet.NetDevice { return tb.RTL.NetDevice() },
 			rxDropped: func(tb *workload.Testbed) uint64 { return tb.RTL.Adapter.Stats.RxDropped },
@@ -181,15 +196,58 @@ func recoveryCases() []recoveryCase {
 	}
 }
 
-// recoveryTransports enumerates the transport configurations, honoring the
-// filter. Every row runs the decaf data path with a registered payload ring,
-// so recovery also exercises the ring swap.
-func (cfg RecoveryTableConfig) transports() []zcTransport {
-	base := ZeroCopyTableConfig{BatchN: cfg.BatchN, Transports: cfg.Transports}
-	out := base.transports()
-	for i := range out {
-		out[i].opts.ZeroCopy = true
+// coalesceWindowFor sizes the drivers' batch-coalescing window so a batch
+// of N frames can fill at the offered load (25% headroom) instead of the
+// 2 ms line-rate default flushing partial batches.
+func coalesceWindowFor(n int, mbps float64) time.Duration {
+	const frameBytes = 1462
+	perFrame := time.Duration(float64(frameBytes*8) / (mbps * 1e6) * float64(time.Second))
+	return perFrame * time.Duration(n) * 5 / 4
+}
+
+// wantsTransport reports whether a -transport filter selects the rows of
+// one transport kind: "per-call", "batched" or "proc". "all" covers the
+// in-process transports. The process-separated transport spawns real worker
+// processes, so it only runs when explicitly requested (-transport proc) —
+// harnesses that cannot host the hidden worker mode would otherwise fork
+// themselves.
+func wantsTransport(filter, kind string) bool {
+	switch filter {
+	case "", "all":
+		return kind != "proc"
+	case "per-call", "sync":
+		return kind == "per-call"
+	case "batched", "batch":
+		return kind == "batched"
+	case "proc":
+		return kind == "proc"
+	default:
+		// An unrecognized filter selects nothing rather than everything;
+		// the CLI rejects unknown values before they reach here.
+		return false
 	}
+}
+
+// recoveryTransport is one transport configuration a cell runs under.
+type recoveryTransport struct {
+	name string
+	opts workload.NetOptions
+}
+
+// transports enumerates the transport configurations, honoring the filter.
+// Every row runs the decaf data path with a registered payload ring, so
+// recovery also exercises the ring swap.
+func (cfg RecoveryTableConfig) transports() []recoveryTransport {
+	var out []recoveryTransport
+	add := func(kind, name string, opts workload.NetOptions) {
+		if wantsTransport(cfg.Transports, kind) {
+			opts.DataPath, opts.ZeroCopy = xpc.DataPathDecaf, true
+			out = append(out, recoveryTransport{name, opts})
+		}
+	}
+	add("per-call", "per-call", workload.NetOptions{BatchN: 1})
+	add("batched", fmt.Sprintf("batched(%d)", cfg.BatchN), workload.NetOptions{BatchN: cfg.BatchN})
+	add("proc", fmt.Sprintf("proc(b%d)", cfg.BatchN), workload.NetOptions{BatchN: cfg.BatchN, Proc: true})
 	return out
 }
 

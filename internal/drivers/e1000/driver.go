@@ -70,11 +70,9 @@ type Driver struct {
 
 	// Recovery supervision state (EnableRecovery): journal records the
 	// configuration-establishing crossings a restart replays; recovering
-	// gates the watchdog and marks the outage window; holdLimit bounds the
-	// net-device proxy's held-frame queue.
+	// gates the watchdog and marks the outage window.
 	journal    *recovery.StateJournal
 	recovering bool
-	holdLimit  int
 }
 
 // Config configures a driver instance.

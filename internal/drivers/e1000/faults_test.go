@@ -109,7 +109,7 @@ func TestRecoveryRestoresConfigAfterDataPathFault(t *testing.T) {
 	const batchN = 4
 	r := newDecafPathRig(t, batchN)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j, 0)
+	r.drv.EnableRecovery(j)
 	r.load(t)
 	r.up(t)
 	sup := recovery.NewSupervisor(r.kern, r.drv, j, recovery.Config{})
@@ -172,7 +172,7 @@ func TestControlOpsRefusedDuringOutage(t *testing.T) {
 	const batchN = 4
 	r := newDecafPathRig(t, batchN)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j, 0)
+	r.drv.EnableRecovery(j)
 	r.load(t)
 	r.up(t)
 	// Backoff policy: the outage stays open until the timer fires, giving

@@ -177,7 +177,7 @@ func TestProcRecoveryRestoresConfigAfterDataPathFault(t *testing.T) {
 	const batchN = 4
 	r, pt := newProcPathRig(t, batchN)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j, 0)
+	r.drv.EnableRecovery(j)
 	r.load(t)
 	r.up(t)
 	sup := recovery.NewSupervisor(r.kern, r.drv, j, recovery.Config{})

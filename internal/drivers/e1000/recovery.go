@@ -15,14 +15,10 @@ const DefaultTxHoldLimit = 256
 // driver for supervision: configuration-establishing crossings (probe,
 // ifup) are journaled for replay, the TX path absorbs fault-contained flush
 // outcomes (the supervisor owns the restart), and the net-device proxy
-// holds up to holdLimit frames during an outage (<=0 selects
-// DefaultTxHoldLimit). Call before LoadModule so the probe is journaled.
-func (d *Driver) EnableRecovery(j *recovery.StateJournal, holdLimit int) {
-	if holdLimit <= 0 {
-		holdLimit = DefaultTxHoldLimit
-	}
+// holds up to DefaultTxHoldLimit frames during an outage. Call before
+// LoadModule so the probe is journaled.
+func (d *Driver) EnableRecovery(j *recovery.StateJournal) {
 	d.journal = j
-	d.holdLimit = holdLimit
 }
 
 // journalProbe records the probe as the first replayable configuration
@@ -52,7 +48,7 @@ func (d *Driver) RecoveryName() string { return "e1000" }
 // driver. Idempotent for retried restarts.
 func (d *Driver) BeginOutage(ctx *kernel.Context) {
 	d.recovering = true
-	d.netdev.BeginRecovery(d.holdLimit)
+	d.netdev.BeginRecovery(DefaultTxHoldLimit)
 }
 
 // TeardownForRecovery implements recovery.Target: quiesce the pipelines

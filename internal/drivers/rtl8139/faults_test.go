@@ -100,7 +100,7 @@ func TestRecoveryRestoresConfigAfterRxFault(t *testing.T) {
 	const batchN = 4
 	r := newDecafPathRig(t, batchN)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j, 0)
+	r.drv.EnableRecovery(j)
 	r.loadAndUp(t)
 	sup := recovery.NewSupervisor(r.kern, r.drv, j, recovery.Config{})
 	sup.Attach()

@@ -53,7 +53,7 @@ func TestProcExternalKillRecoversRxPath(t *testing.T) {
 	const batchN = 4
 	r, pt := newProcPathRig(t, batchN)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j, 0)
+	r.drv.EnableRecovery(j)
 	r.loadAndUp(t)
 	sup := recovery.NewSupervisor(r.kern, r.drv, j, recovery.Config{})
 	sup.Attach()
@@ -183,7 +183,7 @@ func TestProcWorkerDiesMidProbeRecovers(t *testing.T) {
 	const batchN = 4
 	r, pt := newProcPathRig(t, batchN)
 	j := recovery.NewStateJournal()
-	r.drv.EnableRecovery(j, 0)
+	r.drv.EnableRecovery(j)
 	r.loadAndUp(t)
 	sup := recovery.NewSupervisor(r.kern, r.drv, j, recovery.Config{})
 	sup.Attach()

@@ -12,15 +12,10 @@ const DefaultTxHoldLimit = 64
 
 // EnableRecovery attaches the shadow-driver state journal and arms the
 // driver for supervision: probe and ifup are journaled for replay and the
-// net-device proxy holds up to holdLimit TX frames during an outage (<=0
-// selects DefaultTxHoldLimit). Call before LoadModule so the probe is
-// journaled.
-func (d *Driver) EnableRecovery(j *recovery.StateJournal, holdLimit int) {
-	if holdLimit <= 0 {
-		holdLimit = DefaultTxHoldLimit
-	}
+// net-device proxy holds up to DefaultTxHoldLimit TX frames during an
+// outage. Call before LoadModule so the probe is journaled.
+func (d *Driver) EnableRecovery(j *recovery.StateJournal) {
 	d.journal = j
-	d.holdLimit = holdLimit
 }
 
 // journalProbe records the probe (chip reset, EEPROM identification) as the
@@ -47,7 +42,7 @@ func (d *Driver) RecoveryName() string { return "8139too" }
 // BeginOutage implements recovery.Target. Idempotent for retried restarts.
 func (d *Driver) BeginOutage(ctx *kernel.Context) {
 	d.recovering = true
-	d.netdev.BeginRecovery(d.holdLimit)
+	d.netdev.BeginRecovery(DefaultTxHoldLimit)
 }
 
 // TeardownForRecovery implements recovery.Target: quiesce the RX pipeline

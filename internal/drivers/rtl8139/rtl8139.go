@@ -109,7 +109,6 @@ type Driver struct {
 	// Recovery supervision state (EnableRecovery).
 	journal    *recovery.StateJournal
 	recovering bool
-	holdLimit  int
 }
 
 // rxFlight is one in-flight RX flush: the frames it carried and the staged

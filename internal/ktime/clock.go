@@ -88,25 +88,18 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 }
 
 // NextDeadline reports the deadline of the earliest pending timer and whether
-// one exists.
+// one exists. Cancelled timers at the top of the heap are popped first, as
+// Advance pops them, so a stopped timer never reports its deadline.
 func (c *Clock) NextDeadline() (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, t := range c.timers {
-		if !t.cancelled {
-			// Heap property: timers[0] is earliest, but it may be cancelled;
-			// scan is fine because cancelled entries are rare and popped lazily.
-			d := c.timers[0].deadline
-			for _, u := range c.timers {
-				if !u.cancelled && u.deadline < d {
-					d = u.deadline
-				}
-			}
-			_ = t
-			return d, true
-		}
+	for len(c.timers) > 0 && c.timers[0].cancelled {
+		heap.Pop(&c.timers)
 	}
-	return 0, false
+	if len(c.timers) == 0 {
+		return 0, false
+	}
+	return c.timers[0].deadline, true
 }
 
 // Timer is a one-shot virtual timer created by Schedule.

@@ -182,6 +182,15 @@ func TestNextDeadline(t *testing.T) {
 	if !ok || d != 7*time.Millisecond {
 		t.Fatalf("NextDeadline = %v,%v want 7ms,true", d, ok)
 	}
+
+	// A stopped timer at the top of the heap is not the next deadline.
+	c = NewClock()
+	early := c.Schedule(5*time.Millisecond, func() {})
+	c.Schedule(10*time.Millisecond, func() {})
+	early.Stop()
+	if d, ok := c.NextDeadline(); !ok || d != 10*time.Millisecond {
+		t.Fatalf("NextDeadline = %v,%v with the 5ms timer stopped, want 10ms,true", d, ok)
+	}
 }
 
 func TestReentrantAdvancePanics(t *testing.T) {

@@ -111,41 +111,6 @@ func TestProcTransportRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestProcSteadyStateMatchesBatched: armed-vs-off aside, the proc transport
-// must not change the modeled crossing economics — crossings for the same
-// workload equal the batched transport's, with the wire counters riding on
-// top. This is the invariant the CI perf gate asserts per scenario.
-func TestProcSteadyStateMatchesBatched(t *testing.T) {
-	run := func(proc bool) (Result, xpc.Counters) {
-		opts := NetOptions{DataPath: xpc.DataPathDecaf, BatchN: 8, Proc: proc}
-		tb, err := NewE1000With(xpc.ModeDecaf, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tb.Shutdown()
-		res, err := NetperfSend(tb, tb.E1000.NetDevice(), 5, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, tb.Runtime.Counters()
-	}
-	batched, bc := run(false)
-	proc, pc := run(true)
-	if batched.Units != proc.Units || batched.Crossings != proc.Crossings {
-		t.Fatalf("proc perturbed the modeled timeline: batched %d pkts/%d x, proc %d pkts/%d x",
-			batched.Units, batched.Crossings, proc.Units, proc.Crossings)
-	}
-	if bc.SyscallCrossings != 0 {
-		t.Fatalf("batched transport counted %d syscall crossings", bc.SyscallCrossings)
-	}
-	// What the CI gate asserts of a proc row. Not SyscallCrossings > 0: with
-	// no payload ring to register, the only syscalls of this run are
-	// doorbells, and a healthy run parks neither side.
-	if pc.RingCrossings == 0 || pc.WorkerServedCalls == 0 {
-		t.Fatalf("proc transport carried nothing: ring crossings=%d, worker-served calls=%d", pc.RingCrossings, pc.WorkerServedCalls)
-	}
-}
-
 // BenchmarkE1000DecafPacketPath drives the wall-clock benchmark's
 // e1000_netperf shape through go test: 16 frames out and 16 frames in per
 // iteration through the decaf data path over a real worker process, virtual

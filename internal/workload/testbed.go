@@ -112,12 +112,6 @@ type NetOptions struct {
 	// containment enforced by actual process death. Coalescing follows
 	// BatchN.
 	Proc bool
-	// Submitters sizes the proc transport's submission-lane table for the
-	// expected number of concurrent submitting contexts: each submitter can
-	// then hold its own lock-free lane instead of spilling to the contended
-	// fallback lane. <1 means xpc.DefaultProcLanes. Ignored unless Proc is
-	// set.
-	Submitters int
 	// CoalesceWindow overrides the drivers' batch-coalescing windows;
 	// harnesses running below line rate widen it so batches still fill.
 	// For rtl8139 a zero value selects the adaptive window (EWMA of frame
@@ -140,19 +134,12 @@ type NetOptions struct {
 	// RestartPolicy selects the restart cadence; nil means
 	// recovery.Immediate{}. Ignored unless Recovery is set.
 	RestartPolicy recovery.Policy
-	// TxHoldLimit bounds the net-device proxy's held-frame queue during an
-	// outage; <=0 selects the driver default. Ignored unless Recovery is
-	// set.
-	TxHoldLimit int
 	// Trace arms the cross-process flight recorder: shm trace rings are
 	// carved in the transport's shared region, a Recorder is installed
 	// before the transport (so the first epoch's layout header describes
 	// the worker's ring), and a Collector drains the merged timeline for
 	// export. Ignored unless Proc is set.
 	Trace bool
-	// TraceEntries sizes each shm trace ring; <1 means the transport
-	// default. Ignored unless Trace is set.
-	TraceEntries int
 	// Faults arms the decaf-side fault injector after boot (boot crossings
 	// never count toward Nth).
 	Faults FaultPlan
@@ -192,12 +179,9 @@ func (o NetOptions) transport() (xpc.Transport, error) {
 	if o.Proc {
 		entries := 0
 		if o.Trace {
-			entries = o.TraceEntries
-			if entries < 1 {
-				entries = -1 // transport default ring depth
-			}
+			entries = -1 // transport default ring depth
 		}
-		return xpc.NewProcTransport(xpc.ProcConfig{Batch: o.BatchN, Lanes: o.Submitters, TraceEntries: entries})
+		return xpc.NewProcTransport(xpc.ProcConfig{Batch: o.BatchN, TraceEntries: entries})
 	}
 	if o.BatchN > 1 {
 		return xpc.BatchTransport{N: o.BatchN}, nil
@@ -291,7 +275,7 @@ func NewE1000With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
 	var journal *recovery.StateJournal
 	if opts.Recovery {
 		journal = recovery.NewStateJournal()
-		tb.E1000.EnableRecovery(journal, opts.TxHoldLimit)
+		tb.E1000.EnableRecovery(journal)
 	}
 	if err := tb.load(tb.E1000.Module()); err != nil {
 		return nil, err
@@ -328,7 +312,7 @@ func NewRTL8139With(mode xpc.Mode, opts NetOptions) (*Testbed, error) {
 	var journal *recovery.StateJournal
 	if opts.Recovery {
 		journal = recovery.NewStateJournal()
-		tb.RTL.EnableRecovery(journal, opts.TxHoldLimit)
+		tb.RTL.EnableRecovery(journal)
 	}
 	if err := tb.load(tb.RTL.Module()); err != nil {
 		return nil, err

@@ -291,14 +291,10 @@ func (r *Runtime) countCrossing(subs []*Submission) {
 }
 
 // noteCompletion records a resolved submission's crossing cost and fault
-// outcome on c, the cell of its entry point, and feeds the completion
-// observer when one is installed.
+// outcome on c, the cell of its entry point.
 //
 //decaf:hotpath
 func (r *Runtime) noteCompletion(c *counterCell, comp *Completion, crossCost time.Duration, fault bool) {
-	if ob := r.completionObserver.Load(); ob != nil {
-		(*ob)(comp.name, crossCost, fault)
-	}
 	if crossCost > 0 {
 		c.crossNs.Add(uint64(crossCost))
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"decafdrivers/internal/kernel"
 )
@@ -264,8 +263,8 @@ func TestFlushAsyncCarriesStickyError(t *testing.T) {
 // on every transport. A record reads as recycledName / errRecycled while it
 // sits in the pool, so anything that held on to one past its flush — a
 // transport touching a submission after resolving it, an aggregate reading
-// children that were handed back — shows up here as that name in a counter,
-// an observer or a fault event, or as that error from a flush; under -race
+// children that were handed back — shows up here as that name in a counter
+// or a fault event, or as that error from a flush; under -race
 // it shows up as a race as well. Exactly-once resolution is checked by the
 // in-flight gauge returning to zero (a second resolve panics, a missing one
 // hangs the flush).
@@ -283,7 +282,6 @@ func TestRecordReuseStorm(t *testing.T) {
 				}
 			}
 			r.SetFaultNotifier(func(ev FaultEvent) { sawPoison(ev.Call, ev.Err) })
-			r.SetCompletionObserver(func(name string, _ time.Duration, _ bool) { sawPoison(name, nil) })
 			r.SetFaultInjector(func(call string) bool { return call == "xpcbench_sink" })
 
 			// The proc row storms from three submitters at once: each

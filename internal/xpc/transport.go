@@ -17,7 +17,7 @@ import (
 // carries neither: it is an isolation probe, which ProcTransport.CrossChunk
 // carries across for its payload proof and Submit refuses.
 type Call struct {
-	// Name is the entry point, carried for errors and observers: calls
+	// Name is the entry point, carried for errors and fault events: calls
 	// count under id, not under their name.
 	Name string
 	// Up is true for kernel→user calls (upcalls), false for downcalls.

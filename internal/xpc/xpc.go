@@ -196,13 +196,6 @@ const (
 	DataPathDecaf
 )
 
-func (p DataPath) String() string {
-	if p == DataPathDecaf {
-		return "decaf"
-	}
-	return "nucleus"
-}
-
 // Runtime is the per-driver XPC runtime: one instance backs one loaded
 // decaf driver and holds its domains, trackers, codecs and counters. The
 // kernel-resident half is the paper's "nuclear runtime"; the user-resident
@@ -275,11 +268,6 @@ type Runtime struct {
 	// call body; returning true throws an *InjectedFault inside the
 	// fault-containment region (test and benchmark fault injection).
 	faultInjector atomic.Pointer[func(call string) bool]
-	// completionObserver, when set, observes every resolved submission's
-	// crossing cost — the hook the benchmark harness uses to build
-	// caller-visible latency histograms without touching the crossing path
-	// when unset.
-	completionObserver atomic.Pointer[func(name string, crossCost time.Duration, fault bool)]
 	// tracer, when set, is the flight recorder every crossing stage reports
 	// to (see internal/trace). Unset, every instrumentation site is one
 	// atomic load plus a nil check — the tracing-off state stays
@@ -520,20 +508,6 @@ func (r *Runtime) SetFaultNotifier(fn func(FaultEvent)) {
 		return
 	}
 	r.faultNotifier.Store(&fn)
-}
-
-// SetCompletionObserver installs (or, with nil, removes) the observer
-// invoked for every resolved submission with its entry-point name, crossing
-// cost (virtual time) and fault outcome. The benchmark harness attaches
-// here to build caller-visible latency histograms. Like the fault notifier
-// it runs on whatever goroutine resolves the completion, so fn must be
-// concurrency-safe and must only record — never submit or wait.
-func (r *Runtime) SetCompletionObserver(fn func(name string, crossCost time.Duration, fault bool)) {
-	if fn == nil {
-		r.completionObserver.Store(nil)
-		return
-	}
-	r.completionObserver.Store(&fn)
 }
 
 // SetTracer installs (or, with nil, removes) the flight recorder the
