@@ -55,7 +55,6 @@ var (
 	tarBytes      = flag.Int("tar", 2<<20, "archive size for the tar workload, bytes")
 	mouse         = flag.Duration("mouse", 30*time.Second, "virtual duration of the mouse workload")
 	transport     = flag.String("transport", "all", "transports for the recovery and contend tables: "+strings.Join(validTransports, ", "))
-	rate          = flag.Float64("rate", 0, "offered load in Mb/s for the recovery table (0 = default)")
 	submitters    = flag.String("submitters", "", "contend table: comma-separated concurrent submitter counts (default 1,2,4,8)")
 	flushes       = flag.Int("flushes", 0, "contend table: total flushes per row, split across its submitters (0 = default)")
 	faults        = flag.Uint64("faults", 0, "recovery table: inject a decaf-side panic on the Nth data-path upcall (0 = default)")
@@ -112,11 +111,10 @@ func main() {
 		Transports: *transport,
 	}
 	recCfg := bench.RecoveryTableConfig{
-		OfferedMbps: *rate,
-		BatchN:      batchN,
-		FaultNth:    *faults,
-		Policy:      *restartPolicy,
-		Transports:  *transport,
+		BatchN:     batchN,
+		FaultNth:   *faults,
+		Policy:     *restartPolicy,
+		Transports: *transport,
 	}
 	if flags.Set["netperf"] {
 		recCfg.NetperfDuration = *netperf

@@ -56,11 +56,12 @@ func TestValidateFlagMatrix(t *testing.T) {
 			t.Errorf("%s: validate() = %v, want error containing %q", tc.name, err, tc.wantErr)
 		}
 	}
-	// Flags of deleted tables and transports are no longer defined, so the
-	// flag package rejects them as unknown and exits 2: -queue sized the
-	// async transport's ring, -batch, -slots and -trace shaped the batch,
-	// zerocopy and proc tables.
-	for _, name := range []string{"queue", "batch", "slots", "trace"} {
+	// Flags of deleted tables, transports and options are no longer
+	// defined, so the flag package rejects them as unknown and exits 2:
+	// -queue sized the async transport's ring, -batch, -slots and -trace
+	// shaped the batch, zerocopy and proc tables, and -rate set the
+	// recovery table's offered load, which is a constant.
+	for _, name := range []string{"queue", "batch", "slots", "trace", "rate"} {
 		if flag.Lookup(name) != nil {
 			t.Errorf("-%s is still a defined flag", name)
 		}

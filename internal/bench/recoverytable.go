@@ -90,9 +90,6 @@ type RecoveryRow struct {
 type RecoveryTableConfig struct {
 	// NetperfDuration is each run's virtual duration.
 	NetperfDuration time.Duration
-	// OfferedMbps is the offered load. The default is deliberately modest,
-	// a rate the decaf data path sustains under every transport.
-	OfferedMbps float64
 	// BatchN is the coalescing size shared by batched/proc rows.
 	BatchN int
 	// FaultNth selects which data-path upcall panics in the fault
@@ -109,11 +106,14 @@ type RecoveryTableConfig struct {
 // RestartPolicies are the -restart-policy flag's accepted values.
 var RestartPolicies = []string{"immediate", "backoff"}
 
+// recoveryOfferedMbps is every recovery run's offered load: deliberately
+// modest, a rate the decaf data path sustains under every transport.
+const recoveryOfferedMbps = 2.5
+
 // DefaultRecoveryTableConfig injects a fault on the 40th data-path upcall
-// and restarts with backoff, at 2.5 Mb/s coalescing up to 32 calls.
+// and restarts with backoff, coalescing up to 32 calls.
 var DefaultRecoveryTableConfig = RecoveryTableConfig{
 	NetperfDuration: 5 * time.Second,
-	OfferedMbps:     2.5,
 	BatchN:          32,
 	FaultNth:        40,
 	Policy:          "backoff",
@@ -124,9 +124,6 @@ func (cfg RecoveryTableConfig) fill() RecoveryTableConfig {
 	d := DefaultRecoveryTableConfig
 	if cfg.NetperfDuration <= 0 {
 		cfg.NetperfDuration = d.NetperfDuration
-	}
-	if cfg.OfferedMbps <= 0 {
-		cfg.OfferedMbps = d.OfferedMbps
 	}
 	if cfg.BatchN < 2 {
 		cfg.BatchN = d.BatchN
@@ -252,7 +249,7 @@ func (cfg RecoveryTableConfig) transports() []recoveryTransport {
 }
 
 func runRecoveryCase(c recoveryCase, opts workload.NetOptions, transport, scenario string, cfg RecoveryTableConfig) (RecoveryRow, error) {
-	opts.CoalesceWindow = coalesceWindowFor(cfg.BatchN, cfg.OfferedMbps)
+	opts.CoalesceWindow = coalesceWindowFor(cfg.BatchN, recoveryOfferedMbps)
 	tb, err := c.boot(opts)
 	if err != nil {
 		return RecoveryRow{}, fmt.Errorf("%s/%s %s/%s: boot: %w", c.driver, c.workload, transport, scenario, err)
@@ -262,7 +259,7 @@ func runRecoveryCase(c recoveryCase, opts workload.NetOptions, transport, scenar
 	ndBefore := nd.Stats()
 	rxBefore := c.rxDropped(tb)
 	before := tb.Runtime.Counters()
-	res, err := c.run(tb, cfg.OfferedMbps, cfg.NetperfDuration)
+	res, err := c.run(tb, recoveryOfferedMbps, cfg.NetperfDuration)
 	if err != nil {
 		return RecoveryRow{}, fmt.Errorf("%s/%s %s/%s: %w", c.driver, c.workload, transport, scenario, err)
 	}
@@ -356,7 +353,7 @@ func PrintRecoveryTable(w io.Writer, cfg RecoveryTableConfig) error {
 		return err
 	}
 	fmt.Fprintf(w, "Shadow-driver recovery: injected decaf-side panic on data-path upcall %d at %.1f Mb/s offered load\n",
-		cfg.FaultNth, cfg.OfferedMbps)
+		cfg.FaultNth, recoveryOfferedMbps)
 	fmt.Fprintln(w, "(decaf data path + payload ring; off and armed rows must match X/pkt exactly — journaling is free until a fault fires)")
 	fmt.Fprintln(w)
 	header := []string{"Driver", "Workload", "Transport", "Scenario", "Policy",

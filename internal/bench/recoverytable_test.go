@@ -14,7 +14,6 @@ import (
 func TestRecoveryTableScenarios(t *testing.T) {
 	cfg := RecoveryTableConfig{
 		NetperfDuration: 2 * time.Second,
-		OfferedMbps:     2.5,
 		BatchN:          16,
 		FaultNth:        20,
 		Policy:          "backoff",
@@ -86,7 +85,6 @@ func TestRecoveryTableJSON(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := RecoveryTableConfig{
 		NetperfDuration: 1 * time.Second,
-		OfferedMbps:     2.5,
 		BatchN:          16,
 		FaultNth:        10,
 		Transports:      "batched",

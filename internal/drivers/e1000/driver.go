@@ -16,10 +16,6 @@ import (
 // executes every two seconds" (§3.1.3).
 const WatchdogPeriod = 2 * time.Second
 
-// flight is one in-flight decaf-data-path flush: the frames it carried and
-// the staged payloads (ring slots or copy fallbacks) they crossed in.
-type flight = xpc.Flight[*knet.Packet]
-
 // Driver is one bound E1000 instance: the nucleus, the kernel side of the
 // decaf driver's handler calls, and the XPC runtime.
 type Driver struct {
@@ -43,16 +39,12 @@ type Driver struct {
 	txFlushArmed  bool
 	txFlushQueued bool
 	txFlushWork   kernel.WorkFunc // the one deferred-flush body, bound once
-	// txInFlight/rxInFlight hold flushes submitted through FlushAsync
-	// whose frames await the decaf-side completion (nucleus transmit for
-	// TX, stack delivery for RX). Each flight carries the payload-ring
-	// slots its frames crossed in; the slots recycle when the flush settles
-	// (slot lifetime = completion lifetime).
-	txInFlight xpc.FlushPipeline[flight]
-	rxInFlight xpc.FlushPipeline[flight]
-	// flights recycles the item and payload lists of settled flushes, TX
-	// and RX alike.
-	flights xpc.FlightPool[*knet.Packet]
+	// txFlight/rxFlight carry one flush each: the frames and the
+	// payload-ring slots they crossed in. A flush has crossed when Flush
+	// returns, so the path delivers or drops its frames and releases the
+	// slots on the spot (slot lifetime = completion lifetime), and the next
+	// flush reuses the flight's lists.
+	txFlight, rxFlight xpc.Flight[*knet.Packet]
 
 	// Adapter is the driver's one adapter structure, kept kernel-side:
 	// the decaf bodies send what they learn back as downcall arguments
@@ -231,10 +223,8 @@ func (o *e1000Ops) Open(ctx *kernel.Context) error {
 }
 
 // Stop implements knet.DeviceOps by upcalling e1000_close. Queued TX frames
-// flush and transmit first so none are stranded behind the teardown, while
-// in-flight RX flushes settle and drop — frames are not delivered into a
-// closing interface, matching the rtl8139 purge-on-stop semantics. A close
-// body that did not finish leaves the release to the kernel side.
+// flush and transmit first so none are stranded behind the teardown. A
+// close body that did not finish leaves the release to the kernel side.
 func (o *e1000Ops) Stop(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	if d.recovering {
@@ -242,10 +232,7 @@ func (o *e1000Ops) Stop(ctx *kernel.Context) error {
 	}
 	d.txTimer.Stop()
 	d.txFlushArmed = false
-	_ = d.rxInFlight.Drain(ctx, func(f flight) {
-		d.dropRxFrames(f, nil)
-	}, d.dropRxFrames)
-	_ = d.Quiesce(ctx)
+	_ = d.FlushTx(ctx)
 	if d.journal != nil {
 		d.journal.Remove("ifup")
 	}
@@ -302,40 +289,45 @@ func (d *Driver) scheduleTxFlush() {
 	d.kern.DeferToWork(d.txFlushWork)
 }
 
-// maxTxInFlight bounds the TX pipeline: with this many flushes unreaped,
-// the caller waits for the oldest. Every transport settles a flush during
-// submission, so the depth stays at one.
-const maxTxInFlight = 4
-
-// FlushTx submits every queued TX frame through the decaf driver via
-// FlushAsync, then reaps every settled in-flight flush and hands its frames
-// to the nucleus for transmission. The flush settles during submission, so
-// frames reach the hardware in the same call — the seed behavior. A no-op
-// outside the decaf data path.
+// FlushTx submits every queued TX frame through the decaf driver and hands
+// the frames to the nucleus for transmission once the flush returns; a
+// failed or faulted flush drops its frames into TxErrors — the kernel
+// survives. Frames reach the hardware in the same call. A no-op outside the
+// decaf data path, or with nothing queued.
 func (d *Driver) FlushTx(ctx *kernel.Context) error {
-	if len(d.txQueue) > 0 {
-		// The flush consumes any armed coalescing timer: it should fire
-		// only when a partial queue goes stale, not mid-stream between
-		// full batches.
-		if d.txFlushArmed {
-			d.txTimer.Stop()
-			d.txFlushArmed = false
-		}
-		// Staging a frame lands its bytes in a pre-registered ring buffer,
-		// the model of DMA into shared memory.
-		fl := d.flights.Get()
-		for _, pkt := range d.txQueue {
-			fl.Stage(d.rt, pkt, pkt.Data)
-		}
-		clear(d.txQueue)
-		d.txQueue = d.txQueue[:0]
-		b := d.rt.Batch(ctx)
-		for _, p := range fl.Payloads {
-			b.CallPayload(hXmitFrame, p)
-		}
-		d.txInFlight.Push(b.FlushAsync(), fl)
+	if len(d.txQueue) == 0 {
+		return nil
 	}
-	return d.absorbContainedFault(d.reapTx(ctx, d.txInFlight.Len() >= maxTxInFlight))
+	// The flush consumes any armed coalescing timer: it should fire only
+	// when a partial queue goes stale, not mid-stream between full batches.
+	if d.txFlushArmed {
+		d.txTimer.Stop()
+		d.txFlushArmed = false
+	}
+	// Staging a frame lands its bytes in a pre-registered ring buffer, the
+	// model of DMA into shared memory.
+	fl := &d.txFlight
+	for _, pkt := range d.txQueue {
+		fl.Stage(d.rt, pkt, pkt.Data)
+	}
+	clear(d.txQueue)
+	d.txQueue = d.txQueue[:0]
+	b := d.rt.Batch(ctx)
+	for _, p := range fl.Payloads {
+		b.CallPayload(hXmitFrame, p)
+	}
+	err := b.Flush()
+	if err != nil {
+		d.Adapter.Stats.TxErrors += uint64(len(fl.Items))
+	} else {
+		for _, pkt := range fl.Items {
+			if xerr := d.nuc.xmitFrame(ctx, pkt); xerr != nil && err == nil {
+				err = xerr
+			}
+		}
+	}
+	fl.Release(d.rt)
+	return d.absorbContainedFault(err)
 }
 
 // absorbContainedFault maps a fault-contained flush outcome to success when
@@ -354,78 +346,12 @@ func (d *Driver) absorbContainedFault(err error) error {
 	return err
 }
 
-// txCallbacks builds the TX pipeline's deliver/drop pair: successful
-// flushes hand their frames to the nucleus (the first transmit error lands
-// in *errp), failed or faulted flushes drop theirs into TxErrors — the
-// kernel survives. Both arms hand the flight back to the pool, which
-// recycles its payload slots: the flush has settled, so slot lifetime ends
-// here.
-func (d *Driver) txCallbacks(ctx *kernel.Context, errp *error) (deliver func(flight), drop func(flight, error)) {
-	deliver = func(f flight) {
-		for _, pkt := range f.Items {
-			if xerr := d.nuc.xmitFrame(ctx, pkt); xerr != nil && *errp == nil {
-				*errp = xerr
-			}
-		}
-		d.flights.Release(d.rt, f)
-	}
-	drop = func(f flight, _ error) {
-		d.Adapter.Stats.TxErrors += uint64(len(f.Items))
-		d.flights.Release(d.rt, f)
-	}
-	return deliver, drop
-}
-
-// deliverRxFrames/dropRxFrames are the RX pipeline's deliver/drop pair;
-// both hand the flight back to the pool.
-func (d *Driver) deliverRxFrames(f flight) {
-	for _, pkt := range f.Items {
-		d.netdev.Receive(pkt)
-	}
-	d.flights.Release(d.rt, f)
-}
-
-func (d *Driver) dropRxFrames(f flight, _ error) {
-	d.Adapter.Stats.RxDropped += uint64(len(f.Items))
-	d.flights.Release(d.rt, f)
-}
-
-// reapTx transmits the frames of every settled in-flight flush; with force,
-// it first waits for the oldest flush so the pipeline depth stays bounded.
-func (d *Driver) reapTx(ctx *kernel.Context, force bool) error {
-	var xmitErr error
-	deliver, drop := d.txCallbacks(ctx, &xmitErr)
-	err := d.txInFlight.Reap(ctx, force, deliver, drop)
-	if err == nil {
-		err = xmitErr
-	}
-	return err
-}
-
-// Quiesce flushes the partial TX queue and waits for every in-flight decaf
-// crossing, transmitting reaped TX frames and delivering reaped RX frames.
-// Workload harnesses call it before closing a measurement phase so every
-// flush is delivered.
-func (d *Driver) Quiesce(ctx *kernel.Context) error {
-	err := d.FlushTx(ctx)
-	var xmitErr error
-	deliver, drop := d.txCallbacks(ctx, &xmitErr)
-	if derr := d.txInFlight.Drain(ctx, deliver, drop); err == nil {
-		if derr == nil {
-			derr = xmitErr
-		}
-		err = derr
-	}
-	_ = d.rxInFlight.Drain(ctx, d.deliverRxFrames, d.dropRxFrames)
-	return err
-}
-
 // deliverRx hands one interrupt's burst of drained RX frames up the stack.
 // In the decaf data path the crossing cannot happen in IRQ context, so a
 // work item submits the batched upcalls — the work-queue handoff of §3.1.3
-// applied to the receive path — and delivery follows each flush's
-// completion, which settles during submission (delivery in the same work
-// item, the seed behavior).
+// applied to the receive path — and delivers the frames once the flush
+// returns, in the same work item. A faulted decaf driver drops its own
+// drain; the kernel survives.
 func (d *Driver) deliverRx(burst []knet.Packet) {
 	if len(burst) == 0 {
 		return
@@ -437,7 +363,7 @@ func (d *Driver) deliverRx(burst []knet.Packet) {
 		return
 	}
 	d.kern.DeferToWork(func(wctx *kernel.Context) {
-		fl := d.flights.Get()
+		fl := &d.rxFlight
 		for i := range burst {
 			fl.Stage(d.rt, &burst[i], burst[i].Data)
 		}
@@ -445,17 +371,13 @@ func (d *Driver) deliverRx(burst []knet.Packet) {
 		for _, p := range fl.Payloads {
 			b.CallPayload(hRxFrame, p)
 		}
-		d.rxInFlight.Push(b.FlushAsync(), fl)
-		d.reapRx(wctx, d.rxInFlight.Len() >= maxRxInFlight)
+		if b.Flush() != nil {
+			d.Adapter.Stats.RxDropped += uint64(len(fl.Items))
+		} else {
+			for _, pkt := range fl.Items {
+				d.netdev.Receive(pkt)
+			}
+		}
+		fl.Release(d.rt)
 	})
-}
-
-// maxRxInFlight bounds the RX pipeline depth, as maxTxInFlight does TX's.
-const maxRxInFlight = 4
-
-// reapRx delivers the frames of every settled in-flight RX flush; with
-// force, it first waits for the oldest. A faulted decaf driver drops its
-// own drain; the kernel survives.
-func (d *Driver) reapRx(ctx *kernel.Context, force bool) {
-	_ = d.rxInFlight.Reap(ctx, force, d.deliverRxFrames, d.dropRxFrames)
 }

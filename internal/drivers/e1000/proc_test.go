@@ -258,10 +258,10 @@ func TestProcDecafDataPathExecutesInWorker(t *testing.T) {
 	}
 }
 
-// TestDecafDataPathAsyncTransport drives the decaf TX path's asynchronous
-// submissions end to end over the worker process: depth-triggered FlushAsync
-// submissions cross as coalesced chunks, and Quiesce settles the pipeline so
-// every frame reaches the hardware and nothing stays in flight.
+// TestDecafDataPathAsyncTransport drives several decaf TX flushes end to
+// end over the worker process: depth-triggered flushes cross as coalesced
+// chunks and transmit their frames before they return, so after a final
+// FlushTx every frame has reached the hardware and nothing is in flight.
 func TestDecafDataPathAsyncTransport(t *testing.T) {
 	const batchN, frames = 4, 3 * 4
 	r, _ := newProcPathRig(t, batchN)
@@ -276,7 +276,7 @@ func TestDecafDataPathAsyncTransport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := r.drv.Quiesce(ctx); err != nil {
+	if err := r.drv.FlushTx(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.drv.Adapter.Stats.TxPackets; got != frames {
@@ -290,7 +290,7 @@ func TestDecafDataPathAsyncTransport(t *testing.T) {
 		t.Fatalf("Trips = %d, want %d coalesced crossings", c.Trips(), frames/batchN)
 	}
 	if c.InFlight != 0 {
-		t.Fatalf("InFlight = %d after Quiesce", c.InFlight)
+		t.Fatalf("InFlight = %d after FlushTx", c.InFlight)
 	}
 }
 

@@ -51,11 +51,12 @@ func (d *Driver) BeginOutage(ctx *kernel.Context) {
 	d.netdev.BeginRecovery(DefaultTxHoldLimit)
 }
 
-// TeardownForRecovery implements recovery.Target: quiesce the pipelines
-// (settled flushes deliver, faulted ones drop — both release their payload
-// slots), then release the kernel-side data-path resources directly. The
-// decaf side is suspect, so the nuclear runtime tears down without
-// crossings; the journal replay of ifup rebuilds everything.
+// TeardownForRecovery implements recovery.Target: drop the frames queued
+// for the decaf data path, then release the kernel-side data-path resources
+// directly. Every flush ended inside the call that made it, so no payload
+// slot is held here. The decaf side is suspect, so the nuclear runtime
+// tears down without crossings; the journal replay of ifup rebuilds
+// everything.
 func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	d.txTimer.Stop()
 	d.txFlushArmed = false
@@ -64,10 +65,6 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 		d.txQueue = nil
 		d.Adapter.Stats.TxErrors += uint64(n)
 	}
-	var xmitErr error
-	deliver, drop := d.txCallbacks(ctx, &xmitErr)
-	_ = d.txInFlight.Drain(ctx, deliver, drop)
-	_ = d.rxInFlight.Drain(ctx, d.deliverRxFrames, d.dropRxFrames)
 	d.nuc.release(ctx)
 	return nil
 }

@@ -45,11 +45,11 @@ func (d *Driver) BeginOutage(ctx *kernel.Context) {
 	d.netdev.BeginRecovery(DefaultTxHoldLimit)
 }
 
-// TeardownForRecovery implements recovery.Target: quiesce the RX pipeline
-// (settled flushes deliver, faulted ones drop, slots release), purge the
-// coalescing queue with accounting, then release the kernel-side resources
-// directly — the decaf side is suspect, so no crossings; the ifup replay
-// rebuilds buffers, IRQ and chip state.
+// TeardownForRecovery implements recovery.Target: purge the coalescing
+// queue with accounting (every flush ended inside the work item that made
+// it, so no payload slot is held here), then release the kernel-side
+// resources directly — the decaf side is suspect, so no crossings; the
+// ifup replay rebuilds buffers, IRQ and chip state.
 func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 	d.rxTimer.Stop()
 	d.rxFlushArmed = false
@@ -57,7 +57,6 @@ func (d *Driver) TeardownForRecovery(ctx *kernel.Context) error {
 		d.rxPending = nil
 		d.Adapter.Stats.RxDropped += uint64(n)
 	}
-	_ = d.rxInFlight.Drain(ctx, d.deliverFrames, d.dropFrames)
 
 	d.stopChip(ctx)
 	_ = d.kern.FreeIRQ(d.irq, "8139too")

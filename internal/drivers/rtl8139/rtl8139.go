@@ -97,27 +97,16 @@ type Driver struct {
 	rxTimer       *kernel.KTimer
 	rxFlushArmed  bool
 	rxFlushQueued bool
-	// rxInFlight holds flushes submitted through FlushAsync whose frames
-	// await the decaf-side completion before delivery up the stack. Every
-	// transport settles a flush during submission (pipeline depth one, the
-	// seed behavior). Each flight carries the payload-ring slots its frames
-	// crossed in, recycled when the flush settles.
-	rxInFlight xpc.FlushPipeline[rxFlight]
-	// flights recycles the item and payload lists of settled flushes.
-	flights xpc.FlightPool[*knet.Packet]
+	// rxFlight carries one RX flush: the frames and the payload-ring slots
+	// they crossed in. The flush has crossed when Flush returns, so
+	// flushRx delivers or drops the frames and releases the slots on the
+	// spot, and the next flush reuses the flight's lists.
+	rxFlight xpc.Flight[*knet.Packet]
 
 	// Recovery supervision state (EnableRecovery).
 	journal    *recovery.StateJournal
 	recovering bool
 }
-
-// rxFlight is one in-flight RX flush: the frames it carried and the staged
-// payloads they crossed in.
-type rxFlight = xpc.Flight[*knet.Packet]
-
-// maxRxInFlight bounds the RX pipeline: with this many flushes unreaped,
-// the work item waits for the oldest.
-const maxRxInFlight = 4
 
 // New binds the driver to a device model.
 func New(k *kernel.Kernel, net *knet.Subsystem, dev *rtl8139hw.Device, ioBase uint16, cfg Config) *Driver {
@@ -408,10 +397,9 @@ func (d *Driver) scheduleRxFlush() {
 	d.kern.DeferToWork(func(wctx *kernel.Context) { d.flushRx(wctx) })
 }
 
-// flushRx submits every coalesced frame to the decaf driver via FlushAsync,
-// then delivers the frames of every settled flush. The flush settles during
-// submission, so delivery happens in the same work item — the seed
-// behavior.
+// flushRx submits every coalesced frame to the decaf driver and, once the
+// flush returns, delivers the frames up the stack in the same work item. A
+// faulted decaf driver drops its own drain; the kernel survives.
 func (d *Driver) flushRx(wctx *kernel.Context) {
 	d.rxFlushQueued = false
 	// The flush consumes any armed coalescing timer: it should fire only
@@ -420,48 +408,27 @@ func (d *Driver) flushRx(wctx *kernel.Context) {
 		d.rxTimer.Stop()
 		d.rxFlushArmed = false
 	}
-	if len(d.rxPending) > 0 {
-		fl := d.flights.Get()
-		for _, pkt := range d.rxPending {
-			fl.Stage(d.rt, pkt, pkt.Data)
-		}
-		clear(d.rxPending)
-		d.rxPending = d.rxPending[:0]
-		b := d.rt.Batch(wctx)
-		for _, p := range fl.Payloads {
-			b.CallPayload(hRxFrame, p)
-		}
-		d.rxInFlight.Push(b.FlushAsync(), fl)
+	if len(d.rxPending) == 0 {
+		return
 	}
-	d.reapRx(wctx, d.rxInFlight.Len() >= maxRxInFlight)
-}
-
-// deliverFrames/dropFrames are the RX pipeline's deliver/drop pair; both
-// hand the flight back to the pool, which recycles its payload slots (the
-// flush has settled).
-func (d *Driver) deliverFrames(f rxFlight) {
-	for _, pkt := range f.Items {
-		d.netdev.Receive(pkt)
+	fl := &d.rxFlight
+	for _, pkt := range d.rxPending {
+		fl.Stage(d.rt, pkt, pkt.Data)
 	}
-	d.flights.Release(d.rt, f)
-}
-
-func (d *Driver) dropFrames(f rxFlight, _ error) {
-	d.Adapter.Stats.RxDropped += uint64(len(f.Items))
-	d.flights.Release(d.rt, f)
-}
-
-// reapRx delivers the frames of every settled in-flight flush; with force,
-// it first waits for the oldest. A faulted decaf driver drops its own
-// drain; the kernel survives.
-func (d *Driver) reapRx(ctx *kernel.Context, force bool) {
-	_ = d.rxInFlight.Reap(ctx, force, d.deliverFrames, d.dropFrames)
-}
-
-// Quiesce waits for every in-flight decaf crossing and delivers the reaped
-// frames; workload harnesses call it before closing a measurement phase.
-func (d *Driver) Quiesce(ctx *kernel.Context) error {
-	return d.rxInFlight.Drain(ctx, d.deliverFrames, d.dropFrames)
+	clear(d.rxPending)
+	d.rxPending = d.rxPending[:0]
+	b := d.rt.Batch(wctx)
+	for _, p := range fl.Payloads {
+		b.CallPayload(hRxFrame, p)
+	}
+	if b.Flush() != nil {
+		d.Adapter.Stats.RxDropped += uint64(len(fl.Items))
+	} else {
+		for _, pkt := range fl.Items {
+			d.netdev.Receive(pkt)
+		}
+	}
+	fl.Release(d.rt)
 }
 
 // xmit is hard_start_xmit, a critical root.
@@ -547,9 +514,7 @@ func (o *rtlOps) Open(ctx *kernel.Context) error {
 }
 
 // Stop implements knet.DeviceOps via the decaf driver. Coalesced RX frames
-// not yet flushed are purged, as a real ifdown purges driver queues, and
-// in-flight decaf crossings settle (their frames are dropped rather than
-// delivered into a closing interface).
+// not yet flushed are purged, as a real ifdown purges driver queues.
 func (o *rtlOps) Stop(ctx *kernel.Context) error {
 	d := (*Driver)(o)
 	if d.recovering {
@@ -562,9 +527,6 @@ func (o *rtlOps) Stop(ctx *kernel.Context) error {
 		d.rxPending = nil
 		d.Adapter.Stats.RxDropped += uint64(n)
 	}
-	_ = d.rxInFlight.Drain(ctx, func(f rxFlight) {
-		d.dropFrames(f, nil)
-	}, d.dropFrames)
 	if d.journal != nil {
 		d.journal.Remove("ifup")
 	}

@@ -1,7 +1,7 @@
 // Package recovery is the shadow-driver-style recovery subsystem: it turns
 // the contained decaf-side faults the XPC layer already produces
-// (xpc.UserFault, per-Completion fault outcomes, contained-fault drops in
-// FlushPipeline) into transparent driver restarts.
+// (xpc.UserFault, per-Completion fault outcomes, the frames a driver drops
+// when its flush faults) into transparent driver restarts.
 //
 // A Supervisor watches one driver's fault outcomes through the runtime's
 // fault notifier. On a fault it quiesces the driver, tears down and

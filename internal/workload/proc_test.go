@@ -116,11 +116,10 @@ func TestProcTransportRecoveryEndToEnd(t *testing.T) {
 // iteration through the decaf data path over a real worker process, virtual
 // time paced at gigabit wire rate and deferred work drained per frame,
 // settled per iteration. It reports allocs/pkt, which the CI alloc gate
-// holds under a ceiling. What is left is per burst — 8 allocations an
+// holds under a ceiling. What is left is per burst — 6 allocations an
 // iteration: the RX data block and packet slab (fresh on purpose, a sink may
-// keep a packet), the RX work item's closure, a Batch and an aggregate
-// Completion per flush in each direction, and the ktime.Timer of the TX
-// coalescing arm.
+// keep a packet), the RX work item's closure, a Batch per flush in each
+// direction, and the ktime.Timer of the TX coalescing arm.
 func BenchmarkE1000DecafPacketPath(b *testing.B) {
 	const burst = 16
 	tb, err := NewE1000With(xpc.ModeDecaf, NetOptions{

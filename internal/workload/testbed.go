@@ -177,11 +177,7 @@ func (p FaultPlan) Injector() func(call string) bool {
 
 func (o NetOptions) transport() (xpc.Transport, error) {
 	if o.Proc {
-		entries := 0
-		if o.Trace {
-			entries = -1 // transport default ring depth
-		}
-		return xpc.NewProcTransport(xpc.ProcConfig{Batch: o.BatchN, TraceEntries: entries})
+		return xpc.NewProcTransport(xpc.ProcConfig{Batch: o.BatchN, Trace: o.Trace})
 	}
 	if o.BatchN > 1 {
 		return xpc.BatchTransport{N: o.BatchN}, nil
@@ -403,19 +399,15 @@ func (tb *Testbed) settleRecovery() {
 	}
 }
 
-// Settle quiesces the testbed's crossing pipelines: deferred work drains,
-// any in-flight recovery completes (or fail-stops), and the drivers flush
-// their partial queues and reap their in-flight flushes. Workloads call it
-// before closing a measurement phase so crossing counters and deliveries
-// are complete.
+// Settle quiesces the testbed: deferred work drains, any in-flight
+// recovery completes (or fail-stops), and the e1000 flushes its partial TX
+// queue. Workloads call it before closing a measurement phase so crossing
+// counters and deliveries are complete.
 func (tb *Testbed) Settle(ctx *kernel.Context) {
 	tb.drainDeferredWork()
 	tb.settleRecovery()
 	if tb.E1000 != nil {
-		_ = tb.E1000.Quiesce(ctx)
-	}
-	if tb.RTL != nil {
-		_ = tb.RTL.Quiesce(ctx)
+		_ = tb.E1000.FlushTx(ctx)
 	}
 	tb.drainDeferredWork()
 }

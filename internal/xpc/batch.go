@@ -19,8 +19,11 @@ import (
 // Every queued call is a handler upcall. The builder auto-flushes whenever
 // the queue reaches the transport's MaxBatch, so a driver may stream an
 // unbounded number of calls through one Batch. Errors are sticky: after a
-// call fails, subsequent adds are dropped and Flush returns the first error;
-// FlushAsync hands it back in the aggregate handle.
+// call fails, subsequent adds are dropped and Flush returns the first error.
+// Flush is the one way to end a batch: every transport resolves a call's
+// completion before Submit returns, so when Flush returns every call it
+// queued has crossed, and whatever the calls carried may be delivered,
+// dropped or released on the spot.
 //
 // In ModeNative each call's handler runs immediately in the caller's
 // context, with no crossing.
@@ -28,13 +31,13 @@ import (
 // Queueing, submitting and completing a call allocates nothing: every queued
 // call rides a pooled callRecord, on a flushScratch the batch borrows from
 // its runtime when the first call is queued and Flush hands back once it has
-// waited every completion out.
+// read every completion.
 type Batch struct {
 	r   *Runtime
 	ctx *kernel.Context
 	// s holds this flush's calls: s.recs[s.submitted:s.n] are queued,
 	// s.recs[:s.submitted] were handed to the transport by auto-flushes and
-	// are awaited by Flush or aggregated by FlushAsync. Nil between flushes.
+	// resolved before it returned; Flush reads them. Nil between flushes.
 	s   *flushScratch
 	err error
 }
@@ -64,8 +67,7 @@ var errRecycled = errors.New("xpc: call record used after its flush recycled it"
 //decaf:hotpath
 func (rec *callRecord) recycle() {
 	rec.call = Call{Name: recycledName}
-	rec.comp = Completion{name: recycledName, err: errRecycled}
-	rec.comp.ch.Store(settledCh)
+	rec.comp = Completion{name: recycledName, err: errRecycled, settled: true}
 }
 
 // flushScratch is what one flush borrows: call records in submission order
@@ -254,11 +256,12 @@ func (b *Batch) submit() error {
 	return b.r.Transport().Submit(b.r, b.ctx, subs)
 }
 
-// Flush submits every queued call, waits for every submitted call to
-// complete, and returns the first error encountered by this batch
-// (including errors from earlier auto-flushes). The crossings happened on
-// the calling context. The batch is reusable afterwards; the sticky error
-// is cleared.
+// Flush submits every queued call and returns the first error encountered
+// by this batch (including errors from earlier auto-flushes). Every
+// transport resolves a submission's completion before Submit returns, so
+// the calls have crossed, on the calling context, by the time Flush reads
+// their outcomes. The batch is reusable afterwards; the sticky error is
+// cleared.
 //
 //decaf:hotpath
 func (b *Batch) Flush() error {
@@ -267,7 +270,7 @@ func (b *Batch) Flush() error {
 	}
 	if s := b.s; s != nil {
 		for _, rec := range s.recs[:s.submitted] {
-			if werr := rec.comp.Wait(b.ctx); werr != nil && b.err == nil {
+			if werr := rec.comp.outcome(); werr != nil && b.err == nil {
 				b.err = werr
 			}
 		}
@@ -279,46 +282,4 @@ func (b *Batch) Flush() error {
 	err := b.err
 	b.err = nil
 	return err
-}
-
-// FlushAsync submits every queued call and returns an aggregate Completion
-// that resolves when the last of this batch's submitted calls does, without
-// waiting on it. The aggregate carries the batch's sticky error or else the
-// first error in submission order, and the combined crossing cost. When the
-// calls completed during submission the handle is already settled — and the
-// records are recycled here; when some are still in flight a small waiter
-// goroutine performs the fan-in (transports guarantee every child resolves,
-// so it always terminates) and the records it watches are left to the
-// collector. The batch is reusable afterwards; the sticky error is cleared
-// (it is carried by the returned completion).
-func (b *Batch) FlushAsync() *Completion {
-	if ferr := b.submit(); b.err == nil {
-		b.err = ferr
-	}
-	s := b.s
-	p := &Completion{name: "flush", r: b.r, err: b.err}
-	b.s, b.err = nil, nil
-	var children []*callRecord
-	if s != nil {
-		children = s.recs[:s.submitted]
-	}
-	for i, rec := range children {
-		if !rec.comp.Settled() {
-			rest := children[i:]
-			go func() {
-				for _, rec := range rest {
-					rec.comp.wait()
-					p.fold(&rec.comp)
-				}
-				p.settle()
-			}()
-			return p
-		}
-		p.fold(&rec.comp)
-	}
-	p.settle()
-	if s != nil {
-		b.r.putScratch(s)
-	}
-	return p
 }

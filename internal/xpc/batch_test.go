@@ -226,31 +226,6 @@ func TestBatchDataPaysPerByte(t *testing.T) {
 	}
 }
 
-func TestBatchNativeModeFlushAsyncSettled(t *testing.T) {
-	k := newTestKernel()
-	r := NewRuntime(k, "test", ModeNative, nil)
-	ctx := k.NewContext("t")
-
-	served := r.SharedState().Load(testCellServed)
-	b := r.Batch(ctx)
-	b.Call(hCount)
-	if r.SharedState().Load(testCellServed)-served != 1 {
-		t.Fatal("native batch call did not run immediately")
-	}
-	// Native mode never crosses; FlushAsync must hand back an
-	// already-settled handle with nothing pending.
-	done := b.FlushAsync()
-	if !done.Settled() {
-		t.Fatal("native FlushAsync handle not settled")
-	}
-	if err := done.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if r.Counters().Trips() != 0 {
-		t.Fatal("native mode counted a crossing")
-	}
-}
-
 // TestBatchStickyErrorAfterAutoFlush pins the auto-flush edge case: when the
 // queue reaches MaxBatch and the flushed crossing fails, the error must be
 // sticky — later adds are dropped and Flush reports the auto-flush error.

@@ -140,8 +140,8 @@ func TestSubmitRefusesHandlerlessCall(t *testing.T) {
 				t.Fatalf("Submit = %v, want a non-fault error naming the probe", err)
 			}
 			for i, sub := range subs {
-				if cerr := sub.Completion.Wait(nil); cerr == nil || sub.Completion.fault || IsUserFault(cerr) {
-					t.Fatalf("submission %d resolved with %v (fault %v), want a non-fault error", i, cerr, sub.Completion.fault)
+				if cerr := sub.Completion.outcome(); cerr == nil || IsUserFault(cerr) {
+					t.Fatalf("submission %d resolved with %v, want a non-fault error", i, cerr)
 				}
 			}
 			if r.SharedState().Load(testCellServed) != served || testParentRan.Load() != ran {
@@ -162,8 +162,8 @@ func TestSubmitRefusesHandlerlessCall(t *testing.T) {
 
 // TestRingSlotsReleaseAfterContainedFault is the slot-leak audit: a flight
 // staged into the payload ring whose flush faults mid-crossing must still
-// return ring occupancy to zero once the pipeline's drop arm runs, under
-// every transport. A fault mid-flight must not leak a slot.
+// return ring occupancy to zero once the driver releases it after Flush
+// returns, under every transport. A fault mid-flight must not leak a slot.
 func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 	for _, tc := range faultRigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -192,8 +192,7 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 			})
 
 			frames := [][]byte{{1}, {2}, {3}, {4}, {5}, {6}}
-			var pool FlightPool[[]byte]
-			fl := pool.Get()
+			var fl Flight[[]byte]
 			for _, b := range frames {
 				fl.Stage(r, b, b)
 			}
@@ -210,15 +209,11 @@ func TestRingSlotsReleaseAfterContainedFault(t *testing.T) {
 			for i := range frames {
 				b.CallPayload(hSink, fl.Payloads[i])
 			}
-			var pipe FlushPipeline[Flight[[]byte]]
-			pipe.Push(b.FlushAsync(), fl)
-
-			err = pipe.Drain(ctx,
-				func(f Flight[[]byte]) { pool.Release(r, f) },
-				func(f Flight[[]byte], _ error) { pool.Release(r, f) })
+			err = b.Flush()
 			if !IsUserFault(err) {
-				t.Fatalf("Drain error = %v, want the contained fault", err)
+				t.Fatalf("Flush error = %v, want the contained fault", err)
 			}
+			fl.Release(r)
 			if got := ring.InUse(); got != 0 {
 				t.Fatalf("ring occupancy after faulted flush = %d, want 0 (leaked slots)", got)
 			}

@@ -61,15 +61,14 @@ const descSlotBytes = 2048
 // fails without killing or respawning anything.
 var errProcEncode = errors.New("xpc: proc frame encode failed")
 
-// DefaultTraceEntries is the per-ring record count a traced transport uses
-// when TraceEntries is set negative ("trace with defaults"): deep enough
-// that a collector sweeping every couple of milliseconds keeps up with a
-// full-rate lane.
+// DefaultTraceEntries is the per-ring record count a traced transport
+// carves: deep enough that a collector sweeping every couple of
+// milliseconds keeps up with a full-rate lane.
 const DefaultTraceEntries = 4096
 
-// MaxTraceEntries caps a trace ring's entry count (1 MiB of records per
-// ring), bounding the shared-region tail like MaxProcLanes bounds the lane
-// area.
+// MaxTraceEntries caps the trace-ring entry count a layout header may
+// declare (1 MiB of records per ring), bounding the shared-region tail like
+// MaxProcLanes bounds the lane area: parseLayout refuses a header past it.
 const MaxTraceEntries = 1 << 15
 
 // ProcConfig sizes a ProcTransport.
@@ -81,14 +80,13 @@ type ProcConfig struct {
 	// submitters claim (one extra contended spill lane is always carved on
 	// top); <1 means DefaultProcLanes, capped at MaxProcLanes.
 	Lanes int
-	// TraceEntries enables the cross-process flight recorder: >0 carves
-	// per-lane SPSC trace rings (plus one worker ring) of that many records
-	// at the tail of the shared region, rounded up to a power of two and
-	// capped at MaxTraceEntries; <0 means DefaultTraceEntries; 0 disables
-	// tracing (no shm overhead, no record writes). Rings are only written
-	// when the bound Runtime also has a tracer installed (SetTracer) before
-	// the first crossing.
-	TraceEntries int
+	// Trace enables the cross-process flight recorder: per-lane SPSC trace
+	// rings (plus one worker ring) of DefaultTraceEntries records each,
+	// carved at the tail of the shared region. Off, there is no shm
+	// overhead and no record write. Rings are only written when the bound
+	// Runtime also has a tracer installed (SetTracer) before the first
+	// crossing.
+	Trace bool
 }
 
 // ProcTransport is the process-separated XPC transport: the decaf side of
@@ -182,7 +180,7 @@ type ProcTransport struct {
 	hdr *layoutHdr
 
 	// Flight-recorder rings carved from the shared-region tail (mu; set
-	// once with shm when TraceEntries > 0). traceKern[i] is lane i's
+	// once with shm when Trace is set). traceKern[i] is lane i's
 	// kernel-side ring; traceWorker is the worker process's ring. Ring
 	// positions persist across worker epochs — the timeline spans respawns.
 	traceKern     []*trace.Ring
@@ -295,18 +293,6 @@ func NewProcTransport(cfg ProcConfig) (*ProcTransport, error) {
 	}
 	if cfg.Lanes > MaxProcLanes {
 		cfg.Lanes = MaxProcLanes
-	}
-	if cfg.TraceEntries < 0 {
-		cfg.TraceEntries = DefaultTraceEntries
-	}
-	if cfg.TraceEntries > 0 {
-		if cfg.TraceEntries < 2 {
-			cfg.TraceEntries = 2
-		}
-		cfg.TraceEntries = nextPow2(cfg.TraceEntries)
-		if cfg.TraceEntries > MaxTraceEntries {
-			cfg.TraceEntries = MaxTraceEntries
-		}
 	}
 	return &ProcTransport{
 		cfg:         cfg,
@@ -1016,7 +1002,11 @@ func (t *ProcTransport) ensureShmLocked() error {
 	if t.shm != nil {
 		return nil
 	}
-	l := planLayout(DefaultProcShmBytes, t.laneCount(), t.descEntries, t.cfg.TraceEntries)
+	traceEntries := 0
+	if t.cfg.Trace {
+		traceEntries = DefaultTraceEntries
+	}
+	l := planLayout(DefaultProcShmBytes, t.laneCount(), t.descEntries, traceEntries)
 	shm, err := newShmRegion(l.trace.end())
 	if err != nil {
 		return err

@@ -21,17 +21,11 @@ const DefaultProcLanes = 8
 // MaxProcLanes mirrors the unix constant for configuration code.
 const MaxProcLanes = 64
 
-// DefaultTraceEntries mirrors the unix constant for configuration code.
-const DefaultTraceEntries = 4096
-
-// MaxTraceEntries mirrors the unix constant for configuration code.
-const MaxTraceEntries = 1 << 15
-
 // ProcConfig sizes a ProcTransport (unsupported on this platform).
 type ProcConfig struct {
-	Batch        int
-	Lanes        int
-	TraceEntries int
+	Batch int
+	Lanes int
+	Trace bool
 }
 
 // ProcTransport is unavailable on this platform; NewProcTransport reports

@@ -99,7 +99,7 @@ func TestProcTransportBoundToOneRuntime(t *testing.T) {
 		t.Fatalf("cross-runtime submit: err = %v, want ErrTransportBound", err)
 	}
 	for i, sub := range subs {
-		if err := sub.Completion.Wait(nil); !errors.Is(err, ErrTransportBound) {
+		if err := sub.Completion.outcome(); !errors.Is(err, ErrTransportBound) {
 			t.Fatalf("completion %d err = %v, want ErrTransportBound", i, err)
 		}
 	}

@@ -38,11 +38,10 @@ var flushRigs = []flushRig{
 
 // TestFlushAllocFree pins the whole handler-call path at zero heap objects:
 // N × UpcallHandlerData → Flush() over a real worker, by copy and by slot,
-// and over the in-process batch transport; the same batch through FlushAsync
-// + Wait may allocate the aggregate handle it returns. The builder is made
-// once and reused, as a long-lived caller would: Runtime.Batch itself is one
-// object (see its comment), which the blocking sugar — a builder on its own
-// stack — does not pay.
+// and over the in-process batch transport. The builder is made once and
+// reused, as a long-lived caller would: Runtime.Batch itself is one object
+// (see its comment), which the blocking sugar — a builder on its own stack
+// — does not pay.
 func TestFlushAllocFree(t *testing.T) {
 	payload := make([]byte, 1462)
 	payload[0] = 7
@@ -88,20 +87,11 @@ func TestFlushAllocFree(t *testing.T) {
 				defer r.ReleasePayloads(ps)
 			}
 			b := r.Batch(ctx)
-			queue := func() {
+			flush := func() {
 				for _, p := range ps {
 					b.CallPayload(hCount, p)
 				}
-			}
-			flush := func() {
-				queue()
 				if err := b.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			flushAsync := func() {
-				queue()
-				if err := b.FlushAsync().Wait(ctx); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -115,14 +105,11 @@ func TestFlushAllocFree(t *testing.T) {
 			if avg := testing.AllocsPerRun(100, flush); avg != 0 {
 				t.Errorf("Flush of %d calls allocates %.2f objects, want 0", tc.n, avg)
 			}
-			if avg := testing.AllocsPerRun(100, flushAsync); avg > 2 {
-				t.Errorf("FlushAsync+Wait of %d calls allocates %.2f objects, want <= 2", tc.n, avg)
-			}
 			if avg := testing.AllocsPerRun(100, sugar); avg != 0 {
 				t.Errorf("blocking UpcallHandlerData allocates %.2f objects, want 0", avg)
 			}
 			// AllocsPerRun calls its function 101 times.
-			if got, want := r.SharedState().Load(testCellServed)-before, uint64(101*(2*tc.n+1)); got != want {
+			if got, want := r.SharedState().Load(testCellServed)-before, uint64(101*(tc.n+1)); got != want {
 				t.Errorf("handler bodies served %d calls, want %d", got, want)
 			}
 			if c := r.Counters(); c.InFlight != 0 {
@@ -132,128 +119,192 @@ func TestFlushAllocFree(t *testing.T) {
 	}
 }
 
-// TestCompletionSettleSemantics walks the lazy-channel completion through
-// every order a waiter and the resolver can meet in.
+// TestCompletionSettleSemantics: every transport resolves a completion
+// before Submit returns, so a completion resolves exactly once, and reading
+// one no transport resolved is a bug that panics rather than a wait.
 func TestCompletionSettleSemantics(t *testing.T) {
-	closed := func(ch <-chan struct{}) bool {
-		select {
-		case <-ch:
-			return true
-		default:
-			return false
-		}
+	mustPanic := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s went unnoticed", what)
+			}
+		}()
+		f()
 	}
-	boom := errors.New("boom")
-
-	t.Run("done before resolve", func(t *testing.T) {
-		c := &Completion{name: "t"}
-		ch := c.Done()
-		if closed(ch) || c.Settled() {
-			t.Fatal("settled before resolve")
-		}
-		if again := c.Done(); again != ch {
-			t.Fatal("second Done returned a different channel")
-		}
-		c.resolve(boom, false, 0)
-		if !closed(ch) || !c.Settled() || c.Wait(nil) != boom {
-			t.Fatalf("after resolve: closed=%v settled=%v err=%v", closed(ch), c.Settled(), c.Wait(nil))
-		}
-	})
-
-	t.Run("done after resolve", func(t *testing.T) {
-		c := &Completion{name: "t"}
-		c.resolve(boom, false, 0)
-		if !closed(c.Done()) || c.Done() != c.Done() {
-			t.Fatal("Done after resolve is not one closed channel")
-		}
-		if c.Wait(nil) != boom || c.Wait(nil) != boom {
-			t.Fatal("accessors lost the outcome")
-		}
-	})
 
 	t.Run("resolved twice", func(t *testing.T) {
 		c := &Completion{name: "t"}
 		c.resolve(nil, false, 0)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("second resolve went unnoticed")
-			}
-		}()
-		c.resolve(nil, false, 0)
+		mustPanic(t, "second resolve", func() { c.resolve(nil, false, 0) })
 	})
 
-	t.Run("done races resolve", func(t *testing.T) {
-		for i := 0; i < 2000; i++ {
-			c := &Completion{name: "t"}
-			var wg sync.WaitGroup
-			wg.Add(3)
-			go func() { defer wg.Done(); c.resolve(boom, false, 0) }()
-			for w := 0; w < 2; w++ {
-				go func() {
-					defer wg.Done()
-					<-c.Done()
-					if c.Wait(nil) != boom {
-						t.Error("woke before the outcome was published")
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	})
-
-	t.Run("many waiters on an async completion", func(t *testing.T) {
-		r := newDecafRuntime(newTestKernel())
-		c, resolve := pending(r, "held")
-		if c.Settled() {
-			t.Fatal("settled before resolve")
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var err error
-				if w%2 == 0 {
-					err = c.Wait(nil)
-				} else {
-					<-c.Done()
-					err = c.Wait(nil)
-				}
-				if err != boom {
-					t.Errorf("waiter %d: err = %v", w, err)
-				}
-			}(w)
-		}
-		go resolve(boom, false)
-		wg.Wait()
-		if c := r.Counters(); c.InFlight != 0 {
-			t.Fatalf("InFlight = %d", c.InFlight)
+	t.Run("read before resolve", func(t *testing.T) {
+		c := &Completion{name: "t"}
+		mustPanic(t, "reading an unresolved completion", func() { _ = c.outcome() })
+		boom := errors.New("boom")
+		c.resolve(boom, false, 0)
+		if !c.settled || c.outcome() != boom || c.outcome() != boom {
+			t.Fatalf("after resolve: settled=%v err=%v", c.settled, c.err)
 		}
 	})
 }
 
-// TestFlushAsyncCarriesStickyError: a builder error (here a misspelt handler
-// name) must surface through FlushAsync's handle exactly as through Flush —
-// both NIC data paths flush that way.
-func TestFlushAsyncCarriesStickyError(t *testing.T) {
+// TestSubmitSettlesEveryCompletion pins the rule Batch.Flush rests on: every
+// transport resolves every submission's completion, exactly once, before
+// Submit returns, whatever the outcome — success, a handler error, an
+// injected fault, the abort of what follows a failure, a closed or
+// foreign-bound transport, a worker that dies mid-chunk — and the in-flight
+// gauge is back at zero. A second resolve panics inside Submit.
+func TestSubmitSettlesEveryCompletion(t *testing.T) {
+	ok := func(err error) bool { return err == nil }
+	fault := func(err error) bool { return IsUserFault(err) }
+	aborted := func(err error) bool { return errors.Is(err, ErrCrossingAborted) }
+	failed := func(err error) bool { return err != nil && strings.Contains(err.Error(), "requested failure") }
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	// n copies of want, for the calls behind a failure.
+	times := func(n int, want func(error) bool) []func(error) bool {
+		ws := make([]func(error) bool, n)
+		for i := range ws {
+			ws[i] = want
+		}
+		return ws
+	}
+	sinks := func(n int) []string {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = "xpcbench_sink"
+		}
+		return names
+	}
+
+	type rig struct {
+		name string
+		proc bool
+		new  func(t *testing.T) Transport
+	}
+	rigs := []rig{
+		{"batch_N=1", false, func(*testing.T) Transport { return BatchTransport{N: 1} }},
+		{"batch_N=16", false, func(*testing.T) Transport { return BatchTransport{N: 16} }},
+		{"proc", true, func(t *testing.T) Transport {
+			pt, err := NewProcTransport(ProcConfig{Batch: 4})
+			if err != nil {
+				t.Skip(err)
+			}
+			return pt
+		}},
+	}
+	cases := []struct {
+		name     string
+		procOnly bool
+		calls    []string
+		// prepare readies the transport and returns the runtime that
+		// submits (the rig's own, unless the case needs another).
+		prepare func(t *testing.T, r *Runtime, ctx *kernel.Context, tr Transport) *Runtime
+		want    []func(error) bool
+	}{
+		{name: "success", calls: sinks(20), want: times(20, ok)},
+		{name: "handler error", calls: []string{"xpctest_fail"}, want: times(1, failed)},
+		{name: "injected fault", calls: sinks(3),
+			prepare: func(t *testing.T, r *Runtime, _ *kernel.Context, _ Transport) *Runtime {
+				n := 0
+				r.SetFaultInjector(func(string) bool { n++; return n == 2 })
+				return r
+			},
+			want: []func(error) bool{ok, fault, aborted}},
+		{name: "chunk abort after a failure",
+			calls: append([]string{"xpctest_count", "xpctest_fail"}, sinks(18)...),
+			want:  append([]func(error) bool{ok, failed}, times(18, aborted)...)},
+		{name: "transport closed", procOnly: true, calls: sinks(6),
+			prepare: func(t *testing.T, r *Runtime, ctx *kernel.Context, tr Transport) *Runtime {
+				if err := r.Call(ctx, hSink); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.(*ProcTransport).Close(); err != nil {
+					t.Fatal(err)
+				}
+				return r
+			},
+			want: times(6, is(ErrTransportClosed))},
+		{name: "transport bound", procOnly: true, calls: sinks(6),
+			prepare: func(t *testing.T, r *Runtime, ctx *kernel.Context, _ Transport) *Runtime {
+				if err := r.Call(ctx, hSink); err != nil {
+					t.Fatal(err)
+				}
+				return newDecafRuntime(newTestKernel())
+			},
+			want: times(6, is(ErrTransportBound))},
+		{name: "worker dies mid-chunk", procOnly: true,
+			calls: append([]string{"xpcbench_sink", "xpctest_exit"}, sinks(6)...),
+			want:  append([]func(error) bool{ok, fault}, times(6, aborted)...)},
+	}
+	for _, rg := range rigs {
+		for _, tc := range cases {
+			if tc.procOnly && !rg.proc {
+				continue
+			}
+			t.Run(rg.name+"/"+tc.name, func(t *testing.T) {
+				k := newTestKernel()
+				r := newDecafRuntime(k)
+				tr := rg.new(t)
+				r.SetTransport(tr)
+				defer r.SetTransport(nil)
+				ctx := k.NewContext("t")
+				submitter := r
+				if tc.prepare != nil {
+					submitter = tc.prepare(t, r, ctx, tr)
+				}
+				data := make([][]byte, len(tc.calls))
+				for i := range data {
+					data[i] = []byte{1} // xpctest_fail fails on it
+				}
+				subs := procSubs(submitter, tc.calls, data)
+				_ = tr.Submit(submitter, ctx, subs)
+				for i, sub := range subs {
+					c := sub.Completion
+					if !c.settled {
+						t.Fatalf("call %d (%s) unresolved when Submit returned", i, tc.calls[i])
+					}
+					if !tc.want[i](c.err) {
+						t.Errorf("call %d (%s) resolved %v", i, tc.calls[i], c.err)
+					}
+				}
+				if c := submitter.Counters(); c.InFlight != 0 {
+					t.Errorf("InFlight = %d after Submit", c.InFlight)
+				}
+			})
+		}
+	}
+}
+
+// TestFlushCarriesStickyError: a builder error (here a misspelt handler
+// name) surfaces through Flush, which still crosses what was queued before
+// it and drops what came after; an empty flush after a builder error must
+// not swallow it; and the flush clears it, so the builder is reusable.
+func TestFlushCarriesStickyError(t *testing.T) {
 	for _, rig := range flushRigs {
 		t.Run(rig.name, func(t *testing.T) {
 			k, r := rig.new(t)
 			ctx := k.NewContext("t")
-			build := func() *Batch {
-				return r.Batch(ctx).Call(hCount).UpcallHandler("no_such_handler").Call(hCount)
+			b := r.Batch(ctx)
+			served := r.SharedState().Load(testCellServed)
+			err := b.Call(hCount).UpcallHandler("no_such_handler").Call(hCount).Flush()
+			if err == nil || !strings.Contains(err.Error(), "no handler registered") {
+				t.Fatalf("Flush = %v, want the missing-handler error", err)
 			}
-			want := build().Flush()
-			if want == nil || !strings.Contains(want.Error(), "no handler registered") {
-				t.Fatalf("Flush = %v, want the missing-handler error", want)
+			if got := r.SharedState().Load(testCellServed) - served; got != 1 {
+				t.Fatalf("%d calls crossed, want the 1 queued before the error", got)
 			}
-			done := build().FlushAsync()
-			if got := done.Wait(ctx); got == nil || got.Error() != want.Error() {
-				t.Fatalf("FlushAsync().Wait = %v, want %v", got, want)
+			if err := b.UpcallHandler("no_such_handler").Flush(); err == nil {
+				t.Fatal("empty Flush swallowed the sticky error")
 			}
-			// An empty flush after a builder error carries it too.
-			if got := r.Batch(ctx).UpcallHandler("no_such_handler").FlushAsync().Wait(nil); got == nil {
-				t.Fatal("empty FlushAsync swallowed the sticky error")
+			if err := b.Call(hCount).Flush(); err != nil {
+				t.Fatalf("Flush after the sticky error was reported: %v", err)
+			}
+			if c := r.Counters(); c.InFlight != 0 {
+				t.Fatalf("InFlight = %d", c.InFlight)
 			}
 		})
 	}
@@ -262,12 +313,12 @@ func TestFlushAsyncCarriesStickyError(t *testing.T) {
 // TestRecordReuseStorm drives every kind of flush through recycled records
 // on every transport. A record reads as recycledName / errRecycled while it
 // sits in the pool, so anything that held on to one past its flush — a
-// transport touching a submission after resolving it, an aggregate reading
-// children that were handed back — shows up here as that name in a counter
-// or a fault event, or as that error from a flush; under -race
-// it shows up as a race as well. Exactly-once resolution is checked by the
-// in-flight gauge returning to zero (a second resolve panics, a missing one
-// hangs the flush).
+// transport touching a submission after Submit returned, a crossing reading
+// another flush's records — shows up here as that name in a counter or a
+// fault event, or as that error from a flush; under -race it shows up as a
+// race as well. Exactly-once resolution is checked by the in-flight gauge
+// returning to zero (a second resolve panics, and so does a flush reading a
+// completion its transport left unresolved).
 func TestRecordReuseStorm(t *testing.T) {
 	for _, rig := range flushRigs {
 		t.Run(rig.name, func(t *testing.T) {
@@ -322,16 +373,12 @@ func TestRecordReuseStorm(t *testing.T) {
 							b.CallData(hCount, []byte{byte(j)})
 						}
 						check("flush", b.Flush(), "")
-					case 1: // the aggregate handle, waited on later
+					case 1: // another flush crosses while this one is queued
 						for j := 0; j < 5; j++ {
 							b.Call(hCount)
 						}
-						done := b.FlushAsync()
 						_ = r.Call(ctx, hCount) // proc: may meet a dead worker
-						check("flush async", done.Wait(ctx), "")
-						if !done.Settled() || done.Wait(nil) != done.Wait(nil) {
-							t.Error("aggregate handle is not stable after Wait")
-						}
+						check("interleaved flush", b.Flush(), "")
 					case 2: // sticky builder error, later adds dropped
 						b.Call(hCount).UpcallHandler("no_such_handler").Call(hCount)
 						check("sticky", b.Flush(), "no handler registered")
@@ -342,7 +389,7 @@ func TestRecordReuseStorm(t *testing.T) {
 					case 4: // an injected fault, through the sugar and through a batch
 						check("injected", r.Call(ctx, hSink), "user-level fault")
 						b.Call(hCount).Call(hSink).Call(hCount)
-						check("injected batch", b.FlushAsync().Wait(ctx), "user-level fault")
+						check("injected batch", b.Flush(), "user-level fault")
 					case 5: // the worker dies under (or between) flushes
 						if isProc {
 							pt.KillWorker()

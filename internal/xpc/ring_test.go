@@ -285,3 +285,67 @@ func TestExhaustedRingFallsBackToCopy(t *testing.T) {
 	r.ReleasePayload(first)
 	r.ReleasePayload(second)
 }
+
+// TestFlightReleaseRecyclesLists: a flight released and staged again reuses
+// its own item and payload lists, so after the first flush staging and
+// releasing allocate nothing; Release hands every payload slot back, and a
+// released flight keeps neither its items nor a copy-path payload's bytes
+// reachable.
+func TestFlightReleaseRecyclesLists(t *testing.T) {
+	k := newTestKernel()
+	r := newDecafRuntime(k)
+	ctx := k.NewContext("t")
+	ring := NewPayloadRing(4, 64)
+	if err := r.RegisterPayloadRing(ctx, ring); err != nil {
+		t.Fatal(err)
+	}
+	frames := make([]*[]byte, 6) // two more than the ring has slots
+	for i := range frames {
+		b := []byte{byte(i), 1, 2, 3}
+		frames[i] = &b
+	}
+	var f Flight[*[]byte]
+	stage := func(frames []*[]byte) {
+		for _, b := range frames {
+			f.Stage(r, b, *b)
+		}
+	}
+	stage(frames)
+	if len(f.Items) != len(frames) || len(f.Payloads) != len(frames) {
+		t.Fatalf("flight carries %d items / %d payloads, want %d", len(f.Items), len(f.Payloads), len(frames))
+	}
+	for i, p := range f.Payloads {
+		if direct := i < ring.Slots(); p.Slot.Valid() != direct {
+			t.Fatalf("payload %d direct = %v: the ring has %d slots, the rest fall back to the copy path", i, p.Slot.Valid(), ring.Slots())
+		}
+	}
+	if ring.Exhausted() != 2 {
+		t.Fatalf("Exhausted = %d, want the 2 frames past the ring", ring.Exhausted())
+	}
+	items, payloads := f.Items, f.Payloads
+	f.Release(r)
+	if ring.InUse() != 0 {
+		t.Fatalf("%d slots still held after Release", ring.InUse())
+	}
+	if len(f.Items) != 0 || len(f.Payloads) != 0 {
+		t.Fatalf("released flight still carries %d items / %d payloads", len(f.Items), len(f.Payloads))
+	}
+	for i := range items {
+		if items[i] != nil || payloads[i].Data != nil {
+			t.Fatalf("released flight still reaches item %d", i)
+		}
+	}
+
+	stage(frames[:2])
+	if &f.Items[0] != &items[0] {
+		t.Fatal("the next flush did not reuse the flight's item list")
+	}
+	f.Release(r)
+	cycle := func() {
+		stage(frames)
+		f.Release(r)
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("stage + release: %v allocs per flight, want 0", allocs)
+	}
+}

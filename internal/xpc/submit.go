@@ -3,15 +3,13 @@ package xpc
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"decafdrivers/internal/kernel"
 	"decafdrivers/internal/trace"
 )
 
 // Submission errors. Completions resolved on a failure path carry one of
-// these (or the call's own error) so waiters always learn the outcome.
+// these (or the call's own error) so the submitter always learns the outcome.
 var (
 	// ErrCrossingAborted resolves a submission that never executed because
 	// an earlier call in the same flush failed or faulted.
@@ -76,58 +74,28 @@ type FaultEvent struct {
 }
 
 // Completion is the handle for one submitted crossing. It resolves exactly
-// once, carrying the call's result (error or contained fault) and its share
-// of the crossing's virtual cost. All accessors except Done and Settled
-// block until the completion resolves.
+// once, carrying the call's result (error or contained fault); its share of
+// the crossing's virtual cost and whether it faulted go to the counters and
+// the fault notifier as it resolves.
 //
-// Every transport charges the crossing to the submitting context and
-// resolves the completion before Submit returns, so a waiter is never
-// behind the instant its completion resolved at and waiting charges nothing.
+// Every transport resolves the completion before Submit returns, on the
+// submitting goroutine or before Submit's return is ordered after it, and
+// charges the crossing to the submitting context. So a completion is only
+// ever read settled: reading one that is not is a transport bug, and panics.
 type Completion struct {
 	name string
 	up   bool
 	id   uint32 // the call's Call.id: where it counts
 	r    *Runtime
 
-	// ch is the whole settle state in one word: nil while unresolved with
-	// nobody blocked, a waiter-installed channel while unresolved with
-	// somebody blocked (or holding Done's channel), settledCh once resolved.
-	// A transport resolves before Submit returns, so on that path no channel
-	// ever exists and every accessor is one atomic load.
-	ch atomic.Pointer[chan struct{}]
-
-	// Resolved fields, written exactly once before ch becomes settledCh and
-	// immutable after; that swap publishes them.
-	err       error
-	fault     bool
-	crossCost time.Duration
+	// Resolved fields, written exactly once by resolveOn.
+	settled bool
+	err     error
 }
 
-// settledCh is the value of Completion.ch once resolved: a channel closed
-// for good, so Done on a settled completion still hands back something a
-// select can fall through.
-var settledCh = func() *chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return &ch
-}()
-
-// settle publishes the resolved fields and wakes whoever blocked. A second
-// settle closes settledCh itself and panics: the exactly-once rule has the
-// teeth the bare channel close gave it.
-//
-//decaf:hotpath
-func (c *Completion) settle() {
-	if waiters := c.ch.Swap(settledCh); waiters != nil {
-		close(*waiters)
-	}
-}
-
-// resolve publishes the outcome; crossCost is this call's share of the
-// crossing. A fault outcome is additionally delivered to the runtime's
-// fault notifier after the completion settles, from values read before it
-// did: once settled, the completion may be a pooled record's and already
-// recycled.
+// resolve publishes the outcome and counts it: crossCost is this call's
+// share of the crossing, and a fault outcome is additionally delivered to
+// the runtime's fault notifier once the completion settles.
 //
 //decaf:hotpath
 func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
@@ -135,80 +103,41 @@ func (c *Completion) resolve(err error, fault bool, crossCost time.Duration) {
 }
 
 // resolveOn is resolve for a caller that already holds the counter cell of
-// the completion's entry point (nil: look it up).
+// the completion's entry point (nil: look it up). A second resolve panics:
+// exactly once is the Transport contract, and a transport that breaks it is
+// a bug.
 //
 //decaf:hotpath
 func (c *Completion) resolveOn(cell *counterCell, err error, fault bool, crossCost time.Duration) {
-	r, ev := c.r, FaultEvent{Call: c.name, Up: c.up, Err: err}
-	c.err = err
-	c.fault = fault
-	c.crossCost = crossCost
-	if r != nil {
-		if cell == nil {
-			cell = r.state().cell(c.id)
-		}
-		r.noteCompletion(cell, c, crossCost, fault)
-		r.inFlight.Add(-1)
+	if c.settled {
+		panic("xpc: completion resolved twice")
 	}
-	c.settle()
-	if fault && r != nil {
+	c.settled, c.err = true, err
+	r := c.r
+	if r == nil {
+		return
+	}
+	if cell == nil {
+		cell = r.state().cell(c.id)
+	}
+	r.noteCompletion(cell, c, crossCost, fault)
+	r.inFlight.Add(-1)
+	if fault {
 		if fp := r.faultNotifier.Load(); fp != nil {
-			(*fp)(ev)
+			(*fp)(FaultEvent{Call: c.name, Up: c.up, Err: err})
 		}
 	}
 }
 
-// fold accumulates a settled child into an aggregate: the first error in
-// submission order (after any error the aggregate started from), any fault
-// and the combined crossing cost.
-func (c *Completion) fold(child *Completion) {
-	if c.err == nil {
-		c.err = child.err
+// outcome returns the resolved call's error. The transport resolved the
+// completion before Submit returned, so one still unresolved here is a
+// broken Transport contract, not something to wait for.
+//
+//decaf:hotpath
+func (c *Completion) outcome() error {
+	if !c.settled {
+		panic("xpc: completion read before its transport resolved it")
 	}
-	c.fault = c.fault || child.fault
-	c.crossCost += child.crossCost
-}
-
-// Settled reports, without blocking, whether the completion has resolved.
-// Drivers poll this to reap flushes without waiting on them.
-//
-//decaf:hotpath
-func (c *Completion) Settled() bool { return c.ch.Load() == settledCh }
-
-// Done returns a channel closed when the completion resolves. The channel is
-// created on first demand — here, or by an accessor that has to block — and
-// every caller before resolution gets the same one.
-//
-//decaf:hotpath
-func (c *Completion) Done() <-chan struct{} {
-	for {
-		if ch := c.ch.Load(); ch != nil {
-			return *ch
-		}
-		//decaf:allowalloc the slow path: only a caller that has to block on (or asks to select on) an unresolved completion pays for its channel
-		ch := make(chan struct{})
-		if c.ch.CompareAndSwap(nil, &ch) {
-			return ch
-		}
-	}
-}
-
-// wait blocks until the completion resolves.
-//
-//decaf:hotpath
-func (c *Completion) wait() {
-	if !c.Settled() {
-		<-c.Done()
-	}
-}
-
-// Wait blocks until the completion resolves and returns the call's error.
-// The crossing already charged its cost to the submitting context, so the
-// waiting context ctx is charged nothing.
-//
-//decaf:hotpath
-func (c *Completion) Wait(ctx *kernel.Context) error {
-	c.wait()
 	return c.err
 }
 

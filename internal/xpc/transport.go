@@ -64,10 +64,10 @@ type Call struct {
 
 // Transport moves submissions across the user/kernel boundary on behalf of a
 // Runtime. The API is submission/completion: Submit hands over a slice of
-// submissions and returns once they are accepted; each submission's
-// Completion resolves with the call's result, crossing cost and
-// fault-containment outcome. Both transports resolve every completion
-// before Submit returns, and the submitting context pays the crossing cost.
+// submissions, and each submission's Completion resolves with the call's
+// result and fault-containment outcome, its share of the crossing cost
+// counted as it does. Both transports resolve every completion before
+// Submit returns, and the submitting context pays the crossing cost.
 // Within a chunk, completions resolve one at a time in chunk order, each as
 // soon as the crossing engine has stepped its call (see chunkEngine): under
 // ProcTransport that is when the worker's completion for it has been
@@ -78,15 +78,11 @@ type Call struct {
 // process). The mechanics of a crossing (payload transfer, fault
 // containment, accounting) live on the Runtime.
 //
-// Ownership: a submission is the transport's from Submit until the
-// transport resolves its Completion, and not an instant longer. A transport
-// must not touch a Submission, its Call or its Completion after resolving
-// that completion, nor the subs slice after resolving the last completion
-// in it: the submitter may be blocked in Wait on another goroutine, and the
-// moment its last completion settles it recycles the call records (and the
-// slice) for its next flush. Whatever a transport needs past that point —
-// a name for a counter, the completion instant its timeline advances to —
-// it reads before resolving.
+// Ownership: a submission is the transport's from Submit until Submit
+// returns, and not an instant longer. Every completion is resolved by then,
+// and the submitter reads the outcomes and recycles the call records (and
+// the subs slice) for its next flush at once, so nothing a transport keeps
+// may reach a Submission, its Call or its Completion afterwards.
 type Transport interface {
 	// Name identifies the transport in benchmark output.
 	Name() string

@@ -24,12 +24,11 @@
 //
 // The mechanics of a crossing are pluggable through the Transport
 // interface, whose API is submit/complete: a Submission pairs a Call with a
-// Completion handle carrying the call's result, its crossing cost and the
-// fault-containment outcome. Transport.Submit crosses the submissions and
-// resolves every completion before it returns. Runtime.Call and CallData
-// are sugar — a one-call Batch flush: Submit plus an immediate Wait — so
-// the seed call-and-return semantics are a degenerate use of the
-// submit/complete API, not a separate path.
+// Completion handle carrying the call's result and its fault-containment
+// outcome. Transport.Submit crosses the submissions and resolves every
+// completion before it returns. Runtime.Call and CallData are sugar — a
+// one-call Batch flush — so the seed call-and-return semantics are a
+// degenerate use of the submit/complete API, not a separate path.
 //
 // Two transports implement the interface:
 //
@@ -118,9 +117,8 @@
 // with a call.
 //
 // Hot paths written against the Batch builder are transport-agnostic:
-// Batch.Flush waits for its calls under any transport, while
-// Batch.FlushAsync returns an aggregate Completion the driver pushes onto a
-// FlushPipeline and reaps once it settles.
+// Batch.Flush ends a batch under any transport, and when it returns every
+// call it queued has crossed and resolved.
 //
 // # Zero-copy payloads
 //
